@@ -10,6 +10,7 @@
 #define SRC_HARNESS_ENV_KNOBS_H_
 
 #include <cstdlib>
+#include <limits>
 #include <string_view>
 
 #include "src/disk/device_factory.h"
@@ -18,6 +19,27 @@
 #include "src/lld/lld_options.h"
 
 namespace ld {
+
+// Generic flag: "0" turns it off; unset or anything else returns `fallback`
+// unchanged or on, matching how LD_READAHEAD / LD_ASYNC_READS behave.
+inline bool EnvFlag(const char* name, bool fallback) {
+  const char* v = std::getenv(name);
+  if (v == nullptr) {
+    return fallback;
+  }
+  return std::string_view(v) != "0";
+}
+
+// Generic integer: `fallback` when unset or below `min` (a value that does
+// not parse reads as 0).
+inline long long EnvInt(const char* name, long long fallback, long long min) {
+  const char* v = std::getenv(name);
+  if (v == nullptr) {
+    return fallback;
+  }
+  const long long n = std::atoll(v);
+  return n >= min ? n : fallback;
+}
 
 // LD_QUEUE_POLICY=fifo|cscan.
 inline QueuePolicy EnvQueuePolicy(QueuePolicy fallback) {
@@ -30,57 +52,32 @@ inline QueuePolicy EnvQueuePolicy(QueuePolicy fallback) {
 
 // LD_CHANNELS=N: independent actuator/channel count for the shared device.
 inline uint32_t EnvChannels(uint32_t fallback) {
-  const char* v = std::getenv("LD_CHANNELS");
-  if (v == nullptr) {
-    return fallback;
-  }
-  const int n = std::atoi(v);
-  return n > 0 ? static_cast<uint32_t>(n) : fallback;
+  return static_cast<uint32_t>(EnvInt("LD_CHANNELS", fallback, 1));
 }
 
 // Base seed for fault-injection tests (LD_FAULT_SEED=N): the CI fault
 // matrix varies it so the same binaries cover several fault schedules.
 inline uint64_t EnvFaultSeed(uint64_t fallback) {
-  const char* v = std::getenv("LD_FAULT_SEED");
-  if (v == nullptr) {
-    return fallback;
-  }
-  const long long n = std::atoll(v);
-  return n >= 0 ? static_cast<uint64_t>(n) : fallback;
+  return static_cast<uint64_t>(EnvInt("LD_FAULT_SEED", static_cast<long long>(fallback), 0));
 }
 
 // Per-segment parity toggle (LD_SEGMENT_PARITY=0|1): the CI fault matrix
 // runs the crash/corruption sweeps with the XOR parity block both absent
 // and present. Tests whose expectations depend on one setting pin
 // `LldOptions::segment_parity` explicitly instead.
-inline bool EnvSegmentParity(bool fallback) {
-  const char* v = std::getenv("LD_SEGMENT_PARITY");
-  if (v == nullptr) {
-    return fallback;
-  }
-  return std::string_view(v) != "0";
-}
+inline bool EnvSegmentParity(bool fallback) { return EnvFlag("LD_SEGMENT_PARITY", fallback); }
 
 // Cross-channel stripe parity toggle (LD_STRIPE_PARITY=0|1): the CI stripe
 // matrix runs the striping/recovery suites with RAID-5-style stripe sets
 // both absent and present. Tests whose expectations depend on one setting
 // pin `LldOptions::stripe_parity` explicitly instead.
-inline bool EnvStripeParity(bool fallback) {
-  const char* v = std::getenv("LD_STRIPE_PARITY");
-  if (v == nullptr) {
-    return fallback;
-  }
-  return std::string_view(v) != "0";
-}
+inline bool EnvStripeParity(bool fallback) { return EnvFlag("LD_STRIPE_PARITY", fallback); }
 
 // LD_FAIL_CHANNEL=N: channel the bench fault experiments kill with
 // FaultDisk::FailChannel (-1 / unset = the experiment's own default).
 inline int EnvFailChannel(int fallback) {
-  const char* v = std::getenv("LD_FAIL_CHANNEL");
-  if (v == nullptr) {
-    return fallback;
-  }
-  return std::atoi(v);
+  return static_cast<int>(
+      EnvInt("LD_FAIL_CHANNEL", fallback, std::numeric_limits<long long>::min()));
 }
 
 // Incremental checkpoint cadence in sealed segments (LD_CKPT_INTERVAL=N,
@@ -88,12 +85,7 @@ inline int EnvFailChannel(int fallback) {
 // recovery matrix varies it so the same binaries cover checkpoint-off and
 // several cadences.
 inline uint32_t EnvCheckpointInterval(uint32_t fallback) {
-  const char* v = std::getenv("LD_CKPT_INTERVAL");
-  if (v == nullptr) {
-    return fallback;
-  }
-  const long n = std::atol(v);
-  return n >= 0 ? static_cast<uint32_t>(n) : fallback;
+  return static_cast<uint32_t>(EnvInt("LD_CKPT_INTERVAL", fallback, 0));
 }
 
 // LD_CLEANER_POLICY=greedy|cost_benefit: the segment cleaner's victim-
@@ -119,34 +111,13 @@ inline CleaningPolicy EnvCleaningPolicy(CleaningPolicy fallback) {
 // Per-file read-ahead toggle (LD_READAHEAD=0|1): the CI read-ahead matrix
 // runs the read-path suites with prefetching both off and on. Tests whose
 // assertions require one setting pin MinixOptions explicitly instead.
-inline bool EnvReadAhead(bool fallback) {
-  const char* v = std::getenv("LD_READAHEAD");
-  if (v == nullptr) {
-    return fallback;
-  }
-  return std::string_view(v) != "0";
-}
-
-// Generic flag: "0" turns it off; unset or anything else returns `fallback`
-// unchanged or on, matching how LD_READAHEAD / LD_ASYNC_READS behave.
-inline bool EnvFlag(const char* name, bool fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr) {
-    return fallback;
-  }
-  return std::string_view(v) != "0";
-}
+inline bool EnvReadAhead(bool fallback) { return EnvFlag("LD_READAHEAD", fallback); }
 
 // LD_TENANTS=N: number of concurrent tenant sessions multiplexed over the
 // shared device by the multi-tenant harness (1 = the classic single-FS
 // setups, byte-identical to pre-tenant behaviour).
 inline uint32_t EnvTenants(uint32_t fallback) {
-  const char* v = std::getenv("LD_TENANTS");
-  if (v == nullptr) {
-    return fallback;
-  }
-  const int n = std::atoi(v);
-  return n > 0 ? static_cast<uint32_t>(n) : fallback;
+  return static_cast<uint32_t>(EnvInt("LD_TENANTS", fallback, 1));
 }
 
 // LD_QOS=none|share|deadline: dispatch policy arbitrating channel time
@@ -198,18 +169,10 @@ inline MaintenanceOptions EnvMaintenanceOptions(
       options.idle_threshold_ms = ms;
     }
   }
-  if (const char* v = std::getenv("LD_MAINT_SCRUB_SEGMENTS")) {
-    const int n = std::atoi(v);
-    if (n > 0) {
-      options.scrub_segments_per_slice = static_cast<uint32_t>(n);
-    }
-  }
-  if (const char* v = std::getenv("LD_MAINT_REBUILD_SEGMENTS")) {
-    const int n = std::atoi(v);
-    if (n > 0) {
-      options.rebuild_segments_per_slice = static_cast<uint32_t>(n);
-    }
-  }
+  options.scrub_segments_per_slice = static_cast<uint32_t>(
+      EnvInt("LD_MAINT_SCRUB_SEGMENTS", options.scrub_segments_per_slice, 1));
+  options.rebuild_segments_per_slice = static_cast<uint32_t>(
+      EnvInt("LD_MAINT_REBUILD_SEGMENTS", options.rebuild_segments_per_slice, 1));
   return options;
 }
 

@@ -10,15 +10,8 @@ namespace ld {
 
 namespace {
 
-// Fixed bytes of a serialized summary besides the records: header + CRC.
-constexpr size_t kSummaryOverhead = SummaryHeader::kEncodedSize + 16;
-
 // Largest size class the summary encoding can express.
 constexpr uint32_t kMaxBlockSize = 65535;
-
-uint64_t RoundUp(uint64_t value, uint64_t multiple) {
-  return (value + multiple - 1) / multiple * multiple;
-}
 
 }  // namespace
 
@@ -179,10 +172,8 @@ StatusOr<std::unique_ptr<LogStructuredDisk>> LogStructuredDisk::Format(
   RETURN_IF_ERROR(lld->WriteSuperblock());
   RETURN_IF_ERROR(lld->InvalidateCheckpoint());
   // Erase stale summaries so a reformat never resurrects old metadata.
-  std::vector<uint8_t> zeros(options.summary_bytes, 0);
   for (uint32_t seg = 0; seg < lld->usage_->num_segments(); ++seg) {
-    const uint64_t summary_byte = lld->SegmentBaseByte(seg) + lld->data_capacity_;
-    RETURN_IF_ERROR(lld->io_.Write(summary_byte / device->sector_size(), zeros));
+    RETURN_IF_ERROR(lld->ZeroSummary(seg));
   }
   // Incremental mode starts its first chain (and allocation window) right at
   // format, so even the first session's crash recovers bounded.
@@ -413,10 +404,8 @@ Status LogStructuredDisk::FlushOpenSegmentFull() {
     redeclare_groups_.erase(redeclare_groups_.begin());
   }
   const uint64_t seq = next_seq_++;
-  SegmentUsage parity_info;
-  const bool has_parity =
-      AddSegmentParity(open_buffer_, open_data_used_, open_max_stored_, &open_records_,
-                       &parity_info);
+  const ParityGeometry parity =
+      AddSegmentParity(open_buffer_, open_data_used_, open_max_stored_, &open_records_);
   RETURN_IF_ERROR(BuildSummaryInto(open_buffer_, target, seq, open_data_used_));
 
   // Double buffering: the sealed image moves into an InflightWrite and is
@@ -447,18 +436,7 @@ Status LogStructuredDisk::FlushOpenSegmentFull() {
     return HandleWriteFailure(tag.status());
   }
 
-  SegmentUsage& seg = usage_->segment(target);
-  seg.state = SegmentState::kFull;
-  seg.seq = seq;
-  if (has_parity) {
-    seg.has_parity = true;
-    seg.parity_offset = parity_info.parity_offset;
-    seg.parity_bytes = parity_info.parity_bytes;
-    seg.parity_covered = parity_info.parity_covered;
-    seg.parity_crc = parity_info.parity_crc;
-  } else {
-    seg.ClearParity();
-  }
+  InstallSealedImage(target, SegmentState::kFull, seq, parity, open_records_);
   for (const Appended& a : open_appended_) {
     if (!block_map_.IsAllocated(a.bid)) {
       continue;
@@ -469,8 +447,6 @@ Status LogStructuredDisk::FlushOpenSegmentFull() {
       usage_->AddLive(target, a.stored, e.write_ts);
     }
   }
-  UpdateRecordAuthority(target, open_records_);
-  CaptureFrameSegment(target, seq, seg, open_records_);
   // Stripe parity images go out strictly *after* the sealing segment that
   // carries their records was submitted (submit order is crash order): a
   // crash between the two leaves records whose parity CRC does not verify —
@@ -501,8 +477,6 @@ Status LogStructuredDisk::FlushOpenSegmentFull() {
   open_appended_.clear();
   open_max_stored_ = 0;
   dirty_since_flush_ = false;
-  counters_.segments_written++;
-  NoteSegmentImageWrite(target);
   // Superseded-in-ARU copies that lived in this buffer are now dead bytes in
   // `target`: resolve their sentinels into real pins so the cleaner cannot
   // recycle the segment before the owning units' commit records seal.
@@ -514,15 +488,19 @@ Status LogStructuredDisk::FlushOpenSegmentFull() {
       }
     }
   }
-  // Commit records of ended ARUs rode this seal: their shadow pins can drop.
-  // Safe even while the write is still in flight — the cleaner waits for
+  // Commit records of ended ARUs rode this seal. Dropping their pins is
+  // safe even while the write is still in flight — the cleaner waits for
   // in-flight segment writes before it touches any victim, so the seal is
   // durable by the time a formerly pinned segment could be recycled.
+  return FinishSeal(!options_.pipeline_segment_writes);
+}
+
+Status LogStructuredDisk::FinishSeal(bool wait_for_inflight) {
   for (uint32_t pinned : aru_pins_awaiting_seal_) {
     usage_->UnpinAru(pinned);
   }
   aru_pins_awaiting_seal_.clear();
-  if (!options_.pipeline_segment_writes) {
+  if (wait_for_inflight) {
     RETURN_IF_ERROR(WaitForInflight());
   }
   // Checkpoint cadence rides the seal: every interval (or when the window
@@ -573,37 +551,109 @@ Status LogStructuredDisk::FlushOpenSegmentPartial() {
     return HandleWriteFailure(s);
   }
 
-  SegmentUsage& seg = usage_->segment(target);
-  seg.state = SegmentState::kScratch;
-  seg.seq = seq;
   // Partial (scratch) writes carry no parity: the segment is superseded by
-  // its eventual full write, which does.
-  seg.ClearParity();
-  UpdateRecordAuthority(target, open_records_);
-  // The scratch summary is durable (synchronous writes above), so a frame
-  // may cover it; a later re-flush supersedes this capture in place.
-  CaptureFrameSegment(target, seq, seg, open_records_);
+  // its eventual full write, which does. The scratch summary is durable
+  // (synchronous writes above), so a frame may cover it; a later re-flush
+  // supersedes this capture in place.
+  InstallSealedImage(target, SegmentState::kScratch, seq, ParityGeometry{}, open_records_);
   if (scratch_segment_ >= 0) {
     usage_->segment(static_cast<uint32_t>(scratch_segment_)).state = SegmentState::kFree;
   }
   scratch_segment_ = target;
   dirty_since_flush_ = false;
-  counters_.partial_segments_written++;
-  NoteSegmentImageWrite(target);
   // The partial image is durable (synchronous writes above), so commit
   // records buffered before this flush are sealed: drop their shadow pins.
-  for (uint32_t pinned : aru_pins_awaiting_seal_) {
-    usage_->UnpinAru(pinned);
-  }
-  aru_pins_awaiting_seal_.clear();
-  if (CheckpointingActive() && !ckpt_in_frame_write_) {
-    const bool force = usage_->AllocatableCount() <
-                       options_.segments_per_clean + static_cast<uint32_t>(MaxInflight()) + 2;
-    if (force || !options_.defer_checkpoint_frames) {
-      RETURN_IF_ERROR(MaybeWriteDeltaFrame(force));
+  return FinishSeal(/*wait_for_inflight=*/false);
+}
+
+// ---- Segment lifecycle ---------------------------------------------------------
+
+StatusOr<LogStructuredDisk::SummaryRead> LogStructuredDisk::ReadSummary(
+    uint32_t segment, std::span<const uint8_t> tail, std::span<const uint8_t> image) {
+  const uint32_t sector = device_->sector_size();
+  SummaryRead read;
+  const auto unreadable = [&read](const Status& s) -> StatusOr<SummaryRead> {
+    if (s.code() != ErrorCode::kIoError) {
+      return s;
     }
+    read.outcome = SummaryRead::kUnreadable;
+    read.status = s;
+    return std::move(read);
+  };
+  std::vector<uint8_t> tail_buf;
+  if (!image.empty()) {
+    tail = image.subspan(data_capacity_, options_.summary_bytes);
+  } else if (tail.empty()) {
+    tail_buf.resize(options_.summary_bytes);
+    if (Status s = io_.Read(SegmentSummaryStartByte(segment) / sector, tail_buf); !s.ok()) {
+      return unreadable(s);
+    }
+    tail = tail_buf;
   }
-  return OkStatus();
+  SummaryHeader& header = read.header;
+  const Status head = DecodeSummaryHeader(tail, &header);
+  if (head.code() == ErrorCode::kNotFound &&
+      std::all_of(tail.begin(), tail.end(), [](uint8_t b) { return b == 0; })) {
+    return read;  // Untouched, or zeroed by a retirement.
+  }
+  // Any other region without a sane header is damage, including a damaged
+  // magic. The spill length must be checked before it sizes a read.
+  if (!head.ok() || header.ext_bytes > data_capacity_ || header.segment_index != segment) {
+    read.outcome = SummaryRead::kCorrupt;
+    read.status = CorruptionError("segment " + std::to_string(segment) +
+                                  " summary header damaged");
+    return read;
+  }
+  read.seq_known = true;
+  // Record-heavy segments spill records into the end of their data area.
+  const uint32_t spill_offset = data_capacity_ - header.ext_bytes;
+  std::vector<uint8_t> spill_buf;
+  std::span<const uint8_t> spill;
+  if (!image.empty()) {
+    spill = image.subspan(spill_offset, header.ext_bytes);
+  } else if (header.ext_bytes > 0) {
+    const uint64_t start = SegmentBaseByte(segment) + spill_offset;
+    const uint64_t first = start / sector * sector;
+    spill_buf.resize(RoundUp(SegmentSummaryStartByte(segment) - first, sector));
+    if (Status s = io_.Read(first / sector, spill_buf); !s.ok()) {
+      return unreadable(s);
+    }
+    spill = std::span<const uint8_t>(spill_buf).subspan(start - first, header.ext_bytes);
+  }
+  read.status = DecodeSummary(tail, spill, &header, &read.records);
+  read.outcome = read.status.ok() ? SummaryRead::kValid : SummaryRead::kCorrupt;
+  return read;
+}
+
+void LogStructuredDisk::InstallSealedImage(uint32_t segment, SegmentState state, uint64_t seq,
+                                           const ParityGeometry& parity,
+                                           const std::vector<SummaryRecord>& records) {
+  SegmentUsage& seg = usage_->segment(segment);
+  seg.state = state;
+  seg.seq = seq;
+  seg.parity = parity;
+  UpdateRecordAuthority(segment, records);
+  CaptureFrameSegment(segment, seq, parity, records);
+  if (state == SegmentState::kScratch) {
+    counters_.partial_segments_written++;
+  } else {
+    counters_.segments_written++;
+  }
+  NoteSegmentImageWrite(segment);
+}
+
+void LogStructuredDisk::ResetSegment(uint32_t segment, SegmentState state) {
+  SegmentUsage& seg = usage_->segment(segment);
+  seg.state = state;
+  seg.newest_ts = 0;
+  seg.age_ts = 0;
+  seg.cold = false;
+  seg.parity = ParityGeometry{};
+}
+
+Status LogStructuredDisk::ZeroSummary(uint32_t segment) {
+  zero_summary_.resize(options_.summary_bytes, 0);
+  return io_.Write(SegmentSummaryStartByte(segment) / device_->sector_size(), zero_summary_);
 }
 
 // ---- Helpers -------------------------------------------------------------------
@@ -710,12 +760,11 @@ uint32_t LogStructuredDisk::ParityReserve(uint32_t max_stored) const {
   return ParityBytesFor(max_stored);
 }
 
-bool LogStructuredDisk::AddSegmentParity(std::span<uint8_t> buffer, uint32_t data_used,
-                                         uint32_t max_stored,
-                                         std::vector<SummaryRecord>* records,
-                                         SegmentUsage* usage) {
+ParityGeometry LogStructuredDisk::AddSegmentParity(std::span<uint8_t> buffer, uint32_t data_used,
+                                                   uint32_t max_stored,
+                                                   std::vector<SummaryRecord>* records) {
   if (!options_.segment_parity || data_used == 0 || max_stored == 0) {
-    return false;
+    return {};
   }
   const uint32_t sector = device_->sector_size();
   const uint32_t covered = static_cast<uint32_t>(RoundUp(data_used, sector));
@@ -723,7 +772,7 @@ bool LogStructuredDisk::AddSegmentParity(std::span<uint8_t> buffer, uint32_t dat
   if (static_cast<uint64_t>(covered) + parity_bytes > data_capacity_) {
     // EnsureRoom reserves this space; a segment sealed without the reserve
     // (e.g. written before the option was turned on) just goes out bare.
-    return false;
+    return {};
   }
   uint8_t* parity = buffer.data() + covered;
   std::memset(parity, 0, parity_bytes);
@@ -733,29 +782,24 @@ bool LogStructuredDisk::AddSegmentParity(std::span<uint8_t> buffer, uint32_t dat
   const uint32_t parity_crc = PayloadCrc(std::span<const uint8_t>(parity, parity_bytes));
   records->push_back(
       SummaryRecord::SegmentParity(NextTs(), covered, parity_bytes, covered, parity_crc));
-  usage->has_parity = true;
-  usage->parity_offset = covered;
-  usage->parity_bytes = parity_bytes;
-  usage->parity_covered = covered;
-  usage->parity_crc = parity_crc;
-  return true;
+  return ParityGeometry{true, covered, parity_bytes, covered, parity_crc};
 }
 
 Status LogStructuredDisk::ReconstructExtent(uint32_t segment, uint32_t offset,
                                             std::span<uint8_t> out) {
-  const SegmentUsage& seg = usage_->segment(segment);
-  if (!seg.has_parity) {
+  const ParityGeometry& geometry = usage_->segment(segment).parity;
+  if (!geometry.has) {
     return FailedPreconditionError("segment has no parity block");
   }
   const uint32_t sector = device_->sector_size();
   const uint64_t base = SegmentBaseByte(segment);
-  const uint32_t period = seg.parity_bytes;
+  const uint32_t period = geometry.bytes;
   // Widen the damaged range to sector boundaries: an unreadable sector loses
   // every byte it holds, so the whole aligned extent must be re-derived.
   const uint32_t ext_start = offset / sector * sector;
   const uint32_t ext_end = std::min(
-      static_cast<uint32_t>(RoundUp(offset + out.size(), sector)), seg.parity_covered);
-  if (offset + out.size() > seg.parity_covered) {
+      static_cast<uint32_t>(RoundUp(offset + out.size(), sector)), geometry.covered);
+  if (offset + out.size() > geometry.covered) {
     return FailedPreconditionError("extent outside the parity-covered area");
   }
   if (ext_end - ext_start > period) {
@@ -766,10 +810,10 @@ Status LogStructuredDisk::ReconstructExtent(uint32_t segment, uint32_t offset,
   std::vector<uint8_t> parity(period);
   {
     std::vector<uint8_t> span(RoundUp(period, sector));
-    RETURN_IF_ERROR(io_.Read((base + seg.parity_offset) / sector, std::span<uint8_t>(span)));
+    RETURN_IF_ERROR(io_.Read((base + geometry.offset) / sector, std::span<uint8_t>(span)));
     std::memcpy(parity.data(), span.data(), period);
   }
-  if (PayloadCrc(parity) != seg.parity_crc) {
+  if (PayloadCrc(parity) != geometry.crc) {
     return CorruptionError("segment parity block is itself damaged");
   }
 
@@ -791,7 +835,7 @@ Status LogStructuredDisk::ReconstructExtent(uint32_t segment, uint32_t offset,
     return OkStatus();
   };
   RETURN_IF_ERROR(absorb(0, ext_start));
-  RETURN_IF_ERROR(absorb(ext_end, seg.parity_covered));
+  RETURN_IF_ERROR(absorb(ext_end, geometry.covered));
 
   for (size_t i = 0; i < out.size(); ++i) {
     out[i] = parity[(offset + i) % period];
@@ -802,7 +846,7 @@ Status LogStructuredDisk::ReconstructExtent(uint32_t segment, uint32_t offset,
 Status LogStructuredDisk::TryReconstructStored(Bid bid, const BlockMapEntry& entry,
                                                std::span<uint8_t> out, const Status& damage) {
   if (!entry.phys.IsOnDisk() || !entry.has_payload_crc ||
-      !usage_->segment(entry.phys.segment).has_parity) {
+      !usage_->segment(entry.phys.segment).parity.has) {
     return damage;
   }
   if (Status s = ReconstructExtent(entry.phys.segment, entry.phys.offset, out); !s.ok()) {
@@ -1636,8 +1680,8 @@ MemoryFootprint LogStructuredDisk::MeasureMemory() const {
   fp.list_table_bytes = list_table_.MemoryBytes();
   fp.usage_table_bytes = usage_->MemoryBytes();
   fp.open_segment_bytes = open_buffer_.capacity();
-  for (const PendingFrameSegment& p : ckpt_pending_) {
-    fp.checkpoint_pending_bytes += sizeof(PendingFrameSegment) +
+  for (const LoggedSegment& p : ckpt_pending_) {
+    fp.checkpoint_pending_bytes += sizeof(LoggedSegment) +
                                    p.records.capacity() * sizeof(SummaryRecord);
   }
   return fp;

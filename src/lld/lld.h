@@ -46,6 +46,10 @@
 
 namespace ld {
 
+inline uint64_t RoundUp(uint64_t value, uint64_t multiple) {
+  return (value + multiple - 1) / multiple * multiple;
+}
+
 // Operation counters exposed for tests and benchmarks.
 struct LldCounters {
   uint64_t user_writes = 0;           // Write() calls.
@@ -362,6 +366,49 @@ class LogStructuredDisk : public LogicalDisk {
   Status BuildSummaryInto(std::span<uint8_t> buffer, uint32_t segment_index, uint64_t seq,
                           uint32_t data_bytes);
 
+  // ---- Segment lifecycle -----------------------------------------------------
+  // Fixed bytes of a serialized summary besides the records: header + CRC.
+  static constexpr size_t kSummaryOverhead = SummaryHeader::kEncodedSize + 16;
+  // One segment's summary: the unit the checkpoint chain captures and
+  // recovery replays. `parity` is the segment's geometry where known.
+  struct LoggedSegment {
+    uint32_t segment = 0;
+    uint64_t seq = 0;
+    ParityGeometry parity;
+    std::vector<SummaryRecord> records;
+  };
+  // A segment summary as read back: the summary layout (tail, spill, header
+  // checks) is known only to ReadSummary. `seq_known` says whether
+  // header.seq holds the seq an unreadable or corrupt summary claims.
+  struct SummaryRead {
+    enum Outcome { kNeverWritten, kValid, kUnreadable, kCorrupt } outcome = kNeverWritten;
+    SummaryHeader header;
+    bool seq_known = false;
+    std::vector<SummaryRecord> records;
+    Status status;  // kUnreadable: the I/O error; kCorrupt: what failed.
+  };
+  // Reads `segment`'s summary tail (unless `tail` already holds it) and
+  // spill from the device, or both from `image`, a full segment image in
+  // memory (which never fails). Only an all-zero tail reads as never
+  // written. An IO_ERROR makes the read kUnreadable; other device errors
+  // propagate.
+  StatusOr<SummaryRead> ReadSummary(uint32_t segment, std::span<const uint8_t> tail = {},
+                                    std::span<const uint8_t> image = {});
+  // A sealed image carrying `records` went to `segment` (kFull, or kScratch
+  // for a partial flush): installs its usage state and record authority,
+  // captures it for the next checkpoint frame, and counts the write.
+  void InstallSealedImage(uint32_t segment, SegmentState state, uint64_t seq,
+                          const ParityGeometry& parity, const std::vector<SummaryRecord>& records);
+  // Returns `segment` to the pool as `state` (kFree, or kParity for a stripe
+  // parity image) with no age, generation, or parity geometry.
+  void ResetSegment(uint32_t segment, SegmentState state);
+  // Zeroes `segment`'s summary tail so it reads as never written.
+  Status ZeroSummary(uint32_t segment);
+  // Post-seal bookkeeping shared by full and partial flushes: drops the
+  // shadow pins of units whose commit records rode the seal, optionally
+  // waits for the pipelined write, and keeps the checkpoint frame cadence.
+  Status FinishSeal(bool wait_for_inflight);
+
   // ---- Segment parity (segment_parity option) ------------------------------
   // XOR lane period for a segment whose largest stored block is `max_stored`:
   // one sector more than the sector-rounded block, so any sector-aligned
@@ -374,11 +421,11 @@ class LogStructuredDisk : public LogicalDisk {
   uint32_t ParityReserve(uint32_t max_stored) const;
   // Computes the parity block over `buffer`'s data area ([0, data_used),
   // padded to the sector boundary), stores it in the buffer at the padded
-  // offset, appends the kSegmentParity record, and reports the geometry in
-  // `usage`. Returns false (leaving everything untouched) when the segment
+  // offset, appends the kSegmentParity record, and returns the geometry.
+  // Returns no parity (leaving everything untouched) when the segment
   // carries no data or parity is off.
-  bool AddSegmentParity(std::span<uint8_t> buffer, uint32_t data_used, uint32_t max_stored,
-                        std::vector<SummaryRecord>* records, SegmentUsage* usage);
+  ParityGeometry AddSegmentParity(std::span<uint8_t> buffer, uint32_t data_used,
+                                  uint32_t max_stored, std::vector<SummaryRecord>* records);
   // Rebuilds the bytes of the sector-aligned extent around
   // [offset, offset + out.size()) of `segment`'s data area from the
   // segment's parity block, writing just the requested byte range into
@@ -396,6 +443,13 @@ class LogStructuredDisk : public LogicalDisk {
                               const Status& damage);
 
   // ---- Helpers -------------------------------------------------------------
+  // Sets a re-entrancy flag for one scope and restores its previous value.
+  struct FlagGuard {
+    bool* flag;
+    bool prev;
+    explicit FlagGuard(bool* f) : flag(f), prev(*f) { *f = true; }
+    ~FlagGuard() { *flag = prev; }
+  };
   OpTimestamp NextTs() { return next_ts_++; }
   bool InAru() const { return current_aru_ != 0; }
   uint32_t RecordAruId() const { return current_aru_; }
@@ -591,10 +645,25 @@ class LogStructuredDisk : public LogicalDisk {
   // `chain` is the loaded checkpoint chain to start from (null = none).
   struct LoadedChain;
   Status RecoverFromLog(const LoadedChain* chain);
+  // RecoverFromLog's phases, in order; they share one RecoveryScan.
+  struct RecoveryScan;
+  void SeedFromChain(RecoveryScan* scan);
+  std::vector<uint32_t> ScanScope(const RecoveryScan& scan) const;
+  Status SweepSummaries(const std::vector<uint32_t>& to_scan, RecoveryScan* scan);
+  Status ResolveStripeNet(RecoveryScan* scan);
+  Status ReconstructStripeMember(uint32_t parity, uint32_t index, RecoveryScan* scan);
+  Status ClassifySuspects(const RecoveryScan& scan);
+  void ReplayLog(RecoveryScan* scan);
+  Status DeriveState(const RecoveryScan& scan);
   // Tries both A/B slots, newest generation first; fills *chain and the
   // chain-related fields of last_recovery_. A null result (chain->usable ==
   // false) means full log recovery.
   Status LoadCheckpointChain(LoadedChain* chain);
+  // Reads frame `index` of the chain in `chain->slot`, `*offset` bytes into
+  // the slot's payload, appends it to *chain, and advances *offset. False
+  // when the frame is unreadable, torn, rotted, or past `payload_bytes`.
+  bool LoadCheckpointFrame(uint32_t index, uint64_t payload_bytes, uint64_t* offset,
+                           LoadedChain* chain);
   // Clean-shutdown checkpoint: a base frame in the inactive slot. With
   // incremental checkpointing off this is the only checkpoint ever written.
   // Returns a typed NO_SPACE ("checkpoint oversize") when the encoded
@@ -619,7 +688,7 @@ class LogStructuredDisk : public LogicalDisk {
   }
   // Records a sealed-and-durable segment's summary records for the next
   // delta frame (no-op unless CheckpointingActive()).
-  void CaptureFrameSegment(uint32_t segment, uint64_t seq, const SegmentUsage& parity,
+  void CaptureFrameSegment(uint32_t segment, uint64_t seq, const ParityGeometry& parity,
                            const std::vector<SummaryRecord>& records);
   // Records a scrub-retired segment (summary zeroed in place) for the next
   // delta frame, so chain replay does not resurrect it as kFull.
@@ -763,13 +832,7 @@ class LogStructuredDisk : public LogicalDisk {
   uint32_t ckpt_seals_since_frame_ = 0;
   // Durable segments sealed since the last frame, in seal order: the next
   // delta frame's payload.
-  struct PendingFrameSegment {
-    uint32_t segment = 0;
-    uint64_t seq = 0;
-    SegmentUsage parity;  // Only the parity fields are meaningful.
-    std::vector<SummaryRecord> records;
-  };
-  std::vector<PendingFrameSegment> ckpt_pending_;
+  std::vector<LoggedSegment> ckpt_pending_;
   // Segments retired (summary zeroed) since the last frame.
   std::vector<uint32_t> ckpt_retired_pending_;
   // Re-entrancy guard: frame writes flush the open segment, whose full-seal
@@ -781,6 +844,7 @@ class LogStructuredDisk : public LogicalDisk {
   std::vector<uint8_t> ckpt_window_mask_;
 
   std::vector<uint8_t> io_scratch_;  // Reusable sector-aligned I/O buffer.
+  std::vector<uint8_t> zero_summary_;  // ZeroSummary's source buffer.
 };
 
 }  // namespace ld

@@ -64,27 +64,16 @@ class CleanerTenantScope {
 
 Status LogStructuredDisk::HarvestVictim(uint32_t victim, CleanerBatch* batch,
                                         VictimDataRead* pending, uint32_t* ext_live) {
-  const uint32_t sector = device_->sector_size();
-  std::vector<uint8_t> summary(options_.summary_bytes);
-  RETURN_IF_ERROR(io_.Read((SegmentBaseByte(victim) + data_capacity_) / sector, summary));
-  SummaryHeader header;
-  const Status head = DecodeSummaryHeader(summary, &header);
-  if (head.code() == ErrorCode::kNotFound) {
-    return OkStatus();  // Never written: nothing to preserve.
+  ASSIGN_OR_RETURN(const SummaryRead read, ReadSummary(victim));
+  if (read.outcome == SummaryRead::kNeverWritten) {
+    return OkStatus();  // Nothing to preserve.
   }
-  RETURN_IF_ERROR(head);
-  std::vector<uint8_t> ext;
-  if (header.ext_bytes > 0) {
-    const uint64_t ext_start = data_capacity_ - header.ext_bytes;
-    const uint64_t first = (SegmentBaseByte(victim) + ext_start) / sector * sector;
-    const uint64_t end = SegmentBaseByte(victim) + data_capacity_;
-    std::vector<uint8_t> raw((end - first + sector - 1) / sector * sector);
-    RETURN_IF_ERROR(io_.Read(first / sector, raw));
-    const size_t skip = (SegmentBaseByte(victim) + ext_start) - first;
-    ext.assign(raw.begin() + skip, raw.begin() + skip + header.ext_bytes);
-  }
-  std::vector<SummaryRecord> records;
-  RETURN_IF_ERROR(DecodeSummary(summary, ext, &header, &records));
+  // An unreadable or damaged summary fails the round, typed: without it the
+  // victim's live state cannot be told apart, so the victim stays kFull for
+  // Scrub to retire.
+  RETURN_IF_ERROR(read.status);
+  const SummaryHeader& header = read.header;
+  const std::vector<SummaryRecord>& records = read.records;
   if (header.ext_bytes > 0) {
     // The spilled record bytes were accounted live when this segment was
     // written; harvesting re-logs what still matters. Their release is
@@ -111,9 +100,8 @@ Status LogStructuredDisk::HarvestVictim(uint32_t victim, CleanerBatch* batch,
     // *deferred* into `pending` so the caller can submit all victims' reads
     // as one async batch (they overlap across channels), then slice the
     // blocks out once the batch completes.
-    const uint64_t data_len = std::min<uint64_t>(
-        (static_cast<uint64_t>(header.data_bytes) + sector - 1) / sector * sector,
-        data_capacity_);
+    const uint64_t data_len =
+        std::min<uint64_t>(RoundUp(header.data_bytes, device_->sector_size()), data_capacity_);
     pending->victim = victim;
     pending->data.resize(data_len);
     for (const SummaryRecord* r : live) {
@@ -320,7 +308,6 @@ Status LogStructuredDisk::WriteCleanerBatch(CleanerBatch batch) {
   uint32_t used = 0;
   uint32_t image_max_stored = 0;  // Largest stored block in the current image.
   const uint32_t sector = device_->sector_size();
-  const size_t overhead = SummaryHeader::kEncodedSize + 16;
   // Per-image parity reservation: bytes at the end of the data fill for the
   // parity block, plus its summary record. Zero with segment_parity off, so
   // the capacity math below is unchanged from the parity-free layout.
@@ -354,9 +341,7 @@ Status LogStructuredDisk::WriteCleanerBatch(CleanerBatch batch) {
     const uint64_t seq = next_seq_++;
     // Cleaner-written segments carry parity like foreground ones; the record
     // must join `records` before the summary is encoded.
-    SegmentUsage parity_info;
-    const bool has_parity =
-        AddSegmentParity(buffer, used, image_max_stored, &records, &parity_info);
+    const ParityGeometry parity = AddSegmentParity(buffer, used, image_max_stored, &records);
     SummaryHeader header;
     header.seq = seq;
     header.segment_index = static_cast<uint32_t>(target);
@@ -380,10 +365,8 @@ Status LogStructuredDisk::WriteCleanerBatch(CleanerBatch batch) {
       if (used > 0) {
         // The parity block sits just past the sector-rounded data fill, so
         // the data write is extended to carry it in the same request.
-        const uint64_t data_len =
-            has_parity
-                ? static_cast<uint64_t>(parity_info.parity_offset) + parity_info.parity_bytes
-                : (static_cast<uint64_t>(used) + sector - 1) / sector * sector;
+        const uint64_t data_len = parity.has ? static_cast<uint64_t>(parity.offset) + parity.bytes
+                                             : RoundUp(used, sector);
         if (Status s =
                 io_.SubmitWrite(base / sector, std::span<const uint8_t>(buffer).subspan(0, data_len))
                     .status();
@@ -400,18 +383,10 @@ Status LogStructuredDisk::WriteCleanerBatch(CleanerBatch batch) {
       }
     }
 
-    SegmentUsage& seg = usage_->segment(static_cast<uint32_t>(target));
-    seg.state = SegmentState::kFull;
-    seg.seq = seq;
-    if (has_parity) {
-      seg.has_parity = true;
-      seg.parity_offset = parity_info.parity_offset;
-      seg.parity_bytes = parity_info.parity_bytes;
-      seg.parity_covered = parity_info.parity_covered;
-      seg.parity_crc = parity_info.parity_crc;
-    } else {
-      seg.ClearParity();
-    }
+    // Frames cover cleaner-written segments like foreground ones; the next
+    // frame is only written after this batch's Drain() barrier, so the
+    // capture never outruns durability.
+    InstallSealedImage(static_cast<uint32_t>(target), SegmentState::kFull, seq, parity, records);
     if (ext_used > 0) {
       // Re-logged metadata carries no data age: 0 leaves age_ts alone, so a
       // record-only segment falls back to newest_ts in the scoring.
@@ -423,9 +398,8 @@ Status LogStructuredDisk::WriteCleanerBatch(CleanerBatch batch) {
     // overwrites it). Without the preservation, re-logging would make cold
     // data look freshly written and cost-benefit would never stop recopying
     // it.
-    seg.cold = true;
+    usage_->segment(static_cast<uint32_t>(target)).cold = true;
     counters_.cold_segments_written++;
-    UpdateRecordAuthority(static_cast<uint32_t>(target), records);
     for (const auto& r : records) {
       if (r.type != SummaryRecordType::kBlockEntry) {
         continue;
@@ -439,17 +413,11 @@ Status LogStructuredDisk::WriteCleanerBatch(CleanerBatch batch) {
       e.has_payload_crc = r.has_payload_crc;
       usage_->AddLiveAged(static_cast<uint32_t>(target), r.stored_size, r.ts, age);
     }
-    // Frames cover cleaner-written segments like foreground ones; the next
-    // frame is only written after this batch's Drain() barrier, so the
-    // capture never outruns durability.
-    CaptureFrameSegment(static_cast<uint32_t>(target), seq, seg, records);
     records.clear();
     record_bytes = 0;
     used = 0;
     image_max_stored = 0;
     std::memset(buffer.data(), 0, buffer.size());
-    counters_.segments_written++;
-    NoteSegmentImageWrite(static_cast<uint32_t>(target));
     return OkStatus();
   };
 
@@ -461,8 +429,7 @@ Status LogStructuredDisk::WriteCleanerBatch(CleanerBatch batch) {
     if (reserve == 0) {
       return 0;
     }
-    const uint64_t covered = (fill + sector - 1) / sector * sector;
-    return (covered - fill) + reserve;
+    return (RoundUp(fill, sector) - fill) + reserve;
   };
 
   auto append_record = [&](const SummaryRecord& r) -> Status {
@@ -471,7 +438,7 @@ Status LogStructuredDisk::WriteCleanerBatch(CleanerBatch batch) {
     // reservation).
     const size_t parity_rec = ParityReserve(image_max_stored) > 0 ? parity_record_size() : 0;
     const uint64_t capacity =
-        (options_.summary_bytes - overhead - parity_rec) +
+        (options_.summary_bytes - kSummaryOverhead - parity_rec) +
         (static_cast<uint64_t>(data_capacity_) - used - parity_footprint(used, image_max_stored)) -
         sector;
     if (record_bytes + r.EncodedSize() > capacity) {
@@ -490,7 +457,8 @@ Status LogStructuredDisk::WriteCleanerBatch(CleanerBatch batch) {
     const size_t parity_rec = ParityReserve(next_max) > 0 ? parity_record_size() : 0;
     if (used + b.stored.size() + parity_footprint(used + b.stored.size(), next_max) >
             data_capacity_ ||
-        record_bytes + proto.EncodedSize() + parity_rec + overhead > options_.summary_bytes) {
+        record_bytes + proto.EncodedSize() + parity_rec + kSummaryOverhead >
+            options_.summary_bytes) {
       RETURN_IF_ERROR(flush_segment());
     }
     // The block may have been superseded while the cleaner was buffering.
@@ -531,7 +499,7 @@ Status LogStructuredDisk::CleanSegments(uint32_t count) {
   // The cleaner frees and reuses segments; a pipelined segment write must be
   // durable before any segment holding superseded copies can be recycled.
   RETURN_IF_ERROR(WaitForInflight());
-  cleaning_ = true;
+  FlagGuard cleaning(&cleaning_);
   // From here on the round's I/O — victim summary/data reads, copied-out
   // segment writes — bills to the cleaner's QoS tenant (the maintenance
   // tenant when the harness attached a scheduler), not to the foreground
@@ -549,7 +517,6 @@ Status LogStructuredDisk::CleanSegments(uint32_t count) {
   // batch overcommit and die with NO_SPACE mid-write.
   const uint32_t free_now = usage_->AllocatableCount();
   if (free_now <= 1) {
-    cleaning_ = false;
     return NoSpaceError("cleaner: free pool exhausted");
   }
   const uint32_t writer_budget = free_now - 1;  // Segments the writer may consume.
@@ -557,6 +524,16 @@ Status LogStructuredDisk::CleanSegments(uint32_t count) {
 
   CleanerBatch batch;
   std::vector<uint32_t> victims;
+  // Until the batch is durable, every exit hands the victims back as kFull.
+  struct RestoreVictims {
+    UsageTable* usage;
+    std::vector<uint32_t>* victims;
+    ~RestoreVictims() {
+      for (uint32_t v : *victims) {
+        usage->segment(v).state = SegmentState::kFull;
+      }
+    }
+  } restore{usage_.get(), &victims};
   std::vector<uint32_t> victim_ext;  // Deferred ext-record release per victim.
   std::vector<VictimDataRead> reads;
   uint64_t batch_live = 0;
@@ -602,23 +579,17 @@ Status LogStructuredDisk::CleanSegments(uint32_t count) {
       break;  // Keep the in-flight copy within the free pool.
     }
     usage_->segment(static_cast<uint32_t>(victim)).state = SegmentState::kCleaning;
+    victims.push_back(static_cast<uint32_t>(victim));
     const size_t records_before = batch.records.size();
     VictimDataRead pending;
     uint32_t ext_live = 0;
-    const Status status =
-        HarvestVictim(static_cast<uint32_t>(victim), &batch, &pending, &ext_live);
-    if (!status.ok()) {
-      usage_->segment(static_cast<uint32_t>(victim)).state = SegmentState::kFull;
-      cleaning_ = false;
-      return status;
-    }
+    RETURN_IF_ERROR(HarvestVictim(static_cast<uint32_t>(victim), &batch, &pending, &ext_live));
     if (!pending.data.empty()) {
       reads.push_back(std::move(pending));
     }
     for (size_t i = records_before; i < batch.records.size(); ++i) {
       batch_record_bytes += batch.records[i].EncodedSize();
     }
-    victims.push_back(static_cast<uint32_t>(victim));
     victim_ext.push_back(ext_live);
     batch_live += victim_live;
     const uint64_t reclaimed = victims.size() * static_cast<uint64_t>(data_capacity_);
@@ -627,7 +598,6 @@ Status LogStructuredDisk::CleanSegments(uint32_t count) {
     }
   }
   if (victims.empty()) {
-    cleaning_ = false;
     return OkStatus();
   }
 
@@ -656,13 +626,7 @@ Status LogStructuredDisk::CleanSegments(uint32_t count) {
         failure = s;
       }
     }
-    if (!failure.ok()) {
-      for (uint32_t v : victims) {
-        usage_->segment(v).state = SegmentState::kFull;
-      }
-      cleaning_ = false;
-      return failure;
-    }
+    RETURN_IF_ERROR(failure);
     for (const VictimDataRead& r : reads) {
       for (const VictimDataRead::Slice& s : r.slices) {
         CleanedBlock& b = batch.blocks[s.block_index];
@@ -676,33 +640,14 @@ Status LogStructuredDisk::CleanSegments(uint32_t count) {
   // countermand record rides the batch (and any records the harvest re-logged
   // for the set are stripped from it); the parity segments rejoin the free
   // pool with the victims once the batch is durable.
-  StatusOr<std::vector<uint32_t>> dissolved_parity =
-      DissolveStripesTouching(victims, &batch.records);
-  if (!dissolved_parity.ok()) {
-    for (uint32_t v : victims) {
-      usage_->segment(v).state = SegmentState::kFull;
-    }
-    cleaning_ = false;
-    return dissolved_parity.status();
-  }
+  ASSIGN_OR_RETURN(const std::vector<uint32_t> dissolved_parity,
+                   DissolveStripesTouching(victims, &batch.records));
 
   OrderByLists(&batch.blocks);
-  const Status status = WriteCleanerBatch(std::move(batch));
-  if (!status.ok()) {
-    for (uint32_t v : victims) {
-      usage_->segment(v).state = SegmentState::kFull;
-    }
-    cleaning_ = false;
-    return status;
-  }
+  RETURN_IF_ERROR(WriteCleanerBatch(std::move(batch)));
 
-  for (uint32_t p : *dissolved_parity) {
-    SegmentUsage& seg = usage_->segment(p);
-    seg.state = SegmentState::kFree;
-    seg.newest_ts = 0;
-    seg.age_ts = 0;
-    seg.cold = false;
-    seg.ClearParity();
+  for (uint32_t p : dissolved_parity) {
+    ResetSegment(p, SegmentState::kFree);
   }
   for (size_t i = 0; i < victims.size(); ++i) {
     SegmentUsage& seg = usage_->segment(victims[i]);
@@ -713,14 +658,10 @@ Status LogStructuredDisk::CleanSegments(uint32_t count) {
                     << " live bytes (expected " << victim_ext[i] << " ext record bytes)";
     }
     seg.live_bytes = 0;
-    seg.state = SegmentState::kFree;
-    seg.newest_ts = 0;
-    seg.age_ts = 0;
-    seg.cold = false;
-    seg.ClearParity();
+    ResetSegment(victims[i], SegmentState::kFree);
     counters_.segments_cleaned++;
   }
-  cleaning_ = false;
+  victims.clear();  // Freed for good: nothing left to restore.
   return OkStatus();
 }
 
@@ -767,11 +708,10 @@ StatusOr<uint32_t> LogStructuredDisk::RearrangeHotBlocks(uint32_t max_blocks) {
   const uint32_t moved = static_cast<uint32_t>(batch.blocks.size());
   // Center the hot set in the data region (Akyurek & Salem place hot blocks
   // near the middle of the disk to halve average seeks from everywhere).
-  cleaning_ = true;
+  FlagGuard cleaning(&cleaning_);
   writer_placement_hint_ = usage_->num_segments() / 2;
   const Status status = WriteCleanerBatch(std::move(batch));
   writer_placement_hint_ = -1;
-  cleaning_ = false;
   RETURN_IF_ERROR(status);
   return moved;
 }
@@ -812,10 +752,8 @@ StatusOr<uint32_t> LogStructuredDisk::ReorganizeLists(uint32_t max_segments) {
     return 0u;
   }
   const uint64_t before = counters_.segments_written;
-  cleaning_ = true;
-  const Status status = WriteCleanerBatch(std::move(batch));
-  cleaning_ = false;
-  RETURN_IF_ERROR(status);
+  FlagGuard cleaning(&cleaning_);
+  RETURN_IF_ERROR(WriteCleanerBatch(std::move(batch)));
   // Segments drained by the rewrite are reclaimed by the cleaner, which
   // preserves any live metadata records in their summaries.
   return static_cast<uint32_t>(counters_.segments_written - before);

@@ -56,8 +56,6 @@ constexpr uint8_t kFrameDelta = 1;
 // magic + kind + generation + chain_index + covered_seq + body_len + crc.
 constexpr size_t kFrameHeaderBytes = 4 + 1 + 8 + 4 + 8 + 8 + 4;
 
-uint64_t RoundUpTo(uint64_t v, uint64_t align) { return (v + align - 1) / align * align; }
-
 struct SlotMarker {
   bool valid = false;
   bool clean = false;
@@ -117,7 +115,7 @@ std::vector<uint8_t> BuildFrame(uint8_t kind, uint64_t generation, uint32_t chai
                                 uint64_t covered_seq, std::span<const uint8_t> body,
                                 uint32_t sector) {
   std::vector<uint8_t> frame;
-  frame.reserve(RoundUpTo(kFrameHeaderBytes + body.size() + 4, sector));
+  frame.reserve(RoundUp(kFrameHeaderBytes + body.size() + 4, sector));
   Encoder enc(&frame);
   enc.PutU32(kFrameMagic);
   enc.PutU8(kind);
@@ -128,18 +126,28 @@ std::vector<uint8_t> BuildFrame(uint8_t kind, uint64_t generation, uint32_t chai
   enc.PutU32(Crc32(frame));  // Header CRC over everything before it.
   enc.PutBytes(body);
   enc.PutU32(Crc32(body));
-  frame.resize(RoundUpTo(frame.size(), sector), 0);
+  frame.resize(RoundUp(frame.size(), sector), 0);
   return frame;
 }
 
-// Restores a re-entrancy flag on scope exit (frame writes flush the open
-// segment, whose seal hook would otherwise try to start another frame).
-struct FlagGuard {
-  bool* flag;
-  bool prev;
-  FlagGuard(bool* f) : flag(f), prev(*f) { *f = true; }
-  ~FlagGuard() { *flag = prev; }
-};
+// A segment's parity geometry, encoded alike in base and delta frames.
+void EncodeParity(const ParityGeometry& parity, Encoder* enc) {
+  enc->PutU8(parity.has ? 1 : 0);
+  enc->PutU32(parity.offset);
+  enc->PutU32(parity.bytes);
+  enc->PutU32(parity.covered);
+  enc->PutU32(parity.crc);
+}
+
+ParityGeometry DecodeParity(Decoder* dec) {
+  ParityGeometry parity;
+  parity.has = dec->GetU8() != 0;
+  parity.offset = dec->GetU32();
+  parity.bytes = dec->GetU32();
+  parity.covered = dec->GetU32();
+  parity.crc = dec->GetU32();
+  return parity;
+}
 
 }  // namespace
 
@@ -155,17 +163,11 @@ struct LogStructuredDisk::LoadedChain {
   uint64_t covered_seq = 0;
   std::vector<uint8_t> base_payload;
   std::vector<uint32_t> window;  // Last valid frame's allocation window.
-  struct ChainSegment {
-    uint32_t index = 0;
-    uint64_t seq = 0;
-    SegmentUsage parity;  // Only the parity fields are meaningful.
-    std::vector<SummaryRecord> records;
-  };
   // Delta operations in frame order; within a frame, seals precede retires.
+  // A retire carries only its segment index.
   struct ChainOp {
     bool retire = false;
-    uint32_t retired_segment = 0;
-    ChainSegment seg;
+    LoggedSegment seg;
   };
   std::vector<ChainOp> ops;
   uint32_t chain_segments = 0;
@@ -240,7 +242,7 @@ void LogStructuredDisk::InstallAllocationWindow(const std::vector<uint32_t>& win
 // ---- Frame capture ----------------------------------------------------------
 
 void LogStructuredDisk::CaptureFrameSegment(uint32_t segment, uint64_t seq,
-                                            const SegmentUsage& parity,
+                                            const ParityGeometry& parity,
                                             const std::vector<SummaryRecord>& records) {
   if (!CheckpointingActive()) {
     return;
@@ -253,12 +255,7 @@ void LogStructuredDisk::CaptureFrameSegment(uint32_t segment, uint64_t seq,
       break;
     }
   }
-  PendingFrameSegment p;
-  p.segment = segment;
-  p.seq = seq;
-  p.parity = parity;
-  p.records = records;
-  ckpt_pending_.push_back(std::move(p));
+  ckpt_pending_.push_back(LoggedSegment{segment, seq, parity, records});
   ckpt_seals_since_frame_++;
 }
 
@@ -329,11 +326,7 @@ void LogStructuredDisk::EncodeBasePayload(std::vector<uint8_t>* payload) const {
     enc.PutU32(u.live_bytes);
     enc.PutU64(u.newest_ts);
     enc.PutU64(u.seq);
-    enc.PutU8(u.has_parity ? 1 : 0);
-    enc.PutU32(u.parity_offset);
-    enc.PutU32(u.parity_bytes);
-    enc.PutU32(u.parity_covered);
-    enc.PutU32(u.parity_crc);
+    EncodeParity(u.parity, &enc);
   }
 
   // Stripe sets, appended only when any exist: a stripe-less volume's base
@@ -419,11 +412,7 @@ Status LogStructuredDisk::DecodeBasePayload(std::span<const uint8_t> payload) {
     u.live_bytes = dec.GetU32();
     u.newest_ts = dec.GetU64();
     u.seq = dec.GetU64();
-    u.has_parity = dec.GetU8() != 0;
-    u.parity_offset = dec.GetU32();
-    u.parity_bytes = dec.GetU32();
-    u.parity_covered = dec.GetU32();
-    u.parity_crc = dec.GetU32();
+    u.parity = DecodeParity(&dec);
     // A scratch segment cannot survive a base frame (bases flush full), and
     // a mid-clean segment still holds its data.
     if (u.state == SegmentState::kScratch) {
@@ -566,7 +555,7 @@ Status LogStructuredDisk::MaybeWriteDeltaFrame(bool force) {
   const uint32_t sector = device_->sector_size();
   const std::vector<uint32_t> window = BuildAllocationWindow();
   uint64_t covered = ckpt_covered_seq_;
-  for (const PendingFrameSegment& p : ckpt_pending_) {
+  for (const LoggedSegment& p : ckpt_pending_) {
     covered = std::max(covered, p.seq);
   }
 
@@ -581,14 +570,10 @@ Status LogStructuredDisk::MaybeWriteDeltaFrame(bool force) {
     enc.PutU32(s);
   }
   enc.PutU32(static_cast<uint32_t>(ckpt_pending_.size()));
-  for (const PendingFrameSegment& p : ckpt_pending_) {
+  for (const LoggedSegment& p : ckpt_pending_) {
     enc.PutU32(p.segment);
     enc.PutU64(p.seq);
-    enc.PutU8(p.parity.has_parity ? 1 : 0);
-    enc.PutU32(p.parity.parity_offset);
-    enc.PutU32(p.parity.parity_bytes);
-    enc.PutU32(p.parity.parity_covered);
-    enc.PutU32(p.parity.parity_crc);
+    EncodeParity(p.parity, &enc);
     enc.PutU32(static_cast<uint32_t>(p.records.size()));
     for (const SummaryRecord& r : p.records) {
       r.EncodeTo(&enc);
@@ -682,7 +667,6 @@ Status LogStructuredDisk::LoadCheckpointChain(LoadedChain* chain) {
   *chain = LoadedChain{};
   const uint32_t sector = device_->sector_size();
   const uint64_t capacity = CheckpointSlotBytes() - sector;
-  const uint32_t num_segments = usage_->num_segments();
 
   struct Candidate {
     uint32_t slot = 0;
@@ -723,159 +707,28 @@ Status LogStructuredDisk::LoadCheckpointChain(LoadedChain* chain) {
               return a.marker.generation > b.marker.generation;
             });
 
-  // Parses one slot's frame chain. Returns true when the base frame (frame
-  // 0) was valid — the chain is then usable, possibly with a dropped tail.
-  auto parse_slot = [&](const Candidate& cand, LoadedChain* out, uint32_t* frames_loaded,
-                        uint32_t* frames_dropped) -> bool {
-    const uint64_t payload_start = CheckpointSlotStartByte(cand.slot) + sector;
-    uint64_t offset = 0;
-    for (uint32_t i = 0; i < cand.marker.frame_count; ++i) {
-      bool frame_ok = false;
-      do {
-        if (offset + sector > capacity) {
-          break;
-        }
-        std::vector<uint8_t> head(sector);
-        if (!io_.Read((payload_start + offset) / sector, head).ok()) {
-          break;
-        }
-        Decoder hd(head);
-        const uint32_t magic = hd.GetU32();
-        const uint8_t kind = hd.GetU8();
-        const uint64_t generation = hd.GetU64();
-        const uint32_t chain_index = hd.GetU32();
-        const uint64_t covered_seq = hd.GetU64();
-        const uint64_t body_len = hd.GetU64();
-        const size_t crc_end = hd.position();
-        const uint32_t header_crc = hd.GetU32();
-        if (!hd.ok() || magic != kFrameMagic ||
-            header_crc != Crc32(std::span<const uint8_t>(head).subspan(0, crc_end))) {
-          break;
-        }
-        if (generation != cand.marker.generation || chain_index != i ||
-            kind != (i == 0 ? kFrameBase : kFrameDelta)) {
-          break;
-        }
-        const uint64_t total = RoundUpTo(kFrameHeaderBytes + body_len + 4, sector);
-        if (body_len > capacity || offset + total > capacity ||
-            offset + total > cand.marker.payload_bytes) {
-          break;
-        }
-        std::vector<uint8_t> raw(total);
-        if (!io_.Read((payload_start + offset) / sector, raw).ok()) {
-          break;
-        }
-        std::span<const uint8_t> body(raw.data() + kFrameHeaderBytes, body_len);
-        Decoder crc_dec(
-            std::span<const uint8_t>(raw.data() + kFrameHeaderBytes + body_len, 4));
-        if (crc_dec.GetU32() != Crc32(body)) {
-          break;
-        }
-
-        Decoder dec(body);
-        const uint32_t window_count = dec.GetU32();
-        if (!dec.ok() || window_count > num_segments + 1) {
-          break;
-        }
-        std::vector<uint32_t> window(window_count);
-        for (uint32_t j = 0; j < window_count; ++j) {
-          window[j] = dec.GetU32();
-        }
-        if (i == 0) {
-          if (!dec.ok()) {
-            break;
-          }
-          out->base_payload.assign(body.begin() + dec.position(), body.end());
-        } else {
-          const uint32_t retired_count = dec.GetU32();
-          if (!dec.ok() || retired_count > num_segments) {
-            break;
-          }
-          std::vector<uint32_t> retired(retired_count);
-          for (uint32_t j = 0; j < retired_count; ++j) {
-            retired[j] = dec.GetU32();
-          }
-          const uint32_t seg_count = dec.GetU32();
-          if (!dec.ok() || seg_count > num_segments) {
-            break;
-          }
-          std::vector<LoadedChain::ChainSegment> segs;
-          segs.reserve(seg_count);
-          bool bad = false;
-          for (uint32_t j = 0; j < seg_count && !bad; ++j) {
-            LoadedChain::ChainSegment cs;
-            cs.index = dec.GetU32();
-            cs.seq = dec.GetU64();
-            cs.parity.has_parity = dec.GetU8() != 0;
-            cs.parity.parity_offset = dec.GetU32();
-            cs.parity.parity_bytes = dec.GetU32();
-            cs.parity.parity_covered = dec.GetU32();
-            cs.parity.parity_crc = dec.GetU32();
-            const uint32_t record_count = dec.GetU32();
-            if (!dec.ok() || cs.index >= num_segments ||
-                record_count > options_.summary_bytes + data_capacity_) {
-              bad = true;
-              break;
-            }
-            cs.records.reserve(record_count);
-            for (uint32_t k = 0; k < record_count; ++k) {
-              StatusOr<SummaryRecord> r = SummaryRecord::DecodeFrom(&dec);
-              if (!r.ok()) {
-                bad = true;
-                break;
-              }
-              cs.records.push_back(std::move(*r));
-            }
-            if (!bad) {
-              segs.push_back(std::move(cs));
-            }
-          }
-          if (bad || !dec.ok()) {
-            break;
-          }
-          // Commit the parsed frame: seals first, then retires.
-          for (LoadedChain::ChainSegment& cs : segs) {
-            LoadedChain::ChainOp op;
-            op.seg = std::move(cs);
-            out->ops.push_back(std::move(op));
-            out->chain_segments++;
-          }
-          for (uint32_t s : retired) {
-            LoadedChain::ChainOp op;
-            op.retire = true;
-            op.retired_segment = s;
-            out->ops.push_back(std::move(op));
-          }
-        }
-        out->window = std::move(window);
-        out->covered_seq = covered_seq;
-        offset += total;
-        (*frames_loaded)++;
-        frame_ok = true;
-      } while (false);
-      if (!frame_ok) {
-        *frames_dropped = cand.marker.frame_count - i;
-        return i > 0;  // Usable iff the base survived.
-      }
-    }
-    return true;
-  };
-
   for (size_t ci = 0; ci < candidates.size(); ++ci) {
+    const SlotMarker& marker = candidates[ci].marker;
     LoadedChain parsed;
     parsed.slot = candidates[ci].slot;
-    parsed.generation = candidates[ci].marker.generation;
-    parsed.clean = candidates[ci].marker.clean;
+    parsed.generation = marker.generation;
+    parsed.clean = marker.clean;
+    // The chain is usable iff its base frame (frame 0) loads, possibly with
+    // a dropped tail.
     uint32_t frames_loaded = 0;
-    uint32_t frames_dropped = 0;
-    if (!parse_slot(candidates[ci], &parsed, &frames_loaded, &frames_dropped)) {
+    uint64_t offset = 0;
+    while (frames_loaded < marker.frame_count &&
+           LoadCheckpointFrame(frames_loaded, marker.payload_bytes, &offset, &parsed)) {
+      frames_loaded++;
+    }
+    if (frames_loaded == 0) {
       // Marker was fine but the base frame rotted: this slot is unusable.
-      LD_LOG(kWarn) << "checkpoint slot " << candidates[ci].slot
-                    << " rejected: base frame invalid (generation "
-                    << candidates[ci].marker.generation << ")";
+      LD_LOG(kWarn) << "checkpoint slot " << parsed.slot
+                    << " rejected: base frame invalid (generation " << marker.generation << ")";
       rejected++;
       continue;
     }
+    const uint32_t frames_dropped = marker.frame_count - frames_loaded;
     parsed.usable = true;
     // Window-only recovery is sound only for the *newest* chain taken whole:
     // a dropped tail or a skipped/rotted slot means writes may exist outside
@@ -917,6 +770,114 @@ Status LogStructuredDisk::LoadCheckpointChain(LoadedChain* chain) {
   return OkStatus();
 }
 
+bool LogStructuredDisk::LoadCheckpointFrame(uint32_t index, uint64_t payload_bytes,
+                                            uint64_t* offset, LoadedChain* chain) {
+  const uint32_t sector = device_->sector_size();
+  const uint64_t capacity = CheckpointSlotBytes() - sector;
+  const uint32_t num_segments = usage_->num_segments();
+  const uint64_t start_sector = (CheckpointSlotStartByte(chain->slot) + sector + *offset) / sector;
+  if (*offset + sector > capacity) {
+    return false;
+  }
+  std::vector<uint8_t> head(sector);
+  if (!io_.Read(start_sector, head).ok()) {
+    return false;
+  }
+  Decoder hd(head);
+  const uint32_t magic = hd.GetU32();
+  const uint8_t kind = hd.GetU8();
+  const uint64_t generation = hd.GetU64();
+  const uint32_t chain_index = hd.GetU32();
+  const uint64_t covered_seq = hd.GetU64();
+  const uint64_t body_len = hd.GetU64();
+  const size_t crc_end = hd.position();
+  const uint32_t header_crc = hd.GetU32();
+  if (!hd.ok() || magic != kFrameMagic ||
+      header_crc != Crc32(std::span<const uint8_t>(head).subspan(0, crc_end))) {
+    return false;
+  }
+  if (generation != chain->generation || chain_index != index ||
+      kind != (index == 0 ? kFrameBase : kFrameDelta)) {
+    return false;
+  }
+  const uint64_t total = RoundUp(kFrameHeaderBytes + body_len + 4, sector);
+  if (body_len > capacity || *offset + total > capacity || *offset + total > payload_bytes) {
+    return false;
+  }
+  std::vector<uint8_t> raw(total);
+  if (!io_.Read(start_sector, raw).ok()) {
+    return false;
+  }
+  std::span<const uint8_t> body(raw.data() + kFrameHeaderBytes, body_len);
+  Decoder crc_dec(std::span<const uint8_t>(raw.data() + kFrameHeaderBytes + body_len, 4));
+  if (crc_dec.GetU32() != Crc32(body)) {
+    return false;
+  }
+
+  Decoder dec(body);
+  const uint32_t window_count = dec.GetU32();
+  if (!dec.ok() || window_count > num_segments + 1) {
+    return false;
+  }
+  std::vector<uint32_t> window(window_count);
+  for (uint32_t& s : window) {
+    s = dec.GetU32();
+  }
+  if (index == 0) {
+    if (!dec.ok()) {
+      return false;
+    }
+    chain->base_payload.assign(body.begin() + dec.position(), body.end());
+  } else {
+    const uint32_t retired_count = dec.GetU32();
+    if (!dec.ok() || retired_count > num_segments) {
+      return false;
+    }
+    std::vector<uint32_t> retired(retired_count);
+    for (uint32_t& s : retired) {
+      s = dec.GetU32();
+    }
+    const uint32_t seg_count = dec.GetU32();
+    if (!dec.ok() || seg_count > num_segments) {
+      return false;
+    }
+    std::vector<LoggedSegment> segs(seg_count);
+    for (LoggedSegment& seg : segs) {
+      seg.segment = dec.GetU32();
+      seg.seq = dec.GetU64();
+      seg.parity = DecodeParity(&dec);
+      const uint32_t record_count = dec.GetU32();
+      if (!dec.ok() || seg.segment >= num_segments ||
+          record_count > options_.summary_bytes + data_capacity_) {
+        return false;
+      }
+      seg.records.reserve(record_count);
+      for (uint32_t k = 0; k < record_count; ++k) {
+        StatusOr<SummaryRecord> r = SummaryRecord::DecodeFrom(&dec);
+        if (!r.ok()) {
+          return false;
+        }
+        seg.records.push_back(std::move(*r));
+      }
+    }
+    if (!dec.ok()) {
+      return false;
+    }
+    // Commit the parsed frame: seals first, then retires.
+    for (LoggedSegment& seg : segs) {
+      chain->ops.push_back({false, std::move(seg)});
+      chain->chain_segments++;
+    }
+    for (uint32_t s : retired) {
+      chain->ops.push_back({true, LoggedSegment{s, 0, {}, {}}});
+    }
+  }
+  chain->window = std::move(window);
+  chain->covered_seq = covered_seq;
+  *offset += total;
+  return true;
+}
+
 // ---- Recovery ---------------------------------------------------------------
 
 Status LogStructuredDisk::RecoverState() {
@@ -949,28 +910,75 @@ Status LogStructuredDisk::RecoverState() {
   return OkStatus();
 }
 
-Status LogStructuredDisk::RecoverFromLog(const LoadedChain* chain) {
-  const uint32_t sector = device_->sector_size();
-  const uint32_t num_segments = usage_->num_segments();
-  RecoveryReport& rep = last_recovery_;
-
-  // ---- Seed from the chain (or from zero) ----
-  std::vector<uint64_t> segment_seqs(num_segments, 0);
-  std::vector<bool> has_summary(num_segments, false);
-  struct ParityInfo {
-    bool has = false;
-    uint32_t offset = 0, bytes = 0, covered = 0, crc = 0;
+// Working state of one RecoverFromLog pass, threaded through its phases.
+struct LogStructuredDisk::RecoveryScan {
+  explicit RecoveryScan(uint32_t num_segments)
+      : seqs(num_segments, 0), has_summary(num_segments, false), parity(num_segments) {}
+  const LoadedChain* chain = nullptr;  // Null: recovering from zero.
+  bool clean_load = false;  // Clean shutdown with an intact newest chain.
+  uint64_t covered_seq = 0;
+  // Per segment: the seq of the summary it holds, whether it holds one, and
+  // its parity geometry.
+  std::vector<uint64_t> seqs;
+  std::vector<bool> has_summary;
+  std::vector<ParityGeometry> parity;
+  // Chain delta segments and scanned segments, merged and replayed together
+  // in sequence order (so ARU gating sees the union).
+  std::vector<LoggedSegment> replay;
+  // The valid summaries the sweep found past the chain's coverage (plus any
+  // stripe member rebuilt in memory), by segment.
+  std::unordered_map<uint32_t, uint64_t> scanned_seqs;
+  struct Suspect {
+    uint32_t index = 0;
+    bool seq_known = false;
+    uint64_t claimed_seq = 0;
+    bool unreadable = false;  // I/O error (vs. failed validation).
   };
-  std::vector<ParityInfo> parity(num_segments);
+  std::vector<Suspect> suspects;
+  struct StripeNet {
+    uint64_t seq = 0;  // Seq of the summary that carried the record set.
+    uint32_t record_segment = 0;
+    uint32_t member_count = 0;  // 0 = dissolved.
+    uint32_t parity_crc = 0;
+    std::vector<uint32_t> members;
+    std::vector<uint64_t> member_seqs;
+  };
+  std::unordered_map<uint32_t, StripeNet> stripe_net;  // By parity segment.
+  std::unordered_set<uint32_t> stripe_channels_touched;
+};
 
-  bool have_chain = chain != nullptr;
-  if (have_chain) {
-    if (Status base = DecodeBasePayload(chain->base_payload); !base.ok()) {
+Status LogStructuredDisk::RecoverFromLog(const LoadedChain* chain) {
+  RecoveryScan scan(usage_->num_segments());
+  scan.chain = chain;
+  SeedFromChain(&scan);
+  RETURN_IF_ERROR(SweepSummaries(ScanScope(scan), &scan));
+  if (!scan.clean_load) {
+    RETURN_IF_ERROR(ResolveStripeNet(&scan));
+  }
+  RETURN_IF_ERROR(ClassifySuspects(scan));
+  ReplayLog(&scan);
+
+  last_recovery_.mode = scan.clean_load ? RecoveryMode::kCheckpointClean
+                        : (scan.chain != nullptr ? RecoveryMode::kCheckpointChain
+                                                 : RecoveryMode::kLogScan);
+  last_recovery_.used_checkpoint = scan.chain != nullptr;
+  if (scan.clean_load) {
+    // The decoded tables are the total state (the base snapshot already has
+    // exact live counts); nothing to rebuild.
+    return OkStatus();
+  }
+  return DeriveState(scan);
+}
+
+void LogStructuredDisk::SeedFromChain(RecoveryScan* scan) {
+  RecoveryReport& rep = last_recovery_;
+  if (scan->chain != nullptr) {
+    if (Status base = DecodeBasePayload(scan->chain->base_payload); !base.ok()) {
       // The CRC passed but the snapshot does not parse (e.g. a geometry
       // change): treat like a rotted slot, never fail the open over it.
       LD_LOG(kWarn) << "checkpoint base unusable (" << base.message()
                     << "); full log recovery";
-      have_chain = false;
+      scan->chain = nullptr;
       ckpt_have_chain_ = false;
       stripes_.clear();
       member_stripe_.clear();
@@ -982,135 +990,92 @@ Status LogStructuredDisk::RecoverFromLog(const LoadedChain* chain) {
       rep.covered_seq = 0;
     }
   }
-  uint64_t covered_seq = 0;
-
-  struct ScannedSegment {
-    uint32_t index = 0;
-    uint64_t seq = 0;
-    std::vector<SummaryRecord> records;
-  };
-  // Chain delta segments and scanned segments, merged and replayed together
-  // in sequence order (so ARU gating sees the union).
-  std::vector<ScannedSegment> replay;
-
-  if (have_chain) {
-    covered_seq = chain->covered_seq;
-    for (uint32_t s = 0; s < num_segments; ++s) {
-      const SegmentUsage& u = usage_->segment(s);
-      if (u.state == SegmentState::kFull) {
-        has_summary[s] = true;
-        segment_seqs[s] = u.seq;
-        if (u.has_parity) {
-          parity[s] = {true, u.parity_offset, u.parity_bytes, u.parity_covered, u.parity_crc};
-        }
-      }
-    }
-    for (const LoadedChain::ChainOp& op : chain->ops) {
-      if (op.retire) {
-        if (op.retired_segment < num_segments) {
-          has_summary[op.retired_segment] = false;
-          segment_seqs[op.retired_segment] = 0;
-          parity[op.retired_segment] = ParityInfo{};
-        }
-        continue;
-      }
-      const LoadedChain::ChainSegment& cs = op.seg;
-      has_summary[cs.index] = true;
-      segment_seqs[cs.index] = cs.seq;
-      parity[cs.index] = {cs.parity.has_parity, cs.parity.parity_offset,
-                          cs.parity.parity_bytes, cs.parity.parity_covered,
-                          cs.parity.parity_crc};
-      replay.push_back({cs.index, cs.seq, cs.records});
-    }
-  } else {
+  const LoadedChain* chain = scan->chain;
+  if (chain == nullptr) {
     block_map_.Clear();
     list_table_.Clear();
+    return;
   }
+  scan->covered_seq = chain->covered_seq;
+  scan->clean_load = chain->clean && !chain->full_scan;
+  for (uint32_t s = 0; s < usage_->num_segments(); ++s) {
+    const SegmentUsage& u = usage_->segment(s);
+    if (u.state == SegmentState::kFull) {
+      scan->has_summary[s] = true;
+      scan->seqs[s] = u.seq;
+      scan->parity[s] = u.parity;
+    }
+  }
+  for (const LoadedChain::ChainOp& op : chain->ops) {
+    const uint32_t s = op.seg.segment;
+    if (op.retire) {
+      if (s < usage_->num_segments()) {
+        scan->has_summary[s] = false;
+        scan->seqs[s] = 0;
+        scan->parity[s] = ParityGeometry{};
+      }
+      continue;
+    }
+    scan->has_summary[s] = true;
+    scan->seqs[s] = op.seg.seq;
+    scan->parity[s] = op.seg.parity;
+    scan->replay.push_back(op.seg);
+  }
+}
 
-  // ---- Choose the scan scope ----
-  const bool clean_load = have_chain && chain->clean && !chain->full_scan;
+std::vector<uint32_t> LogStructuredDisk::ScanScope(const RecoveryScan& scan) const {
+  const uint32_t num_segments = usage_->num_segments();
   std::vector<uint32_t> to_scan;
-  if (clean_load) {
-    // Clean shutdown with an intact newest chain: the tables are total.
-  } else if (have_chain && !chain->full_scan) {
+  if (scan.clean_load) {
+    return to_scan;  // The chain's tables are total.
+  }
+  if (scan.chain != nullptr && !scan.chain->full_scan) {
     // Intact newest chain: every post-checkpoint write is confined to the
     // last frame's allocation window. This is the bounded scan.
     std::vector<bool> seen(num_segments, false);
-    for (uint32_t s : chain->window) {
+    for (uint32_t s : scan.chain->window) {
       if (s < num_segments && !seen[s]) {
         seen[s] = true;
         to_scan.push_back(s);
       }
     }
     std::sort(to_scan.begin(), to_scan.end());
-  } else {
-    to_scan.resize(num_segments);
-    for (uint32_t s = 0; s < num_segments; ++s) {
-      to_scan[s] = s;
-    }
+    return to_scan;
   }
+  to_scan.resize(num_segments);
+  for (uint32_t s = 0; s < num_segments; ++s) {
+    to_scan[s] = s;
+  }
+  return to_scan;
+}
 
-  // ---- The sweep ----
-  struct SuspectSegment {
-    uint32_t index = 0;
-    bool seq_known = false;
-    uint64_t claimed_seq = 0;
-    bool unreadable = false;  // I/O error (vs. failed validation).
-  };
-  std::vector<SuspectSegment> suspects;
-  std::vector<ScannedSegment> scanned;
-
-  // Validates one summary image and classifies the segment. Identical for
-  // the serial and parallel sweeps: parallelism only reorders the device
-  // reads, never the classification (which runs in segment order).
-  auto process = [&](uint32_t seg, std::span<const uint8_t> summary) -> Status {
-    SummaryHeader header;
-    const Status head = DecodeSummaryHeader(summary, &header);
-    if (head.code() == ErrorCode::kNotFound) {
-      // No magic. An untouched (or scrub-retired) summary region is all
-      // zeros; any other content means the magic itself was damaged.
-      const bool all_zero =
-          std::all_of(summary.begin(), summary.end(), [](uint8_t b) { return b == 0; });
-      if (!all_zero) {
-        suspects.push_back({seg, false, 0, false});
-      }
-      return OkStatus();  // Never written.
-    }
-    if (!head.ok() || header.ext_bytes > data_capacity_ || header.segment_index != seg) {
-      suspects.push_back({seg, false, 0, false});
+Status LogStructuredDisk::SweepSummaries(const std::vector<uint32_t>& to_scan,
+                                         RecoveryScan* scan) {
+  RecoveryReport& rep = last_recovery_;
+  const uint32_t sector = device_->sector_size();
+  // Classifies one segment's summary. Identical for the serial and parallel
+  // sweeps: parallelism only reorders the device reads, never the
+  // classification (which runs in segment order).
+  auto classify = [&](uint32_t seg, StatusOr<SummaryRead> read) -> Status {
+    RETURN_IF_ERROR(read.status());
+    if (read->outcome == SummaryRead::kNeverWritten) {
       return OkStatus();
     }
-    // Record-heavy segments spill records into the end of their data area.
-    std::vector<uint8_t> ext;
-    if (header.ext_bytes > 0) {
-      const uint64_t ext_start = data_capacity_ - header.ext_bytes;
-      const uint64_t first = (SegmentBaseByte(seg) + ext_start) / sector * sector;
-      const uint64_t end = SegmentBaseByte(seg) + data_capacity_;
-      std::vector<uint8_t> raw((end - first + sector - 1) / sector * sector);
-      if (Status s = io_.Read(first / sector, raw); !s.ok()) {
-        if (s.code() != ErrorCode::kIoError) {
-          return s;
-        }
-        suspects.push_back({seg, true, header.seq, /*unreadable=*/true});
-        return OkStatus();
-      }
-      const size_t skip = (SegmentBaseByte(seg) + ext_start) - first;
-      ext.assign(raw.begin() + skip, raw.begin() + skip + header.ext_bytes);
-    }
-    std::vector<SummaryRecord> records;
-    const Status decode = DecodeSummary(summary, ext, &header, &records);
-    if (!decode.ok()) {
-      suspects.push_back({seg, true, header.seq, false});
+    if (read->outcome != SummaryRead::kValid) {
+      scan->suspects.push_back({seg, read->seq_known, read->header.seq,
+                                read->outcome == SummaryRead::kUnreadable});
       return OkStatus();
     }
     rep.summaries_valid++;
-    if (have_chain && header.seq <= covered_seq) {
+    const uint64_t seq = read->header.seq;
+    if (scan->chain != nullptr && seq <= scan->covered_seq) {
       // Stale: the chain already accounts for this segment (it was freed, or
       // its records are covered). The chain is authoritative.
       return OkStatus();
     }
-    has_summary[seg] = true;
-    scanned.push_back(ScannedSegment{seg, header.seq, std::move(records)});
+    scan->has_summary[seg] = true;
+    scan->scanned_seqs.emplace(seg, seq);
+    scan->replay.push_back({seg, seq, ParityGeometry{}, std::move(read->records)});
     return OkStatus();
   };
 
@@ -1118,321 +1083,274 @@ Status LogStructuredDisk::RecoverFromLog(const LoadedChain* chain) {
   const bool parallel = options_.parallel_recovery_scan && to_scan.size() > 1;
   rep.parallel_scan = parallel;
   rep.scan_channels = parallel ? channels : 1;
-
-  if (parallel) {
-    // Fan the fixed-location summary reads out through the async request
-    // queue in waves, so each channel's arm streams its own band while the
-    // others seek; decode and classification stay in segment order.
-    const size_t wave = static_cast<size_t>(channels) * 4;
-    std::vector<std::vector<uint8_t>> bufs(wave, std::vector<uint8_t>(options_.summary_bytes));
-    struct Pending {
-      uint32_t seg = 0;
-      IoTag tag = kInvalidIoTag;
-      bool failed = false;
-    };
-    std::vector<Pending> pending(wave);
-    for (size_t base = 0; base < to_scan.size(); base += wave) {
-      const size_t n = std::min(wave, to_scan.size() - base);
-      for (size_t i = 0; i < n; ++i) {
-        const uint32_t seg = to_scan[base + i];
-        rep.summaries_scanned++;
-        StatusOr<IoTag> tag =
-            io_.SubmitRead((SegmentBaseByte(seg) + data_capacity_) / sector, bufs[i]);
-        if (!tag.ok()) {
-          if (tag.status().code() != ErrorCode::kIoError) {
-            return tag.status();
-          }
-          pending[i] = {seg, kInvalidIoTag, true};
-          continue;
-        }
-        pending[i] = {seg, *tag, false};
-      }
-      for (size_t i = 0; i < n; ++i) {
-        if (!pending[i].failed && pending[i].tag != kInvalidIoTag) {
-          RETURN_IF_ERROR(device_->WaitFor(pending[i].tag));
-        }
-      }
-      for (size_t i = 0; i < n; ++i) {
-        if (pending[i].failed) {
-          suspects.push_back({pending[i].seg, false, 0, /*unreadable=*/true});
-          continue;
-        }
-        RETURN_IF_ERROR(process(pending[i].seg, bufs[i]));
-      }
-    }
-  } else {
-    std::vector<uint8_t> summary(options_.summary_bytes);
+  if (!parallel) {
     for (uint32_t seg : to_scan) {
       rep.summaries_scanned++;
-      if (Status s = io_.Read((SegmentBaseByte(seg) + data_capacity_) / sector, summary);
-          !s.ok()) {
-        if (s.code() != ErrorCode::kIoError) {
-          return s;
-        }
-        suspects.push_back({seg, false, 0, /*unreadable=*/true});
+      RETURN_IF_ERROR(classify(seg, ReadSummary(seg)));
+    }
+    return OkStatus();
+  }
+  // Fan the fixed-location summary reads out through the async request
+  // queue in waves, so each channel's arm streams its own band while the
+  // others seek; decode and classification stay in segment order.
+  const size_t wave = static_cast<size_t>(channels) * 4;
+  std::vector<std::vector<uint8_t>> bufs(wave, std::vector<uint8_t>(options_.summary_bytes));
+  std::vector<IoTag> tags(wave);
+  for (size_t base = 0; base < to_scan.size(); base += wave) {
+    const size_t n = std::min(wave, to_scan.size() - base);
+    for (size_t i = 0; i < n; ++i) {
+      rep.summaries_scanned++;
+      StatusOr<IoTag> tag =
+          io_.SubmitRead(SegmentSummaryStartByte(to_scan[base + i]) / sector, bufs[i]);
+      if (!tag.ok() && tag.status().code() != ErrorCode::kIoError) {
+        return tag.status();
+      }
+      tags[i] = tag.ok() ? *tag : kInvalidIoTag;
+    }
+    for (size_t i = 0; i < n; ++i) {
+      if (tags[i] != kInvalidIoTag) {
+        RETURN_IF_ERROR(device_->WaitFor(tags[i]));
+      }
+    }
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t seg = to_scan[base + i];
+      if (tags[i] == kInvalidIoTag) {
+        scan->suspects.push_back({seg, false, 0, /*unreadable=*/true});
         continue;
       }
-      RETURN_IF_ERROR(process(seg, summary));
+      RETURN_IF_ERROR(classify(seg, ReadSummary(seg, bufs[i])));
+    }
+  }
+  return OkStatus();
+}
+
+// Stripe parity sets (pre-pass before suspect classification).
+//
+// kStripeParity records describe cross-channel stripe sets: one record per
+// member, keyed by the parity segment, a member-count of zero being the
+// dissolve countermand. The newest record set per parity segment wins in
+// sequence order; the base snapshot's decoded sets sit beneath every
+// logged record. A net-live parity segment holds an XOR image whose
+// summary region is expected garbage (an odd member count even leaves a
+// valid-looking magic over a failing CRC), so it must leave the suspect
+// ladder — unless its own media decodes as a fully valid summary NEWER
+// than the records, which proves them stale (media wins). Members of a
+// net-live set that lost their summaries (a dead or blank-swapped channel)
+// are rebuilt here, image and all, from the N-1 surviving peers plus
+// parity; any second fault along the way refuses the open, typed.
+Status LogStructuredDisk::ResolveStripeNet(RecoveryScan* scan) {
+  using StripeNet = RecoveryScan::StripeNet;
+  const uint32_t num_segments = usage_->num_segments();
+  std::unordered_map<uint32_t, StripeNet>& stripe_net = scan->stripe_net;
+  for (const auto& [p, set] : stripes_) {
+    StripeNet net;
+    net.record_segment = set.record_segment;
+    net.member_count = static_cast<uint32_t>(set.members.size());
+    net.parity_crc = set.parity_crc;
+    net.members = set.members;
+    net.member_seqs = set.member_seqs;
+    stripe_net.emplace(p, std::move(net));
+  }
+  stripes_.clear();
+  member_stripe_.clear();
+
+  for (const LoggedSegment& seg : scan->replay) {
+    for (const auto& r : seg.records) {
+      if (r.type != SummaryRecordType::kStripeParity) {
+        continue;
+      }
+      StripeNet& net = stripe_net[r.offset];
+      const uint32_t count = r.orig_size;
+      if (seg.seq < net.seq) {
+        continue;
+      }
+      if (seg.seq > net.seq || count != net.member_count || count == 0) {
+        net = StripeNet{};
+        net.seq = seg.seq;
+        net.member_count = count;
+        net.parity_crc = r.payload_crc;
+        net.members.assign(count, UINT32_MAX);
+        net.member_seqs.assign(count, 0);
+      }
+      net.record_segment = seg.segment;
+      if (count == 0 || r.stored_size >= count) {
+        continue;
+      }
+      net.members[r.stored_size] = r.bid;
+      net.member_seqs[r.stored_size] = r.intent_seq;
     }
   }
 
-  // ---- Stripe parity sets (pre-pass before suspect classification) ----
-  //
-  // kStripeParity records describe cross-channel stripe sets: one record per
-  // member, keyed by the parity segment, a member-count of zero being the
-  // dissolve countermand. The newest record set per parity segment wins in
-  // sequence order; the base snapshot's decoded sets sit beneath every
-  // logged record. A net-live parity segment holds an XOR image whose
-  // summary region is expected garbage (an odd member count even leaves a
-  // valid-looking magic over a failing CRC), so it must leave the suspect
-  // ladder — unless its own media decodes as a fully valid summary NEWER
-  // than the records, which proves them stale (media wins). Members of a
-  // net-live set that lost their summaries (a dead or blank-swapped channel)
-  // are rebuilt here, image and all, from the N-1 surviving peers plus
-  // parity; any second fault along the way refuses the open, typed.
-  struct StripeNet {
-    uint64_t seq = 0;  // Seq of the summary that carried the record set.
-    uint32_t record_segment = 0;
-    uint32_t member_count = 0;  // 0 = dissolved.
-    uint32_t parity_crc = 0;
-    std::vector<uint32_t> members;
-    std::vector<uint64_t> member_seqs;
-  };
-  std::unordered_map<uint32_t, StripeNet> stripe_net;
-  std::unordered_set<uint32_t> stripe_channels_touched;
-  if (!clean_load) {
-    for (const auto& [p, set] : stripes_) {
-      StripeNet net;
-      net.record_segment = set.record_segment;
-      net.member_count = static_cast<uint32_t>(set.members.size());
-      net.parity_crc = set.parity_crc;
-      net.members = set.members;
-      net.member_seqs = set.member_seqs;
-      stripe_net.emplace(p, std::move(net));
+  // Prune: dissolved sets, sets with impossible shapes (a torn crash can
+  // never produce one — the records ride a single CRC'd summary — but a
+  // leaked dissolve can strand nonsense), and media-wins conflicts.
+  for (auto it = stripe_net.begin(); it != stripe_net.end();) {
+    const uint32_t p = it->first;
+    StripeNet& net = it->second;
+    bool dead = net.member_count == 0 || p >= num_segments;
+    for (size_t i = 0; !dead && i < net.members.size(); ++i) {
+      const uint32_t m = net.members[i];
+      dead = m == UINT32_MAX || m >= num_segments || m == p;
     }
-    stripes_.clear();
-    member_stripe_.clear();
-
-    auto absorb = [&](const ScannedSegment& seg) {
-      for (const auto& r : seg.records) {
-        if (r.type != SummaryRecordType::kStripeParity) {
-          continue;
-        }
-        StripeNet& net = stripe_net[r.offset];
-        const uint32_t count = r.orig_size;
-        if (seg.seq < net.seq) {
-          continue;
-        }
-        if (seg.seq > net.seq || count != net.member_count || count == 0) {
-          net = StripeNet{};
-          net.seq = seg.seq;
-          net.member_count = count;
-          net.parity_crc = r.payload_crc;
-          net.members.assign(count, UINT32_MAX);
-          net.member_seqs.assign(count, 0);
-        }
-        net.record_segment = seg.index;
-        if (count == 0 || r.stored_size >= count) {
-          continue;
-        }
-        net.members[r.stored_size] = r.bid;
-        net.member_seqs[r.stored_size] = r.intent_seq;
-      }
-    };
-    for (const auto& seg : replay) {
-      absorb(seg);
-    }
-    for (const auto& seg : scanned) {
-      absorb(seg);
-    }
-
-    std::unordered_map<uint32_t, uint64_t> scanned_seqs;
-    for (const auto& seg : scanned) {
-      scanned_seqs.emplace(seg.index, seg.seq);
-    }
-
-    // Prune: dissolved sets, sets with impossible shapes (a torn crash can
-    // never produce one — the records ride a single CRC'd summary — but a
-    // leaked dissolve can strand nonsense), and media-wins conflicts.
-    for (auto it = stripe_net.begin(); it != stripe_net.end();) {
-      const uint32_t p = it->first;
-      StripeNet& net = it->second;
-      bool dead = net.member_count == 0 || p >= num_segments;
-      for (size_t i = 0; !dead && i < net.members.size(); ++i) {
-        const uint32_t m = net.members[i];
-        dead = m == UINT32_MAX || m >= num_segments || m == p;
-      }
-      if (!dead) {
-        if (const auto ps = scanned_seqs.find(p);
-            ps != scanned_seqs.end() && ps->second > net.seq) {
-          // Media wins: the parity segment's own summary out-sequences the
-          // stripe records — the set is stale and the segment is live data.
-          dead = true;
-        }
-      }
-      if (dead) {
-        it = stripe_net.erase(it);
-      } else {
-        ++it;
+    if (!dead) {
+      if (const auto ps = scan->scanned_seqs.find(p);
+          ps != scan->scanned_seqs.end() && ps->second > net.seq) {
+        // Media wins: the parity segment's own summary out-sequences the
+        // stripe records — the set is stale and the segment is live data.
+        dead = true;
       }
     }
-
-    if (!stripe_net.empty()) {
-      suspects.erase(std::remove_if(suspects.begin(), suspects.end(),
-                                    [&](const SuspectSegment& s) {
-                                      return stripe_net.count(s.index) != 0;
-                                    }),
-                     suspects.end());
-      for (const auto& [p, net] : stripe_net) {
-        // The XOR image is not a summary, whatever the chain seed or a
-        // stale media decode claimed.
-        has_summary[p] = false;
-        segment_seqs[p] = 0;
-      }
-    }
-
-    auto reconstruct_member = [&](uint32_t p, const StripeNet& net,
-                                  uint32_t idx) -> Status {
-      const uint32_t m = net.members[idx];
-      const auto fault = [&](const std::string& what) {
-        return CorruptionError("recovery: stripe member " + std::to_string(m) +
-                               " (parity segment " + std::to_string(p) + "): " + what +
-                               " (double fault)");
-      };
-      std::vector<uint8_t> image(options_.segment_bytes);
-      if (Status s = ReadSegmentImage(p, image); !s.ok()) {
-        if (s.code() != ErrorCode::kIoError) {
-          return s;
-        }
-        return fault("parity image unreadable: " + s.ToString());
-      }
-      if (PayloadCrc(image) != net.parity_crc) {
-        return fault("parity image fails its recorded crc");
-      }
-      std::vector<uint8_t> peer(options_.segment_bytes);
-      for (size_t j = 0; j < net.members.size(); ++j) {
-        if (j == idx) {
-          continue;
-        }
-        if (Status s = ReadSegmentImage(net.members[j], peer); !s.ok()) {
-          if (s.code() != ErrorCode::kIoError) {
-            return s;
-          }
-          return fault("stripe peer " + std::to_string(net.members[j]) +
-                       " unreadable: " + s.ToString());
-        }
-        for (size_t b = 0; b < image.size(); ++b) {
-          image[b] ^= peer[b];
-        }
-      }
-      // `image` is now the lost member; its summary must decode at exactly
-      // the recorded seal.
-      const std::span<const uint8_t> tail(image.data() + data_capacity_,
-                                          options_.summary_bytes);
-      SummaryHeader header;
-      const Status head = DecodeSummaryHeader(tail, &header);
-      if (!head.ok() || header.segment_index != m ||
-          header.seq != net.member_seqs[idx] || header.ext_bytes > data_capacity_) {
-        return fault("reconstructed summary does not match the recorded seal");
-      }
-      const std::span<const uint8_t> ext(
-          image.data() + data_capacity_ - header.ext_bytes, header.ext_bytes);
-      std::vector<SummaryRecord> records;
-      if (Status s = DecodeSummary(tail, ext, &header, &records); !s.ok()) {
-        return fault("reconstructed summary does not decode: " + s.ToString());
-      }
-      has_summary[m] = true;
-      scanned.push_back(ScannedSegment{m, header.seq, std::move(records)});
-      scanned_seqs.emplace(m, header.seq);
-      suspects.erase(std::remove_if(
-                         suspects.begin(), suspects.end(),
-                         [&](const SuspectSegment& s) { return s.index == m; }),
-                     suspects.end());
-      rep.stripe_members_reconstructed++;
-      for (uint32_t c = SegmentChannel(m); c <= SegmentLastChannel(m); ++c) {
-        stripe_channels_touched.insert(c);
-      }
-      // Re-materialize the media copy when the channel can take it; a failed
-      // or withheld write leaves the segment for Rebuild() to lay down.
-      bool wrote = false;
-      if (SegmentChannelsUsable(m)) {
-        if (Status s = io_.Write(SegmentBaseByte(m) / sector, image); s.ok()) {
-          wrote = true;
-        } else if (s.code() != ErrorCode::kIoError) {
-          return s;
-        } else {
-          LD_LOG(kWarn) << "recovery: write-back of reconstructed stripe member "
-                        << m << " failed: " << s.ToString();
-        }
-      }
-      if (!wrote) {
-        EnqueueRebuild(m);
-      }
-      LD_LOG(kInfo) << "recovery: reconstructed stripe member " << m
-                    << " from parity segment " << p
-                    << (wrote ? "" : " (media copy deferred to rebuild)");
-      return OkStatus();
-    };
-
-    std::vector<uint32_t> stale_parity;
-    for (auto it = stripe_net.begin(); it != stripe_net.end();) {
-      const uint32_t p = it->first;
-      StripeNet& net = it->second;
-      bool stale = false;
-      std::vector<uint32_t> missing;
-      for (uint32_t i = 0; i < net.member_count; ++i) {
-        const uint32_t m = net.members[i];
-        if (const auto ms = scanned_seqs.find(m); ms != scanned_seqs.end()) {
-          if (ms->second != net.member_seqs[i]) {
-            stale = true;
-          }
-        } else if (has_summary[m]) {
-          if (segment_seqs[m] != net.member_seqs[i]) {
-            stale = true;
-          }
-        } else {
-          missing.push_back(i);
-        }
-      }
-      if (stale) {
-        // A dissolve that could not log its countermand (the parity channel
-        // was down at dissolve time) leaks its records; a member resealed
-        // since proves the set dead. The parity segment is ordinary free
-        // space — scrub its garbage summary region below.
-        stale_parity.push_back(p);
-        it = stripe_net.erase(it);
-        continue;
-      }
-      for (uint32_t i : missing) {
-        RETURN_IF_ERROR(reconstruct_member(p, net, i));
-      }
+    if (dead) {
+      it = stripe_net.erase(it);
+    } else {
       ++it;
     }
-    for (uint32_t p : stale_parity) {
-      if (!SegmentChannelsUsable(p)) {
-        continue;
-      }
-      std::vector<uint8_t> zeros(options_.summary_bytes, 0);
-      if (Status s = io_.Write(SegmentSummaryStartByte(p) / sector, zeros);
-          !s.ok() && s.code() != ErrorCode::kIoError) {
-        return s;
-      }
+  }
+
+  if (!stripe_net.empty()) {
+    scan->suspects.erase(std::remove_if(scan->suspects.begin(), scan->suspects.end(),
+                                        [&](const RecoveryScan::Suspect& s) {
+                                          return stripe_net.count(s.index) != 0;
+                                        }),
+                         scan->suspects.end());
+    for (const auto& [p, net] : stripe_net) {
+      // The XOR image is not a summary, whatever the chain seed or a
+      // stale media decode claimed.
+      scan->has_summary[p] = false;
+      scan->seqs[p] = 0;
     }
   }
 
+  std::vector<uint32_t> stale_parity;
+  for (auto it = stripe_net.begin(); it != stripe_net.end();) {
+    const uint32_t p = it->first;
+    StripeNet& net = it->second;
+    bool stale = false;
+    std::vector<uint32_t> missing;
+    for (uint32_t i = 0; i < net.member_count; ++i) {
+      const uint32_t m = net.members[i];
+      if (const auto ms = scan->scanned_seqs.find(m); ms != scan->scanned_seqs.end()) {
+        if (ms->second != net.member_seqs[i]) {
+          stale = true;
+        }
+      } else if (scan->has_summary[m]) {
+        if (scan->seqs[m] != net.member_seqs[i]) {
+          stale = true;
+        }
+      } else {
+        missing.push_back(i);
+      }
+    }
+    if (stale) {
+      // A dissolve that could not log its countermand (the parity channel
+      // was down at dissolve time) leaks its records; a member resealed
+      // since proves the set dead. The parity segment is ordinary free
+      // space — scrub its garbage summary region below.
+      stale_parity.push_back(p);
+      it = stripe_net.erase(it);
+      continue;
+    }
+    for (uint32_t i : missing) {
+      RETURN_IF_ERROR(ReconstructStripeMember(p, i, scan));
+    }
+    ++it;
+  }
+  for (uint32_t p : stale_parity) {
+    if (!SegmentChannelsUsable(p)) {
+      continue;
+    }
+    if (Status s = ZeroSummary(p); !s.ok() && s.code() != ErrorCode::kIoError) {
+      return s;
+    }
+  }
+  return OkStatus();
+}
+
+Status LogStructuredDisk::ReconstructStripeMember(uint32_t p, uint32_t idx,
+                                                  RecoveryScan* scan) {
+  const RecoveryScan::StripeNet& net = scan->stripe_net.at(p);
+  const uint32_t m = net.members[idx];
+  const auto fault = [&](const std::string& what) {
+    return CorruptionError("recovery: stripe member " + std::to_string(m) +
+                           " (parity segment " + std::to_string(p) + "): " + what +
+                           " (double fault)");
+  };
+  std::vector<uint8_t> image(options_.segment_bytes);
+  if (Status s = ReadSegmentImage(p, image); !s.ok()) {
+    if (s.code() != ErrorCode::kIoError) {
+      return s;
+    }
+    return fault("parity image unreadable: " + s.ToString());
+  }
+  if (PayloadCrc(image) != net.parity_crc) {
+    return fault("parity image fails its recorded crc");
+  }
+  std::vector<uint8_t> peer(options_.segment_bytes);
+  for (size_t j = 0; j < net.members.size(); ++j) {
+    if (j == idx) {
+      continue;
+    }
+    if (Status s = ReadSegmentImage(net.members[j], peer); !s.ok()) {
+      if (s.code() != ErrorCode::kIoError) {
+        return s;
+      }
+      return fault("stripe peer " + std::to_string(net.members[j]) +
+                   " unreadable: " + s.ToString());
+    }
+    for (size_t b = 0; b < image.size(); ++b) {
+      image[b] ^= peer[b];
+    }
+  }
+  // `image` is now the lost member; its summary must decode at exactly
+  // the recorded seal.
+  SummaryRead read = *ReadSummary(m, {}, image);  // In memory: cannot fail.
+  if (!read.seq_known || read.header.seq != net.member_seqs[idx]) {
+    return fault("reconstructed summary does not match the recorded seal");
+  }
+  if (read.outcome != SummaryRead::kValid) {
+    return fault("reconstructed summary does not decode: " + read.status.ToString());
+  }
+  scan->has_summary[m] = true;
+  scan->scanned_seqs.emplace(m, read.header.seq);
+  scan->replay.push_back({m, read.header.seq, ParityGeometry{}, std::move(read.records)});
+  scan->suspects.erase(std::remove_if(scan->suspects.begin(), scan->suspects.end(),
+                                      [&](const RecoveryScan::Suspect& s) {
+                                        return s.index == m;
+                                      }),
+                       scan->suspects.end());
+  last_recovery_.stripe_members_reconstructed++;
+  for (uint32_t c = SegmentChannel(m); c <= SegmentLastChannel(m); ++c) {
+    scan->stripe_channels_touched.insert(c);
+  }
+  // Re-materialize the media copy when the channel can take it; a failed
+  // or withheld write leaves the segment for Rebuild() to lay down.
+  bool wrote = false;
+  if (SegmentChannelsUsable(m)) {
+    if (Status s = io_.Write(SegmentBaseByte(m) / device_->sector_size(), image); s.ok()) {
+      wrote = true;
+    } else if (s.code() != ErrorCode::kIoError) {
+      return s;
+    } else {
+      LD_LOG(kWarn) << "recovery: write-back of reconstructed stripe member "
+                    << m << " failed: " << s.ToString();
+    }
+  }
+  if (!wrote) {
+    EnqueueRebuild(m);
+  }
+  LD_LOG(kInfo) << "recovery: reconstructed stripe member " << m
+                << " from parity segment " << p
+                << (wrote ? "" : " (media copy deferred to rebuild)");
+  return OkStatus();
+}
+
+Status LogStructuredDisk::ClassifySuspects(const RecoveryScan& scan) {
+  RecoveryReport& rep = last_recovery_;
   // Scrub intents: a kScrubIntent record says "segment X (whose retired
   // summary carried seq S) has been fully relocated; its summary is garbage
   // awaiting the zeroing write". Gathered from the chain *and* the scan.
   std::unordered_map<uint32_t, uint64_t> intent_seqs;  // segment -> newest intent seq
-  for (const auto& seg : replay) {
-    for (const auto& r : seg.records) {
-      if (r.type == SummaryRecordType::kScrubIntent) {
-        uint64_t& newest = intent_seqs[r.bid];
-        newest = std::max(newest, r.intent_seq);
-      }
-    }
-  }
-  for (const auto& seg : scanned) {
+  for (const LoggedSegment& seg : scan.replay) {
     for (const auto& r : seg.records) {
       if (r.type == SummaryRecordType::kScrubIntent) {
         uint64_t& newest = intent_seqs[r.bid];
@@ -1441,30 +1359,30 @@ Status LogStructuredDisk::RecoverFromLog(const LoadedChain* chain) {
     }
   }
 
-  // Classify the suspects. Segments hit the device in seq order, so the
-  // durable valid summaries always form a seq prefix of the log: a suspect
-  // claiming a seq beyond the prefix was in flight at the crash and is
-  // discarded like any torn write; one the chain proves stale is tolerated;
-  // one inside the committed prefix is media corruption and is refused
-  // (typed) unless a logged scrub intent vouches for its retirement.
-  uint64_t max_valid_seq = covered_seq;
-  for (const auto& seg : scanned) {
-    max_valid_seq = std::max(max_valid_seq, seg.seq);
+  // Segments hit the device in seq order, so the durable valid summaries
+  // always form a seq prefix of the log: a suspect claiming a seq beyond the
+  // prefix was in flight at the crash and is discarded like any torn write;
+  // one the chain proves stale is tolerated; one inside the committed prefix
+  // is media corruption and is refused (typed) unless a logged scrub intent
+  // vouches for its retirement.
+  uint64_t max_valid_seq = scan.covered_seq;
+  for (const auto& [s, seq] : scan.scanned_seqs) {
+    max_valid_seq = std::max(max_valid_seq, seq);
   }
   Status corrupt_log = OkStatus();
-  for (const auto& s : suspects) {
+  for (const auto& s : scan.suspects) {
     if (s.seq_known && s.claimed_seq > max_valid_seq) {
       // In flight at the crash: discarding it yields the consistent prefix.
       LD_LOG(kInfo) << "recovery: ignoring torn segment " << s.index;
       continue;
     }
-    if (have_chain && s.seq_known && s.claimed_seq <= covered_seq) {
+    if (scan.chain != nullptr && s.seq_known && s.claimed_seq <= scan.covered_seq) {
       // Damaged but provably stale: the chain covers everything up to
       // covered_seq, so nothing in this summary is the latest word. A
       // chain-less scan would have had to refuse this as CORRUPTION.
       rep.stale_damage_tolerated++;
       LD_LOG(kInfo) << "recovery: tolerating stale damaged summary on segment " << s.index
-                    << " (seq " << s.claimed_seq << " <= covered " << covered_seq << ")";
+                    << " (seq " << s.claimed_seq << " <= covered " << scan.covered_seq << ")";
       continue;
     }
     if (auto it = intent_seqs.find(s.index);
@@ -1477,8 +1395,7 @@ Status LogStructuredDisk::RecoverFromLog(const LoadedChain* chain) {
       // was reused after retirement and the damage is fresh, so the intent
       // must not retire it — fall through to the refusal below.
       LD_LOG(kInfo) << "recovery: completing scrub retirement of segment " << s.index;
-      std::vector<uint8_t> zeros(options_.summary_bytes, 0);
-      RETURN_IF_ERROR(io_.Write(SegmentSummaryStartByte(s.index) / sector, zeros));
+      RETURN_IF_ERROR(ZeroSummary(s.index));
       rep.retirements_completed++;
       continue;
     }
@@ -1496,14 +1413,15 @@ Status LogStructuredDisk::RecoverFromLog(const LoadedChain* chain) {
           " inside the committed log; refusing to resurrect stale state");
     }
   }
-  RETURN_IF_ERROR(corrupt_log);
+  return corrupt_log;
+}
 
-  // ---- Replay in write order (chain deltas ∪ scanned) ----
-  for (auto& seg : scanned) {
-    replay.push_back(std::move(seg));
-  }
+void LogStructuredDisk::ReplayLog(RecoveryScan* scan) {
+  RecoveryReport& rep = last_recovery_;
+  std::vector<LoggedSegment>& replay = scan->replay;
+  // Write order: every seq is unique, so the order is total.
   std::sort(replay.begin(), replay.end(),
-            [](const ScannedSegment& a, const ScannedSegment& b) { return a.seq < b.seq; });
+            [](const LoggedSegment& a, const LoggedSegment& b) { return a.seq < b.seq; });
 
   // Pass 1: which ARUs committed?
   std::unordered_set<uint32_t> committed;
@@ -1534,7 +1452,7 @@ Status LogStructuredDisk::RecoverFromLog(const LoadedChain* chain) {
           BlockMapEntry& e = block_map_.EnsureAllocated(r.bid);
           e.list = r.lid;
           e.size_class = r.orig_size;
-          e.alloc_seg = seg.index;
+          e.alloc_seg = seg.segment;
           break;
         }
         case SummaryRecordType::kBlockEntry: {
@@ -1545,7 +1463,7 @@ Status LogStructuredDisk::RecoverFromLog(const LoadedChain* chain) {
             e.list = r.lid;
           }
           e.size_class = r.orig_size;
-          e.phys = PhysAddr{seg.index, r.offset};
+          e.phys = PhysAddr{seg.segment, r.offset};
           e.stored_size = r.stored_size;
           e.compressed = r.compressed;
           e.write_ts = r.ts;
@@ -1556,7 +1474,7 @@ Status LogStructuredDisk::RecoverFromLog(const LoadedChain* chain) {
         case SummaryRecordType::kLinkTuple: {
           BlockMapEntry& e = block_map_.EnsureAllocated(r.bid);
           e.successor = r.link_to;
-          e.link_seg = seg.index;
+          e.link_seg = seg.segment;
           break;
         }
         case SummaryRecordType::kBlockFree:
@@ -1565,20 +1483,20 @@ Status LogStructuredDisk::RecoverFromLog(const LoadedChain* chain) {
         case SummaryRecordType::kListHead: {
           ListEntry& e = list_table_.EnsureAllocated(r.lid);
           e.first = r.link_to;
-          e.head_seg = seg.index;
+          e.head_seg = seg.segment;
           break;
         }
         case SummaryRecordType::kListCreate: {
           ListEntry& e = list_table_.EnsureAllocated(r.lid);
           e.hints = r.hints;
           e.lol_next = r.lol_next;
-          e.create_seg = seg.index;
+          e.create_seg = seg.segment;
           break;
         }
         case SummaryRecordType::kListMove: {
           ListEntry& e = list_table_.EnsureAllocated(r.lid);
           e.lol_next = r.lol_next;
-          e.create_seg = seg.index;
+          e.create_seg = seg.segment;
           break;
         }
         case SummaryRecordType::kListDelete:
@@ -1586,55 +1504,37 @@ Status LogStructuredDisk::RecoverFromLog(const LoadedChain* chain) {
           break;
         case SummaryRecordType::kAruCommit:
           break;
-        case SummaryRecordType::kSegmentParity: {
-          if (has_summary[seg.index]) {
-            ParityInfo& p = parity[seg.index];
-            p.has = true;
-            p.offset = r.offset;
-            p.bytes = r.stored_size;
-            p.covered = r.orig_size;
-            p.crc = r.payload_crc;
+        case SummaryRecordType::kSegmentParity:
+          if (scan->has_summary[seg.segment]) {
+            scan->parity[seg.segment] =
+                ParityGeometry{true, r.offset, r.stored_size, r.orig_size, r.payload_crc};
           }
           break;
-        }
         case SummaryRecordType::kScrubIntent:
-          break;  // Consumed above, during suspect classification.
+          break;  // Consumed by ClassifySuspects.
         case SummaryRecordType::kStripeParity:
-          break;  // Consumed above, in the stripe net-state pre-pass.
+          break;  // Consumed by ResolveStripeNet.
       }
     }
   }
-  for (const auto& seg : scanned) {
-    segment_seqs[seg.index] = seg.seq;
+  for (const auto& [s, seq] : scan->scanned_seqs) {
+    scan->seqs[s] = seq;
   }
 
   // A chain base carries its own clocks; the replayed tail only advances them.
   next_ts_ = std::max(next_ts_, max_ts + 1);
   next_seq_ = std::max(next_seq_, max_seq + 1);
   next_aru_id_ = std::max(next_aru_id_, max_aru + 1);
+}
 
-  rep.mode = clean_load ? RecoveryMode::kCheckpointClean
-                        : (have_chain ? RecoveryMode::kCheckpointChain : RecoveryMode::kLogScan);
-  rep.used_checkpoint = have_chain;
-
-  if (clean_load) {
-    // The decoded tables are the total state (the base snapshot already has
-    // exact live counts); nothing to rebuild.
-    return OkStatus();
-  }
-
+Status LogStructuredDisk::DeriveState(const RecoveryScan& scan) {
   block_map_.RebuildFreeList();
   list_table_.RebuildFreeList();
   list_table_.RelinkListOfLists();
-  RebuildDerivedState(segment_seqs, has_summary);
-  for (uint32_t s = 0; s < num_segments; ++s) {
-    if (parity[s].has && has_summary[s]) {
-      SegmentUsage& u = usage_->segment(s);
-      u.has_parity = true;
-      u.parity_offset = parity[s].offset;
-      u.parity_bytes = parity[s].bytes;
-      u.parity_covered = parity[s].covered;
-      u.parity_crc = parity[s].crc;
+  RebuildDerivedState(scan.seqs, scan.has_summary);
+  for (uint32_t s = 0; s < usage_->num_segments(); ++s) {
+    if (scan.parity[s].has && scan.has_summary[s]) {
+      usage_->segment(s).parity = scan.parity[s];
     }
   }
 
@@ -1643,59 +1543,48 @@ Status LogStructuredDisk::RecoverFromLog(const LoadedChain* chain) {
   // open), so each parity segment resumes kParity and degraded reads /
   // rebuild see the set. When leaked records leave overlapping sets, the
   // newer set wins and the older parity reverts to free space.
-  if (!stripe_net.empty()) {
-    std::vector<uint32_t> order;
-    order.reserve(stripe_net.size());
-    for (const auto& [p, net] : stripe_net) {
-      order.push_back(p);
+  std::vector<uint32_t> order;
+  for (const auto& [p, net] : scan.stripe_net) {
+    order.push_back(p);
+  }
+  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    const uint64_t sa = scan.stripe_net.at(a).seq;
+    const uint64_t sb = scan.stripe_net.at(b).seq;
+    return sa != sb ? sa > sb : a < b;
+  });
+  for (uint32_t p : order) {
+    const RecoveryScan::StripeNet& net = scan.stripe_net.at(p);
+    bool ok = usage_->segment(p).state == SegmentState::kFree;
+    for (uint32_t i = 0; ok && i < net.member_count; ++i) {
+      const uint32_t m = net.members[i];
+      ok = scan.has_summary[m] && scan.seqs[m] == net.member_seqs[i] &&
+           usage_->segment(m).state == SegmentState::kFull && member_stripe_.count(m) == 0;
     }
-    std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-      const StripeNet& na = stripe_net.at(a);
-      const StripeNet& nb = stripe_net.at(b);
-      return na.seq != nb.seq ? na.seq > nb.seq : a < b;
-    });
-    for (uint32_t p : order) {
-      const StripeNet& net = stripe_net.at(p);
-      bool ok = usage_->segment(p).state == SegmentState::kFree;
-      for (uint32_t i = 0; ok && i < net.member_count; ++i) {
-        const uint32_t m = net.members[i];
-        ok = has_summary[m] && segment_seqs[m] == net.member_seqs[i] &&
-             usage_->segment(m).state == SegmentState::kFull &&
-             member_stripe_.count(m) == 0;
-      }
-      if (!ok) {
-        if (SegmentChannelsUsable(p) &&
-            usage_->segment(p).state == SegmentState::kFree) {
-          std::vector<uint8_t> zeros(options_.summary_bytes, 0);
-          if (Status s = io_.Write(SegmentSummaryStartByte(p) / sector, zeros);
-              !s.ok() && s.code() != ErrorCode::kIoError) {
-            return s;
-          }
+    if (!ok) {
+      if (SegmentChannelsUsable(p) && usage_->segment(p).state == SegmentState::kFree) {
+        if (Status s = ZeroSummary(p); !s.ok() && s.code() != ErrorCode::kIoError) {
+          return s;
         }
-        continue;
       }
-      SegmentUsage& u = usage_->segment(p);
-      u.state = SegmentState::kParity;
-      u.live_bytes = 0;
-      u.newest_ts = 0;
-      u.age_ts = 0;
-      u.cold = false;
-      StripeSet set;
-      set.parity_segment = p;
-      set.members = net.members;
-      set.member_seqs = net.member_seqs;
-      set.parity_crc = net.parity_crc;
-      set.record_segment = net.record_segment;
-      RegisterStripe(std::move(set));
-      bool parity_touched = false;
-      for (uint32_t c = SegmentChannel(p); c <= SegmentLastChannel(p) && !parity_touched; ++c) {
-        parity_touched = stripe_channels_touched.count(c) != 0;
-      }
-      if (parity_touched) {
-        // The parity image itself may sit on the replaced channel: have the
-        // rebuild lay it down again.
-        EnqueueRebuild(p);
-      }
+      continue;
+    }
+    usage_->segment(p).live_bytes = 0;
+    ResetSegment(p, SegmentState::kParity);
+    StripeSet set;
+    set.parity_segment = p;
+    set.members = net.members;
+    set.member_seqs = net.member_seqs;
+    set.parity_crc = net.parity_crc;
+    set.record_segment = net.record_segment;
+    RegisterStripe(std::move(set));
+    bool parity_touched = false;
+    for (uint32_t c = SegmentChannel(p); c <= SegmentLastChannel(p) && !parity_touched; ++c) {
+      parity_touched = scan.stripe_channels_touched.count(c) != 0;
+    }
+    if (parity_touched) {
+      // The parity image itself may sit on the replaced channel: have the
+      // rebuild lay it down again.
+      EnqueueRebuild(p);
     }
   }
   return OkStatus();

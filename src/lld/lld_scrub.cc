@@ -96,52 +96,10 @@ StatusOr<ScrubReport> LogStructuredDisk::ScrubStep(uint32_t max_segments) {
       std::min<uint64_t>(static_cast<uint64_t>(begin) + max_segments, num_segments));
   ScrubReport& report = scrub_.report;
 
-  const uint32_t sector = device_->sector_size();
   std::unordered_set<uint32_t> suspects;
   std::unordered_set<Bid> mentioned_bids;
   std::unordered_set<Lid> mentioned_lids;
 
-  // Reads and decodes segment `seg`'s summary into *records. Returns false
-  // (with *why set) when the summary is damaged; non-IO errors propagate.
-  std::vector<uint8_t> summary(options_.summary_bytes);
-  auto decode_summary = [&](uint32_t seg, std::vector<SummaryRecord>* records,
-                            const char** why) -> StatusOr<bool> {
-    *why = nullptr;
-    if (Status s = io_.Read(SegmentSummaryStartByte(seg) / sector, summary); !s.ok()) {
-      if (s.code() != ErrorCode::kIoError) {
-        return s;
-      }
-      *why = "unreadable";
-      return false;
-    }
-    SummaryHeader header;
-    const Status head = DecodeSummaryHeader(summary, &header);
-    if (!head.ok() || header.ext_bytes > data_capacity_ || header.segment_index != seg) {
-      *why = "corrupt";
-      return false;
-    }
-    std::vector<uint8_t> ext;
-    if (header.ext_bytes > 0) {
-      const uint64_t ext_start = data_capacity_ - header.ext_bytes;
-      const uint64_t first = (SegmentBaseByte(seg) + ext_start) / sector * sector;
-      const uint64_t seg_end = SegmentBaseByte(seg) + data_capacity_;
-      std::vector<uint8_t> raw((seg_end - first + sector - 1) / sector * sector);
-      if (Status s = io_.Read(first / sector, raw); !s.ok()) {
-        if (s.code() != ErrorCode::kIoError) {
-          return s;
-        }
-        *why = "extension unreadable";
-        return false;
-      }
-      const size_t skip = (SegmentBaseByte(seg) + ext_start) - first;
-      ext.assign(raw.begin() + skip, raw.begin() + skip + header.ext_bytes);
-    }
-    if (!DecodeSummary(summary, ext, &header, records).ok()) {
-      *why = "corrupt";
-      return false;
-    }
-    return true;
-  };
   const auto collect_mentions = [&](const std::vector<SummaryRecord>& records) {
     for (const auto& r : records) {
       switch (r.type) {
@@ -174,16 +132,19 @@ StatusOr<ScrubReport> LogStructuredDisk::ScrubStep(uint32_t max_segments) {
       continue;
     }
     report.segments_scanned++;
-    std::vector<SummaryRecord> records;
-    const char* why = nullptr;
-    ASSIGN_OR_RETURN(const bool valid, decode_summary(seg, &records, &why));
-    if (!valid) {
+    // A written segment's summary must decode: even an all-zero one is
+    // damage here.
+    ASSIGN_OR_RETURN(const SummaryRead read, ReadSummary(seg));
+    if (read.outcome != SummaryRead::kValid) {
+      const char* why = read.outcome != SummaryRead::kUnreadable
+                            ? "corrupt"
+                            : (read.seq_known ? "extension unreadable" : "unreadable");
       LD_LOG(kWarn) << "scrub: segment " << seg << " summary " << why;
       suspects.insert(seg);
       report.suspect_segments++;
       continue;
     }
-    collect_mentions(records);
+    collect_mentions(read.records);
   }
 
   if (!suspects.empty()) {
@@ -206,11 +167,9 @@ StatusOr<ScrubReport> LogStructuredDisk::ScrubStep(uint32_t max_segments) {
       if (state != SegmentState::kFull && state != SegmentState::kScratch) {
         continue;
       }
-      std::vector<SummaryRecord> records;
-      const char* why = nullptr;
-      ASSIGN_OR_RETURN(const bool valid, decode_summary(seg, &records, &why));
-      if (valid) {
-        collect_mentions(records);
+      ASSIGN_OR_RETURN(const SummaryRead read, ReadSummary(seg));
+      if (read.outcome == SummaryRead::kValid) {
+        collect_mentions(read.records);
       }
     }
   }
@@ -359,18 +318,11 @@ StatusOr<ScrubReport> LogStructuredDisk::ScrubStep(uint32_t max_segments) {
   report.blocks_relocated += batch.blocks.size();
   if (!batch.blocks.empty() || !batch.records.empty()) {
     OrderByLists(&batch.blocks);
-    cleaning_ = true;
-    const Status status = WriteCleanerBatch(std::move(batch));
-    cleaning_ = false;
-    RETURN_IF_ERROR(status);
+    FlagGuard cleaning(&cleaning_);
+    RETURN_IF_ERROR(WriteCleanerBatch(std::move(batch)));
   }
   for (uint32_t p : dissolved_parity) {
-    SegmentUsage& u = usage_->segment(p);
-    u.state = SegmentState::kFree;
-    u.newest_ts = 0;
-    u.age_ts = 0;
-    u.cold = false;
-    u.ClearParity();
+    ResetSegment(p, SegmentState::kFree);
   }
   if (!suspects.empty()) {
     // Log one retirement intent per suspect (its own durable batch, written
@@ -382,24 +334,18 @@ StatusOr<ScrubReport> LogStructuredDisk::ScrubStep(uint32_t max_segments) {
       intents.records.push_back(
           SummaryRecord::ScrubIntent(NextTs(), seg, usage_->segment(seg).seq));
     }
-    cleaning_ = true;
-    const Status intent_status = WriteCleanerBatch(std::move(intents));
-    cleaning_ = false;
-    RETURN_IF_ERROR(intent_status);
-
-    std::vector<uint8_t> zeros(options_.summary_bytes, 0);
+    {
+      FlagGuard cleaning(&cleaning_);
+      RETURN_IF_ERROR(WriteCleanerBatch(std::move(intents)));
+    }
     for (uint32_t seg : suspects) {
-      if (Status s = io_.Write(SegmentSummaryStartByte(seg) / sector, zeros); !s.ok()) {
+      if (Status s = ZeroSummary(seg); !s.ok()) {
         return HandleWriteFailure(s);
       }
       SegmentUsage& u = usage_->segment(seg);
-      u.state = SegmentState::kFree;
       u.live_bytes = 0;
-      u.newest_ts = 0;
-      u.age_ts = 0;
-      u.cold = false;
       u.seq = 0;
-      u.ClearParity();
+      ResetSegment(seg, SegmentState::kFree);
       // The next checkpoint frame must record the retirement, or chain
       // replay would resurrect the segment as written.
       CaptureRetiredSegment(seg);

@@ -31,17 +31,6 @@
 
 namespace ld {
 
-namespace {
-
-// Fixed bytes of a serialized summary besides the records: header + CRC.
-constexpr size_t kSummaryOverhead = SummaryHeader::kEncodedSize + 16;
-
-uint64_t RoundUp(uint64_t value, uint64_t multiple) {
-  return (value + multiple - 1) / multiple * multiple;
-}
-
-}  // namespace
-
 uint32_t LogStructuredDisk::SegmentChannel(uint32_t segment) const {
   return device_->ChannelOf(SegmentBaseByte(segment) / device_->sector_size());
 }
@@ -135,12 +124,7 @@ Status LogStructuredDisk::CommitStripe(StripeSet set, const std::vector<uint8_t>
   RETURN_IF_ERROR(
       io_.Write(SegmentBaseByte(parity) / device_->sector_size(), parity_image));
   NoteSegmentImageWrite(parity);
-  SegmentUsage& seg = usage_->segment(parity);
-  seg.state = SegmentState::kParity;
-  seg.newest_ts = 0;
-  seg.age_ts = 0;
-  seg.cold = false;
-  seg.ClearParity();
+  ResetSegment(parity, SegmentState::kParity);
   counters_.stripes_formed++;
   // Queue the duplicate declaration for the next seal (see
   // redeclare_groups_): the set must stay discoverable when the carrier's
@@ -386,10 +370,8 @@ StatusOr<uint32_t> LogStructuredDisk::FormStripes(uint32_t max_sets) {
                          ComputeStripe(members, static_cast<uint32_t>(parity), &image));
         std::vector<SummaryRecord> records;
         AppendStripeRecords(set, NextTs(), &records);
-        forming_stripe_ = true;
-        Status appended = AppendRecordsAtomic(&records);
-        forming_stripe_ = false;
-        RETURN_IF_ERROR(appended);
+        FlagGuard forming(&forming_stripe_);
+        RETURN_IF_ERROR(AppendRecordsAtomic(&records));
         for (uint32_t m : members) {
           planned.insert(m);
         }
@@ -412,10 +394,8 @@ StatusOr<uint32_t> LogStructuredDisk::FormStripes(uint32_t max_sets) {
     if (batch > 0) {
       // Seal the carrier; CommitStripe runs inside the seal, after the
       // batch's records were submitted.
-      forming_stripe_ = true;
-      Status sealed = FlushOpenSegmentFull();
-      forming_stripe_ = false;
-      RETURN_IF_ERROR(sealed);
+      FlagGuard forming(&forming_stripe_);
+      RETURN_IF_ERROR(FlushOpenSegmentFull());
       // The carrier is the last segment sealed (cleaner seals triggered by
       // the allocation happen before the carrier's seq is assigned).
       for (uint32_t s = 0; s < usage_->num_segments(); ++s) {
@@ -436,10 +416,8 @@ StatusOr<uint32_t> LogStructuredDisk::FormStripes(uint32_t max_sets) {
       // Drain pending duplicate declarations before deciding there is
       // nothing left: a maintenance pass must leave every set declared on
       // two channels, not wait for the next natural seal.
-      forming_stripe_ = true;
-      Status drained = FlushOpenSegmentFull();
-      forming_stripe_ = false;
-      RETURN_IF_ERROR(drained);
+      FlagGuard forming(&forming_stripe_);
+      RETURN_IF_ERROR(FlushOpenSegmentFull());
       for (uint32_t s = 0; s < usage_->num_segments(); ++s) {
         if (usage_->segment(s).state == SegmentState::kFull &&
             usage_->segment(s).seq == next_seq_ - 1) {
@@ -576,10 +554,7 @@ StatusOr<std::vector<uint32_t>> LogStructuredDisk::DissolveStripesTouching(
       EraseStripe(parity);
       continue;
     }
-    std::vector<uint8_t> zeros(options_.summary_bytes, 0);
-    if (Status s = io_.Write((SegmentBaseByte(parity) + data_capacity_) / device_->sector_size(),
-                             zeros);
-        !s.ok()) {
+    if (Status s = ZeroSummary(parity); !s.ok()) {
       LD_LOG(kWarn) << "could not zero parity segment " << parity
                     << " summary during dissolve: " << s.ToString();
       EraseStripe(parity);
@@ -787,16 +762,9 @@ StatusOr<RebuildReport> LogStructuredDisk::Rebuild(uint32_t max_segments) {
         while (idx < set->members.size() && set->members[idx] != seg) {
           idx++;
         }
-        SummaryHeader header;
-        std::vector<SummaryRecord> records;
-        const std::span<const uint8_t> tail(image.data() + data_capacity_,
-                                            options_.summary_bytes);
-        const std::span<const uint8_t> ext(image.data(), data_capacity_);
-        if (!DecodeSummary(tail, ext, &header, &records).ok() ||
-            header.segment_index != seg || idx >= set->member_seqs.size() ||
-            header.seq != set->member_seqs[idx]) {
-          double_fault = true;
-        }
+        const SummaryRead read = *ReadSummary(seg, {}, image);  // In memory: cannot fail.
+        double_fault = read.outcome != SummaryRead::kValid || idx >= set->member_seqs.size() ||
+                       read.header.seq != set->member_seqs[idx];
       }
     }
 
@@ -808,21 +776,15 @@ StatusOr<RebuildReport> LogStructuredDisk::Rebuild(uint32_t max_segments) {
       // DissolveStripesTouching zeroes the parity summary and appends the
       // countermand through the log (guarded so the flush it may trigger
       // does not re-form stripes mid-rebuild).
-      forming_stripe_ = true;
+      FlagGuard forming(&forming_stripe_);
       std::vector<SummaryRecord> countermand;
       auto freed = DissolveStripesTouching({parity}, &countermand);
       Status logged = freed.ok() && !countermand.empty()
                           ? AppendRecordsAtomic(&countermand)
                           : freed.status();
-      forming_stripe_ = false;
       if (logged.ok() && freed.ok()) {
         for (uint32_t p : *freed) {
-          SegmentUsage& pu = usage_->segment(p);
-          pu.state = SegmentState::kFree;
-          pu.newest_ts = 0;
-          pu.age_ts = 0;
-          pu.cold = false;
-          pu.ClearParity();
+          ResetSegment(p, SegmentState::kFree);
         }
       } else if (!logged.ok()) {
         LD_LOG(kWarn) << "could not log stripe dissolve during rebuild: " << logged.ToString();

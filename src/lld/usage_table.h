@@ -21,6 +21,18 @@ enum class SegmentState : uint8_t {
   kParity,      // Holds a stripe-set parity image: not a victim, not free.
 };
 
+// Parity-block geometry of a segment, mirrored from its kSegmentParity
+// summary record (and rebuilt from the summaries during recovery) so the
+// read path can reconstruct without re-reading the summary. `has` is false
+// for segments written with segment_parity off.
+struct ParityGeometry {
+  bool has = false;
+  uint32_t offset = 0;   // Byte offset of the parity block in the segment.
+  uint32_t bytes = 0;    // Parity length (the XOR lane period).
+  uint32_t covered = 0;  // Data-area bytes the parity covers: [0, covered).
+  uint32_t crc = 0;      // 24-bit CRC of the parity bytes themselves.
+};
+
 struct SegmentUsage {
   SegmentState state = SegmentState::kFree;
   uint32_t live_bytes = 0;
@@ -55,20 +67,7 @@ struct SegmentUsage {
   // recovery rolling back to a copy that no longer exists.
   uint32_t aru_pins = 0;
 
-  // Parity-block geometry for the segment, mirrored from its kSegmentParity
-  // summary record (and rebuilt from the summaries during recovery) so the
-  // read path can reconstruct without re-reading the summary. has_parity is
-  // false for segments written with segment_parity off.
-  bool has_parity = false;
-  uint32_t parity_offset = 0;   // Byte offset of the parity block in the segment.
-  uint32_t parity_bytes = 0;    // Parity length (the XOR lane period).
-  uint32_t parity_covered = 0;  // Data-area bytes the parity covers: [0, covered).
-  uint32_t parity_crc = 0;      // 24-bit CRC of the parity bytes themselves.
-
-  void ClearParity() {
-    has_parity = false;
-    parity_offset = parity_bytes = parity_covered = parity_crc = 0;
-  }
+  ParityGeometry parity;
 };
 
 class UsageTable {

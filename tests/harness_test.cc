@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <optional>
+#include <string>
+
+#include "src/harness/env_knobs.h"
 #include "src/harness/report.h"
 #include "src/harness/setup.h"
 
@@ -58,6 +63,72 @@ TEST(ReportTest, CompareFormats) {
   EXPECT_EQ(Compare(2064, 2400, "KB/s"), "2064 KB/s (paper: 2400, x0.86)");
   EXPECT_EQ(Compare(12.5, 0, "s", 1), "12.5 s");
   EXPECT_EQ(Compare(788, 788, ""), "788 (paper: 788, x1.00)");
+}
+
+// Sets an environment variable for one scope, restoring its prior state.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* prev = std::getenv(name)) {
+      prev_ = prev;
+    }
+    setenv(name, value, 1);
+  }
+  ~ScopedEnv() {
+    if (prev_) {
+      setenv(name_, prev_->c_str(), 1);
+    } else {
+      unsetenv(name_);
+    }
+  }
+
+ private:
+  const char* name_;
+  std::optional<std::string> prev_;
+};
+
+TEST(EnvKnobsTest, EachKnobKeepsItsAcceptRule) {
+  {
+    ScopedEnv env("LD_CHANNELS", "0");
+    EXPECT_EQ(EnvChannels(3), 3u);  // Zero channels fall back.
+  }
+  {
+    ScopedEnv env("LD_CHANNELS", "4");
+    EXPECT_EQ(EnvChannels(1), 4u);
+  }
+  {
+    ScopedEnv env("LD_CKPT_INTERVAL", "0");
+    EXPECT_EQ(EnvCheckpointInterval(8), 0u);  // Zero turns checkpoints off.
+  }
+  {
+    ScopedEnv env("LD_CKPT_INTERVAL", "-2");
+    EXPECT_EQ(EnvCheckpointInterval(8), 8u);
+  }
+  {
+    ScopedEnv env("LD_FAIL_CHANNEL", "-1");
+    EXPECT_EQ(EnvFailChannel(2), -1);  // Negative values are accepted.
+  }
+  {
+    ScopedEnv env("LD_FAULT_SEED", "-5");
+    EXPECT_EQ(EnvFaultSeed(7), 7u);
+  }
+  {
+    ScopedEnv env("LD_TENANTS", "0");
+    EXPECT_EQ(EnvTenants(1), 1u);
+  }
+  {
+    ScopedEnv env("LD_SEGMENT_PARITY", "0");
+    EXPECT_FALSE(EnvSegmentParity(true));
+  }
+  {
+    ScopedEnv env("LD_STRIPE_PARITY", "yes");
+    EXPECT_TRUE(EnvStripeParity(false));
+  }
+  {
+    ScopedEnv env("LD_MAINT_SCRUB_SEGMENTS", "0");
+    EXPECT_EQ(EnvMaintenanceOptions().scrub_segments_per_slice,
+              MaintenanceOptions{}.scrub_segments_per_slice);
+  }
 }
 
 }  // namespace

@@ -524,5 +524,66 @@ TEST(LldCleanerTest, UtilizationAffectsCleanerWork) {
   EXPECT_GT(high_util_cost, low_util_cost);
 }
 
+// Flips `mask` into byte `offset` of the summary header of every full
+// segment holding 600 live blocks, then cleans. The harvest cannot see a
+// damaged victim's live blocks, so the round must fail typed and hand every
+// victim back as kFull — never free a segment the block map still points
+// into — and Scrub must then retire the damage.
+void ExpectDamagedVictimHeaderRefused(uint32_t offset, uint8_t mask) {
+  Rig rig;
+  std::vector<Bid> bids;
+  Bid pred = kBeginOfList;
+  for (uint32_t i = 0; i < 600; ++i) {
+    auto bid = rig.lld->NewBlock(rig.list, pred);
+    ASSERT_TRUE(bid.ok()) << bid.status().ToString();
+    ASSERT_TRUE(rig.lld->Write(*bid, Pattern(4096, i)).ok());
+    bids.push_back(*bid);
+    pred = *bid;
+  }
+  ASSERT_TRUE(rig.lld->Flush().ok());
+  uint32_t damaged = 0;
+  for (uint32_t s = 0; s < rig.lld->num_segments(); ++s) {
+    if (rig.lld->usage_table().segment(s).state == SegmentState::kFull) {
+      ASSERT_TRUE(
+          rig.disk->CorruptSector(rig.lld->SegmentSummaryStartByte(s) / 512, offset, mask).ok());
+      damaged++;
+    }
+  }
+  ASSERT_GT(damaged, 0u);
+
+  const Status cleaned = rig.lld->CleanSegments(3);
+  EXPECT_EQ(cleaned.code(), ErrorCode::kCorruption) << cleaned.ToString();
+  uint32_t full = 0;
+  for (uint32_t s = 0; s < rig.lld->num_segments(); ++s) {
+    const SegmentState state = rig.lld->usage_table().segment(s).state;
+    EXPECT_NE(state, SegmentState::kCleaning) << "segment " << s;
+    full += state == SegmentState::kFull ? 1 : 0;
+  }
+  EXPECT_EQ(full, damaged);
+  std::vector<uint8_t> out(4096);
+  for (uint32_t i = 0; i < bids.size(); ++i) {
+    ASSERT_TRUE(rig.lld->Read(bids[i], out).ok()) << i;
+    EXPECT_EQ(out, Pattern(4096, i)) << i;
+  }
+
+  auto report = rig.lld->Scrub();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->suspect_segments, damaged);
+  for (uint32_t i = 0; i < bids.size(); ++i) {
+    ASSERT_TRUE(rig.lld->Read(bids[i], out).ok()) << i;
+    EXPECT_EQ(out, Pattern(4096, i)) << i;
+  }
+  EXPECT_EQ(*rig.lld->ListBlocks(rig.list), bids);
+}
+
+TEST(LldCleanerTest, VictimWithDamagedMagicFailsTyped) {
+  ExpectDamagedVictimHeaderRefused(/*offset=*/0, /*mask=*/0x01);
+}
+
+TEST(LldCleanerTest, VictimWithDamagedSpillLengthFailsTyped) {
+  // The top bit of ext_bytes: a spill longer than the data area.
+  ExpectDamagedVictimHeaderRefused(/*offset=*/27, /*mask=*/0x80);
+}
+
 }  // namespace
 }  // namespace ld

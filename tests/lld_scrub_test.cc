@@ -385,7 +385,7 @@ TEST(LldScrubTest, ParityCannotRepairTwoDamagedBlocksInOneSegment) {
   ASSERT_NE(a, kNilBid) << "no adjacent block pair in a full segment";
   const uint32_t seg = lld->block_map().entry(a).phys.segment;
   // The lane period the layout math promises: RoundUp(4096, 512) + 512.
-  ASSERT_EQ(lld->usage_table().segment(seg).parity_bytes, 4608u);
+  ASSERT_EQ(lld->usage_table().segment(seg).parity.bytes, 4608u);
   ASSERT_TRUE(rig.disk->CorruptSector(rig.BlockSector(lld.get(), a), 0, 0x40).ok());
   ASSERT_TRUE(rig.disk->CorruptSector(rig.BlockSector(lld.get(), b) + 1, 0, 0x40).ok());
 
@@ -417,11 +417,11 @@ TEST(LldScrubTest, RottedParityBlockFallsBackToTypedReport) {
   const Bid victim = rig.PickFullSegmentBlock(lld.get(), bids);
   const uint32_t seg = lld->block_map().entry(victim).phys.segment;
   const SegmentUsage& u = lld->usage_table().segment(seg);
-  ASSERT_TRUE(u.has_parity);
+  ASSERT_TRUE(u.parity.has);
   // Rot the parity block itself, then a data block: the reconstruction
   // refuses the damaged parity (its own CRC fails) and scrub degrades to
   // the redundancy-free behaviour — report, never launder.
-  const uint64_t parity_sector = (lld->SegmentStartByte(seg) + u.parity_offset) / kSectorSize;
+  const uint64_t parity_sector = (lld->SegmentStartByte(seg) + u.parity.offset) / kSectorSize;
   ASSERT_TRUE(rig.disk->CorruptSector(parity_sector, 3, 0x80).ok());
   ASSERT_TRUE(rig.disk->CorruptSector(rig.BlockSector(lld.get(), victim), 5, 0x01).ok());
 
@@ -490,6 +490,69 @@ TEST(LldScrubTest, MidLogSummaryCorruptionFailsOpenTyped) {
   rig.disk->ClearFault();
   auto reopened = LogStructuredDisk::Open(rig.disk.get(), TestOptions());
   EXPECT_EQ(reopened.status().code(), ErrorCode::kCorruption) << reopened.status().ToString();
+}
+
+TEST(LldScrubTest, UnreadableSummarySpillIsRefusedThenRetired) {
+  ScrubRig rig;
+  auto lld = rig.Format();
+  auto list = lld->NewList(kBeginOfListOfLists, ListHints{});
+  // Overwrite every block: the segments that created them keep nothing
+  // live but their alloc and link records, and cleaning ten of them re-logs
+  // more records than one summary tail holds.
+  const std::vector<Bid> bids = rig.FillBlocks(lld.get(), *list, 300);
+  for (uint32_t i = 0; i < bids.size(); ++i) {
+    ASSERT_TRUE(lld->Write(bids[i], Pattern(4096, 1000 + i)).ok());
+  }
+  ASSERT_TRUE(lld->Flush().ok());
+  ASSERT_TRUE(lld->CleanSegments(10).ok());
+  int64_t spilled = -1;
+  for (uint32_t s = 0; s < lld->num_segments() && spilled < 0; ++s) {
+    if (lld->usage_table().segment(s).state != SegmentState::kFull) {
+      continue;
+    }
+    std::vector<uint8_t> tail(TestOptions().summary_bytes);
+    ASSERT_TRUE(rig.disk->Read(lld->SegmentSummaryStartByte(s) / kSectorSize, tail).ok());
+    SummaryHeader header;
+    if (DecodeSummaryHeader(tail, &header).ok() && header.ext_bytes > 0) {
+      spilled = s;
+    }
+  }
+  ASSERT_GE(spilled, 0) << "cleaning wrote no summary spill";
+  // Newer segments put the spilled summary inside the committed log.
+  const std::vector<Bid> more = rig.FillBlocks(lld.get(), *list, 40, 5000);
+  const uint32_t seg = static_cast<uint32_t>(spilled);
+  // The spill abuts the summary tail, so it owns the data area's last sector.
+  rig.disk->InjectLatentError(lld->SegmentSummaryStartByte(seg) / kSectorSize - 1);
+
+  // Recovery cannot tell what the spill held: it refuses the log, typed.
+  auto refused = LogStructuredDisk::Open(rig.disk.get(), TestOptions());
+  EXPECT_EQ(refused.status().code(), ErrorCode::kCorruption);
+  EXPECT_NE(refused.status().message().find("segment " + std::to_string(seg) +
+                                            " summary unreadable"),
+            std::string::npos)
+      << refused.status().ToString();
+
+  // The live instance still knows every record: scrub re-logs them and
+  // retires the segment.
+  auto report = lld->ScrubStep(lld->num_segments());
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->suspect_segments, 1u);
+  EXPECT_EQ(lld->usage_table().segment(seg).state, SegmentState::kFree);
+
+  rig.disk->CrashNow();
+  lld.reset();
+  rig.disk->ClearFault();
+  auto reopened = LogStructuredDisk::Open(rig.disk.get(), TestOptions());
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  std::vector<uint8_t> out(4096);
+  for (uint32_t i = 0; i < bids.size(); ++i) {
+    ASSERT_TRUE((*reopened)->Read(bids[i], out).ok()) << i;
+    EXPECT_EQ(out, Pattern(4096, 1000 + i)) << i;
+  }
+  for (uint32_t i = 0; i < more.size(); ++i) {
+    ASSERT_TRUE((*reopened)->Read(more[i], out).ok()) << i;
+    EXPECT_EQ(out, Pattern(4096, 5000 + i)) << i;
+  }
 }
 
 }  // namespace
