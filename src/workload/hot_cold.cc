@@ -4,9 +4,27 @@
 
 namespace ld {
 
+namespace {
+
+// Eight payload bytes per draw, taken little-endian so every host fills alike.
+void FillPayload(Rng* rng, std::vector<uint8_t>* data) {
+  uint64_t word = 0;
+  for (size_t i = 0; i < data->size(); ++i) {
+    if (i % 8 == 0) {
+      word = rng->Next();
+    }
+    (*data)[i] = static_cast<uint8_t>(word >> (8 * (i % 8)));
+  }
+}
+
+}  // namespace
+
 StatusOr<HotColdResult> RunHotCold(LogicalDisk* ld, const HotColdParams& params) {
   HotColdResult result;
   Rng rng(params.seed);
+  // Payloads draw from their own stream, so the index and hot/cold choices
+  // do not depend on the block size.
+  Rng payload_rng(params.seed + 1);
   const uint32_t bs = ld->default_block_size();
   std::vector<uint8_t> data(bs);
 
@@ -18,9 +36,7 @@ StatusOr<HotColdResult> RunHotCold(LogicalDisk* ld, const HotColdParams& params)
   Bid pred = kBeginOfList;
   for (uint64_t i = 0; i < params.num_blocks; ++i) {
     ASSIGN_OR_RETURN(Bid bid, ld->NewBlock(lid, pred));
-    for (auto& b : data) {
-      b = static_cast<uint8_t>(rng.Next());
-    }
+    FillPayload(&payload_rng, &data);
     RETURN_IF_ERROR(ld->Write(bid, data));
     result.blocks.push_back(bid);
     pred = bid;
@@ -33,9 +49,7 @@ StatusOr<HotColdResult> RunHotCold(LogicalDisk* ld, const HotColdParams& params)
     const bool hot = rng.Chance(params.hot_write_share);
     const uint64_t index =
         hot ? rng.Below(hot_count) : hot_count + rng.Below(params.num_blocks - hot_count);
-    for (auto& b : data) {
-      b = static_cast<uint8_t>(rng.Next());
-    }
+    FillPayload(&payload_rng, &data);
     RETURN_IF_ERROR(ld->Write(result.blocks[index], data));
     result.writes_done++;
   }

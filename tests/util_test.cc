@@ -127,16 +127,61 @@ TEST(Crc32Test, KnownVector) {
             0xcbf43926u);
 }
 
+// Bit-at-a-time register update, 8 shifts per byte: the reference the
+// table-driven Crc32Update must match on every span and seed.
+uint32_t BitwiseCrc32Update(uint32_t crc, std::span<const uint8_t> data) {
+  for (uint8_t byte : data) {
+    crc ^= byte;
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1) ? 0xedb88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return crc;
+}
+
 TEST(Crc32Test, IncrementalMatchesOneShot) {
   std::vector<uint8_t> data(1000);
   Rng rng(1);
   for (auto& b : data) {
     b = static_cast<uint8_t>(rng.Next());
   }
+  const std::span<const uint8_t> all(data);
   uint32_t crc = Crc32Init();
-  crc = Crc32Update(crc, std::span<const uint8_t>(data).subspan(0, 400));
-  crc = Crc32Update(crc, std::span<const uint8_t>(data).subspan(400));
+  crc = Crc32Update(crc, all.subspan(0, 400));
+  crc = Crc32Update(crc, all.subspan(400));
   EXPECT_EQ(Crc32Final(crc), Crc32(data));
+
+  // Every length across the 16-byte body/tail boundary, at every alignment.
+  for (size_t offset = 0; offset < 16; ++offset) {
+    for (size_t length = 0; length <= 48; ++length) {
+      const auto span = all.subspan(offset, length);
+      ASSERT_EQ(Crc32(span), Crc32Final(BitwiseCrc32Update(Crc32Init(), span)))
+          << "offset " << offset << " length " << length;
+    }
+  }
+
+  // Random spans from an arbitrary register value, as a chained update sees.
+  std::vector<uint8_t> big(16384);
+  for (auto& b : big) {
+    b = static_cast<uint8_t>(rng.Next());
+  }
+  for (int i = 0; i < 1000; ++i) {
+    const size_t length = rng.Below(9001);
+    const size_t offset = rng.Below(big.size() - length + 1);
+    const auto seed = static_cast<uint32_t>(rng.Next());
+    const auto span = std::span<const uint8_t>(big).subspan(offset, length);
+    ASSERT_EQ(Crc32Update(seed, span), BitwiseCrc32Update(seed, span))
+        << "offset " << offset << " length " << length << " seed " << seed;
+  }
+
+  // Every split point of a short buffer chained through two updates.
+  const auto head = all.subspan(0, 100);
+  const uint32_t whole = Crc32Final(BitwiseCrc32Update(Crc32Init(), head));
+  for (size_t split = 0; split <= head.size(); ++split) {
+    const uint32_t chained =
+        Crc32Update(Crc32Update(Crc32Init(), head.subspan(0, split)), head.subspan(split));
+    ASSERT_EQ(Crc32Final(chained), whole) << "split " << split;
+  }
 }
 
 TEST(Crc32Test, DetectsBitFlip) {
