@@ -53,10 +53,10 @@ StatusOr<CleanCost> RunHotColdAt(double utilization, CleaningPolicy policy) {
 // Sustained steady-state overwrite experiment: fill the volume to the target
 // utilization, then run skewed overwrites long enough for the cleaner to
 // reach its steady state (several volume turnovers of the hot set). WAF is
-// read off the device's DiskStats — media bytes per user byte, including
-// summaries, cleaner copies, and parity — and throughput is user bytes over
-// simulated time. 90/10 skew (10% of blocks take 90% of writes) is the
-// classic hot-and-cold mix where victim policy and the cleaner's cold output
+// the device's media bytes — summaries, cleaner copies, and parity included —
+// per user byte LLD accepted, and throughput is user bytes over simulated
+// time. 90/10 skew (10% of blocks take 90% of writes) is the classic
+// hot-and-cold mix where victim policy and the cleaner's cold output
 // generation separate greedy from cost-benefit.
 struct SteadyState {
   double waf = 0.0;
@@ -90,15 +90,16 @@ StatusOr<SteadyState> RunSteadyState(const DeviceOptions& device_options,
   (void)unused;
   RETURN_IF_ERROR(lld->Flush());
 
-  const DiskStats& stats = disk->stats();
+  const LldCounters& c = lld->counters();
   SteadyState out;
-  out.waf = stats.Waf();
+  out.waf =
+      WriteAmplification(disk->stats().BytesWritten(disk->sector_size()), c.user_bytes_written);
   out.user_mb_per_s = clock.Now() <= 0.0
                           ? 0.0
-                          : static_cast<double>(stats.user_bytes_written) /
-                                (1024.0 * 1024.0) / clock.Now();
-  out.segments_cleaned = lld->counters().segments_cleaned;
-  out.max_wear = stats.segment_wear_max;
+                          : static_cast<double>(c.user_bytes_written) / (1024.0 * 1024.0) /
+                                clock.Now();
+  out.segments_cleaned = c.segments_cleaned;
+  out.max_wear = c.segment_wear_max;
   return out;
 }
 

@@ -85,6 +85,7 @@ struct ScenarioResult {
   uint64_t typed_read_failures = 0;  // Reads that failed with IO_ERROR/CORRUPTION.
   double seconds = 0.0;
   DiskStats stats;
+  LldCounters lld;
   bool degraded = false;
 };
 
@@ -96,6 +97,7 @@ StatusOr<ScenarioResult> RunScenario(const std::string& name, const FaultPlan& p
     return FailedPreconditionError("setup failed");
   }
   rig.disk->ResetStats();
+  rig.lld->ResetCounters();
   rig.disk->SetFaultPlan(plan);
   const double start = rig.clock.Now();
 
@@ -135,6 +137,7 @@ StatusOr<ScenarioResult> RunScenario(const std::string& name, const FaultPlan& p
   }
   result.seconds = rig.clock.Now() - start;
   result.stats = rig.disk->stats();
+  result.lld = rig.lld->counters();
   result.degraded = rig.lld->degraded();
   return result;
 }
@@ -198,6 +201,7 @@ int RunScrubExperiment(bool parity) {
   }
 
   rig.disk->ResetStats();
+  rig.lld->ResetCounters();
   const double start = rig.clock.Now();
   auto report = rig.lld->Scrub();
   const double seconds = rig.clock.Now() - start;
@@ -221,7 +225,7 @@ int RunScrubExperiment(bool parity) {
             TextTable::Num(static_cast<double>(report->records_relogged))});
   t.AddRow({"simulated scrub time", TextTable::Num(seconds, 2) + " s"});
   t.Print();
-  PrintDiskHealthStats("scrub I/O", rig.disk->stats());
+  PrintDiskHealthStats("scrub I/O", rig.disk->stats(), kSectorSize, rig.lld->counters());
 
   // Verify the repair: every block must read its bytes or fail typed.
   uint64_t intact = 0;
@@ -323,6 +327,7 @@ int RunDegradedChannelExperiment() {
 
   // Kill the channel and read the whole population degraded.
   disk.ResetStats();
+  lld->ResetCounters();
   disk.FailChannel(dead);
   if (!lld->SetChannelFailed(dead, true).ok()) {
     return 1;
@@ -337,6 +342,7 @@ int RunDegradedChannelExperiment() {
   }
   const double degraded_seconds = clock.Now() - degraded_start;
   const DiskStats degraded_stats = disk.stats();
+  const LldCounters degraded_counters = lld->counters();
 
   // Swap in a blank spare and rebuild redundancy online.
   if (!disk.HealChannel(dead).ok() || !lld->SetChannelFailed(dead, false).ok()) {
@@ -361,9 +367,7 @@ int RunDegradedChannelExperiment() {
   t.AddRow({"stripe sets formed", TextTable::Num(static_cast<double>(*formed))});
   t.AddRow({"blocks read degraded", TextTable::Num(static_cast<double>(bids.size()))});
   t.AddRow({"degraded reads (via stripe peers)",
-            TextTable::Num(static_cast<double>(degraded_stats.degraded_reads))});
-  t.AddRow({"segment images reconstructed",
-            TextTable::Num(static_cast<double>(degraded_stats.stripe_reconstructions))});
+            TextTable::Num(static_cast<double>(degraded_counters.blocks_stripe_reconstructed))});
   t.AddRow({"degraded read time", TextTable::Num(degraded_seconds, 2) + " s"});
   t.AddRow({"rebuild: segments restored",
             TextTable::Num(static_cast<double>(rebuild->segments_rebuilt + rebuild->parity_rebuilt))});
@@ -371,7 +375,7 @@ int RunDegradedChannelExperiment() {
             TextTable::Num(static_cast<double>(rebuild->segments_unrecoverable))});
   t.AddRow({"rebuild time", TextTable::Num(rebuild_seconds, 2) + " s"});
   t.Print();
-  PrintDiskHealthStats("degraded I/O", degraded_stats);
+  PrintDiskHealthStats("degraded I/O", degraded_stats, disk.sector_size(), degraded_counters);
 
   std::printf("\nChecks (PASS/FAIL):\n");
   auto check = [](const char* claim, bool ok) {
@@ -382,7 +386,7 @@ int RunDegradedChannelExperiment() {
   all &= check("every live block stayed readable with a whole channel dead",
                intact == bids.size());
   all &= check("dead-channel blocks were served via stripe reconstruction",
-               degraded_stats.degraded_reads > 0);
+               degraded_counters.blocks_stripe_reconstructed > 0);
   all &= check("rebuild restored redundancy with no unrecoverable segments",
                rebuild->segments_unrecoverable == 0 && rebuild->segments_pending == 0);
   all &= check("every block reads back intact after the rebuild", intact_after == bids.size());
@@ -494,7 +498,9 @@ StatusOr<MaintAggressorResult> RunMaintAggressor(bool maint_on) {
   r.mean_ms = r.stats.tenant(0).read_latency.MeanMs();
   r.maint = sched.stats();
   r.scrub_segments = r.maint.scrub_segments;
-  r.rebuild_done = r.stats.rebuild_segments_done;
+  // The heal queued the only rebuild cycle and no slice of it ran before
+  // the window opened, so the cycle's accumulated report is this window's.
+  r.rebuild_done = r.maint.last_rebuild.segments_rebuilt + r.maint.last_rebuild.parity_rebuilt;
   r.stripes_formed = r.maint.stripes_formed;
   r.maintenance_requests = r.stats.maintenance_requests;
   return r;
@@ -606,7 +612,7 @@ int Run() {
   t.Print();
   std::printf("\nDevice health:\n");
   for (const ScenarioResult& r : results) {
-    PrintDiskHealthStats(r.name, r.stats);
+    PrintDiskHealthStats(r.name, r.stats, kSectorSize, r.lld);
   }
 
   std::printf("\nChecks (PASS/FAIL):\n");

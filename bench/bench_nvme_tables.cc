@@ -232,7 +232,11 @@ bool Table6(std::vector<std::vector<DurableCosts>>* out) {
 struct ReadPhaseRun {
   double seq_elapsed = 0;          // One large file, sequential.
   double interleaved_elapsed = 0;  // Many files, round-robin sequential.
-  DiskStats stats;                 // After both read phases.
+  // Buffer-cache read-path counters after both read phases.
+  uint64_t cache_hits = 0;
+  uint64_t cache_misses = 0;
+  uint64_t prefetch_hits = 0;
+  uint64_t prefetch_wasted = 0;
 };
 
 StatusOr<ReadPhaseRun> RunReadPhase(FsKind kind, uint32_t channels, bool async, bool readahead) {
@@ -280,7 +284,11 @@ StatusOr<ReadPhaseRun> RunReadPhase(FsKind kind, uint32_t channels, bool async, 
     }
   }
   r.interleaved_elapsed = fut.clock->Now() - mark;
-  r.stats = fut.disk->stats();
+  const BufferCache& cache = fut.fs->cache();
+  r.cache_hits = cache.hits();
+  r.cache_misses = cache.misses();
+  r.prefetch_hits = cache.prefetch_hits();
+  r.prefetch_wasted = cache.prefetch_wasted();
   return r;
 }
 
@@ -315,8 +323,12 @@ bool ReadPhase() {
     }
   }
   t.Print();
-  PrintReadPathStats("MINIX LLD 4ch async+RA", lld_async4->stats);
-  PrintReadPathStats("MINIX 4ch async+RA", minix_async4->stats);
+  auto print_read_path = [](const char* label, const ReadPhaseRun& run) {
+    PrintReadPathStats(label, run.cache_hits, run.cache_misses, run.prefetch_hits,
+                       run.prefetch_wasted);
+  };
+  print_read_path("MINIX LLD 4ch async+RA", *lld_async4);
+  print_read_path("MINIX 4ch async+RA", *minix_async4);
   auto check = [](const char* claim, bool ok) {
     std::printf("  [%s] %s\n", ok ? "PASS" : "FAIL", claim);
     return ok;

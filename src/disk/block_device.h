@@ -75,7 +75,11 @@ struct ChannelStats {
   uint64_t write_retries = 0;
 };
 
-// Cumulative counters a device keeps about its own activity.
+// Cumulative counters a device keeps about its own activity: only what the
+// device, a fault wrapper, or the ReliableIo shim in front of it observes.
+// Counters of the layers above live with their owners (BufferCache's hit and
+// prefetch counters, LldCounters' user bytes, wear and stripe repairs), so
+// two LDs sharing one device never count into each other's numbers.
 struct DiskStats {
   uint64_t read_ops = 0;
   uint64_t write_ops = 0;
@@ -101,83 +105,6 @@ struct DiskStats {
   uint64_t read_retries = 0;         // Extra read attempts issued by the shim.
   uint64_t write_retries = 0;        // Extra write attempts issued by the shim.
   uint64_t transient_recoveries = 0; // Requests that succeeded after retrying.
-
-  // Cross-channel stripe parity (LLD stripe-parity mode). Degraded reads are
-  // block reads served by XOR across the N-1 surviving stripe peers after
-  // both the direct read and the per-segment parity lane failed; rebuild
-  // counters track Lld::Rebuild re-materializing a lost channel's segments.
-  uint64_t degraded_reads = 0;          // Blocks served via stripe peers.
-  uint64_t stripe_reconstructions = 0;  // Segment images rebuilt from peers.
-  uint64_t rebuild_segments_done = 0;   // Segments re-materialized by Rebuild.
-  uint64_t rebuild_segments_pending = 0;  // Segments still queued for rebuild.
-
-  // Checkpoint payloads that outgrew their reserved A/B slot and were
-  // skipped (typed NO_SPACE surfaced by the LD above this device; the next
-  // open falls back to log recovery instead of silently losing coverage).
-  uint64_t checkpoints_skipped_oversize = 0;
-
-  // --- Write amplification & wear ------------------------------------------
-  //
-  // total_bytes_written is every byte the media absorbed — segment data,
-  // summaries, cleaner copies, parity images, checkpoint frames — maintained
-  // by the device alongside sectors_written. user_bytes_written is the
-  // logical payload the LD layer accepted from clients, mirrored down (like
-  // the buffer-cache counters above) so Waf() — the write amplification
-  // factor a flash translation layer would report — reads off one struct.
-  // Note Waf() can dip below 1 legitimately: compression shrinks the stored
-  // form, NVRAM absorbs partial flushes, and user bytes sit in the open
-  // segment until a seal; the WAF property tests pin those knobs off and
-  // flush first.
-  uint64_t user_bytes_written = 0;
-  uint64_t total_bytes_written = 0;
-  double Waf() const {
-    return user_bytes_written == 0
-               ? 0.0
-               : static_cast<double>(total_bytes_written) / static_cast<double>(user_bytes_written);
-  }
-
-  // Per-segment erase/rewrite wear, mirrored by the LD layer: every full or
-  // partial segment-image program moves that segment up one wear count.
-  // wear_histogram[i] counts segments currently at wear i+1 (the last bucket
-  // absorbs everything >= kWearBuckets), so the weighted bucket sum equals
-  // segment_writes_total while no segment has overflowed the last bucket.
-  // Session-scoped like the LD's own wear field: an LD (re)open resets them.
-  static constexpr size_t kWearBuckets = 16;
-  uint64_t segment_writes_total = 0;  // Sum of all segments' wear counts.
-  uint64_t segment_wear_max = 0;      // Highest single segment wear count.
-  uint64_t wear_histogram[kWearBuckets] = {};
-  void NoteSegmentWear(uint32_t new_wear) {
-    auto bucket = [](uint32_t w) {
-      return static_cast<size_t>(w) > kWearBuckets ? kWearBuckets - 1
-                                                   : static_cast<size_t>(w) - 1;
-    };
-    if (new_wear > 1 && wear_histogram[bucket(new_wear - 1)] > 0) {
-      wear_histogram[bucket(new_wear - 1)]--;
-    }
-    if (new_wear > 0) {
-      wear_histogram[bucket(new_wear)]++;
-      segment_writes_total++;
-      if (new_wear > segment_wear_max) {
-        segment_wear_max = new_wear;
-      }
-    }
-  }
-  void ResetWearAccounting() {
-    segment_writes_total = 0;
-    segment_wear_max = 0;
-    for (size_t i = 0; i < kWearBuckets; ++i) {
-      wear_histogram[i] = 0;
-    }
-  }
-
-  // Buffer-cache behaviour of the file system mounted on this device
-  // (mirrored here by the cache via BufferCache::AttachDeviceStats so device
-  // reports show how much work the cache absorbed before it reached the
-  // queue; devices without a mounted file system leave these at zero).
-  uint64_t cache_hits = 0;        // Lookups served from a cached block.
-  uint64_t cache_misses = 0;      // Lookups that had to read the device.
-  uint64_t prefetch_hits = 0;     // Lookups served by a read-ahead fill.
-  uint64_t prefetch_wasted = 0;   // Read-ahead fills dropped unreferenced.
 
   // --- Idle / maintenance signal -------------------------------------------
   //

@@ -37,7 +37,6 @@ Status MemDisk::Write(uint64_t sector, std::span<const uint8_t> data) {
   stats_.NoteRequest(tenant_, clock_->Now());
   stats_.write_ops++;
   stats_.sectors_written += count;
-  stats_.total_bytes_written += count * sector_size_;
   return OkStatus();
 }
 

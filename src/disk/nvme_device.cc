@@ -152,8 +152,6 @@ void NvmeDevice::ScheduleAll() {
           } else {
             stats_.write_ops++;
             stats_.sectors_written += it->count;
-            stats_.total_bytes_written +=
-                static_cast<uint64_t>(it->count) * config_.sector_size;
             cstats.write_ops++;
             cstats.sectors_written += it->count;
             tstats.write_ops++;

@@ -3,11 +3,11 @@
 namespace ld {
 
 void ReliableIo::BackoffBeforeRetry(uint32_t attempt, bool is_read, uint64_t sector) {
-  double backoff = policy_.initial_backoff_s;
+  double backoff = kInitialBackoffS;
   for (uint32_t i = 1; i < attempt; ++i) {
     backoff *= 2.0;
-    if (backoff >= policy_.max_backoff_s) {
-      backoff = policy_.max_backoff_s;
+    if (backoff >= kMaxBackoffS) {
+      backoff = kMaxBackoffS;
       break;
     }
   }
@@ -29,7 +29,7 @@ void ReliableIo::CountRecovery() {
 
 Status ReliableIo::Read(uint64_t sector, std::span<uint8_t> out) {
   Status s = device_->Read(sector, out);
-  for (uint32_t attempt = 1; !s.ok() && Retryable(s) && attempt < policy_.max_attempts;
+  for (uint32_t attempt = 1; !s.ok() && Retryable(s) && attempt < kMaxAttempts;
        ++attempt) {
     BackoffBeforeRetry(attempt, /*is_read=*/true, sector);
     s = device_->Read(sector, out);
@@ -42,7 +42,7 @@ Status ReliableIo::Read(uint64_t sector, std::span<uint8_t> out) {
 
 Status ReliableIo::Write(uint64_t sector, std::span<const uint8_t> data) {
   Status s = device_->Write(sector, data);
-  for (uint32_t attempt = 1; !s.ok() && Retryable(s) && attempt < policy_.max_attempts;
+  for (uint32_t attempt = 1; !s.ok() && Retryable(s) && attempt < kMaxAttempts;
        ++attempt) {
     BackoffBeforeRetry(attempt, /*is_read=*/false, sector);
     s = device_->Write(sector, data);
@@ -56,7 +56,7 @@ Status ReliableIo::Write(uint64_t sector, std::span<const uint8_t> data) {
 StatusOr<IoTag> ReliableIo::SubmitRead(uint64_t sector, std::span<uint8_t> out) {
   StatusOr<IoTag> r = device_->SubmitRead(sector, out);
   for (uint32_t attempt = 1;
-       !r.ok() && Retryable(r.status()) && attempt < policy_.max_attempts; ++attempt) {
+       !r.ok() && Retryable(r.status()) && attempt < kMaxAttempts; ++attempt) {
     BackoffBeforeRetry(attempt, /*is_read=*/true, sector);
     r = device_->SubmitRead(sector, out);
     if (r.ok()) {
@@ -69,7 +69,7 @@ StatusOr<IoTag> ReliableIo::SubmitRead(uint64_t sector, std::span<uint8_t> out) 
 StatusOr<IoTag> ReliableIo::SubmitWrite(uint64_t sector, std::span<const uint8_t> data) {
   StatusOr<IoTag> r = device_->SubmitWrite(sector, data);
   for (uint32_t attempt = 1;
-       !r.ok() && Retryable(r.status()) && attempt < policy_.max_attempts; ++attempt) {
+       !r.ok() && Retryable(r.status()) && attempt < kMaxAttempts; ++attempt) {
     BackoffBeforeRetry(attempt, /*is_read=*/false, sector);
     r = device_->SubmitWrite(sector, data);
     if (r.ok()) {

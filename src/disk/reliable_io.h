@@ -3,7 +3,7 @@
 // Real controllers retry transient failures below the file system; this shim
 // plays that role for the simulated stack. Every failed request classified as
 // retryable (IO_ERROR — transient faults recover, persistent ones simply
-// exhaust the attempts) is retried up to RetryPolicy::max_attempts times with
+// exhaust the attempts) is attempted up to kMaxAttempts times in total, with
 // capped exponential backoff charged to the device's SimClock, so retry cost
 // shows up in benchmark timings. CORRUPTION and argument errors are never
 // retried: re-reading a bit-flipped sector returns the same wrong bytes.
@@ -21,24 +21,9 @@
 
 namespace ld {
 
-struct RetryPolicy {
-  uint32_t max_attempts = 4;          // Total attempts (1 = no retries).
-  double initial_backoff_s = 0.5e-3;  // Backoff before the first retry.
-  double max_backoff_s = 8e-3;        // Cap; backoff doubles up to this.
-};
-
 class ReliableIo {
  public:
-  ReliableIo() = default;
-  ReliableIo(BlockDevice* device, const RetryPolicy& policy) { Attach(device, policy); }
-
-  void Attach(BlockDevice* device, const RetryPolicy& policy) {
-    device_ = device;
-    policy_ = policy;
-  }
-
-  BlockDevice* device() const { return device_; }
-  const RetryPolicy& policy() const { return policy_; }
+  explicit ReliableIo(BlockDevice* device) : device_(device) {}
 
   Status Read(uint64_t sector, std::span<uint8_t> out);
   Status Write(uint64_t sector, std::span<const uint8_t> data);
@@ -50,6 +35,10 @@ class ReliableIo {
   StatusOr<IoTag> SubmitWrite(uint64_t sector, std::span<const uint8_t> data);
 
  private:
+  static constexpr uint32_t kMaxAttempts = 4;         // Total attempts per request.
+  static constexpr double kInitialBackoffS = 0.5e-3;  // Backoff before the first retry.
+  static constexpr double kMaxBackoffS = 8e-3;        // Cap; backoff doubles up to this.
+
   // True for errors worth retrying.
   static bool Retryable(const Status& s) { return s.code() == ErrorCode::kIoError; }
 
@@ -59,8 +48,7 @@ class ReliableIo {
   void BackoffBeforeRetry(uint32_t attempt, bool is_read, uint64_t sector);
   void CountRecovery();
 
-  BlockDevice* device_ = nullptr;
-  RetryPolicy policy_;
+  BlockDevice* device_;
 };
 
 }  // namespace ld

@@ -233,8 +233,6 @@ void SimDisk::ScheduleChannel(uint32_t ch_index) {
       } else {
         stats_.write_ops++;
         stats_.sectors_written += batch[k].count;
-        stats_.total_bytes_written +=
-            static_cast<uint64_t>(batch[k].count) * geometry_.sector_size;
         cstats.write_ops++;
         cstats.sectors_written += batch[k].count;
         tstats.write_ops++;
@@ -340,8 +338,6 @@ void SimDisk::ScheduleChannelQos(uint32_t ch_index) {
       } else {
         stats_.write_ops++;
         stats_.sectors_written += req.total_count;
-        stats_.total_bytes_written +=
-            static_cast<uint64_t>(req.total_count) * geometry_.sector_size;
         cstats.write_ops++;
         cstats.sectors_written += req.total_count;
         tstats.write_ops++;

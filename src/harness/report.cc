@@ -22,7 +22,12 @@ void PrintDiskQueueStats(const std::string& label, const DiskStats& stats) {
               static_cast<unsigned long long>(stats.max_queue_depth), mean_wait);
 }
 
-void PrintDiskHealthStats(const std::string& label, const DiskStats& stats) {
+double WriteAmplification(uint64_t media_bytes, uint64_t user_bytes) {
+  return user_bytes == 0 ? 0.0 : static_cast<double>(media_bytes) / static_cast<double>(user_bytes);
+}
+
+void PrintDiskHealthStats(const std::string& label, const DiskStats& stats, uint32_t sector_size,
+                          const LldCounters& lld) {
   std::printf(
       "  %-24s errors r/w %llu/%llu  retries r/w %llu/%llu  recovered %llu\n",
       label.c_str(), static_cast<unsigned long long>(stats.read_errors),
@@ -33,13 +38,15 @@ void PrintDiskHealthStats(const std::string& label, const DiskStats& stats) {
   // Write amplification and wear, when the device saw any media writes: how
   // many bytes the media absorbed per user payload byte, and how evenly the
   // segment programs spread across the volume.
-  if (stats.total_bytes_written > 0) {
+  const uint64_t media_bytes = stats.BytesWritten(sector_size);
+  if (media_bytes > 0) {
     std::printf(
         "  %-24s user %.2f MB  media %.2f MB  WAF %.3f  segment writes %llu  max wear %llu\n",
-        "", static_cast<double>(stats.user_bytes_written) / (1024.0 * 1024.0),
-        static_cast<double>(stats.total_bytes_written) / (1024.0 * 1024.0), stats.Waf(),
-        static_cast<unsigned long long>(stats.segment_writes_total),
-        static_cast<unsigned long long>(stats.segment_wear_max));
+        "", static_cast<double>(lld.user_bytes_written) / (1024.0 * 1024.0),
+        static_cast<double>(media_bytes) / (1024.0 * 1024.0),
+        WriteAmplification(media_bytes, lld.user_bytes_written),
+        static_cast<unsigned long long>(lld.segment_images_written),
+        static_cast<unsigned long long>(lld.segment_wear_max));
   }
   // On multi-channel devices a dead or dying channel shows up as one row's
   // error column towering over its peers — print the breakdown so the bench
@@ -63,16 +70,17 @@ void PrintDiskHealthStats(const std::string& label, const DiskStats& stats) {
   }
 }
 
-void PrintReadPathStats(const std::string& label, const DiskStats& stats) {
-  const uint64_t lookups = stats.cache_hits + stats.cache_misses;
+void PrintReadPathStats(const std::string& label, uint64_t hits, uint64_t misses,
+                        uint64_t prefetch_hits, uint64_t prefetch_wasted) {
+  const uint64_t lookups = hits + misses;
   const double hit_rate =
-      lookups == 0 ? 0.0 : 100.0 * static_cast<double>(stats.cache_hits) / static_cast<double>(lookups);
+      lookups == 0 ? 0.0 : 100.0 * static_cast<double>(hits) / static_cast<double>(lookups);
   std::printf(
       "  %-24s hits %-8llu misses %-8llu (%.1f%% hit)  prefetch hits %-6llu wasted %llu\n",
-      label.c_str(), static_cast<unsigned long long>(stats.cache_hits),
-      static_cast<unsigned long long>(stats.cache_misses), hit_rate,
-      static_cast<unsigned long long>(stats.prefetch_hits),
-      static_cast<unsigned long long>(stats.prefetch_wasted));
+      label.c_str(), static_cast<unsigned long long>(hits),
+      static_cast<unsigned long long>(misses), hit_rate,
+      static_cast<unsigned long long>(prefetch_hits),
+      static_cast<unsigned long long>(prefetch_wasted));
 }
 
 void PrintTenantStats(const std::string& label, const DiskStats& stats, uint32_t sector_size) {

@@ -26,16 +26,25 @@ std::string Compare(double measured, double paper, const std::string& unit, int 
 // service. `label` names the configuration the stats belong to.
 void PrintDiskQueueStats(const std::string& label, const DiskStats& stats);
 
+// Write amplification factor: media bytes the device absorbed per user
+// payload byte the LD accepted; 0 while there are no user bytes. It can dip
+// below 1 legitimately: compression shrinks the stored form, NVRAM absorbs
+// partial flushes, and user bytes sit in the open segment until a seal.
+double WriteAmplification(uint64_t media_bytes, uint64_t user_bytes);
+
 // Prints one line of device-health counters: requests that failed at the
 // device, extra attempts issued by the ReliableIo retry shim, and requests
-// that succeeded only after retrying. All zeros on a fault-free run.
-void PrintDiskHealthStats(const std::string& label, const DiskStats& stats);
+// that succeeded only after retrying. All zeros on a fault-free run. When
+// the device wrote anything, a second line sets its media bytes against
+// the user bytes and segment wear `lld` counted over the same window.
+void PrintDiskHealthStats(const std::string& label, const DiskStats& stats, uint32_t sector_size,
+                          const LldCounters& lld);
 
-// Prints one line of buffer-cache read-path counters mirrored into the
-// device's DiskStats: lookups served from cache vs. from the device, demand
-// lookups absorbed by a read-ahead fill, and read-ahead fills that were
-// dropped without ever being referenced.
-void PrintReadPathStats(const std::string& label, const DiskStats& stats);
+// Prints one line of buffer-cache read-path counters: lookups served from
+// cache vs. from the device, demand lookups absorbed by a read-ahead fill,
+// and read-ahead fills that were dropped without ever being referenced.
+void PrintReadPathStats(const std::string& label, uint64_t hits, uint64_t misses,
+                        uint64_t prefetch_hits, uint64_t prefetch_wasted);
 
 // Prints one line per tenant from the shared device's per-tenant
 // accounting: ops, bytes moved, mean queue wait, read-latency p50/p99, and

@@ -167,9 +167,8 @@ class LogicalDisk {
   // and degraded to read-only service.
   virtual bool degraded() const { return false; }
 
-  // Health/queue counters of the device under this LD, when there is one.
-  // Lets clients (the MINIX buffer cache) publish their own counters next to
-  // the device's without knowing the implementation.
+  // Health/queue counters of the device under this LD, when there is one,
+  // for callers that hold only the LogicalDisk interface.
   virtual DiskStats* device_stats() { return nullptr; }
 
   // Labels this LD instance's device requests with a tenant session id so a

@@ -13,10 +13,18 @@ namespace {
 // Largest size class the summary encoding can express.
 constexpr uint32_t kMaxBlockSize = 65535;
 
+// Fraction of data capacity that may hold live bytes before writes fail
+// with NO_SPACE; the remainder is cleaning headroom.
+constexpr double kMaxUtilization = 0.95;
+
+// (De)compression CPU bandwidths charged to the simulated clock.
+constexpr double kCompressKbPerS = 1600.0;
+constexpr double kDecompressKbPerS = 1400.0;
+
 }  // namespace
 
 LogStructuredDisk::LogStructuredDisk(BlockDevice* device, const LldOptions& options)
-    : device_(device), options_(options), io_(device, options.retry) {
+    : device_(device), options_(options), io_(device) {
   device_->set_request_tenant(options_.tenant);
 }
 
@@ -166,9 +174,6 @@ StatusOr<std::unique_ptr<LogStructuredDisk>> LogStructuredDisk::Format(
     BlockDevice* device, const LldOptions& options) {
   std::unique_ptr<LogStructuredDisk> lld(new LogStructuredDisk(device, options));
   RETURN_IF_ERROR(lld->ComputeLayout());
-  if (DiskStats* ds = device->mutable_stats()) {
-    ds->ResetWearAccounting();  // Wear tracking is per LD session.
-  }
   RETURN_IF_ERROR(lld->WriteSuperblock());
   RETURN_IF_ERROR(lld->InvalidateCheckpoint());
   // Erase stale summaries so a reformat never resurrects old metadata.
@@ -191,11 +196,6 @@ StatusOr<std::unique_ptr<LogStructuredDisk>> LogStructuredDisk::Open(
   std::unique_ptr<LogStructuredDisk> lld(new LogStructuredDisk(device, options));
   RETURN_IF_ERROR(lld->ReadAndCheckSuperblock());
   RETURN_IF_ERROR(lld->RecoverState());
-  // Wear tracking is session-scoped (SegmentUsage::wear starts at zero in the
-  // fresh usage table), so the device-side mirror restarts with it.
-  if (DiskStats* ds = device->mutable_stats()) {
-    ds->ResetWearAccounting();
-  }
   return lld;
 }
 
@@ -661,10 +661,7 @@ Status LogStructuredDisk::ZeroSummary(uint32_t segment) {
 void LogStructuredDisk::NoteSegmentImageWrite(uint32_t segment) {
   SegmentUsage& seg = usage_->segment(segment);
   seg.wear++;
-  counters_.segment_images_written++;
-  if (DiskStats* ds = device_->mutable_stats()) {
-    ds->NoteSegmentWear(seg.wear);
-  }
+  counters_.NoteSegmentImage(seg.wear);
 }
 
 void LogStructuredDisk::UpdateRecordAuthority(uint32_t segment,
@@ -894,21 +891,15 @@ void LogStructuredDisk::ChargeListCpu() {
 }
 
 void LogStructuredDisk::ChargeCompressCpu(uint64_t bytes) {
-  if (options_.compress_kb_per_s <= 0) {
-    return;
-  }
   // Plain CPU time. The paper's §3.3 pipelining needs no special credit any
   // more: while a sealed segment's write is in flight, this advance runs the
   // clock concurrently with it, and the next WaitForInflight only advances
   // to the write's (already fixed) completion time.
-  device_->clock()->Advance(static_cast<double>(bytes) / (options_.compress_kb_per_s * 1024.0));
+  device_->clock()->Advance(static_cast<double>(bytes) / (kCompressKbPerS * 1024.0));
 }
 
 void LogStructuredDisk::ChargeDecompressCpu(uint64_t bytes) {
-  if (options_.decompress_kb_per_s <= 0) {
-    return;
-  }
-  device_->clock()->Advance(static_cast<double>(bytes) / (options_.decompress_kb_per_s * 1024.0));
+  device_->clock()->Advance(static_cast<double>(bytes) / (kDecompressKbPerS * 1024.0));
 }
 
 uint64_t LogStructuredDisk::LiveBytes() const {
@@ -916,7 +907,7 @@ uint64_t LogStructuredDisk::LiveBytes() const {
 }
 
 uint64_t LogStructuredDisk::FreeBytes() const {
-  const double budget = static_cast<double>(TotalDataCapacity()) * options_.max_utilization;
+  const double budget = static_cast<double>(TotalDataCapacity()) * kMaxUtilization;
   const uint64_t used = LiveBytes() + reserved_bytes_;
   if (static_cast<double>(used) >= budget) {
     return 0;
@@ -962,7 +953,7 @@ Status LogStructuredDisk::Read(Bid bid, std::span<uint8_t> out) {
   // appended, so silent media corruption surfaces as a typed error instead
   // of wrong data. Open-segment copies live in memory and are not checked.
   auto verify_payload = [&](std::span<const uint8_t> stored_bytes) -> Status {
-    if (!options_.verify_read_checksums || !entry->has_payload_crc) {
+    if (!entry->has_payload_crc) {
       return OkStatus();
     }
     if (PayloadCrc(stored_bytes) != entry->payload_crc) {
@@ -1069,7 +1060,7 @@ StatusOr<IoTag> LogStructuredDisk::SubmitRead(Bid bid, std::span<uint8_t> out) {
   // only the transfer's timing is still in flight, so the scratch buffer can
   // be drained — and the payload verified — before the tag completes.
   std::memcpy(out.data(), io_scratch_.data() + (start_byte - first_sector * sector), out.size());
-  if (options_.verify_read_checksums && entry->has_payload_crc &&
+  if (entry->has_payload_crc &&
       PayloadCrc(std::span<const uint8_t>(out.data(), out.size())) != entry->payload_crc) {
     // Silent corruption: charge the wasted transfer, then take the repair
     // path (which re-counts the CRC failure and the read itself).
@@ -1103,12 +1094,6 @@ Status LogStructuredDisk::Write(Bid bid, std::span<const uint8_t> data) {
   }
   counters_.user_writes++;
   counters_.user_bytes_written += data.size();
-  // Mirrored into the device stats so Waf() — total media bytes over user
-  // payload bytes — reads off one struct (same pattern as the buffer-cache
-  // counters).
-  if (DiskStats* ds = device_->mutable_stats()) {
-    ds->user_bytes_written += data.size();
-  }
 
   bool compress = false;
   if (options_.compressor != nullptr && list_table_.IsAllocated(entry->list)) {

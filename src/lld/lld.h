@@ -29,6 +29,7 @@
 #ifndef SRC_LLD_LLD_H_
 #define SRC_LLD_LLD_H_
 
+#include <algorithm>
 #include <deque>
 #include <memory>
 #include <unordered_map>
@@ -36,6 +37,7 @@
 #include <vector>
 
 #include "src/disk/block_device.h"
+#include "src/disk/reliable_io.h"
 #include "src/ld/logical_disk.h"
 #include "src/lld/block_map.h"
 #include "src/lld/list_table.h"
@@ -67,6 +69,15 @@ struct LldCounters {
   // (see SegmentUsage::wear), so this equals the usage table's total wear —
   // the invariant the wear-histogram property tests check.
   uint64_t segment_images_written = 0;
+  // Erase/rewrite wear spread, as a flash translation layer would report it.
+  // wear_histogram[i] counts segments whose latest image took them to wear
+  // i+1 (the last bucket absorbs everything >= kWearBuckets), so the
+  // weighted bucket sum equals segment_images_written while no segment has
+  // overflowed the last bucket. segment_wear_max is the highest wear an
+  // image reached.
+  static constexpr size_t kWearBuckets = 16;
+  uint64_t wear_histogram[kWearBuckets] = {};
+  uint64_t segment_wear_max = 0;
   // Cleaner-written (cold-generation) segment images, a subset of the above.
   uint64_t cold_segments_written = 0;
   uint64_t flushes = 0;
@@ -92,6 +103,21 @@ struct LldCounters {
   // because the active slot filled up).
   uint64_t checkpoint_frames_written = 0;
   uint64_t checkpoint_rebases = 0;
+  // Base frames that outgrew their A/B slot and were not written (typed
+  // NO_SPACE; the next open falls back to log recovery).
+  uint64_t checkpoints_skipped_oversize = 0;
+
+  // Counts one segment image that took its segment to wear `new_wear`
+  // (>= 1): moves the segment up one histogram bucket.
+  void NoteSegmentImage(uint32_t new_wear) {
+    auto bucket = [](uint32_t w) { return std::min<size_t>(w, kWearBuckets) - 1; };
+    if (new_wear > 1 && wear_histogram[bucket(new_wear - 1)] > 0) {
+      wear_histogram[bucket(new_wear - 1)]--;
+    }
+    wear_histogram[bucket(new_wear)]++;
+    segment_images_written++;
+    segment_wear_max = std::max<uint64_t>(segment_wear_max, new_wear);
+  }
 };
 
 // In-memory footprint of LLD's data structures (paper Table 2).
@@ -279,6 +305,8 @@ class LogStructuredDisk : public LogicalDisk {
   // Format), including the typed checkpoint fallback ladder.
   const RecoveryReport& last_recovery() const { return last_recovery_; }
   const LldCounters& counters() const { return counters_; }
+  // Zeroes every counter, the wear histogram included (SegmentUsage::wear
+  // keeps its session count).
   void ResetCounters() { counters_ = LldCounters{}; }
   const LldOptions& options() const { return options_; }
   uint32_t num_segments() const { return usage_->num_segments(); }
@@ -474,8 +502,8 @@ class LogStructuredDisk : public LogicalDisk {
   // Shared guard for every mutating entry point.
   Status CheckWritable() const;
   // Wear accounting: a full or partial segment image was programmed into
-  // `segment`. Bumps the segment's wear count and mirrors it into the
-  // device's wear histogram (flash erase/rewrite accounting).
+  // `segment`. Bumps the segment's wear count and the wear histogram
+  // (flash erase/rewrite accounting).
   void NoteSegmentImageWrite(uint32_t segment);
   // Charges (de)compression CPU time to the simulated clock.
   void ChargeCompressCpu(uint64_t bytes);
@@ -545,9 +573,9 @@ class LogStructuredDisk : public LogicalDisk {
   // the sector-aligned extent across the N-1 surviving stripe peers and the
   // parity segment, verifies the result against the entry's payload CRC
   // (typed CORRUPTION on any second fault — peer unreadable or CRC
-  // mismatch), relocates the repaired copy, and bumps the degraded-read
-  // device stats. Returns `damage` unchanged when the block's segment is not
-  // striped.
+  // mismatch), relocates the repaired copy, and bumps
+  // blocks_stripe_reconstructed. Returns `damage` unchanged when the
+  // block's segment is not striped.
   Status TryStripeReconstructStored(Bid bid, const BlockMapEntry& entry,
                                     std::span<uint8_t> out, const Status& damage);
   // Rebuilds the channel allocation mask from channel_failed_ and installs /
@@ -668,7 +696,7 @@ class LogStructuredDisk : public LogicalDisk {
   // incremental checkpointing off this is the only checkpoint ever written.
   // Returns a typed NO_SPACE ("checkpoint oversize") when the encoded
   // payload outgrows the slot — observable via
-  // DiskStats::checkpoints_skipped_oversize, never just a WARN line.
+  // LldCounters::checkpoints_skipped_oversize, never just a WARN line.
   Status WriteCheckpoint() { return WriteBaseFrame(/*clean=*/true); }
   Status WriteBaseFrame(bool clean);
   // Appends a delta frame covering ckpt_pending_ to the active slot (or

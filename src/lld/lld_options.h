@@ -7,7 +7,6 @@
 
 #include "src/compress/compressor.h"
 #include "src/disk/qos.h"
-#include "src/disk/reliable_io.h"
 
 namespace ld {
 
@@ -55,17 +54,12 @@ struct LldOptions {
   // recopied on every round. LD_CLEANER_POLICY selects it in the harness.
   CleaningPolicy cleaning_policy = CleaningPolicy::kGreedy;
 
-  // Fraction of data capacity that may hold live bytes before writes fail
-  // with NO_SPACE; the remainder is cleaning headroom.
-  double max_utilization = 0.95;
-
   // Compression. When `compressor` is null, lists with the compress hint are
-  // stored raw. Bandwidths are charged to the simulated clock; compression
-  // of one segment overlaps the disk write of the previous one (§3.3, §4.2),
-  // decompression cannot overlap the read.
+  // stored raw. CPU time at the prototype's measured bandwidths is charged
+  // to the simulated clock; compression of one segment overlaps the disk
+  // write of the previous one (§3.3, §4.2), decompression cannot overlap
+  // the read.
   Compressor* compressor = nullptr;
-  double compress_kb_per_s = 1600.0;
-  double decompress_kb_per_s = 1400.0;
 
   // Pipeline full-segment writes (§3.3): seal the open segment into a second
   // buffer, submit it to the device queue asynchronously, and keep accepting
@@ -94,17 +88,6 @@ struct LldOptions {
   // as surviving power failure, as Baker et al. do, so crash-recovery tests
   // must run with nvram_bytes = 0.
   uint64_t nvram_bytes = 0;
-
-  // Media-fault tolerance (DESIGN.md "Failure model"). Every device access
-  // goes through a ReliableIo shim that retries transient IO_ERRORs with
-  // capped exponential backoff; a request that succeeds first try pays
-  // nothing, so fault-free runs are unaffected.
-  RetryPolicy retry;
-
-  // Verify per-block payload CRCs on every Read of on-disk data, surfacing
-  // silent media corruption as a typed CORRUPTION error. Blocks written
-  // before the checksum format extension simply aren't verifiable.
-  bool verify_read_checksums = true;
 
   // Write a per-segment XOR parity block when a segment is sealed, letting
   // the read path and Scrub *reconstruct* a single damaged extent (up to one

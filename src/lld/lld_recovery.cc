@@ -493,7 +493,7 @@ Status LogStructuredDisk::WriteBaseFrame(bool clean) {
   std::vector<uint8_t> frame = BuildFrame(kFrameBase, generation, 0, covered, body, sector);
   const uint64_t capacity = CheckpointSlotBytes() - sector;
   if (frame.size() > capacity) {
-    device_->mutable_stats()->checkpoints_skipped_oversize++;
+    counters_.checkpoints_skipped_oversize++;
     const std::string msg = "checkpoint oversize: base frame of " +
                             std::to_string(frame.size()) + " bytes exceeds the " +
                             std::to_string(capacity) + "-byte slot";
@@ -903,8 +903,6 @@ Status LogStructuredDisk::RecoverState() {
     // the open itself still succeeds (log recovery covers the session).
   }
 
-  last_recovery_.checkpoints_skipped_oversize =
-      device_->mutable_stats()->checkpoints_skipped_oversize;
   last_recovery_.live_blocks = block_map_.allocated_count();
   last_recovery_.seconds = device_->clock()->Now() - start;
   return OkStatus();

@@ -514,10 +514,6 @@ Status LogStructuredDisk::TryStripeReconstructStored(Bid bid, const BlockMapEntr
                            ": stripe reconstruction failed its payload crc (double fault)");
   }
   counters_.blocks_stripe_reconstructed++;
-  if (DiskStats* stats = device_->mutable_stats()) {
-    stats->degraded_reads++;
-    stats->stripe_reconstructions++;
-  }
   LD_LOG(kInfo) << "reconstructed block " << bid << " from the stripe peers of segment "
                 << entry.phys.segment;
   return OkStatus();
@@ -624,9 +620,6 @@ void LogStructuredDisk::InstallChannelFilter() {
 void LogStructuredDisk::EnqueueRebuild(uint32_t segment) {
   if (rebuild_queued_.insert(segment).second) {
     rebuild_pending_.push_back(segment);
-    if (DiskStats* stats = device_->mutable_stats()) {
-      stats->rebuild_segments_pending = rebuild_pending_.size();
-    }
   }
 }
 
@@ -683,7 +676,6 @@ StatusOr<RebuildReport> LogStructuredDisk::Rebuild(uint32_t max_segments) {
     rebuild_report_ = RebuildReport{};
   }
   RebuildReport& report = rebuild_report_;
-  const uint64_t done_before = report.segments_rebuilt + report.parity_rebuilt;
   const double start = device_->clock()->Now();
   // Pace rebuild I/O as its own (typically low-weight) tenant; foreground
   // requests between incremental calls keep their own stamp.
@@ -811,11 +803,6 @@ StatusOr<RebuildReport> LogStructuredDisk::Rebuild(uint32_t max_segments) {
     EnqueueRebuild(seg);
   }
   report.segments_pending = static_cast<uint32_t>(rebuild_pending_.size());
-  if (DiskStats* stats = device_->mutable_stats()) {
-    stats->rebuild_segments_pending = rebuild_pending_.size();
-    stats->rebuild_segments_done +=
-        report.segments_rebuilt + report.parity_rebuilt - done_before;
-  }
   device_->set_request_tenant(options_.tenant);
   report.seconds += device_->clock()->Now() - start;
   rebuild_cycle_active_ = !rebuild_pending_.empty();

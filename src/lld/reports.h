@@ -87,11 +87,6 @@ struct RecoveryReport {
   bool parallel_scan = false;
   uint32_t scan_channels = 1;
 
-  // Mirrors DiskStats::checkpoints_skipped_oversize at recovery time: how
-  // often a checkpoint payload outgrew its slot and was skipped (typed,
-  // never a silent WARN).
-  uint64_t checkpoints_skipped_oversize = 0;
-
   std::string ToString() const;
 };
 
@@ -211,9 +206,6 @@ inline std::string RecoveryReport::ToString() const {
   }
   if (stripe_members_reconstructed > 0) {
     s += " stripe_members_reconstructed=" + std::to_string(stripe_members_reconstructed);
-  }
-  if (checkpoints_skipped_oversize > 0) {
-    s += " ckpt_oversize=" + std::to_string(checkpoints_skipped_oversize);
   }
   s += parallel_scan ? " scan=parallel@" + std::to_string(scan_channels) : std::string(" scan=serial");
   s += " seconds=" + std::to_string(seconds);

@@ -56,7 +56,7 @@ struct SegmentUsage {
 
   // Erase/rewrite wear: full or partial segment images programmed into this
   // physical segment. In-memory and session-scoped (recovery restarts the
-  // count); mirrored into DiskStats' wear histogram by the LD layer.
+  // count); LldCounters' wear histogram follows it.
   uint32_t wear = 0;
 
   // Shadow pins: copies in this segment that are dead in the in-memory map

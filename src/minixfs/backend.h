@@ -18,7 +18,6 @@
 namespace ld {
 
 class LogicalDisk;
-struct DiskStats;
 
 class MinixBackend {
  public:
@@ -85,11 +84,6 @@ class MinixBackend {
   // The underlying LogicalDisk, when there is one (LD modes): lets the core
   // use atomic recovery units directly.
   virtual LogicalDisk* logical_disk() { return nullptr; }
-
-  // The underlying device's stats, when reachable: the buffer cache mirrors
-  // its hit/miss/prefetch counters there so device reports tell the whole
-  // read-path story.
-  virtual DiskStats* device_stats() { return nullptr; }
 
   // Labels this file system's device requests with a tenant session id (see
   // BlockDevice::set_request_tenant). No-op for backends without a device.

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <iterator>
 
-#include "src/disk/block_device.h"
-
 namespace ld {
 
 BufferCache::BufferCache(uint32_t block_size, uint32_t capacity_blocks, ReadFn read, WriteFn write)
@@ -25,47 +23,11 @@ void BufferCache::ResetCounters() {
   prefetch_issued_ = 0;
   prefetch_wasted_ = 0;
   coalesced_reads_ = 0;
-  // Keep the mirrored counters consistent no matter whether the device's own
-  // ResetStats runs before, after, or not at all.
-  if (device_stats_ != nullptr) {
-    device_stats_->cache_hits = 0;
-    device_stats_->cache_misses = 0;
-    device_stats_->prefetch_hits = 0;
-    device_stats_->prefetch_wasted = 0;
-  }
-}
-
-void BufferCache::BumpHit() {
-  hits_++;
-  if (device_stats_ != nullptr) {
-    device_stats_->cache_hits++;
-  }
-}
-
-void BufferCache::BumpMiss() {
-  misses_++;
-  if (device_stats_ != nullptr) {
-    device_stats_->cache_misses++;
-  }
-}
-
-void BufferCache::BumpPrefetchHit() {
-  prefetch_hits_++;
-  if (device_stats_ != nullptr) {
-    device_stats_->prefetch_hits++;
-  }
-}
-
-void BufferCache::BumpPrefetchWasted() {
-  prefetch_wasted_++;
-  if (device_stats_ != nullptr) {
-    device_stats_->prefetch_wasted++;
-  }
 }
 
 void BufferCache::NoteDropped(const CacheBlock& block) {
   if (block.prefetched && !block.referenced) {
-    BumpPrefetchWasted();
+    prefetch_wasted_++;
   }
 }
 
@@ -154,7 +116,7 @@ Status BufferCache::CancelPending(uint32_t bno) {
   const bool was_prefetch = it->second.prefetch;
   pending_.erase(it);
   if (was_prefetch) {
-    BumpPrefetchWasted();
+    prefetch_wasted_++;
   }
   // The device already did (or scheduled) the transfer; waiting it out
   // charges that cost even though the bytes die here. A completion must
@@ -189,9 +151,9 @@ StatusOr<std::shared_ptr<CacheBlock>> BufferCache::AdoptPending(uint32_t bno) {
 StatusOr<std::shared_ptr<CacheBlock>> BufferCache::Get(uint32_t bno, bool load) {
   auto it = blocks_.find(bno);
   if (it != blocks_.end()) {
-    BumpHit();
+    hits_++;
     if (it->second->prefetched && !it->second->referenced) {
-      BumpPrefetchHit();
+      prefetch_hits_++;
     }
     it->second->referenced = true;
     Touch(bno);
@@ -205,17 +167,17 @@ StatusOr<std::shared_ptr<CacheBlock>> BufferCache::Get(uint32_t bno, bool load) 
       auto adopted = AdoptPending(bno);
       if (adopted.ok()) {
         if (adopted.value()->prefetched) {
-          BumpHit();
-          BumpPrefetchHit();
+          hits_++;
+          prefetch_hits_++;
         } else {
-          BumpMiss();
+          misses_++;
         }
         adopted.value()->referenced = true;
       }
       return adopted;
     }
   }
-  BumpMiss();
+  misses_++;
   while (blocks_.size() >= capacity_) {
     RETURN_IF_ERROR(EvictOne());
   }
@@ -272,10 +234,10 @@ StatusOr<std::shared_ptr<CacheBlock>> BufferCache::Wait(uint32_t bno) {
   auto adopted = AdoptPending(bno);
   if (adopted.ok()) {
     if (adopted.value()->prefetched) {
-      BumpHit();
-      BumpPrefetchHit();
+      hits_++;
+      prefetch_hits_++;
     } else {
-      BumpMiss();
+      misses_++;
     }
     adopted.value()->referenced = true;
   }

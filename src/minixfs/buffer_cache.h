@@ -26,8 +26,6 @@
 
 namespace ld {
 
-struct DiskStats;
-
 struct CacheBlock {
   uint32_t bno = 0;
   std::vector<uint8_t> data;
@@ -56,10 +54,6 @@ class BufferCache {
   // Without this, GetAsync degrades to a synchronous load and Get reads
   // synchronously (the pre-async behaviour).
   void SetAsyncBackend(SubmitFn submit, WaitFn wait);
-
-  // Mirrors the hit/miss/prefetch counters into a device's DiskStats so
-  // device reports tell the whole read-path story. Null detaches.
-  void AttachDeviceStats(DiskStats* stats) { device_stats_ = stats; }
 
   uint32_t block_size() const { return block_size_; }
 
@@ -106,10 +100,9 @@ class BufferCache {
   void set_cluster_writes(bool on) { cluster_writes_ = on; }
   void set_max_cluster_blocks(uint32_t n) { max_cluster_blocks_ = n; }
 
-  // Zeroes the hit/miss/prefetch counters and their mirror in the attached
-  // DiskStats (cached blocks and pending reads are untouched). Lets the
-  // harness give each measurement phase a clean read-path section instead of
-  // counters accumulated since mount.
+  // Zeroes the hit/miss/prefetch counters (cached blocks and pending reads
+  // are untouched). Lets the harness give each measurement phase a clean
+  // read-path section instead of counters accumulated since mount.
   void ResetCounters();
 
   uint64_t hits() const { return hits_; }
@@ -140,10 +133,6 @@ class BufferCache {
   Status CancelPending(uint32_t bno);
   // A block is leaving the cache; account a never-referenced prefetch.
   void NoteDropped(const CacheBlock& block);
-  void BumpHit();
-  void BumpMiss();
-  void BumpPrefetchHit();
-  void BumpPrefetchWasted();
 
   uint32_t block_size_;
   uint32_t capacity_;
@@ -151,7 +140,6 @@ class BufferCache {
   WriteFn write_;
   SubmitFn submit_;  // Null = synchronous reads.
   WaitFn wait_;
-  DiskStats* device_stats_ = nullptr;
   bool cluster_writes_ = false;
   uint32_t max_cluster_blocks_ = 16;
 

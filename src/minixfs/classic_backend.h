@@ -41,7 +41,6 @@ class ClassicBackend : public MinixBackend {
   Status Sync() override;
   Status ShutdownBackend() override;
   bool readahead() const override { return true; }
-  DiskStats* device_stats() override { return device_->mutable_stats(); }
   void SetTenant(TenantId tenant) override { device_->set_request_tenant(tenant); }
 
   uint64_t free_blocks() const { return free_blocks_; }

@@ -103,7 +103,6 @@ class LdBackend : public MinixBackend {
   bool readahead() const override { return false; }
 
   LogicalDisk* logical_disk() override { return ld_; }
-  DiskStats* device_stats() override { return ld_->device_stats(); }
   void SetTenant(TenantId tenant) override { ld_->SetTenant(tenant); }
 
  private:

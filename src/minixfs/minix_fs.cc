@@ -59,7 +59,6 @@ MinixFs::MinixFs(std::unique_ptr<MinixBackend> backend, const MinixSuperblock& s
         [this](uint32_t bno, std::span<uint8_t> out) { return backend_->SubmitBlocks(bno, 1, out); },
         [this](uint64_t token) { return backend_->WaitBlocks(token); });
   }
-  cache_->AttachDeviceStats(backend_->device_stats());
   backend_->SetTenant(options_.tenant);
   inode_bitmap_.assign(sb_.num_inodes + 1, false);
   inode_bitmap_[0] = true;  // I-node 0 is reserved.

@@ -212,8 +212,8 @@ class MinixFs {
 
   const MinixFsStats& stats() const { return stats_; }
   // Zeroes the per-run observability counters — the file-system op counters
-  // and the buffer cache's hit/miss/prefetch counters (including their
-  // mirror in the device's DiskStats) — without touching any cached state.
+  // and the buffer cache's hit/miss/prefetch counters — without touching any
+  // cached state.
   // Called between harness measurement phases so each phase's read-path
   // section reports only its own activity.
   void ResetStats();

@@ -138,6 +138,51 @@ TEST(LldCheckpointTest, CleanShutdownIsCheckpointClean) {
   VerifyWorkload(reopened.get(), w);
 }
 
+// A clean-shutdown base frame that outgrows its A/B slot is skipped, never
+// written torn: Shutdown still succeeds, the skip is counted, and the next
+// open falls back to a full log scan that loses nothing. On a 16-MB device
+// the checkpoint region is 1 MB, so a slot holds 523,776 B of frames;
+// 12,000 512-B blocks in one list encode to a ~600-KB base frame, while
+// 9,000 blocks still fit and reopen clean.
+TEST(LldCheckpointTest, OversizeCleanShutdownFrameFallsBackToLogScan) {
+  for (const uint32_t blocks : {9000u, 12000u}) {
+    SCOPED_TRACE(blocks);
+    const bool oversize = blocks == 12000;
+    SimClock clock;
+    MemDisk mem((16ull << 20) / 512, 512, &clock);
+    LldOptions options;
+    options.summary_bytes = 64 * 1024;
+    Lid list = kNilLid;
+    std::vector<Bid> bids;
+    {
+      auto lld = *LogStructuredDisk::Format(&mem, options);
+      list = *lld->NewList(kBeginOfListOfLists, ListHints{});
+      Bid pred = kBeginOfList;
+      for (uint32_t i = 0; i < blocks; ++i) {
+        auto bid = lld->NewBlock(list, pred, 512);
+        ASSERT_TRUE(bid.ok()) << bid.status().ToString();
+        ASSERT_TRUE(lld->Write(*bid, Pattern(512, i)).ok());
+        bids.push_back(*bid);
+        pred = *bid;
+      }
+      ASSERT_TRUE(lld->Shutdown().ok());
+      EXPECT_EQ(lld->counters().checkpoints_skipped_oversize, oversize ? 1u : 0u);
+    }
+    auto reopened = LogStructuredDisk::Open(&mem, options);
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    LogStructuredDisk* lld = reopened->get();
+    EXPECT_EQ(lld->last_recovery().mode,
+              oversize ? RecoveryMode::kLogScan : RecoveryMode::kCheckpointClean);
+    EXPECT_EQ(lld->last_recovery().live_blocks, blocks);
+    std::vector<uint8_t> out(512);
+    for (uint32_t i = 0; i < blocks; ++i) {
+      ASSERT_TRUE(lld->Read(bids[i], out).ok()) << "block " << i;
+      ASSERT_EQ(out, Pattern(512, i)) << "block " << i;
+    }
+    EXPECT_EQ(*lld->ListBlocks(list), bids);
+  }
+}
+
 TEST(LldCheckpointTest, IncrementalChainBoundsReplayAfterCrash) {
   CkptRig rig;
   const LldOptions options = CkptOptions();

@@ -9,6 +9,8 @@
 
 #include "src/disk/fault_disk.h"
 #include "src/disk/mem_disk.h"
+#include "src/disk/partition_device.h"
+#include "src/harness/report.h"
 #include "src/lld/lld.h"
 #include "src/util/random.h"
 #include "src/workload/hot_cold.h"
@@ -454,12 +456,23 @@ TEST(LldCleanerTest, CleanerOutputIsColdAndPreservesBlockAges) {
   EXPECT_TRUE(found_cold) << "no surviving block landed in a cold segment";
 }
 
-// WAF and wear accounting invariants under cleaning churn, measured at the
-// device's DiskStats: with compression and NVRAM off and the log flushed,
-// the media absorbed at least every user byte (WAF >= 1), the media-vs-user
-// gap is at least the cleaner's copy traffic, the wear histogram's weighted
-// population equals the segment-image count the LD recorded, and both byte
-// counters only ever grow.
+// Weighted population of an LLD's wear histogram: recounts every segment
+// image while no segment's wear has clamped into the last bucket.
+uint64_t WeightedWear(const LldCounters& c) {
+  uint64_t weighted = 0;
+  for (size_t b = 0; b < LldCounters::kWearBuckets; ++b) {
+    weighted += (b + 1) * c.wear_histogram[b];
+  }
+  return weighted;
+}
+
+// WAF and wear accounting invariants under cleaning churn, each number read
+// from its owner (media bytes from the device, user bytes and wear from
+// LLD): with compression and NVRAM off and the log flushed, the media
+// absorbed at least every user byte (WAF >= 1), the media-vs-user gap is at
+// least the cleaner's copy traffic, the wear histogram's weighted population
+// equals the segment-image count and the usage table's total wear, and both
+// byte counters only ever grow.
 TEST(LldCleanerTest, WafAndWearAccountingInvariants) {
   Rig rig;
   HotColdParams params;
@@ -469,37 +482,86 @@ TEST(LldCleanerTest, WafAndWearAccountingInvariants) {
   ASSERT_TRUE(rig.lld->Flush().ok());
   ASSERT_GT(rig.lld->counters().segments_cleaned, 0u);
 
-  const DiskStats& stats = rig.mem->stats();
-  ASSERT_GT(stats.user_bytes_written, 0u);
-  EXPECT_GE(stats.Waf(), 1.0);
-  EXPECT_GE(stats.total_bytes_written - stats.user_bytes_written,
-            rig.lld->counters().cleaner_bytes_copied);
+  const LldCounters& c = rig.lld->counters();
+  auto media = [&] { return rig.mem->stats().BytesWritten(512); };
+  ASSERT_GT(c.user_bytes_written, 0u);
+  EXPECT_GE(WriteAmplification(media(), c.user_bytes_written), 1.0);
+  EXPECT_GE(media() - c.user_bytes_written, c.cleaner_bytes_copied);
 
   // Wear histogram: one entry per segment at its current wear level, so the
   // weighted sum over buckets recounts every segment image ever programmed.
   // (Holds as long as no segment's wear clamps into the last bucket.)
-  ASSERT_LE(stats.segment_wear_max, DiskStats::kWearBuckets);
-  uint64_t weighted = 0;
-  for (size_t b = 0; b < DiskStats::kWearBuckets; ++b) {
-    weighted += (b + 1) * stats.wear_histogram[b];
+  ASSERT_LE(c.segment_wear_max, LldCounters::kWearBuckets);
+  EXPECT_EQ(WeightedWear(c), c.segment_images_written);
+  uint64_t wear_sum = 0;
+  for (uint32_t s = 0; s < rig.lld->num_segments(); ++s) {
+    wear_sum += rig.lld->usage_table().segment(s).wear;
   }
-  EXPECT_EQ(weighted, stats.segment_writes_total);
-  EXPECT_EQ(stats.segment_writes_total, rig.lld->counters().segment_images_written);
-  EXPECT_GT(stats.segment_wear_max, 1u);  // The log wrapped: segments were reused.
+  EXPECT_EQ(wear_sum, c.segment_images_written);
+  EXPECT_GT(c.segment_wear_max, 1u);  // The log wrapped: segments were reused.
 
   // Monotonicity: more work only grows both byte counters, and the flushed
   // ratio stays >= 1.
-  const uint64_t user_before = stats.user_bytes_written;
-  const uint64_t total_before = stats.total_bytes_written;
+  const uint64_t user_before = c.user_bytes_written;
+  const uint64_t media_before = media();
   for (uint32_t i = 0; i < 50; ++i) {
     auto bid = rig.lld->NewBlock(rig.list, kBeginOfList);
     ASSERT_TRUE(bid.ok());
     ASSERT_TRUE(rig.lld->Write(*bid, Pattern(4096, 7000 + i)).ok());
   }
   ASSERT_TRUE(rig.lld->Flush().ok());
-  EXPECT_GT(stats.user_bytes_written, user_before);
-  EXPECT_GT(stats.total_bytes_written, total_before);
-  EXPECT_GE(stats.Waf(), 1.0);
+  EXPECT_GT(c.user_bytes_written, user_before);
+  EXPECT_GT(media(), media_before);
+  EXPECT_GE(WriteAmplification(media(), c.user_bytes_written), 1.0);
+}
+
+// Two LLDs on PartitionDevice halves of one device keep their own wear and
+// byte counters: reopening one (a new session) leaves the other's histogram,
+// segment-image count and user bytes exactly as they were, and each
+// histogram recounts only its own LLD's images.
+TEST(LldCleanerTest, SharedDeviceKeepsEachLldsWearAndBytesApart) {
+  SimClock clock;
+  const uint64_t half = kDiskBytes / 512;
+  MemDisk mem(2 * half, 512, &clock);
+  PartitionDevice part_a(&mem, 0, half, /*tenant=*/0);
+  PartitionDevice part_b(&mem, half, half, /*tenant=*/1);
+  auto a = *LogStructuredDisk::Format(&part_a, TestOptions());
+  auto b = *LogStructuredDisk::Format(&part_b, TestOptions());
+  HotColdParams params;
+  params.num_blocks = 1500;
+  params.writes = 4000;
+  ASSERT_TRUE(RunHotCold(a.get(), params).ok());
+  params.writes = 500;
+  ASSERT_TRUE(RunHotCold(b.get(), params).ok());
+  ASSERT_TRUE(a->Flush().ok());
+  ASSERT_TRUE(b->Flush().ok());
+
+  const LldCounters a_before = a->counters();
+  ASSERT_GT(a_before.segment_images_written, b->counters().segment_images_written);
+  ASSERT_LE(a_before.segment_wear_max, LldCounters::kWearBuckets);
+
+  ASSERT_TRUE(b->Shutdown().ok());
+  b.reset();
+  b = *LogStructuredDisk::Open(&part_b, TestOptions());
+  EXPECT_EQ(b->counters().segment_images_written, 0u);  // A fresh session.
+  const Lid b_list = *b->NewList(kBeginOfListOfLists, ListHints{});
+  for (uint32_t i = 0; i < 300; ++i) {
+    auto bid = b->NewBlock(b_list, kBeginOfList);
+    ASSERT_TRUE(bid.ok());
+    ASSERT_TRUE(b->Write(*bid, Pattern(4096, i)).ok());
+  }
+  ASSERT_TRUE(b->Flush().ok());
+
+  const LldCounters& a_after = a->counters();
+  EXPECT_EQ(a_after.segment_images_written, a_before.segment_images_written);
+  EXPECT_EQ(a_after.user_bytes_written, a_before.user_bytes_written);
+  EXPECT_EQ(a_after.segment_wear_max, a_before.segment_wear_max);
+  for (size_t k = 0; k < LldCounters::kWearBuckets; ++k) {
+    EXPECT_EQ(a_after.wear_histogram[k], a_before.wear_histogram[k]) << "bucket " << k;
+  }
+  EXPECT_EQ(WeightedWear(a_after), a_after.segment_images_written);
+  ASSERT_GT(b->counters().segment_images_written, 0u);
+  EXPECT_EQ(WeightedWear(b->counters()), b->counters().segment_images_written);
 }
 
 TEST(LldCleanerTest, UtilizationAffectsCleanerWork) {

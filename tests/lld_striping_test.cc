@@ -308,8 +308,7 @@ TEST(LldStripingTest, DegradedReadsSurviveDeadChannel) {
     ASSERT_TRUE(lld->Read(bids[i], out).ok()) << "block " << i;
     EXPECT_EQ(out, Pattern(4096, static_cast<uint32_t>(i))) << "block " << i;
   }
-  EXPECT_GT(rig.disk->stats().degraded_reads, 0u);
-  EXPECT_GT(rig.disk->stats().stripe_reconstructions, 0u);
+  EXPECT_GT(lld->counters().blocks_stripe_reconstructed, 0u);
 }
 
 // A second overlapping channel fault exhausts the stripe's redundancy: reads
@@ -396,7 +395,7 @@ TEST(LldStripingTest, RebuildRestoresRedundancyUnderForegroundTraffic) {
 
   // Redundancy restored: everything reads back, and blocks still resident on
   // the rebuilt channel come off the media, not out of the XOR ladder.
-  const uint64_t degraded_before = rig.disk->stats().degraded_reads;
+  const uint64_t degraded_before = lld->counters().blocks_stripe_reconstructed;
   for (size_t i = 0; i < bids.size(); ++i) {
     ASSERT_TRUE(lld->Read(bids[i], out).ok()) << "block " << i;
     EXPECT_EQ(out, Pattern(4096, static_cast<uint32_t>(i))) << "block " << i;
@@ -405,7 +404,7 @@ TEST(LldStripingTest, RebuildRestoresRedundancyUnderForegroundTraffic) {
     ASSERT_TRUE(lld->Read(extra[i], out).ok());
     EXPECT_EQ(out, Pattern(4096, 9000 + static_cast<uint32_t>(i) + 1));
   }
-  EXPECT_EQ(rig.disk->stats().degraded_reads, degraded_before)
+  EXPECT_EQ(lld->counters().blocks_stripe_reconstructed, degraded_before)
       << "rebuilt media must serve reads without stripe reconstruction";
 }
 

@@ -3,7 +3,9 @@
 // (parse-back round-trip), the typed outcome() classifiers must match their
 // documented predicates for arbitrary counter mixes, and the QoS
 // LatencyHistogram that backs the per-tenant report lines must behave at its
-// edges (empty, single sample, saturated bucket, out-of-range values).
+// edges (empty, single sample, saturated bucket, out-of-range values), and
+// the write-amplification ratio and LLD's wear histogram must keep their
+// edge cases, invariants and reset rules.
 
 #include <gtest/gtest.h>
 
@@ -12,8 +14,10 @@
 #include <string>
 #include <vector>
 
-#include "src/disk/block_device.h"
+#include "src/disk/mem_disk.h"
 #include "src/disk/qos.h"
+#include "src/harness/report.h"
+#include "src/lld/lld.h"
 #include "src/lld/reports.h"
 #include "src/util/random.h"
 #include "tests/device_test_util.h"
@@ -303,56 +307,52 @@ TEST(ReportsTest, MeanTracksExactTotalsNotBuckets) {
   EXPECT_NEAR(h.MeanMs(), total / 1000.0, 1e-9);
 }
 
-// ---- Write-amplification and wear accounting (DiskStats) -------------------
+// ---- Write amplification (harness) and wear accounting (LldCounters) ------
 
 TEST(ReportsTest, WafIsZeroWithoutUserBytesAndExactRatioOtherwise) {
-  DiskStats stats;
-  EXPECT_EQ(stats.Waf(), 0.0);  // No user traffic yet: ratio undefined, report 0.
-  stats.total_bytes_written = 4096;
-  EXPECT_EQ(stats.Waf(), 0.0);  // Pure overhead (format) still has no user bytes.
-  stats.user_bytes_written = 4096;
-  stats.total_bytes_written = 10240;
-  EXPECT_NEAR(stats.Waf(), 2.5, 1e-12);
+  EXPECT_EQ(WriteAmplification(0, 0), 0.0);  // No user traffic yet: ratio undefined, report 0.
+  EXPECT_EQ(WriteAmplification(4096, 0), 0.0);  // Pure overhead (format) still has no user bytes.
+  EXPECT_NEAR(WriteAmplification(10240, 4096), 2.5, 1e-12);
 }
 
 TEST(ReportsTest, WearHistogramMovesSegmentsBetweenBuckets) {
-  DiskStats stats;
+  LldCounters c;
   // Segment A programmed three times, segment B once: one segment sits at
   // wear 3, one at wear 1, and the weighted sum recounts all four programs.
-  stats.NoteSegmentWear(1);  // A: 0 -> 1
-  stats.NoteSegmentWear(2);  // A: 1 -> 2
-  stats.NoteSegmentWear(3);  // A: 2 -> 3
-  stats.NoteSegmentWear(1);  // B: 0 -> 1
-  EXPECT_EQ(stats.wear_histogram[0], 1u);
-  EXPECT_EQ(stats.wear_histogram[1], 0u);
-  EXPECT_EQ(stats.wear_histogram[2], 1u);
-  EXPECT_EQ(stats.segment_writes_total, 4u);
-  EXPECT_EQ(stats.segment_wear_max, 3u);
+  c.NoteSegmentImage(1);  // A: 0 -> 1
+  c.NoteSegmentImage(2);  // A: 1 -> 2
+  c.NoteSegmentImage(3);  // A: 2 -> 3
+  c.NoteSegmentImage(1);  // B: 0 -> 1
+  EXPECT_EQ(c.wear_histogram[0], 1u);
+  EXPECT_EQ(c.wear_histogram[1], 0u);
+  EXPECT_EQ(c.wear_histogram[2], 1u);
+  EXPECT_EQ(c.segment_images_written, 4u);
+  EXPECT_EQ(c.segment_wear_max, 3u);
 }
 
 TEST(ReportsTest, WearHistogramInvariantsOverRandomProgramSequences) {
   // Property: after any interleaving of per-segment program sequences (each
-  // segment's wear reported as 1, 2, 3, ... in order, as the LD layer does),
-  // the histogram population equals the number of segments touched, the
+  // segment's wear reported as 1, 2, 3, ... in order, as LLD does), the
+  // histogram population equals the number of segments touched, the
   // weighted sum equals the total programs, and the max matches — as long as
   // no segment's wear clamps into the overflow bucket.
   Rng rng(EnvFaultSeed(31));
-  DiskStats stats;
+  LldCounters c;
   constexpr size_t kSegments = 40;
   uint32_t wear[kSegments] = {};
   uint64_t programs = 0;
   for (int step = 0; step < 400; ++step) {
     const size_t seg = rng.Below(kSegments);
-    if (wear[seg] >= DiskStats::kWearBuckets) {
+    if (wear[seg] >= LldCounters::kWearBuckets) {
       continue;  // Keep every segment below the clamp.
     }
-    stats.NoteSegmentWear(++wear[seg]);
+    c.NoteSegmentImage(++wear[seg]);
     programs++;
   }
   uint64_t population = 0, weighted = 0, expect_max = 0, expect_pop = 0;
-  for (size_t b = 0; b < DiskStats::kWearBuckets; ++b) {
-    population += stats.wear_histogram[b];
-    weighted += (b + 1) * stats.wear_histogram[b];
+  for (size_t b = 0; b < LldCounters::kWearBuckets; ++b) {
+    population += c.wear_histogram[b];
+    weighted += (b + 1) * c.wear_histogram[b];
   }
   for (size_t s = 0; s < kSegments; ++s) {
     expect_pop += wear[s] > 0 ? 1 : 0;
@@ -360,41 +360,68 @@ TEST(ReportsTest, WearHistogramInvariantsOverRandomProgramSequences) {
   }
   EXPECT_EQ(population, expect_pop);
   EXPECT_EQ(weighted, programs);
-  EXPECT_EQ(stats.segment_writes_total, programs);
-  EXPECT_EQ(stats.segment_wear_max, expect_max);
+  EXPECT_EQ(c.segment_images_written, programs);
+  EXPECT_EQ(c.segment_wear_max, expect_max);
 }
 
 TEST(ReportsTest, WearHistogramClampsDeepWearIntoLastBucket) {
-  DiskStats stats;
+  LldCounters c;
   for (uint32_t w = 1; w <= 40; ++w) {
-    stats.NoteSegmentWear(w);
+    c.NoteSegmentImage(w);
   }
   // Every program counted; the single segment occupies only the last bucket.
-  EXPECT_EQ(stats.segment_writes_total, 40u);
-  EXPECT_EQ(stats.segment_wear_max, 40u);
+  EXPECT_EQ(c.segment_images_written, 40u);
+  EXPECT_EQ(c.segment_wear_max, 40u);
   uint64_t population = 0;
-  for (size_t b = 0; b < DiskStats::kWearBuckets; ++b) {
-    population += stats.wear_histogram[b];
+  for (size_t b = 0; b < LldCounters::kWearBuckets; ++b) {
+    population += c.wear_histogram[b];
   }
   EXPECT_EQ(population, 1u);
-  EXPECT_EQ(stats.wear_histogram[DiskStats::kWearBuckets - 1], 1u);
+  EXPECT_EQ(c.wear_histogram[LldCounters::kWearBuckets - 1], 1u);
 }
 
-TEST(ReportsTest, ResetWearAccountingZeroesOnlyWearFields) {
-  DiskStats stats;
-  stats.user_bytes_written = 100;
-  stats.total_bytes_written = 200;
-  stats.NoteSegmentWear(1);
-  stats.NoteSegmentWear(2);
-  stats.ResetWearAccounting();
-  EXPECT_EQ(stats.segment_writes_total, 0u);
-  EXPECT_EQ(stats.segment_wear_max, 0u);
-  for (size_t b = 0; b < DiskStats::kWearBuckets; ++b) {
-    EXPECT_EQ(stats.wear_histogram[b], 0u);
+TEST(ReportsTest, WearResetsWithCountersAndSessionButNotDeviceBytes) {
+  SimClock clock;
+  MemDisk disk((16ull << 20) / 512, 512, &clock);
+  LldOptions options;
+  options.segment_bytes = 64 * 1024;
+  options.summary_bytes = 4096;
+  auto lld = *LogStructuredDisk::Format(&disk, options);
+  const Lid list = *lld->NewList(kBeginOfListOfLists, ListHints{});
+  const std::vector<uint8_t> data(4096, 0x5a);
+  Bid pred = kBeginOfList;
+  for (int i = 0; i < 64; ++i) {
+    auto bid = lld->NewBlock(list, pred);
+    ASSERT_TRUE(bid.ok());
+    ASSERT_TRUE(lld->Write(*bid, data).ok());
+    pred = *bid;
   }
-  // The byte counters are lifetime-of-device, not per LD session.
-  EXPECT_EQ(stats.user_bytes_written, 100u);
-  EXPECT_EQ(stats.total_bytes_written, 200u);
+  ASSERT_TRUE(lld->Flush().ok());
+  ASSERT_GT(lld->counters().segment_images_written, 0u);
+  ASSERT_GT(lld->counters().segment_wear_max, 0u);
+
+  // ResetCounters zeroes the wear fields with every other LLD counter; the
+  // device's media bytes belong to the device and stay.
+  const uint64_t media = disk.stats().BytesWritten(512);
+  lld->ResetCounters();
+  EXPECT_EQ(lld->counters().segment_images_written, 0u);
+  EXPECT_EQ(lld->counters().segment_wear_max, 0u);
+  EXPECT_EQ(lld->counters().user_bytes_written, 0u);
+  for (size_t b = 0; b < LldCounters::kWearBuckets; ++b) {
+    EXPECT_EQ(lld->counters().wear_histogram[b], 0u);
+  }
+  EXPECT_EQ(disk.stats().BytesWritten(512), media);
+
+  // A reopen is a new session: wear restarts with the fresh usage table.
+  ASSERT_TRUE(lld->Shutdown().ok());
+  lld.reset();
+  lld = *LogStructuredDisk::Open(&disk, options);
+  EXPECT_EQ(lld->counters().segment_images_written, 0u);
+  uint64_t wear = 0;
+  for (uint32_t s = 0; s < lld->num_segments(); ++s) {
+    wear += lld->usage_table().segment(s).wear;
+  }
+  EXPECT_EQ(wear, 0u);
 }
 
 }  // namespace
