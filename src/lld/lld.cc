@@ -10,9 +10,6 @@ namespace ld {
 
 namespace {
 
-// Largest size class the summary encoding can express.
-constexpr uint32_t kMaxBlockSize = 65535;
-
 // Fraction of data capacity that may hold live bytes before writes fail
 // with NO_SPACE; the remainder is cleaning headroom.
 constexpr double kMaxUtilization = 0.95;
@@ -35,6 +32,9 @@ Status LogStructuredDisk::ComputeLayout() {
   }
   if (options_.summary_bytes >= options_.segment_bytes) {
     return InvalidArgumentError("summary must be smaller than the segment");
+  }
+  if (options_.segment_bytes > kMaxSegmentBytes) {
+    return InvalidArgumentError("segment larger than a summary record's block offset can address");
   }
   data_capacity_ = options_.segment_bytes - options_.summary_bytes;
   if (options_.block_size == 0 || options_.block_size > data_capacity_ ||
@@ -207,7 +207,7 @@ Status LogStructuredDisk::EnsureRoom(uint32_t data_bytes, size_t record_bytes) {
   // reserved here or the seal could overflow the segment.
   const uint32_t parity_reserve = ParityReserve(std::max(open_max_stored_, data_bytes));
   const size_t parity_record =
-      parity_reserve > 0 ? SummaryRecord::SegmentParity(0, 0, 0, 0, 0).EncodedSize() : 0;
+      parity_reserve > 0 ? SummaryRecord::EncodedSize(SummaryRecordType::kSegmentParity) : 0;
   const bool data_fits =
       RoundUp(open_data_used_ + data_bytes, device_->sector_size()) + parity_reserve <=
       data_capacity_;
@@ -224,18 +224,10 @@ Status LogStructuredDisk::EnsureRoom(uint32_t data_bytes, size_t record_bytes) {
   return OkStatus();
 }
 
-Status LogStructuredDisk::AppendRecord(const SummaryRecord& record) {
-  RETURN_IF_ERROR(EnsureRoom(0, record.EncodedSize()));
-  open_records_.push_back(record);
-  open_record_bytes_ += record.EncodedSize();
-  return OkStatus();
-}
-
 Status LogStructuredDisk::AppendBlockData(Bid bid, std::span<const uint8_t> stored,
                                           uint32_t orig_size, bool compressed, bool internal) {
-  SummaryRecord proto;  // Only for sizing.
-  proto.type = SummaryRecordType::kBlockEntry;
-  RETURN_IF_ERROR(EnsureRoom(static_cast<uint32_t>(stored.size()), proto.EncodedSize()));
+  const size_t record_bytes = SummaryRecord::EncodedSize(SummaryRecordType::kBlockEntry);
+  RETURN_IF_ERROR(EnsureRoom(static_cast<uint32_t>(stored.size()), record_bytes));
 
   BlockMapEntry& entry = block_map_.entry(bid);
   ReleaseBlockSpace(entry);
@@ -248,16 +240,13 @@ Status LogStructuredDisk::AppendBlockData(Bid bid, std::span<const uint8_t> stor
   // Checksum the *stored* form (post-compression): that is what reads and
   // the scrubber can re-hash straight off the media.
   const uint32_t payload_crc = PayloadCrc(stored);
-  SummaryRecord record =
-      SummaryRecord::BlockEntry(ts, bid, entry.list, offset, static_cast<uint32_t>(stored.size()),
-                                orig_size, compressed, /*ends_aru=*/true, payload_crc,
-                                /*has_payload_crc=*/true);
-  if (!internal && InAru()) {
+  SummaryRecord record = SummaryRecord::BlockEntry(
+      ts, bid, offset, static_cast<uint32_t>(stored.size()), orig_size, compressed, payload_crc);
+  if (!internal) {
     record.aru_id = current_aru_;
-    record.ends_aru = false;
   }
   open_records_.push_back(record);
-  open_record_bytes_ += record.EncodedSize();
+  open_record_bytes_ += record_bytes;
   open_appended_.push_back(Appended{bid, offset, static_cast<uint32_t>(stored.size())});
   open_max_stored_ = std::max(open_max_stored_, static_cast<uint32_t>(stored.size()));
 
@@ -392,7 +381,7 @@ Status LogStructuredDisk::FlushOpenSegmentFull() {
     const std::vector<SummaryRecord>& group = redeclare_groups_.front();
     size_t group_bytes = 0;
     for (const auto& r : group) {
-      group_bytes += r.EncodedSize();
+      group_bytes += SummaryRecord::EncodedSize(r.type);
     }
     if (open_record_bytes_ + group_bytes + kSummaryOverhead > options_.summary_bytes) {
       break;
@@ -669,30 +658,30 @@ void LogStructuredDisk::UpdateRecordAuthority(uint32_t segment,
   for (const auto& r : records) {
     switch (r.type) {
       case SummaryRecordType::kLinkTuple:
-        if (block_map_.IsAllocated(r.bid)) {
-          block_map_.entry(r.bid).link_seg = segment;
+        if (block_map_.IsAllocated(r.link.bid)) {
+          block_map_.entry(r.link.bid).link_seg = segment;
         }
         break;
       case SummaryRecordType::kBlockAlloc:
-        if (block_map_.IsAllocated(r.bid)) {
-          block_map_.entry(r.bid).alloc_seg = segment;
+        if (block_map_.IsAllocated(r.alloc.bid)) {
+          block_map_.entry(r.alloc.bid).alloc_seg = segment;
         }
         break;
       case SummaryRecordType::kListHead:
-        if (list_table_.IsAllocated(r.lid)) {
-          list_table_.entry(r.lid).head_seg = segment;
+        if (list_table_.IsAllocated(r.head.lid)) {
+          list_table_.entry(r.head.lid).head_seg = segment;
         }
         break;
       case SummaryRecordType::kListCreate:
       case SummaryRecordType::kListMove:
-        if (list_table_.IsAllocated(r.lid)) {
-          list_table_.entry(r.lid).create_seg = segment;
+        if (list_table_.IsAllocated(r.list.lid)) {
+          list_table_.entry(r.list.lid).create_seg = segment;
         }
         break;
       case SummaryRecordType::kStripeParity:
         // The newest on-disk record set for a live stripe is authoritative;
         // the cleaner re-logs a set when it reclaims its record segment.
-        if (auto it = stripes_.find(r.offset); it != stripes_.end()) {
+        if (auto it = stripes_.find(r.stripe.parity_segment); it != stripes_.end()) {
           it->second.record_segment = segment;
         }
         break;
@@ -920,14 +909,13 @@ Status LogStructuredDisk::AppendRecordsAtomic(std::vector<SummaryRecord>* record
   for (auto& r : *records) {
     if (InAru() && r.type != SummaryRecordType::kAruCommit) {
       r.aru_id = current_aru_;
-      r.ends_aru = false;
     }
-    total += r.EncodedSize();
+    total += SummaryRecord::EncodedSize(r.type);
   }
   RETURN_IF_ERROR(EnsureRoom(0, total));
   for (const auto& r : *records) {
     open_records_.push_back(r);
-    open_record_bytes_ += r.EncodedSize();
+    open_record_bytes_ += SummaryRecord::EncodedSize(r.type);
   }
   dirty_since_flush_ = true;
   return OkStatus();
@@ -1143,9 +1131,8 @@ StatusOr<Bid> LogStructuredDisk::NewBlock(Lid lid, Bid pred_bid, uint32_t size_b
 
   const Bid bid = block_map_.Allocate(lid, size);
   const OpTimestamp ts = NextTs();
-  const bool ends = RecordEndsAru();
   std::vector<SummaryRecord> records;
-  records.push_back(SummaryRecord::BlockAlloc(ts, bid, lid, size, ends));
+  records.push_back(SummaryRecord::BlockAlloc(ts, bid, lid, size));
   if (!options_.maintain_lists) {
     const Status status = AppendRecordsAtomic(&records);
     if (!status.ok()) {
@@ -1158,12 +1145,12 @@ StatusOr<Bid> LogStructuredDisk::NewBlock(Lid lid, Bid pred_bid, uint32_t size_b
   Bid old_succ;
   if (pred_bid == kBeginOfList) {
     old_succ = list->first;
-    records.push_back(SummaryRecord::LinkTuple(ts, bid, old_succ, ends));
-    records.push_back(SummaryRecord::ListHead(ts, lid, bid, ends));
+    records.push_back(SummaryRecord::LinkTuple(ts, bid, old_succ));
+    records.push_back(SummaryRecord::ListHead(ts, lid, bid));
   } else {
     old_succ = block_map_.entry(pred_bid).successor;
-    records.push_back(SummaryRecord::LinkTuple(ts, bid, old_succ, ends));
-    records.push_back(SummaryRecord::LinkTuple(ts, pred_bid, bid, ends));
+    records.push_back(SummaryRecord::LinkTuple(ts, bid, old_succ));
+    records.push_back(SummaryRecord::LinkTuple(ts, pred_bid, bid));
   }
   const Status status = AppendRecordsAtomic(&records);
   if (!status.ok()) {
@@ -1183,18 +1170,17 @@ Status LogStructuredDisk::UnlinkFromList(Bid bid, Lid lid, Bid pred_bid_hint) {
   ListEntry& list = list_table_.entry(lid);
   BlockMapEntry& entry = block_map_.entry(bid);
   const OpTimestamp ts = NextTs();
-  const bool ends = RecordEndsAru();
   std::vector<SummaryRecord> records;
 
   if (!options_.maintain_lists) {
-    records.push_back(SummaryRecord::BlockFree(ts, bid, ends));
+    records.push_back(SummaryRecord::BlockFree(ts, bid));
     return AppendRecordsAtomic(&records);
   }
   ChargeListCpu();
 
   if (list.first == bid) {
-    records.push_back(SummaryRecord::ListHead(ts, lid, entry.successor, ends));
-    records.push_back(SummaryRecord::BlockFree(ts, bid, ends));
+    records.push_back(SummaryRecord::ListHead(ts, lid, entry.successor));
+    records.push_back(SummaryRecord::BlockFree(ts, bid));
     RETURN_IF_ERROR(AppendRecordsAtomic(&records));
     list.first = entry.successor;
     return OkStatus();
@@ -1223,8 +1209,8 @@ Status LogStructuredDisk::UnlinkFromList(Bid bid, Lid lid, Bid pred_bid_hint) {
     }
   }
 
-  records.push_back(SummaryRecord::LinkTuple(ts, pred, entry.successor, ends));
-  records.push_back(SummaryRecord::BlockFree(ts, bid, ends));
+  records.push_back(SummaryRecord::LinkTuple(ts, pred, entry.successor));
+  records.push_back(SummaryRecord::BlockFree(ts, bid));
   RETURN_IF_ERROR(AppendRecordsAtomic(&records));
   block_map_.entry(pred).successor = entry.successor;
   return OkStatus();
@@ -1249,13 +1235,11 @@ StatusOr<Lid> LogStructuredDisk::NewList(Lid pred_lid, ListHints hints) {
   RETURN_IF_ERROR(CheckWritable());
   ASSIGN_OR_RETURN(Lid lid, list_table_.Allocate(pred_lid, hints));
   const OpTimestamp ts = NextTs();
-  const bool ends = RecordEndsAru();
   std::vector<SummaryRecord> records;
-  records.push_back(
-      SummaryRecord::ListCreate(ts, lid, hints, list_table_.entry(lid).lol_next, ends));
+  records.push_back(SummaryRecord::ListCreate(ts, lid, hints, list_table_.entry(lid).lol_next));
   if (pred_lid != kBeginOfListOfLists) {
-    records.push_back(SummaryRecord::ListMove(ts, pred_lid, lid,
-                                              list_table_.entry(pred_lid).hints, ends));
+    records.push_back(
+        SummaryRecord::ListMove(ts, pred_lid, lid, list_table_.entry(pred_lid).hints));
   }
   const Status status = AppendRecordsAtomic(&records);
   if (!status.ok()) {
@@ -1283,7 +1267,7 @@ Status LogStructuredDisk::DeleteList(Lid lid, Lid pred_lid_hint) {
     const Bid next = block_map_.entry(cur).successor;
     const OpTimestamp ts = NextTs();
     std::vector<SummaryRecord> records;
-    records.push_back(SummaryRecord::BlockFree(ts, cur, RecordEndsAru()));
+    records.push_back(SummaryRecord::BlockFree(ts, cur));
     RETURN_IF_ERROR(AppendRecordsAtomic(&records));
     ReleaseBlockSpace(block_map_.entry(cur));
     RETURN_IF_ERROR(block_map_.Free(cur));
@@ -1291,7 +1275,7 @@ Status LogStructuredDisk::DeleteList(Lid lid, Lid pred_lid_hint) {
   }
   const OpTimestamp ts = NextTs();
   std::vector<SummaryRecord> records;
-  records.push_back(SummaryRecord::ListDelete(ts, lid, RecordEndsAru()));
+  records.push_back(SummaryRecord::ListDelete(ts, lid));
   RETURN_IF_ERROR(AppendRecordsAtomic(&records));
   return list_table_.Free(lid);
 }
@@ -1349,31 +1333,30 @@ Status LogStructuredDisk::MoveSublist(Bid first, Bid last, Lid from_lid, Lid to_
   const uint32_t unit_id = current_aru_;
 
   const OpTimestamp ts = NextTs();
-  const bool ends = RecordEndsAru();
   std::vector<SummaryRecord> records;
   // Unlink from the source list.
   if (src_pred == kNilBid) {
-    records.push_back(SummaryRecord::ListHead(ts, from_lid, after_last, ends));
+    records.push_back(SummaryRecord::ListHead(ts, from_lid, after_last));
   } else {
-    records.push_back(SummaryRecord::LinkTuple(ts, src_pred, after_last, ends));
+    records.push_back(SummaryRecord::LinkTuple(ts, src_pred, after_last));
   }
   // Link into the target list.
   Bid new_succ;
   if (pred_bid == kBeginOfList) {
     new_succ = to->first;
-    records.push_back(SummaryRecord::ListHead(ts, to_lid, first, ends));
+    records.push_back(SummaryRecord::ListHead(ts, to_lid, first));
   } else {
     new_succ = block_map_.entry(pred_bid).successor;
-    records.push_back(SummaryRecord::LinkTuple(ts, pred_bid, first, ends));
+    records.push_back(SummaryRecord::LinkTuple(ts, pred_bid, first));
   }
-  records.push_back(SummaryRecord::LinkTuple(ts, last, new_succ, ends));
+  records.push_back(SummaryRecord::LinkTuple(ts, last, new_succ));
   Status status = AppendRecordsAtomic(&records);
   // Re-home every moved block so recovery knows the new owner.
   for (size_t i = 0; status.ok() && i < chain.size(); i += 64) {
     records.clear();
     for (size_t j = i; j < std::min(chain.size(), i + 64); ++j) {
       records.push_back(SummaryRecord::BlockAlloc(ts, chain[j], to_lid,
-                                                  block_map_.entry(chain[j]).size_class, ends));
+                                                  block_map_.entry(chain[j]).size_class));
     }
     status = AppendRecordsAtomic(&records);
   }
@@ -1408,19 +1391,17 @@ Status LogStructuredDisk::MoveList(Lid lid, Lid new_pred_lid) {
   const Lid old_prev = list_table_.IsAllocated(lid) ? list_table_.entry(lid).lol_prev : kNilLid;
   RETURN_IF_ERROR(list_table_.Move(lid, new_pred_lid));
   const OpTimestamp ts = NextTs();
-  const bool ends = RecordEndsAru();
   std::vector<SummaryRecord> records;
   if (old_prev != kNilLid) {
     records.push_back(SummaryRecord::ListMove(
-        ts, old_prev, list_table_.entry(old_prev).lol_next, list_table_.entry(old_prev).hints,
-        ends));
+        ts, old_prev, list_table_.entry(old_prev).lol_next, list_table_.entry(old_prev).hints));
   }
   records.push_back(SummaryRecord::ListMove(ts, lid, list_table_.entry(lid).lol_next,
-                                            list_table_.entry(lid).hints, ends));
+                                            list_table_.entry(lid).hints));
   if (new_pred_lid != kBeginOfListOfLists) {
     records.push_back(
         SummaryRecord::ListMove(ts, new_pred_lid, list_table_.entry(new_pred_lid).lol_next,
-                                list_table_.entry(new_pred_lid).hints, ends));
+                                list_table_.entry(new_pred_lid).hints));
   }
   return AppendRecordsAtomic(&records);
 }

@@ -360,8 +360,6 @@ class LogStructuredDisk : public LogicalDisk {
   // Ensures at least `data_bytes` of data space and room for `record_bytes`
   // of summary records, flushing the open segment (as full) if necessary.
   Status EnsureRoom(uint32_t data_bytes, size_t record_bytes);
-  // Appends a record, flushing first if the summary area is full.
-  Status AppendRecord(const SummaryRecord& record);
   // Appends all of one operation's records with a single room check so a
   // crash can never persist half of an operation's metadata. Also tags the
   // records with the current ARU.
@@ -480,8 +478,6 @@ class LogStructuredDisk : public LogicalDisk {
   };
   OpTimestamp NextTs() { return next_ts_++; }
   bool InAru() const { return current_aru_ != 0; }
-  uint32_t RecordAruId() const { return current_aru_; }
-  bool RecordEndsAru() const { return current_aru_ == 0; }
   // Releases the space held by a block's current copy (map must be current).
   void ReleaseBlockSpace(const BlockMapEntry& entry);
   // Marks `segment` as the authoritative holder of the latest on-disk copy

@@ -86,11 +86,11 @@ Status LogStructuredDisk::HarvestVictim(uint32_t victim, CleanerBatch* batch,
   // Pass 1: which block entries are live? (Checked before reading data.)
   std::vector<const SummaryRecord*> live;
   for (const auto& r : records) {
-    if (r.type != SummaryRecordType::kBlockEntry || !block_map_.IsAllocated(r.bid)) {
+    if (r.type != SummaryRecordType::kBlockEntry || !block_map_.IsAllocated(r.block.bid)) {
       continue;
     }
-    const BlockMapEntry& e = block_map_.entry(r.bid);
-    if (e.phys.IsOnDisk() && e.phys.segment == victim && e.phys.offset == r.offset) {
+    const BlockMapEntry& e = block_map_.entry(r.block.bid);
+    if (e.phys.IsOnDisk() && e.phys.segment == victim && e.phys.offset == r.block.offset) {
       live.push_back(&r);
     }
   }
@@ -112,19 +112,19 @@ Status LogStructuredDisk::HarvestVictim(uint32_t victim, CleanerBatch* batch,
         continue;
       }
       CleanedBlock b;
-      b.bid = r->bid;
-      b.orig_size = block_map_.entry(r->bid).size_class;
-      b.compressed = block_map_.entry(r->bid).compressed;
+      b.bid = r->block.bid;
+      b.orig_size = block_map_.entry(b.bid).size_class;
+      b.compressed = block_map_.entry(b.bid).compressed;
       if (r->aru_id != 0 && open_arus_.count(r->aru_id) != 0) {
         b.aru_id = r->aru_id;
       }
       // Checksums travel verbatim with the bytes: recomputing one here would
       // launder any corruption picked up since the block was written.
-      b.payload_crc = r->payload_crc;
-      b.has_payload_crc = r->has_payload_crc;
-      b.stored.resize(r->stored_size);
+      b.payload_crc = r->block.payload_crc;
+      b.has_payload_crc = r->block.has_payload_crc;
+      b.stored.resize(r->block.stored_size);
       counters_.cleaner_bytes_copied += b.stored.size();
-      pending->slices.push_back({batch->blocks.size(), r->offset});
+      pending->slices.push_back({batch->blocks.size(), r->block.offset});
       batch->blocks.push_back(std::move(b));
     }
     counters_.blocks_cleaned += live.size();
@@ -144,51 +144,55 @@ Status LogStructuredDisk::HarvestVictim(uint32_t victim, CleanerBatch* batch,
   std::unordered_set<Bid> freed;
   std::unordered_set<Lid> deleted;
   std::unordered_set<uint32_t> relog_stripes;
+  // Tombstones: without one, an older surviving record could resurrect a
+  // freed block or a deleted list at recovery.
+  const auto tombstone_block = [&](Bid bid) {
+    if (!block_map_.IsAllocated(bid)) {
+      freed.insert(bid);
+    }
+  };
+  const auto tombstone_list = [&](Lid lid) {
+    if (!list_table_.IsAllocated(lid)) {
+      deleted.insert(lid);
+    }
+  };
   for (const auto& r : records) {
     switch (r.type) {
       case SummaryRecordType::kLinkTuple:
-        if (options_.maintain_lists && block_map_.IsAllocated(r.bid) &&
-            block_map_.entry(r.bid).link_seg == victim) {
-          last_link[r.bid] = &r;
+        if (options_.maintain_lists && block_map_.IsAllocated(r.link.bid) &&
+            block_map_.entry(r.link.bid).link_seg == victim) {
+          last_link[r.link.bid] = &r;
         }
         break;
       case SummaryRecordType::kBlockAlloc:
-        if (block_map_.IsAllocated(r.bid)) {
-          if (block_map_.entry(r.bid).alloc_seg == victim) {
-            last_alloc[r.bid] = &r;
-          }
-        } else {
-          freed.insert(r.bid);
+        if (block_map_.IsAllocated(r.alloc.bid) &&
+            block_map_.entry(r.alloc.bid).alloc_seg == victim) {
+          last_alloc[r.alloc.bid] = &r;
         }
+        tombstone_block(r.alloc.bid);
         break;
       case SummaryRecordType::kBlockEntry:
+        tombstone_block(r.block.bid);
+        break;
       case SummaryRecordType::kBlockFree:
-        if (!block_map_.IsAllocated(r.bid)) {
-          // Tombstone: without it, an older surviving record could
-          // resurrect the block at recovery.
-          freed.insert(r.bid);
-        }
+        tombstone_block(r.freed.bid);
         break;
       case SummaryRecordType::kListHead:
-        if (options_.maintain_lists && list_table_.IsAllocated(r.lid) &&
-            list_table_.entry(r.lid).head_seg == victim) {
-          last_head[r.lid] = &r;
+        if (options_.maintain_lists && list_table_.IsAllocated(r.head.lid) &&
+            list_table_.entry(r.head.lid).head_seg == victim) {
+          last_head[r.head.lid] = &r;
         }
         break;
       case SummaryRecordType::kListCreate:
       case SummaryRecordType::kListMove:
-        if (list_table_.IsAllocated(r.lid)) {
-          if (list_table_.entry(r.lid).create_seg == victim) {
-            last_create[r.lid] = &r;
-          }
-        } else {
-          deleted.insert(r.lid);
+        if (list_table_.IsAllocated(r.list.lid) &&
+            list_table_.entry(r.list.lid).create_seg == victim) {
+          last_create[r.list.lid] = &r;
         }
+        tombstone_list(r.list.lid);
         break;
       case SummaryRecordType::kListDelete:
-        if (!list_table_.IsAllocated(r.lid)) {
-          deleted.insert(r.lid);
-        }
+        tombstone_list(r.deleted.lid);
         break;
       case SummaryRecordType::kAruCommit:
         // A unit that straddled a seal left records tagged with its id in
@@ -208,9 +212,9 @@ Status LogStructuredDisk::HarvestVictim(uint32_t victim, CleanerBatch* batch,
         // their latest copy. Dead sets' records and countermands are simply
         // dropped: the dissolve protocol zeroes the parity summary before
         // its countermand can net, so nothing on the media needs them.
-        if (const auto it = stripes_.find(r.offset);
+        if (const auto it = stripes_.find(r.stripe.parity_segment);
             it != stripes_.end() && it->second.record_segment == victim) {
-          relog_stripes.insert(r.offset);
+          relog_stripes.insert(r.stripe.parity_segment);
         }
         break;
     }
@@ -225,30 +229,29 @@ Status LogStructuredDisk::HarvestVictim(uint32_t victim, CleanerBatch* batch,
       }
       if (open_arus_.count(source->aru_id) != 0) {
         record.aru_id = source->aru_id;
-        record.ends_aru = false;
       }
     }
     out->push_back(record);
   };
   for (const auto& [bid, r] : last_link) {
-    retag(SummaryRecord::LinkTuple(NextTs(), bid, r->link_to, true), r, &batch->records);
+    retag(SummaryRecord::LinkTuple(NextTs(), bid, r->link.successor), r, &batch->records);
   }
   for (const auto& [bid, r] : last_alloc) {
-    retag(SummaryRecord::BlockAlloc(NextTs(), bid, r->lid, r->orig_size, true), r,
+    retag(SummaryRecord::BlockAlloc(NextTs(), bid, r->alloc.lid, r->alloc.size_class), r,
           &batch->records);
   }
   for (const auto& [lid, r] : last_head) {
-    retag(SummaryRecord::ListHead(NextTs(), lid, r->link_to, true), r, &batch->records);
+    retag(SummaryRecord::ListHead(NextTs(), lid, r->head.first), r, &batch->records);
   }
   for (const auto& [lid, r] : last_create) {
-    retag(SummaryRecord::ListCreate(NextTs(), lid, r->hints, r->lol_next, true), r,
+    retag(SummaryRecord::ListCreate(NextTs(), lid, r->list.hints, r->list.lol_next), r,
           &batch->records);
   }
   for (Bid bid : freed) {
-    batch->records.push_back(SummaryRecord::BlockFree(NextTs(), bid, true));
+    batch->records.push_back(SummaryRecord::BlockFree(NextTs(), bid));
   }
   for (Lid lid : deleted) {
-    batch->records.push_back(SummaryRecord::ListDelete(NextTs(), lid, true));
+    batch->records.push_back(SummaryRecord::ListDelete(NextTs(), lid));
   }
   for (uint32_t parity : relog_stripes) {
     AppendStripeRecords(stripes_.at(parity), NextTs(), &batch->records);
@@ -311,9 +314,8 @@ Status LogStructuredDisk::WriteCleanerBatch(CleanerBatch batch) {
   // Per-image parity reservation: bytes at the end of the data fill for the
   // parity block, plus its summary record. Zero with segment_parity off, so
   // the capacity math below is unchanged from the parity-free layout.
-  const auto parity_record_size = [] {
-    return SummaryRecord::SegmentParity(0, 0, 0, 0, 0).EncodedSize();
-  };
+  const size_t parity_record_size = SummaryRecord::EncodedSize(SummaryRecordType::kSegmentParity);
+  const size_t entry_size = SummaryRecord::EncodedSize(SummaryRecordType::kBlockEntry);
 
   auto flush_segment = [&]() -> Status {
     if (records.empty()) {
@@ -404,14 +406,14 @@ Status LogStructuredDisk::WriteCleanerBatch(CleanerBatch batch) {
       if (r.type != SummaryRecordType::kBlockEntry) {
         continue;
       }
-      BlockMapEntry& e = block_map_.entry(r.bid);
+      BlockMapEntry& e = block_map_.entry(r.block.bid);
       const OpTimestamp age = e.write_ts;
       usage_->RemoveLive(e.phys.segment, e.stored_size);
-      e.phys = PhysAddr{static_cast<uint32_t>(target), r.offset};
+      e.phys = PhysAddr{static_cast<uint32_t>(target), r.block.offset};
       e.write_ts = r.ts;
-      e.payload_crc = r.payload_crc;
-      e.has_payload_crc = r.has_payload_crc;
-      usage_->AddLiveAged(static_cast<uint32_t>(target), r.stored_size, r.ts, age);
+      e.payload_crc = r.block.payload_crc;
+      e.has_payload_crc = r.block.has_payload_crc;
+      usage_->AddLiveAged(static_cast<uint32_t>(target), r.block.stored_size, r.ts, age);
     }
     records.clear();
     record_bytes = 0;
@@ -436,28 +438,27 @@ Status LogStructuredDisk::WriteCleanerBatch(CleanerBatch batch) {
     // Records fill the summary tail first and may spill into the unused end
     // of the data area (leaving one sector of slack, after the parity
     // reservation).
-    const size_t parity_rec = ParityReserve(image_max_stored) > 0 ? parity_record_size() : 0;
+    const size_t parity_rec = ParityReserve(image_max_stored) > 0 ? parity_record_size : 0;
     const uint64_t capacity =
         (options_.summary_bytes - kSummaryOverhead - parity_rec) +
         (static_cast<uint64_t>(data_capacity_) - used - parity_footprint(used, image_max_stored)) -
         sector;
-    if (record_bytes + r.EncodedSize() > capacity) {
+    const size_t size = SummaryRecord::EncodedSize(r.type);
+    if (record_bytes + size > capacity) {
       RETURN_IF_ERROR(flush_segment());
     }
     records.push_back(r);
-    record_bytes += r.EncodedSize();
+    record_bytes += size;
     return OkStatus();
   };
 
   for (auto& b : batch.blocks) {
-    SummaryRecord proto;
-    proto.type = SummaryRecordType::kBlockEntry;
     const uint32_t next_max =
         std::max<uint32_t>(image_max_stored, static_cast<uint32_t>(b.stored.size()));
-    const size_t parity_rec = ParityReserve(next_max) > 0 ? parity_record_size() : 0;
+    const size_t parity_rec = ParityReserve(next_max) > 0 ? parity_record_size : 0;
     if (used + b.stored.size() + parity_footprint(used + b.stored.size(), next_max) >
             data_capacity_ ||
-        record_bytes + proto.EncodedSize() + parity_rec + kSummaryOverhead >
+        record_bytes + entry_size + parity_rec + kSummaryOverhead >
             options_.summary_bytes) {
       RETURN_IF_ERROR(flush_segment());
     }
@@ -469,16 +470,17 @@ Status LogStructuredDisk::WriteCleanerBatch(CleanerBatch batch) {
     std::memcpy(buffer.data() + offset, b.stored.data(), b.stored.size());
     used += static_cast<uint32_t>(b.stored.size());
     image_max_stored = std::max<uint32_t>(image_max_stored, static_cast<uint32_t>(b.stored.size()));
-    SummaryRecord entry = SummaryRecord::BlockEntry(
-        NextTs(), b.bid, block_map_.entry(b.bid).list, offset,
-        static_cast<uint32_t>(b.stored.size()), b.orig_size, b.compressed, /*ends_aru=*/true,
-        b.payload_crc, b.has_payload_crc);
-    if (b.aru_id != 0) {
-      entry.aru_id = b.aru_id;
-      entry.ends_aru = false;
+    SummaryRecord entry =
+        SummaryRecord::BlockEntry(NextTs(), b.bid, offset, static_cast<uint32_t>(b.stored.size()),
+                                  b.orig_size, b.compressed, b.payload_crc);
+    if (!b.has_payload_crc) {
+      // A block from before the checksum extension keeps the legacy layout.
+      entry.block.has_payload_crc = false;
+      entry.block.lid = block_map_.entry(b.bid).list;
     }
+    entry.aru_id = b.aru_id;
     records.push_back(entry);
-    record_bytes += proto.EncodedSize();
+    record_bytes += entry_size;
   }
   for (const auto& r : batch.records) {
     RETURN_IF_ERROR(append_record(r));
@@ -588,7 +590,7 @@ Status LogStructuredDisk::CleanSegments(uint32_t count) {
       reads.push_back(std::move(pending));
     }
     for (size_t i = records_before; i < batch.records.size(); ++i) {
-      batch_record_bytes += batch.records[i].EncodedSize();
+      batch_record_bytes += SummaryRecord::EncodedSize(batch.records[i].type);
     }
     victim_ext.push_back(ext_live);
     batch_live += victim_live;

@@ -1157,8 +1157,8 @@ Status LogStructuredDisk::ResolveStripeNet(RecoveryScan* scan) {
       if (r.type != SummaryRecordType::kStripeParity) {
         continue;
       }
-      StripeNet& net = stripe_net[r.offset];
-      const uint32_t count = r.orig_size;
+      StripeNet& net = stripe_net[r.stripe.parity_segment];
+      const uint32_t count = r.stripe.member_count;
       if (seg.seq < net.seq) {
         continue;
       }
@@ -1166,16 +1166,16 @@ Status LogStructuredDisk::ResolveStripeNet(RecoveryScan* scan) {
         net = StripeNet{};
         net.seq = seg.seq;
         net.member_count = count;
-        net.parity_crc = r.payload_crc;
+        net.parity_crc = r.stripe.parity_crc;
         net.members.assign(count, UINT32_MAX);
         net.member_seqs.assign(count, 0);
       }
       net.record_segment = seg.segment;
-      if (count == 0 || r.stored_size >= count) {
+      if (count == 0 || r.stripe.member_index >= count) {
         continue;
       }
-      net.members[r.stored_size] = r.bid;
-      net.member_seqs[r.stored_size] = r.intent_seq;
+      net.members[r.stripe.member_index] = r.stripe.member_segment;
+      net.member_seqs[r.stripe.member_index] = r.stripe.member_seq;
     }
   }
 
@@ -1347,12 +1347,12 @@ Status LogStructuredDisk::ClassifySuspects(const RecoveryScan& scan) {
   // Scrub intents: a kScrubIntent record says "segment X (whose retired
   // summary carried seq S) has been fully relocated; its summary is garbage
   // awaiting the zeroing write". Gathered from the chain *and* the scan.
-  std::unordered_map<uint32_t, uint64_t> intent_seqs;  // segment -> newest intent seq
+  std::unordered_map<uint32_t, uint64_t> scrub_intents;  // segment -> newest intent seq
   for (const LoggedSegment& seg : scan.replay) {
     for (const auto& r : seg.records) {
       if (r.type == SummaryRecordType::kScrubIntent) {
-        uint64_t& newest = intent_seqs[r.bid];
-        newest = std::max(newest, r.intent_seq);
+        uint64_t& newest = scrub_intents[r.scrub.segment];
+        newest = std::max(newest, r.scrub.seq);
       }
     }
   }
@@ -1383,8 +1383,8 @@ Status LogStructuredDisk::ClassifySuspects(const RecoveryScan& scan) {
                     << " (seq " << s.claimed_seq << " <= covered " << scan.covered_seq << ")";
       continue;
     }
-    if (auto it = intent_seqs.find(s.index);
-        it != intent_seqs.end() && (!s.seq_known || s.claimed_seq <= it->second)) {
+    if (auto it = scrub_intents.find(s.index);
+        it != scrub_intents.end() && (!s.seq_known || s.claimed_seq <= it->second)) {
       // Covered by a scrub intent: the scrub already relocated everything
       // live here before logging the intent, so complete the interrupted
       // retirement — zero the summary and let the segment come back free. A
@@ -1447,65 +1447,65 @@ void LogStructuredDisk::ReplayLog(RecoveryScan* scan) {
       rep.records_applied++;
       switch (r.type) {
         case SummaryRecordType::kBlockAlloc: {
-          BlockMapEntry& e = block_map_.EnsureAllocated(r.bid);
-          e.list = r.lid;
-          e.size_class = r.orig_size;
+          BlockMapEntry& e = block_map_.EnsureAllocated(r.alloc.bid);
+          e.list = r.alloc.lid;
+          e.size_class = r.alloc.size_class;
           e.alloc_seg = seg.segment;
           break;
         }
         case SummaryRecordType::kBlockEntry: {
-          BlockMapEntry& e = block_map_.EnsureAllocated(r.bid);
-          if (!r.has_payload_crc) {
-            // CRC-bearing entries store the checksum where the legacy
-            // layout kept the list id; the list comes from kBlockAlloc.
-            e.list = r.lid;
+          BlockMapEntry& e = block_map_.EnsureAllocated(r.block.bid);
+          if (!r.block.has_payload_crc) {
+            // The legacy layout names the list; otherwise it comes from
+            // the block's kBlockAlloc record.
+            e.list = r.block.lid;
           }
-          e.size_class = r.orig_size;
-          e.phys = PhysAddr{seg.segment, r.offset};
-          e.stored_size = r.stored_size;
-          e.compressed = r.compressed;
+          e.size_class = r.block.size_class;
+          e.phys = PhysAddr{seg.segment, r.block.offset};
+          e.stored_size = r.block.stored_size;
+          e.compressed = r.block.compressed;
           e.write_ts = r.ts;
-          e.payload_crc = r.payload_crc;
-          e.has_payload_crc = r.has_payload_crc;
+          e.payload_crc = r.block.payload_crc;
+          e.has_payload_crc = r.block.has_payload_crc;
           break;
         }
         case SummaryRecordType::kLinkTuple: {
-          BlockMapEntry& e = block_map_.EnsureAllocated(r.bid);
-          e.successor = r.link_to;
+          BlockMapEntry& e = block_map_.EnsureAllocated(r.link.bid);
+          e.successor = r.link.successor;
           e.link_seg = seg.segment;
           break;
         }
         case SummaryRecordType::kBlockFree:
-          block_map_.ForceFree(r.bid);
+          block_map_.ForceFree(r.freed.bid);
           break;
         case SummaryRecordType::kListHead: {
-          ListEntry& e = list_table_.EnsureAllocated(r.lid);
-          e.first = r.link_to;
+          ListEntry& e = list_table_.EnsureAllocated(r.head.lid);
+          e.first = r.head.first;
           e.head_seg = seg.segment;
           break;
         }
         case SummaryRecordType::kListCreate: {
-          ListEntry& e = list_table_.EnsureAllocated(r.lid);
-          e.hints = r.hints;
-          e.lol_next = r.lol_next;
+          ListEntry& e = list_table_.EnsureAllocated(r.list.lid);
+          e.hints = r.list.hints;
+          e.lol_next = r.list.lol_next;
           e.create_seg = seg.segment;
           break;
         }
         case SummaryRecordType::kListMove: {
-          ListEntry& e = list_table_.EnsureAllocated(r.lid);
-          e.lol_next = r.lol_next;
+          ListEntry& e = list_table_.EnsureAllocated(r.list.lid);
+          e.lol_next = r.list.lol_next;
           e.create_seg = seg.segment;
           break;
         }
         case SummaryRecordType::kListDelete:
-          list_table_.ForceFree(r.lid);
+          list_table_.ForceFree(r.deleted.lid);
           break;
         case SummaryRecordType::kAruCommit:
           break;
         case SummaryRecordType::kSegmentParity:
           if (scan->has_summary[seg.segment]) {
-            scan->parity[seg.segment] =
-                ParityGeometry{true, r.offset, r.stored_size, r.orig_size, r.payload_crc};
+            const SummaryRecord::SegmentParityFields& p = r.parity;
+            scan->parity[seg.segment] = ParityGeometry{true, p.offset, p.bytes, p.covered, p.crc};
           }
           break;
         case SummaryRecordType::kScrubIntent:

@@ -104,16 +104,26 @@ StatusOr<ScrubReport> LogStructuredDisk::ScrubStep(uint32_t max_segments) {
     for (const auto& r : records) {
       switch (r.type) {
         case SummaryRecordType::kBlockEntry:
+          mentioned_bids.insert(r.block.bid);
+          break;
         case SummaryRecordType::kBlockAlloc:
+          mentioned_bids.insert(r.alloc.bid);
+          break;
         case SummaryRecordType::kLinkTuple:
+          mentioned_bids.insert(r.link.bid);
+          break;
         case SummaryRecordType::kBlockFree:
-          mentioned_bids.insert(r.bid);
+          mentioned_bids.insert(r.freed.bid);
           break;
         case SummaryRecordType::kListHead:
+          mentioned_lids.insert(r.head.lid);
+          break;
         case SummaryRecordType::kListCreate:
         case SummaryRecordType::kListMove:
+          mentioned_lids.insert(r.list.lid);
+          break;
         case SummaryRecordType::kListDelete:
-          mentioned_lids.insert(r.lid);
+          mentioned_lids.insert(r.deleted.lid);
           break;
         case SummaryRecordType::kAruCommit:
         case SummaryRecordType::kSegmentParity:
@@ -266,12 +276,11 @@ StatusOr<ScrubReport> LogStructuredDisk::ScrubStep(uint32_t max_segments) {
       }
       const BlockMapEntry& e = block_map_.entry(bid);
       if (options_.maintain_lists && suspects.count(e.link_seg) != 0) {
-        batch.records.push_back(SummaryRecord::LinkTuple(NextTs(), bid, e.successor, true));
+        batch.records.push_back(SummaryRecord::LinkTuple(NextTs(), bid, e.successor));
         report.records_relogged++;
       }
       if (suspects.count(e.alloc_seg) != 0) {
-        batch.records.push_back(
-            SummaryRecord::BlockAlloc(NextTs(), bid, e.list, e.size_class, true));
+        batch.records.push_back(SummaryRecord::BlockAlloc(NextTs(), bid, e.list, e.size_class));
         report.records_relogged++;
       }
     }
@@ -281,12 +290,11 @@ StatusOr<ScrubReport> LogStructuredDisk::ScrubStep(uint32_t max_segments) {
       }
       const ListEntry& e = list_table_.entry(lid);
       if (suspects.count(e.head_seg) != 0) {
-        batch.records.push_back(SummaryRecord::ListHead(NextTs(), lid, e.first, true));
+        batch.records.push_back(SummaryRecord::ListHead(NextTs(), lid, e.first));
         report.records_relogged++;
       }
       if (suspects.count(e.create_seg) != 0) {
-        batch.records.push_back(
-            SummaryRecord::ListCreate(NextTs(), lid, e.hints, e.lol_next, true));
+        batch.records.push_back(SummaryRecord::ListCreate(NextTs(), lid, e.hints, e.lol_next));
         report.records_relogged++;
       }
     }
@@ -295,13 +303,13 @@ StatusOr<ScrubReport> LogStructuredDisk::ScrubStep(uint32_t max_segments) {
     // fresh tombstone (newest seq) keeps recovery from resurrecting it.
     for (Bid bid : mentioned_bids) {
       if (!block_map_.IsAllocated(bid)) {
-        batch.records.push_back(SummaryRecord::BlockFree(NextTs(), bid, true));
+        batch.records.push_back(SummaryRecord::BlockFree(NextTs(), bid));
         report.records_relogged++;
       }
     }
     for (Lid lid : mentioned_lids) {
       if (!list_table_.IsAllocated(lid)) {
-        batch.records.push_back(SummaryRecord::ListDelete(NextTs(), lid, true));
+        batch.records.push_back(SummaryRecord::ListDelete(NextTs(), lid));
         report.records_relogged++;
       }
     }

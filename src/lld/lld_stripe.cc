@@ -101,7 +101,7 @@ void LogStructuredDisk::EraseStripe(uint32_t parity_segment) {
   redeclare_groups_.erase(
       std::remove_if(redeclare_groups_.begin(), redeclare_groups_.end(),
                      [parity_segment](const std::vector<SummaryRecord>& g) {
-                       return !g.empty() && g.front().offset == parity_segment;
+                       return !g.empty() && g.front().stripe.parity_segment == parity_segment;
                      }),
       redeclare_groups_.end());
   counters_.stripes_dissolved++;
@@ -216,11 +216,11 @@ Status LogStructuredDisk::MaybeFormStripes(uint32_t sealing_segment) {
     // it already carries (plus the segment-parity record the seal may add);
     // mid-seal there is no room to flush, so an overfull summary just skips
     // this round — the candidates stay eligible for the next seal.
-    const size_t record_size =
-        SummaryRecord::StripeParity(0, 0, 0, 0, 0, 0, 0).EncodedSize();
-    const size_t stripe_bytes = members.size() * record_size;
+    const size_t stripe_bytes =
+        members.size() * SummaryRecord::EncodedSize(SummaryRecordType::kStripeParity);
     const size_t parity_record =
-        options_.segment_parity ? SummaryRecord::SegmentParity(0, 0, 0, 0, 0).EncodedSize() : 0;
+        options_.segment_parity ? SummaryRecord::EncodedSize(SummaryRecordType::kSegmentParity)
+                                : 0;
     if (open_record_bytes_ + stripe_bytes + parity_record + kSummaryOverhead >
         options_.summary_bytes) {
       return OkStatus();
@@ -267,7 +267,7 @@ StatusOr<uint32_t> LogStructuredDisk::FormStripes(uint32_t max_sets) {
   };
   const uint32_t reserve =
       std::max(options_.free_segment_reserve, std::min(usage_->num_segments() / 8, 32u));
-  const size_t record_size = SummaryRecord::StripeParity(0, 0, 0, 0, 0, 0, 0).EncodedSize();
+  const size_t record_size = SummaryRecord::EncodedSize(SummaryRecordType::kStripeParity);
 
   uint32_t formed = 0;
   bool progressed = true;
@@ -563,7 +563,7 @@ StatusOr<std::vector<uint32_t>> LogStructuredDisk::DissolveStripesTouching(
           std::remove_if(batch_records->begin(), batch_records->end(),
                          [parity](const SummaryRecord& r) {
                            return r.type == SummaryRecordType::kStripeParity &&
-                                  r.offset == parity;
+                                  r.stripe.parity_segment == parity;
                          }),
           batch_records->end());
       batch_records->push_back(SummaryRecord::StripeParity(NextTs(), parity, 0, 0, 0, 0, 0));

@@ -22,6 +22,12 @@ class Encoder {
  public:
   explicit Encoder(std::vector<uint8_t>* out) : out_(out) {}
 
+  // The low `bytes` bytes of v.
+  void PutLe(uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      out_->push_back(static_cast<uint8_t>(v >> (8 * i)));
+    }
+  }
   void PutU8(uint8_t v) { out_->push_back(v); }
   void PutU16(uint16_t v) { PutLe(v, 2); }
   void PutU24(uint32_t v) { PutLe(v, 3); }
@@ -37,12 +43,6 @@ class Encoder {
   size_t size() const { return out_->size(); }
 
  private:
-  void PutLe(uint64_t v, int bytes) {
-    for (int i = 0; i < bytes; ++i) {
-      out_->push_back(static_cast<uint8_t>(v >> (8 * i)));
-    }
-  }
-
   std::vector<uint8_t>* out_;
 };
 
@@ -55,6 +55,8 @@ class Decoder {
   size_t remaining() const { return data_.size() - pos_; }
   size_t position() const { return pos_; }
 
+  // A `bytes`-byte little-endian value (0 once the decoder has failed).
+  uint64_t GetLe(int bytes);
   uint8_t GetU8() { return static_cast<uint8_t>(GetLe(1)); }
   uint16_t GetU16() { return static_cast<uint16_t>(GetLe(2)); }
   uint32_t GetU24() { return static_cast<uint32_t>(GetLe(3)); }
@@ -71,8 +73,6 @@ class Decoder {
   Status ToStatus(const std::string& context) const;
 
  private:
-  uint64_t GetLe(int bytes);
-
   std::span<const uint8_t> data_;
   size_t pos_ = 0;
   bool failed_ = false;

@@ -225,6 +225,20 @@ TEST(LldBasicTest, InvalidArguments) {
   EXPECT_EQ(f.lld->DeleteList(999, kNilLid).code(), ErrorCode::kNotFound);
 }
 
+// Block entries store their data offset in 24 bits: a segment above 16 MiB
+// would hold blocks that no summary record can address.
+TEST(LldBasicTest, FormatRefusesSegmentsTheOffsetFieldCannotAddress) {
+  SimClock clock;
+  MemDisk disk(kDiskBytes / 512, 512, &clock);
+  LldOptions options;
+  options.summary_bytes = 1 << 20;
+  options.segment_bytes = 32 << 20;
+  EXPECT_EQ(LogStructuredDisk::Format(&disk, options).status().code(),
+            ErrorCode::kInvalidArgument);
+  options.segment_bytes = 16 << 20;
+  EXPECT_TRUE(LogStructuredDisk::Format(&disk, options).ok());
+}
+
 TEST(LldBasicTest, FlushBelowThresholdWritesPartialSegment) {
   Fixture f;
   auto bid = f.lld->NewBlock(f.list, kBeginOfList);
