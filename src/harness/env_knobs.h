@@ -10,8 +10,10 @@
 #define SRC_HARNESS_ENV_KNOBS_H_
 
 #include <cstdlib>
+#include <initializer_list>
 #include <limits>
 #include <string_view>
+#include <utility>
 
 #include "src/disk/device_factory.h"
 #include "src/disk/qos.h"
@@ -41,13 +43,25 @@ inline long long EnvInt(const char* name, long long fallback, long long min) {
   return n >= min ? n : fallback;
 }
 
+// Generic enum: the value `spellings` pairs with the variable's spelling;
+// `fallback` when unset or unrecognized.
+template <typename T>
+T EnvChoice(const char* name, std::initializer_list<std::pair<std::string_view, T>> spellings,
+            T fallback) {
+  if (const char* v = std::getenv(name)) {
+    for (const auto& [spelling, value] : spellings) {
+      if (spelling == v) {
+        return value;
+      }
+    }
+  }
+  return fallback;
+}
+
 // LD_QUEUE_POLICY=fifo|cscan.
 inline QueuePolicy EnvQueuePolicy(QueuePolicy fallback) {
-  const char* v = std::getenv("LD_QUEUE_POLICY");
-  if (v == nullptr) {
-    return fallback;
-  }
-  return std::string_view(v) == "fifo" ? QueuePolicy::kFifo : QueuePolicy::kCScan;
+  return EnvChoice("LD_QUEUE_POLICY",
+                   {{"fifo", QueuePolicy::kFifo}, {"cscan", QueuePolicy::kCScan}}, fallback);
 }
 
 // LD_CHANNELS=N: independent actuator/channel count for the shared device.
@@ -94,18 +108,10 @@ inline uint32_t EnvCheckpointInterval(uint32_t fallback) {
 // can diff knob-unset against knob=greedy. Tests whose expectations depend
 // on one policy pin `LldOptions::cleaning_policy` explicitly instead.
 inline CleaningPolicy EnvCleaningPolicy(CleaningPolicy fallback) {
-  const char* v = std::getenv("LD_CLEANER_POLICY");
-  if (v == nullptr) {
-    return fallback;
-  }
-  const std::string_view s(v);
-  if (s == "greedy") {
-    return CleaningPolicy::kGreedy;
-  }
-  if (s == "cost_benefit") {
-    return CleaningPolicy::kCostBenefit;
-  }
-  return fallback;
+  return EnvChoice("LD_CLEANER_POLICY",
+                   {{"greedy", CleaningPolicy::kGreedy},
+                    {"cost_benefit", CleaningPolicy::kCostBenefit}},
+                   fallback);
 }
 
 // Per-file read-ahead toggle (LD_READAHEAD=0|1): the CI read-ahead matrix
@@ -121,23 +127,13 @@ inline uint32_t EnvTenants(uint32_t fallback) {
 }
 
 // LD_QOS=none|share|deadline: dispatch policy arbitrating channel time
-// between tenants. Unrecognized values fall back.
+// between tenants.
 inline QosPolicy EnvQosPolicy(QosPolicy fallback) {
-  const char* v = std::getenv("LD_QOS");
-  if (v == nullptr) {
-    return fallback;
-  }
-  const std::string_view s(v);
-  if (s == "none") {
-    return QosPolicy::kNone;
-  }
-  if (s == "share") {
-    return QosPolicy::kWeightedShare;
-  }
-  if (s == "deadline") {
-    return QosPolicy::kDeadline;
-  }
-  return fallback;
+  return EnvChoice("LD_QOS",
+                   {{"none", QosPolicy::kNone},
+                    {"share", QosPolicy::kWeightedShare},
+                    {"deadline", QosPolicy::kDeadline}},
+                   fallback);
 }
 
 // QoS config honoring LD_QOS / LD_TENANTS. `Active()` stays false (and the

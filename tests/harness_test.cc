@@ -129,6 +129,44 @@ TEST(EnvKnobsTest, EachKnobKeepsItsAcceptRule) {
     EXPECT_EQ(EnvMaintenanceOptions().scrub_segments_per_slice,
               MaintenanceOptions{}.scrub_segments_per_slice);
   }
+  // Enum knobs: every spelling maps to its value; anything else falls back.
+  for (const auto& [spelling, policy] : {std::pair{"fifo", QueuePolicy::kFifo},
+                                         std::pair{"cscan", QueuePolicy::kCScan}}) {
+    ScopedEnv env("LD_QUEUE_POLICY", spelling);
+    EXPECT_EQ(EnvQueuePolicy(policy == QueuePolicy::kFifo ? QueuePolicy::kCScan
+                                                          : QueuePolicy::kFifo),
+              policy)
+        << spelling;
+  }
+  {
+    ScopedEnv env("LD_QUEUE_POLICY", "FIFO");
+    EXPECT_EQ(EnvQueuePolicy(QueuePolicy::kFifo), QueuePolicy::kFifo);
+  }
+  for (const auto& [spelling, policy] :
+       {std::pair{"greedy", CleaningPolicy::kGreedy},
+        std::pair{"cost_benefit", CleaningPolicy::kCostBenefit}}) {
+    ScopedEnv env("LD_CLEANER_POLICY", spelling);
+    EXPECT_EQ(EnvCleaningPolicy(policy == CleaningPolicy::kGreedy ? CleaningPolicy::kCostBenefit
+                                                                  : CleaningPolicy::kGreedy),
+              policy)
+        << spelling;
+  }
+  {
+    ScopedEnv env("LD_CLEANER_POLICY", "cost-benefit");
+    EXPECT_EQ(EnvCleaningPolicy(CleaningPolicy::kGreedy), CleaningPolicy::kGreedy);
+  }
+  for (const auto& [spelling, policy] : {std::pair{"none", QosPolicy::kNone},
+                                         std::pair{"share", QosPolicy::kWeightedShare},
+                                         std::pair{"deadline", QosPolicy::kDeadline}}) {
+    ScopedEnv env("LD_QOS", spelling);
+    EXPECT_EQ(EnvQosPolicy(policy == QosPolicy::kNone ? QosPolicy::kDeadline : QosPolicy::kNone),
+              policy)
+        << spelling;
+  }
+  {
+    ScopedEnv env("LD_QOS", "edf");
+    EXPECT_EQ(EnvQosPolicy(QosPolicy::kWeightedShare), QosPolicy::kWeightedShare);
+  }
 }
 
 }  // namespace
