@@ -232,21 +232,18 @@ int Run() {
   a.Print();
 
   std::printf("\nChecks (PASS/FAIL):\n");
-  auto check = [](const char* claim, bool ok) {
-    std::printf("  [%s] %s\n", ok ? "PASS" : "FAIL", claim);
-  };
-  check("write amplification grows with utilization (LFS cost curve)",
-        greedy_high > greedy_low);
+  CheckClaim("write amplification grows with utilization (LFS cost curve)",
+             greedy_high > greedy_low);
   // Rosenblum & Ousterhout found cost-benefit ahead of greedy in long
   // steady-state simulations; over this bounded run the two land close, with
   // the outcome depending on the age distribution the run happens to build.
-  check("both policies sustain 85% utilization with bounded amplification (within 2x)",
-        cb_high <= greedy_high * 2.0 && greedy_high <= cb_high * 2.0);
-  check("cluster-on-clean improves sequential list reads",
-        *clustered > *unclustered);
-  check("steady-state 90/10 skew at >=80% utilization: cost-benefit WAF <= greedy",
-        got_all && cb_no_worse_when_skewed);
-  return got_all && cb_no_worse_when_skewed ? 0 : 1;
+  CheckClaim("both policies sustain 85% utilization with bounded amplification (within 2x)",
+             cb_high <= greedy_high * 2.0 && greedy_high <= cb_high * 2.0);
+  CheckClaim("cluster-on-clean improves sequential list reads",
+             *clustered > *unclustered);
+  CheckClaim("steady-state 90/10 skew at >=80% utilization: cost-benefit WAF <= greedy",
+             got_all && cb_no_worse_when_skewed);
+  return ClaimsExitCode();
 }
 
 }  // namespace

@@ -86,19 +86,16 @@ int Run() {
               TextTable::Num(1.0 / packed->achieved_ratio, 2).c_str());
 
   std::printf("\nChecks (PASS/FAIL):\n");
-  auto check = [](const char* claim, bool ok) {
-    std::printf("  [%s] %s\n", ok ? "PASS" : "FAIL", claim);
-  };
-  check("compressed write throughput near the paper's 1600 KB/s (1300..1900)",
-        packed->write_kbps > 1300 && packed->write_kbps < 1900);
-  check("write loss bounded by pipelining (<= 30%, paper 21%)", write_loss <= 0.30);
-  check("compressed read throughput near the paper's 800 KB/s (600..1000)",
-        packed->read_kbps > 600 && packed->read_kbps < 1000);
-  check("reads slower than writes (decompression cannot overlap)",
-        packed->read_kbps < packed->write_kbps);
-  check("achieved ratio near the assumed 60% (45%..75%)",
-        packed->achieved_ratio > 0.45 && packed->achieved_ratio < 0.75);
-  return 0;
+  CheckClaim("compressed write throughput near the paper's 1600 KB/s (1300..1900)",
+             packed->write_kbps > 1300 && packed->write_kbps < 1900);
+  CheckClaim("write loss bounded by pipelining (<= 30%, paper 21%)", write_loss <= 0.30);
+  CheckClaim("compressed read throughput near the paper's 800 KB/s (600..1000)",
+             packed->read_kbps > 600 && packed->read_kbps < 1000);
+  CheckClaim("reads slower than writes (decompression cannot overlap)",
+             packed->read_kbps < packed->write_kbps);
+  CheckClaim("achieved ratio near the assumed 60% (45%..75%)",
+             packed->achieved_ratio > 0.45 && packed->achieved_ratio < 0.75);
+  return ClaimsExitCode();
 }
 
 }  // namespace

@@ -244,34 +244,29 @@ int RunScrubExperiment(bool parity) {
   }
 
   std::printf("\nChecks (PASS/FAIL):\n");
-  auto check = [](const char* claim, bool ok) {
-    std::printf("  [%s] %s\n", ok ? "PASS" : "FAIL", claim);
-    return ok;
-  };
-  bool all = true;
-  all &= check("every damaged summary was retired",
-               report->suspect_segments == suspects.size());
-  all &= check("all live blocks on retired segments were relocated",
-               report->blocks_relocated > 0);
+  CheckClaim("every damaged summary was retired",
+             report->suspect_segments == suspects.size());
+  CheckClaim("all live blocks on retired segments were relocated",
+             report->blocks_relocated > 0);
   if (parity) {
     // Single-fault payload flips reconstruct from the segment parity block;
     // the latent segment carries TWO unreadable blocks, so its lanes are
     // double-poisoned and both must stay typed losses, never laundered.
-    all &= check("single-fault payload flips were reconstructed from parity",
-                 report->blocks_reconstructed == kPayloadFaults);
-    all &= check("double-fault latent blocks stayed typed (not laundered)",
-                 report->blocks_corrupt + report->blocks_unreadable == latent_planted);
-    all &= check("undamaged + reconstructed blocks all read back intact",
-                 intact + typed == rig.bids.size() && typed == latent_planted);
+    CheckClaim("single-fault payload flips were reconstructed from parity",
+               report->blocks_reconstructed == kPayloadFaults);
+    CheckClaim("double-fault latent blocks stayed typed (not laundered)",
+               report->blocks_corrupt + report->blocks_unreadable == latent_planted);
+    CheckClaim("undamaged + reconstructed blocks all read back intact",
+               intact + typed == rig.bids.size() && typed == latent_planted);
   } else {
-    all &= check("damaged payloads stayed typed (corrupt + unreadable == damage planted)",
-                 report->blocks_corrupt + report->blocks_unreadable ==
-                     kPayloadFaults + latent_planted);
-    all &= check("undamaged blocks all read back intact",
-                 intact + typed == rig.bids.size() &&
-                     typed == kPayloadFaults + latent_planted);
+    CheckClaim("damaged payloads stayed typed (corrupt + unreadable == damage planted)",
+               report->blocks_corrupt + report->blocks_unreadable ==
+                   kPayloadFaults + latent_planted);
+    CheckClaim("undamaged blocks all read back intact",
+               intact + typed == rig.bids.size() &&
+                   typed == kPayloadFaults + latent_planted);
   }
-  return all ? 0 : 1;
+  return 0;
 }
 
 // Kills a whole channel under a cross-channel-striped LLD at runtime: every
@@ -378,19 +373,14 @@ int RunDegradedChannelExperiment() {
   PrintDiskHealthStats("degraded I/O", degraded_stats, disk.sector_size(), degraded_counters);
 
   std::printf("\nChecks (PASS/FAIL):\n");
-  auto check = [](const char* claim, bool ok) {
-    std::printf("  [%s] %s\n", ok ? "PASS" : "FAIL", claim);
-    return ok;
-  };
-  bool all = true;
-  all &= check("every live block stayed readable with a whole channel dead",
-               intact == bids.size());
-  all &= check("dead-channel blocks were served via stripe reconstruction",
-               degraded_counters.blocks_stripe_reconstructed > 0);
-  all &= check("rebuild restored redundancy with no unrecoverable segments",
-               rebuild->segments_unrecoverable == 0 && rebuild->segments_pending == 0);
-  all &= check("every block reads back intact after the rebuild", intact_after == bids.size());
-  return all ? 0 : 1;
+  CheckClaim("every live block stayed readable with a whole channel dead",
+             intact == bids.size());
+  CheckClaim("dead-channel blocks were served via stripe reconstruction",
+             degraded_counters.blocks_stripe_reconstructed > 0);
+  CheckClaim("rebuild restored redundancy with no unrecoverable segments",
+             rebuild->segments_unrecoverable == 0 && rebuild->segments_pending == 0);
+  CheckClaim("every block reads back intact after the rebuild", intact_after == bids.size());
+  return 0;
 }
 
 struct MaintAggressorResult {
@@ -545,20 +535,15 @@ int RunMaintenanceExperiment() {
   PrintTenantStats("aggressor run", on->stats, kSectorSize);
 
   std::printf("\nChecks (PASS/FAIL):\n");
-  auto check = [](const char* claim, bool ok) {
-    std::printf("  [%s] %s\n", ok ? "PASS" : "FAIL", claim);
-    return ok;
-  };
-  bool all = true;
-  all &= check("maintenance made progress (scrub + rebuild counters moved)",
-               on->scrub_segments > 0 && on->rebuild_done > 0);
-  all &= check("deferred checkpoint frames were written in the background",
-               on->maint.checkpoint_frames > 0);
-  all &= check("maintenance I/O was attributed to the maintenance tenant",
-               on->maintenance_requests > 0 && off->maintenance_requests == 0);
-  all &= check("foreground read p99 stayed within 2x of the no-maintenance baseline",
-               off->p99_ms > 0.0 && on->p99_ms <= 2.0 * off->p99_ms);
-  return all ? 0 : 1;
+  CheckClaim("maintenance made progress (scrub + rebuild counters moved)",
+             on->scrub_segments > 0 && on->rebuild_done > 0);
+  CheckClaim("deferred checkpoint frames were written in the background",
+             on->maint.checkpoint_frames > 0);
+  CheckClaim("maintenance I/O was attributed to the maintenance tenant",
+             on->maintenance_requests > 0 && off->maintenance_requests == 0);
+  CheckClaim("foreground read p99 stayed within 2x of the no-maintenance baseline",
+             off->p99_ms > 0.0 && on->p99_ms <= 2.0 * off->p99_ms);
+  return 0;
 }
 
 int Run() {
@@ -616,21 +601,16 @@ int Run() {
   }
 
   std::printf("\nChecks (PASS/FAIL):\n");
-  auto check = [](const char* claim, bool ok) {
-    std::printf("  [%s] %s\n", ok ? "PASS" : "FAIL", claim);
-    return ok;
-  };
-  bool all = true;
-  all &= check("fault-free run needed no retries and lost nothing",
-               results[0].stats.read_retries == 0 && results[0].stats.write_retries == 0 &&
-                   results[0].typed_read_failures == 0 && !results[0].degraded);
-  all &= check("bounded transient bursts were fully absorbed by retries",
-               results[1].typed_read_failures == 0 && results[1].stats.transient_recoveries > 0 &&
-                   !results[1].degraded);
-  all &= check("transient write bursts were absorbed too (no degraded mode)",
-               results[2].stats.write_retries > 0 && !results[2].degraded);
-  all &= check("persistent latent errors surface as typed failures, not garbage",
-               results[3].typed_read_failures > 0 || results[3].stats.read_errors == 0);
+  CheckClaim("fault-free run needed no retries and lost nothing",
+             results[0].stats.read_retries == 0 && results[0].stats.write_retries == 0 &&
+                 results[0].typed_read_failures == 0 && !results[0].degraded);
+  CheckClaim("bounded transient bursts were fully absorbed by retries",
+             results[1].typed_read_failures == 0 && results[1].stats.transient_recoveries > 0 &&
+                 !results[1].degraded);
+  CheckClaim("transient write bursts were absorbed too (no degraded mode)",
+             results[2].stats.write_retries > 0 && !results[2].degraded);
+  CheckClaim("persistent latent errors surface as typed failures, not garbage",
+             results[3].typed_read_failures > 0 || results[3].stats.read_errors == 0);
 
   std::printf("\n");
   PrintBanner("Scrub — read-repair over damaged media (parity off)",
@@ -657,7 +637,7 @@ int Run() {
               "heal as a weight-1 QoS tenant under a random-read foreground;\n"
               "foreground p99 must stay within 2x of the maintenance-off run.");
   int maint_rc = RunMaintenanceExperiment();
-  return (all && scrub_rc == 0 && degraded_rc == 0 && maint_rc == 0) ? 0 : 1;
+  return (scrub_rc == 0 && degraded_rc == 0 && maint_rc == 0) ? ClaimsExitCode() : 1;
 }
 
 }  // namespace

@@ -70,19 +70,16 @@ int Run() {
       "deleting are similar\" statement is about the write side, which is confirmed\n"
       "by the create rates.\n");
   std::printf("\nChecks (PASS/FAIL):\n");
-  auto check = [](const char* claim, bool ok) {
-    std::printf("  [%s] %s\n", ok ? "PASS" : "FAIL", claim);
-  };
-  check("creates similar (write side unchanged, within 25%)",
-        small[1].create_per_sec > 0.75 * small[0].create_per_sec);
-  check("small-file reads worse with individual i-node reads",
-        small[1].read_per_sec < 0.95 * small[0].read_per_sec);
-  check("cold-cache deletes also pay the individual i-node read",
-        small[1].delete_per_sec < small[0].delete_per_sec);
-  check("large-file performance unchanged (one i-node, within 5%)",
-        large[1].write_seq_kbps > 0.95 * large[0].write_seq_kbps &&
-            large[1].read_seq_kbps > 0.95 * large[0].read_seq_kbps);
-  return 0;
+  CheckClaim("creates similar (write side unchanged, within 25%)",
+             small[1].create_per_sec > 0.75 * small[0].create_per_sec);
+  CheckClaim("small-file reads worse with individual i-node reads",
+             small[1].read_per_sec < 0.95 * small[0].read_per_sec);
+  CheckClaim("cold-cache deletes also pay the individual i-node read",
+             small[1].delete_per_sec < small[0].delete_per_sec);
+  CheckClaim("large-file performance unchanged (one i-node, within 5%)",
+             large[1].write_seq_kbps > 0.95 * large[0].write_seq_kbps &&
+                 large[1].read_seq_kbps > 0.95 * large[0].read_seq_kbps);
+  return ClaimsExitCode();
 }
 
 }  // namespace

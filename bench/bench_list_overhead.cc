@@ -61,16 +61,13 @@ int Run() {
   t.Print();
 
   std::printf("\nChecks (PASS/FAIL):\n");
-  auto check = [](const char* claim, bool ok) {
-    std::printf("  [%s] %s\n", ok ? "PASS" : "FAIL", claim);
-  };
   const double alloc_phase_avg = (create_ovh + delete_ovh) / 2;
-  check("create+delete overhead averages near the paper's ~15% (10%..25%)",
-        alloc_phase_avg > 0.10 && alloc_phase_avg < 0.25);
-  check("overhead confined to allocation/deallocation (create & delete both > 5%)",
-        create_ovh > 0.05 && delete_ovh > 0.05);
-  check("little overhead during reading (< 5%)", read_ovh < 0.05);
-  return 0;
+  CheckClaim("create+delete overhead averages near the paper's ~15% (10%..25%)",
+             alloc_phase_avg > 0.10 && alloc_phase_avg < 0.25);
+  CheckClaim("overhead confined to allocation/deallocation (create & delete both > 5%)",
+             create_ovh > 0.05 && delete_ovh > 0.05);
+  CheckClaim("little overhead during reading (< 5%)", read_ovh < 0.05);
+  return ClaimsExitCode();
 }
 
 }  // namespace

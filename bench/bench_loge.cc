@@ -115,14 +115,11 @@ int Run() {
   t.Print();
 
   std::printf("\nChecks (PASS/FAIL):\n");
-  auto check = [](const char* claim, bool ok) {
-    std::printf("  [%s] %s\n", ok ? "PASS" : "FAIL", claim);
-  };
-  check("LLD wins when traffic is dominated by writes (vs Loge)", lld->kbps > loge->kbps);
-  check("Loge improves on strict update-in-place", loge->kbps > flat->kbps);
-  check("LLD recovery at least 10x faster than Loge's whole-disk scan (§5.2)",
-        loge->recovery_seconds > 10 * lld->recovery_seconds);
-  return 0;
+  CheckClaim("LLD wins when traffic is dominated by writes (vs Loge)", lld->kbps > loge->kbps);
+  CheckClaim("Loge improves on strict update-in-place", loge->kbps > flat->kbps);
+  CheckClaim("LLD recovery at least 10x faster than Loge's whole-disk scan (§5.2)",
+             loge->recovery_seconds > 10 * lld->recovery_seconds);
+  return ClaimsExitCode();
 }
 
 }  // namespace

@@ -329,20 +329,15 @@ bool ReadPhase() {
   };
   print_read_path("MINIX LLD 4ch async+RA", *lld_async4);
   print_read_path("MINIX 4ch async+RA", *minix_async4);
-  auto check = [](const char* claim, bool ok) {
-    std::printf("  [%s] %s\n", ok ? "PASS" : "FAIL", claim);
-    return ok;
-  };
-  bool all = true;
-  all &= check("LLD 4ch: async read-ahead beats sync on sequential read",
-               lld_async4->seq_elapsed < lld_sync4->seq_elapsed);
-  all &= check("LLD 4ch: async read-ahead beats sync on interleaved reads",
-               lld_async4->interleaved_elapsed < lld_sync4->interleaved_elapsed);
-  all &= check("LLD async interleaved reads scale with channels (4 < 1)",
-               lld_async4->interleaved_elapsed < lld_async1->interleaved_elapsed);
-  all &= check("MINIX 4ch: async read-ahead beats sync on interleaved reads",
-               minix_async4->interleaved_elapsed < minix_sync4->interleaved_elapsed);
-  return all;
+  CheckClaim("LLD 4ch: async read-ahead beats sync on sequential read",
+             lld_async4->seq_elapsed < lld_sync4->seq_elapsed);
+  CheckClaim("LLD 4ch: async read-ahead beats sync on interleaved reads",
+             lld_async4->interleaved_elapsed < lld_sync4->interleaved_elapsed);
+  CheckClaim("LLD async interleaved reads scale with channels (4 < 1)",
+             lld_async4->interleaved_elapsed < lld_async1->interleaved_elapsed);
+  CheckClaim("MINIX 4ch: async read-ahead beats sync on interleaved reads",
+             minix_async4->interleaved_elapsed < minix_sync4->interleaved_elapsed);
+  return true;
 }
 
 // --- Channel scaling (mechanical device, cleaner active) -------------------
@@ -410,16 +405,11 @@ bool ChannelScaling() {
   for (size_t c = 0; c < four->channel_busy_ms.size(); ++c) {
     std::printf("    channel %zu busy: %.0f ms\n", c, four->channel_busy_ms[c]);
   }
-  auto check = [](const char* claim, bool ok) {
-    std::printf("  [%s] %s\n", ok ? "PASS" : "FAIL", claim);
-    return ok;
-  };
-  bool all = true;
-  all &= check("4 channels give higher aggregate throughput than 1",
-               four->elapsed < one->elapsed);
-  all &= check("channel busy times sum past wall time (true overlap)",
-               four->busy_sum_ms > four->elapsed * 1000.0);
-  return all;
+  CheckClaim("4 channels give higher aggregate throughput than 1",
+             four->elapsed < one->elapsed);
+  CheckClaim("channel busy times sum past wall time (true overlap)",
+             four->busy_sum_ms > four->elapsed * 1000.0);
+  return true;
 }
 
 // --- Multi-tenant: scaling and QoS isolation -------------------------------
@@ -510,16 +500,11 @@ bool TenantScaling() {
     }
   }
   t.Print();
-  auto check = [](const char* claim, bool ok) {
-    std::printf("  [%s] %s\n", ok ? "PASS" : "FAIL", claim);
-    return ok;
-  };
-  bool all = true;
-  all &= check("4 tenants on 4 channels beat 4 tenants on 1 channel",
-               elapsed[4][4] < elapsed[4][1]);
-  all &= check("adding tenants on 1 channel costs elapsed time (real contention)",
-               elapsed[4][1] > elapsed[1][1]);
-  return all;
+  CheckClaim("4 tenants on 4 channels beat 4 tenants on 1 channel",
+             elapsed[4][4] < elapsed[4][1]);
+  CheckClaim("adding tenants on 1 channel costs elapsed time (real contention)",
+             elapsed[4][1] > elapsed[1][1]);
+  return true;
 }
 
 // One aggressor floods the single shared channel with sequential overwrites
@@ -659,16 +644,11 @@ bool QosIsolation() {
   }
   t.Print();
   PrintTenantStats("weighted share", by_policy[1].stats, by_policy[1].sector_size);
-  auto check = [](const char* claim, bool ok) {
-    std::printf("  [%s] %s\n", ok ? "PASS" : "FAIL", claim);
-    return ok;
-  };
-  bool all = true;
-  all &= check("weighted share cuts victim p99 vs FIFO-no-QoS",
-               by_policy[1].victim_p99_ms < by_policy[0].victim_p99_ms);
-  all &= check("deadline dispatch also cuts victim p99 vs FIFO-no-QoS",
-               by_policy[2].victim_p99_ms < by_policy[0].victim_p99_ms);
-  return all;
+  CheckClaim("weighted share cuts victim p99 vs FIFO-no-QoS",
+             by_policy[1].victim_p99_ms < by_policy[0].victim_p99_ms);
+  CheckClaim("deadline dispatch also cuts victim p99 vs FIFO-no-QoS",
+             by_policy[2].victim_p99_ms < by_policy[0].victim_p99_ms);
+  return true;
 }
 
 // --- Verdict ---------------------------------------------------------------
@@ -719,7 +699,7 @@ int Run() {
   if (!QosIsolation()) {
     return 1;
   }
-  return 0;
+  return ClaimsExitCode();
 }
 
 }  // namespace

@@ -80,18 +80,15 @@ int Run() {
               TextTable::Percent(reduction512).c_str());
 
   std::printf("\nChecks (PASS/FAIL):\n");
-  auto check = [](const char* claim, bool ok) {
-    std::printf("  [%s] %s\n", ok ? "PASS" : "FAIL", claim);
-  };
-  check("512 KB NVRAM eliminates partial segment writes",
-        points[2].partial_segments == 0 && points[0].partial_segments > 100);
-  check("disk accesses reduced dramatically on the heavy-sync workload (> 50%)",
-        reduction512 > 0.5);
-  check("NVRAM improves flush-heavy throughput", points[2].kbps > 1.5 * points[0].kbps);
-  check("smaller NVRAM gives intermediate benefit",
-        points[1].partial_segments <= points[0].partial_segments &&
-            points[1].disk_writes <= points[0].disk_writes);
-  return 0;
+  CheckClaim("512 KB NVRAM eliminates partial segment writes",
+             points[2].partial_segments == 0 && points[0].partial_segments > 100);
+  CheckClaim("disk accesses reduced dramatically on the heavy-sync workload (> 50%)",
+             reduction512 > 0.5);
+  CheckClaim("NVRAM improves flush-heavy throughput", points[2].kbps > 1.5 * points[0].kbps);
+  CheckClaim("smaller NVRAM gives intermediate benefit",
+             points[1].partial_segments <= points[0].partial_segments &&
+                 points[1].disk_writes <= points[0].disk_writes);
+  return ClaimsExitCode();
 }
 
 }  // namespace

@@ -89,24 +89,21 @@ int Run() {
   a.Print();
 
   std::printf("\nChecks (PASS/FAIL):\n");
-  auto check = [](const char* claim, bool ok) {
-    std::printf("  [%s] %s\n", ok ? "PASS" : "FAIL", claim);
-  };
   auto p1 = RunOne(1, 0.75);
   auto pn = RunOne(100000, 0.75);
   if (!p1.ok() || !pn.ok()) {
     return 1;
   }
-  check("frequent Flushes are costly (paper: 'at high rates Flush calls will be costly')",
-        p1->kbps < 0.5 * pn->kbps);
-  check("rare Flushes approach full write bandwidth", pn->kbps > 1800);
-  check("partial-segment count falls as the Flush interval grows",
-        p1->partial_segments > partial->partial_segments);
-  check("threshold strategy wastes fewer final segments than always-full",
-        partial->full_segments < always_full->full_segments);
-  check("scratch recycling keeps cleaning at always-full levels or below",
-        partial->segments_cleaned <= always_full->segments_cleaned + 2);
-  return 0;
+  CheckClaim("frequent Flushes are costly (paper: 'at high rates Flush calls will be costly')",
+             p1->kbps < 0.5 * pn->kbps);
+  CheckClaim("rare Flushes approach full write bandwidth", pn->kbps > 1800);
+  CheckClaim("partial-segment count falls as the Flush interval grows",
+             p1->partial_segments > partial->partial_segments);
+  CheckClaim("threshold strategy wastes fewer final segments than always-full",
+             partial->full_segments < always_full->full_segments);
+  CheckClaim("scratch recycling keeps cleaning at always-full levels or below",
+             partial->segments_cleaned <= always_full->segments_cleaned + 2);
+  return ClaimsExitCode();
 }
 
 }  // namespace

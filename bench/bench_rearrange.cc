@@ -99,14 +99,11 @@ int Run() {
       "hot-set seeks collapse once the blocks are co-located — is what LD's logical\n"
       "block numbers make possible without the client noticing.\n");
   std::printf("\nChecks (PASS/FAIL):\n");
-  auto check = [](const char* claim, bool ok) {
-    std::printf("  [%s] %s\n", ok ? "PASS" : "FAIL", claim);
-  };
-  check("seek time substantially reduced (> 35%)",
-        after.seek_ms_per_read < 0.65 * before.seek_ms_per_read);
-  check("response time reduced (> 10%)", after.ms_per_read < 0.9 * before.ms_per_read);
-  check("the move is invisible to the client (same Bids still readable)", true);
-  return 0;
+  CheckClaim("seek time substantially reduced (> 35%)",
+             after.seek_ms_per_read < 0.65 * before.seek_ms_per_read);
+  CheckClaim("response time reduced (> 10%)", after.ms_per_read < 0.9 * before.ms_per_read);
+  CheckClaim("the move is invisible to the client (same Bids still readable)", true);
+  return ClaimsExitCode();
 }
 
 }  // namespace

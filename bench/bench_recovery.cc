@@ -179,31 +179,28 @@ int Run() {
   const CurvePoint& last = curve.back();
 
   std::printf("\nChecks (PASS/FAIL):\n");
-  auto check = [](const char* claim, bool ok) {
-    std::printf("  [%s] %s\n", ok ? "PASS" : "FAIL", claim);
-  };
-  check("one-sweep recovery within 2x of the paper's 12 s (6..24 s)",
-        crash_report.seconds > 6 && crash_report.seconds < 24);
-  check("summary count within 20% of the paper's 788 (400-MB partition, 0.5-MB segments)",
-        crash_report.summaries_scanned > 630 && crash_report.summaries_scanned < 950);
-  check("LLD recovery at least 10x faster than a Loge-style whole-disk scan (full disk)",
-        loge_full_disk_seconds > 10 * crash_report.seconds);
-  check("checkpoint restart at least 10x faster than log recovery",
-        checkpoint_report.seconds * 10 < crash_report.seconds);
-  check("checkpoint restart really used the checkpoint", checkpoint_report.used_checkpoint);
-  check("checkpoint-off full sweep grows linearly with the log (8x log -> >4x time)",
-        last.off.seconds > 4.0 * first.off.seconds);
-  check("incremental checkpoints bound recovery (on-curve slope < 30% of off-curve slope)",
-        last.on.seconds - first.on.seconds <
-            0.3 * (last.off.seconds - first.off.seconds));
-  check("incremental chain actually used at the largest point",
-        last.on.used_checkpoint && last.on.mode == RecoveryMode::kCheckpointChain);
+  CheckClaim("one-sweep recovery within 2x of the paper's 12 s (6..24 s)",
+             crash_report.seconds > 6 && crash_report.seconds < 24);
+  CheckClaim("summary count within 20% of the paper's 788 (400-MB partition, 0.5-MB segments)",
+             crash_report.summaries_scanned > 630 && crash_report.summaries_scanned < 950);
+  CheckClaim("LLD recovery at least 10x faster than a Loge-style whole-disk scan (full disk)",
+             loge_full_disk_seconds > 10 * crash_report.seconds);
+  CheckClaim("checkpoint restart at least 10x faster than log recovery",
+             checkpoint_report.seconds * 10 < crash_report.seconds);
+  CheckClaim("checkpoint restart really used the checkpoint", checkpoint_report.used_checkpoint);
+  CheckClaim("checkpoint-off full sweep grows linearly with the log (8x log -> >4x time)",
+             last.off.seconds > 4.0 * first.off.seconds);
+  CheckClaim("incremental checkpoints bound recovery (on-curve slope < 30% of off-curve slope)",
+             last.on.seconds - first.on.seconds <
+                 0.3 * (last.off.seconds - first.off.seconds));
+  CheckClaim("incremental chain actually used at the largest point",
+             last.on.used_checkpoint && last.on.mode == RecoveryMode::kCheckpointChain);
   bool on_always_faster = true;
   for (const CurvePoint& p : curve) {
     on_always_faster = on_always_faster && p.on.seconds < p.off.seconds;
   }
-  check("bounded recovery beats the full sweep at every point", on_always_faster);
-  return 0;
+  CheckClaim("bounded recovery beats the full sweep at every point", on_always_faster);
+  return ClaimsExitCode();
 }
 
 }  // namespace

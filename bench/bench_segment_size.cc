@@ -56,19 +56,16 @@ int Run() {
   t.Print();
 
   std::printf("\nChecks (PASS/FAIL):\n");
-  auto check = [](const char* claim, bool ok) {
-    std::printf("  [%s] %s\n", ok ? "PASS" : "FAIL", claim);
-  };
-  check("256 KB within a few percent of 512 KB (>= 92%)",
-        points[2].write_kbps >= 0.92 * best);
-  check("128 KB close to 512 KB (>= 85%)", points[1].write_kbps >= 0.85 * best);
-  check("64 KB segments lose substantial write performance (<= 85%, paper: -23%)",
-        points[0].write_kbps <= 0.85 * best);
-  check("write performance increases monotonically with segment size",
-        points[0].write_kbps <= points[1].write_kbps &&
-            points[1].write_kbps <= points[2].write_kbps &&
-            points[2].write_kbps <= points[3].write_kbps);
-  return 0;
+  CheckClaim("256 KB within a few percent of 512 KB (>= 92%)",
+             points[2].write_kbps >= 0.92 * best);
+  CheckClaim("128 KB close to 512 KB (>= 85%)", points[1].write_kbps >= 0.85 * best);
+  CheckClaim("64 KB segments lose substantial write performance (<= 85%, paper: -23%)",
+             points[0].write_kbps <= 0.85 * best);
+  CheckClaim("write performance increases monotonically with segment size",
+             points[0].write_kbps <= points[1].write_kbps &&
+                 points[1].write_kbps <= points[2].write_kbps &&
+                 points[2].write_kbps <= points[3].write_kbps);
+  return ClaimsExitCode();
 }
 
 }  // namespace

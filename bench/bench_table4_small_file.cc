@@ -78,29 +78,26 @@ int Run() {
   const Row& minix = rows[1];
   const Row& sunos = rows[2];
   std::printf("\nPaper's qualitative claims (PASS/FAIL):\n");
-  auto check = [](const char* claim, bool ok) {
-    std::printf("  [%s] %s\n", ok ? "PASS" : "FAIL", claim);
-  };
-  check("MINIX LLD creates faster than MINIX (1-KB files)",
-        lld.small.create_per_sec > minix.small.create_per_sec);
-  check("MINIX LLD creates faster than MINIX (10-KB files)",
-        lld.medium.create_per_sec > minix.medium.create_per_sec);
-  check("read speed similar for MINIX LLD and MINIX (within 2x)",
-        lld.small.read_per_sec < 2 * minix.small.read_per_sec &&
-            minix.small.read_per_sec < 2 * lld.small.read_per_sec);
-  check("delete similar for MINIX LLD and MINIX (within 2x)",
-        lld.small.delete_per_sec < 2 * minix.small.delete_per_sec &&
-            minix.small.delete_per_sec < 2 * lld.small.delete_per_sec);
-  check("SunOS creates slower than both (synchronous metadata)",
-        sunos.small.create_per_sec < lld.small.create_per_sec &&
-            sunos.small.create_per_sec < minix.small.create_per_sec);
-  check("SunOS deletes slower than both",
-        sunos.small.delete_per_sec < lld.small.delete_per_sec &&
-            sunos.small.delete_per_sec < minix.small.delete_per_sec);
-  check("SunOS reads slower than both (unsuccessful read-ahead)",
-        sunos.small.read_per_sec < lld.small.read_per_sec &&
-            sunos.small.read_per_sec < minix.small.read_per_sec);
-  return 0;
+  CheckClaim("MINIX LLD creates faster than MINIX (1-KB files)",
+             lld.small.create_per_sec > minix.small.create_per_sec);
+  CheckClaim("MINIX LLD creates faster than MINIX (10-KB files)",
+             lld.medium.create_per_sec > minix.medium.create_per_sec);
+  CheckClaim("read speed similar for MINIX LLD and MINIX (within 2x)",
+             lld.small.read_per_sec < 2 * minix.small.read_per_sec &&
+                 minix.small.read_per_sec < 2 * lld.small.read_per_sec);
+  CheckClaim("delete similar for MINIX LLD and MINIX (within 2x)",
+             lld.small.delete_per_sec < 2 * minix.small.delete_per_sec &&
+                 minix.small.delete_per_sec < 2 * lld.small.delete_per_sec);
+  CheckClaim("SunOS creates slower than both (synchronous metadata)",
+             sunos.small.create_per_sec < lld.small.create_per_sec &&
+                 sunos.small.create_per_sec < minix.small.create_per_sec);
+  CheckClaim("SunOS deletes slower than both",
+             sunos.small.delete_per_sec < lld.small.delete_per_sec &&
+                 sunos.small.delete_per_sec < minix.small.delete_per_sec);
+  CheckClaim("SunOS reads slower than both (unsuccessful read-ahead)",
+             sunos.small.read_per_sec < lld.small.read_per_sec &&
+                 sunos.small.read_per_sec < minix.small.read_per_sec);
+  return ClaimsExitCode();
 }
 
 }  // namespace

@@ -63,27 +63,24 @@ int Run() {
   const LargeFileResult& minix = rows[1].r;
   const LargeFileResult& sunos = rows[2].r;
   std::printf("\nPaper anchors and claims (PASS/FAIL):\n");
-  auto check = [](const char* claim, bool ok) {
-    std::printf("  [%s] %s\n", ok ? "PASS" : "FAIL", claim);
-  };
-  check("MINIX LLD seq write ~85% of raw bandwidth (1900..2400 KB/s)",
-        lld.write_seq_kbps > 1900 && lld.write_seq_kbps < 2450);
-  check("MINIX seq write ~13% of raw bandwidth (250..420 KB/s)",
-        minix.write_seq_kbps > 250 && minix.write_seq_kbps < 420);
-  check("MINIX LLD random writes ~= its sequential writes (log-structured)",
-        lld.write_rand_kbps > 0.8 * lld.write_seq_kbps);
-  check("MINIX random writes remain slow (update-in-place)",
-        minix.write_rand_kbps < 0.3 * lld.write_rand_kbps);
-  check("MINIX seq read >= MINIX LLD seq read (prefetching)",
-        minix.read_seq_kbps >= 0.95 * lld.read_seq_kbps);
-  check("MINIX LLD random read > MINIX random read (failed read-ahead)",
-        lld.read_rand_kbps > minix.read_rand_kbps);
-  check("MINIX re-read after random writes > MINIX LLD re-read",
-        minix.reread_seq_kbps > lld.reread_seq_kbps);
-  check("SunOS seq write near bandwidth (> 1800 KB/s)", sunos.write_seq_kbps > 1800);
-  check("SunOS random write < MINIX LLD random write",
-        sunos.write_rand_kbps < lld.write_rand_kbps);
-  return 0;
+  CheckClaim("MINIX LLD seq write ~85% of raw bandwidth (1900..2400 KB/s)",
+             lld.write_seq_kbps > 1900 && lld.write_seq_kbps < 2450);
+  CheckClaim("MINIX seq write ~13% of raw bandwidth (250..420 KB/s)",
+             minix.write_seq_kbps > 250 && minix.write_seq_kbps < 420);
+  CheckClaim("MINIX LLD random writes ~= its sequential writes (log-structured)",
+             lld.write_rand_kbps > 0.8 * lld.write_seq_kbps);
+  CheckClaim("MINIX random writes remain slow (update-in-place)",
+             minix.write_rand_kbps < 0.3 * lld.write_rand_kbps);
+  CheckClaim("MINIX seq read >= MINIX LLD seq read (prefetching)",
+             minix.read_seq_kbps >= 0.95 * lld.read_seq_kbps);
+  CheckClaim("MINIX LLD random read > MINIX random read (failed read-ahead)",
+             lld.read_rand_kbps > minix.read_rand_kbps);
+  CheckClaim("MINIX re-read after random writes > MINIX LLD re-read",
+             minix.reread_seq_kbps > lld.reread_seq_kbps);
+  CheckClaim("SunOS seq write near bandwidth (> 1800 KB/s)", sunos.write_seq_kbps > 1800);
+  CheckClaim("SunOS random write < MINIX LLD random write",
+             sunos.write_rand_kbps < lld.write_rand_kbps);
+  return ClaimsExitCode();
 }
 
 }  // namespace

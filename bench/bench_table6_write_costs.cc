@@ -107,18 +107,15 @@ int Run() {
       "durable every time. The cascading-update comparison is unaffected: the\n"
       "measured costs contain no i-node-map or indirect-block rewrites.\n");
   std::printf("\nChecks (PASS/FAIL):\n");
-  auto check = [](const char* claim, bool ok) {
-    std::printf("  [%s] %s\n", ok ? "PASS" : "FAIL", claim);
-  };
-  check("create cost ~ dir block + i-node bitmap + i-nodes, in [1.9, 2.5]",
-        create_cost >= 1.9 && create_cost <= 2.5);
-  check("delete cost in [1.9, 2.5]", delete_cost >= 1.9 && delete_cost <= 2.5);
-  check("overwrite cost ~1+e (no i-node map, no indirect-block cascade)",
-        overwrite_cost >= 0.99 && overwrite_cost <= 1.3);
-  check("append cost in [1+e, 2+e] (indirect block only when extended)",
-        append_cost >= 0.99 && append_cost <= 2.3);
-  check("no cleaning interfered", lld->counters().segments_cleaned == 0);
-  return 0;
+  CheckClaim("create cost ~ dir block + i-node bitmap + i-nodes, in [1.9, 2.5]",
+             create_cost >= 1.9 && create_cost <= 2.5);
+  CheckClaim("delete cost in [1.9, 2.5]", delete_cost >= 1.9 && delete_cost <= 2.5);
+  CheckClaim("overwrite cost ~1+e (no i-node map, no indirect-block cascade)",
+             overwrite_cost >= 0.99 && overwrite_cost <= 1.3);
+  CheckClaim("append cost in [1+e, 2+e] (indirect block only when extended)",
+             append_cost >= 0.99 && append_cost <= 2.3);
+  CheckClaim("no cleaning interfered", lld->counters().segments_cleaned == 0);
+  return ClaimsExitCode();
 }
 
 }  // namespace

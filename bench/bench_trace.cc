@@ -48,17 +48,14 @@ int Run() {
   t.Print();
 
   std::printf("\nChecks (PASS/FAIL):\n");
-  auto check = [](const char* claim, bool ok) {
-    std::printf("  [%s] %s\n", ok ? "PASS" : "FAIL", claim);
-  };
-  check("MINIX LLD leads on the mixed workload (writes dominate the disk traffic)",
-        rows[0].result.ops_per_second > rows[1].result.ops_per_second &&
-            rows[0].result.ops_per_second > rows[2].result.ops_per_second);
-  check("identical logical work across systems",
-        rows[0].result.bytes_written == rows[1].result.bytes_written &&
-            rows[0].result.bytes_read == rows[1].result.bytes_read &&
-            rows[1].result.bytes_written == rows[2].result.bytes_written);
-  return 0;
+  CheckClaim("MINIX LLD leads on the mixed workload (writes dominate the disk traffic)",
+             rows[0].result.ops_per_second > rows[1].result.ops_per_second &&
+                 rows[0].result.ops_per_second > rows[2].result.ops_per_second);
+  CheckClaim("identical logical work across systems",
+             rows[0].result.bytes_written == rows[1].result.bytes_written &&
+                 rows[0].result.bytes_read == rows[1].result.bytes_read &&
+                 rows[1].result.bytes_written == rows[2].result.bytes_written);
+  return ClaimsExitCode();
 }
 
 }  // namespace

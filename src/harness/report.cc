@@ -13,6 +13,17 @@ void PrintBanner(const std::string& experiment_id, const std::string& descriptio
   std::printf("================================================================\n");
 }
 
+namespace {
+bool g_claim_failed = false;
+}  // namespace
+
+void CheckClaim(const char* claim, bool ok) {
+  std::printf("  [%s] %s\n", ok ? "PASS" : "FAIL", claim);
+  g_claim_failed |= !ok;
+}
+
+int ClaimsExitCode() { return g_claim_failed ? 1 : 0; }
+
 void PrintDiskQueueStats(const std::string& label, const DiskStats& stats) {
   const double mean_wait =
       stats.queued_requests == 0 ? 0.0 : stats.queue_wait_ms / static_cast<double>(stats.queued_requests);

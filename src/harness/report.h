@@ -16,6 +16,14 @@ namespace ld {
 // Prints the standard bench banner.
 void PrintBanner(const std::string& experiment_id, const std::string& description);
 
+// Prints one claim check, "  [PASS] <claim>" or "  [FAIL] <claim>", and
+// remembers a failure for ClaimsExitCode.
+void CheckClaim(const char* claim, bool ok);
+
+// A bench's exit status: 1 once any CheckClaim in this process has failed,
+// otherwise 0.
+int ClaimsExitCode();
+
 // Formats "measured (paper: X, ratio R)" comparison text; paper <= 0 means
 // the paper's table did not survive into the available text, so only the
 // measured value is shown.

@@ -46,10 +46,8 @@ struct BlockMapEntry {
 
   // 24-bit payload checksum (PayloadCrc of the stored bytes), mirrored from
   // the block's summary record so reads can verify without touching the
-  // summary. Entries written before the checksum format extension have
-  // has_payload_crc == false.
+  // summary. Every on-disk copy has one, and every read of it verifies.
   uint32_t payload_crc = 0;
-  bool has_payload_crc = false;
 
   // Record authority: which segment's summary holds the *latest* on-disk
   // link tuple / allocation record for this block. Only that segment's

@@ -68,11 +68,37 @@ uint64_t LogStructuredDisk::SegmentBaseByte(uint32_t segment) const {
 
 namespace {
 constexpr uint32_t kSuperMagic = 0x4c445342;  // "LDSB"
-// Version 2 adds per-block payload CRCs to the summary stream. The records
-// self-describe (a flag bit), so v1 volumes open fine — their blocks simply
-// aren't verifiable until rewritten.
+// Version 2 is the payload-checksum format: every block entry in the
+// summary stream carries a CRC of its stored bytes, and every on-disk read
+// verifies against it. A version-1 volume may hold pre-checksum entries, so
+// Open refuses it as CORRUPTION; nothing writes a version-1 superblock.
 constexpr uint32_t kSuperVersion = 2;
-constexpr uint32_t kSuperMinVersion = 1;
+
+// Magic, version, block/segment/summary sizes and segment count (u32 each),
+// then data start, checkpoint start and checkpoint size (u64 each); the
+// CRC-32 of these bytes follows them.
+constexpr size_t kSuperFieldBytes = 6 * 4 + 3 * 8;
+
+// One superblock copy is valid with the magic, the current version, and a
+// matching CRC over every field.
+Status CheckSuperblock(std::span<const uint8_t> sector) {
+  Decoder dec(sector);
+  const uint32_t magic = dec.GetU32();
+  const uint32_t version = dec.GetU32();
+  if (!dec.ok() || magic != kSuperMagic) {
+    return CorruptionError("device is not an LLD volume");
+  }
+  if (version != kSuperVersion) {
+    return CorruptionError("unsupported superblock version " + std::to_string(version));
+  }
+  dec.Skip(kSuperFieldBytes - dec.position());
+  const uint32_t stored_crc = dec.GetU32();
+  RETURN_IF_ERROR(dec.ToStatus("superblock"));
+  if (stored_crc != Crc32(sector.subspan(0, kSuperFieldBytes))) {
+    return CorruptionError("superblock crc mismatch");
+  }
+  return OkStatus();
+}
 }  // namespace
 
 Status LogStructuredDisk::WriteSuperblock() {
@@ -102,61 +128,36 @@ uint64_t LogStructuredDisk::SuperblockReplicaSector() const {
 
 Status LogStructuredDisk::ReadAndCheckSuperblock() {
   std::vector<uint8_t> sector(device_->sector_size());
+  const auto read_valid = [&](uint64_t at) -> Status {
+    RETURN_IF_ERROR(io_.Read(at, sector));
+    return CheckSuperblock(sector);
+  };
   // Primary first; if it is unreadable or fails validation, fall back to the
   // replica in the device's last sector. A blank-spare swap of channel 0
   // zeroes the primary, so the fallback is what keeps the volume openable.
-  Status primary = io_.Read(0, sector);
-  bool from_replica = false;
-  if (primary.ok()) {
-    Decoder probe(sector);
-    const uint32_t magic = probe.GetU32();
-    const uint32_t version = probe.GetU32();
-    if (!probe.ok() || magic != kSuperMagic || version < kSuperMinVersion ||
-        version > kSuperVersion) {
-      primary = CorruptionError("primary superblock invalid");
+  const Status primary = read_valid(0);
+  const bool from_replica = !primary.ok();
+  if (from_replica) {
+    if (!read_valid(SuperblockReplicaSector()).ok()) {
+      return primary;  // Both copies bad: report the primary's failure.
     }
-  }
-  if (!primary.ok()) {
-    Status replica = io_.Read(SuperblockReplicaSector(), sector);
-    if (!replica.ok()) {
-      return primary;  // Both copies gone: report the primary's failure.
-    }
-    from_replica = true;
-    LD_LOG(kWarn) << "superblock: primary unreadable (" << primary.ToString()
+    LD_LOG(kWarn) << "superblock: primary unusable (" << primary.ToString()
                   << "), using replica";
-  }
-  Decoder dec(sector);
-  const uint32_t magic = dec.GetU32();
-  const uint32_t version = dec.GetU32();
-  if (!dec.ok() || magic != kSuperMagic || version < kSuperMinVersion ||
-      version > kSuperVersion) {
-    return CorruptionError("device is not an LLD volume");
-  }
-  const uint32_t block_size = dec.GetU32();
-  const uint32_t segment_bytes = dec.GetU32();
-  const uint32_t summary_bytes = dec.GetU32();
-  const uint32_t num_segments = dec.GetU32();
-  const uint64_t data_start = dec.GetU64();
-  const uint64_t cp_start = dec.GetU64();
-  const uint64_t cp_bytes = dec.GetU64();
-  const size_t body_end = dec.position();
-  const uint32_t stored_crc = dec.GetU32();
-  RETURN_IF_ERROR(dec.ToStatus("superblock"));
-  if (stored_crc != Crc32(std::span<const uint8_t>(sector).subspan(0, body_end))) {
-    return CorruptionError("superblock crc mismatch");
   }
 
   // The superblock is the source of truth for the layout; runtime knobs
   // (policies, compressor, threshold) come from the caller's options.
-  options_.block_size = block_size;
-  options_.segment_bytes = segment_bytes;
-  options_.summary_bytes = summary_bytes;
-  data_capacity_ = segment_bytes - summary_bytes;
-  data_start_byte_ = data_start;
-  checkpoint_start_byte_ = cp_start;
-  checkpoint_bytes_ = cp_bytes;
-  usage_ = std::make_unique<UsageTable>(num_segments);
-  open_buffer_.assign(segment_bytes, 0);
+  Decoder dec(sector);
+  dec.Skip(8);  // Magic and version, checked above.
+  options_.block_size = dec.GetU32();
+  options_.segment_bytes = dec.GetU32();
+  options_.summary_bytes = dec.GetU32();
+  usage_ = std::make_unique<UsageTable>(dec.GetU32());
+  data_start_byte_ = dec.GetU64();
+  checkpoint_start_byte_ = dec.GetU64();
+  checkpoint_bytes_ = dec.GetU64();
+  data_capacity_ = options_.segment_bytes - options_.summary_bytes;
+  open_buffer_.assign(options_.segment_bytes, 0);
   if (from_replica) {
     // Heal the primary best-effort: if channel 0 is a freshly swapped blank
     // spare this restores it; if the channel is still dead the write fails
@@ -255,7 +256,6 @@ Status LogStructuredDisk::AppendBlockData(Bid bid, std::span<const uint8_t> stor
   entry.compressed = compressed;
   entry.write_ts = ts;
   entry.payload_crc = payload_crc;
-  entry.has_payload_crc = true;
   counters_.stored_bytes_written += stored.size();
   return OkStatus();
 }
@@ -831,8 +831,7 @@ Status LogStructuredDisk::ReconstructExtent(uint32_t segment, uint32_t offset,
 
 Status LogStructuredDisk::TryReconstructStored(Bid bid, const BlockMapEntry& entry,
                                                std::span<uint8_t> out, const Status& damage) {
-  if (!entry.phys.IsOnDisk() || !entry.has_payload_crc ||
-      !usage_->segment(entry.phys.segment).parity.has) {
+  if (!entry.phys.IsOnDisk() || !usage_->segment(entry.phys.segment).parity.has) {
     return damage;
   }
   if (Status s = ReconstructExtent(entry.phys.segment, entry.phys.offset, out); !s.ok()) {
@@ -941,9 +940,6 @@ Status LogStructuredDisk::Read(Bid bid, std::span<uint8_t> out) {
   // appended, so silent media corruption surfaces as a typed error instead
   // of wrong data. Open-segment copies live in memory and are not checked.
   auto verify_payload = [&](std::span<const uint8_t> stored_bytes) -> Status {
-    if (!entry->has_payload_crc) {
-      return OkStatus();
-    }
     if (PayloadCrc(stored_bytes) != entry->payload_crc) {
       counters_.read_crc_failures++;
       return CorruptionError("block " + std::to_string(bid) + " payload crc mismatch");
@@ -1048,8 +1044,7 @@ StatusOr<IoTag> LogStructuredDisk::SubmitRead(Bid bid, std::span<uint8_t> out) {
   // only the transfer's timing is still in flight, so the scratch buffer can
   // be drained — and the payload verified — before the tag completes.
   std::memcpy(out.data(), io_scratch_.data() + (start_byte - first_sector * sector), out.size());
-  if (entry->has_payload_crc &&
-      PayloadCrc(std::span<const uint8_t>(out.data(), out.size())) != entry->payload_crc) {
+  if (PayloadCrc(std::span<const uint8_t>(out.data(), out.size())) != entry->payload_crc) {
     // Silent corruption: charge the wasted transfer, then take the repair
     // path (which re-counts the CRC failure and the read itself).
     RETURN_IF_ERROR(device_->WaitFor(tag.value()));

@@ -628,7 +628,13 @@ class LogStructuredDisk : public LogicalDisk {
     // copy stay detectably corrupt instead of being laundered into a fresh
     // valid checksum.
     uint32_t payload_crc = 0;
-    bool has_payload_crc = false;
+
+    // The current copy `e` maps for `bid`, its buffer sized for the stored
+    // bytes, which the caller reads in.
+    static CleanedBlock FromEntry(Bid bid, const BlockMapEntry& e) {
+      return {bid, std::vector<uint8_t>(e.stored_size), e.size_class, e.compressed,
+              /*aru_id=*/0, e.payload_crc};
+    }
   };
   // Live state harvested from one or more victim segments: current copies of
   // data blocks plus metadata records that must survive the segment's reuse

@@ -121,7 +121,6 @@ Status LogStructuredDisk::HarvestVictim(uint32_t victim, CleanerBatch* batch,
       // Checksums travel verbatim with the bytes: recomputing one here would
       // launder any corruption picked up since the block was written.
       b.payload_crc = r->block.payload_crc;
-      b.has_payload_crc = r->block.has_payload_crc;
       b.stored.resize(r->block.stored_size);
       counters_.cleaner_bytes_copied += b.stored.size();
       pending->slices.push_back({batch->blocks.size(), r->block.offset});
@@ -412,7 +411,6 @@ Status LogStructuredDisk::WriteCleanerBatch(CleanerBatch batch) {
       e.phys = PhysAddr{static_cast<uint32_t>(target), r.block.offset};
       e.write_ts = r.ts;
       e.payload_crc = r.block.payload_crc;
-      e.has_payload_crc = r.block.has_payload_crc;
       usage_->AddLiveAged(static_cast<uint32_t>(target), r.block.stored_size, r.ts, age);
     }
     records.clear();
@@ -473,11 +471,6 @@ Status LogStructuredDisk::WriteCleanerBatch(CleanerBatch batch) {
     SummaryRecord entry =
         SummaryRecord::BlockEntry(NextTs(), b.bid, offset, static_cast<uint32_t>(b.stored.size()),
                                   b.orig_size, b.compressed, b.payload_crc);
-    if (!b.has_payload_crc) {
-      // A block from before the checksum extension keeps the legacy layout.
-      entry.block.has_payload_crc = false;
-      entry.block.lid = block_map_.entry(b.bid).list;
-    }
     entry.aru_id = b.aru_id;
     records.push_back(entry);
     record_bytes += entry_size;
@@ -697,13 +690,7 @@ StatusOr<uint32_t> LogStructuredDisk::RearrangeHotBlocks(uint32_t max_blocks) {
   CleanerBatch batch;
   for (const auto& [count, bid] : ranked) {
     const BlockMapEntry& e = block_map_.entry(bid);
-    CleanedBlock b;
-    b.bid = bid;
-    b.orig_size = e.size_class;
-    b.compressed = e.compressed;
-    b.payload_crc = e.payload_crc;
-    b.has_payload_crc = e.has_payload_crc;
-    b.stored.resize(e.stored_size);
+    CleanedBlock b = CleanedBlock::FromEntry(bid, e);
     RETURN_IF_ERROR(ReadStored(e, b.stored));
     batch.blocks.push_back(std::move(b));
   }
@@ -738,13 +725,7 @@ StatusOr<uint32_t> LogStructuredDisk::ReorganizeLists(uint32_t max_segments) {
       if (!e.phys.IsOnDisk()) {
         continue;
       }
-      CleanedBlock b;
-      b.bid = bid;
-      b.orig_size = e.size_class;
-      b.compressed = e.compressed;
-      b.payload_crc = e.payload_crc;
-      b.has_payload_crc = e.has_payload_crc;
-      b.stored.resize(e.stored_size);
+      CleanedBlock b = CleanedBlock::FromEntry(bid, e);
       RETURN_IF_ERROR(ReadStored(e, b.stored));
       bytes += e.stored_size;
       batch.blocks.push_back(std::move(b));

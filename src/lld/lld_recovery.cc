@@ -299,7 +299,9 @@ void LogStructuredDisk::EncodeBasePayload(std::vector<uint8_t>* payload) const {
     enc.PutU32(e.link_seg);
     enc.PutU32(e.alloc_seg);
     enc.PutU32(e.payload_crc);
-    enc.PutU8(e.has_payload_crc ? 1 : 0);
+    // A retired per-entry byte, kept so the frame layout does not change:
+    // 1 when the block has an on-disk copy. Decode skips it.
+    enc.PutU8(e.phys.IsNone() ? 0 : 1);
   }
 
   // List table.
@@ -381,7 +383,7 @@ Status LogStructuredDisk::DecodeBasePayload(std::span<const uint8_t> payload) {
     e.link_seg = dec.GetU32();
     e.alloc_seg = dec.GetU32();
     e.payload_crc = dec.GetU32();
-    e.has_payload_crc = dec.GetU8() != 0;
+    dec.Skip(1);  // The retired per-entry byte.
   }
 
   list_table_.Clear();
@@ -1455,18 +1457,12 @@ void LogStructuredDisk::ReplayLog(RecoveryScan* scan) {
         }
         case SummaryRecordType::kBlockEntry: {
           BlockMapEntry& e = block_map_.EnsureAllocated(r.block.bid);
-          if (!r.block.has_payload_crc) {
-            // The legacy layout names the list; otherwise it comes from
-            // the block's kBlockAlloc record.
-            e.list = r.block.lid;
-          }
           e.size_class = r.block.size_class;
           e.phys = PhysAddr{seg.segment, r.block.offset};
           e.stored_size = r.block.stored_size;
           e.compressed = r.block.compressed;
           e.write_ts = r.ts;
           e.payload_crc = r.block.payload_crc;
-          e.has_payload_crc = r.block.has_payload_crc;
           break;
         }
         case SummaryRecordType::kLinkTuple: {

@@ -201,13 +201,7 @@ StatusOr<ScrubReport> LogStructuredDisk::ScrubStep(uint32_t max_segments) {
     report.blocks_scanned++;
     const bool on_suspect = suspects.count(e.phys.segment) != 0;
 
-    CleanedBlock b;
-    b.bid = bid;
-    b.orig_size = e.size_class;
-    b.compressed = e.compressed;
-    b.payload_crc = e.payload_crc;
-    b.has_payload_crc = e.has_payload_crc;
-    b.stored.resize(e.stored_size);
+    CleanedBlock b = CleanedBlock::FromEntry(bid, e);
 
     bool damaged = false;
     bool unreadable = false;
@@ -219,7 +213,7 @@ StatusOr<ScrubReport> LogStructuredDisk::ScrubStep(uint32_t max_segments) {
       damaged = true;
       unreadable = true;
       damage = s;
-    } else if (e.has_payload_crc && PayloadCrc(b.stored) != e.payload_crc) {
+    } else if (PayloadCrc(b.stored) != e.payload_crc) {
       damaged = true;
       damage = CorruptionError("scrub: block payload crc mismatch");
     }
@@ -247,7 +241,6 @@ StatusOr<ScrubReport> LogStructuredDisk::ScrubStep(uint32_t max_segments) {
           // resurrecting garbage.
           std::fill(b.stored.begin(), b.stored.end(), 0);
           b.payload_crc = ~PayloadCrc(b.stored) & 0xffffffu;
-          b.has_payload_crc = true;
         }
       } else {
         // Carried verbatim (bytes and original CRC): relocation must never

@@ -456,7 +456,7 @@ StatusOr<uint32_t> LogStructuredDisk::FormStripes(uint32_t max_sets) {
 Status LogStructuredDisk::TryStripeReconstructStored(Bid bid, const BlockMapEntry& entry,
                                                      std::span<uint8_t> out,
                                                      const Status& damage) {
-  if (!entry.phys.IsOnDisk() || !entry.has_payload_crc) {
+  if (!entry.phys.IsOnDisk()) {
     return damage;
   }
   const auto mit = member_stripe_.find(entry.phys.segment);

@@ -16,9 +16,10 @@ constexpr uint8_t kFlagCompressed = 0x02;
 constexpr uint8_t kFlagCluster = 0x04;
 constexpr uint8_t kFlagCompressList = 0x08;
 constexpr uint8_t kFlagInterlist = 0x10;
-// Format extension: the record carries a 24-bit payload checksum in place of
-// the owning-list id (kBlockEntry only). Records written before the
-// extension have the bit clear and decode with has_payload_crc == false.
+// Set on every kBlockEntry: the entry carries a 24-bit payload checksum. A
+// clear bit marks the pre-checksum layout (the owning list in the CRC's
+// place), which no volume of the current superblock version holds, so it
+// decodes as CORRUPTION.
 constexpr uint8_t kFlagPayloadCrc = 0x20;
 
 // Every record starts with type, ts, flags and aru_id.
@@ -35,15 +36,10 @@ void ForEachField(Record& r, F&& f) {
   switch (r.type) {
     case SummaryRecordType::kBlockEntry:
       f(3, r.block.bid);
-      if (!r.block.has_payload_crc) {
-        f(3, r.block.lid);
-      }
       f(3, r.block.offset);
       f(2, r.block.stored_size);
       f(2, r.block.size_class);
-      if (r.block.has_payload_crc) {
-        f(3, r.block.payload_crc);
-      }
+      f(3, r.block.payload_crc);
       break;
     case SummaryRecordType::kLinkTuple:
       f(3, r.link.bid);
@@ -122,7 +118,7 @@ SummaryRecord SummaryRecord::BlockEntry(OpTimestamp ts, Bid bid, uint32_t offset
                                         bool compressed, uint32_t payload_crc) {
   SummaryRecord r = Make(SummaryRecordType::kBlockEntry, ts);
   r.block = {bid, offset, static_cast<uint16_t>(stored_size), static_cast<uint16_t>(size_class),
-             payload_crc, kNilLid, compressed, /*has_payload_crc=*/true};
+             payload_crc, compressed};
   return r;
 }
 
@@ -212,7 +208,7 @@ void SummaryRecord::EncodeTo(Encoder* enc) const {
   flags |= hints.cluster ? kFlagCluster : 0;
   flags |= hints.compress ? kFlagCompressList : 0;
   flags |= hints.interlist_cluster ? kFlagInterlist : 0;
-  flags |= (is_block && block.has_payload_crc) ? kFlagPayloadCrc : 0;
+  flags |= is_block ? kFlagPayloadCrc : 0;
   enc->PutU8(flags);
   enc->PutU24(aru_id);
   ForEachField(*this, [enc](int width, auto field) { enc->PutLe(field, width); });
@@ -228,8 +224,10 @@ StatusOr<SummaryRecord> SummaryRecord::DecodeFrom(Decoder* dec) {
     return CorruptionError("unknown summary record type " + std::to_string(type));
   }
   if (r.type == SummaryRecordType::kBlockEntry) {
+    if ((flags & kFlagPayloadCrc) == 0) {
+      return CorruptionError("pre-checksum block entry");
+    }
     r.block.compressed = (flags & kFlagCompressed) != 0;
-    r.block.has_payload_crc = (flags & kFlagPayloadCrc) != 0;
   } else if (CarriesHints(r.type)) {
     r.list.hints = ListHints{(flags & kFlagCluster) != 0, (flags & kFlagCompressList) != 0,
                              (flags & kFlagInterlist) != 0};

@@ -45,26 +45,22 @@ enum class SummaryRecordType : uint8_t {
 constexpr uint32_t kMaxBlockSize = 65535;
 constexpr uint32_t kMaxSegmentBytes = 1u << 24;
 
-// The 24-bit payload checksum stored in CRC-bearing block entries.
+// The 24-bit payload checksum every block entry stores.
 uint32_t PayloadCrc(std::span<const uint8_t> bytes);
 
 struct SummaryRecord {
-  // kBlockEntry. LLD writes the checksum layout: a 24-bit CRC of the stored
-  // bytes (the compressed form if compressed), which relocation carries
-  // verbatim so silent corruption is never laundered into a fresh valid
-  // checksum. Entries written before that format extension use the legacy
-  // layout, which stores the owning list instead; they decode with
-  // has_payload_crc == false and are simply not verifiable. Both layouts
-  // encode to the same size, so segment packing is unchanged.
+  // kBlockEntry. `payload_crc` is a 24-bit CRC of the stored bytes (the
+  // compressed form if compressed), which relocation carries verbatim so
+  // silent corruption is never laundered into a fresh valid checksum. This
+  // is the only block-entry layout: the pre-checksum one, which stored the
+  // owning list in the CRC's place, decodes as CORRUPTION.
   struct BlockEntryFields {
     Bid bid;
     uint32_t offset;       // Byte offset of the data within the segment.
     uint16_t stored_size;  // Bytes on disk.
     uint16_t size_class;   // Logical size.
-    uint32_t payload_crc;  // Checksum layout only.
-    Lid lid;               // Legacy layout only.
+    uint32_t payload_crc;
     bool compressed;
-    bool has_payload_crc;
   };
   struct BlockAllocFields {  // kBlockAlloc.
     Bid bid;
@@ -175,7 +171,7 @@ struct SummaryRecord {
   static StatusOr<SummaryRecord> DecodeFrom(Decoder* dec);
 
   // Serialized size in bytes of a record of `type` (records are
-  // variable-length by type; both block-entry layouts are the same size).
+  // variable-length by type).
   static size_t EncodedSize(SummaryRecordType type);
 };
 static_assert(sizeof(SummaryRecord) <= 40);

@@ -18,10 +18,6 @@ Status MinixBackend::WriteBlocks(uint32_t bno, uint32_t count, std::span<const u
   return OkStatus();
 }
 
-Status MinixBackend::PrefetchBlocks(uint32_t bno, uint32_t count, std::span<uint8_t> out) {
-  return ReadBlocks(bno, count, out);
-}
-
 StatusOr<uint64_t> MinixBackend::SubmitBlocks(uint32_t bno, uint32_t count,
                                               std::span<uint8_t> out) {
   RETURN_IF_ERROR(ReadBlocks(bno, count, out));

@@ -36,13 +36,6 @@ class MinixBackend {
   virtual Status ReadBlocks(uint32_t bno, uint32_t count, std::span<uint8_t> out);
   virtual Status WriteBlocks(uint32_t bno, uint32_t count, std::span<const uint8_t> data);
 
-  // Asynchronous read-ahead: fills `out` with `count` consecutive blocks
-  // starting at `bno`, but *queues* the device request instead of blocking
-  // on it — the simulated transfer overlaps whatever the caller does next.
-  // The default falls back to a synchronous ReadBlocks; only the classic
-  // backend (raw disk) routes this onto the device's request queue.
-  virtual Status PrefetchBlocks(uint32_t bno, uint32_t count, std::span<uint8_t> out);
-
   // Asynchronous block read: fills `out` with `count` consecutive block
   // numbers, queueing the device transfer(s), and returns an opaque token
   // for WaitBlocks. Data lands in `out` at submit time (the simulator's

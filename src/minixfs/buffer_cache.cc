@@ -244,30 +244,6 @@ StatusOr<std::shared_ptr<CacheBlock>> BufferCache::Wait(uint32_t bno) {
   return adopted;
 }
 
-void BufferCache::Insert(uint32_t bno, std::span<const uint8_t> data) {
-  if (blocks_.count(bno) != 0) {
-    // Never clobber the cached copy — it may be dirty, and the dirty bytes
-    // are newer than anything a read-ahead fill brings from the media.
-    return;
-  }
-  // An in-flight read of the block is superseded by the externally supplied
-  // data; its completion must not install the stale buffer.
-  if (!CancelPending(bno).ok()) {
-    return;
-  }
-  while (blocks_.size() >= capacity_) {
-    if (!EvictOne().ok()) {
-      return;  // Best-effort: read-ahead fills may be dropped.
-    }
-  }
-  auto block = std::make_shared<CacheBlock>();
-  block->bno = bno;
-  block->data.assign(data.begin(), data.end());
-  block->prefetched = true;
-  blocks_[bno] = block;
-  Touch(bno);
-}
-
 Status BufferCache::FlushAll() {
   std::vector<uint32_t> dirty;
   dirty.reserve(blocks_.size());

@@ -75,11 +75,6 @@ class BufferCache {
   // read, or falls back to Get(bno, /*load=*/true).
   StatusOr<std::shared_ptr<CacheBlock>> Wait(uint32_t bno);
 
-  // Inserts an externally read block (read-ahead fills). Ignored if present
-  // — in particular, a fill must never clobber a cached dirty copy. An
-  // in-flight read of the same block is superseded (cancelled).
-  void Insert(uint32_t bno, std::span<const uint8_t> data);
-
   bool Contains(uint32_t bno) const { return blocks_.count(bno) != 0; }
   bool Pending(uint32_t bno) const { return pending_.count(bno) != 0; }
 

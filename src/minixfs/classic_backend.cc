@@ -46,20 +46,6 @@ Status ClassicBackend::ReadBlocks(uint32_t bno, uint32_t count, std::span<uint8_
   return device_->Read(sector, out);
 }
 
-Status ClassicBackend::PrefetchBlocks(uint32_t bno, uint32_t count, std::span<uint8_t> out) {
-  if (bno + count > sb_.num_blocks) {
-    return InvalidArgumentError("block read past end of file system");
-  }
-  const uint64_t sector =
-      static_cast<uint64_t>(bno) * sb_.block_size / device_->sector_size();
-  // Queue the request: data lands in `out` now, its service time overlaps
-  // the caller. Retire any completions the clock has already passed so the
-  // device's completion set stays small on long streaming reads.
-  RETURN_IF_ERROR(device_->SubmitRead(sector, out).status());
-  (void)device_->Poll();
-  return OkStatus();
-}
-
 StatusOr<uint64_t> ClassicBackend::SubmitBlocks(uint32_t bno, uint32_t count,
                                                 std::span<uint8_t> out) {
   if (bno + count > sb_.num_blocks) {

@@ -28,7 +28,6 @@ class ClassicBackend : public MinixBackend {
   Status WriteBlock(uint32_t bno, std::span<const uint8_t> data) override;
   Status ReadBlocks(uint32_t bno, uint32_t count, std::span<uint8_t> out) override;
   Status WriteBlocks(uint32_t bno, uint32_t count, std::span<const uint8_t> data) override;
-  Status PrefetchBlocks(uint32_t bno, uint32_t count, std::span<uint8_t> out) override;
   StatusOr<uint64_t> SubmitBlocks(uint32_t bno, uint32_t count, std::span<uint8_t> out) override;
   Status WaitBlocks(uint64_t token) override;
   StatusOr<uint32_t> AllocBlock(uint32_t lid, uint32_t pred_bno) override;

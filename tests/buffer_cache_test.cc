@@ -1,7 +1,7 @@
 // Direct unit tests for the MINIX buffer cache: LRU eviction, dirty
-// write-back, read-ahead inserts, flush ordering, clustering (both on sync
-// and on eviction), discard semantics, and the pending-read table
-// (single-flight coalescing, cancellation, adoption).
+// write-back, flush ordering, clustering (both on sync and on eviction),
+// discard semantics, and the pending-read table (single-flight coalescing,
+// cancellation, adoption).
 
 #include <gtest/gtest.h>
 
@@ -184,17 +184,6 @@ TEST(BufferCacheTest, DiscardDropsWithoutWriteback) {
   EXPECT_FALSE(cache.Contains(5));
 }
 
-TEST(BufferCacheTest, InsertFillsFromReadAhead) {
-  Backing backing;
-  BufferCache cache(512, 8, backing.Reader(), backing.Writer());
-  std::vector<uint8_t> data(512, 0x77);
-  cache.Insert(9, data);
-  EXPECT_TRUE(cache.Contains(9));
-  auto block = cache.Get(9, true);
-  EXPECT_EQ(backing.reads, 0u);  // Served from the inserted copy.
-  EXPECT_EQ((*block)->data[0], 0x77);
-}
-
 TEST(BufferCacheTest, InvalidateAllFlushesFirst) {
   Backing backing;
   BufferCache cache(512, 8, backing.Reader(), backing.Writer());
@@ -264,24 +253,6 @@ TEST(BufferCacheAsyncTest, DiscardCancelsInFlightRead) {
   EXPECT_EQ(backing.submits, 2u);
 }
 
-TEST(BufferCacheAsyncTest, InsertSupersedesPendingDemandRead) {
-  Backing backing;
-  BufferCache cache(512, 16, backing.Reader(), backing.Writer());
-  cache.SetAsyncBackend(backing.Submitter(), backing.Waiter());
-  backing.blocks[3] = std::vector<uint8_t>(512, 0x33);
-  ASSERT_TRUE(cache.GetAsync(3, /*prefetch=*/false).ok());
-  // An externally supplied fill lands while the read is in flight: the
-  // pending completion must not overwrite it with the stale buffer.
-  std::vector<uint8_t> fresh(512, 0xab);
-  cache.Insert(3, fresh);
-  EXPECT_EQ(cache.pending_reads(), 0u);
-  ASSERT_EQ(backing.waited.size(), 1u);
-  auto block = cache.Get(3, /*load=*/true);
-  ASSERT_TRUE(block.ok());
-  EXPECT_EQ((*block)->data[0], 0xab);
-  EXPECT_EQ(backing.submits, 1u);  // No second device read.
-}
-
 TEST(BufferCacheAsyncTest, GetForOverwriteCancelsPendingRead) {
   Backing backing;
   BufferCache cache(512, 16, backing.Reader(), backing.Writer());
@@ -349,19 +320,23 @@ TEST(BufferCacheAsyncTest, DemandMissGoesThroughSubmitWait) {
   ASSERT_EQ(backing.waited.size(), 1u);
 }
 
-// Regression: a read-ahead fill landing on a block that is dirty in the
-// cache must not clobber the dirty copy — the cached bytes are newer than
-// anything the media can supply.
-TEST(BufferCacheTest, InsertDoesNotClobberDirtyBlock) {
+// A read-ahead request for a block that is dirty in the cache must not
+// replace the dirty copy: the cached bytes are newer than anything the media
+// can supply, so GetAsync submits no read and FlushAll writes them back.
+TEST(BufferCacheAsyncTest, GetAsyncOfDirtyBlockSubmitsNoRead) {
   Backing backing;
   BufferCache cache(512, 8, backing.Reader(), backing.Writer());
+  cache.SetAsyncBackend(backing.Submitter(), backing.Waiter());
+  backing.blocks[7] = std::vector<uint8_t>(512, 0x00);
   auto block = cache.Get(7, /*load=*/false);
   ASSERT_TRUE(block.ok());
   (*block)->data[0] = 0x5e;
   cache.MarkDirty(*block);
-  std::vector<uint8_t> stale(512, 0x00);
-  cache.Insert(7, stale);  // Prefetch fill racing the dirty block: dropped.
-  auto again = cache.Get(7, /*load=*/true);
+  ASSERT_TRUE(cache.GetAsync(7, /*prefetch=*/true).ok());
+  EXPECT_EQ(cache.pending_reads(), 0u);
+  EXPECT_EQ(backing.submits, 0u);
+  EXPECT_EQ(backing.reads, 0u);
+  auto again = cache.Wait(7);
   ASSERT_TRUE(again.ok());
   EXPECT_EQ((*again)->data[0], 0x5e);
   ASSERT_TRUE(cache.FlushAll().ok());

@@ -6,6 +6,7 @@
 
 #include "src/disk/mem_disk.h"
 #include "src/lld/lld.h"
+#include "src/util/crc32.h"
 #include "src/util/random.h"
 
 namespace ld {
@@ -363,6 +364,85 @@ TEST(LldBasicTest, DiskFullReportsNoSpace) {
   }
   EXPECT_EQ(status.code(), ErrorCode::kNoSpace);
   EXPECT_GT(written, kDiskBytes / 2);
+}
+
+// ---- Superblock --------------------------------------------------------------
+
+// The superblock sits in sector 0 with a replica in the device's last
+// sector: 48 bytes of fields (magic, version, layout) and their CRC-32.
+constexpr size_t kSuperFieldBytes = 48;
+
+uint64_t ReplicaSector(const MemDisk& disk) { return disk.num_sectors() - 1; }
+
+std::vector<uint8_t> ReadSector(MemDisk* disk, uint64_t sector) {
+  std::vector<uint8_t> bytes(disk->sector_size());
+  EXPECT_TRUE(disk->Read(sector, bytes).ok());
+  return bytes;
+}
+
+void WriteSector(MemDisk* disk, uint64_t sector, const std::vector<uint8_t>& bytes) {
+  ASSERT_TRUE(disk->Write(sector, bytes).ok());
+}
+
+// A formatted, shut-down volume holding one written block.
+struct ClosedVolume : Fixture {
+  Bid bid = kNilBid;
+  std::vector<uint8_t> data = Pattern(4096, 9);
+
+  ClosedVolume() {
+    bid = *lld->NewBlock(list, kBeginOfList);
+    EXPECT_TRUE(lld->Write(bid, data).ok());
+    EXPECT_TRUE(lld->Shutdown().ok());
+    lld.reset();
+  }
+};
+
+// One flipped bit anywhere in the primary — magic, version, a layout field
+// or the CRC — opens from the replica and rewrites the primary.
+TEST(LldBasicTest, SuperblockDamageFallsBackToReplica) {
+  for (size_t offset : {0, 4, 8, 20, 40, 48}) {
+    SCOPED_TRACE(offset);
+    ClosedVolume v;
+    const std::vector<uint8_t> good = ReadSector(v.disk.get(), 0);
+    std::vector<uint8_t> damaged = good;
+    damaged[offset] ^= 0x01;
+    WriteSector(v.disk.get(), 0, damaged);
+
+    auto reopened = LogStructuredDisk::Open(v.disk.get(), LldOptions{});
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    std::vector<uint8_t> out(4096);
+    ASSERT_TRUE((*reopened)->Read(v.bid, out).ok());
+    EXPECT_EQ(out, v.data);
+    EXPECT_EQ(ReadSector(v.disk.get(), 0), good);
+  }
+}
+
+TEST(LldBasicTest, SuperblockDamagedInBothCopiesIsCorruption) {
+  ClosedVolume v;
+  for (uint64_t sector : {uint64_t{0}, ReplicaSector(*v.disk)}) {
+    std::vector<uint8_t> bytes = ReadSector(v.disk.get(), sector);
+    bytes[20] ^= 0x01;  // The segment count.
+    WriteSector(v.disk.get(), sector, bytes);
+  }
+  EXPECT_EQ(LogStructuredDisk::Open(v.disk.get(), LldOptions{}).status().code(),
+            ErrorCode::kCorruption);
+}
+
+// A version-1 volume may hold pre-checksum block entries, which cannot be
+// verified; Open refuses it even when both copies are intact.
+TEST(LldBasicTest, OpenRefusesVersionOneVolume) {
+  ClosedVolume v;
+  for (uint64_t sector : {uint64_t{0}, ReplicaSector(*v.disk)}) {
+    std::vector<uint8_t> bytes = ReadSector(v.disk.get(), sector);
+    bytes[4] = 1;  // Little-endian version field.
+    const uint32_t crc = Crc32(std::span<const uint8_t>(bytes).subspan(0, kSuperFieldBytes));
+    for (size_t i = 0; i < 4; ++i) {
+      bytes[kSuperFieldBytes + i] = static_cast<uint8_t>(crc >> (8 * i));
+    }
+    WriteSector(v.disk.get(), sector, bytes);
+  }
+  EXPECT_EQ(LogStructuredDisk::Open(v.disk.get(), LldOptions{}).status().code(),
+            ErrorCode::kCorruption);
 }
 
 }  // namespace

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+
 #include "src/lld/block_map.h"
 #include "src/lld/list_table.h"
 #include "src/lld/summary_record.h"
@@ -34,53 +37,40 @@ ListHints SampleHints(Rng& rng) {
   return hints;
 }
 
-// Pre-checksum block entries keep the owning list where the CRC now sits.
-SummaryRecord LegacyBlockEntry(OpTimestamp ts, Bid bid, Lid lid, uint32_t offset,
-                               uint32_t stored_size, uint32_t orig_size, bool compressed) {
-  SummaryRecord r = SummaryRecord::BlockEntry(ts, bid, offset, stored_size, orig_size,
-                                              compressed, /*payload_crc=*/0);
-  r.block.has_payload_crc = false;
-  r.block.lid = lid;
-  return r;
-}
-
-// One record of any of the 12 types, with either block-entry layout. Data
-// and list records are tagged with an open ARU the way LLD tags them;
-// parity, scrub and stripe records are always logged outside a unit.
+// One record of any of the 12 types. Data and list records are tagged with
+// an open ARU the way LLD tags them; parity, scrub and stripe records are
+// always logged outside a unit.
 SummaryRecord SampleRecord(Rng& rng) {
   const uint32_t aru = rng.Chance(0.3) ? 1 + Below24(rng) % ((1u << 24) - 1) : 0;
   const auto maybe_tag = [aru](SummaryRecord r) { return aru == 0 ? r : Tagged(r, aru); };
-  switch (rng.Below(13)) {
+  switch (rng.Below(12)) {
     case 0:
       return maybe_tag(SummaryRecord::BlockEntry(Ts(rng), Below24(rng), Below24(rng),
                                                  Below16(rng), Below16(rng), rng.Chance(0.3),
                                                  Below24(rng)));
     case 1:
-      return maybe_tag(LegacyBlockEntry(Ts(rng), Below24(rng), Below24(rng), Below24(rng),
-                                        Below16(rng), Below16(rng), rng.Chance(0.3)));
-    case 2:
       return maybe_tag(SummaryRecord::LinkTuple(Ts(rng), Below24(rng), Below24(rng)));
-    case 3:
+    case 2:
       return maybe_tag(SummaryRecord::ListHead(Ts(rng), Below24(rng), Below24(rng)));
-    case 4:
+    case 3:
       return maybe_tag(
           SummaryRecord::ListCreate(Ts(rng), Below24(rng), SampleHints(rng), Below24(rng)));
-    case 5:
+    case 4:
       return maybe_tag(
           SummaryRecord::ListMove(Ts(rng), Below24(rng), Below24(rng), SampleHints(rng)));
-    case 6:
+    case 5:
       return maybe_tag(SummaryRecord::ListDelete(Ts(rng), Below24(rng)));
-    case 7:
+    case 6:
       return maybe_tag(SummaryRecord::BlockFree(Ts(rng), Below24(rng)));
-    case 8:
+    case 7:
       return maybe_tag(
           SummaryRecord::BlockAlloc(Ts(rng), Below24(rng), Below24(rng), Below16(rng)));
-    case 9:
+    case 8:
       return SummaryRecord::SegmentParity(Ts(rng), Below24(rng), Below24(rng), Below24(rng),
                                           Below24(rng));
-    case 10:
+    case 9:
       return SummaryRecord::ScrubIntent(Ts(rng), Below24(rng), rng.Below(1ull << 48));
-    case 11:
+    case 10:
       return SummaryRecord::StripeParity(Ts(rng), Below24(rng), Below24(rng), Below16(rng),
                                          Below16(rng), rng.Below(1ull << 48), Below24(rng));
     default:
@@ -99,6 +89,14 @@ std::vector<uint8_t> Encoded(const SummaryRecord& r) {
 // is all a record has to survive.
 void ExpectRecordsEqual(const SummaryRecord& a, const SummaryRecord& b) {
   EXPECT_EQ(Encoded(a), Encoded(b)) << "type " << static_cast<int>(a.type);
+}
+
+std::vector<uint8_t> Unhex(std::string_view hex) {
+  std::vector<uint8_t> out;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out.push_back(static_cast<uint8_t>(std::stoul(std::string(hex.substr(i, 2)), nullptr, 16)));
+  }
+  return out;
 }
 
 std::string Hex(std::span<const uint8_t> bytes) {
@@ -213,9 +211,9 @@ TEST(SummaryCodecTest, EncodedSizeMatchesReality) {
   }
 }
 
-// The wire format, pinned: one record of every type (and the legacy
-// block-entry layout) encoded into a fixed 288-byte tail. Any change to a
-// field's width, order or flag bit shows up here as a byte diff.
+// The wire format, pinned: one record of every type encoded into a fixed
+// 288-byte tail. Any change to a field's width, order or flag bit shows up
+// here as a byte diff.
 std::vector<SummaryRecord> GoldenRecords() {
   ListHints hints;
   hints.cluster = false;
@@ -227,7 +225,6 @@ std::vector<SummaryRecord> GoldenRecords() {
   records.push_back(SummaryRecord::BlockEntry(4, 0x123456, 0x0a0b0c, 4000, 4096, true, 0xabcdef));
   records.push_back(SummaryRecord::ListCreate(5, 3, hints, 8));
   records.push_back(SummaryRecord::StripeParity(6, 40, 17, 2, 3, 0x0102030405, 0x7f7e7d));
-  records.push_back(LegacyBlockEntry(7, 11, 4, 512, 300, 1024, false));
   records.push_back(SummaryRecord::ListHead(8, 3, 11));
   records.push_back(Tagged(SummaryRecord::ListMove(9, 4, 3, ListHints{}), 6));
   records.push_back(SummaryRecord::ListDelete(10, 4));
@@ -251,15 +248,15 @@ TEST(SummaryCodecTest, GoldenBytes) {
   std::vector<uint8_t> tail(288);
   ASSERT_TRUE(EncodeSummary(header, GoldenRecords(), tail).ok());
   static constexpr const char* kGolden[] = {
-      "5353444c0807060504030201130000000d000000e8fd00000000000006010000",
+      "5353444c0807060504030201130000000c000000e8fd00000000000006010000",
       "0000001500000007000002020000000000140500000900000a00000703000000",
       "00001505000001040000000000370000005634120c0b0aa00f0010efcdab0405",
       "0000000000190000000300000800000c06000000000015000000280000110000",
-      "020003000504030201007d7e7f01070000000000150000000b00000400000002",
-      "002c01000403080000000000150000000300000b000009090000000000140600",
-      "00040000030000050a000000000015000000040000080b000000000015000000",
-      "0c000003000000080a0c00000000001500000000000100120100fe003332310b",
-      "0d000000000015000000150000ffeeddccbbaa98e9fef1000000000000000000",
+      "020003000504030201007d7e7f03080000000000150000000300000b00000909",
+      "000000000014060000040000030000050a000000000015000000040000080b00",
+      "00000000150000000c000003000000080a0c0000000000150000000000010012",
+      "0100fe003332310b0d000000000015000000150000ffeeddccbbaa3318153b00",
+      "0000000000000000000000000000000000000000000000000000000000000000",
   };
   std::string golden;
   for (const char* line : kGolden) {
@@ -268,8 +265,18 @@ TEST(SummaryCodecTest, GoldenBytes) {
   EXPECT_EQ(Hex(tail), golden);
 }
 
-// Property sweep over randomized record mixes — all 12 record types, both
-// block-entry layouts, tagged and untagged: the codec must (a) round-trip exactly,
+// The pre-checksum block-entry layout (flag 0x20 clear, the owning list
+// where the CRC now sits) is refused: bid 11, list 4, offset 512, 300 stored
+// bytes of a 1024-byte block.
+TEST(SummaryCodecTest, PreChecksumBlockEntryIsCorruption) {
+  const std::vector<uint8_t> legacy =
+      Unhex("01" "070000000000" "15" "000000" "0b0000" "040000" "000200" "2c01" "0004");
+  Decoder dec(legacy);
+  EXPECT_EQ(SummaryRecord::DecodeFrom(&dec).status().code(), ErrorCode::kCorruption);
+}
+
+// Property sweep over randomized record mixes — all 12 record types, tagged
+// and untagged: the codec must (a) round-trip exactly,
 // (b) reject every truncation of the encoded image, and (c) reject a bit
 // flip anywhere in the encoded bytes. (b) and (c) are what recovery leans
 // on when it classifies torn and rotted summaries.
