@@ -81,10 +81,10 @@ inline uint64_t EnvFaultSeed(uint64_t fallback) {
 // `LldOptions::segment_parity` explicitly instead.
 inline bool EnvSegmentParity(bool fallback) { return EnvFlag("LD_SEGMENT_PARITY", fallback); }
 
-// Cross-channel stripe parity toggle (LD_STRIPE_PARITY=0|1): the CI stripe
-// matrix runs the striping/recovery suites with RAID-5-style stripe sets
-// both absent and present. Tests whose expectations depend on one setting
-// pin `LldOptions::stripe_parity` explicitly instead.
+// Cross-channel stripe parity toggle (LD_STRIPE_PARITY=0|1). Only bench_faults
+// reads it: 0 skips its degraded-channel and maintenance experiments, which
+// have nothing to measure without stripe sets. LLD test suites pin
+// `LldOptions::stripe_parity` themselves.
 inline bool EnvStripeParity(bool fallback) { return EnvFlag("LD_STRIPE_PARITY", fallback); }
 
 // LD_FAIL_CHANNEL=N: channel the bench fault experiments kill with

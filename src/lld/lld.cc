@@ -18,6 +18,15 @@ constexpr double kMaxUtilization = 0.95;
 constexpr double kCompressKbPerS = 1600.0;
 constexpr double kDecompressKbPerS = 1400.0;
 
+// When the number of free segments drops to this reserve, the cleaner runs
+// before the next segment allocation. CleaningReserve() scales it up with
+// the disk (min(num_segments/8, 32)) so that a cleaning round over high-live
+// victims still nets free segments at high utilization.
+constexpr uint32_t kFreeSegmentReserve = 4;
+
+// Fixed bytes of a serialized summary besides the records: header + CRC.
+constexpr size_t kSummaryOverhead = SummaryHeader::kEncodedSize + 16;
+
 }  // namespace
 
 LogStructuredDisk::LogStructuredDisk(BlockDevice* device, const LldOptions& options)
@@ -56,7 +65,7 @@ Status LogStructuredDisk::ComputeLayout() {
   const uint32_t num_segments =
       static_cast<uint32_t>((capacity - data_start_byte_ - sector) / options_.segment_bytes);
   usage_ = std::make_unique<UsageTable>(num_segments);
-  open_buffer_.assign(options_.segment_bytes, 0);
+  open_.buffer.assign(options_.segment_bytes, 0);
   return OkStatus();
 }
 
@@ -157,7 +166,7 @@ Status LogStructuredDisk::ReadAndCheckSuperblock() {
   checkpoint_start_byte_ = dec.GetU64();
   checkpoint_bytes_ = dec.GetU64();
   data_capacity_ = options_.segment_bytes - options_.summary_bytes;
-  open_buffer_.assign(options_.segment_bytes, 0);
+  open_.buffer.assign(options_.segment_bytes, 0);
   if (from_replica) {
     // Heal the primary best-effort: if channel 0 is a freshly swapped blank
     // spare this restores it; if the channel is still dead the write fails
@@ -200,26 +209,91 @@ StatusOr<std::unique_ptr<LogStructuredDisk>> LogStructuredDisk::Open(
   return lld;
 }
 
+// ---- Segment images ------------------------------------------------------------
+
+uint32_t LogStructuredDisk::SegmentImage::AppendData(std::span<const uint8_t> stored) {
+  const uint32_t offset = used;
+  std::memcpy(buffer.data() + offset, stored.data(), stored.size());
+  used += static_cast<uint32_t>(stored.size());
+  max_stored = std::max(max_stored, static_cast<uint32_t>(stored.size()));
+  return offset;
+}
+
+void LogStructuredDisk::SegmentImage::AddRecord(const SummaryRecord& record) {
+  records.push_back(record);
+  record_bytes += SummaryRecord::EncodedSize(record.type);
+}
+
+void LogStructuredDisk::SegmentImage::Clear() {
+  used = 0;
+  max_stored = 0;
+  records.clear();
+  record_bytes = 0;
+}
+
+bool LogStructuredDisk::Fits(const SegmentImage& image, uint32_t data_bytes,
+                             size_t record_bytes) const {
+  // With segment parity on, the seal places a parity block after the
+  // sector-rounded data and logs one more record; both are reserved here.
+  const uint32_t sector = device_->sector_size();
+  const uint32_t lane = ParityBytesFor(std::max(image.max_stored, data_bytes));
+  const uint64_t data_end =
+      lane > 0 ? RoundUp(image.used + data_bytes, sector) + lane : image.used + data_bytes;
+  if (data_end > data_capacity_) {
+    return false;
+  }
+  const size_t lane_record =
+      lane > 0 ? SummaryRecord::EncodedSize(SummaryRecordType::kSegmentParity) : 0;
+  int64_t room = static_cast<int64_t>(options_.summary_bytes - kSummaryOverhead - lane_record);
+  if (image.data_complete) {
+    // Spilled records fill the data area from its end, one sector clear of
+    // the data (or of the lane).
+    room += static_cast<int64_t>(data_capacity_ - data_end) - sector;
+  }
+  return static_cast<int64_t>(image.record_bytes + record_bytes) <= room;
+}
+
+StatusOr<ParityGeometry> LogStructuredDisk::SealImage(SegmentImage* image, uint32_t segment,
+                                                      uint64_t seq, bool lane,
+                                                      uint32_t* spill) {
+  const uint32_t sector = device_->sector_size();
+  const uint32_t covered = static_cast<uint32_t>(RoundUp(image->used, sector));
+  const uint32_t parity_bytes = lane ? ParityBytesFor(image->max_stored) : 0;
+  ParityGeometry parity;
+  // Fits() reserved room for the lane; the bound keeps the summary tail
+  // safe regardless, and an image without room goes out bare.
+  if (image->used > 0 && parity_bytes > 0 &&
+      static_cast<uint64_t>(covered) + parity_bytes <= data_capacity_) {
+    uint8_t* block = image->buffer.data() + covered;
+    std::memset(block, 0, parity_bytes);
+    for (uint32_t o = 0; o < covered; ++o) {
+      block[o % parity_bytes] ^= image->buffer[o];
+    }
+    const uint32_t crc = PayloadCrc(std::span<const uint8_t>(block, parity_bytes));
+    image->AddRecord(SummaryRecord::SegmentParity(NextTs(), covered, parity_bytes, covered, crc));
+    parity = ParityGeometry{true, covered, parity_bytes, covered, crc};
+  }
+  SummaryHeader header;
+  header.seq = seq;
+  header.segment_index = segment;
+  header.data_bytes = image->used;
+  const std::span<uint8_t> buffer(image->buffer);
+  RETURN_IF_ERROR(EncodeSummary(
+      header, image->records, buffer.subspan(data_capacity_),
+      image->data_complete ? buffer.subspan(image->used, data_capacity_ - image->used)
+                           : std::span<uint8_t>(),
+      spill));
+  return parity;
+}
+
 // ---- Open-segment management --------------------------------------------------
 
 Status LogStructuredDisk::EnsureRoom(uint32_t data_bytes, size_t record_bytes) {
-  // With segment parity on, the seal will place a parity block after the
-  // sector-rounded data area and log one extra record; both must be
-  // reserved here or the seal could overflow the segment.
-  const uint32_t parity_reserve = ParityReserve(std::max(open_max_stored_, data_bytes));
-  const size_t parity_record =
-      parity_reserve > 0 ? SummaryRecord::EncodedSize(SummaryRecordType::kSegmentParity) : 0;
-  const bool data_fits =
-      RoundUp(open_data_used_ + data_bytes, device_->sector_size()) + parity_reserve <=
-      data_capacity_;
-  const bool records_fit = open_record_bytes_ + record_bytes + parity_record + kSummaryOverhead <=
-                           options_.summary_bytes;
-  if (data_fits && records_fit) {
+  if (Fits(open_, data_bytes, record_bytes)) {
     return OkStatus();
   }
   RETURN_IF_ERROR(FlushOpenSegmentFull());
-  if (RoundUp(data_bytes, device_->sector_size()) + ParityReserve(data_bytes) > data_capacity_ ||
-      record_bytes + parity_record + kSummaryOverhead > options_.summary_bytes) {
+  if (!Fits(SegmentImage{}, data_bytes, record_bytes)) {
     return InvalidArgumentError("request larger than a segment");
   }
   return OkStatus();
@@ -227,16 +301,14 @@ Status LogStructuredDisk::EnsureRoom(uint32_t data_bytes, size_t record_bytes) {
 
 Status LogStructuredDisk::AppendBlockData(Bid bid, std::span<const uint8_t> stored,
                                           uint32_t orig_size, bool compressed, bool internal) {
-  const size_t record_bytes = SummaryRecord::EncodedSize(SummaryRecordType::kBlockEntry);
-  RETURN_IF_ERROR(EnsureRoom(static_cast<uint32_t>(stored.size()), record_bytes));
+  RETURN_IF_ERROR(EnsureRoom(static_cast<uint32_t>(stored.size()),
+                             SummaryRecord::EncodedSize(SummaryRecordType::kBlockEntry)));
 
   BlockMapEntry& entry = block_map_.entry(bid);
   ReleaseBlockSpace(entry);
 
   const OpTimestamp ts = NextTs();
-  const uint32_t offset = open_data_used_;
-  std::memcpy(open_buffer_.data() + offset, stored.data(), stored.size());
-  open_data_used_ += static_cast<uint32_t>(stored.size());
+  const uint32_t offset = open_.AppendData(stored);
 
   // Checksum the *stored* form (post-compression): that is what reads and
   // the scrubber can re-hash straight off the media.
@@ -246,10 +318,8 @@ Status LogStructuredDisk::AppendBlockData(Bid bid, std::span<const uint8_t> stor
   if (!internal) {
     record.aru_id = current_aru_;
   }
-  open_records_.push_back(record);
-  open_record_bytes_ += record_bytes;
+  open_.AddRecord(record);
   open_appended_.push_back(Appended{bid, offset, static_cast<uint32_t>(stored.size())});
-  open_max_stored_ = std::max(open_max_stored_, static_cast<uint32_t>(stored.size()));
 
   entry.phys = PhysAddr{PhysAddr::kOpenSegment, offset};
   entry.stored_size = static_cast<uint32_t>(stored.size());
@@ -260,21 +330,15 @@ Status LogStructuredDisk::AppendBlockData(Bid bid, std::span<const uint8_t> stor
   return OkStatus();
 }
 
-Status LogStructuredDisk::BuildSummaryInto(std::span<uint8_t> buffer, uint32_t segment_index,
-                                           uint64_t seq, uint32_t data_bytes) {
-  SummaryHeader header;
-  header.seq = seq;
-  header.segment_index = segment_index;
-  header.data_bytes = data_bytes;
-  return EncodeSummary(header, open_records_, buffer.subspan(data_capacity_));
-}
-
-StatusOr<uint32_t> LogStructuredDisk::AllocateFreeSegment(bool allow_clean) {
+uint32_t LogStructuredDisk::CleaningReserve() const {
   // The cleaning reserve must scale with the disk: at high utilization the
   // cleaner needs enough writer headroom that a round of high-live victims
   // still nets free segments (see CleanSegments' budget).
-  const uint32_t reserve = std::max(options_.free_segment_reserve,
-                                    std::min(usage_->num_segments() / 8, 32u));
+  return std::max(kFreeSegmentReserve, std::min(usage_->num_segments() / 8, 32u));
+}
+
+StatusOr<uint32_t> LogStructuredDisk::AllocateFreeSegment(bool allow_clean) {
+  const uint32_t reserve = CleaningReserve();
   if (allow_clean && !cleaning_ && usage_->FreeCount() <= reserve) {
     // Keep cleaning until the reserve is replenished or cleaning stops
     // making headway (each round is bounded, so this terminates).
@@ -355,7 +419,7 @@ Status LogStructuredDisk::ReapInflightTo(size_t max_outstanding) {
 }
 
 Status LogStructuredDisk::FlushOpenSegmentFull() {
-  if (open_data_used_ == 0 && open_records_.empty() && redeclare_groups_.empty()) {
+  if (open_.empty() && redeclare_groups_.empty()) {
     return OkStatus();
   }
   // Keep at most one in-flight write per channel: the oldest must complete
@@ -375,37 +439,34 @@ Status LogStructuredDisk::FlushOpenSegmentFull() {
   }
   // Second-channel redeclaration: duplicate stripe records queued by earlier
   // seals join this summary (whole groups only), putting every set's
-  // declaration on two channels. Groups that do not fit wait for the next
-  // seal.
+  // declaration on two channels. Groups that do not fit beside the seal's
+  // own parity record wait for the next seal.
   while (!redeclare_groups_.empty()) {
     const std::vector<SummaryRecord>& group = redeclare_groups_.front();
     size_t group_bytes = 0;
     for (const auto& r : group) {
       group_bytes += SummaryRecord::EncodedSize(r.type);
     }
-    if (open_record_bytes_ + group_bytes + kSummaryOverhead > options_.summary_bytes) {
+    if (!Fits(open_, 0, group_bytes)) {
       break;
     }
     for (const auto& r : group) {
-      open_records_.push_back(r);
+      open_.AddRecord(r);
     }
-    open_record_bytes_ += group_bytes;
     redeclare_groups_.erase(redeclare_groups_.begin());
   }
   const uint64_t seq = next_seq_++;
-  const ParityGeometry parity =
-      AddSegmentParity(open_buffer_, open_data_used_, open_max_stored_, &open_records_);
-  RETURN_IF_ERROR(BuildSummaryInto(open_buffer_, target, seq, open_data_used_));
+  ASSIGN_OR_RETURN(const ParityGeometry parity, SealImage(&open_, target, seq, /*lane=*/true));
 
   // Double buffering: the sealed image moves into an InflightWrite and is
   // submitted asynchronously; a recycled (or fresh) buffer becomes the open
   // segment and starts accepting the next segment's writes immediately.
-  std::vector<uint8_t> sealed = std::move(open_buffer_);
+  std::vector<uint8_t> sealed = std::move(open_.buffer);
   if (!spare_buffers_.empty()) {
-    open_buffer_ = std::move(spare_buffers_.back());
+    open_.buffer = std::move(spare_buffers_.back());
     spare_buffers_.pop_back();
   } else {
-    open_buffer_.assign(sealed.size(), 0);
+    open_.buffer.assign(sealed.size(), 0);
   }
   StatusOr<IoTag> tag =
       io_.SubmitWrite(SegmentBaseByte(target) / device_->sector_size(), sealed);
@@ -413,8 +474,8 @@ Status LogStructuredDisk::FlushOpenSegmentFull() {
     // Device failure surviving the retry shim: restore the sealed image as
     // the open segment so state stays consistent (no metadata was updated),
     // then go read-only — the log can no longer accept this segment.
-    spare_buffers_.push_back(std::move(open_buffer_));
-    open_buffer_ = std::move(sealed);
+    spare_buffers_.push_back(std::move(open_.buffer));
+    open_.buffer = std::move(sealed);
     // Any stripe set formed for this seal dies with it: its records were
     // never submitted, so no parity image may reach the media either. The
     // parity targets reserved at planning time return to the free pool.
@@ -425,7 +486,7 @@ Status LogStructuredDisk::FlushOpenSegmentFull() {
     return HandleWriteFailure(tag.status());
   }
 
-  InstallSealedImage(target, SegmentState::kFull, seq, parity, open_records_);
+  InstallSealedImage(target, SegmentState::kFull, seq, parity, open_.records);
   for (const Appended& a : open_appended_) {
     if (!block_map_.IsAllocated(a.bid)) {
       continue;
@@ -459,12 +520,9 @@ Status LogStructuredDisk::FlushOpenSegmentFull() {
     scratch_segment_ = -1;
   }
   inflight_writes_.push_back(std::move(inflight));
-  open_data_used_ = 0;
+  open_.Clear();
   open_dead_bytes_ = 0;
-  open_records_.clear();
-  open_record_bytes_ = 0;
   open_appended_.clear();
-  open_max_stored_ = 0;
   dirty_since_flush_ = false;
   // Superseded-in-ARU copies that lived in this buffer are now dead bytes in
   // `target`: resolve their sentinels into real pins so the cleaner cannot
@@ -512,7 +570,7 @@ Status LogStructuredDisk::FinishSeal(bool wait_for_inflight) {
 }
 
 Status LogStructuredDisk::FlushOpenSegmentPartial() {
-  if (open_data_used_ == 0 && open_records_.empty()) {
+  if (open_.empty()) {
     return OkStatus();
   }
   // A pipelined full-segment write may still be in flight (and may own a
@@ -521,30 +579,28 @@ Status LogStructuredDisk::FlushOpenSegmentPartial() {
   RETURN_IF_ERROR(WaitForInflight());
   ASSIGN_OR_RETURN(uint32_t target, AllocateFreeSegment(/*allow_clean=*/true));
   const uint64_t seq = next_seq_++;
-  RETURN_IF_ERROR(BuildSummaryInto(open_buffer_, target, seq, open_data_used_));
+  // Partial (scratch) writes carry no parity: the segment is superseded by
+  // its eventual full write, which does.
+  RETURN_IF_ERROR(SealImage(&open_, target, seq, /*lane=*/false).status());
 
   const uint32_t sector = device_->sector_size();
   const uint64_t base = SegmentBaseByte(target);
-  if (open_data_used_ > 0) {
-    const uint64_t data_len = RoundUp(open_data_used_, sector);
-    if (Status s = io_.Write(base / sector,
-                             std::span<const uint8_t>(open_buffer_).subspan(0, data_len));
+  const std::span<const uint8_t> image(open_.buffer);
+  if (open_.used > 0) {
+    if (Status s = io_.Write(base / sector, image.subspan(0, RoundUp(open_.used, sector)));
         !s.ok()) {
       return HandleWriteFailure(s);
     }
   }
-  if (Status s = io_.Write(
-          (base + data_capacity_) / sector,
-          std::span<const uint8_t>(open_buffer_).subspan(data_capacity_, options_.summary_bytes));
+  if (Status s = io_.Write((base + data_capacity_) / sector,
+                           image.subspan(data_capacity_, options_.summary_bytes));
       !s.ok()) {
     return HandleWriteFailure(s);
   }
 
-  // Partial (scratch) writes carry no parity: the segment is superseded by
-  // its eventual full write, which does. The scratch summary is durable
-  // (synchronous writes above), so a frame may cover it; a later re-flush
-  // supersedes this capture in place.
-  InstallSealedImage(target, SegmentState::kScratch, seq, ParityGeometry{}, open_records_);
+  // The scratch summary is durable (synchronous writes above), so a frame
+  // may cover it; a later re-flush supersedes this capture in place.
+  InstallSealedImage(target, SegmentState::kScratch, seq, ParityGeometry{}, open_.records);
   if (scratch_segment_ >= 0) {
     usage_->segment(static_cast<uint32_t>(scratch_segment_)).state = SegmentState::kFree;
   }
@@ -731,44 +787,15 @@ Status LogStructuredDisk::ReadStored(const BlockMapEntry& entry, std::span<uint8
 // ---- Segment parity ----------------------------------------------------------
 
 uint32_t LogStructuredDisk::ParityBytesFor(uint32_t max_stored) const {
+  if (!options_.segment_parity || max_stored == 0) {
+    return 0;
+  }
   // One sector beyond the sector-rounded largest block: any damaged extent
   // that is one block widened to sector boundaries spans at most
   // RoundUp(max_stored, sector) + sector bytes, so with this lane period no
   // two bytes of the extent share a lane and all of them are solvable.
   const uint32_t sector = device_->sector_size();
-  return static_cast<uint32_t>(RoundUp(std::max(max_stored, 1u), sector)) + sector;
-}
-
-uint32_t LogStructuredDisk::ParityReserve(uint32_t max_stored) const {
-  if (!options_.segment_parity || max_stored == 0) {
-    return 0;
-  }
-  return ParityBytesFor(max_stored);
-}
-
-ParityGeometry LogStructuredDisk::AddSegmentParity(std::span<uint8_t> buffer, uint32_t data_used,
-                                                   uint32_t max_stored,
-                                                   std::vector<SummaryRecord>* records) {
-  if (!options_.segment_parity || data_used == 0 || max_stored == 0) {
-    return {};
-  }
-  const uint32_t sector = device_->sector_size();
-  const uint32_t covered = static_cast<uint32_t>(RoundUp(data_used, sector));
-  const uint32_t parity_bytes = ParityBytesFor(max_stored);
-  if (static_cast<uint64_t>(covered) + parity_bytes > data_capacity_) {
-    // EnsureRoom reserves this space; a segment sealed without the reserve
-    // (e.g. written before the option was turned on) just goes out bare.
-    return {};
-  }
-  uint8_t* parity = buffer.data() + covered;
-  std::memset(parity, 0, parity_bytes);
-  for (uint32_t o = 0; o < covered; ++o) {
-    parity[o % parity_bytes] ^= buffer[o];
-  }
-  const uint32_t parity_crc = PayloadCrc(std::span<const uint8_t>(parity, parity_bytes));
-  records->push_back(
-      SummaryRecord::SegmentParity(NextTs(), covered, parity_bytes, covered, parity_crc));
-  return ParityGeometry{true, covered, parity_bytes, covered, parity_crc};
+  return static_cast<uint32_t>(RoundUp(max_stored, sector)) + sector;
 }
 
 Status LogStructuredDisk::ReconstructExtent(uint32_t segment, uint32_t offset,
@@ -891,7 +918,7 @@ void LogStructuredDisk::ChargeDecompressCpu(uint64_t bytes) {
 }
 
 uint64_t LogStructuredDisk::LiveBytes() const {
-  return usage_->TotalLiveBytes() + (open_data_used_ - open_dead_bytes_);
+  return usage_->TotalLiveBytes() + (open_.used - open_dead_bytes_);
 }
 
 uint64_t LogStructuredDisk::FreeBytes() const {
@@ -913,8 +940,7 @@ Status LogStructuredDisk::AppendRecordsAtomic(std::vector<SummaryRecord>* record
   }
   RETURN_IF_ERROR(EnsureRoom(0, total));
   for (const auto& r : *records) {
-    open_records_.push_back(r);
-    open_record_bytes_ += SummaryRecord::EncodedSize(r.type);
+    open_.AddRecord(r);
   }
   dirty_since_flush_ = true;
   return OkStatus();
@@ -976,7 +1002,7 @@ Status LogStructuredDisk::Read(Bid bid, std::span<uint8_t> out) {
     // and relocating them all would race the foreground writer for the last
     // free segments. Unrelocated blocks just reconstruct again next read.
     if (CheckWritable().ok() && !cleaning_ &&
-        usage_->AllocatableCount() > options_.free_segment_reserve) {
+        usage_->AllocatableCount() > kFreeSegmentReserve) {
       if (Status reloc = AppendBlockData(bid, stored_bytes, orig_size, compressed,
                                          /*internal=*/true);
           !reloc.ok()) {
@@ -991,7 +1017,7 @@ Status LogStructuredDisk::Read(Bid bid, std::span<uint8_t> out) {
 
   if (!entry->compressed) {
     if (entry->phys.IsOpen()) {
-      std::memcpy(out.data(), open_buffer_.data() + entry->phys.offset, out.size());
+      std::memcpy(out.data(), open_.buffer.data() + entry->phys.offset, out.size());
       return OkStatus();
     }
     return read_with_repair(out, /*compressed=*/false);
@@ -999,7 +1025,7 @@ Status LogStructuredDisk::Read(Bid bid, std::span<uint8_t> out) {
 
   std::vector<uint8_t> stored(entry->stored_size);
   if (entry->phys.IsOpen()) {
-    std::memcpy(stored.data(), open_buffer_.data() + entry->phys.offset, stored.size());
+    std::memcpy(stored.data(), open_.buffer.data() + entry->phys.offset, stored.size());
   } else {
     RETURN_IF_ERROR(read_with_repair(stored, /*compressed=*/true));
   }
@@ -1562,7 +1588,7 @@ Status LogStructuredDisk::Flush(FailureSet failures) {
   // NVRAM absorption: small pending state is durable in NVRAM; no partial
   // disk write needed (Baker et al. 1992 model, §5.3).
   if (options_.nvram_bytes > 0 &&
-      open_data_used_ + open_record_bytes_ <= options_.nvram_bytes) {
+      open_.used + open_.record_bytes <= options_.nvram_bytes) {
     counters_.nvram_absorbed_flushes++;
     dirty_since_flush_ = false;
     return OkStatus();
@@ -1640,7 +1666,7 @@ MemoryFootprint LogStructuredDisk::MeasureMemory() const {
   fp.block_map_bytes = block_map_.MemoryBytes();
   fp.list_table_bytes = list_table_.MemoryBytes();
   fp.usage_table_bytes = usage_->MemoryBytes();
-  fp.open_segment_bytes = open_buffer_.capacity();
+  fp.open_segment_bytes = open_.buffer.capacity();
   for (const LoggedSegment& p : ckpt_pending_) {
     fp.checkpoint_pending_bytes += sizeof(LoggedSegment) +
                                    p.records.capacity() * sizeof(SummaryRecord);
@@ -1649,7 +1675,7 @@ MemoryFootprint LogStructuredDisk::MeasureMemory() const {
 }
 
 double LogStructuredDisk::OpenSegmentFill() const {
-  return static_cast<double>(open_data_used_) / static_cast<double>(data_capacity_);
+  return static_cast<double>(open_.used) / static_cast<double>(data_capacity_);
 }
 
 }  // namespace ld

@@ -356,6 +356,41 @@ class LogStructuredDisk : public LogicalDisk {
   // sector 0, channel 0 — a blank-spare swap there must not lose the volume).
   uint64_t SuperblockReplicaSector() const;
 
+  // ---- Segment images ------------------------------------------------------
+  // One segment image under construction, in the paper's single segment
+  // format (§3.1): data blocks packed from the front of the data area, then a
+  // summary of records. The open segment is one; the cleaner fills its own,
+  // so its output never mixes with the user's. Every writer asks Fits()
+  // before it appends and seals through SealImage().
+  struct SegmentImage {
+    std::vector<uint8_t> buffer;  // The whole segment: data area, then summary tail.
+    uint32_t used = 0;            // Data bytes appended.
+    uint32_t max_stored = 0;      // Largest stored block: sizes the parity lane.
+    std::vector<SummaryRecord> records;
+    size_t record_bytes = 0;  // Encoded size of `records`.
+    // No more data will be appended, so records may spill into the unused
+    // end of the data area. Clear() keeps it.
+    bool data_complete = false;
+
+    bool empty() const { return used == 0 && records.empty(); }
+    // Copies one stored block behind the data; returns its offset.
+    uint32_t AppendData(std::span<const uint8_t> stored);
+    void AddRecord(const SummaryRecord& record);
+    // Drops the data and records; the buffer keeps its bytes.
+    void Clear();
+  };
+  // The one fit rule: whether `data_bytes` more data (one block) and
+  // `record_bytes` more records fit `image`, with the parity lane's block
+  // and its kSegmentParity record reserved.
+  bool Fits(const SegmentImage& image, uint32_t data_bytes, size_t record_bytes) const;
+  // Seals `image` as segment `segment` at `seq`. With `lane` and
+  // segment_parity on, it first adds the parity block just past the
+  // sector-rounded data and its kSegmentParity record. Then it encodes the
+  // summary into the tail, spilling records into the unused data area when
+  // the data is complete (`*spill` gets their bytes). Returns the lane.
+  StatusOr<ParityGeometry> SealImage(SegmentImage* image, uint32_t segment, uint64_t seq,
+                                     bool lane, uint32_t* spill = nullptr);
+
   // ---- Open-segment management --------------------------------------------
   // Ensures at least `data_bytes` of data space and room for `record_bytes`
   // of summary records, flushing the open segment (as full) if necessary.
@@ -382,19 +417,17 @@ class LogStructuredDisk : public LogicalDisk {
   size_t MaxInflight() const;
   // Writes the open segment to a scratch segment, keeping it open (§3.2).
   Status FlushOpenSegmentPartial();
+  // Free segments below which the cleaner runs before the next allocation:
+  // kFreeSegmentReserve scaled up with the disk.
+  uint32_t CleaningReserve() const;
   // Picks a free segment, running the cleaner when the pool is low.
   StatusOr<uint32_t> AllocateFreeSegment(bool allow_clean);
   // Free-segment choice that stripes consecutive picks round-robin across
   // the device's channels (first-free within the preferred channel's band);
   // degenerates to UsageTable::PickFree on single-channel devices.
   int64_t PickFreeSegmentStriped();
-  // Serializes the current records into the summary area of `buffer`.
-  Status BuildSummaryInto(std::span<uint8_t> buffer, uint32_t segment_index, uint64_t seq,
-                          uint32_t data_bytes);
 
   // ---- Segment lifecycle -----------------------------------------------------
-  // Fixed bytes of a serialized summary besides the records: header + CRC.
-  static constexpr size_t kSummaryOverhead = SummaryHeader::kEncodedSize + 16;
   // One segment's summary: the unit the checkpoint chain captures and
   // recovery replays. `parity` is the segment's geometry where known.
   struct LoggedSegment {
@@ -439,19 +472,8 @@ class LogStructuredDisk : public LogicalDisk {
   // XOR lane period for a segment whose largest stored block is `max_stored`:
   // one sector more than the sector-rounded block, so any sector-aligned
   // extent containing one block stays within a single lane period and is
-  // therefore reconstructible.
+  // therefore reconstructible. 0 when parity is off or there is no data.
   uint32_t ParityBytesFor(uint32_t max_stored) const;
-  // Data-area bytes EnsureRoom must keep in reserve for the parity block
-  // (alignment padding + lane period), given the largest stored block the
-  // sealed segment would contain. 0 when parity is off or no data.
-  uint32_t ParityReserve(uint32_t max_stored) const;
-  // Computes the parity block over `buffer`'s data area ([0, data_used),
-  // padded to the sector boundary), stores it in the buffer at the padded
-  // offset, appends the kSegmentParity record, and returns the geometry.
-  // Returns no parity (leaving everything untouched) when the segment
-  // carries no data or parity is off.
-  ParityGeometry AddSegmentParity(std::span<uint8_t> buffer, uint32_t data_used,
-                                  uint32_t max_stored, std::vector<SummaryRecord>* records);
   // Rebuilds the bytes of the sector-aligned extent around
   // [offset, offset + out.size()) of `segment`'s data area from the
   // segment's parity block, writing just the requested byte range into
@@ -537,11 +559,20 @@ class LogStructuredDisk : public LogicalDisk {
   bool ChannelUsable(uint32_t ch) const {
     return ch >= channel_failed_.size() || !channel_failed_[ch];
   }
-  // Reads a segment's full image (data area + summary tail).
-  Status ReadSegmentImage(uint32_t segment, std::span<uint8_t> out);
+  // The one stripe-XOR routine: reads bytes [offset, offset + acc.size())
+  // of `segment` and XORs them into `acc`.
+  Status XorSegmentRange(uint32_t segment, uint32_t offset, std::span<uint8_t> acc);
+  // Rebuilds stripe member `members[index]` into `image` (one whole segment)
+  // from the parity segment and the other members, parity first, and checks
+  // that the result decodes at the member's recorded `seq`. A component that
+  // fails to read returns its read error, naming the component; a parity
+  // image failing `parity_crc` or a summary not valid at `seq` is CORRUPTION.
+  StatusOr<SummaryRead> RebuildStripeMember(uint32_t parity, uint32_t parity_crc,
+                                            const std::vector<uint32_t>& members, size_t index,
+                                            uint64_t seq, std::span<uint8_t> image);
   // Seal-time formation: if one unstriped kFull segment exists on every live
   // channel but one, forms a full-width stripe set whose records ride the
-  // summary of `sealing_segment` (appended to open_records_); the parity
+  // summary of `sealing_segment` (appended to open_.records); the parity
   // image is written after the sealing segment is submitted (see
   // pending_parity_). Best-effort: skips silently when capacity or segment
   // supply is short.
@@ -753,11 +784,8 @@ class LogStructuredDisk : public LogicalDisk {
   std::unique_ptr<UsageTable> usage_;
 
   // Open segment.
-  std::vector<uint8_t> open_buffer_;
-  uint32_t open_data_used_ = 0;
+  SegmentImage open_;
   uint32_t open_dead_bytes_ = 0;
-  std::vector<SummaryRecord> open_records_;
-  size_t open_record_bytes_ = 0;
   // (bid, offset, stored) appended since the segment opened, for relocation
   // at full flush.
   struct Appended {
@@ -766,12 +794,10 @@ class LogStructuredDisk : public LogicalDisk {
     uint32_t stored;
   };
   std::vector<Appended> open_appended_;
-  // Largest stored block in the open segment: sizes the parity lane period.
-  uint32_t open_max_stored_ = 0;
   int64_t scratch_segment_ = -1;  // Holds the latest partial write, if any.
 
   // Pipelined segment writes (§3.3): a sealed segment's image moves into an
-  // InflightWrite and is submitted asynchronously; open_buffer_ keeps
+  // InflightWrite and is submitted asynchronously; open_.buffer keeps
   // accepting writes (and the CPU that fills it — compression, list
   // maintenance — genuinely overlaps the in-flight disk writes). Up to
   // MaxInflight() writes are outstanding — one per device channel, each

@@ -304,20 +304,12 @@ Status LogStructuredDisk::WriteCleanerBatch(CleanerBatch batch) {
   RETURN_IF_ERROR(WaitForInflight());
   // A dedicated segment image, independent of the user's open segment, so
   // cleaned state is durable before any victim is reused.
-  std::vector<uint8_t> buffer(options_.segment_bytes, 0);
-  std::vector<SummaryRecord> records;
-  size_t record_bytes = 0;
-  uint32_t used = 0;
-  uint32_t image_max_stored = 0;  // Largest stored block in the current image.
+  SegmentImage image;
+  image.buffer.assign(options_.segment_bytes, 0);
   const uint32_t sector = device_->sector_size();
-  // Per-image parity reservation: bytes at the end of the data fill for the
-  // parity block, plus its summary record. Zero with segment_parity off, so
-  // the capacity math below is unchanged from the parity-free layout.
-  const size_t parity_record_size = SummaryRecord::EncodedSize(SummaryRecordType::kSegmentParity);
-  const size_t entry_size = SummaryRecord::EncodedSize(SummaryRecordType::kBlockEntry);
 
   auto flush_segment = [&]() -> Status {
-    if (records.empty()) {
+    if (image.records.empty()) {
       return OkStatus();
     }
     // Default placement stripes cleaner output round-robin across channels
@@ -340,44 +332,35 @@ Status LogStructuredDisk::WriteCleanerBatch(CleanerBatch batch) {
       return NoSpaceError("cleaner: no free segment for copied state");
     }
     const uint64_t seq = next_seq_++;
-    // Cleaner-written segments carry parity like foreground ones; the record
-    // must join `records` before the summary is encoded.
-    const ParityGeometry parity = AddSegmentParity(buffer, used, image_max_stored, &records);
-    SummaryHeader header;
-    header.seq = seq;
-    header.segment_index = static_cast<uint32_t>(target);
-    header.data_bytes = used;
+    // Cleaner-written segments carry parity like foreground ones.
     uint32_t ext_used = 0;
-    RETURN_IF_ERROR(EncodeSummary(header, records,
-                                  std::span<uint8_t>(buffer).subspan(data_capacity_),
-                                  std::span<uint8_t>(buffer).subspan(used, data_capacity_ - used),
-                                  &ext_used));
+    ASSIGN_OR_RETURN(const ParityGeometry parity,
+                     SealImage(&image, static_cast<uint32_t>(target), seq, /*lane=*/true,
+                               &ext_used));
     // Cleaning overlaps foreground traffic: segment images are *submitted*
-    // to the device queue (data is captured at submit, so `buffer` can be
+    // to the device queue (data is captured at submit, so the buffer can be
     // reused for the next image immediately); the Drain() at the end of
     // WriteCleanerBatch is the durability barrier before victims are freed.
     const uint64_t base = SegmentBaseByte(static_cast<uint32_t>(target));
+    const std::span<const uint8_t> bytes(image.buffer);
     if (ext_used > 0) {
       // Data, extension, and summary in one whole-segment write.
-      if (Status s = io_.SubmitWrite(base / sector, buffer).status(); !s.ok()) {
+      if (Status s = io_.SubmitWrite(base / sector, bytes).status(); !s.ok()) {
         return HandleWriteFailure(s);
       }
     } else {
-      if (used > 0) {
+      if (image.used > 0) {
         // The parity block sits just past the sector-rounded data fill, so
         // the data write is extended to carry it in the same request.
         const uint64_t data_len = parity.has ? static_cast<uint64_t>(parity.offset) + parity.bytes
-                                             : RoundUp(used, sector);
-        if (Status s =
-                io_.SubmitWrite(base / sector, std::span<const uint8_t>(buffer).subspan(0, data_len))
-                    .status();
+                                             : RoundUp(image.used, sector);
+        if (Status s = io_.SubmitWrite(base / sector, bytes.subspan(0, data_len)).status();
             !s.ok()) {
           return HandleWriteFailure(s);
         }
       }
       if (Status s = io_.SubmitWrite((base + data_capacity_) / sector,
-                                     std::span<const uint8_t>(buffer).subspan(
-                                         data_capacity_, options_.summary_bytes))
+                                     bytes.subspan(data_capacity_, options_.summary_bytes))
                          .status();
           !s.ok()) {
         return HandleWriteFailure(s);
@@ -387,7 +370,8 @@ Status LogStructuredDisk::WriteCleanerBatch(CleanerBatch batch) {
     // Frames cover cleaner-written segments like foreground ones; the next
     // frame is only written after this batch's Drain() barrier, so the
     // capture never outruns durability.
-    InstallSealedImage(static_cast<uint32_t>(target), SegmentState::kFull, seq, parity, records);
+    InstallSealedImage(static_cast<uint32_t>(target), SegmentState::kFull, seq, parity,
+                       image.records);
     if (ext_used > 0) {
       // Re-logged metadata carries no data age: 0 leaves age_ts alone, so a
       // record-only segment falls back to newest_ts in the scoring.
@@ -401,7 +385,7 @@ Status LogStructuredDisk::WriteCleanerBatch(CleanerBatch batch) {
     // it.
     usage_->segment(static_cast<uint32_t>(target)).cold = true;
     counters_.cold_segments_written++;
-    for (const auto& r : records) {
+    for (const auto& r : image.records) {
       if (r.type != SummaryRecordType::kBlockEntry) {
         continue;
       }
@@ -413,70 +397,36 @@ Status LogStructuredDisk::WriteCleanerBatch(CleanerBatch batch) {
       e.payload_crc = r.block.payload_crc;
       usage_->AddLiveAged(static_cast<uint32_t>(target), r.block.stored_size, r.ts, age);
     }
-    records.clear();
-    record_bytes = 0;
-    used = 0;
-    image_max_stored = 0;
-    std::memset(buffer.data(), 0, buffer.size());
+    image.Clear();
+    std::memset(image.buffer.data(), 0, image.buffer.size());
     return OkStatus();
   };
 
-  // Footprint of the parity reservation inside the data area: alignment pad
-  // up to the sector-rounded fill, plus the parity block itself. 0 when
-  // parity is off (the capacity math reduces to the parity-free layout).
-  auto parity_footprint = [&](uint64_t fill, uint32_t max_stored) -> uint64_t {
-    const uint32_t reserve = ParityReserve(max_stored);
-    if (reserve == 0) {
-      return 0;
-    }
-    return (RoundUp(fill, sector) - fill) + reserve;
-  };
-
-  auto append_record = [&](const SummaryRecord& r) -> Status {
-    // Records fill the summary tail first and may spill into the unused end
-    // of the data area (leaving one sector of slack, after the parity
-    // reservation).
-    const size_t parity_rec = ParityReserve(image_max_stored) > 0 ? parity_record_size : 0;
-    const uint64_t capacity =
-        (options_.summary_bytes - kSummaryOverhead - parity_rec) +
-        (static_cast<uint64_t>(data_capacity_) - used - parity_footprint(used, image_max_stored)) -
-        sector;
-    const size_t size = SummaryRecord::EncodedSize(r.type);
-    if (record_bytes + size > capacity) {
-      RETURN_IF_ERROR(flush_segment());
-    }
-    records.push_back(r);
-    record_bytes += size;
-    return OkStatus();
-  };
-
+  const size_t entry_size = SummaryRecord::EncodedSize(SummaryRecordType::kBlockEntry);
   for (auto& b : batch.blocks) {
-    const uint32_t next_max =
-        std::max<uint32_t>(image_max_stored, static_cast<uint32_t>(b.stored.size()));
-    const size_t parity_rec = ParityReserve(next_max) > 0 ? parity_record_size : 0;
-    if (used + b.stored.size() + parity_footprint(used + b.stored.size(), next_max) >
-            data_capacity_ ||
-        record_bytes + entry_size + parity_rec + kSummaryOverhead >
-            options_.summary_bytes) {
+    // Fit is tested before the superseded check below, so a block skipped
+    // there can still close an image.
+    if (!Fits(image, static_cast<uint32_t>(b.stored.size()), entry_size)) {
       RETURN_IF_ERROR(flush_segment());
     }
     // The block may have been superseded while the cleaner was buffering.
     if (!block_map_.IsAllocated(b.bid) || !block_map_.entry(b.bid).phys.IsOnDisk()) {
       continue;
     }
-    const uint32_t offset = used;
-    std::memcpy(buffer.data() + offset, b.stored.data(), b.stored.size());
-    used += static_cast<uint32_t>(b.stored.size());
-    image_max_stored = std::max<uint32_t>(image_max_stored, static_cast<uint32_t>(b.stored.size()));
+    const uint32_t offset = image.AppendData(b.stored);
     SummaryRecord entry =
         SummaryRecord::BlockEntry(NextTs(), b.bid, offset, static_cast<uint32_t>(b.stored.size()),
                                   b.orig_size, b.compressed, b.payload_crc);
     entry.aru_id = b.aru_id;
-    records.push_back(entry);
-    record_bytes += entry_size;
+    image.AddRecord(entry);
   }
+  // The blocks are in: records may now spill into the data area's free end.
+  image.data_complete = true;
   for (const auto& r : batch.records) {
-    RETURN_IF_ERROR(append_record(r));
+    if (!Fits(image, 0, SummaryRecord::EncodedSize(r.type))) {
+      RETURN_IF_ERROR(flush_segment());
+    }
+    image.AddRecord(r);
   }
   RETURN_IF_ERROR(flush_segment());
   // Durability barrier: every submitted cleaner segment must be on disk
@@ -565,7 +515,7 @@ Status LogStructuredDisk::CleanSegments(uint32_t count) {
     // victims into one output, the only move that lets it recover.
     const uint64_t victim_live = usage_->segment(static_cast<uint32_t>(victim)).live_bytes;
     const uint64_t per_image_overhead =
-        static_cast<uint64_t>(options_.block_size) + ParityReserve(options_.block_size);
+        static_cast<uint64_t>(options_.block_size) + ParityBytesFor(options_.block_size);
     const uint64_t per_image =
         per_image_overhead < data_capacity_ ? data_capacity_ - per_image_overhead : 1;
     const uint64_t expected_segments =

@@ -37,12 +37,6 @@ struct LldOptions {
   // physical segment and stays open in memory.
   double partial_segment_threshold = 0.75;
 
-  // When the number of free segments drops to this reserve, the cleaner runs
-  // before the next segment allocation. The effective reserve is scaled up
-  // with the disk (min(num_segments/8, 32)) so that a cleaning round over
-  // high-live victims still nets free segments at high utilization.
-  uint32_t free_segment_reserve = 4;
-
   // Segments cleaned per cleaner invocation.
   uint32_t segments_per_clean = 4;
 

@@ -471,7 +471,7 @@ Status LogStructuredDisk::WriteBaseFrame(bool clean) {
   // A base frame is a snapshot of the in-memory tables: everything sealed
   // must be durable and nothing may sit in the open segment (open-segment
   // blocks carry unserializable in-memory addresses).
-  if (open_data_used_ > 0 || !open_records_.empty()) {
+  if (!open_.empty()) {
     RETURN_IF_ERROR(FlushOpenSegmentFull());
   }
   RETURN_IF_ERROR(WaitForInflight());
@@ -1276,43 +1276,20 @@ Status LogStructuredDisk::ReconstructStripeMember(uint32_t p, uint32_t idx,
                            " (double fault)");
   };
   std::vector<uint8_t> image(options_.segment_bytes);
-  if (Status s = ReadSegmentImage(p, image); !s.ok()) {
-    if (s.code() != ErrorCode::kIoError) {
-      return s;
+  StatusOr<SummaryRead> read =
+      RebuildStripeMember(p, net.parity_crc, net.members, idx, net.member_seqs[idx], image);
+  if (!read.ok()) {
+    // An unreadable component or a failed check refuses the open; any other
+    // device error propagates as it is.
+    const ErrorCode code = read.status().code();
+    if (code != ErrorCode::kIoError && code != ErrorCode::kCorruption) {
+      return read.status();
     }
-    return fault("parity image unreadable: " + s.ToString());
-  }
-  if (PayloadCrc(image) != net.parity_crc) {
-    return fault("parity image fails its recorded crc");
-  }
-  std::vector<uint8_t> peer(options_.segment_bytes);
-  for (size_t j = 0; j < net.members.size(); ++j) {
-    if (j == idx) {
-      continue;
-    }
-    if (Status s = ReadSegmentImage(net.members[j], peer); !s.ok()) {
-      if (s.code() != ErrorCode::kIoError) {
-        return s;
-      }
-      return fault("stripe peer " + std::to_string(net.members[j]) +
-                   " unreadable: " + s.ToString());
-    }
-    for (size_t b = 0; b < image.size(); ++b) {
-      image[b] ^= peer[b];
-    }
-  }
-  // `image` is now the lost member; its summary must decode at exactly
-  // the recorded seal.
-  SummaryRead read = *ReadSummary(m, {}, image);  // In memory: cannot fail.
-  if (!read.seq_known || read.header.seq != net.member_seqs[idx]) {
-    return fault("reconstructed summary does not match the recorded seal");
-  }
-  if (read.outcome != SummaryRead::kValid) {
-    return fault("reconstructed summary does not decode: " + read.status.ToString());
+    return fault(read.status().message());
   }
   scan->has_summary[m] = true;
-  scan->scanned_seqs.emplace(m, read.header.seq);
-  scan->replay.push_back({m, read.header.seq, ParityGeometry{}, std::move(read.records)});
+  scan->scanned_seqs.emplace(m, read->header.seq);
+  scan->replay.push_back({m, read->header.seq, ParityGeometry{}, std::move(read->records)});
   scan->suspects.erase(std::remove_if(scan->suspects.begin(), scan->suspects.end(),
                                       [&](const RecoveryScan::Suspect& s) {
                                         return s.index == m;

@@ -53,22 +53,53 @@ bool LogStructuredDisk::SegmentChannelsUsable(uint32_t segment) const {
   return true;
 }
 
-Status LogStructuredDisk::ReadSegmentImage(uint32_t segment, std::span<uint8_t> out) {
-  return io_.Read(SegmentBaseByte(segment) / device_->sector_size(), out);
+Status LogStructuredDisk::XorSegmentRange(uint32_t segment, uint32_t offset,
+                                          std::span<uint8_t> acc) {
+  std::vector<uint8_t> peer(acc.size());
+  RETURN_IF_ERROR(
+      io_.Read((SegmentBaseByte(segment) + offset) / device_->sector_size(), std::span(peer)));
+  for (size_t i = 0; i < peer.size(); ++i) {
+    acc[i] ^= peer[i];
+  }
+  return OkStatus();
+}
+
+StatusOr<LogStructuredDisk::SummaryRead> LogStructuredDisk::RebuildStripeMember(
+    uint32_t parity, uint32_t parity_crc, const std::vector<uint32_t>& members, size_t index,
+    uint64_t seq, std::span<uint8_t> image) {
+  std::fill(image.begin(), image.end(), 0);
+  if (Status s = XorSegmentRange(parity, 0, image); !s.ok()) {
+    return Status(s.code(), "parity image unreadable: " + s.ToString());
+  }
+  if (PayloadCrc(image) != parity_crc) {
+    return CorruptionError("parity image fails its recorded crc");
+  }
+  for (size_t j = 0; j < members.size(); ++j) {
+    if (j == index) {
+      continue;
+    }
+    if (Status s = XorSegmentRange(members[j], 0, image); !s.ok()) {
+      return Status(s.code(), "stripe peer " + std::to_string(members[j]) +
+                                  " unreadable: " + s.ToString());
+    }
+  }
+  // `image` is now the lost member; its summary must decode at exactly the
+  // recorded seal.
+  SummaryRead read = *ReadSummary(members[index], {}, image);  // In memory: cannot fail.
+  if (read.outcome != SummaryRead::kValid || read.header.seq != seq) {
+    return CorruptionError("rebuilt summary does not decode at the recorded seal");
+  }
+  return read;
 }
 
 StatusOr<LogStructuredDisk::StripeSet> LogStructuredDisk::ComputeStripe(
     const std::vector<uint32_t>& members, uint32_t parity_segment,
     std::vector<uint8_t>* image) {
   image->assign(options_.segment_bytes, 0);
-  std::vector<uint8_t> peer(options_.segment_bytes);
   StripeSet set;
   set.parity_segment = parity_segment;
   for (uint32_t m : members) {
-    RETURN_IF_ERROR(ReadSegmentImage(m, peer));
-    for (size_t i = 0; i < peer.size(); ++i) {
-      (*image)[i] ^= peer[i];
-    }
+    RETURN_IF_ERROR(XorSegmentRange(m, 0, *image));
     set.members.push_back(m);
     set.member_seqs.push_back(usage_->segment(m).seq);
   }
@@ -149,9 +180,7 @@ Status LogStructuredDisk::MaybeFormStripes(uint32_t sealing_segment) {
   }
   // The parity image consumes a free segment outside the utilization budget;
   // stay clear of the cleaner's reserve so formation never forces a clean.
-  const uint32_t reserve =
-      std::max(options_.free_segment_reserve, std::min(usage_->num_segments() / 8, 32u));
-  if (usage_->FreeCount() <= reserve + 1) {
+  if (usage_->FreeCount() <= CleaningReserve() + 1) {
     return OkStatus();
   }
 
@@ -213,22 +242,20 @@ Status LogStructuredDisk::MaybeFormStripes(uint32_t sealing_segment) {
       continue;
     }
     // The records must fit the sealing segment's summary alongside whatever
-    // it already carries (plus the segment-parity record the seal may add);
-    // mid-seal there is no room to flush, so an overfull summary just skips
-    // this round — the candidates stay eligible for the next seal.
-    const size_t stripe_bytes =
-        members.size() * SummaryRecord::EncodedSize(SummaryRecordType::kStripeParity);
-    const size_t parity_record =
-        options_.segment_parity ? SummaryRecord::EncodedSize(SummaryRecordType::kSegmentParity)
-                                : 0;
-    if (open_record_bytes_ + stripe_bytes + parity_record + kSummaryOverhead >
-        options_.summary_bytes) {
+    // it already carries; mid-seal there is no room to flush, so an overfull
+    // summary just skips this round — the candidates stay eligible for the
+    // next seal.
+    if (!Fits(open_, 0,
+              members.size() * SummaryRecord::EncodedSize(SummaryRecordType::kStripeParity))) {
       return OkStatus();
     }
     std::vector<uint8_t> image;
     ASSIGN_OR_RETURN(StripeSet set, ComputeStripe(members, static_cast<uint32_t>(parity), &image));
-    AppendStripeRecords(set, NextTs(), &open_records_);
-    open_record_bytes_ += stripe_bytes;
+    std::vector<SummaryRecord> records;
+    AppendStripeRecords(set, NextTs(), &records);
+    for (const SummaryRecord& r : records) {
+      open_.AddRecord(r);
+    }
     // Reserve the parity target now: between planning and CommitStripe it
     // must not double as a seal target or cleaner destination — the parity
     // image would overwrite whatever landed there. A failed seal returns it
@@ -265,8 +292,7 @@ StatusOr<uint32_t> LogStructuredDisk::FormStripes(uint32_t max_sets) {
     const auto it = carriers.find(s);
     return it != carriers.end() && it->second == usage_->segment(s).seq;
   };
-  const uint32_t reserve =
-      std::max(options_.free_segment_reserve, std::min(usage_->num_segments() / 8, 32u));
+  const uint32_t reserve = CleaningReserve();
   const size_t record_size = SummaryRecord::EncodedSize(SummaryRecordType::kStripeParity);
 
   uint32_t formed = 0;
@@ -360,8 +386,7 @@ StatusOr<uint32_t> LogStructuredDisk::FormStripes(uint32_t max_sets) {
         if (parity < 0) {
           continue;
         }
-        if (open_record_bytes_ + members.size() * record_size + kSummaryOverhead >
-            options_.summary_bytes) {
+        if (!Fits(open_, 0, members.size() * record_size)) {
           // Carrier summary is full; seal this batch and start another.
           break;
         }
@@ -477,21 +502,13 @@ Status LogStructuredDisk::TryStripeReconstructStored(Bid bid, const BlockMapEntr
   const uint32_t hi =
       static_cast<uint32_t>(RoundUp(entry.phys.offset + entry.stored_size, sector));
   std::vector<uint8_t> acc(hi - lo, 0);
-  std::vector<uint8_t> peer(hi - lo);
-  auto absorb = [&](uint32_t segment) -> Status {
-    RETURN_IF_ERROR(io_.Read((SegmentBaseByte(segment) + lo) / sector, std::span<uint8_t>(peer)));
-    for (size_t i = 0; i < peer.size(); ++i) {
-      acc[i] ^= peer[i];
-    }
-    return OkStatus();
-  };
-  Status s = absorb(set.parity_segment);
+  Status s = XorSegmentRange(set.parity_segment, lo, acc);
   for (uint32_t m : set.members) {
     if (!s.ok()) {
       break;
     }
     if (m != entry.phys.segment) {
-      s = absorb(m);
+      s = XorSegmentRange(m, lo, acc);
     }
   }
   if (!s.ok()) {
@@ -684,7 +701,6 @@ StatusOr<RebuildReport> LogStructuredDisk::Rebuild(uint32_t max_segments) {
       max_segments == 0 ? std::numeric_limits<uint32_t>::max() : max_segments;
   std::vector<uint32_t> requeue;
   std::vector<uint8_t> image(options_.segment_bytes);
-  std::vector<uint8_t> peer(options_.segment_bytes);
 
   while (budget > 0 && !rebuild_pending_.empty()) {
     budget--;
@@ -709,61 +725,28 @@ StatusOr<RebuildReport> LogStructuredDisk::Rebuild(uint32_t max_segments) {
     }
 
     // XOR the surviving peers into `image`. For a member rebuild the parity
-    // image is CRC-verified before it is trusted; for a parity rebuild the
-    // recomputed XOR must match the recorded CRC. Either mismatch — or an
-    // unreadable peer — is a typed double fault: the stripe is dissolved,
-    // never guessed at.
-    std::fill(image.begin(), image.end(), 0);
-    Status io = OkStatus();
-    bool double_fault = false;
+    // image is CRC-verified before it is trusted and the result must decode
+    // at the recorded seq; for a parity rebuild the recomputed XOR must match
+    // the recorded CRC. Either mismatch — or an unreadable peer — is a typed
+    // double fault: the stripe is dissolved, never guessed at.
+    Status rebuilt;
     if (is_parity) {
-      for (uint32_t m : set->members) {
-        io = ReadSegmentImage(m, peer);
-        if (!io.ok()) {
-          break;
-        }
-        for (size_t i = 0; i < image.size(); ++i) {
-          image[i] ^= peer[i];
-        }
+      StatusOr<StripeSet> fresh = ComputeStripe(set->members, seg, &image);
+      rebuilt = fresh.status();
+      if (fresh.ok() && fresh->parity_crc != set->parity_crc) {
+        rebuilt = CorruptionError("rebuilt parity image fails its recorded crc");
       }
-      double_fault = io.ok() && PayloadCrc(image) != set->parity_crc;
     } else {
-      io = ReadSegmentImage(set->parity_segment, peer);
-      if (io.ok() && PayloadCrc(peer) != set->parity_crc) {
-        double_fault = true;
-      }
-      if (io.ok() && !double_fault) {
-        std::memcpy(image.data(), peer.data(), peer.size());
-        for (uint32_t m : set->members) {
-          if (m == seg) {
-            continue;
-          }
-          io = ReadSegmentImage(m, peer);
-          if (!io.ok()) {
-            break;
-          }
-          for (size_t i = 0; i < image.size(); ++i) {
-            image[i] ^= peer[i];
-          }
-        }
-      }
-      if (io.ok() && !double_fault) {
-        // The reconstructed image must decode to exactly the member summary
-        // the stripe recorded — right segment, right sequence.
-        size_t idx = 0;
-        while (idx < set->members.size() && set->members[idx] != seg) {
-          idx++;
-        }
-        const SummaryRead read = *ReadSummary(seg, {}, image);  // In memory: cannot fail.
-        double_fault = read.outcome != SummaryRead::kValid || idx >= set->member_seqs.size() ||
-                       read.header.seq != set->member_seqs[idx];
-      }
+      const size_t idx =
+          std::find(set->members.begin(), set->members.end(), seg) - set->members.begin();
+      rebuilt = RebuildStripeMember(set->parity_segment, set->parity_crc, set->members, idx,
+                                    set->member_seqs[idx], image)
+                    .status();
     }
 
-    if (!io.ok() || double_fault) {
+    if (!rebuilt.ok()) {
       const uint32_t parity = is_parity ? seg : set->parity_segment;
-      LD_LOG(kWarn) << "rebuild of segment " << seg << " unrecoverable ("
-                    << (io.ok() ? "verification mismatch" : io.ToString())
+      LD_LOG(kWarn) << "rebuild of segment " << seg << " unrecoverable (" << rebuilt.ToString()
                     << "); dissolving stripe " << parity;
       // DissolveStripesTouching zeroes the parity summary and appends the
       // countermand through the log (guarded so the flush it may trigger

@@ -25,7 +25,6 @@ LldOptions TestOptions() {
   LldOptions options;
   options.segment_bytes = 128 * 1024;
   options.summary_bytes = 8192;
-  options.free_segment_reserve = 3;
   options.segments_per_clean = 3;
   // The CI fault matrix flips this (LD_SEGMENT_PARITY): the cleaner's
   // capacity math and segment images differ with parity, the behaviour

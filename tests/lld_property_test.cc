@@ -25,7 +25,6 @@ LldOptions TestOptions() {
   LldOptions options;
   options.segment_bytes = 64 * 1024;
   options.summary_bytes = 4096;
-  options.free_segment_reserve = 3;
   return options;
 }
 

@@ -454,5 +454,72 @@ TEST(LldStripingTest, StripesSurviveCleanerChurn) {
   }
 }
 
+// Both redundancy tiers at once, with a summary so small that it fills before
+// the data area: every seal is summary-bound. The duplicate stripe
+// declarations queued for the next seal then compete with that seal's
+// segment-parity record for the summary's last bytes. A seal that admits a
+// declaration without reserving the parity record overflows the summary, and
+// every later write fails with it.
+TEST(LldStripingTest, SummaryBoundSealsWithBothParityTiers) {
+  constexpr uint32_t kBlock = 512;
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    StripeRig rig(2);
+    LldOptions options = StripeOptions();
+    options.block_size = kBlock;
+    options.summary_bytes = 2048;
+    options.segment_parity = true;
+    std::vector<Bid> bids;
+    std::vector<uint32_t> tags;
+    {
+      auto lld = *LogStructuredDisk::Format(rig.disk.get(), options);
+      auto list = lld->NewList(kBeginOfListOfLists, ListHints{});
+      ASSERT_TRUE(list.ok());
+      Bid pred = kBeginOfList;
+      auto add_block = [&](uint32_t tag) -> Status {
+        auto bid = lld->NewBlock(*list, pred);
+        if (!bid.ok()) {
+          return bid.status();
+        }
+        pred = *bid;
+        bids.push_back(*bid);
+        tags.push_back(tag);
+        return lld->Write(*bid, Pattern(kBlock, tag));
+      };
+      for (uint32_t i = 0; i < 400; ++i) {
+        ASSERT_TRUE(add_block(i).ok());
+      }
+      // 30 % new blocks, ~0.2 % flushes, the rest overwrites.
+      Rng rng(seed);
+      for (uint32_t op = 0; op < 3000; ++op) {
+        const uint64_t roll = rng.Below(1000);
+        const uint32_t tag = 1000 + op;
+        Status s;
+        if (roll < 2) {
+          s = lld->Flush();
+        } else if (roll < 302) {
+          s = add_block(tag);
+        } else {
+          const size_t at = rng.Below(bids.size());
+          tags[at] = tag;
+          s = lld->Write(bids[at], Pattern(kBlock, tag));
+        }
+        ASSERT_TRUE(s.ok()) << "op " << op << ": " << s.ToString();
+      }
+      ASSERT_TRUE(lld->Flush().ok());
+      EXPECT_GT(lld->counters().stripes_formed, 0u);
+    }
+    // Reopen from the log (no clean shutdown) and read every block back.
+    auto reopened = LogStructuredDisk::Open(rig.disk.get(), options);
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    std::vector<uint8_t> out(kBlock);
+    for (size_t i = 0; i < bids.size(); ++i) {
+      const Status rs = (*reopened)->Read(bids[i], out);
+      ASSERT_TRUE(rs.ok()) << "block " << i << ": " << rs.ToString();
+      ASSERT_EQ(out, Pattern(kBlock, tags[i])) << "block " << i;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace ld
