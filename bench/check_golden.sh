@@ -5,10 +5,14 @@
 # is a change in behaviour, timing model or report text, and shows up here
 # as a unified diff.
 #
-# Usage: bench/check_golden.sh [--update] [BUILD_DIR]
+# Usage: bench/check_golden.sh [--update] [--ldbench LDBENCH] [BUILD_DIR]
 #   BUILD_DIR  a Release build tree (default: build).
 #   --update   rewrite the golden files from BUILD_DIR instead of diffing.
+#   --ldbench  also check the "deterministic" line that the perfbench
+#              binary LDBENCH prints at --seconds 0 --trace 0, for seeds 1-3
+#              of every workload, against bench/golden/ldbench.txt.
 #
+# The legs run concurrently, one per core; their diffs print in leg order.
 # Exits non-zero when a bench exits non-zero (a [FAIL] claim check or a
 # failed run) or when its output differs from the golden file.
 
@@ -16,12 +20,15 @@ set -u
 
 update=0
 build=build
-for arg in "$@"; do
-  case "$arg" in
+ldbench=""
+while [ $# -gt 0 ]; do
+  case "$1" in
     --update) update=1 ;;
-    -h|--help) sed -n '2,13p' "$0"; exit 0 ;;
-    *) build="$arg" ;;
+    --ldbench) shift; ldbench="${1:-}" ;;
+    -h|--help) sed -n '2,18p' "$0"; exit 0 ;;
+    *) build="$1" ;;
   esac
+  shift
 done
 
 golden="$(cd "$(dirname "$0")" && pwd)/golden"
@@ -60,24 +67,79 @@ legs=(
   "bench_faults.smoke-fail2 LD_FAIL_CHANNEL=2 bench_faults --smoke"
   "bench_faults.smoke-fail3 LD_FAIL_CHANNEL=3 bench_faults --smoke"
 )
+if [ -n "$ldbench" ]; then
+  for workload in smallfile largefile hotcold; do
+    for seed in 1 2 3; do
+      legs+=("ldbench.$workload.$seed - ldbench $workload $seed")
+    done
+  done
+fi
+
+# Runs one leg: its stdout goes to $tmp/<index>.out, its exit status to
+# $tmp/<index>.status. An ldbench leg keeps only the fingerprint line,
+# labelled with its workload and seed.
+run_leg() {
+  local index="$1" assign="$2" bench="$3"
+  shift 3
+  if [ "$bench" = "ldbench" ]; then
+    "$ldbench" --workload "$1" --seed "$2" --seconds 0 --trace 0 >"$tmp/$index.raw"
+    echo $? >"$tmp/$index.status"
+    sed -n "s/^deterministic /$1 seed $2: /p" "$tmp/$index.raw" >"$tmp/$index.out"
+    return
+  fi
+  # shellcheck disable=SC2086  # $assign splits on purpose.
+  env $assign "$build/bench/$bench" "$@" >"$tmp/$index.out"
+  echo $? >"$tmp/$index.status"
+}
+
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+max_jobs="$(nproc 2>/dev/null || echo 2)"
+for i in "${!legs[@]}"; do
+  while [ "$(jobs -rp | wc -l)" -ge "$max_jobs" ]; do
+    wait -n
+  done
+  read -r name assign bench args <<<"${legs[$i]}"
+  [ "$assign" = "-" ] && assign=""
+  # shellcheck disable=SC2086  # $args splits on purpose.
+  run_leg "$i" "$assign" "$bench" $args &
+done
+wait
+
+# The ldbench legs share one golden file: concatenate them in leg order.
+report=()
+for i in "${!legs[@]}"; do
+  read -r name _ <<<"${legs[$i]}"
+  if [[ "$name" == ldbench.* ]]; then
+    cat "$tmp/$i.out" >>"$tmp/ldbench.out"
+    if [ "$(cat "$tmp/$i.status")" -ne 0 ]; then
+      echo "FAIL: $name exited with status $(cat "$tmp/$i.status")" >>"$tmp/ldbench.fail"
+    fi
+  else
+    report+=("$i $name")
+  fi
+done
+[ -n "$ldbench" ] && report+=("ldbench ldbench")
 
 failed=0
-out="$(mktemp)"
-trap 'rm -f "$out"' EXIT
-for leg in "${legs[@]}"; do
-  read -r name assign bench args <<<"$leg"
-  [ "$assign" = "-" ] && assign=""
+for entry in "${report[@]}"; do
+  read -r i name <<<"$entry"
   echo "=== $name ==="
-  # shellcheck disable=SC2086  # $assign and $args split on purpose.
-  env $assign "$build/bench/$bench" $args >"$out"
-  status=$?
-  if [ "$status" -ne 0 ]; then
-    echo "FAIL: $name exited with status $status"
-    failed=1
+  if [ "$i" = "ldbench" ]; then
+    if [ -f "$tmp/ldbench.fail" ]; then
+      cat "$tmp/ldbench.fail"
+      failed=1
+    fi
+  else
+    status="$(cat "$tmp/$i.status")"
+    if [ "$status" -ne 0 ]; then
+      echo "FAIL: $name exited with status $status"
+      failed=1
+    fi
   fi
   if [ "$update" -eq 1 ]; then
-    cp "$out" "$golden/$name.txt"
-  elif ! diff -u "$golden/$name.txt" "$out"; then
+    cp "$tmp/$i.out" "$golden/$name.txt"
+  elif ! diff -u "$golden/$name.txt" "$tmp/$i.out"; then
     echo "FAIL: $name differs from bench/golden/$name.txt"
     failed=1
   fi

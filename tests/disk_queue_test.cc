@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/disk/device_factory.h"
@@ -234,6 +237,111 @@ TEST(DiskQueueTest, QueueDepthReachedTriggersScheduling) {
   EXPECT_GT(disk->ScheduledCompletion(*first), 0.0);
   EXPECT_GT(disk->ScheduledCompletion(*second), disk->ScheduledCompletion(*first));
   ASSERT_TRUE(disk->Drain().ok());
+}
+
+// Every request is counted once per view: the global totals, the per-channel
+// breakdown and the per-tenant breakdown (ops, sectors, latency samples)
+// agree on every queueing device, scheduler and QoS policy. The workload
+// mixes runs of adjacent requests (which the legacy scheduler merges),
+// transfers larger than a QoS chunk, two tenants, and random waits/drains.
+TEST(DiskQueueTest, AccountingAgreesAcrossGlobalChannelAndTenantViews) {
+  std::vector<std::pair<std::string, DeviceOptions>> devices;
+  for (uint32_t channels : {1u, 4u}) {
+    for (QueuePolicy policy : {QueuePolicy::kFifo, QueuePolicy::kCScan}) {
+      for (QosPolicy qos : {QosPolicy::kNone, QosPolicy::kWeightedShare, QosPolicy::kDeadline}) {
+        DeviceOptions options = DeviceOptions::HpC3010(64 << 20, channels);
+        options.queue_policy = policy;
+        options.qos.policy = qos;
+        options.qos.num_tenants = 2;
+        devices.emplace_back("simdisk ch=" + std::to_string(channels) + " policy=" +
+                                 std::to_string(static_cast<int>(policy)) +
+                                 " qos=" + std::to_string(static_cast<int>(qos)),
+                             options);
+      }
+    }
+  }
+  for (QosPolicy qos : {QosPolicy::kNone, QosPolicy::kWeightedShare}) {
+    DeviceOptions options = DeviceOptions::Nvme(64 << 20);
+    options.qos.policy = qos;
+    options.qos.num_tenants = 2;
+    options.qos.weights = {3, 1};
+    devices.emplace_back("nvme qos=" + std::to_string(static_cast<int>(qos)), options);
+  }
+
+  constexpr int kRequests = 400;
+  for (const auto& [label, options] : devices) {
+    SCOPED_TRACE(label);
+    SimClock clock;
+    auto disk = MakeDevice(options, &clock);
+    const uint32_t ss = disk->sector_size();
+    Rng rng(2026);
+    std::vector<uint8_t> buf(256 * ss);
+    std::vector<IoTag> tags;
+    uint64_t run_next = 0;
+    bool run_read = false;
+    int run_left = 0;
+    for (int i = 0; i < kRequests; ++i) {
+      // One request in eight is 256 sectors (four 64-KB QoS chunks).
+      const uint64_t count = rng.Chance(0.125) ? 256 : rng.Range(1, 16);
+      if (run_left == 0 || run_next + count > disk->num_sectors()) {
+        run_next = rng.Below(disk->num_sectors() - 4096);
+        run_read = rng.Chance(0.5);
+        run_left = static_cast<int>(rng.Range(1, 6));
+      }
+      disk->set_request_tenant(static_cast<TenantId>(rng.Below(2)));
+      const std::span<uint8_t> span(buf.data(), count * ss);
+      auto tag = run_read ? disk->SubmitRead(run_next, span) : disk->SubmitWrite(run_next, span);
+      ASSERT_TRUE(tag.ok());
+      tags.push_back(*tag);
+      run_next += count;
+      run_left--;
+      if (rng.Chance(0.1)) {
+        ASSERT_TRUE(disk->WaitFor(tags[rng.Below(tags.size())]).ok());
+      }
+      if (rng.Chance(0.02)) {
+        ASSERT_TRUE(disk->Drain().ok());
+      }
+      if (rng.Chance(0.1)) {
+        clock.Advance(1e-3);  // Host CPU between requests.
+      }
+    }
+    ASSERT_TRUE(disk->Drain().ok());
+
+    const DiskStats& stats = disk->stats();
+    EXPECT_EQ(stats.read_ops + stats.write_ops, static_cast<uint64_t>(kRequests));
+    EXPECT_EQ(stats.queued_requests, stats.read_ops + stats.write_ops);
+    if (options.backend == DeviceBackend::kHpC3010 && options.qos.policy == QosPolicy::kNone) {
+      EXPECT_GT(stats.merged_requests, 0u);
+    }
+    ChannelStats channel_sum;
+    for (size_t c = 0; c < stats.channel_count(); ++c) {
+      const ChannelStats& ch = stats.channel(c);
+      channel_sum.read_ops += ch.read_ops;
+      channel_sum.write_ops += ch.write_ops;
+      channel_sum.sectors_read += ch.sectors_read;
+      channel_sum.sectors_written += ch.sectors_written;
+      channel_sum.queued_requests += ch.queued_requests;
+    }
+    EXPECT_EQ(channel_sum.read_ops, stats.read_ops);
+    EXPECT_EQ(channel_sum.write_ops, stats.write_ops);
+    EXPECT_EQ(channel_sum.sectors_read, stats.sectors_read);
+    EXPECT_EQ(channel_sum.sectors_written, stats.sectors_written);
+    EXPECT_EQ(channel_sum.queued_requests, stats.queued_requests);
+    TenantStats tenant_sum;
+    for (size_t t = 0; t < stats.tenant_count(); ++t) {
+      const TenantStats& ts = stats.tenant(t);
+      EXPECT_EQ(ts.read_latency.count(), ts.read_ops) << "tenant " << t;
+      EXPECT_EQ(ts.write_latency.count(), ts.write_ops) << "tenant " << t;
+      tenant_sum.read_ops += ts.read_ops;
+      tenant_sum.write_ops += ts.write_ops;
+      tenant_sum.sectors_read += ts.sectors_read;
+      tenant_sum.sectors_written += ts.sectors_written;
+    }
+    EXPECT_EQ(tenant_sum.read_ops, stats.read_ops);
+    EXPECT_EQ(tenant_sum.write_ops, stats.write_ops);
+    EXPECT_EQ(tenant_sum.sectors_read, stats.sectors_read);
+    EXPECT_EQ(tenant_sum.sectors_written, stats.sectors_written);
+  }
 }
 
 TEST(DiskQueueTest, MemDiskDefaultAsyncPathWorks) {

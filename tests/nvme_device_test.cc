@@ -146,6 +146,49 @@ TEST(NvmeDeviceTest, SyncEqualsSubmitPlusWait) {
   EXPECT_DOUBLE_EQ(sync_clock.Now(), async_clock.Now());
 }
 
+TEST(NvmeDeviceTest, WeightedShareSplitsTheLinkByTenantWeight) {
+  // Two tenants with weights {3, 1} each write 1 MB at t=0. Under weighted
+  // share tenant 0 drains at 0.75 B until it finishes, then tenant 1 gets the
+  // whole link; with QoS off both share it equally and finish together.
+  const NvmeConfig defaults;
+  const size_t kBytes = 1 << 20;
+  const double bps = defaults.bandwidth_mb_per_s * 1e6;
+  const double latency = defaults.write_latency_us * 1e-6;
+  const double heavy_done = latency + static_cast<double>(kBytes) / (0.75 * bps);
+  const double light_done = latency + 2.0 * static_cast<double>(kBytes) / bps;
+  EXPECT_NEAR(heavy_done * 1e6, 456.907, 1e-3);
+  EXPECT_NEAR(light_done * 1e6, 675.360, 1e-3);
+
+  for (bool weighted : {true, false}) {
+    SCOPED_TRACE(weighted ? "weighted share" : "qos off");
+    DeviceOptions options = SmallNvme();
+    if (weighted) {
+      options.qos.policy = QosPolicy::kWeightedShare;
+      options.qos.num_tenants = 2;
+      options.qos.weights = {3, 1};
+    }
+    SimClock clock;
+    auto disk = MakeDevice(options, &clock);
+    std::vector<uint8_t> buf(kBytes, 0x5a);
+    std::vector<IoTag> tags;
+    for (TenantId tenant : {0u, 1u}) {
+      disk->set_request_tenant(tenant);
+      auto tag = disk->SubmitWrite(tenant * (kBytes / 512), buf);
+      ASSERT_TRUE(tag.ok());
+      tags.push_back(*tag);
+    }
+    EXPECT_TRUE(disk->Poll().empty());  // Schedules both; none is done at t=0.
+    EXPECT_NEAR(disk->ScheduledCompletion(tags[0]), weighted ? heavy_done : light_done, 1e-12);
+    EXPECT_NEAR(disk->ScheduledCompletion(tags[1]), light_done, 1e-12);
+    ASSERT_TRUE(disk->Drain().ok());
+    EXPECT_NEAR(clock.Now(), light_done, 1e-12);
+    for (TenantId tenant : {0u, 1u}) {
+      EXPECT_EQ(disk->stats().tenant(tenant).write_ops, 1u);
+      EXPECT_EQ(disk->stats().tenant(tenant).write_latency.count(), 1u);
+    }
+  }
+}
+
 TEST(NvmeDeviceTest, RejectsUnalignedAndOutOfRange) {
   SimClock clock;
   auto disk = MakeDevice(SmallNvme(), &clock);
