@@ -1,7 +1,5 @@
 #include "src/disk/block_device.h"
 
-#include <algorithm>
-
 namespace ld {
 
 const ChannelStats& DiskStats::channel(size_t i) const {
@@ -28,46 +26,14 @@ TenantStats& DiskStats::MutableTenant(size_t i) {
   return tenants_[i];
 }
 
-// Default async implementations: service the request synchronously at submit
-// time and remember the completion so WaitFor/Poll/Drain behave uniformly.
-// Devices with a real queue (SimDisk) override these.
-
-StatusOr<IoTag> BlockDevice::SubmitRead(uint64_t sector, std::span<uint8_t> out) {
-  RETURN_IF_ERROR(Read(sector, out));
-  const IoTag tag = NextTag();
-  sync_completions_.push_back({tag, /*is_read=*/true, clock()->Now()});
-  return tag;
+Status BlockDevice::Read(uint64_t sector, std::span<uint8_t> out) {
+  ASSIGN_OR_RETURN(IoTag tag, SubmitRead(sector, out));
+  return WaitFor(tag);
 }
 
-StatusOr<IoTag> BlockDevice::SubmitWrite(uint64_t sector, std::span<const uint8_t> data) {
-  RETURN_IF_ERROR(Write(sector, data));
-  const IoTag tag = NextTag();
-  sync_completions_.push_back({tag, /*is_read=*/false, clock()->Now()});
-  return tag;
-}
-
-Status BlockDevice::WaitFor(IoTag tag) {
-  auto it = std::find_if(sync_completions_.begin(), sync_completions_.end(),
-                         [tag](const IoCompletion& c) { return c.tag == tag; });
-  if (it != sync_completions_.end()) {
-    clock()->AdvanceTo(it->completion_seconds);
-    sync_completions_.erase(it);
-  }
-  return OkStatus();
-}
-
-std::vector<IoCompletion> BlockDevice::Poll() {
-  std::vector<IoCompletion> done;
-  done.swap(sync_completions_);
-  return done;
-}
-
-Status BlockDevice::Drain() {
-  for (const IoCompletion& c : sync_completions_) {
-    clock()->AdvanceTo(c.completion_seconds);
-  }
-  sync_completions_.clear();
-  return OkStatus();
+Status BlockDevice::Write(uint64_t sector, std::span<const uint8_t> data) {
+  ASSIGN_OR_RETURN(IoTag tag, SubmitWrite(sector, data));
+  return WaitFor(tag);
 }
 
 }  // namespace ld

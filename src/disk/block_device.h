@@ -3,8 +3,6 @@
 // A BlockDevice transfers whole runs of contiguous sectors in one request.
 // Two access styles are offered:
 //
-//  * Synchronous Read/Write: submit one request and block until it completes
-//    (the shared SimClock is advanced by the full service time).
 //  * Asynchronous SubmitRead/SubmitWrite + WaitFor/Poll/Drain: requests are
 //    tagged and queued; the caller may keep doing CPU work (advancing the
 //    clock) while requests are "in flight", and only waits — advancing the
@@ -12,9 +10,13 @@
 //    result to be durable. Because the simulator is single-threaded, data
 //    effects are applied eagerly at submit time (reads observe all previously
 //    submitted writes); only the *timing* is deferred.
+//  * Synchronous Read/Write: submit one request and wait for it (the shared
+//    SimClock is advanced by the full service time).
 //
-// The synchronous calls are exactly submit + wait, so both styles charge
-// identical service time for a single outstanding request.
+// The synchronous calls are exactly submit + wait on every device, so both
+// styles charge identical service time for a single outstanding request.
+// The simulated devices share one request queue (QueuedDevice); MemDisk
+// completes every request at submit.
 //
 // Devices may expose multiple independent *channels* (actuators on a
 // multi-arm disk, flash channels on an SSD). Sector ranges are statically
@@ -172,11 +174,12 @@ class BlockDevice {
   uint64_t capacity_bytes() const { return num_sectors() * sector_size(); }
 
   // Reads `out.size()` bytes starting at `sector`. out.size() must be a
-  // multiple of the sector size.
-  virtual Status Read(uint64_t sector, std::span<uint8_t> out) = 0;
+  // multiple of the sector size. SubmitRead + WaitFor.
+  virtual Status Read(uint64_t sector, std::span<uint8_t> out);
 
   // Writes `data.size()` bytes starting at `sector`; same size constraint.
-  virtual Status Write(uint64_t sector, std::span<const uint8_t> data) = 0;
+  // SubmitWrite + WaitFor.
+  virtual Status Write(uint64_t sector, std::span<const uint8_t> data);
 
   // --- Asynchronous request queue ------------------------------------------
   //
@@ -184,26 +187,22 @@ class BlockDevice {
   // enqueues its timing. Errors that a synchronous call would return (bad
   // alignment, out of range, injected device crash) are returned from Submit*
   // itself; a returned tag's eventual completion is always successful.
-  //
-  // The default implementations service each request synchronously at submit
-  // time, so simple devices (MemDisk) and wrappers get the async API for
-  // free; queueing devices (SimDisk, NvmeDevice) override all five methods.
 
-  virtual StatusOr<IoTag> SubmitRead(uint64_t sector, std::span<uint8_t> out);
-  virtual StatusOr<IoTag> SubmitWrite(uint64_t sector, std::span<const uint8_t> data);
+  virtual StatusOr<IoTag> SubmitRead(uint64_t sector, std::span<uint8_t> out) = 0;
+  virtual StatusOr<IoTag> SubmitWrite(uint64_t sector, std::span<const uint8_t> data) = 0;
 
   // Blocks until `tag` completes, advancing the clock to its completion time.
   // Waiting on a tag that already completed (e.g. consumed by Drain) is a
   // no-op returning OK.
-  virtual Status WaitFor(IoTag tag);
+  virtual Status WaitFor(IoTag tag) = 0;
 
   // Returns (and retires) completions whose completion time is <= Now().
   // Never advances the clock.
-  virtual std::vector<IoCompletion> Poll();
+  virtual std::vector<IoCompletion> Poll() = 0;
 
   // Blocks until every outstanding request completes, advancing the clock to
   // the last completion time.
-  virtual Status Drain();
+  virtual Status Drain() = 0;
 
   // --- Scheduling knobs ----------------------------------------------------
   //
@@ -257,14 +256,6 @@ class BlockDevice {
   // wrappers counting errors, the ReliableIo retry shim). Devices that track
   // stats return their own struct; wrappers forward to the wrapped device.
   virtual DiskStats* mutable_stats() { return nullptr; }
-
- protected:
-  // State backing the default (synchronous) Submit* implementations.
-  IoTag NextTag() { return next_tag_++; }
-
- private:
-  IoTag next_tag_ = 1;
-  std::vector<IoCompletion> sync_completions_;
 };
 
 }  // namespace ld

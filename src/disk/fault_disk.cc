@@ -234,38 +234,6 @@ void FaultDisk::ApplyWriteEffects(uint64_t sector, std::span<const uint8_t> data
   }
 }
 
-Status FaultDisk::Read(uint64_t sector, std::span<uint8_t> out) {
-  RETURN_IF_ERROR(CheckReadFault(sector, out.size()));
-  return inner_->Read(sector, out);
-}
-
-Status FaultDisk::Write(uint64_t sector, std::span<const uint8_t> data) {
-  RETURN_IF_ERROR(CheckWriteFault(sector, data));
-  ApplyWriteEffects(sector, data);
-  if (plan_.bit_flip_rate > 0.0) {
-    // Decide per sector whether a silent bit flip lands with the data.
-    const uint32_t ss = sector_size();
-    const uint64_t sectors = data.size() / ss;
-    bool flipped = false;
-    for (uint64_t i = 0; i < sectors; ++i) {
-      if (!rng_.Chance(plan_.bit_flip_rate)) {
-        continue;
-      }
-      if (!flipped) {
-        scratch_.assign(data.begin(), data.end());
-        flipped = true;
-      }
-      const size_t byte = i * ss + rng_.Below(ss);
-      scratch_[byte] ^= static_cast<uint8_t>(1u << rng_.Below(8));
-      corruptions_injected_++;
-    }
-    if (flipped) {
-      return inner_->Write(sector, scratch_);
-    }
-  }
-  return inner_->Write(sector, data);
-}
-
 StatusOr<IoTag> FaultDisk::SubmitRead(uint64_t sector, std::span<uint8_t> out) {
   RETURN_IF_ERROR(CheckReadFault(sector, out.size()));
   return inner_->SubmitRead(sector, out);
@@ -275,6 +243,7 @@ StatusOr<IoTag> FaultDisk::SubmitWrite(uint64_t sector, std::span<const uint8_t>
   RETURN_IF_ERROR(CheckWriteFault(sector, data));
   ApplyWriteEffects(sector, data);
   if (plan_.bit_flip_rate > 0.0) {
+    // Decide per sector whether a silent bit flip lands with the data.
     const uint32_t ss = sector_size();
     const uint64_t sectors = data.size() / ss;
     bool flipped = false;

@@ -115,12 +115,10 @@ class FaultDisk : public BlockDevice {
   uint32_t sector_size() const override { return inner_->sector_size(); }
   uint64_t num_sectors() const override { return inner_->num_sectors(); }
 
-  Status Read(uint64_t sector, std::span<uint8_t> out) override;
-  Status Write(uint64_t sector, std::span<const uint8_t> data) override;
-
-  // Async requests are forwarded to the inner device; faults are injected at
+  // Requests are forwarded to the inner device; faults are injected at
   // submit time, which models a crash that strikes while the write is in
   // flight (a torn write persists only its prefix, and the submit fails).
+  // Sync Read/Write are submit + wait, so they take the same fault path.
   StatusOr<IoTag> SubmitRead(uint64_t sector, std::span<uint8_t> out) override;
   StatusOr<IoTag> SubmitWrite(uint64_t sector, std::span<const uint8_t> data) override;
   Status WaitFor(IoTag tag) override { return inner_->WaitFor(tag); }
@@ -149,8 +147,8 @@ class FaultDisk : public BlockDevice {
   DiskStats* mutable_stats() override { return inner_->mutable_stats(); }
 
  private:
-  // Fault checks shared by the sync and async paths. Each returns OK or the
-  // injected failure, and counts the failure in the device health stats.
+  // Fault checks run at submit. Each returns OK or the injected failure,
+  // and counts the failure in the device health stats.
   Status CheckReadFault(uint64_t sector, size_t bytes);
   Status CheckWriteFault(uint64_t sector, std::span<const uint8_t> data);
   Status CountReadError(uint64_t sector, Status s);
@@ -160,9 +158,9 @@ class FaultDisk : public BlockDevice {
   // or -1 when the range lies entirely on live channels.
   int64_t FailedChannelOf(uint64_t sector, uint64_t sectors) const;
 
-  // Applies post-acceptance write effects: heals rewritten latent sectors,
-  // develops new latent errors, and bit-flips sectors as they land. Returns
-  // the (possibly corrupted) bytes to store.
+  // Applies post-acceptance latent-error effects: heals rewritten latent
+  // sectors and may develop a new one. SubmitWrite then bit-flips sectors as
+  // they land.
   void ApplyWriteEffects(uint64_t sector, std::span<const uint8_t> data);
 
   BlockDevice* inner_;

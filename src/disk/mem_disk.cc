@@ -1,6 +1,9 @@
 #include "src/disk/mem_disk.h"
 
+#include <algorithm>
 #include <cstring>
+#include <iterator>
+#include <string>
 
 namespace ld {
 
@@ -10,33 +13,64 @@ MemDisk::MemDisk(uint64_t num_sectors, uint32_t sector_size, SimClock* clock)
       clock_(clock),
       storage_(num_sectors * sector_size, 0) {}
 
-Status MemDisk::Read(uint64_t sector, std::span<uint8_t> out) {
-  if (out.size() % sector_size_ != 0) {
-    return InvalidArgumentError("read size not sector-aligned");
+Status MemDisk::CheckRange(uint64_t sector, size_t bytes, const char* what) const {
+  if (bytes % sector_size_ != 0) {
+    return InvalidArgumentError(std::string(what) + " size not sector-aligned");
   }
-  const uint64_t count = out.size() / sector_size_;
-  if (sector + count > num_sectors_) {
-    return InvalidArgumentError("read beyond device end");
+  if (sector + bytes / sector_size_ > num_sectors_) {
+    return InvalidArgumentError(std::string(what) + " beyond device end");
   }
-  std::memcpy(out.data(), storage_.data() + sector * sector_size_, out.size());
-  stats_.NoteRequest(tenant_, clock_->Now());
-  stats_.read_ops++;
-  stats_.sectors_read += count;
   return OkStatus();
 }
 
-Status MemDisk::Write(uint64_t sector, std::span<const uint8_t> data) {
-  if (data.size() % sector_size_ != 0) {
-    return InvalidArgumentError("write size not sector-aligned");
-  }
-  const uint64_t count = data.size() / sector_size_;
-  if (sector + count > num_sectors_) {
-    return InvalidArgumentError("write beyond device end");
-  }
-  std::memcpy(storage_.data() + sector * sector_size_, data.data(), data.size());
+IoTag MemDisk::Complete(bool is_read, uint64_t count) {
   stats_.NoteRequest(tenant_, clock_->Now());
-  stats_.write_ops++;
-  stats_.sectors_written += count;
+  if (is_read) {
+    stats_.read_ops++;
+    stats_.sectors_read += count;
+  } else {
+    stats_.write_ops++;
+    stats_.sectors_written += count;
+  }
+  const IoTag tag = next_tag_++;
+  done_.push_back({tag, is_read, clock_->Now()});
+  return tag;
+}
+
+StatusOr<IoTag> MemDisk::SubmitRead(uint64_t sector, std::span<uint8_t> out) {
+  RETURN_IF_ERROR(CheckRange(sector, out.size(), "read"));
+  std::memcpy(out.data(), storage_.data() + sector * sector_size_, out.size());
+  return Complete(/*is_read=*/true, out.size() / sector_size_);
+}
+
+StatusOr<IoTag> MemDisk::SubmitWrite(uint64_t sector, std::span<const uint8_t> data) {
+  RETURN_IF_ERROR(CheckRange(sector, data.size(), "write"));
+  std::memcpy(storage_.data() + sector * sector_size_, data.data(), data.size());
+  return Complete(/*is_read=*/false, data.size() / sector_size_);
+}
+
+Status MemDisk::WaitFor(IoTag tag) {
+  // A synchronous call waits on the tag it just pushed: search from the back.
+  auto it = std::find_if(done_.rbegin(), done_.rend(),
+                         [tag](const IoCompletion& c) { return c.tag == tag; });
+  if (it != done_.rend()) {
+    clock_->AdvanceTo(it->completion_seconds);
+    done_.erase(std::next(it).base());
+  }
+  return OkStatus();
+}
+
+std::vector<IoCompletion> MemDisk::Poll() {
+  std::vector<IoCompletion> done;
+  done.swap(done_);
+  return done;
+}
+
+Status MemDisk::Drain() {
+  for (const IoCompletion& c : done_) {
+    clock_->AdvanceTo(c.completion_seconds);
+  }
+  done_.clear();
   return OkStatus();
 }
 

@@ -15,17 +15,22 @@
 // bandwidth with each other; this window-based approximation keeps
 // scheduling lazy, exactly like SimDisk's.
 //
-// Like every simulated device here, data effects apply eagerly at submit;
-// only timing is deferred. Sync Read/Write are submit + wait.
+// Knobs. There is no arm to schedule around: the queue policy knob is
+// accepted (so benches can A/B uniformly) but does not change timing. Under
+// kWeightedShare with several tenants the fluid model shares the link by
+// tenant weight instead of equally per transfer (each tenant's share then
+// splits equally among its own transfers). The fluid model is inherently
+// preemptive, so kDeadline adds nothing here and behaves like the
+// equal-share schedule (tenant accounting still applies).
+//
+// The request queue is QueuedDevice's: like every simulated device here,
+// data effects apply eagerly at submit and only timing is deferred. Sync
+// Read/Write are submit + wait.
 
 #ifndef SRC_DISK_NVME_DEVICE_H_
 #define SRC_DISK_NVME_DEVICE_H_
 
-#include <deque>
-#include <unordered_map>
-
-#include "src/disk/block_device.h"
-#include "src/disk/chunked_storage.h"
+#include "src/disk/queued_device.h"
 
 namespace ld {
 
@@ -41,70 +46,17 @@ struct NvmeConfig {
   uint32_t queue_depth = 256;
 };
 
-class NvmeDevice : public BlockDevice {
+class NvmeDevice : public QueuedDevice {
  public:
   NvmeDevice(const NvmeConfig& config, SimClock* clock);
-
-  uint32_t sector_size() const override { return config_.sector_size; }
-  uint64_t num_sectors() const override { return num_sectors_; }
-
-  Status Read(uint64_t sector, std::span<uint8_t> out) override;
-  Status Write(uint64_t sector, std::span<const uint8_t> data) override;
-
-  StatusOr<IoTag> SubmitRead(uint64_t sector, std::span<uint8_t> out) override;
-  StatusOr<IoTag> SubmitWrite(uint64_t sector, std::span<const uint8_t> data) override;
-  Status WaitFor(IoTag tag) override;
-  std::vector<IoCompletion> Poll() override;
-  Status Drain() override;
-
-  // An NVMe device has no arm to schedule around; the policy knob is
-  // accepted (so benches can A/B uniformly) but does not change timing.
-  void set_queue_policy(QueuePolicy policy) override { queue_policy_ = policy; }
-  QueuePolicy queue_policy() const override { return queue_policy_; }
-  void set_queue_depth(uint32_t depth) override { queue_depth_ = depth == 0 ? 1 : depth; }
-  uint32_t queue_depth() const override { return queue_depth_; }
-
-  // Tenant context. Under kWeightedShare with several tenants the fluid
-  // model shares the link by tenant weight instead of equally per transfer
-  // (each tenant's share then splits equally among its own transfers). The
-  // fluid model is inherently preemptive, so kDeadline adds nothing here and
-  // behaves like the equal-share schedule (tenant accounting still applies).
-  void set_request_tenant(TenantId tenant) override { request_tenant_ = tenant; }
-  TenantId request_tenant() const override { return request_tenant_; }
-  void set_qos(const QosConfig& config) override { qos_ = config; }
-  QosConfig qos() const override { return qos_; }
-
-  double ScheduledCompletion(IoTag tag) const override;
-
-  SimClock* clock() override { return clock_; }
-  const DiskStats& stats() const override { return stats_; }
-  DiskStats* mutable_stats() override { return &stats_; }
-  void ResetStats() override {
-    stats_ = DiskStats{};
-    link_free_seconds_ = 0.0;
-  }
 
   const NvmeConfig& config() const { return config_; }
 
  private:
-  struct PendingIo {
-    IoTag tag;
-    uint64_t count;
-    bool is_read;
-    double submit_seconds;
-    TenantId tenant = kDefaultTenant;
-  };
-  struct DoneIo {
-    bool is_read;
-    double completion_seconds;
-  };
-
-  Status ValidateRequest(uint64_t sector, size_t bytes) const;
-
-  // Runs the processor-sharing fluid simulation over every pending request,
-  // assigning completion times (moves pending_ entries into completed_).
-  // Never touches the clock.
-  void ScheduleAll();
+  // Runs the processor-sharing fluid simulation over every pending request
+  // (the device is one channel), assigning completion times. Never touches
+  // the clock.
+  void ScheduleChannel(uint32_t ch) override;
 
   double LatencySeconds(bool is_read) const {
     return (is_read ? config_.read_latency_us : config_.write_latency_us) * 1e-6;
@@ -112,21 +64,6 @@ class NvmeDevice : public BlockDevice {
   double BytesPerSecond() const { return config_.bandwidth_mb_per_s * 1e6; }
 
   NvmeConfig config_;
-  SimClock* clock_;
-  uint64_t num_sectors_;
-  DiskStats stats_;
-
-  QueuePolicy queue_policy_ = QueuePolicy::kFifo;
-  uint32_t queue_depth_;
-  TenantId request_tenant_ = kDefaultTenant;
-  QosConfig qos_;
-  std::deque<PendingIo> pending_;
-  std::unordered_map<IoTag, DoneIo> completed_;
-  // Instant the link finished the last scheduled batch (for stats only; the
-  // window approximation means it does not delay the next batch).
-  double link_free_seconds_ = 0.0;
-
-  ChunkedStorage storage_;
 };
 
 }  // namespace ld

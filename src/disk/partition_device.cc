@@ -21,18 +21,6 @@ Status PartitionDevice::ValidateRange(uint64_t sector, size_t bytes) const {
   return OkStatus();
 }
 
-Status PartitionDevice::Read(uint64_t sector, std::span<uint8_t> out) {
-  RETURN_IF_ERROR(ValidateRange(sector, out.size()));
-  parent_->set_request_tenant(tenant_);
-  return parent_->Read(first_sector_ + sector, out);
-}
-
-Status PartitionDevice::Write(uint64_t sector, std::span<const uint8_t> data) {
-  RETURN_IF_ERROR(ValidateRange(sector, data.size()));
-  parent_->set_request_tenant(tenant_);
-  return parent_->Write(first_sector_ + sector, data);
-}
-
 StatusOr<IoTag> PartitionDevice::SubmitRead(uint64_t sector, std::span<uint8_t> out) {
   RETURN_IF_ERROR(ValidateRange(sector, out.size()));
   parent_->set_request_tenant(tenant_);

@@ -40,9 +40,6 @@ class PartitionDevice : public BlockDevice {
   uint32_t sector_size() const override { return parent_->sector_size(); }
   uint64_t num_sectors() const override { return num_sectors_; }
 
-  Status Read(uint64_t sector, std::span<uint8_t> out) override;
-  Status Write(uint64_t sector, std::span<const uint8_t> data) override;
-
   StatusOr<IoTag> SubmitRead(uint64_t sector, std::span<uint8_t> out) override;
   StatusOr<IoTag> SubmitWrite(uint64_t sector, std::span<const uint8_t> data) override;
   Status WaitFor(IoTag tag) override;

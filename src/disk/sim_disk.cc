@@ -6,23 +6,24 @@
 namespace ld {
 
 SimDisk::SimDisk(const DiskGeometry& geometry, SimClock* clock, uint32_t num_channels)
-    : geometry_(geometry), clock_(clock), storage_(geometry.CapacityBytes()) {
-  const uint32_t nch = std::clamp<uint32_t>(num_channels, 1, geometry_.cylinders);
-  cylinders_per_channel_ = geometry_.cylinders / nch;
-  channels_.resize(nch);
-  for (uint32_t ch = 0; ch < nch; ++ch) {
+    : QueuedDevice(clock, geometry.sector_size, geometry.TotalSectors(),
+                   std::clamp<uint32_t>(num_channels, 1, geometry.cylinders), QueuePolicy::kCScan,
+                   /*queue_depth=*/8),
+      geometry_(geometry),
+      arms_(this->num_channels()),
+      cylinders_per_channel_(geometry.cylinders / this->num_channels()) {
+  for (uint32_t ch = 0; ch < arms_.size(); ++ch) {
     // Each arm parks at the first cylinder of its band.
-    channels_[ch].arm_cylinder = ch * cylinders_per_channel_;
+    arms_[ch].arm_cylinder = ch * cylinders_per_channel_;
   }
 }
 
 void SimDisk::ResetStats() {
-  stats_ = DiskStats{};
-  for (Channel& ch : channels_) {
-    ch.busy_until_seconds = 0.0;
+  QueuedDevice::ResetStats();
+  for (Arm& arm : arms_) {
     // Virtual times are only meaningful relative to each other within a
     // measurement run; a fresh run starts every tenant level.
-    ch.vtime.clear();
+    arm.vtime.clear();
   }
 }
 
@@ -30,7 +31,7 @@ uint32_t SimDisk::ChannelOf(uint64_t sector) const {
   const uint32_t sectors_per_cyl = geometry_.sectors_per_track * geometry_.heads;
   const uint32_t cyl = static_cast<uint32_t>(sector / sectors_per_cyl);
   const uint32_t ch = cyl / cylinders_per_channel_;
-  return std::min<uint32_t>(ch, static_cast<uint32_t>(channels_.size()) - 1);
+  return std::min<uint32_t>(ch, num_channels() - 1);
 }
 
 uint32_t SimDisk::AngularSlot(uint64_t sector) const {
@@ -42,20 +43,9 @@ uint32_t SimDisk::AngularSlot(uint64_t sector) const {
       geometry_.sectors_per_track);
 }
 
-Status SimDisk::ValidateRequest(uint64_t sector, size_t bytes) const {
-  if (bytes == 0 || bytes % geometry_.sector_size != 0) {
-    return InvalidArgumentError("request size not sector-aligned");
-  }
-  const uint64_t count = bytes / geometry_.sector_size;
-  if (sector + count > num_sectors()) {
-    return InvalidArgumentError("disk request beyond device end");
-  }
-  return OkStatus();
-}
-
 double SimDisk::ServiceAt(uint32_t ch_index, double start_seconds, uint64_t sector,
                           uint64_t count, bool is_read) {
-  Channel& ch = channels_[ch_index];
+  Arm& ch = arms_[ch_index];
   ChannelStats& cstats = stats_.MutableChannel(ch_index);
 
   // Controller read-ahead buffer: a read that starts inside (or exactly at
@@ -175,12 +165,12 @@ void SimDisk::ScheduleChannel(uint32_t ch_index) {
   std::vector<PendingIo> batch(ch.pending.begin(), ch.pending.end());
   ch.pending.clear();
 
-  if (queue_policy_ == QueuePolicy::kCScan && batch.size() > 1) {
+  if (queue_policy() == QueuePolicy::kCScan && batch.size() > 1) {
     // Circular elevator: sweep upward from the arm's current position, wrap
     // to the lowest request, and continue upward.
     std::stable_sort(batch.begin(), batch.end(),
                      [](const PendingIo& a, const PendingIo& b) { return a.sector < b.sector; });
-    const uint64_t head_sector = static_cast<uint64_t>(ch.arm_cylinder) *
+    const uint64_t head_sector = static_cast<uint64_t>(arms_[ch_index].arm_cylinder) *
                                  geometry_.sectors_per_track * geometry_.heads;
     auto pivot = std::find_if(batch.begin(), batch.end(), [head_sector](const PendingIo& r) {
       return r.sector >= head_sector;
@@ -188,7 +178,6 @@ void SimDisk::ScheduleChannel(uint32_t ch_index) {
     std::rotate(batch.begin(), pivot, batch.end());
   }
 
-  ChannelStats& cstats = stats_.MutableChannel(ch_index);
   size_t i = 0;
   while (i < batch.size()) {
     // Coalesce a run of physically adjacent same-direction requests into one
@@ -209,36 +198,11 @@ void SimDisk::ScheduleChannel(uint32_t ch_index) {
     ch.busy_until_seconds = completion;
 
     for (size_t k = i; k < j; ++k) {
-      completed_[batch[k].tag] = {batch[k].is_read, completion};
-      const double wait_ms = (start - batch[k].submit_seconds) * 1000.0;
-      stats_.queue_wait_ms += wait_ms;
-      cstats.queue_wait_ms += wait_ms;
+      ChargeQueueWait(batch[k], ch_index, (start - batch[k].submit_seconds) * 1000.0);
       // Tenant accounting rides along even without QoS dispatch so the
       // FIFO/C-SCAN legs of a multi-tenant comparison report per-tenant
       // latency too. Stats only — the schedule above is unchanged.
-      TenantStats& tstats = stats_.MutableTenant(batch[k].tenant);
-      tstats.queue_wait_ms += wait_ms;
-      if (wait_ms > qos_.starvation_threshold_ms) {
-        tstats.starved_requests++;
-      }
-      const double latency_ms = (completion - batch[k].submit_seconds) * 1000.0;
-      if (batch[k].is_read) {
-        stats_.read_ops++;
-        stats_.sectors_read += batch[k].count;
-        cstats.read_ops++;
-        cstats.sectors_read += batch[k].count;
-        tstats.read_ops++;
-        tstats.sectors_read += batch[k].count;
-        tstats.read_latency.Add(latency_ms);
-      } else {
-        stats_.write_ops++;
-        stats_.sectors_written += batch[k].count;
-        cstats.write_ops++;
-        cstats.sectors_written += batch[k].count;
-        tstats.write_ops++;
-        tstats.sectors_written += batch[k].count;
-        tstats.write_latency.Add(latency_ms);
-      }
+      Retire(batch[k], ch_index, completion);
     }
     // The merged run's media time is charged to the tenant of its first
     // request (one transfer, one owner).
@@ -250,7 +214,9 @@ void SimDisk::ScheduleChannel(uint32_t ch_index) {
 
 void SimDisk::ScheduleChannelQos(uint32_t ch_index) {
   Channel& ch = channels_[ch_index];
-  ChannelStats& cstats = stats_.MutableChannel(ch_index);
+  std::vector<double>& vtime = arms_[ch_index].vtime;
+  // Under QoS every channel reports a stats row, busy or not.
+  stats_.MutableChannel(ch_index);
   const double slice_seconds = qos_.slice_ms / 1000.0;
   const uint64_t chunk_sectors = std::max<uint64_t>(
       1, static_cast<uint64_t>(qos_.chunk_kb) * 1024 / geometry_.sector_size);
@@ -265,25 +231,25 @@ void SimDisk::ScheduleChannelQos(uint32_t ch_index) {
       // Per-tenant head = its earliest pending request (deque keeps
       // submission order); winner = lowest virtual time, ties to the lower
       // tenant id.
-      if (ch.vtime.size() < qos_.num_tenants) {
-        ch.vtime.resize(qos_.num_tenants, 0.0);
+      if (vtime.size() < qos_.num_tenants) {
+        vtime.resize(qos_.num_tenants, 0.0);
       }
       TenantId best_tenant = 0;
       double best_vt = 0.0;
       bool found = false;
-      std::vector<size_t> head(ch.vtime.size(), SIZE_MAX);
+      std::vector<size_t> head(vtime.size(), SIZE_MAX);
       for (size_t i = 0; i < ch.pending.size(); ++i) {
         const TenantId t = ch.pending[i].tenant;
-        if (t >= ch.vtime.size()) {
-          ch.vtime.resize(t + 1, 0.0);
+        if (t >= vtime.size()) {
+          vtime.resize(t + 1, 0.0);
           head.resize(t + 1, SIZE_MAX);
         }
         if (head[t] == SIZE_MAX) {
           head[t] = i;
-          if (!found || ch.vtime[t] < best_vt) {
+          if (!found || vtime[t] < best_vt) {
             found = true;
             best_tenant = t;
-            best_vt = ch.vtime[t];
+            best_vt = vtime[t];
           }
         }
       }
@@ -308,218 +274,47 @@ void SimDisk::ScheduleChannelQos(uint32_t ch_index) {
     const uint64_t n = std::min(req.count, chunk_sectors);
     const double start = std::max(ch.busy_until_seconds, req.submit_seconds);
     if (req.first_wait_ms < 0.0) {
-      req.first_wait_ms = (start - req.submit_seconds) * 1000.0;
-      stats_.queue_wait_ms += req.first_wait_ms;
-      cstats.queue_wait_ms += req.first_wait_ms;
+      ChargeQueueWait(req, ch_index, (start - req.submit_seconds) * 1000.0);
     }
     const double completion = ServiceAt(ch_index, start, req.sector, n, req.is_read);
     ch.busy_until_seconds = completion;
     stats_.MutableTenant(req.tenant).busy_ms += (completion - start) * 1000.0;
     if (qos_.policy == QosPolicy::kWeightedShare) {
-      ch.vtime[req.tenant] += static_cast<double>(n) / qos_.WeightOf(req.tenant);
+      vtime[req.tenant] += static_cast<double>(n) / qos_.WeightOf(req.tenant);
     }
     req.sector += n;
     req.count -= n;
     if (req.count == 0) {
-      TenantStats& tstats = stats_.MutableTenant(req.tenant);
-      tstats.queue_wait_ms += req.first_wait_ms;
-      if (req.first_wait_ms > qos_.starvation_threshold_ms) {
-        tstats.starved_requests++;
-      }
-      const double latency_ms = (completion - req.submit_seconds) * 1000.0;
-      if (req.is_read) {
-        stats_.read_ops++;
-        stats_.sectors_read += req.total_count;
-        cstats.read_ops++;
-        cstats.sectors_read += req.total_count;
-        tstats.read_ops++;
-        tstats.sectors_read += req.total_count;
-        tstats.read_latency.Add(latency_ms);
-      } else {
-        stats_.write_ops++;
-        stats_.sectors_written += req.total_count;
-        cstats.write_ops++;
-        cstats.sectors_written += req.total_count;
-        tstats.write_ops++;
-        tstats.sectors_written += req.total_count;
-        tstats.write_latency.Add(latency_ms);
-      }
-      completed_[req.tag] = {req.is_read, completion};
+      Retire(req, ch_index, completion);
       ch.pending.erase(ch.pending.begin() + static_cast<std::ptrdiff_t>(pick));
     }
   }
 }
 
-void SimDisk::ScheduleAll() {
-  for (uint32_t ch = 0; ch < channels_.size(); ++ch) {
-    ScheduleChannel(ch);
+void SimDisk::BeforeEnqueue(uint32_t ch_index) {
+  if (!qos_.Active() || qos_.policy != QosPolicy::kWeightedShare) {
+    return;
   }
-}
-
-bool SimDisk::IsPendingTag(IoTag tag) const {
-  for (const Channel& ch : channels_) {
-    for (const PendingIo& req : ch.pending) {
-      if (req.tag == tag) {
-        return true;
-      }
+  const TenantId tenant = request_tenant();
+  std::vector<double>& vtime = arms_[ch_index].vtime;
+  // WFQ arrival rule: lag the arriving tenant's virtual time up to the
+  // lowest vt among tenants with queued work, so a tenant cannot bank
+  // credit while idle and then starve everyone else with a burst.
+  if (tenant >= vtime.size()) {
+    vtime.resize(tenant + 1, 0.0);
+  }
+  bool any = false;
+  double min_active_vt = 0.0;
+  for (const PendingIo& req : channels_[ch_index].pending) {
+    const double vt = req.tenant < vtime.size() ? vtime[req.tenant] : 0.0;
+    if (!any || vt < min_active_vt) {
+      any = true;
+      min_active_vt = vt;
     }
   }
-  return false;
-}
-
-uint64_t SimDisk::TotalPending() const {
-  uint64_t total = 0;
-  for (const Channel& ch : channels_) {
-    total += ch.pending.size();
+  if (any) {
+    vtime[tenant] = std::max(vtime[tenant], min_active_vt);
   }
-  return total;
-}
-
-StatusOr<IoTag> SimDisk::Enqueue(uint64_t sector, uint64_t count, bool is_read) {
-  const IoTag tag = NextTag();
-  // A transfer straddling a band boundary is owned entirely by the channel
-  // of its first sector.
-  const uint32_t ch_index = ChannelOf(sector);
-  Channel& ch = channels_[ch_index];
-  if (qos_.Active() && qos_.policy == QosPolicy::kWeightedShare) {
-    // WFQ arrival rule: lag the arriving tenant's virtual time up to the
-    // lowest vt among tenants with queued work, so a tenant cannot bank
-    // credit while idle and then starve everyone else with a burst.
-    if (request_tenant_ >= ch.vtime.size()) {
-      ch.vtime.resize(request_tenant_ + 1, 0.0);
-    }
-    bool any = false;
-    double min_active_vt = 0.0;
-    for (const PendingIo& req : ch.pending) {
-      const double vt = req.tenant < ch.vtime.size() ? ch.vtime[req.tenant] : 0.0;
-      if (!any || vt < min_active_vt) {
-        any = true;
-        min_active_vt = vt;
-      }
-    }
-    if (any) {
-      ch.vtime[request_tenant_] = std::max(ch.vtime[request_tenant_], min_active_vt);
-    }
-  }
-  ch.pending.push_back({tag, sector, count, is_read, clock_->Now(), request_tenant_, count,
-                        /*first_wait_ms=*/-1.0});
-  stats_.NoteRequest(request_tenant_, clock_->Now());
-  stats_.queued_requests++;
-  stats_.MutableChannel(ch_index).queued_requests++;
-  stats_.max_queue_depth = std::max<uint64_t>(stats_.max_queue_depth, TotalPending());
-  if (ch.pending.size() >= queue_depth_) {
-    ScheduleChannel(ch_index);
-  }
-  return tag;
-}
-
-StatusOr<IoTag> SimDisk::SubmitRead(uint64_t sector, std::span<uint8_t> out) {
-  RETURN_IF_ERROR(ValidateRequest(sector, out.size()));
-  // Data effects are applied at submit time; only timing is deferred. Reads
-  // therefore observe every previously submitted write.
-  storage_.CopyOut(sector * sector_size(), out);
-  return Enqueue(sector, out.size() / sector_size(), /*is_read=*/true);
-}
-
-StatusOr<IoTag> SimDisk::SubmitWrite(uint64_t sector, std::span<const uint8_t> data) {
-  RETURN_IF_ERROR(ValidateRequest(sector, data.size()));
-  storage_.CopyIn(sector * sector_size(), data);
-  return Enqueue(sector, data.size() / sector_size(), /*is_read=*/false);
-}
-
-Status SimDisk::WaitFor(IoTag tag) {
-  ScheduleAll();
-  auto it = completed_.find(tag);
-  // Under QoS dispatch a request can remain pending after ScheduleAll (its
-  // channel only commits one slice at a time). Advance the clock to the
-  // earliest moment any backlogged channel frees up and re-dispatch until
-  // the tag's request finishes. The legacy path leaves nothing pending, so
-  // this loop never runs there.
-  while (it == completed_.end()) {
-    if (!IsPendingTag(tag)) {
-      return OkStatus();  // Already retired (e.g. by Drain).
-    }
-    double next = 0.0;
-    bool any = false;
-    for (const Channel& ch : channels_) {
-      if (!ch.pending.empty() && (!any || ch.busy_until_seconds < next)) {
-        any = true;
-        next = ch.busy_until_seconds;
-      }
-    }
-    // Every backlogged channel's busy-until is past now + slice (otherwise
-    // ScheduleAll would have dispatched), so this strictly advances.
-    clock_->AdvanceTo(next);
-    ScheduleAll();
-    it = completed_.find(tag);
-  }
-  clock_->AdvanceTo(it->second.completion_seconds);
-  completed_.erase(it);
-  return OkStatus();
-}
-
-std::vector<IoCompletion> SimDisk::Poll() {
-  ScheduleAll();
-  std::vector<IoCompletion> done;
-  const double now = clock_->Now();
-  for (auto it = completed_.begin(); it != completed_.end();) {
-    if (it->second.completion_seconds <= now) {
-      done.push_back({it->first, it->second.is_read, it->second.completion_seconds});
-      it = completed_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  std::sort(done.begin(), done.end(), [](const IoCompletion& a, const IoCompletion& b) {
-    return a.completion_seconds < b.completion_seconds;
-  });
-  return done;
-}
-
-Status SimDisk::Drain() {
-  ScheduleAll();
-  // QoS dispatch parcels work out slice by slice; keep advancing the clock
-  // until every channel's queue is empty (no-op on the legacy path).
-  while (TotalPending() > 0) {
-    double next = 0.0;
-    bool any = false;
-    for (const Channel& ch : channels_) {
-      if (!ch.pending.empty() && (!any || ch.busy_until_seconds < next)) {
-        any = true;
-        next = ch.busy_until_seconds;
-      }
-    }
-    clock_->AdvanceTo(next);
-    ScheduleAll();
-  }
-  double last = clock_->Now();
-  for (const auto& [tag, done] : completed_) {
-    last = std::max(last, done.completion_seconds);
-  }
-  clock_->AdvanceTo(last);
-  completed_.clear();
-  return OkStatus();
-}
-
-double SimDisk::ScheduledCompletion(IoTag tag) const {
-  auto it = completed_.find(tag);
-  return it == completed_.end() ? -1.0 : it->second.completion_seconds;
-}
-
-Status SimDisk::Read(uint64_t sector, std::span<uint8_t> out) {
-  if (out.size() % sector_size() != 0) {
-    return InvalidArgumentError("read size not sector-aligned");
-  }
-  ASSIGN_OR_RETURN(IoTag tag, SubmitRead(sector, out));
-  return WaitFor(tag);
-}
-
-Status SimDisk::Write(uint64_t sector, std::span<const uint8_t> data) {
-  if (data.size() % sector_size() != 0) {
-    return InvalidArgumentError("write size not sector-aligned");
-  }
-  ASSIGN_OR_RETURN(IoTag tag, SubmitWrite(sector, data));
-  return WaitFor(tag);
 }
 
 }  // namespace ld

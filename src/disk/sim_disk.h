@@ -3,13 +3,12 @@
 // and per-request controller overhead. Storage is allocated lazily in 1-MB
 // chunks so multi-gigabyte devices can be simulated cheaply.
 //
-// Requests go through per-channel queues: SubmitRead/SubmitWrite enqueue a
-// request (copying its data immediately — the simulator is single-threaded,
-// so reads always observe previously submitted writes) and the mechanical
-// service time is computed when the request is *scheduled*. The scheduler
-// runs whenever a channel's queue reaches the configured depth or the caller
-// waits (WaitFor/Drain) or polls; it orders each batch FIFO or C-SCAN and
-// merges physically adjacent same-direction requests into one media transfer.
+// Requests go through the per-channel queues of QueuedDevice, which copies
+// their data at submit; the mechanical service time is computed when a
+// request is *scheduled*. The scheduler runs whenever a channel's queue
+// reaches the configured depth or the caller waits (WaitFor/Drain) or polls;
+// it orders each batch FIFO or C-SCAN and merges physically adjacent
+// same-direction requests into one media transfer.
 //
 // Multi-channel operation models a multi-actuator drive: cylinders are
 // statically partitioned into `num_channels` contiguous bands, each with its
@@ -26,94 +25,34 @@
 #ifndef SRC_DISK_SIM_DISK_H_
 #define SRC_DISK_SIM_DISK_H_
 
-#include <deque>
-#include <unordered_map>
 #include <vector>
 
-#include "src/disk/block_device.h"
-#include "src/disk/chunked_storage.h"
 #include "src/disk/geometry.h"
+#include "src/disk/queued_device.h"
 
 namespace ld {
 
-class SimDisk : public BlockDevice {
+class SimDisk : public QueuedDevice {
  public:
   // The clock must outlive the disk. It is shared so that file-system CPU
   // costs and disk service time accumulate on one timeline.
   SimDisk(const DiskGeometry& geometry, SimClock* clock, uint32_t num_channels = 1);
 
-  uint32_t sector_size() const override { return geometry_.sector_size; }
-  uint64_t num_sectors() const override { return geometry_.TotalSectors(); }
-
-  Status Read(uint64_t sector, std::span<uint8_t> out) override;
-  Status Write(uint64_t sector, std::span<const uint8_t> data) override;
-
-  StatusOr<IoTag> SubmitRead(uint64_t sector, std::span<uint8_t> out) override;
-  StatusOr<IoTag> SubmitWrite(uint64_t sector, std::span<const uint8_t> data) override;
-  Status WaitFor(IoTag tag) override;
-  std::vector<IoCompletion> Poll() override;
-  Status Drain() override;
-
-  SimClock* clock() override { return clock_; }
-  const DiskStats& stats() const override { return stats_; }
-  DiskStats* mutable_stats() override { return &stats_; }
-  // Also marks every channel idle: measurement resets (harness
-  // ResetMeasurement) rewind the shared clock, which would otherwise leave a
-  // stale busy-until time delaying every post-reset request.
+  // Also levels every tenant's virtual time.
   void ResetStats() override;
 
   const DiskGeometry& geometry() const { return geometry_; }
 
-  // Scheduling knobs. Depth 1 degenerates to the synchronous model (every
-  // request is scheduled as soon as it is submitted).
-  void set_queue_policy(QueuePolicy policy) override { queue_policy_ = policy; }
-  QueuePolicy queue_policy() const override { return queue_policy_; }
-  void set_queue_depth(uint32_t depth) override { queue_depth_ = depth == 0 ? 1 : depth; }
-  uint32_t queue_depth() const override { return queue_depth_; }
-
-  // Tenant context: stamped into each queued request. QoS dispatch (chunked
-  // service, weighted-share or deadline ordering between tenants) engages
-  // only when qos().Active(); otherwise the legacy batch scheduler runs
-  // unchanged and tenants are tracked for accounting only.
-  void set_request_tenant(TenantId tenant) override { request_tenant_ = tenant; }
-  TenantId request_tenant() const override { return request_tenant_; }
-  void set_qos(const QosConfig& config) override { qos_ = config; }
-  QosConfig qos() const override { return qos_; }
-
-  uint32_t num_channels() const override {
-    return static_cast<uint32_t>(channels_.size());
-  }
   uint32_t ChannelOf(uint64_t sector) const override;
 
   // Current arm position (cylinder index) of `channel`; exposed for tests.
-  uint32_t arm_cylinder(uint32_t channel = 0) const {
-    return channels_[channel].arm_cylinder;
-  }
-
-  // Completion time of `tag` if it has been scheduled but not yet retired;
-  // exposed for tests (returns a negative value for unknown tags).
-  double ScheduledCompletion(IoTag tag) const override;
+  uint32_t arm_cylinder(uint32_t channel = 0) const { return arms_[channel].arm_cylinder; }
 
  private:
-  struct PendingIo {
-    IoTag tag;
-    uint64_t sector;  // Next unserviced sector (advances under QoS chunking).
-    uint64_t count;   // Sectors still to service.
-    bool is_read;
-    double submit_seconds;
-    TenantId tenant = kDefaultTenant;
-    uint64_t total_count = 0;    // Original request size in sectors.
-    double first_wait_ms = -1.0; // Queue wait, set when service first starts.
-  };
-  struct DoneIo {
-    bool is_read;
-    double completion_seconds;
-  };
-  // One independent actuator: its own queue, arm, read-ahead window, and
-  // busy-until timeline over a contiguous band of cylinders.
-  struct Channel {
-    std::deque<PendingIo> pending;
-    double busy_until_seconds = 0.0;
+  // One independent actuator: its arm and read-ahead window over a
+  // contiguous band of cylinders (its queue and busy-until timeline are the
+  // QueuedDevice channel of the same index).
+  struct Arm {
     uint32_t arm_cylinder = 0;
     // Controller read-buffer window [start, end): sectors recently streamed
     // past the head that a sequential reader can fetch without mechanical
@@ -124,9 +63,6 @@ class SimDisk : public BlockDevice {
     std::vector<double> vtime;
   };
 
-  Status ValidateRequest(uint64_t sector, size_t bytes) const;
-  StatusOr<IoTag> Enqueue(uint64_t sector, uint64_t count, bool is_read);
-
   // Computes the mechanical service of one (possibly merged) transfer on
   // channel `ch` that begins no earlier than `start_seconds`, updating the
   // channel's arm position and read-ahead window plus timing stats. Returns
@@ -135,38 +71,25 @@ class SimDisk : public BlockDevice {
                    bool is_read);
 
   // Orders, merges, and services every pending request on channel `ch`,
-  // assigning completion times (moves pending entries into completed_).
-  // Never touches the clock.
-  void ScheduleChannel(uint32_t ch);
+  // assigning completion times. QoS dispatch (chunked service,
+  // weighted-share or deadline ordering between tenants) engages only when
+  // qos().Active(); otherwise this legacy batch scheduler runs and tenants
+  // are tracked for accounting only.
+  void ScheduleChannel(uint32_t ch) override;
   // QoS dispatch: services requests chunk by chunk in weighted-share or
   // deadline order, committing the channel no further than slice_ms past the
   // current clock so another tenant can preempt between chunks. Requests the
-  // slice does not reach stay pending. Never touches the clock.
+  // slice does not reach stay pending.
   void ScheduleChannelQos(uint32_t ch);
-  void ScheduleAll();
-
-  // True while `tag` is still in some channel's pending queue (QoS dispatch
-  // can leave requests pending across ScheduleAll calls).
-  bool IsPendingTag(IoTag tag) const;
-
-  uint64_t TotalPending() const;
+  // WFQ arrival rule for weighted-share QoS.
+  void BeforeEnqueue(uint32_t ch) override;
 
   // Angular slot (0..sectors_per_track-1) of an absolute sector, with skew.
   uint32_t AngularSlot(uint64_t sector) const;
 
   DiskGeometry geometry_;
-  SimClock* clock_;
-  DiskStats stats_;
-
-  QueuePolicy queue_policy_ = QueuePolicy::kCScan;
-  uint32_t queue_depth_ = 8;
-  TenantId request_tenant_ = kDefaultTenant;
-  QosConfig qos_;
-  std::vector<Channel> channels_;
+  std::vector<Arm> arms_;
   uint32_t cylinders_per_channel_ = 0;
-  std::unordered_map<IoTag, DoneIo> completed_;
-
-  ChunkedStorage storage_;
 };
 
 }  // namespace ld
