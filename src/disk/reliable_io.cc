@@ -27,56 +27,43 @@ void ReliableIo::CountRecovery() {
   }
 }
 
-Status ReliableIo::Read(uint64_t sector, std::span<uint8_t> out) {
-  Status s = device_->Read(sector, out);
-  for (uint32_t attempt = 1; !s.ok() && Retryable(s) && attempt < kMaxAttempts;
-       ++attempt) {
-    BackoffBeforeRetry(attempt, /*is_read=*/true, sector);
-    s = device_->Read(sector, out);
+template <typename Attempt>
+Status ReliableIo::Retry(bool is_read, uint64_t sector, Attempt attempt) {
+  Status s = attempt();
+  for (uint32_t n = 1; Retryable(s) && n < kMaxAttempts; ++n) {
+    BackoffBeforeRetry(n, is_read, sector);
+    s = attempt();
     if (s.ok()) {
       CountRecovery();
     }
   }
   return s;
+}
+
+Status ReliableIo::Read(uint64_t sector, std::span<uint8_t> out) {
+  return Retry(/*is_read=*/true, sector, [&] { return device_->Read(sector, out); });
 }
 
 Status ReliableIo::Write(uint64_t sector, std::span<const uint8_t> data) {
-  Status s = device_->Write(sector, data);
-  for (uint32_t attempt = 1; !s.ok() && Retryable(s) && attempt < kMaxAttempts;
-       ++attempt) {
-    BackoffBeforeRetry(attempt, /*is_read=*/false, sector);
-    s = device_->Write(sector, data);
-    if (s.ok()) {
-      CountRecovery();
-    }
-  }
-  return s;
+  return Retry(/*is_read=*/false, sector, [&] { return device_->Write(sector, data); });
 }
 
 StatusOr<IoTag> ReliableIo::SubmitRead(uint64_t sector, std::span<uint8_t> out) {
-  StatusOr<IoTag> r = device_->SubmitRead(sector, out);
-  for (uint32_t attempt = 1;
-       !r.ok() && Retryable(r.status()) && attempt < kMaxAttempts; ++attempt) {
-    BackoffBeforeRetry(attempt, /*is_read=*/true, sector);
-    r = device_->SubmitRead(sector, out);
-    if (r.ok()) {
-      CountRecovery();
-    }
-  }
-  return r;
+  IoTag tag = kInvalidIoTag;
+  RETURN_IF_ERROR(Retry(/*is_read=*/true, sector, [&]() -> Status {
+    ASSIGN_OR_RETURN(tag, device_->SubmitRead(sector, out));
+    return OkStatus();
+  }));
+  return tag;
 }
 
 StatusOr<IoTag> ReliableIo::SubmitWrite(uint64_t sector, std::span<const uint8_t> data) {
-  StatusOr<IoTag> r = device_->SubmitWrite(sector, data);
-  for (uint32_t attempt = 1;
-       !r.ok() && Retryable(r.status()) && attempt < kMaxAttempts; ++attempt) {
-    BackoffBeforeRetry(attempt, /*is_read=*/false, sector);
-    r = device_->SubmitWrite(sector, data);
-    if (r.ok()) {
-      CountRecovery();
-    }
-  }
-  return r;
+  IoTag tag = kInvalidIoTag;
+  RETURN_IF_ERROR(Retry(/*is_read=*/false, sector, [&]() -> Status {
+    ASSIGN_OR_RETURN(tag, device_->SubmitWrite(sector, data));
+    return OkStatus();
+  }));
+  return tag;
 }
 
 }  // namespace ld

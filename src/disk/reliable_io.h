@@ -42,6 +42,12 @@ class ReliableIo {
   // True for errors worth retrying.
   static bool Retryable(const Status& s) { return s.code() == ErrorCode::kIoError; }
 
+  // The one retry loop: runs `attempt` (a callable returning Status) until it
+  // succeeds, fails for good, or uses up kMaxAttempts, backing off before
+  // each retry.
+  template <typename Attempt>
+  Status Retry(bool is_read, uint64_t sector, Attempt attempt);
+
   // Advances the sim clock for retry attempt `attempt` (1-based) and counts
   // the retry in the device health stats (global and per-channel, attributed
   // to the channel owning the request's first sector).
