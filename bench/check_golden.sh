@@ -67,28 +67,35 @@ legs=(
   "bench_faults.smoke-fail2 LD_FAIL_CHANNEL=2 bench_faults --smoke"
   "bench_faults.smoke-fail3 LD_FAIL_CHANNEL=3 bench_faults --smoke"
 )
-if [ -n "$ldbench" ]; then
+# The ldbench leg runs nine processes in a row, so it starts first, beside
+# bench_cleaner, the longest bench.
+[ -n "$ldbench" ] && legs=("ldbench - ldbench" "${legs[@]}")
+
+# Prints the "deterministic" line of ldbench for seeds 1-3 of every workload,
+# labelled with workload and seed. Fails when a run fails.
+ldbench_fingerprints() {
+  local status=0 workload seed
   for workload in smallfile largefile hotcold; do
     for seed in 1 2 3; do
-      legs+=("ldbench.$workload.$seed - ldbench $workload $seed")
+      "$ldbench" --workload "$workload" --seed "$seed" --seconds 0 --trace 0 \
+        >"$tmp/ldbench.raw" || status=1
+      sed -n "s/^deterministic /$workload seed $seed: /p" "$tmp/ldbench.raw"
     done
   done
-fi
+  return "$status"
+}
 
-# Runs one leg: its stdout goes to $tmp/<index>.out, its exit status to
-# $tmp/<index>.status. An ldbench leg keeps only the fingerprint line,
-# labelled with its workload and seed.
+# Runs one leg: its stdout, stderr and exit status go to $tmp/<index>.out,
+# .err and .status.
 run_leg() {
   local index="$1" assign="$2" bench="$3"
   shift 3
   if [ "$bench" = "ldbench" ]; then
-    "$ldbench" --workload "$1" --seed "$2" --seconds 0 --trace 0 >"$tmp/$index.raw"
-    echo $? >"$tmp/$index.status"
-    sed -n "s/^deterministic /$1 seed $2: /p" "$tmp/$index.raw" >"$tmp/$index.out"
-    return
-  fi
-  # shellcheck disable=SC2086  # $assign splits on purpose.
-  env $assign "$build/bench/$bench" "$@" >"$tmp/$index.out"
+    ldbench_fingerprints
+  else
+    # shellcheck disable=SC2086  # $assign splits on purpose.
+    env $assign "$build/bench/$bench" "$@"
+  fi >"$tmp/$index.out" 2>"$tmp/$index.err"
   echo $? >"$tmp/$index.status"
 }
 
@@ -106,36 +113,15 @@ for i in "${!legs[@]}"; do
 done
 wait
 
-# The ldbench legs share one golden file: concatenate them in leg order.
-report=()
+failed=0
 for i in "${!legs[@]}"; do
   read -r name _ <<<"${legs[$i]}"
-  if [[ "$name" == ldbench.* ]]; then
-    cat "$tmp/$i.out" >>"$tmp/ldbench.out"
-    if [ "$(cat "$tmp/$i.status")" -ne 0 ]; then
-      echo "FAIL: $name exited with status $(cat "$tmp/$i.status")" >>"$tmp/ldbench.fail"
-    fi
-  else
-    report+=("$i $name")
-  fi
-done
-[ -n "$ldbench" ] && report+=("ldbench ldbench")
-
-failed=0
-for entry in "${report[@]}"; do
-  read -r i name <<<"$entry"
   echo "=== $name ==="
-  if [ "$i" = "ldbench" ]; then
-    if [ -f "$tmp/ldbench.fail" ]; then
-      cat "$tmp/ldbench.fail"
-      failed=1
-    fi
-  else
-    status="$(cat "$tmp/$i.status")"
-    if [ "$status" -ne 0 ]; then
-      echo "FAIL: $name exited with status $status"
-      failed=1
-    fi
+  cat "$tmp/$i.err" >&2
+  status="$(cat "$tmp/$i.status")"
+  if [ "$status" -ne 0 ]; then
+    echo "FAIL: $name exited with status $status"
+    failed=1
   fi
   if [ "$update" -eq 1 ]; then
     cp "$tmp/$i.out" "$golden/$name.txt"
