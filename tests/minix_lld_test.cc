@@ -250,6 +250,35 @@ TEST(MinixLldTest, LargeFileOverLld) {
   }
 }
 
+// Freed i-node numbers come back lowest first, before any never-used one,
+// and after a remount the next create again gets the lowest free number.
+TEST(MinixLldTest, InodeNumbersReuseLowestFreeFirst) {
+  Rig rig;
+  std::vector<uint32_t> inos;
+  for (int i = 0; i < 8; ++i) {
+    auto ino = rig.fs->CreateFile("/f" + std::to_string(i));
+    ASSERT_TRUE(ino.ok());
+    inos.push_back(*ino);
+  }
+  ASSERT_EQ(inos.front(), kRootIno + 1);
+  ASSERT_EQ(inos.back(), kRootIno + 8);
+  // Free the higher number first: the lower one must still come back first.
+  ASSERT_TRUE(rig.fs->Unlink("/f4").ok());
+  ASSERT_TRUE(rig.fs->Unlink("/f1").ok());
+  EXPECT_EQ(*rig.fs->CreateFile("/g0"), inos[1]);
+  EXPECT_EQ(*rig.fs->CreateFile("/g1"), inos[4]);
+  EXPECT_EQ(*rig.fs->CreateFile("/g2"), inos.back() + 1);
+
+  ASSERT_TRUE(rig.fs->Unlink("/f2").ok());
+  ASSERT_TRUE(rig.fs->Shutdown().ok());
+  rig.lld = *LogStructuredDisk::Open(rig.disk.get(), TestLldOptions());
+  auto mounted = MinixFs::MountOnLd(rig.lld.get(), TestFsOptions());
+  ASSERT_TRUE(mounted.ok()) << mounted.status().ToString();
+  rig.fs = std::move(mounted).value();
+  EXPECT_EQ(*rig.fs->CreateFile("/h0"), inos[2]);
+  EXPECT_EQ(*rig.fs->CreateFile("/h1"), inos.back() + 2);
+}
+
 TEST(MinixLldTest, NoZoneBitmapInLdMode) {
   Rig rig;
   EXPECT_EQ(rig.fs->superblock().zone_bitmap_blocks, 0u);

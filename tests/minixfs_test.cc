@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "src/disk/mem_disk.h"
 #include "src/minixfs/minix_fs.h"
 #include "src/util/random.h"
@@ -292,6 +294,65 @@ TEST(MinixFsTest, NameTooLongRejected) {
   const std::string long_name(100, 'x');
   EXPECT_EQ(rig.fs->CreateFile("/" + long_name).status().code(),
             ErrorCode::kInvalidArgument);
+}
+
+// Names of 1, 7, 8, 9, 58 and 59 bytes, several sharing their first 8 bytes,
+// some stored past the seventh directory block (the indirect path of BMap).
+// Each is found; a strict prefix or an extension of one that is not itself
+// stored is not; each unlinks cleanly.
+TEST(MinixFsTest, DirectoryNamesAtSlotPrefixBoundary) {
+  Rig rig;
+  const std::string p8 = "abcdefgh";
+  const std::vector<std::string> names = {
+      "a",       "abcdefg",  p8,        p8 + "i",  p8 + "j",       "abcdefx",
+      "q",       "qrstuvw",  "qrstuvwx", p8 + std::string(50, 'm'),
+      p8 + std::string(51, 'm'), p8 + std::string(51, 'n'), std::string(58, 'z'),
+      std::string(kMinixNameMax, 'z')};
+  for (const std::string& name : names) {
+    ASSERT_LE(name.size(), kMinixNameMax);
+  }
+  // Half the names land in the direct blocks, the rest after 480 fillers,
+  // beyond the 7 x 64 = 448 slots the direct zones hold.
+  std::map<std::string, uint32_t> inos;
+  for (size_t i = 0; i < names.size(); i += 2) {
+    auto ino = rig.fs->CreateFile("/" + names[i]);
+    ASSERT_TRUE(ino.ok()) << names[i];
+    inos[names[i]] = *ino;
+  }
+  for (int i = 0; i < 480; ++i) {
+    ASSERT_TRUE(rig.fs->CreateFile("/fill" + std::to_string(i)).ok());
+  }
+  for (size_t i = 1; i < names.size(); i += 2) {
+    auto ino = rig.fs->CreateFile("/" + names[i]);
+    ASSERT_TRUE(ino.ok()) << names[i];
+    inos[names[i]] = *ino;
+  }
+  ASSERT_GT(rig.fs->StatIno(kRootIno)->size, 7u * 4096);
+
+  auto expect_absent = [&](const std::string& probe) {
+    if (probe.empty() || inos.count(probe) != 0) {
+      return;
+    }
+    EXPECT_FALSE(rig.fs->OpenFile("/" + probe).ok()) << probe;
+  };
+  for (const auto& [name, ino] : inos) {
+    auto found = rig.fs->OpenFile("/" + name);
+    ASSERT_TRUE(found.ok()) << name;
+    EXPECT_EQ(*found, ino) << name;
+    EXPECT_EQ(rig.fs->CreateFile("/" + name).status().code(), ErrorCode::kAlreadyExists);
+    expect_absent(name.substr(0, name.size() - 1));
+    expect_absent(name + "m");
+    expect_absent(name + "\x01");
+  }
+  for (const auto& [name, ino] : inos) {
+    ASSERT_TRUE(rig.fs->Unlink("/" + name).ok()) << name;
+    EXPECT_FALSE(rig.fs->OpenFile("/" + name).ok()) << name;
+  }
+  for (int i = 0; i < 480; ++i) {
+    ASSERT_TRUE(rig.fs->Unlink("/fill" + std::to_string(i)).ok());
+  }
+  EXPECT_EQ(rig.fs->ReadDir("/")->size(), 2u);  // "." and "..".
+  EXPECT_TRUE(rig.fs->CheckConsistency().ok());
 }
 
 TEST(MinixFsTest, UnlinkDirectoryRejected) {
