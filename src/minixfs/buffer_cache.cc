@@ -1,7 +1,7 @@
 #include "src/minixfs/buffer_cache.h"
 
 #include <algorithm>
-#include <iterator>
+#include <bit>
 
 namespace ld {
 
@@ -9,7 +9,12 @@ BufferCache::BufferCache(uint32_t block_size, uint32_t capacity_blocks, ReadFn r
     : block_size_(block_size),
       capacity_(std::max(capacity_blocks, 8u)),
       read_(std::move(read)),
-      write_(std::move(write)) {}
+      write_(std::move(write)),
+      entries_(capacity_),
+      index_(std::bit_ceil(2 * static_cast<uint64_t>(capacity_))),
+      index_shift_(64 - std::countr_zero(index_.size())) {
+  Clear();
+}
 
 void BufferCache::SetAsyncBackend(SubmitFn submit, WaitFn wait) {
   submit_ = std::move(submit);
@@ -31,78 +36,150 @@ void BufferCache::NoteDropped(const CacheBlock& block) {
   }
 }
 
-void BufferCache::Touch(uint32_t bno) {
-  auto pos = lru_pos_.find(bno);
-  if (pos != lru_pos_.end()) {
-    lru_.erase(pos->second);
-  }
-  lru_.push_front(bno);
-  lru_pos_[bno] = lru_.begin();
+// ---- Index and LRU chain -----------------------------------------------------
+
+uint32_t BufferCache::Home(uint32_t bno) const {
+  // Fibonacci hashing: the top bits of the product spread runs of
+  // consecutive block numbers over the table.
+  return static_cast<uint32_t>((bno * 0x9e3779b97f4a7c15ull) >> index_shift_);
 }
 
+uint32_t BufferCache::Find(uint32_t bno) const {
+  const size_t mask = index_.size() - 1;
+  for (size_t i = Home(bno);; i = (i + 1) & mask) {
+    const IndexSlot& slot = index_[i];
+    if (slot.entry == kNil || slot.bno == bno) {
+      return slot.entry;
+    }
+  }
+}
+
+CacheBlock* BufferCache::Lookup(uint32_t bno) const {
+  const uint32_t e = Find(bno);
+  return e == kNil ? nullptr : entries_[e].block.get();
+}
+
+void BufferCache::Unlink(uint32_t e) {
+  Entry& entry = entries_[e];
+  (entry.prev == kNil ? head_ : entries_[entry.prev].next) = entry.next;
+  (entry.next == kNil ? tail_ : entries_[entry.next].prev) = entry.prev;
+  entry.prev = kNil;
+  entry.next = kNil;
+}
+
+void BufferCache::LinkFront(uint32_t e) {
+  entries_[e].next = head_;
+  (head_ == kNil ? tail_ : entries_[head_].prev) = e;
+  head_ = e;
+}
+
+void BufferCache::Insert(std::shared_ptr<CacheBlock> block) {
+  const uint32_t e = free_entries_.back();
+  free_entries_.pop_back();
+  const size_t mask = index_.size() - 1;
+  size_t i = Home(block->bno);
+  while (index_[i].entry != kNil) {
+    i = (i + 1) & mask;
+  }
+  index_[i] = IndexSlot{block->bno, e};
+  entries_[e].block = std::move(block);
+  LinkFront(e);
+}
+
+void BufferCache::Erase(uint32_t e) {
+  const size_t mask = index_.size() - 1;
+  const uint32_t bno = entries_[e].block->bno;
+  size_t hole = Home(bno);
+  while (index_[hole].entry != e) {
+    hole = (hole + 1) & mask;
+  }
+  // Backward-shift deletion: pull each later slot of the probe run whose
+  // home is not in (hole, j] into the hole, so no tombstones build up.
+  for (size_t j = (hole + 1) & mask; index_[j].entry != kNil; j = (j + 1) & mask) {
+    if (((j - Home(index_[j].bno)) & mask) >= ((j - hole) & mask)) {
+      index_[hole] = index_[j];
+      hole = j;
+    }
+  }
+  index_[hole].entry = kNil;
+  Unlink(e);
+  entries_[e].block.reset();
+  free_entries_.push_back(e);
+}
+
+void BufferCache::Clear() {
+  for (Entry& entry : entries_) {
+    entry = Entry{};
+  }
+  std::fill(index_.begin(), index_.end(), IndexSlot{});
+  free_entries_.clear();
+  for (uint32_t e = capacity_; e-- > 0;) {
+    free_entries_.push_back(e);
+  }
+  head_ = kNil;
+  tail_ = kNil;
+}
+
+// ---- Eviction and write-back ---------------------------------------------------
+
 Status BufferCache::EvictOne() {
-  if (lru_.empty()) {
+  if (tail_ == kNil) {
     return OkStatus();
   }
-  const uint32_t victim = lru_.back();
-  lru_.pop_back();
-  lru_pos_.erase(victim);
-  auto it = blocks_.find(victim);
-  if (it != blocks_.end()) {
-    if (it->second->dirty) {
-      const Status written = cluster_writes_ ? WriteClusterAround(victim)
-                                             : write_(victim, 1, it->second->data);
-      if (!written.ok()) {
-        // Put the victim back at the cold end: dropping it from the LRU
-        // while it stays in blocks_ would orphan the dirty block (its data
-        // could never be written out or evicted again).
-        lru_.push_back(victim);
-        lru_pos_[victim] = std::prev(lru_.end());
-        return written;
-      }
-      it->second->dirty = false;
+  const uint32_t victim = tail_;
+  CacheBlock& block = *entries_[victim].block;
+  if (block.dirty) {
+    // A failed write-back leaves the victim where it is: cached, dirty and
+    // coldest, so the next eviction tries it first.
+    if (cluster_writes_) {
+      RETURN_IF_ERROR(WriteClusterAround(block.bno));
+    } else {
+      CacheBlock* run[] = {&block};
+      RETURN_IF_ERROR(WriteRun(run));
     }
-    NoteDropped(*it->second);
-    blocks_.erase(it);
   }
+  NoteDropped(block);
+  Erase(victim);
   return OkStatus();
 }
 
 Status BufferCache::WriteClusterAround(uint32_t bno) {
   // FFS-style clustering: when a dirty block must go out, take its whole run
   // of cached adjacent dirty blocks with it in one request.
+  auto dirty_at = [this](uint32_t b) {
+    const CacheBlock* block = Lookup(b);
+    return block != nullptr && block->dirty;
+  };
   uint32_t first = bno;
-  while (first > 0 && bno - (first - 1) < max_cluster_blocks_) {
-    auto it = blocks_.find(first - 1);
-    if (it == blocks_.end() || !it->second->dirty) {
-      break;
-    }
+  while (first > 0 && bno - (first - 1) < max_cluster_blocks_ && dirty_at(first - 1)) {
     first--;
   }
   uint32_t last = bno;
-  while (last + 1 - first < max_cluster_blocks_) {
-    auto it = blocks_.find(last + 1);
-    if (it == blocks_.end() || !it->second->dirty) {
-      break;
-    }
+  while (last + 1 - first < max_cluster_blocks_ && dirty_at(last + 1)) {
     last++;
   }
-  const uint32_t count = last - first + 1;
+  std::vector<CacheBlock*> run;
+  for (uint32_t b = first; b <= last; ++b) {
+    run.push_back(Lookup(b));
+  }
+  return WriteRun(run);
+}
+
+Status BufferCache::WriteRun(std::span<CacheBlock* const> run) {
+  const uint32_t first = run.front()->bno;
+  const auto count = static_cast<uint32_t>(run.size());
   if (count == 1) {
-    auto& block = blocks_[bno];
-    RETURN_IF_ERROR(write_(bno, 1, block->data));
+    RETURN_IF_ERROR(write_(first, 1, run.front()->data));
+  } else {
+    std::vector<uint8_t> cluster(static_cast<size_t>(count) * block_size_);
+    for (uint32_t i = 0; i < count; ++i) {
+      std::copy(run[i]->data.begin(), run[i]->data.end(),
+                cluster.begin() + static_cast<size_t>(i) * block_size_);
+    }
+    RETURN_IF_ERROR(write_(first, count, cluster));
+  }
+  for (CacheBlock* block : run) {
     block->dirty = false;
-    return OkStatus();
-  }
-  std::vector<uint8_t> cluster(static_cast<size_t>(count) * block_size_);
-  for (uint32_t i = 0; i < count; ++i) {
-    auto& block = blocks_[first + i];
-    std::copy(block->data.begin(), block->data.end(),
-              cluster.begin() + static_cast<size_t>(i) * block_size_);
-  }
-  RETURN_IF_ERROR(write_(first, count, cluster));
-  for (uint32_t i = 0; i < count; ++i) {
-    blocks_[first + i]->dirty = false;
   }
   return OkStatus();
 }
@@ -136,28 +213,28 @@ StatusOr<std::shared_ptr<CacheBlock>> BufferCache::AdoptPending(uint32_t bno) {
   if (wait_ && p.token != 0) {
     RETURN_IF_ERROR(wait_(p.token));
   }
-  while (blocks_.size() >= capacity_) {
+  while (size() >= capacity_) {
     RETURN_IF_ERROR(EvictOne());
   }
   auto block = std::make_shared<CacheBlock>();
   block->bno = bno;
   block->data = std::move(p.data);
   block->prefetched = p.prefetch;
-  blocks_[bno] = block;
-  Touch(bno);
+  Insert(block);
   return block;
 }
 
 StatusOr<std::shared_ptr<CacheBlock>> BufferCache::Get(uint32_t bno, bool load) {
-  auto it = blocks_.find(bno);
-  if (it != blocks_.end()) {
+  if (const uint32_t e = Find(bno); e != kNil) {
+    CacheBlock& block = *entries_[e].block;
     hits_++;
-    if (it->second->prefetched && !it->second->referenced) {
+    if (block.prefetched && !block.referenced) {
       prefetch_hits_++;
     }
-    it->second->referenced = true;
-    Touch(bno);
-    return it->second;
+    block.referenced = true;
+    Unlink(e);
+    LinkFront(e);
+    return entries_[e].block;
   }
   if (pending_.count(bno) != 0) {
     if (!load) {
@@ -178,7 +255,7 @@ StatusOr<std::shared_ptr<CacheBlock>> BufferCache::Get(uint32_t bno, bool load) 
     }
   }
   misses_++;
-  while (blocks_.size() >= capacity_) {
+  while (size() >= capacity_) {
     RETURN_IF_ERROR(EvictOne());
   }
   auto block = std::make_shared<CacheBlock>();
@@ -198,13 +275,12 @@ StatusOr<std::shared_ptr<CacheBlock>> BufferCache::Get(uint32_t bno, bool load) 
     }
   }
   block->referenced = true;
-  blocks_[bno] = block;
-  Touch(bno);
+  Insert(block);
   return block;
 }
 
 Status BufferCache::GetAsync(uint32_t bno, bool prefetch) {
-  if (blocks_.count(bno) != 0) {
+  if (Contains(bno)) {
     return OkStatus();
   }
   if (pending_.count(bno) != 0) {
@@ -228,7 +304,7 @@ Status BufferCache::GetAsync(uint32_t bno, bool prefetch) {
 }
 
 StatusOr<std::shared_ptr<CacheBlock>> BufferCache::Wait(uint32_t bno) {
-  if (blocks_.count(bno) != 0 || pending_.count(bno) == 0) {
+  if (Contains(bno) || pending_.count(bno) == 0) {
     return Get(bno, /*load=*/true);
   }
   auto adopted = AdoptPending(bno);
@@ -245,50 +321,24 @@ StatusOr<std::shared_ptr<CacheBlock>> BufferCache::Wait(uint32_t bno) {
 }
 
 Status BufferCache::FlushAll() {
-  std::vector<uint32_t> dirty;
-  dirty.reserve(blocks_.size());
-  for (const auto& [bno, block] : blocks_) {
-    if (block->dirty) {
-      dirty.push_back(bno);
+  std::vector<CacheBlock*> dirty;
+  for (uint32_t e = head_; e != kNil; e = entries_[e].next) {
+    if (entries_[e].block->dirty) {
+      dirty.push_back(entries_[e].block.get());
     }
   }
-  std::sort(dirty.begin(), dirty.end());
-
-  if (!cluster_writes_) {
-    for (uint32_t bno : dirty) {
-      auto& block = blocks_[bno];
-      RETURN_IF_ERROR(write_(bno, 1, block->data));
-      block->dirty = false;
-    }
-    return OkStatus();
-  }
-
-  // Coalesce runs of adjacent dirty blocks into single requests.
+  // Ascending block order, whatever the chain's order.
+  std::sort(dirty.begin(), dirty.end(),
+            [](const CacheBlock* a, const CacheBlock* b) { return a->bno < b->bno; });
+  // One request per block, or per run of adjacent blocks when clustering.
   size_t i = 0;
-  std::vector<uint8_t> cluster;
   while (i < dirty.size()) {
     size_t j = i + 1;
-    while (j < dirty.size() && dirty[j] == dirty[j - 1] + 1 &&
+    while (cluster_writes_ && j < dirty.size() && dirty[j]->bno == dirty[j - 1]->bno + 1 &&
            j - i < max_cluster_blocks_) {
       ++j;
     }
-    const uint32_t count = static_cast<uint32_t>(j - i);
-    if (count == 1) {
-      auto& block = blocks_[dirty[i]];
-      RETURN_IF_ERROR(write_(dirty[i], 1, block->data));
-      block->dirty = false;
-    } else {
-      cluster.resize(static_cast<size_t>(count) * block_size_);
-      for (uint32_t k = 0; k < count; ++k) {
-        auto& block = blocks_[dirty[i + k]];
-        std::copy(block->data.begin(), block->data.end(),
-                  cluster.begin() + static_cast<size_t>(k) * block_size_);
-      }
-      RETURN_IF_ERROR(write_(dirty[i], count, cluster));
-      for (uint32_t k = 0; k < count; ++k) {
-        blocks_[dirty[i + k]]->dirty = false;
-      }
-    }
+    RETURN_IF_ERROR(WriteRun(std::span(dirty).subspan(i, j - i)));
     i = j;
   }
   return OkStatus();
@@ -299,28 +349,21 @@ Status BufferCache::InvalidateAll() {
     RETURN_IF_ERROR(CancelPending(pending_.begin()->first));
   }
   RETURN_IF_ERROR(FlushAll());
-  for (const auto& [bno, block] : blocks_) {
-    NoteDropped(*block);
+  for (uint32_t e = head_; e != kNil; e = entries_[e].next) {
+    NoteDropped(*entries_[e].block);
   }
-  blocks_.clear();
-  lru_.clear();
-  lru_pos_.clear();
+  Clear();
   return OkStatus();
 }
 
 void BufferCache::Discard(uint32_t bno) {
   (void)CancelPending(bno);
-  auto it = blocks_.find(bno);
-  if (it == blocks_.end()) {
+  const uint32_t e = Find(bno);
+  if (e == kNil) {
     return;
   }
-  NoteDropped(*it->second);
-  blocks_.erase(it);
-  auto pos = lru_pos_.find(bno);
-  if (pos != lru_pos_.end()) {
-    lru_.erase(pos->second);
-    lru_pos_.erase(pos);
-  }
+  NoteDropped(*entries_[e].block);
+  Erase(e);
 }
 
 }  // namespace ld

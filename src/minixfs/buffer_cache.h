@@ -6,6 +6,10 @@
 // clustering mode coalesces adjacent dirty blocks into one request
 // (FFS/SunOS-style), used by the FFS baseline.
 //
+// Like MINIX's own cache, the bookkeeping is a fixed pool of entries, a hash
+// index from block number to entry, and a doubly-linked LRU chain threaded
+// through the entries: a hit is one probe and a few link writes.
+//
 // Reads can be asynchronous: GetAsync starts a single-flight load through
 // the backend's request queue and parks it in a pending-read table; Wait (or
 // a later Get) adopts the completed data into the cache. See DESIGN.md
@@ -16,7 +20,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <memory>
 #include <span>
 #include <unordered_map>
@@ -75,7 +78,7 @@ class BufferCache {
   // read, or falls back to Get(bno, /*load=*/true).
   StatusOr<std::shared_ptr<CacheBlock>> Wait(uint32_t bno);
 
-  bool Contains(uint32_t bno) const { return blocks_.count(bno) != 0; }
+  bool Contains(uint32_t bno) const { return Find(bno) != kNil; }
   bool Pending(uint32_t bno) const { return pending_.count(bno) != 0; }
 
   void MarkDirty(const std::shared_ptr<CacheBlock>& block) { block->dirty = true; }
@@ -106,10 +109,27 @@ class BufferCache {
   uint64_t prefetch_issued() const { return prefetch_issued_; }
   uint64_t prefetch_wasted() const { return prefetch_wasted_; }
   uint64_t coalesced_reads() const { return coalesced_reads_; }
-  size_t size() const { return blocks_.size(); }
+  size_t size() const { return capacity_ - free_entries_.size(); }
   size_t pending_reads() const { return pending_.size(); }
 
  private:
+  static constexpr uint32_t kNil = UINT32_MAX;
+
+  // One cached block and its links in the LRU chain (entry numbers, kNil at
+  // either end). Entries come from a pool of capacity_ slots, so a hit moves
+  // links and allocates nothing.
+  struct Entry {
+    std::shared_ptr<CacheBlock> block;  // Null while the slot is free.
+    uint32_t prev = kNil;               // Toward the front (more recent).
+    uint32_t next = kNil;               // Toward the cold end.
+  };
+  // One slot of the block-number index: open addressing, linear probing,
+  // sized once to a power of two >= 2 x capacity_ and never rehashed.
+  struct IndexSlot {
+    uint32_t bno = 0;
+    uint32_t entry = kNil;  // kNil = empty.
+  };
+
   // One in-flight read. Owns its landing buffer until adopted or cancelled.
   struct PendingRead {
     std::vector<uint8_t> data;
@@ -117,11 +137,26 @@ class BufferCache {
     bool prefetch = false;
   };
 
+  // The entry caching `bno`, or kNil.
+  uint32_t Find(uint32_t bno) const;
+  uint32_t Home(uint32_t bno) const;
+  CacheBlock* Lookup(uint32_t bno) const;
+  // Caches `block` at the front of the LRU chain. The pool must have room.
+  void Insert(std::shared_ptr<CacheBlock> block);
+  // Drops entry `e` from the index, the chain and the pool.
+  void Erase(uint32_t e);
+  void Unlink(uint32_t e);
+  void LinkFront(uint32_t e);
+  // Empties the pool, the index and the chain.
+  void Clear();
+
   Status EvictOne();
   // Writes the run of cached adjacent dirty blocks containing `bno` as one
   // request (FFS-style clustering on eviction).
   Status WriteClusterAround(uint32_t bno);
-  void Touch(uint32_t bno);
+  // Writes blocks with consecutive numbers as one request and marks them
+  // clean.
+  Status WriteRun(std::span<CacheBlock* const> run);
   // Waits out a pending read and moves its data into the cache.
   StatusOr<std::shared_ptr<CacheBlock>> AdoptPending(uint32_t bno);
   // Waits out a pending read and drops its data (discard/overwrite/insert).
@@ -138,9 +173,12 @@ class BufferCache {
   bool cluster_writes_ = false;
   uint32_t max_cluster_blocks_ = 16;
 
-  std::unordered_map<uint32_t, std::shared_ptr<CacheBlock>> blocks_;
-  std::list<uint32_t> lru_;  // Front = most recent.
-  std::unordered_map<uint32_t, std::list<uint32_t>::iterator> lru_pos_;
+  std::vector<Entry> entries_;            // capacity_ slots.
+  std::vector<uint32_t> free_entries_;    // Unused entry numbers.
+  std::vector<IndexSlot> index_;
+  uint32_t index_shift_ = 0;              // 64 - log2(index_.size()).
+  uint32_t head_ = kNil;                  // Most recent.
+  uint32_t tail_ = kNil;                  // Coldest: the next victim.
   std::unordered_map<uint32_t, PendingRead> pending_;
 
   uint64_t hits_ = 0;

@@ -284,6 +284,9 @@ class MinixFs {
 
   std::vector<bool> inode_bitmap_;
   bool inode_bitmap_dirty_ = false;
+  // Every i-node below this one is in use, so AllocInode starts its scan
+  // here and still returns the lowest free number.
+  uint32_t first_free_inode_ = 1;
 
   // Small-i-node mode keeps a write-back i-node cache; each dirty i-node is
   // written individually as a 64-byte logical block on sync.

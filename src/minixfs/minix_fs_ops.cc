@@ -76,6 +76,32 @@ uint32_t SlotIno(const uint8_t* slot) {
   return ino;
 }
 
+// The first 8 name bytes a matching slot must hold, as one word, and the
+// mask of the bytes that must match: the name's own bytes and, when the name
+// is shorter than 8 bytes, its terminator. One masked compare rejects almost
+// every other slot before SlotNameEquals checks the whole name.
+struct SlotPrefix {
+  uint64_t word = 0;
+  uint64_t mask = 0;
+};
+
+SlotPrefix PrefixOf(const std::string& name) {
+  uint8_t word[8] = {};
+  uint8_t mask[8] = {};
+  std::memcpy(word, name.data(), std::min<size_t>(name.size(), 8));
+  std::memset(mask, 0xff, std::min<size_t>(name.size() + 1, 8));
+  SlotPrefix prefix;
+  std::memcpy(&prefix.word, word, 8);
+  std::memcpy(&prefix.mask, mask, 8);
+  return prefix;
+}
+
+bool SlotMayMatch(const uint8_t* slot, const SlotPrefix& prefix) {
+  uint64_t stored;
+  std::memcpy(&stored, slot + 4, 8);
+  return (stored & prefix.mask) == prefix.word;
+}
+
 // Allocation-free name comparison against a raw directory slot.
 bool SlotNameEquals(const uint8_t* slot, const std::string& name) {
   const char* stored = reinterpret_cast<const char*>(slot) + 4;
@@ -97,6 +123,7 @@ StatusOr<uint32_t> MinixFs::LookupDir(uint32_t dir_ino, const std::string& name)
   }
   const uint32_t epb = sb_.DirEntriesPerBlock();
   const uint32_t nblocks = (dir.size + sb_.block_size - 1) / sb_.block_size;
+  const SlotPrefix prefix = PrefixOf(name);
   for (uint32_t b = 0; b < nblocks; ++b) {
     ASSIGN_OR_RETURN(uint32_t bno, BMap(&dir, b, /*alloc=*/false));
     if (bno == 0) {
@@ -107,7 +134,7 @@ StatusOr<uint32_t> MinixFs::LookupDir(uint32_t dir_ino, const std::string& name)
     for (uint32_t e = 0; e < epb; ++e) {
       const uint8_t* slot = base + static_cast<size_t>(e) * kMinixDirEntrySize;
       const uint32_t ino = SlotIno(slot);
-      if (ino != 0 && SlotNameEquals(slot, name)) {
+      if (ino != 0 && SlotMayMatch(slot, prefix) && SlotNameEquals(slot, name)) {
         return ino;
       }
     }
@@ -157,6 +184,7 @@ Status MinixFs::RemoveDirEntry(uint32_t dir_ino, const std::string& name) {
   ASSIGN_OR_RETURN(DiskInode dir, GetInode(dir_ino));
   const uint32_t epb = sb_.DirEntriesPerBlock();
   const uint32_t nblocks = (dir.size + sb_.block_size - 1) / sb_.block_size;
+  const SlotPrefix prefix = PrefixOf(name);
   for (uint32_t b = 0; b < nblocks; ++b) {
     ASSIGN_OR_RETURN(uint32_t bno, BMap(&dir, b, /*alloc=*/false));
     if (bno == 0) {
@@ -166,7 +194,7 @@ Status MinixFs::RemoveDirEntry(uint32_t dir_ino, const std::string& name) {
     for (uint32_t e = 0; e < epb; ++e) {
       const size_t off = static_cast<size_t>(e) * kMinixDirEntrySize;
       const uint8_t* slot = block->data.data() + off;
-      if (SlotIno(slot) != 0 && SlotNameEquals(slot, name)) {
+      if (SlotIno(slot) != 0 && SlotMayMatch(slot, prefix) && SlotNameEquals(slot, name)) {
         std::memset(block->data.data() + off, 0, kMinixDirEntrySize);
         cache_->MarkDirty(block);
         return MaybeSyncBlock(block);
