@@ -46,7 +46,6 @@ StatusOr<FsStack> MakeFsStack(BlockDevice* device, FsKind kind, const SetupParam
   options.cache_bytes = params.cache_bytes;
   options.compress_file_data = params.compress_file_data;
   options.readahead_blocks = params.readahead_blocks;
-  options.async_reads = params.async_reads;
   options.ld_readahead = params.ld_readahead;
   options.tenant = params.tenant;
 

@@ -61,13 +61,10 @@ struct SetupParams {
   LldOptions lld;  // Segment size etc. for LD-based systems.
   // LD modes: mark file data lists compressible (requires lld.compressor).
   bool compress_file_data = false;
-  // Read-path knobs (forwarded to MinixOptions). `async_reads = false`
-  // restores the fully synchronous legacy read path — the differential
-  // baseline the conformance suite compares against. `ld_readahead` turns
+  // Read-path knobs (forwarded to MinixOptions). `ld_readahead` turns
   // per-file read-ahead on for LD backends too (off = the paper's §4.1
   // behaviour).
   uint32_t readahead_blocks = 8;
-  bool async_reads = true;
   bool ld_readahead = false;
   // Tenant session id threaded down the whole stack (fs → backend → LD →
   // device request context). Single-FS setups keep the default.

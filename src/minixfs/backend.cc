@@ -5,7 +5,9 @@ namespace ld {
 Status MinixBackend::ReadBlocks(uint32_t bno, uint32_t count, std::span<uint8_t> out) {
   const uint32_t bs = block_size();
   for (uint32_t i = 0; i < count; ++i) {
-    RETURN_IF_ERROR(ReadBlock(bno + i, out.subspan(static_cast<size_t>(i) * bs, bs)));
+    ASSIGN_OR_RETURN(uint64_t token,
+                     SubmitBlock(bno + i, out.subspan(static_cast<size_t>(i) * bs, bs)));
+    RETURN_IF_ERROR(WaitBlock(token));
   }
   return OkStatus();
 }
@@ -14,19 +16,6 @@ Status MinixBackend::WriteBlocks(uint32_t bno, uint32_t count, std::span<const u
   const uint32_t bs = block_size();
   for (uint32_t i = 0; i < count; ++i) {
     RETURN_IF_ERROR(WriteBlock(bno + i, data.subspan(static_cast<size_t>(i) * bs, bs)));
-  }
-  return OkStatus();
-}
-
-StatusOr<uint64_t> MinixBackend::SubmitBlocks(uint32_t bno, uint32_t count,
-                                              std::span<uint8_t> out) {
-  RETURN_IF_ERROR(ReadBlocks(bno, count, out));
-  return uint64_t{0};
-}
-
-Status MinixBackend::WaitBlocks(uint64_t token) {
-  if (token != 0) {
-    return InvalidArgumentError("unknown async read token");
   }
   return OkStatus();
 }

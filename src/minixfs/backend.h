@@ -26,26 +26,23 @@ class MinixBackend {
   virtual uint32_t block_size() const = 0;
 
   // Raw block I/O by file-system block number (a physical block index in
-  // classic mode, an LD Bid in LD modes).
-  virtual Status ReadBlock(uint32_t bno, std::span<uint8_t> out) = 0;
+  // classic mode, an LD Bid in LD modes). A read is a submit and a wait:
+  // SubmitBlock fills `out`, queueing the device transfer, and returns an
+  // opaque token for WaitBlock. Data lands in `out` at submit time (the
+  // simulator's eager-data contract); WaitBlock advances the clock to the
+  // transfer's completion. Token 0 means the read already completed (an LD
+  // block that is not a raw transfer: a hole, an open-segment copy, a
+  // compressed or repaired block); WaitBlock(0) is a no-op. A submit-time
+  // error leaves no transfer outstanding.
+  virtual StatusOr<uint64_t> SubmitBlock(uint32_t bno, std::span<uint8_t> out) = 0;
+  virtual Status WaitBlock(uint64_t token) = 0;
   virtual Status WriteBlock(uint32_t bno, std::span<const uint8_t> data) = 0;
 
-  // Multi-block transfers for read-ahead / write clustering. Blocks are
+  // Multi-block transfers for the bitmaps and write clustering. Blocks are
   // consecutive *numbers*; only the classic backend can turn that into one
-  // physical request.
+  // physical request. The default reads are one submit and wait per block.
   virtual Status ReadBlocks(uint32_t bno, uint32_t count, std::span<uint8_t> out);
   virtual Status WriteBlocks(uint32_t bno, uint32_t count, std::span<const uint8_t> data);
-
-  // Asynchronous block read: fills `out` with `count` consecutive block
-  // numbers, queueing the device transfer(s), and returns an opaque token
-  // for WaitBlocks. Data lands in `out` at submit time (the simulator's
-  // eager-data contract); WaitBlocks advances the clock to the transfer's
-  // completion. Token 0 means the read already completed synchronously (the
-  // default implementation, and any block an LD backend cannot turn into a
-  // raw transfer); WaitBlocks(0) is a no-op, so callers need no special
-  // casing. A submit-time error leaves no transfer outstanding.
-  virtual StatusOr<uint64_t> SubmitBlocks(uint32_t bno, uint32_t count, std::span<uint8_t> out);
-  virtual Status WaitBlocks(uint64_t token);
 
   // Allocates one block for a file. `lid` names the file's block list in LD
   // modes (0 = the global list); `pred_bno` is the previous block of the

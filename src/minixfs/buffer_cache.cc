@@ -5,20 +5,17 @@
 
 namespace ld {
 
-BufferCache::BufferCache(uint32_t block_size, uint32_t capacity_blocks, ReadFn read, WriteFn write)
+BufferCache::BufferCache(uint32_t block_size, uint32_t capacity_blocks, SubmitFn submit,
+                         WaitFn wait, WriteFn write)
     : block_size_(block_size),
       capacity_(std::max(capacity_blocks, 8u)),
-      read_(std::move(read)),
+      submit_(std::move(submit)),
+      wait_(std::move(wait)),
       write_(std::move(write)),
       entries_(capacity_),
       index_(std::bit_ceil(2 * static_cast<uint64_t>(capacity_))),
       index_shift_(64 - std::countr_zero(index_.size())) {
   Clear();
-}
-
-void BufferCache::SetAsyncBackend(SubmitFn submit, WaitFn wait) {
-  submit_ = std::move(submit);
-  wait_ = std::move(wait);
 }
 
 void BufferCache::ResetCounters() {
@@ -198,10 +195,7 @@ Status BufferCache::CancelPending(uint32_t bno) {
   // The device already did (or scheduled) the transfer; waiting it out
   // charges that cost even though the bytes die here. A completion must
   // never install data for a cancelled read.
-  if (wait_ && token != 0) {
-    RETURN_IF_ERROR(wait_(token));
-  }
-  return OkStatus();
+  return WaitOut(token);
 }
 
 StatusOr<std::shared_ptr<CacheBlock>> BufferCache::AdoptPending(uint32_t bno) {
@@ -210,9 +204,7 @@ StatusOr<std::shared_ptr<CacheBlock>> BufferCache::AdoptPending(uint32_t bno) {
   // Drop the table entry before waiting: eviction triggered below must not
   // see a stale pending record for a block that is materializing.
   pending_.erase(it);
-  if (wait_ && p.token != 0) {
-    RETURN_IF_ERROR(wait_(p.token));
-  }
+  RETURN_IF_ERROR(WaitOut(p.token));
   while (size() >= capacity_) {
     RETURN_IF_ERROR(EvictOne());
   }
@@ -220,6 +212,15 @@ StatusOr<std::shared_ptr<CacheBlock>> BufferCache::AdoptPending(uint32_t bno) {
   block->bno = bno;
   block->data = std::move(p.data);
   block->prefetched = p.prefetch;
+  block->referenced = true;
+  // A read-ahead fill serves this lookup as a hit; a demand fill is the miss
+  // that started it.
+  if (p.prefetch) {
+    hits_++;
+    prefetch_hits_++;
+  } else {
+    misses_++;
+  }
   Insert(block);
   return block;
 }
@@ -237,22 +238,11 @@ StatusOr<std::shared_ptr<CacheBlock>> BufferCache::Get(uint32_t bno, bool load) 
     return entries_[e].block;
   }
   if (pending_.count(bno) != 0) {
-    if (!load) {
-      // The caller overwrites the whole block: the in-flight bytes are dead.
-      RETURN_IF_ERROR(CancelPending(bno));
-    } else {
-      auto adopted = AdoptPending(bno);
-      if (adopted.ok()) {
-        if (adopted.value()->prefetched) {
-          hits_++;
-          prefetch_hits_++;
-        } else {
-          misses_++;
-        }
-        adopted.value()->referenced = true;
-      }
-      return adopted;
+    if (load) {
+      return AdoptPending(bno);
     }
+    // The caller overwrites the whole block: the in-flight bytes are dead.
+    RETURN_IF_ERROR(CancelPending(bno));
   }
   misses_++;
   while (size() >= capacity_) {
@@ -262,17 +252,11 @@ StatusOr<std::shared_ptr<CacheBlock>> BufferCache::Get(uint32_t bno, bool load) 
   block->bno = bno;
   block->data.assign(block_size_, 0);
   if (load) {
-    if (submit_) {
-      // Submit + wait: identical service time to a synchronous read for a
-      // single outstanding request, but queued behind (and merged with) any
-      // read-ahead already in flight.
-      ASSIGN_OR_RETURN(uint64_t token, submit_(bno, block->data));
-      if (wait_ && token != 0) {
-        RETURN_IF_ERROR(wait_(token));
-      }
-    } else {
-      RETURN_IF_ERROR(read_(bno, block->data));
-    }
+    // Submit + wait: the service time of a synchronous read for a single
+    // outstanding request, but queued behind (and merged with) any
+    // read-ahead already in flight.
+    ASSIGN_OR_RETURN(uint64_t token, submit_(bno, block->data));
+    RETURN_IF_ERROR(WaitOut(token));
   }
   block->referenced = true;
   Insert(block);
@@ -291,33 +275,12 @@ Status BufferCache::GetAsync(uint32_t bno, bool prefetch) {
   PendingRead p;
   p.data.assign(block_size_, 0);
   p.prefetch = prefetch;
-  if (submit_) {
-    ASSIGN_OR_RETURN(p.token, submit_(bno, p.data));
-  } else {
-    RETURN_IF_ERROR(read_(bno, p.data));
-  }
+  ASSIGN_OR_RETURN(p.token, submit_(bno, p.data));
   if (prefetch) {
     prefetch_issued_++;
   }
   pending_.emplace(bno, std::move(p));
   return OkStatus();
-}
-
-StatusOr<std::shared_ptr<CacheBlock>> BufferCache::Wait(uint32_t bno) {
-  if (Contains(bno) || pending_.count(bno) == 0) {
-    return Get(bno, /*load=*/true);
-  }
-  auto adopted = AdoptPending(bno);
-  if (adopted.ok()) {
-    if (adopted.value()->prefetched) {
-      hits_++;
-      prefetch_hits_++;
-    } else {
-      misses_++;
-    }
-    adopted.value()->referenced = true;
-  }
-  return adopted;
 }
 
 Status BufferCache::FlushAll() {

@@ -10,10 +10,10 @@
 // index from block number to entry, and a doubly-linked LRU chain threaded
 // through the entries: a hit is one probe and a few link writes.
 //
-// Reads can be asynchronous: GetAsync starts a single-flight load through
-// the backend's request queue and parks it in a pending-read table; Wait (or
-// a later Get) adopts the completed data into the cache. See DESIGN.md
-// "Read path" for the single-flight and cancellation rules.
+// Every read is a submit and a wait on the backend's request queue. GetAsync
+// submits a single-flight load and parks it in a pending-read table; a later
+// Get adopts the completed data into the cache. See DESIGN.md "Read path"
+// for the single-flight and cancellation rules.
 
 #ifndef SRC_MINIXFS_BUFFER_CACHE_H_
 #define SRC_MINIXFS_BUFFER_CACHE_H_
@@ -39,44 +39,35 @@ struct CacheBlock {
 
 class BufferCache {
  public:
-  // Reads one block from the backing store.
-  using ReadFn = std::function<Status(uint32_t bno, std::span<uint8_t> out)>;
-  // Writes `count` consecutive blocks starting at `bno`.
-  using WriteFn =
-      std::function<Status(uint32_t bno, uint32_t count, std::span<const uint8_t> data)>;
   // Queues a one-block read into `out` and returns an opaque token (0 =
   // already complete). Data lands in `out` at submit time (the simulator's
   // eager-data contract); only the transfer's timing is pending.
   using SubmitFn = std::function<StatusOr<uint64_t>(uint32_t bno, std::span<uint8_t> out)>;
-  // Advances the clock to the token's completion (no-op for token 0).
+  // Advances the clock to the token's completion. Never called for token 0.
   using WaitFn = std::function<Status(uint64_t token)>;
+  // Writes `count` consecutive blocks starting at `bno`.
+  using WriteFn =
+      std::function<Status(uint32_t bno, uint32_t count, std::span<const uint8_t> data)>;
 
-  BufferCache(uint32_t block_size, uint32_t capacity_blocks, ReadFn read, WriteFn write);
-
-  // Routes demand misses and GetAsync through the backend's request queue.
-  // Without this, GetAsync degrades to a synchronous load and Get reads
-  // synchronously (the pre-async behaviour).
-  void SetAsyncBackend(SubmitFn submit, WaitFn wait);
+  BufferCache(uint32_t block_size, uint32_t capacity_blocks, SubmitFn submit, WaitFn wait,
+              WriteFn write);
 
   uint32_t block_size() const { return block_size_; }
 
-  // Returns the cached block, loading it when absent. When `load` is false
-  // the caller promises to overwrite the whole block, so no read is issued
-  // (an in-flight read of the block is cancelled: its bytes are dead). A
-  // load that finds the block in the pending-read table adopts it (waiting
-  // out the transfer) instead of issuing a second read.
+  // Returns the cached block, loading it when absent: one submit and one
+  // wait. When `load` is false the caller promises to overwrite the whole
+  // block, so no read is issued (an in-flight read of the block is
+  // cancelled: its bytes are dead). A load that finds the block in the
+  // pending-read table adopts it (waiting out the transfer) instead of
+  // issuing a second read.
   StatusOr<std::shared_ptr<CacheBlock>> Get(uint32_t bno, bool load);
 
-  // Starts a single-flight asynchronous load of `bno` unless the block is
-  // cached or already in flight (a second call coalesces onto the first —
-  // one device read total). `prefetch` marks read-ahead fills for the
-  // waste/hit accounting. The queued transfer overlaps the caller; the data
-  // enters the cache when Wait/Get adopts it.
+  // Starts a single-flight load of `bno` unless the block is cached or
+  // already in flight (a second call coalesces onto the first — one device
+  // read total). `prefetch` marks read-ahead fills for the waste/hit
+  // accounting. The queued transfer overlaps the caller; the data enters
+  // the cache when Get adopts it.
   Status GetAsync(uint32_t bno, bool prefetch);
-
-  // Completes the load of `bno` and returns the block: adopts a pending
-  // read, or falls back to Get(bno, /*load=*/true).
-  StatusOr<std::shared_ptr<CacheBlock>> Wait(uint32_t bno);
 
   bool Contains(uint32_t bno) const { return Find(bno) != kNil; }
   bool Pending(uint32_t bno) const { return pending_.count(bno) != 0; }
@@ -157,7 +148,10 @@ class BufferCache {
   // Writes blocks with consecutive numbers as one request and marks them
   // clean.
   Status WriteRun(std::span<CacheBlock* const> run);
-  // Waits out a pending read and moves its data into the cache.
+  // Waits out a submitted read; token 0 completed at submit.
+  Status WaitOut(uint64_t token) { return token == 0 ? OkStatus() : wait_(token); }
+  // Waits out a pending read, moves its data into the cache and counts the
+  // lookup it serves.
   StatusOr<std::shared_ptr<CacheBlock>> AdoptPending(uint32_t bno);
   // Waits out a pending read and drops its data (discard/overwrite/insert).
   Status CancelPending(uint32_t bno);
@@ -166,10 +160,9 @@ class BufferCache {
 
   uint32_t block_size_;
   uint32_t capacity_;
-  ReadFn read_;
-  WriteFn write_;
-  SubmitFn submit_;  // Null = synchronous reads.
+  SubmitFn submit_;
   WaitFn wait_;
+  WriteFn write_;
   bool cluster_writes_ = false;
   uint32_t max_cluster_blocks_ = 16;
 

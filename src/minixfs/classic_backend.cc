@@ -29,10 +29,6 @@ void ClassicBackend::InitFreshBitmap() {
   bitmap_dirty_ = true;
 }
 
-Status ClassicBackend::ReadBlock(uint32_t bno, std::span<uint8_t> out) {
-  return ReadBlocks(bno, 1, out);
-}
-
 Status ClassicBackend::WriteBlock(uint32_t bno, std::span<const uint8_t> data) {
   return WriteBlocks(bno, 1, data);
 }
@@ -41,25 +37,18 @@ Status ClassicBackend::ReadBlocks(uint32_t bno, uint32_t count, std::span<uint8_
   if (bno + count > sb_.num_blocks) {
     return InvalidArgumentError("block read past end of file system");
   }
-  const uint64_t sector =
-      static_cast<uint64_t>(bno) * sb_.block_size / device_->sector_size();
-  return device_->Read(sector, out);
+  return device_->Read(SectorOf(bno), out);
 }
 
-StatusOr<uint64_t> ClassicBackend::SubmitBlocks(uint32_t bno, uint32_t count,
-                                                std::span<uint8_t> out) {
-  if (bno + count > sb_.num_blocks) {
+StatusOr<uint64_t> ClassicBackend::SubmitBlock(uint32_t bno, std::span<uint8_t> out) {
+  if (bno >= sb_.num_blocks) {
     return InvalidArgumentError("block read past end of file system");
   }
-  const uint64_t sector =
-      static_cast<uint64_t>(bno) * sb_.block_size / device_->sector_size();
-  // Consecutive block numbers are physically consecutive here, so the whole
-  // run is one queued request; its tag is the token.
-  ASSIGN_OR_RETURN(IoTag tag, device_->SubmitRead(sector, out));
-  return static_cast<uint64_t>(tag);
+  // One queued device request; its tag is the token.
+  return device_->SubmitRead(SectorOf(bno), out);
 }
 
-Status ClassicBackend::WaitBlocks(uint64_t token) {
+Status ClassicBackend::WaitBlock(uint64_t token) {
   if (token == 0) {
     return OkStatus();
   }
@@ -70,9 +59,7 @@ Status ClassicBackend::WriteBlocks(uint32_t bno, uint32_t count, std::span<const
   if (bno + count > sb_.num_blocks) {
     return InvalidArgumentError("block write past end of file system");
   }
-  const uint64_t sector =
-      static_cast<uint64_t>(bno) * sb_.block_size / device_->sector_size();
-  return device_->Write(sector, data);
+  return device_->Write(SectorOf(bno), data);
 }
 
 StatusOr<uint32_t> ClassicBackend::AllocBlock(uint32_t lid, uint32_t pred_bno) {

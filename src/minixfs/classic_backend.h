@@ -24,12 +24,11 @@ class ClassicBackend : public MinixBackend {
                                                           const MinixSuperblock& sb, bool fresh);
 
   uint32_t block_size() const override { return sb_.block_size; }
-  Status ReadBlock(uint32_t bno, std::span<uint8_t> out) override;
+  StatusOr<uint64_t> SubmitBlock(uint32_t bno, std::span<uint8_t> out) override;
+  Status WaitBlock(uint64_t token) override;
   Status WriteBlock(uint32_t bno, std::span<const uint8_t> data) override;
   Status ReadBlocks(uint32_t bno, uint32_t count, std::span<uint8_t> out) override;
   Status WriteBlocks(uint32_t bno, uint32_t count, std::span<const uint8_t> data) override;
-  StatusOr<uint64_t> SubmitBlocks(uint32_t bno, uint32_t count, std::span<uint8_t> out) override;
-  Status WaitBlocks(uint64_t token) override;
   StatusOr<uint32_t> AllocBlock(uint32_t lid, uint32_t pred_bno) override;
   Status FreeBlock(uint32_t bno, uint32_t lid, uint32_t pred_bno_hint) override;
   StatusOr<uint32_t> CreateFileList(uint32_t near_lid) override { (void)near_lid; return 0u; }
@@ -46,6 +45,10 @@ class ClassicBackend : public MinixBackend {
 
  protected:
   ClassicBackend(BlockDevice* device, const MinixSuperblock& sb);
+
+  uint64_t SectorOf(uint32_t bno) const {
+    return static_cast<uint64_t>(bno) * sb_.block_size / device_->sector_size();
+  }
 
   Status LoadZoneBitmap();
   Status StoreZoneBitmap();

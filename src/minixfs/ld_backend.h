@@ -10,10 +10,6 @@
 #ifndef SRC_MINIXFS_LD_BACKEND_H_
 #define SRC_MINIXFS_LD_BACKEND_H_
 
-#include <memory>
-#include <unordered_map>
-#include <vector>
-
 #include "src/ld/logical_disk.h"
 #include "src/minixfs/backend.h"
 #include "src/minixfs/minix_types.h"
@@ -25,49 +21,14 @@ class LdBackend : public MinixBackend {
   LdBackend(LogicalDisk* ld, const MinixSuperblock& sb) : ld_(ld), sb_(sb) {}
 
   uint32_t block_size() const override { return sb_.block_size; }
-  Status ReadBlock(uint32_t bno, std::span<uint8_t> out) override {
-    return ld_->Read(bno, out);
+  // Consecutive block numbers need not be physically consecutive on an LD,
+  // so each block is its own transfer and the LD's tag is the token.
+  StatusOr<uint64_t> SubmitBlock(uint32_t bno, std::span<uint8_t> out) override {
+    return ld_->SubmitRead(bno, out);
   }
+  Status WaitBlock(uint64_t token) override { return ld_->WaitRead(token); }
   Status WriteBlock(uint32_t bno, std::span<const uint8_t> data) override {
     return ld_->Write(bno, data);
-  }
-  // Consecutive block numbers need not be physically consecutive on an LD,
-  // so each block is its own queued transfer; the token collects the tags
-  // (most blocks of a one-block submit complete synchronously and need no
-  // token at all).
-  StatusOr<uint64_t> SubmitBlocks(uint32_t bno, uint32_t count, std::span<uint8_t> out) override {
-    std::vector<IoTag> tags;
-    for (uint32_t i = 0; i < count; ++i) {
-      ASSIGN_OR_RETURN(IoTag tag,
-                       ld_->SubmitRead(bno + i, out.subspan(static_cast<size_t>(i) * sb_.block_size,
-                                                            sb_.block_size)));
-      if (tag != kInvalidIoTag) {
-        tags.push_back(tag);
-      }
-    }
-    if (tags.empty()) {
-      return uint64_t{0};
-    }
-    const uint64_t token = next_token_++;
-    pending_reads_[token] = std::move(tags);
-    return token;
-  }
-  Status WaitBlocks(uint64_t token) override {
-    if (token == 0) {
-      return OkStatus();
-    }
-    auto it = pending_reads_.find(token);
-    if (it == pending_reads_.end()) {
-      return InvalidArgumentError("unknown async read token");
-    }
-    Status status = OkStatus();
-    for (IoTag tag : it->second) {
-      if (Status s = ld_->WaitRead(tag); !s.ok() && status.ok()) {
-        status = s;
-      }
-    }
-    pending_reads_.erase(it);
-    return status;
   }
   StatusOr<uint32_t> AllocBlock(uint32_t lid, uint32_t pred_bno) override {
     return ld_->NewBlock(lid != 0 ? lid : sb_.global_list, pred_bno, sb_.block_size);
@@ -108,8 +69,6 @@ class LdBackend : public MinixBackend {
  private:
   LogicalDisk* ld_;
   MinixSuperblock sb_;
-  uint64_t next_token_ = 1;
-  std::unordered_map<uint64_t, std::vector<IoTag>> pending_reads_;
 };
 
 }  // namespace ld

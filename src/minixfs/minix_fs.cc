@@ -48,17 +48,13 @@ MinixFs::MinixFs(std::unique_ptr<MinixBackend> backend, const MinixSuperblock& s
       static_cast<uint32_t>(options_.cache_bytes / sb_.block_size);
   cache_ = std::make_unique<BufferCache>(
       sb_.block_size, capacity,
-      [this](uint32_t bno, std::span<uint8_t> out) { return backend_->ReadBlock(bno, out); },
+      [this](uint32_t bno, std::span<uint8_t> out) { return backend_->SubmitBlock(bno, out); },
+      [this](uint64_t token) { return backend_->WaitBlock(token); },
       [this](uint32_t bno, uint32_t count, std::span<const uint8_t> data) {
         return backend_->WriteBlocks(bno, count, data);
       });
   cache_->set_cluster_writes(options_.cluster_writes);
   cache_->set_max_cluster_blocks(options_.max_cluster_blocks);
-  if (options_.async_reads) {
-    cache_->SetAsyncBackend(
-        [this](uint32_t bno, std::span<uint8_t> out) { return backend_->SubmitBlocks(bno, 1, out); },
-        [this](uint64_t token) { return backend_->WaitBlocks(token); });
-  }
   backend_->SetTenant(options_.tenant);
   inode_bitmap_.assign(sb_.num_inodes + 1, false);
   inode_bitmap_[0] = true;  // I-node 0 is reserved.
@@ -269,7 +265,7 @@ StatusOr<DiskInode> MinixFs::GetInode(uint32_t ino) {
   }
   const uint32_t ipb = sb_.InodesPerBlock();
   const uint32_t bno = sb_.itable_start + (ino - 1) / ipb;
-  ASSIGN_OR_RETURN(std::shared_ptr<CacheBlock> block, GetBlock(bno, /*load=*/true));
+  ASSIGN_OR_RETURN(std::shared_ptr<CacheBlock> block, cache_->Get(bno, /*load=*/true));
   const size_t offset = static_cast<size_t>((ino - 1) % ipb) * kMinixInodeSize;
   return DiskInode::DecodeFrom(std::span<const uint8_t>(block->data).subspan(offset,
                                                                              kMinixInodeSize));
@@ -288,7 +284,7 @@ Status MinixFs::PutInode(uint32_t ino, const DiskInode& inode, bool structural) 
   }
   const uint32_t ipb = sb_.InodesPerBlock();
   const uint32_t bno = sb_.itable_start + (ino - 1) / ipb;
-  ASSIGN_OR_RETURN(std::shared_ptr<CacheBlock> block, GetBlock(bno, /*load=*/true));
+  ASSIGN_OR_RETURN(std::shared_ptr<CacheBlock> block, cache_->Get(bno, /*load=*/true));
   const size_t offset = static_cast<size_t>((ino - 1) % ipb) * kMinixInodeSize;
   inode.EncodeTo(std::span<uint8_t>(block->data).subspan(offset, kMinixInodeSize));
   cache_->MarkDirty(block);
@@ -390,10 +386,10 @@ StatusOr<uint32_t> MinixFs::BMap(DiskInode* inode, uint32_t idx, bool alloc) {
       ASSIGN_OR_RETURN(uint32_t bno,
                        backend_->AllocBlock(inode->lid, PrevBlockHint(inode, idx)));
       inode->indirect = bno;
-      ASSIGN_OR_RETURN(std::shared_ptr<CacheBlock> fresh, GetBlock(bno, /*load=*/false));
+      ASSIGN_OR_RETURN(std::shared_ptr<CacheBlock> fresh, cache_->Get(bno, /*load=*/false));
       cache_->MarkDirty(fresh);
     }
-    ASSIGN_OR_RETURN(std::shared_ptr<CacheBlock> ind, GetBlock(inode->indirect, /*load=*/true));
+    ASSIGN_OR_RETURN(std::shared_ptr<CacheBlock> ind, cache_->Get(inode->indirect, /*load=*/true));
     uint32_t bno = ReadPtr(ind->data, sub);
     if (bno == 0 && alloc) {
       ASSIGN_OR_RETURN(bno, backend_->AllocBlock(inode->lid, PrevBlockHint(inode, idx)));
@@ -414,11 +410,11 @@ StatusOr<uint32_t> MinixFs::BMap(DiskInode* inode, uint32_t idx, bool alloc) {
       ASSIGN_OR_RETURN(uint32_t bno,
                        backend_->AllocBlock(inode->lid, PrevBlockHint(inode, idx)));
       inode->double_indirect = bno;
-      ASSIGN_OR_RETURN(std::shared_ptr<CacheBlock> fresh, GetBlock(bno, /*load=*/false));
+      ASSIGN_OR_RETURN(std::shared_ptr<CacheBlock> fresh, cache_->Get(bno, /*load=*/false));
       cache_->MarkDirty(fresh);
     }
     ASSIGN_OR_RETURN(std::shared_ptr<CacheBlock> dind,
-                     GetBlock(inode->double_indirect, /*load=*/true));
+                     cache_->Get(inode->double_indirect, /*load=*/true));
     uint32_t ind_bno = ReadPtr(dind->data, outer);
     if (ind_bno == 0) {
       if (!alloc) {
@@ -427,10 +423,10 @@ StatusOr<uint32_t> MinixFs::BMap(DiskInode* inode, uint32_t idx, bool alloc) {
       ASSIGN_OR_RETURN(ind_bno, backend_->AllocBlock(inode->lid, PrevBlockHint(inode, idx)));
       WritePtr(&dind->data, outer, ind_bno);
       cache_->MarkDirty(dind);
-      ASSIGN_OR_RETURN(std::shared_ptr<CacheBlock> fresh, GetBlock(ind_bno, /*load=*/false));
+      ASSIGN_OR_RETURN(std::shared_ptr<CacheBlock> fresh, cache_->Get(ind_bno, /*load=*/false));
       cache_->MarkDirty(fresh);
     }
-    ASSIGN_OR_RETURN(std::shared_ptr<CacheBlock> ind, GetBlock(ind_bno, /*load=*/true));
+    ASSIGN_OR_RETURN(std::shared_ptr<CacheBlock> ind, cache_->Get(ind_bno, /*load=*/true));
     uint32_t bno = ReadPtr(ind->data, inner);
     if (bno == 0 && alloc) {
       ASSIGN_OR_RETURN(bno, backend_->AllocBlock(inode->lid, PrevBlockHint(inode, idx)));
@@ -460,15 +456,15 @@ Status MinixFs::FreeFileBlocks(DiskInode* inode, uint32_t from_idx) {
     if (idx < g.direct_end) {
       inode->zones[idx] = 0;
     } else if (idx < g.ind_end) {
-      ASSIGN_OR_RETURN(std::shared_ptr<CacheBlock> ind, GetBlock(inode->indirect, true));
+      ASSIGN_OR_RETURN(std::shared_ptr<CacheBlock> ind, cache_->Get(inode->indirect, true));
       WritePtr(&ind->data, idx - g.direct_end, 0);
       cache_->MarkDirty(ind);
     } else {
       const uint32_t sub = idx - g.ind_end;
-      ASSIGN_OR_RETURN(std::shared_ptr<CacheBlock> dind, GetBlock(inode->double_indirect, true));
+      ASSIGN_OR_RETURN(std::shared_ptr<CacheBlock> dind, cache_->Get(inode->double_indirect, true));
       const uint32_t ind_bno = ReadPtr(dind->data, sub / g.ppb);
       if (ind_bno != 0) {
-        ASSIGN_OR_RETURN(std::shared_ptr<CacheBlock> ind, GetBlock(ind_bno, true));
+        ASSIGN_OR_RETURN(std::shared_ptr<CacheBlock> ind, cache_->Get(ind_bno, true));
         WritePtr(&ind->data, sub % g.ppb, 0);
         cache_->MarkDirty(ind);
       }
@@ -481,7 +477,7 @@ Status MinixFs::FreeFileBlocks(DiskInode* inode, uint32_t from_idx) {
     inode->indirect = 0;
   }
   if (inode->double_indirect != 0) {
-    ASSIGN_OR_RETURN(std::shared_ptr<CacheBlock> dind, GetBlock(inode->double_indirect, true));
+    ASSIGN_OR_RETURN(std::shared_ptr<CacheBlock> dind, cache_->Get(inode->double_indirect, true));
     bool any_left = false;
     for (uint32_t i = 0; i < g.ppb; ++i) {
       const uint32_t ind_bno = ReadPtr(dind->data, i);
@@ -509,10 +505,6 @@ Status MinixFs::FreeFileBlocks(DiskInode* inode, uint32_t from_idx) {
 }
 
 // ---- Cache & sync helpers ------------------------------------------------------------
-
-StatusOr<std::shared_ptr<CacheBlock>> MinixFs::GetBlock(uint32_t bno, bool load) {
-  return cache_->Get(bno, load);
-}
 
 Status MinixFs::MaybeSyncBlock(const std::shared_ptr<CacheBlock>& block) {
   if (!options_.synchronous_metadata || !block->dirty) {

@@ -35,16 +35,11 @@ struct MinixOptions {
   bool synchronous_metadata = false;
   // Blocks fetched per read-ahead request when the backend allows it.
   uint32_t readahead_blocks = 8;
-  // Route demand misses (and read-ahead) through the backend's request
-  // queue via submit + wait. Timing-identical to synchronous reads while
-  // nothing else is in flight; lets read-ahead overlap demand reads. Off =
-  // the fully synchronous legacy read path (the differential baseline).
-  bool async_reads = true;
   // Enable per-file read-ahead on LD backends too. Off by default — the
   // paper's MINIX-LLD turns read-ahead off because logically consecutive
-  // blocks need not be physically consecutive (§4.1) — but the async read
-  // path submits each block at its actual physical location, so prefetching
-  // no longer depends on physical contiguity.
+  // blocks need not be physically consecutive (§4.1) — but each read is
+  // submitted at the block's actual physical location, so prefetching does
+  // not depend on physical contiguity.
   bool ld_readahead = false;
   // Coalesce adjacent dirty blocks into single device requests on sync and
   // on eviction (FFS-style clustering; classic MINIX writes one block at a
@@ -260,7 +255,6 @@ class MinixFs {
   Status SplitPath(const std::string& path, uint32_t* parent_ino, std::string* leaf);
 
   // ---- I/O helpers -----------------------------------------------------------------
-  StatusOr<std::shared_ptr<CacheBlock>> GetBlock(uint32_t bno, bool load);
   // Reads file block `idx` of file `ino` (mapped to `bno`), maintaining the
   // file's read-ahead window when read-ahead is enabled.
   Status ReadFileBlockCached(uint32_t ino, DiskInode* inode, uint32_t idx, uint32_t bno);

@@ -39,7 +39,7 @@ Status MinixFs::CheckConsistency() {
     if (inode->double_indirect != 0) {
       RETURN_IF_ERROR(claim(inode->double_indirect, ino));
       ASSIGN_OR_RETURN(std::shared_ptr<CacheBlock> dind,
-                       GetBlock(inode->double_indirect, /*load=*/true));
+                       cache_->Get(inode->double_indirect, /*load=*/true));
       for (uint32_t i = 0; i < sb_.PointersPerBlock(); ++i) {
         uint32_t ptr;
         std::memcpy(&ptr, dind->data.data() + static_cast<size_t>(i) * 4, 4);
@@ -73,7 +73,7 @@ Status MinixFs::CheckConsistency() {
       if (bno == 0) {
         continue;
       }
-      ASSIGN_OR_RETURN(std::shared_ptr<CacheBlock> block, GetBlock(bno, /*load=*/true));
+      ASSIGN_OR_RETURN(std::shared_ptr<CacheBlock> block, cache_->Get(bno, /*load=*/true));
       for (uint32_t e = 0; e < epb; ++e) {
         const auto entry = MinixDirEntry::DecodeFrom(std::span<const uint8_t>(block->data)
                                                          .subspan(e * kMinixDirEntrySize,

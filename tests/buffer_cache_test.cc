@@ -16,25 +16,15 @@
 namespace ld {
 namespace {
 
-// A backing store that records the write requests it receives.
+// A backing store that records the requests it receives.
 struct Backing {
   std::map<uint32_t, std::vector<uint8_t>> blocks;
   std::vector<std::pair<uint32_t, uint32_t>> writes;  // (bno, count)
-  uint32_t reads = 0;
   uint32_t block_size = 512;
   uint32_t fail_writes = 0;  // The next this many writes fail.
 
-  BufferCache::ReadFn Reader() {
-    return [this](uint32_t bno, std::span<uint8_t> out) {
-      reads++;
-      auto it = blocks.find(bno);
-      if (it == blocks.end()) {
-        std::fill(out.begin(), out.end(), 0);
-      } else {
-        std::copy(it->second.begin(), it->second.end(), out.begin());
-      }
-      return OkStatus();
-    };
+  BufferCache Cache(uint32_t capacity) {
+    return BufferCache(block_size, capacity, Submitter(), Waiter(), Writer());
   }
 
   BufferCache::WriteFn Writer() {
@@ -53,8 +43,8 @@ struct Backing {
     };
   }
 
-  // Async backend following the simulator's eager-data contract: bytes land
-  // in `out` at submit time, only the completion (the wait) is deferred.
+  // Reads follow the simulator's eager-data contract: bytes land in `out` at
+  // submit time, only the completion (the wait) is deferred.
   uint32_t submits = 0;
   uint64_t next_token = 1;
   std::vector<uint64_t> waited;
@@ -82,7 +72,7 @@ struct Backing {
 
 TEST(BufferCacheTest, HitsAndMisses) {
   Backing backing;
-  BufferCache cache(512, 16, backing.Reader(), backing.Writer());
+  BufferCache cache = backing.Cache(16);
   backing.blocks[5] = std::vector<uint8_t>(512, 0x42);
   auto block = cache.Get(5, /*load=*/true);
   ASSERT_TRUE(block.ok());
@@ -90,21 +80,21 @@ TEST(BufferCacheTest, HitsAndMisses) {
   EXPECT_EQ(cache.misses(), 1u);
   (void)cache.Get(5, true);
   EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(backing.reads, 1u);
+  EXPECT_EQ(backing.submits, 1u);
 }
 
 TEST(BufferCacheTest, LoadFalseSkipsRead) {
   Backing backing;
-  BufferCache cache(512, 16, backing.Reader(), backing.Writer());
+  BufferCache cache = backing.Cache(16);
   auto block = cache.Get(3, /*load=*/false);
   ASSERT_TRUE(block.ok());
-  EXPECT_EQ(backing.reads, 0u);
+  EXPECT_EQ(backing.submits, 0u);
   EXPECT_EQ((*block)->data[0], 0);  // Zeroed.
 }
 
 TEST(BufferCacheTest, EvictionWritesBackDirtyInLruOrder) {
   Backing backing;
-  BufferCache cache(512, 8, backing.Reader(), backing.Writer());
+  BufferCache cache = backing.Cache(8);
   for (uint32_t bno = 0; bno < 8; ++bno) {
     auto block = cache.Get(bno, false);
     (*block)->data[0] = static_cast<uint8_t>(bno);
@@ -124,7 +114,7 @@ TEST(BufferCacheTest, FailedEvictionWriteBackKeepsVictimColdest) {
   for (bool cluster : {false, true}) {
     SCOPED_TRACE(cluster ? "clustered" : "single-block");
     Backing backing;
-    BufferCache cache(512, 8, backing.Reader(), backing.Writer());
+    BufferCache cache = backing.Cache(8);
     cache.set_cluster_writes(cluster);
     std::vector<std::shared_ptr<CacheBlock>> held;
     for (uint32_t bno = 0; bno < 8; ++bno) {
@@ -158,7 +148,7 @@ TEST(BufferCacheTest, FailedEvictionWriteBackKeepsVictimColdest) {
 
 TEST(BufferCacheTest, CleanEvictionWritesNothing) {
   Backing backing;
-  BufferCache cache(512, 4, backing.Reader(), backing.Writer());
+  BufferCache cache = backing.Cache(4);
   for (uint32_t bno = 0; bno < 6; ++bno) {
     (void)cache.Get(bno, true);  // Clean blocks only.
   }
@@ -167,7 +157,7 @@ TEST(BufferCacheTest, CleanEvictionWritesNothing) {
 
 TEST(BufferCacheTest, FlushAllWritesAscending) {
   Backing backing;
-  BufferCache cache(512, 16, backing.Reader(), backing.Writer());
+  BufferCache cache = backing.Cache(16);
   for (uint32_t bno : {9u, 2u, 7u, 4u}) {
     auto block = cache.Get(bno, false);
     cache.MarkDirty(*block);
@@ -184,7 +174,7 @@ TEST(BufferCacheTest, FlushAllWritesAscending) {
 
 TEST(BufferCacheTest, ClusteringCoalescesAdjacentOnSync) {
   Backing backing;
-  BufferCache cache(512, 32, backing.Reader(), backing.Writer());
+  BufferCache cache = backing.Cache(32);
   cache.set_cluster_writes(true);
   cache.set_max_cluster_blocks(4);
   for (uint32_t bno : {10u, 11u, 12u, 13u, 14u, 20u}) {
@@ -203,7 +193,7 @@ TEST(BufferCacheTest, ClusteringCoalescesAdjacentOnSync) {
 
 TEST(BufferCacheTest, ClusteringOnEvictionTakesNeighbors) {
   Backing backing;
-  BufferCache cache(512, 8, backing.Reader(), backing.Writer());
+  BufferCache cache = backing.Cache(8);
   cache.set_cluster_writes(true);
   cache.set_max_cluster_blocks(8);
   for (uint32_t bno = 0; bno < 8; ++bno) {
@@ -221,7 +211,7 @@ TEST(BufferCacheTest, ClusteringOnEvictionTakesNeighbors) {
 
 TEST(BufferCacheTest, DiscardDropsWithoutWriteback) {
   Backing backing;
-  BufferCache cache(512, 8, backing.Reader(), backing.Writer());
+  BufferCache cache = backing.Cache(8);
   auto block = cache.Get(5, false);
   (*block)->data[0] = 0x99;
   cache.MarkDirty(*block);
@@ -233,7 +223,7 @@ TEST(BufferCacheTest, DiscardDropsWithoutWriteback) {
 
 TEST(BufferCacheTest, InvalidateAllFlushesFirst) {
   Backing backing;
-  BufferCache cache(512, 8, backing.Reader(), backing.Writer());
+  BufferCache cache = backing.Cache(8);
   auto block = cache.Get(1, false);
   (*block)->data[0] = 0x11;
   cache.MarkDirty(*block);
@@ -242,22 +232,21 @@ TEST(BufferCacheTest, InvalidateAllFlushesFirst) {
   EXPECT_EQ(cache.size(), 0u);
   // Next access re-reads.
   (void)cache.Get(1, true);
-  EXPECT_EQ(backing.reads, 1u);
+  EXPECT_EQ(backing.submits, 1u);
 }
 
 // --- Pending-read table ----------------------------------------------------
 
 TEST(BufferCacheAsyncTest, TwoGetAsyncCallsCoalesceToOneDeviceRead) {
   Backing backing;
-  BufferCache cache(512, 16, backing.Reader(), backing.Writer());
-  cache.SetAsyncBackend(backing.Submitter(), backing.Waiter());
+  BufferCache cache = backing.Cache(16);
   backing.blocks[4] = std::vector<uint8_t>(512, 0x4a);
   ASSERT_TRUE(cache.GetAsync(4, /*prefetch=*/true).ok());
   ASSERT_TRUE(cache.GetAsync(4, /*prefetch=*/true).ok());
   EXPECT_EQ(backing.submits, 1u);  // Single flight.
   EXPECT_EQ(cache.coalesced_reads(), 1u);
   EXPECT_EQ(cache.pending_reads(), 1u);
-  auto block = cache.Wait(4);
+  auto block = cache.Get(4, /*load=*/true);
   ASSERT_TRUE(block.ok());
   EXPECT_EQ((*block)->data[0], 0x4a);
   EXPECT_EQ(backing.submits, 1u);
@@ -267,8 +256,7 @@ TEST(BufferCacheAsyncTest, TwoGetAsyncCallsCoalesceToOneDeviceRead) {
 
 TEST(BufferCacheAsyncTest, DemandGetAdoptsPendingReadWithoutSecondSubmit) {
   Backing backing;
-  BufferCache cache(512, 16, backing.Reader(), backing.Writer());
-  cache.SetAsyncBackend(backing.Submitter(), backing.Waiter());
+  BufferCache cache = backing.Cache(16);
   backing.blocks[9] = std::vector<uint8_t>(512, 0x77);
   ASSERT_TRUE(cache.GetAsync(9, /*prefetch=*/false).ok());
   auto block = cache.Get(9, /*load=*/true);
@@ -282,8 +270,7 @@ TEST(BufferCacheAsyncTest, DemandGetAdoptsPendingReadWithoutSecondSubmit) {
 
 TEST(BufferCacheAsyncTest, DiscardCancelsInFlightRead) {
   Backing backing;
-  BufferCache cache(512, 16, backing.Reader(), backing.Writer());
-  cache.SetAsyncBackend(backing.Submitter(), backing.Waiter());
+  BufferCache cache = backing.Cache(16);
   backing.blocks[6] = std::vector<uint8_t>(512, 0x66);
   ASSERT_TRUE(cache.GetAsync(6, /*prefetch=*/true).ok());
   cache.Discard(6);
@@ -302,8 +289,7 @@ TEST(BufferCacheAsyncTest, DiscardCancelsInFlightRead) {
 
 TEST(BufferCacheAsyncTest, GetForOverwriteCancelsPendingRead) {
   Backing backing;
-  BufferCache cache(512, 16, backing.Reader(), backing.Writer());
-  cache.SetAsyncBackend(backing.Submitter(), backing.Waiter());
+  BufferCache cache = backing.Cache(16);
   backing.blocks[8] = std::vector<uint8_t>(512, 0x88);
   ASSERT_TRUE(cache.GetAsync(8, /*prefetch=*/true).ok());
   // The caller overwrites the whole block: the in-flight bytes are dead.
@@ -316,8 +302,7 @@ TEST(BufferCacheAsyncTest, GetForOverwriteCancelsPendingRead) {
 
 TEST(BufferCacheAsyncTest, EvictionPressureWithOutstandingReads) {
   Backing backing;
-  BufferCache cache(512, 8, backing.Reader(), backing.Writer());
-  cache.SetAsyncBackend(backing.Submitter(), backing.Waiter());
+  BufferCache cache = backing.Cache(8);
   for (uint32_t bno = 100; bno < 106; ++bno) {
     backing.blocks[bno] = std::vector<uint8_t>(512, static_cast<uint8_t>(bno));
     ASSERT_TRUE(cache.GetAsync(bno, /*prefetch=*/true).ok());
@@ -332,7 +317,7 @@ TEST(BufferCacheAsyncTest, EvictionPressureWithOutstandingReads) {
   }
   EXPECT_EQ(cache.pending_reads(), 6u);  // Eviction never touches in-flight reads.
   for (uint32_t bno = 100; bno < 106; ++bno) {
-    auto block = cache.Wait(bno);
+    auto block = cache.Get(bno, /*load=*/true);
     ASSERT_TRUE(block.ok());
     EXPECT_EQ((*block)->data[0], static_cast<uint8_t>(bno));
   }
@@ -343,8 +328,7 @@ TEST(BufferCacheAsyncTest, EvictionPressureWithOutstandingReads) {
 
 TEST(BufferCacheAsyncTest, InvalidateAllDrainsPendingReads) {
   Backing backing;
-  BufferCache cache(512, 16, backing.Reader(), backing.Writer());
-  cache.SetAsyncBackend(backing.Submitter(), backing.Waiter());
+  BufferCache cache = backing.Cache(16);
   ASSERT_TRUE(cache.GetAsync(1, /*prefetch=*/true).ok());
   ASSERT_TRUE(cache.GetAsync(2, /*prefetch=*/false).ok());
   ASSERT_TRUE(cache.InvalidateAll().ok());
@@ -356,14 +340,12 @@ TEST(BufferCacheAsyncTest, InvalidateAllDrainsPendingReads) {
 
 TEST(BufferCacheAsyncTest, DemandMissGoesThroughSubmitWait) {
   Backing backing;
-  BufferCache cache(512, 16, backing.Reader(), backing.Writer());
-  cache.SetAsyncBackend(backing.Submitter(), backing.Waiter());
+  BufferCache cache = backing.Cache(16);
   backing.blocks[2] = std::vector<uint8_t>(512, 0x22);
   auto block = cache.Get(2, /*load=*/true);
   ASSERT_TRUE(block.ok());
   EXPECT_EQ((*block)->data[0], 0x22);
   EXPECT_EQ(backing.submits, 1u);
-  EXPECT_EQ(backing.reads, 0u);  // The synchronous ReadFn is bypassed.
   ASSERT_EQ(backing.waited.size(), 1u);
 }
 
@@ -372,8 +354,7 @@ TEST(BufferCacheAsyncTest, DemandMissGoesThroughSubmitWait) {
 // can supply, so GetAsync submits no read and FlushAll writes them back.
 TEST(BufferCacheAsyncTest, GetAsyncOfDirtyBlockSubmitsNoRead) {
   Backing backing;
-  BufferCache cache(512, 8, backing.Reader(), backing.Writer());
-  cache.SetAsyncBackend(backing.Submitter(), backing.Waiter());
+  BufferCache cache = backing.Cache(8);
   backing.blocks[7] = std::vector<uint8_t>(512, 0x00);
   auto block = cache.Get(7, /*load=*/false);
   ASSERT_TRUE(block.ok());
@@ -382,8 +363,7 @@ TEST(BufferCacheAsyncTest, GetAsyncOfDirtyBlockSubmitsNoRead) {
   ASSERT_TRUE(cache.GetAsync(7, /*prefetch=*/true).ok());
   EXPECT_EQ(cache.pending_reads(), 0u);
   EXPECT_EQ(backing.submits, 0u);
-  EXPECT_EQ(backing.reads, 0u);
-  auto again = cache.Wait(7);
+  auto again = cache.Get(7, /*load=*/true);
   ASSERT_TRUE(again.ok());
   EXPECT_EQ((*again)->data[0], 0x5e);
   ASSERT_TRUE(cache.FlushAll().ok());
@@ -395,7 +375,7 @@ TEST(BufferCacheAsyncTest, GetAsyncOfDirtyBlockSubmitsNoRead) {
 // One backend call. A write carries the first byte of each block it writes,
 // so the data that reaches the backend is compared too.
 struct IoEvent {
-  char kind = 0;  // 'R' read, 'S' submit, 'W' write.
+  char kind = 0;  // 'S' submit, 'W' write.
   uint32_t bno = 0;
   uint32_t count = 0;
   std::vector<uint8_t> firsts;
@@ -414,8 +394,8 @@ struct Recorder {
   uint64_t next_token = 1;
   uint64_t waits = 0;
 
-  uint8_t Load(char kind, uint32_t bno) {
-    events.push_back({kind, bno, 1, {}});
+  uint8_t Submit(uint32_t bno) {
+    events.push_back({'S', bno, 1, {}});
     auto it = media.find(bno);
     return it == media.end() ? 0 : it->second;
   }
@@ -442,8 +422,11 @@ class ModelCache {
   };
   using Ref = std::shared_ptr<Block>;
 
-  ModelCache(Recorder* rec, uint32_t capacity, bool async, bool cluster, uint32_t max_cluster)
-      : rec_(rec), capacity_(capacity), async_(async), cluster_(cluster),
+  // `immediate`: every submit completes at once (token 0), so nothing is
+  // ever waited for.
+  ModelCache(Recorder* rec, uint32_t capacity, bool immediate, bool cluster,
+             uint32_t max_cluster)
+      : rec_(rec), capacity_(capacity), immediate_(immediate), cluster_(cluster),
         max_cluster_(max_cluster) {}
 
   Ref Get(uint32_t bno, bool load) {
@@ -468,10 +451,8 @@ class ModelCache {
     auto block = std::make_shared<Block>();
     block->bno = bno;
     if (load) {
-      block->first = rec_->Load(async_ ? 'S' : 'R', bno);
-      if (async_) {
-        rec_->waits++;
-      }
+      block->first = rec_->Submit(bno);
+      WaitOut();
     }
     block->referenced = true;
     blocks_[bno] = block;
@@ -487,17 +468,10 @@ class ModelCache {
       coalesced++;
       return;
     }
-    pending_[bno] = PendingRead{rec_->Load(async_ ? 'S' : 'R', bno), prefetch};
+    pending_[bno] = PendingRead{rec_->Submit(bno), prefetch};
     if (prefetch) {
       prefetch_issued++;
     }
-  }
-
-  Ref Wait(uint32_t bno) {
-    if (blocks_.count(bno) != 0 || pending_.count(bno) == 0) {
-      return Get(bno, /*load=*/true);
-    }
-    return AdoptAndCount(bno);
   }
 
   void FlushAll() {
@@ -562,6 +536,12 @@ class ModelCache {
     bool prefetch = false;
   };
 
+  void WaitOut() {
+    if (!immediate_) {
+      rec_->waits++;
+    }
+  }
+
   void Touch(uint32_t bno) {
     if (auto pos = pos_.find(bno); pos != pos_.end()) {
       lru_.erase(pos->second);
@@ -585,17 +565,13 @@ class ModelCache {
       prefetch_wasted++;
     }
     pending_.erase(it);
-    if (async_) {
-      rec_->waits++;
-    }
+    WaitOut();
   }
 
   Ref AdoptAndCount(uint32_t bno) {
     const PendingRead p = pending_.at(bno);
     pending_.erase(bno);
-    if (async_) {
-      rec_->waits++;
-    }
+    WaitOut();
     MakeRoom();
     auto block = std::make_shared<Block>();
     block->bno = bno;
@@ -655,7 +631,7 @@ class ModelCache {
 
   Recorder* rec_;
   uint32_t capacity_;
-  bool async_;
+  bool immediate_;
   bool cluster_;
   uint32_t max_cluster_;
   std::map<uint32_t, Ref> blocks_;
@@ -664,24 +640,31 @@ class ModelCache {
   std::map<uint32_t, PendingRead> pending_;
 };
 
-// Random Get/GetAsync/Wait/MarkDirty/Discard/FlushAll/InvalidateAll streams
-// must give the same backend calls, counters and contents as the model.
+// Random Get/GetAsync/MarkDirty/Discard/FlushAll/InvalidateAll streams
+// must give the same backend calls, counters and contents as the model, both
+// when submits queue (a token to wait for) and when they complete at once
+// (token 0, as LdBackend reports holes, open-segment and compressed blocks).
 TEST(BufferCacheTest, MatchesReferenceLruModel) {
   constexpr uint32_t kMaxCluster = 4;
   uint64_t seed = 0;
   for (uint32_t capacity : {8u, 11u, 16u}) {
     for (bool cluster : {false, true}) {
-      for (bool async : {false, true}) {
+      for (bool immediate : {false, true}) {
         seed++;
         SCOPED_TRACE("capacity " + std::to_string(capacity) + (cluster ? " clustered" : "") +
-                     (async ? " async" : " sync"));
+                     (immediate ? " token 0" : " queued"));
         Recorder real_rec;
         Recorder model_rec;
         BufferCache cache(
             Recorder::kBlockSize, capacity,
-            [&real_rec](uint32_t bno, std::span<uint8_t> out) {
+            [&real_rec, immediate](uint32_t bno, std::span<uint8_t> out) -> StatusOr<uint64_t> {
               std::fill(out.begin(), out.end(), 0);
-              out[0] = real_rec.Load('R', bno);
+              out[0] = real_rec.Submit(bno);
+              return immediate ? 0 : real_rec.next_token++;
+            },
+            [&real_rec](uint64_t token) {
+              EXPECT_NE(token, 0u);
+              real_rec.waits++;
               return OkStatus();
             },
             [&real_rec](uint32_t bno, uint32_t count, std::span<const uint8_t> data) {
@@ -694,19 +677,7 @@ TEST(BufferCacheTest, MatchesReferenceLruModel) {
             });
         cache.set_cluster_writes(cluster);
         cache.set_max_cluster_blocks(kMaxCluster);
-        if (async) {
-          cache.SetAsyncBackend(
-              [&real_rec](uint32_t bno, std::span<uint8_t> out) -> StatusOr<uint64_t> {
-                std::fill(out.begin(), out.end(), 0);
-                out[0] = real_rec.Load('S', bno);
-                return real_rec.next_token++;
-              },
-              [&real_rec](uint64_t) {
-                real_rec.waits++;
-                return OkStatus();
-              });
-        }
-        ModelCache model(&model_rec, capacity, async, cluster, kMaxCluster);
+        ModelCache model(&model_rec, capacity, immediate, cluster, kMaxCluster);
 
         Rng rng(seed);
         const uint32_t universe = capacity * 3;
@@ -719,11 +690,11 @@ TEST(BufferCacheTest, MatchesReferenceLruModel) {
           const bool flag = rng.Chance(0.6);  // Get's `load`, GetAsync's `prefetch`.
           const auto byte = static_cast<uint8_t>(rng.Next());
           if (pick < 50) {
-            const bool wait = pick >= 40;
-            auto got = wait ? cache.Wait(bno) : cache.Get(bno, flag);
+            const bool load = pick >= 40 || flag;
+            auto got = cache.Get(bno, load);
             ASSERT_TRUE(got.ok()) << got.status().ToString();
             held = *got;
-            held_model = wait ? model.Wait(bno) : model.Get(bno, flag);
+            held_model = model.Get(bno, load);
             ASSERT_EQ(held->data[0], held_model->first);
           } else if (pick < 65) {
             ASSERT_TRUE(cache.GetAsync(bno, flag).ok());
