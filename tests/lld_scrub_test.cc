@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include "src/disk/fault_disk.h"
@@ -156,6 +158,72 @@ TEST(LldScrubTest, RetriesRecoverTransientReadErrors) {
   EXPECT_GT(stats.read_retries, 0u);
   EXPECT_GT(stats.transient_recoveries, 0u);
   EXPECT_GT(stats.read_errors, 0u);
+}
+
+// SubmitRead + WaitRead of a damaged block takes the same repair path as
+// Read: the same retries, device reads, simulated time and counters, and the
+// same bytes back. With and without parity, unreadable and silently flipped.
+TEST(LldScrubTest, SubmitReadRepairsDamageLikeRead) {
+  struct Outcome {
+    ErrorCode code;
+    std::vector<uint8_t> out;
+    bool intact;  // `out` holds the block's original bytes.
+    uint64_t read_retries, read_ops, user_reads, crc_failures, reconstructed;
+    double seconds;
+  };
+  auto run = [](bool parity, bool latent, bool submit) {
+    ScrubRig rig;
+    auto lld = rig.Format(parity ? ParityOptions() : NoParityOptions());
+    auto list = lld->NewList(kBeginOfListOfLists, ListHints{});
+    auto bids = rig.FillBlocks(lld.get(), *list, 40);
+    const Bid victim = rig.PickFullSegmentBlock(lld.get(), bids);
+    const uint64_t sector = rig.BlockSector(lld.get(), victim);
+    if (latent) {
+      rig.disk->InjectLatentError(sector);
+    } else {
+      EXPECT_TRUE(rig.disk->CorruptSector(sector, 100, 0x40).ok());
+    }
+    const DiskStats before = rig.disk->stats();
+    const double start = rig.clock.Now();
+    Outcome o{};
+    o.out.assign(4096, 0);
+    Status s;
+    if (submit) {
+      auto tag = lld->SubmitRead(victim, o.out);
+      s = tag.ok() ? lld->WaitRead(*tag) : tag.status();
+    } else {
+      s = lld->Read(victim, o.out);
+    }
+    o.code = s.code();
+    const auto index = std::find(bids.begin(), bids.end(), victim) - bids.begin();
+    o.intact = o.out == Pattern(4096, static_cast<uint32_t>(index));
+    o.read_retries = rig.disk->stats().read_retries - before.read_retries;
+    o.read_ops = rig.disk->stats().read_ops - before.read_ops;
+    o.user_reads = lld->counters().user_reads;
+    o.crc_failures = lld->counters().read_crc_failures;
+    o.reconstructed = lld->counters().blocks_reconstructed;
+    o.seconds = rig.clock.Now() - start;
+    return o;
+  };
+  for (bool parity : {false, true}) {
+    for (bool latent : {false, true}) {
+      SCOPED_TRACE(std::string(parity ? "parity, " : "no parity, ") +
+                   (latent ? "unreadable" : "flipped"));
+      const Outcome read = run(parity, latent, /*submit=*/false);
+      const Outcome submit = run(parity, latent, /*submit=*/true);
+      EXPECT_EQ(read.code, parity ? ErrorCode::kOk
+                                  : (latent ? ErrorCode::kIoError : ErrorCode::kCorruption));
+      EXPECT_EQ(read.intact, parity);
+      EXPECT_EQ(submit.code, read.code);
+      EXPECT_EQ(submit.out, read.out);
+      EXPECT_EQ(submit.read_retries, read.read_retries);
+      EXPECT_EQ(submit.read_ops, read.read_ops);
+      EXPECT_EQ(submit.user_reads, read.user_reads);
+      EXPECT_EQ(submit.crc_failures, read.crc_failures);
+      EXPECT_EQ(submit.reconstructed, read.reconstructed);
+      EXPECT_EQ(submit.seconds, read.seconds);
+    }
+  }
 }
 
 TEST(LldScrubTest, UnrecoverableWriteFailureEntersDegradedMode) {
