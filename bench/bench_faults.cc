@@ -184,7 +184,7 @@ int RunScrubExperiment(bool parity) {
     const Bid bid = rig.bids[(i + 1) * rig.bids.size() / (kPayloadFaults + 2)];
     const BlockMapEntry& e = rig.lld->block_map().entry(bid);
     const uint64_t sector =
-        (rig.lld->SegmentStartByte(e.phys.segment) + e.phys.offset) / kSectorSize;
+        (rig.lld->SegmentStartByte(e.phys().segment) + e.phys().offset) / kSectorSize;
     if (!rig.disk->CorruptSector(sector, 7, 0x10).ok()) {
       return 1;
     }
@@ -193,9 +193,9 @@ int RunScrubExperiment(bool parity) {
   uint32_t latent_planted = 0;
   for (Bid bid : rig.bids) {
     const BlockMapEntry& e = rig.lld->block_map().entry(bid);
-    if (e.phys.segment == suspects.front() && latent_planted < 2) {
+    if (e.phys().segment == suspects.front() && latent_planted < 2) {
       rig.disk->InjectLatentError(
-          (rig.lld->SegmentStartByte(e.phys.segment) + e.phys.offset) / kSectorSize);
+          (rig.lld->SegmentStartByte(e.phys().segment) + e.phys().offset) / kSectorSize);
       latent_planted++;
     }
   }

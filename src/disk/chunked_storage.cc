@@ -15,8 +15,7 @@ uint8_t* ChunkedStorage::ChunkFor(uint64_t byte_offset, bool allocate) const {
     if (!allocate) {
       return nullptr;
     }
-    chunks_[index] = std::make_unique<uint8_t[]>(kChunkBytes);
-    std::memset(chunks_[index].get(), 0, kChunkBytes);
+    chunks_[index] = std::make_unique<uint8_t[]>(kChunkBytes);  // Value-initialized: zeros.
   }
   return chunks_[index].get();
 }

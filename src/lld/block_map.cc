@@ -2,20 +2,22 @@
 
 namespace ld {
 
-Bid BlockMap::Allocate(Lid list, uint32_t size_class) {
+StatusOr<Bid> BlockMap::Allocate(Lid list, uint32_t size_class) {
   Bid bid;
   if (!free_bids_.empty()) {
     bid = free_bids_.back();
     free_bids_.pop_back();
-  } else {
+  } else if (entries_.size() <= kMaxId) {
     bid = static_cast<Bid>(entries_.size());
     entries_.emplace_back();
+  } else {
+    return NoSpaceError("every block number up to " + std::to_string(kMaxId) + " is live");
   }
   BlockMapEntry& e = entries_[bid];
   e = BlockMapEntry{};
-  e.allocated = true;
-  e.list = list;
-  e.size_class = size_class;
+  e.set_allocated(true);
+  e.set_list(list);
+  e.set_size_class(size_class);
   allocated_count_++;
   return bid;
 }
@@ -24,14 +26,14 @@ Status BlockMap::Free(Bid bid) {
   if (!IsAllocated(bid)) {
     return NotFoundError("free of unallocated block " + std::to_string(bid));
   }
-  entries_[bid] = BlockMapEntry{};
+  ResetEntry(bid);
   free_bids_.push_back(bid);
   allocated_count_--;
   return OkStatus();
 }
 
 bool BlockMap::IsAllocated(Bid bid) const {
-  return bid != kNilBid && bid < entries_.size() && entries_[bid].allocated;
+  return bid != kNilBid && bid < entries_.size() && entries_[bid].allocated();
 }
 
 StatusOr<BlockMapEntry*> BlockMap::Lookup(Bid bid) {
@@ -53,37 +55,53 @@ BlockMapEntry& BlockMap::EnsureAllocated(Bid bid) {
     entries_.resize(bid + 1);
   }
   BlockMapEntry& e = entries_[bid];
-  if (!e.allocated) {
-    e.allocated = true;
+  if (!e.allocated()) {
+    e.set_allocated(true);
     allocated_count_++;
   }
   return e;
 }
 
 void BlockMap::ForceFree(Bid bid) {
-  if (bid == kNilBid || bid >= entries_.size() || !entries_[bid].allocated) {
+  if (bid == kNilBid || bid >= entries_.size() || !entries_[bid].allocated()) {
     return;
   }
-  entries_[bid] = BlockMapEntry{};
+  ResetEntry(bid);
   allocated_count_--;
+}
+
+void BlockMap::ResetEntry(Bid bid) {
+  entries_[bid] = BlockMapEntry{};
+  if (bid < read_counts_.size()) {
+    read_counts_[bid] = 0;
+  }
 }
 
 void BlockMap::RebuildFreeList() {
   free_bids_.clear();
   for (Bid bid = static_cast<Bid>(entries_.size()) - 1; bid >= 1; --bid) {
-    if (!entries_[bid].allocated) {
+    if (!entries_[bid].allocated()) {
       free_bids_.push_back(bid);
     }
   }
 }
 
+void BlockMap::CountRead(Bid bid) {
+  if (bid >= read_counts_.size()) {
+    read_counts_.resize(entries_.size());
+  }
+  read_counts_[bid]++;
+}
+
 uint64_t BlockMap::MemoryBytes() const {
-  return entries_.capacity() * sizeof(BlockMapEntry) + free_bids_.capacity() * sizeof(Bid);
+  return entries_.capacity() * sizeof(BlockMapEntry) + free_bids_.capacity() * sizeof(Bid) +
+         read_counts_.capacity() * sizeof(uint32_t);
 }
 
 void BlockMap::Clear() {
   entries_.assign(1, BlockMapEntry{});
   free_bids_.clear();
+  read_counts_.clear();
   allocated_count_ = 0;
 }
 

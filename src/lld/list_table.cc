@@ -12,12 +12,15 @@ StatusOr<Lid> ListTable::Allocate(Lid pred_lid, ListHints hints) {
     free_lids_.pop_back();
   } else {
     lid = static_cast<Lid>(entries_.size());
+    if (lid > kMaxId) {
+      return NoSpaceError("every list number up to " + std::to_string(kMaxId) + " is live");
+    }
     entries_.emplace_back();
   }
   ListEntry& e = entries_[lid];
   e = ListEntry{};
-  e.allocated = true;
-  e.hints = hints;
+  e.set_allocated(true);
+  e.set_hints(hints);
   LinkIntoLol(lid, pred_lid);
   allocated_count_++;
   return lid;
@@ -35,7 +38,7 @@ Status ListTable::Free(Lid lid) {
 }
 
 bool ListTable::IsAllocated(Lid lid) const {
-  return lid != kNilLid && lid < entries_.size() && entries_[lid].allocated;
+  return lid != kNilLid && lid < entries_.size() && entries_[lid].allocated();
 }
 
 StatusOr<ListEntry*> ListTable::Lookup(Lid lid) {
@@ -69,35 +72,35 @@ Status ListTable::Move(Lid lid, Lid new_pred) {
 
 void ListTable::UnlinkFromLol(Lid lid) {
   ListEntry& e = entries_[lid];
-  if (e.lol_prev != kNilLid) {
-    entries_[e.lol_prev].lol_next = e.lol_next;
+  if (e.lol_prev() != kNilLid) {
+    entries_[e.lol_prev()].set_lol_next(e.lol_next());
   } else if (lol_head_ == lid) {
-    lol_head_ = e.lol_next;
+    lol_head_ = e.lol_next();
   }
-  if (e.lol_next != kNilLid) {
-    entries_[e.lol_next].lol_prev = e.lol_prev;
+  if (e.lol_next() != kNilLid) {
+    entries_[e.lol_next()].set_lol_prev(e.lol_prev());
   }
-  e.lol_prev = kNilLid;
-  e.lol_next = kNilLid;
+  e.set_lol_prev(kNilLid);
+  e.set_lol_next(kNilLid);
 }
 
 void ListTable::LinkIntoLol(Lid lid, Lid pred) {
   ListEntry& e = entries_[lid];
   if (pred == kBeginOfListOfLists) {
-    e.lol_prev = kNilLid;
-    e.lol_next = lol_head_;
+    e.set_lol_prev(kNilLid);
+    e.set_lol_next(lol_head_);
     if (lol_head_ != kNilLid) {
-      entries_[lol_head_].lol_prev = lid;
+      entries_[lol_head_].set_lol_prev(lid);
     }
     lol_head_ = lid;
   } else {
     ListEntry& p = entries_[pred];
-    e.lol_prev = pred;
-    e.lol_next = p.lol_next;
-    if (p.lol_next != kNilLid) {
-      entries_[p.lol_next].lol_prev = lid;
+    e.set_lol_prev(pred);
+    e.set_lol_next(p.lol_next());
+    if (p.lol_next() != kNilLid) {
+      entries_[p.lol_next()].set_lol_prev(lid);
     }
-    p.lol_next = lid;
+    p.set_lol_next(lid);
   }
 }
 
@@ -106,15 +109,15 @@ ListEntry& ListTable::EnsureAllocated(Lid lid) {
     entries_.resize(lid + 1);
   }
   ListEntry& e = entries_[lid];
-  if (!e.allocated) {
-    e.allocated = true;
+  if (!e.allocated()) {
+    e.set_allocated(true);
     allocated_count_++;
   }
   return e;
 }
 
 void ListTable::ForceFree(Lid lid) {
-  if (lid == kNilLid || lid >= entries_.size() || !entries_[lid].allocated) {
+  if (lid == kNilLid || lid >= entries_.size() || !entries_[lid].allocated()) {
     return;
   }
   entries_[lid] = ListEntry{};
@@ -124,7 +127,7 @@ void ListTable::ForceFree(Lid lid) {
 void ListTable::RebuildFreeList() {
   free_lids_.clear();
   for (Lid lid = static_cast<Lid>(entries_.size()) - 1; lid >= 1; --lid) {
-    if (!entries_[lid].allocated) {
+    if (!entries_[lid].allocated()) {
       free_lids_.push_back(lid);
     }
   }
@@ -135,25 +138,25 @@ void ListTable::RelinkListOfLists() {
   // the head (the allocated list no one points to).
   std::vector<bool> has_pred(entries_.size(), false);
   for (Lid lid = 1; lid < entries_.size(); ++lid) {
-    if (!entries_[lid].allocated) {
+    if (!entries_[lid].allocated()) {
       continue;
     }
-    entries_[lid].lol_prev = kNilLid;
-    const Lid next = entries_[lid].lol_next;
-    if (next != kNilLid && next < entries_.size() && entries_[next].allocated) {
+    entries_[lid].set_lol_prev(kNilLid);
+    const Lid next = entries_[lid].lol_next();
+    if (next != kNilLid && next < entries_.size() && entries_[next].allocated()) {
       has_pred[next] = true;
     }
   }
   lol_head_ = kNilLid;
   for (Lid lid = 1; lid < entries_.size(); ++lid) {
-    if (!entries_[lid].allocated) {
+    if (!entries_[lid].allocated()) {
       continue;
     }
-    const Lid next = entries_[lid].lol_next;
-    if (next != kNilLid && next < entries_.size() && entries_[next].allocated) {
-      entries_[next].lol_prev = lid;
+    const Lid next = entries_[lid].lol_next();
+    if (next != kNilLid && next < entries_.size() && entries_[next].allocated()) {
+      entries_[next].set_lol_prev(lid);
     } else {
-      entries_[lid].lol_next = kNilLid;
+      entries_[lid].set_lol_next(kNilLid);
     }
     if (!has_pred[lid] && lol_head_ == kNilLid) {
       lol_head_ = lid;

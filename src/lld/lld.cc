@@ -62,9 +62,13 @@ Status LogStructuredDisk::ComputeLayout() {
   if (data_start_byte_ + options_.segment_bytes + sector > capacity) {
     return InvalidArgumentError("device too small for one segment");
   }
-  const uint32_t num_segments =
-      static_cast<uint32_t>((capacity - data_start_byte_ - sector) / options_.segment_bytes);
-  usage_ = std::make_unique<UsageTable>(num_segments);
+  const uint64_t num_segments = (capacity - data_start_byte_ - sector) / options_.segment_bytes;
+  if (num_segments > kMaxSegments) {
+    return InvalidArgumentError(std::to_string(num_segments) +
+                                " segments; a 24-bit segment index names at most " +
+                                std::to_string(kMaxSegments));
+  }
+  usage_ = std::make_unique<UsageTable>(static_cast<uint32_t>(num_segments));
   open_.buffer.assign(options_.segment_bytes, 0);
   return OkStatus();
 }
@@ -321,11 +325,11 @@ Status LogStructuredDisk::AppendBlockData(Bid bid, std::span<const uint8_t> stor
   open_.AddRecord(record);
   open_appended_.push_back(Appended{bid, offset, static_cast<uint32_t>(stored.size())});
 
-  entry.phys = PhysAddr{PhysAddr::kOpenSegment, offset};
-  entry.stored_size = static_cast<uint32_t>(stored.size());
-  entry.compressed = compressed;
-  entry.write_ts = ts;
-  entry.payload_crc = payload_crc;
+  entry.set_phys(PhysAddr{PhysAddr::kOpenSegment, offset});
+  entry.set_stored_size(static_cast<uint32_t>(stored.size()));
+  entry.set_compressed(compressed);
+  entry.set_write_ts(ts);
+  entry.set_payload_crc(payload_crc);
   counters_.stored_bytes_written += stored.size();
   return OkStatus();
 }
@@ -492,9 +496,9 @@ Status LogStructuredDisk::FlushOpenSegmentFull() {
       continue;
     }
     BlockMapEntry& e = block_map_.entry(a.bid);
-    if (e.phys.IsOpen() && e.phys.offset == a.offset) {
-      e.phys = PhysAddr{target, a.offset};
-      usage_->AddLive(target, a.stored, e.write_ts);
+    if (e.phys() == PhysAddr{PhysAddr::kOpenSegment, a.offset}) {
+      e.set_phys(PhysAddr{target, a.offset});
+      usage_->AddLive(target, a.stored, e.write_ts());
     }
   }
   // Stripe parity images go out strictly *after* the sealing segment that
@@ -715,23 +719,23 @@ void LogStructuredDisk::UpdateRecordAuthority(uint32_t segment,
     switch (r.type) {
       case SummaryRecordType::kLinkTuple:
         if (block_map_.IsAllocated(r.link.bid)) {
-          block_map_.entry(r.link.bid).link_seg = segment;
+          block_map_.entry(r.link.bid).set_link_seg(segment);
         }
         break;
       case SummaryRecordType::kBlockAlloc:
         if (block_map_.IsAllocated(r.alloc.bid)) {
-          block_map_.entry(r.alloc.bid).alloc_seg = segment;
+          block_map_.entry(r.alloc.bid).set_alloc_seg(segment);
         }
         break;
       case SummaryRecordType::kListHead:
         if (list_table_.IsAllocated(r.head.lid)) {
-          list_table_.entry(r.head.lid).head_seg = segment;
+          list_table_.entry(r.head.lid).set_head_seg(segment);
         }
         break;
       case SummaryRecordType::kListCreate:
       case SummaryRecordType::kListMove:
         if (list_table_.IsAllocated(r.list.lid)) {
-          list_table_.entry(r.list.lid).create_seg = segment;
+          list_table_.entry(r.list.lid).set_create_seg(segment);
         }
         break;
       case SummaryRecordType::kStripeParity:
@@ -748,17 +752,18 @@ void LogStructuredDisk::UpdateRecordAuthority(uint32_t segment,
 }
 
 void LogStructuredDisk::ReleaseBlockSpace(const BlockMapEntry& entry) {
-  if (entry.phys.IsOnDisk()) {
-    usage_->RemoveLive(entry.phys.segment, entry.stored_size);
+  const PhysAddr phys = entry.phys();
+  if (phys.IsOnDisk()) {
+    usage_->RemoveLive(phys.segment, entry.stored_size());
     // Inside an ARU the on-disk copy is dead only if the unit commits: until
     // the commit record is durable, recovery may roll back to it, so its
     // segment must stay off the cleaner's victim list (see aru_shadow_segments_).
     if (InAru()) {
-      usage_->PinAru(entry.phys.segment);
-      aru_shadow_segments_[current_aru_].push_back(entry.phys.segment);
+      usage_->PinAru(phys.segment);
+      aru_shadow_segments_[current_aru_].push_back(phys.segment);
     }
-  } else if (entry.phys.IsOpen()) {
-    open_dead_bytes_ += entry.stored_size;
+  } else if (phys.IsOpen()) {
+    open_dead_bytes_ += entry.stored_size();
     // Same hazard with the copy still in the open buffer: once a full seal
     // writes it out as dead bytes, that segment must not be recycled before
     // the unit commits durably. The segment number does not exist yet, so
@@ -772,8 +777,9 @@ void LogStructuredDisk::ReleaseBlockSpace(const BlockMapEntry& entry) {
 StatusOr<IoTag> LogStructuredDisk::SubmitStored(const BlockMapEntry& entry,
                                                 std::span<uint8_t> out) {
   const uint32_t sector = device_->sector_size();
-  const uint64_t start_byte = SegmentBaseByte(entry.phys.segment) + entry.phys.offset;
-  const uint64_t end_byte = start_byte + entry.stored_size;
+  const PhysAddr phys = entry.phys();
+  const uint64_t start_byte = SegmentBaseByte(phys.segment) + phys.offset;
+  const uint64_t end_byte = start_byte + entry.stored_size();
   const uint64_t first_sector = start_byte / sector;
   const uint64_t last_sector = (end_byte + sector - 1) / sector;
   const size_t span_bytes = static_cast<size_t>((last_sector - first_sector) * sector);
@@ -868,24 +874,25 @@ Status LogStructuredDisk::ReconstructExtent(uint32_t segment, uint32_t offset,
 
 Status LogStructuredDisk::TryReconstructStored(Bid bid, const BlockMapEntry& entry,
                                                std::span<uint8_t> out, const Status& damage) {
-  if (!entry.phys.IsOnDisk() || !usage_->segment(entry.phys.segment).parity.has) {
+  const PhysAddr phys = entry.phys();
+  if (!phys.IsOnDisk() || !usage_->segment(phys.segment).parity.has) {
     return damage;
   }
-  if (Status s = ReconstructExtent(entry.phys.segment, entry.phys.offset, out); !s.ok()) {
+  if (Status s = ReconstructExtent(phys.segment, phys.offset, out); !s.ok()) {
     LD_LOG(kWarn) << "parity reconstruction of block " << bid << " failed: " << s.ToString();
     return damage;
   }
   // Only a reconstruction that round-trips the block's original checksum is
   // the lost data; anything else means a second fault ate the redundancy.
-  if (PayloadCrc(out) != entry.payload_crc) {
+  if (PayloadCrc(out) != entry.payload_crc()) {
     LD_LOG(kWarn) << "parity reconstruction of block " << bid
                   << " did not match its payload crc (second fault in segment "
-                  << entry.phys.segment << ")";
+                  << phys.segment << ")";
     return damage;
   }
   counters_.blocks_reconstructed++;
   LD_LOG(kInfo) << "reconstructed block " << bid << " from segment "
-                << entry.phys.segment << " parity";
+                << phys.segment << " parity";
   return OkStatus();
 }
 
@@ -963,7 +970,7 @@ Status LogStructuredDisk::AppendRecordsAtomic(std::vector<SummaryRecord>* record
 // wrong data. Open-segment copies live in memory and are not checked.
 Status LogStructuredDisk::VerifyStored(Bid bid, const BlockMapEntry& entry,
                                        std::span<const uint8_t> stored_bytes) {
-  if (PayloadCrc(stored_bytes) != entry.payload_crc) {
+  if (PayloadCrc(stored_bytes) != entry.payload_crc()) {
     counters_.read_crc_failures++;
     return CorruptionError("block " + std::to_string(bid) + " payload crc mismatch");
   }
@@ -981,7 +988,7 @@ Status LogStructuredDisk::RepairStored(Bid bid, const BlockMapEntry& entry,
   if (damage.code() != ErrorCode::kCorruption && damage.code() != ErrorCode::kIoError) {
     return damage;
   }
-  const uint32_t orig_size = entry.size_class;
+  const uint32_t orig_size = entry.size_class();
   // Repair ladder: the per-segment XOR lane first (one damaged extent in an
   // otherwise-healthy segment), then the cross-channel stripe peers (whole
   // segment — or whole channel — gone). Both gate on the block's payload CRC,
@@ -1011,14 +1018,15 @@ Status LogStructuredDisk::RepairStored(Bid bid, const BlockMapEntry& entry,
 
 Status LogStructuredDisk::Read(Bid bid, std::span<uint8_t> out) {
   ASSIGN_OR_RETURN(const BlockMapEntry* entry, block_map_.Lookup(bid));
-  if (out.size() != entry->size_class) {
+  if (out.size() != entry->size_class()) {
     return InvalidArgumentError("read buffer does not match block size");
   }
   counters_.user_reads++;
   if (options_.track_read_heat) {
-    block_map_.entry(bid).read_count++;
+    block_map_.CountRead(bid);
   }
-  if (entry->phys.IsNone()) {
+  const PhysAddr phys = entry->phys();
+  if (phys.IsNone()) {
     std::memset(out.data(), 0, out.size());
     return OkStatus();
   }
@@ -1031,17 +1039,17 @@ Status LogStructuredDisk::Read(Bid bid, std::span<uint8_t> out) {
     return s.ok() ? s : RepairStored(bid, *entry, stored_bytes, compressed, s);
   };
 
-  if (!entry->compressed) {
-    if (entry->phys.IsOpen()) {
-      std::memcpy(out.data(), open_.buffer.data() + entry->phys.offset, out.size());
+  if (!entry->compressed()) {
+    if (phys.IsOpen()) {
+      std::memcpy(out.data(), open_.buffer.data() + phys.offset, out.size());
       return OkStatus();
     }
     return read_with_repair(out, /*compressed=*/false);
   }
 
-  std::vector<uint8_t> stored(entry->stored_size);
-  if (entry->phys.IsOpen()) {
-    std::memcpy(stored.data(), open_.buffer.data() + entry->phys.offset, stored.size());
+  std::vector<uint8_t> stored(entry->stored_size());
+  if (phys.IsOpen()) {
+    std::memcpy(stored.data(), open_.buffer.data() + phys.offset, stored.size());
   } else {
     RETURN_IF_ERROR(read_with_repair(stored, /*compressed=*/true));
   }
@@ -1055,20 +1063,20 @@ Status LogStructuredDisk::Read(Bid bid, std::span<uint8_t> out) {
 
 StatusOr<IoTag> LogStructuredDisk::SubmitRead(Bid bid, std::span<uint8_t> out) {
   ASSIGN_OR_RETURN(const BlockMapEntry* entry, block_map_.Lookup(bid));
-  if (out.size() != entry->size_class) {
+  if (out.size() != entry->size_class()) {
     return InvalidArgumentError("read buffer does not match block size");
   }
   // Only a plain stored copy on the media is a raw transfer that can ride
   // the queue: holes cost nothing, open-segment copies are memcpys, and
   // compressed blocks need the decompress (and possibly repair) machinery of
   // the synchronous path.
-  if (!entry->phys.IsOnDisk() || entry->compressed) {
+  if (!entry->phys().IsOnDisk() || entry->compressed()) {
     RETURN_IF_ERROR(Read(bid, out));
     return kInvalidIoTag;
   }
   counters_.user_reads++;
   if (options_.track_read_heat) {
-    block_map_.entry(bid).read_count++;
+    block_map_.CountRead(bid);
   }
   auto tag = SubmitStored(*entry, out);
   if (!tag.ok()) {
@@ -1098,19 +1106,19 @@ Status LogStructuredDisk::WaitRead(IoTag tag) {
 Status LogStructuredDisk::Write(Bid bid, std::span<const uint8_t> data) {
   RETURN_IF_ERROR(CheckWritable());
   ASSIGN_OR_RETURN(BlockMapEntry * entry, block_map_.Lookup(bid));
-  if (data.size() != entry->size_class) {
+  if (data.size() != entry->size_class()) {
     return InvalidArgumentError("write does not match block size class");
   }
   // A first write of a block consumes new space; require headroom.
-  if (entry->phys.IsNone() && FreeBytes() < data.size()) {
+  if (entry->phys().IsNone() && FreeBytes() < data.size()) {
     return NoSpaceError("disk full");
   }
   counters_.user_writes++;
   counters_.user_bytes_written += data.size();
 
   bool compress = false;
-  if (options_.compressor != nullptr && list_table_.IsAllocated(entry->list)) {
-    compress = list_table_.entry(entry->list).hints.compress;
+  if (options_.compressor != nullptr && list_table_.IsAllocated(entry->list())) {
+    compress = list_table_.entry(entry->list()).hints().compress;
   }
 
   Status status;
@@ -1146,7 +1154,7 @@ StatusOr<Bid> LogStructuredDisk::NewBlock(Lid lid, Bid pred_bid, uint32_t size_b
   ASSIGN_OR_RETURN(ListEntry * list, list_table_.Lookup(lid));
   if (pred_bid != kBeginOfList) {
     ASSIGN_OR_RETURN(const BlockMapEntry* pred, block_map_.Lookup(pred_bid));
-    if (pred->list != lid) {
+    if (pred->list() != lid) {
       return InvalidArgumentError("predecessor is not on the given list");
     }
   }
@@ -1154,7 +1162,7 @@ StatusOr<Bid> LogStructuredDisk::NewBlock(Lid lid, Bid pred_bid, uint32_t size_b
     return NoSpaceError("disk full");
   }
 
-  const Bid bid = block_map_.Allocate(lid, size);
+  ASSIGN_OR_RETURN(const Bid bid, block_map_.Allocate(lid, size));
   const OpTimestamp ts = NextTs();
   std::vector<SummaryRecord> records;
   records.push_back(SummaryRecord::BlockAlloc(ts, bid, lid, size));
@@ -1169,11 +1177,11 @@ StatusOr<Bid> LogStructuredDisk::NewBlock(Lid lid, Bid pred_bid, uint32_t size_b
   ChargeListCpu();
   Bid old_succ;
   if (pred_bid == kBeginOfList) {
-    old_succ = list->first;
+    old_succ = list->first();
     records.push_back(SummaryRecord::LinkTuple(ts, bid, old_succ));
     records.push_back(SummaryRecord::ListHead(ts, lid, bid));
   } else {
-    old_succ = block_map_.entry(pred_bid).successor;
+    old_succ = block_map_.entry(pred_bid).successor();
     records.push_back(SummaryRecord::LinkTuple(ts, bid, old_succ));
     records.push_back(SummaryRecord::LinkTuple(ts, pred_bid, bid));
   }
@@ -1182,11 +1190,11 @@ StatusOr<Bid> LogStructuredDisk::NewBlock(Lid lid, Bid pred_bid, uint32_t size_b
     (void)block_map_.Free(bid);
     return status;
   }
-  block_map_.entry(bid).successor = old_succ;
+  block_map_.entry(bid).set_successor(old_succ);
   if (pred_bid == kBeginOfList) {
-    list->first = bid;
+    list->set_first(bid);
   } else {
-    block_map_.entry(pred_bid).successor = bid;
+    block_map_.entry(pred_bid).set_successor(bid);
   }
   return bid;
 }
@@ -1203,11 +1211,11 @@ Status LogStructuredDisk::UnlinkFromList(Bid bid, Lid lid, Bid pred_bid_hint) {
   }
   ChargeListCpu();
 
-  if (list.first == bid) {
-    records.push_back(SummaryRecord::ListHead(ts, lid, entry.successor));
+  if (list.first() == bid) {
+    records.push_back(SummaryRecord::ListHead(ts, lid, entry.successor()));
     records.push_back(SummaryRecord::BlockFree(ts, bid));
     RETURN_IF_ERROR(AppendRecordsAtomic(&records));
-    list.first = entry.successor;
+    list.set_first(entry.successor());
     return OkStatus();
   }
 
@@ -1215,16 +1223,16 @@ Status LogStructuredDisk::UnlinkFromList(Bid bid, Lid lid, Bid pred_bid_hint) {
   // list from its first block (paper §2.2).
   Bid pred = kNilBid;
   if (pred_bid_hint != kNilBid && block_map_.IsAllocated(pred_bid_hint) &&
-      block_map_.entry(pred_bid_hint).list == lid &&
-      block_map_.entry(pred_bid_hint).successor == bid) {
+      block_map_.entry(pred_bid_hint).list() == lid &&
+      block_map_.entry(pred_bid_hint).successor() == bid) {
     pred = pred_bid_hint;
     counters_.pred_hint_hits++;
   } else {
     if (pred_bid_hint != kNilBid) {
       counters_.pred_hint_misses++;
     }
-    for (Bid cur = list.first; cur != kNilBid; cur = block_map_.entry(cur).successor) {
-      if (block_map_.entry(cur).successor == bid) {
+    for (Bid cur = list.first(); cur != kNilBid; cur = block_map_.entry(cur).successor()) {
+      if (block_map_.entry(cur).successor() == bid) {
         pred = cur;
         break;
       }
@@ -1234,10 +1242,10 @@ Status LogStructuredDisk::UnlinkFromList(Bid bid, Lid lid, Bid pred_bid_hint) {
     }
   }
 
-  records.push_back(SummaryRecord::LinkTuple(ts, pred, entry.successor));
+  records.push_back(SummaryRecord::LinkTuple(ts, pred, entry.successor()));
   records.push_back(SummaryRecord::BlockFree(ts, bid));
   RETURN_IF_ERROR(AppendRecordsAtomic(&records));
-  block_map_.entry(pred).successor = entry.successor;
+  block_map_.entry(pred).set_successor(entry.successor());
   return OkStatus();
 }
 
@@ -1245,7 +1253,7 @@ Status LogStructuredDisk::DeleteBlock(Bid bid, Lid lid, Bid pred_bid_hint) {
   RETURN_IF_ERROR(CheckWritable());
   RETURN_IF_ERROR(list_table_.Lookup(lid).status());
   ASSIGN_OR_RETURN(BlockMapEntry * entry, block_map_.Lookup(bid));
-  if (entry->list != lid) {
+  if (entry->list() != lid) {
     return InvalidArgumentError("block is not on the given list");
   }
   RETURN_IF_ERROR(UnlinkFromList(bid, lid, pred_bid_hint));
@@ -1261,10 +1269,10 @@ StatusOr<Lid> LogStructuredDisk::NewList(Lid pred_lid, ListHints hints) {
   ASSIGN_OR_RETURN(Lid lid, list_table_.Allocate(pred_lid, hints));
   const OpTimestamp ts = NextTs();
   std::vector<SummaryRecord> records;
-  records.push_back(SummaryRecord::ListCreate(ts, lid, hints, list_table_.entry(lid).lol_next));
+  records.push_back(SummaryRecord::ListCreate(ts, lid, hints, list_table_.entry(lid).lol_next()));
   if (pred_lid != kBeginOfListOfLists) {
     records.push_back(
-        SummaryRecord::ListMove(ts, pred_lid, lid, list_table_.entry(pred_lid).hints));
+        SummaryRecord::ListMove(ts, pred_lid, lid, list_table_.entry(pred_lid).hints()));
   }
   const Status status = AppendRecordsAtomic(&records);
   if (!status.ok()) {
@@ -1278,7 +1286,7 @@ Status LogStructuredDisk::DeleteList(Lid lid, Lid pred_lid_hint) {
   RETURN_IF_ERROR(CheckWritable());
   ASSIGN_OR_RETURN(ListEntry * list, list_table_.Lookup(lid));
   if (pred_lid_hint != kNilLid) {
-    if (list->lol_prev == pred_lid_hint) {
+    if (list->lol_prev() == pred_lid_hint) {
       counters_.pred_hint_hits++;
     } else {
       counters_.pred_hint_misses++;
@@ -1287,9 +1295,9 @@ Status LogStructuredDisk::DeleteList(Lid lid, Lid pred_lid_hint) {
   // Free every block still on the list (paper: DeleteList deletes a list
   // "and its blocks"). Each free is logged individually so arbitrarily long
   // lists never overflow one summary.
-  Bid cur = list->first;
+  Bid cur = list->first();
   while (cur != kNilBid) {
-    const Bid next = block_map_.entry(cur).successor;
+    const Bid next = block_map_.entry(cur).successor();
     const OpTimestamp ts = NextTs();
     std::vector<SummaryRecord> records;
     records.push_back(SummaryRecord::BlockFree(ts, cur));
@@ -1314,29 +1322,29 @@ Status LogStructuredDisk::MoveSublist(Bid first, Bid last, Lid from_lid, Lid to_
   std::vector<Bid> chain;
   Bid cur = first;
   while (true) {
-    if (!block_map_.IsAllocated(cur) || block_map_.entry(cur).list != from_lid) {
+    if (!block_map_.IsAllocated(cur) || block_map_.entry(cur).list() != from_lid) {
       return InvalidArgumentError("sublist is not a chain within the source list");
     }
     chain.push_back(cur);
     if (cur == last) {
       break;
     }
-    cur = block_map_.entry(cur).successor;
+    cur = block_map_.entry(cur).successor();
     if (cur == kNilBid) {
       return InvalidArgumentError("sublist end not reachable from its start");
     }
   }
   if (pred_bid != kBeginOfList) {
     ASSIGN_OR_RETURN(const BlockMapEntry* pred, block_map_.Lookup(pred_bid));
-    if (pred->list != to_lid) {
+    if (pred->list() != to_lid) {
       return InvalidArgumentError("insertion predecessor is not on the target list");
     }
   }
   // Find the predecessor of `first` in the source list.
   Bid src_pred = kNilBid;
-  if (from->first != first) {
-    for (Bid b = from->first; b != kNilBid; b = block_map_.entry(b).successor) {
-      if (block_map_.entry(b).successor == first) {
+  if (from->first() != first) {
+    for (Bid b = from->first(); b != kNilBid; b = block_map_.entry(b).successor()) {
+      if (block_map_.entry(b).successor() == first) {
         src_pred = b;
         break;
       }
@@ -1346,7 +1354,7 @@ Status LogStructuredDisk::MoveSublist(Bid first, Bid last, Lid from_lid, Lid to_
     }
   }
 
-  const Bid after_last = block_map_.entry(last).successor;
+  const Bid after_last = block_map_.entry(last).successor();
   // A long sublist produces more re-homing records than one summary holds,
   // so the records go out in chunks — under an atomic recovery unit (the
   // caller's, or an internal one), making the whole move crash-atomic.
@@ -1368,10 +1376,10 @@ Status LogStructuredDisk::MoveSublist(Bid first, Bid last, Lid from_lid, Lid to_
   // Link into the target list.
   Bid new_succ;
   if (pred_bid == kBeginOfList) {
-    new_succ = to->first;
+    new_succ = to->first();
     records.push_back(SummaryRecord::ListHead(ts, to_lid, first));
   } else {
-    new_succ = block_map_.entry(pred_bid).successor;
+    new_succ = block_map_.entry(pred_bid).successor();
     records.push_back(SummaryRecord::LinkTuple(ts, pred_bid, first));
   }
   records.push_back(SummaryRecord::LinkTuple(ts, last, new_succ));
@@ -1381,7 +1389,7 @@ Status LogStructuredDisk::MoveSublist(Bid first, Bid last, Lid from_lid, Lid to_
     records.clear();
     for (size_t j = i; j < std::min(chain.size(), i + 64); ++j) {
       records.push_back(SummaryRecord::BlockAlloc(ts, chain[j], to_lid,
-                                                  block_map_.entry(chain[j]).size_class));
+                                                  block_map_.entry(chain[j]).size_class()));
     }
     status = AppendRecordsAtomic(&records);
   }
@@ -1395,38 +1403,38 @@ Status LogStructuredDisk::MoveSublist(Bid first, Bid last, Lid from_lid, Lid to_
   RETURN_IF_ERROR(status);
 
   if (src_pred == kNilBid) {
-    from->first = after_last;
+    from->set_first(after_last);
   } else {
-    block_map_.entry(src_pred).successor = after_last;
+    block_map_.entry(src_pred).set_successor(after_last);
   }
   if (pred_bid == kBeginOfList) {
-    to->first = first;
+    to->set_first(first);
   } else {
-    block_map_.entry(pred_bid).successor = first;
+    block_map_.entry(pred_bid).set_successor(first);
   }
-  block_map_.entry(last).successor = new_succ;
+  block_map_.entry(last).set_successor(new_succ);
   for (Bid b : chain) {
-    block_map_.entry(b).list = to_lid;
+    block_map_.entry(b).set_list(to_lid);
   }
   return OkStatus();
 }
 
 Status LogStructuredDisk::MoveList(Lid lid, Lid new_pred_lid) {
   RETURN_IF_ERROR(CheckWritable());
-  const Lid old_prev = list_table_.IsAllocated(lid) ? list_table_.entry(lid).lol_prev : kNilLid;
+  const Lid old_prev = list_table_.IsAllocated(lid) ? list_table_.entry(lid).lol_prev() : kNilLid;
   RETURN_IF_ERROR(list_table_.Move(lid, new_pred_lid));
   const OpTimestamp ts = NextTs();
   std::vector<SummaryRecord> records;
   if (old_prev != kNilLid) {
     records.push_back(SummaryRecord::ListMove(
-        ts, old_prev, list_table_.entry(old_prev).lol_next, list_table_.entry(old_prev).hints));
+        ts, old_prev, list_table_.entry(old_prev).lol_next(), list_table_.entry(old_prev).hints()));
   }
-  records.push_back(SummaryRecord::ListMove(ts, lid, list_table_.entry(lid).lol_next,
-                                            list_table_.entry(lid).hints));
+  records.push_back(SummaryRecord::ListMove(ts, lid, list_table_.entry(lid).lol_next(),
+                                            list_table_.entry(lid).hints()));
   if (new_pred_lid != kBeginOfListOfLists) {
     records.push_back(
-        SummaryRecord::ListMove(ts, new_pred_lid, list_table_.entry(new_pred_lid).lol_next,
-                                list_table_.entry(new_pred_lid).hints));
+        SummaryRecord::ListMove(ts, new_pred_lid, list_table_.entry(new_pred_lid).lol_next(),
+                                list_table_.entry(new_pred_lid).hints()));
   }
   return AppendRecordsAtomic(&records);
 }
@@ -1525,10 +1533,10 @@ Status LogStructuredDisk::SwapContents(Bid a, Bid b) {
   }
   ASSIGN_OR_RETURN(const BlockMapEntry* ea, block_map_.Lookup(a));
   ASSIGN_OR_RETURN(const BlockMapEntry* eb, block_map_.Lookup(b));
-  if (ea->size_class != eb->size_class) {
+  if (ea->size_class() != eb->size_class()) {
     return InvalidArgumentError("SwapContents requires equal block sizes");
   }
-  const uint32_t size = ea->size_class;
+  const uint32_t size = ea->size_class();
   std::vector<uint8_t> data_a(size);
   std::vector<uint8_t> data_b(size);
   RETURN_IF_ERROR(Read(a, data_a));
@@ -1560,9 +1568,9 @@ Status LogStructuredDisk::SwapContents(Bid a, Bid b) {
 
 StatusOr<Bid> LogStructuredDisk::BlockAtIndex(Lid lid, uint64_t index) {
   ASSIGN_OR_RETURN(const ListEntry* list, list_table_.Lookup(lid));
-  Bid cur = list->first;
+  Bid cur = list->first();
   for (uint64_t i = 0; cur != kNilBid && i < index; ++i) {
-    cur = block_map_.entry(cur).successor;
+    cur = block_map_.entry(cur).successor();
   }
   if (cur == kNilBid) {
     return NotFoundError("list " + std::to_string(lid) + " has no block at index " +
@@ -1648,7 +1656,7 @@ Status LogStructuredDisk::Shutdown() {
 
 StatusOr<uint32_t> LogStructuredDisk::BlockSize(Bid bid) const {
   ASSIGN_OR_RETURN(const BlockMapEntry* entry, block_map_.Lookup(bid));
-  return entry->size_class;
+  return entry->size_class();
 }
 
 // ---- Introspection ------------------------------------------------------------------
@@ -1656,7 +1664,7 @@ StatusOr<uint32_t> LogStructuredDisk::BlockSize(Bid bid) const {
 StatusOr<std::vector<Bid>> LogStructuredDisk::ListBlocks(Lid lid) const {
   ASSIGN_OR_RETURN(const ListEntry* list, list_table_.Lookup(lid));
   std::vector<Bid> blocks;
-  for (Bid b = list->first; b != kNilBid; b = block_map_.entry(b).successor) {
+  for (Bid b = list->first(); b != kNilBid; b = block_map_.entry(b).successor()) {
     blocks.push_back(b);
     if (blocks.size() > block_map_.allocated_count()) {
       return CorruptionError("cycle detected in list " + std::to_string(lid));

@@ -672,8 +672,8 @@ class LogStructuredDisk : public LogicalDisk {
     // The current copy `e` maps for `bid`, its buffer sized for the stored
     // bytes, which the caller reads in.
     static CleanedBlock FromEntry(Bid bid, const BlockMapEntry& e) {
-      return {bid, std::vector<uint8_t>(e.stored_size), e.size_class, e.compressed,
-              /*aru_id=*/0, e.payload_crc};
+      return {bid, std::vector<uint8_t>(e.stored_size()), e.size_class(), e.compressed(),
+              /*aru_id=*/0, e.payload_crc()};
     }
   };
   // Live state harvested from one or more victim segments: current copies of

@@ -90,7 +90,8 @@ Status LogStructuredDisk::HarvestVictim(uint32_t victim, CleanerBatch* batch,
       continue;
     }
     const BlockMapEntry& e = block_map_.entry(r.block.bid);
-    if (e.phys.IsOnDisk() && e.phys.segment == victim && e.phys.offset == r.block.offset) {
+    const PhysAddr phys = e.phys();
+    if (phys.IsOnDisk() && phys.segment == victim && phys.offset == r.block.offset) {
       live.push_back(&r);
     }
   }
@@ -113,8 +114,8 @@ Status LogStructuredDisk::HarvestVictim(uint32_t victim, CleanerBatch* batch,
       }
       CleanedBlock b;
       b.bid = r->block.bid;
-      b.orig_size = block_map_.entry(b.bid).size_class;
-      b.compressed = block_map_.entry(b.bid).compressed;
+      b.orig_size = block_map_.entry(b.bid).size_class();
+      b.compressed = block_map_.entry(b.bid).compressed();
       if (r->aru_id != 0 && open_arus_.count(r->aru_id) != 0) {
         b.aru_id = r->aru_id;
       }
@@ -159,13 +160,13 @@ Status LogStructuredDisk::HarvestVictim(uint32_t victim, CleanerBatch* batch,
     switch (r.type) {
       case SummaryRecordType::kLinkTuple:
         if (options_.maintain_lists && block_map_.IsAllocated(r.link.bid) &&
-            block_map_.entry(r.link.bid).link_seg == victim) {
+            block_map_.entry(r.link.bid).link_seg() == victim) {
           last_link[r.link.bid] = &r;
         }
         break;
       case SummaryRecordType::kBlockAlloc:
         if (block_map_.IsAllocated(r.alloc.bid) &&
-            block_map_.entry(r.alloc.bid).alloc_seg == victim) {
+            block_map_.entry(r.alloc.bid).alloc_seg() == victim) {
           last_alloc[r.alloc.bid] = &r;
         }
         tombstone_block(r.alloc.bid);
@@ -178,14 +179,14 @@ Status LogStructuredDisk::HarvestVictim(uint32_t victim, CleanerBatch* batch,
         break;
       case SummaryRecordType::kListHead:
         if (options_.maintain_lists && list_table_.IsAllocated(r.head.lid) &&
-            list_table_.entry(r.head.lid).head_seg == victim) {
+            list_table_.entry(r.head.lid).head_seg() == victim) {
           last_head[r.head.lid] = &r;
         }
         break;
       case SummaryRecordType::kListCreate:
       case SummaryRecordType::kListMove:
         if (list_table_.IsAllocated(r.list.lid) &&
-            list_table_.entry(r.list.lid).create_seg == victim) {
+            list_table_.entry(r.list.lid).create_seg() == victim) {
           last_create[r.list.lid] = &r;
         }
         tombstone_list(r.list.lid);
@@ -267,13 +268,13 @@ void LogStructuredDisk::OrderByLists(std::vector<CleanedBlock>* blocks) {
   std::unordered_map<Bid, uint64_t> position;
   std::unordered_set<Lid> walked;
   for (const auto& b : *blocks) {
-    const Lid lid = block_map_.entry(b.bid).list;
+    const Lid lid = block_map_.entry(b.bid).list();
     if (lid == kNilLid || !walked.insert(lid).second || !list_table_.IsAllocated(lid)) {
       continue;
     }
     uint64_t pos = 0;
-    for (Bid cur = list_table_.entry(lid).first; cur != kNilBid;
-         cur = block_map_.entry(cur).successor) {
+    for (Bid cur = list_table_.entry(lid).first(); cur != kNilBid;
+         cur = block_map_.entry(cur).successor()) {
       position[cur] = pos++;
       if (pos > block_map_.allocated_count()) {
         break;  // Defensive: a corrupt cycle must not hang the cleaner.
@@ -282,8 +283,8 @@ void LogStructuredDisk::OrderByLists(std::vector<CleanedBlock>* blocks) {
   }
   std::stable_sort(blocks->begin(), blocks->end(),
                    [&](const CleanedBlock& a, const CleanedBlock& b) {
-                     const Lid la = block_map_.entry(a.bid).list;
-                     const Lid lb = block_map_.entry(b.bid).list;
+                     const Lid la = block_map_.entry(a.bid).list();
+                     const Lid lb = block_map_.entry(b.bid).list();
                      if (la != lb) {
                        return la < lb;
                      }
@@ -390,11 +391,11 @@ Status LogStructuredDisk::WriteCleanerBatch(CleanerBatch batch) {
         continue;
       }
       BlockMapEntry& e = block_map_.entry(r.block.bid);
-      const OpTimestamp age = e.write_ts;
-      usage_->RemoveLive(e.phys.segment, e.stored_size);
-      e.phys = PhysAddr{static_cast<uint32_t>(target), r.block.offset};
-      e.write_ts = r.ts;
-      e.payload_crc = r.block.payload_crc;
+      const OpTimestamp age = e.write_ts();
+      usage_->RemoveLive(e.phys().segment, e.stored_size());
+      e.set_phys(PhysAddr{static_cast<uint32_t>(target), r.block.offset});
+      e.set_write_ts(r.ts);
+      e.set_payload_crc(r.block.payload_crc);
       usage_->AddLiveAged(static_cast<uint32_t>(target), r.block.stored_size, r.ts, age);
     }
     image.Clear();
@@ -410,7 +411,7 @@ Status LogStructuredDisk::WriteCleanerBatch(CleanerBatch batch) {
       RETURN_IF_ERROR(flush_segment());
     }
     // The block may have been superseded while the cleaner was buffering.
-    if (!block_map_.IsAllocated(b.bid) || !block_map_.entry(b.bid).phys.IsOnDisk()) {
+    if (!block_map_.IsAllocated(b.bid) || !block_map_.entry(b.bid).phys().IsOnDisk()) {
       continue;
     }
     const uint32_t offset = image.AppendData(b.stored);
@@ -623,9 +624,9 @@ StatusOr<uint32_t> LogStructuredDisk::RearrangeHotBlocks(uint32_t max_blocks) {
     if (!block_map_.IsAllocated(bid)) {
       continue;
     }
-    const BlockMapEntry& e = block_map_.entry(bid);
-    if (e.phys.IsOnDisk() && e.read_count > 0) {
-      ranked.emplace_back(e.read_count, bid);
+    const uint32_t reads = block_map_.read_count(bid);
+    if (block_map_.entry(bid).phys().IsOnDisk() && reads > 0) {
+      ranked.emplace_back(reads, bid);
     }
   }
   std::sort(ranked.begin(), ranked.end(),
@@ -665,19 +666,19 @@ StatusOr<uint32_t> LogStructuredDisk::ReorganizeLists(uint32_t max_segments) {
   uint64_t bytes = 0;
   const uint64_t budget = static_cast<uint64_t>(max_segments) * data_capacity_;
   for (Lid lid = list_table_.lol_head(); lid != kNilLid && bytes < budget;
-       lid = list_table_.entry(lid).lol_next) {
-    if (!list_table_.entry(lid).hints.cluster) {
+       lid = list_table_.entry(lid).lol_next()) {
+    if (!list_table_.entry(lid).hints().cluster) {
       continue;
     }
-    for (Bid bid = list_table_.entry(lid).first; bid != kNilBid && bytes < budget;
-         bid = block_map_.entry(bid).successor) {
+    for (Bid bid = list_table_.entry(lid).first(); bid != kNilBid && bytes < budget;
+         bid = block_map_.entry(bid).successor()) {
       const BlockMapEntry& e = block_map_.entry(bid);
-      if (!e.phys.IsOnDisk()) {
+      if (!e.phys().IsOnDisk()) {
         continue;
       }
       CleanedBlock b = CleanedBlock::FromEntry(bid, e);
       RETURN_IF_ERROR(ReadStored(e, b.stored));
-      bytes += e.stored_size;
+      bytes += e.stored_size();
       batch.blocks.push_back(std::move(b));
     }
   }

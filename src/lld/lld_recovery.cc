@@ -42,6 +42,37 @@ namespace ld {
 
 namespace {
 
+// Reads the base frame's table fields, noting whether each fits the packed
+// table field it goes into.
+class TableFieldReader {
+ public:
+  explicit TableFieldReader(Decoder* dec) : dec_(dec) {}
+
+  // A `bytes`-wide value bound for the packed field `packed`.
+  uint64_t Get(int bytes, PackedField packed) {
+    const uint64_t v = dec_->GetLe(bytes);
+    fits_ = fits_ && v <= packed.max();
+    return v;
+  }
+  // A 4-byte Bid or Lid.
+  uint32_t Id() {
+    const uint32_t v = dec_->GetU32();
+    fits_ = fits_ && v <= kMaxId;
+    return v;
+  }
+  // A 4-byte segment index or one of its two 32-bit sentinels.
+  uint32_t Segment() {
+    const uint32_t v = dec_->GetU32();
+    fits_ = fits_ && (v < kMaxSegments || v >= PhysAddr::kOpenSegment);
+    return v;
+  }
+  bool fits() const { return fits_; }
+
+ private:
+  Decoder* dec_;
+  bool fits_ = true;
+};
+
 // "LDC3": bumped from "LDC2" when the single-marker checkpoint region became
 // the A/B slot pair with framed payloads. An old marker reads as *absent*
 // (not rotted): the volume opens via log recovery, which handles every
@@ -287,21 +318,22 @@ void LogStructuredDisk::EncodeBasePayload(std::vector<uint8_t>* payload) const {
       continue;
     }
     const BlockMapEntry& e = block_map_.entry(bid);
+    const PhysAddr phys = e.phys();
     enc.PutU32(bid);
-    enc.PutU32(e.phys.segment);
-    enc.PutU32(e.phys.offset);
-    enc.PutU32(e.successor);
-    enc.PutU32(e.list);
-    enc.PutU32(e.size_class);
-    enc.PutU32(e.stored_size);
-    enc.PutU8(e.compressed ? 1 : 0);
-    enc.PutU64(e.write_ts);
-    enc.PutU32(e.link_seg);
-    enc.PutU32(e.alloc_seg);
-    enc.PutU32(e.payload_crc);
+    enc.PutU32(phys.segment);
+    enc.PutU32(phys.offset);
+    enc.PutU32(e.successor());
+    enc.PutU32(e.list());
+    enc.PutU32(e.size_class());
+    enc.PutU32(e.stored_size());
+    enc.PutU8(e.compressed() ? 1 : 0);
+    enc.PutU64(e.write_ts());
+    enc.PutU32(e.link_seg());
+    enc.PutU32(e.alloc_seg());
+    enc.PutU32(e.payload_crc());
     // A retired per-entry byte, kept so the frame layout does not change:
     // 1 when the block has an on-disk copy. Decode skips it.
-    enc.PutU8(e.phys.IsNone() ? 0 : 1);
+    enc.PutU8(phys.IsNone() ? 0 : 1);
   }
 
   // List table.
@@ -311,13 +343,14 @@ void LogStructuredDisk::EncodeBasePayload(std::vector<uint8_t>* payload) const {
       continue;
     }
     const ListEntry& e = list_table_.entry(lid);
+    const ListHints hints = e.hints();
     enc.PutU32(lid);
-    enc.PutU32(e.first);
-    enc.PutU8(static_cast<uint8_t>((e.hints.cluster ? 1 : 0) | (e.hints.compress ? 2 : 0) |
-                                   (e.hints.interlist_cluster ? 4 : 0)));
-    enc.PutU32(e.lol_next);
-    enc.PutU32(e.head_seg);
-    enc.PutU32(e.create_seg);
+    enc.PutU32(e.first());
+    enc.PutU8(static_cast<uint8_t>((hints.cluster ? 1 : 0) | (hints.compress ? 2 : 0) |
+                                   (hints.interlist_cluster ? 4 : 0)));
+    enc.PutU32(e.lol_next());
+    enc.PutU32(e.head_seg());
+    enc.PutU32(e.create_seg());
   }
 
   // Usage table.
@@ -364,44 +397,68 @@ Status LogStructuredDisk::DecodeBasePayload(std::span<const uint8_t> payload) {
   next_seq_ = dec.GetU64();
   next_aru_id_ = dec.GetU32();
 
+  // The frame stores table fields wider than the packed tables hold them
+  // (4-byte ids, 8-byte timestamps); a value that does not fit its packed
+  // field is damage and is refused, never truncated.
+  TableFieldReader in(&dec);
   block_map_.Clear();
   const uint64_t block_count = dec.GetU64();
   for (uint64_t i = 0; i < block_count; ++i) {
-    const Bid bid = dec.GetU32();
+    const Bid bid = in.Id();
+    const uint32_t segment = in.Segment();
+    const uint32_t offset = in.Get(4, BlockMapEntry::kOffset);
+    const Bid successor = in.Id();
+    const Lid list = in.Id();
+    const uint32_t size_class = in.Get(4, BlockMapEntry::kSizeClass);
+    const uint32_t stored_size = in.Get(4, BlockMapEntry::kStoredSize);
+    const bool compressed = dec.GetU8() != 0;
+    const OpTimestamp write_ts = in.Get(8, BlockMapEntry::kWriteTs);
+    const uint32_t link_seg = in.Segment();
+    const uint32_t alloc_seg = in.Segment();
+    const uint32_t payload_crc = in.Get(4, BlockMapEntry::kPayloadCrc);
+    dec.Skip(1);  // The retired per-entry byte.
     if (!dec.ok()) {
       return CorruptionError("checkpoint block map truncated");
     }
+    if (bid == kNilBid || !in.fits()) {
+      return CorruptionError("checkpoint block " + std::to_string(bid) +
+                             " does not fit the packed block map");
+    }
     BlockMapEntry& e = block_map_.EnsureAllocated(bid);
-    e.phys.segment = dec.GetU32();
-    e.phys.offset = dec.GetU32();
-    e.successor = dec.GetU32();
-    e.list = dec.GetU32();
-    e.size_class = dec.GetU32();
-    e.stored_size = dec.GetU32();
-    e.compressed = dec.GetU8() != 0;
-    e.write_ts = dec.GetU64();
-    e.link_seg = dec.GetU32();
-    e.alloc_seg = dec.GetU32();
-    e.payload_crc = dec.GetU32();
-    dec.Skip(1);  // The retired per-entry byte.
+    e.set_phys(PhysAddr{segment, offset});
+    e.set_successor(successor);
+    e.set_list(list);
+    e.set_size_class(size_class);
+    e.set_stored_size(stored_size);
+    e.set_compressed(compressed);
+    e.set_write_ts(write_ts);
+    e.set_link_seg(link_seg);
+    e.set_alloc_seg(alloc_seg);
+    e.set_payload_crc(payload_crc);
   }
 
   list_table_.Clear();
   const uint64_t list_count = dec.GetU64();
   for (uint64_t i = 0; i < list_count; ++i) {
-    const Lid lid = dec.GetU32();
+    const Lid lid = in.Id();
+    const Bid first = in.Id();
+    const uint8_t hints = dec.GetU8();
+    const Lid lol_next = in.Id();
+    const uint32_t head_seg = in.Segment();
+    const uint32_t create_seg = in.Segment();
     if (!dec.ok()) {
       return CorruptionError("checkpoint list table truncated");
     }
+    if (lid == kNilLid || !in.fits()) {
+      return CorruptionError("checkpoint list " + std::to_string(lid) +
+                             " does not fit the packed list table");
+    }
     ListEntry& e = list_table_.EnsureAllocated(lid);
-    e.first = dec.GetU32();
-    const uint8_t hints = dec.GetU8();
-    e.hints.cluster = (hints & 1) != 0;
-    e.hints.compress = (hints & 2) != 0;
-    e.hints.interlist_cluster = (hints & 4) != 0;
-    e.lol_next = dec.GetU32();
-    e.head_seg = dec.GetU32();
-    e.create_seg = dec.GetU32();
+    e.set_first(first);
+    e.set_hints(ListHints{(hints & 1) != 0, (hints & 2) != 0, (hints & 4) != 0});
+    e.set_lol_next(lol_next);
+    e.set_head_seg(head_seg);
+    e.set_create_seg(create_seg);
   }
 
   const uint32_t seg_count = dec.GetU32();
@@ -1427,25 +1484,25 @@ void LogStructuredDisk::ReplayLog(RecoveryScan* scan) {
       switch (r.type) {
         case SummaryRecordType::kBlockAlloc: {
           BlockMapEntry& e = block_map_.EnsureAllocated(r.alloc.bid);
-          e.list = r.alloc.lid;
-          e.size_class = r.alloc.size_class;
-          e.alloc_seg = seg.segment;
+          e.set_list(r.alloc.lid);
+          e.set_size_class(r.alloc.size_class);
+          e.set_alloc_seg(seg.segment);
           break;
         }
         case SummaryRecordType::kBlockEntry: {
           BlockMapEntry& e = block_map_.EnsureAllocated(r.block.bid);
-          e.size_class = r.block.size_class;
-          e.phys = PhysAddr{seg.segment, r.block.offset};
-          e.stored_size = r.block.stored_size;
-          e.compressed = r.block.compressed;
-          e.write_ts = r.ts;
-          e.payload_crc = r.block.payload_crc;
+          e.set_size_class(r.block.size_class);
+          e.set_phys(PhysAddr{seg.segment, r.block.offset});
+          e.set_stored_size(r.block.stored_size);
+          e.set_compressed(r.block.compressed);
+          e.set_write_ts(r.ts);
+          e.set_payload_crc(r.block.payload_crc);
           break;
         }
         case SummaryRecordType::kLinkTuple: {
           BlockMapEntry& e = block_map_.EnsureAllocated(r.link.bid);
-          e.successor = r.link.successor;
-          e.link_seg = seg.segment;
+          e.set_successor(r.link.successor);
+          e.set_link_seg(seg.segment);
           break;
         }
         case SummaryRecordType::kBlockFree:
@@ -1453,21 +1510,21 @@ void LogStructuredDisk::ReplayLog(RecoveryScan* scan) {
           break;
         case SummaryRecordType::kListHead: {
           ListEntry& e = list_table_.EnsureAllocated(r.head.lid);
-          e.first = r.head.first;
-          e.head_seg = seg.segment;
+          e.set_first(r.head.first);
+          e.set_head_seg(seg.segment);
           break;
         }
         case SummaryRecordType::kListCreate: {
           ListEntry& e = list_table_.EnsureAllocated(r.list.lid);
-          e.hints = r.list.hints;
-          e.lol_next = r.list.lol_next;
-          e.create_seg = seg.segment;
+          e.set_hints(r.list.hints);
+          e.set_lol_next(r.list.lol_next);
+          e.set_create_seg(seg.segment);
           break;
         }
         case SummaryRecordType::kListMove: {
           ListEntry& e = list_table_.EnsureAllocated(r.list.lid);
-          e.lol_next = r.list.lol_next;
-          e.create_seg = seg.segment;
+          e.set_lol_next(r.list.lol_next);
+          e.set_create_seg(seg.segment);
           break;
         }
         case SummaryRecordType::kListDelete:
@@ -1578,8 +1635,9 @@ void LogStructuredDisk::RebuildDerivedState(const std::vector<uint64_t>& segment
       continue;
     }
     const BlockMapEntry& e = block_map_.entry(bid);
-    if (e.phys.IsOnDisk()) {
-      usage_->AddLive(e.phys.segment, e.stored_size, e.write_ts);
+    const PhysAddr phys = e.phys();
+    if (phys.IsOnDisk()) {
+      usage_->AddLive(phys.segment, e.stored_size(), e.write_ts());
     }
   }
   // Segments without live data (e.g. superseded partial-write scratches)

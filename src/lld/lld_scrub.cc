@@ -192,14 +192,15 @@ StatusOr<ScrubReport> LogStructuredDisk::ScrubStep(uint32_t max_segments) {
       continue;
     }
     const BlockMapEntry& e = block_map_.entry(bid);
-    if (!e.phys.IsOnDisk()) {
+    const PhysAddr phys = e.phys();
+    if (!phys.IsOnDisk()) {
       continue;
     }
-    if (e.phys.segment < begin || e.phys.segment >= end) {
+    if (phys.segment < begin || phys.segment >= end) {
       continue;
     }
     report.blocks_scanned++;
-    const bool on_suspect = suspects.count(e.phys.segment) != 0;
+    const bool on_suspect = suspects.count(phys.segment) != 0;
 
     CleanedBlock b = CleanedBlock::FromEntry(bid, e);
 
@@ -213,7 +214,7 @@ StatusOr<ScrubReport> LogStructuredDisk::ScrubStep(uint32_t max_segments) {
       damaged = true;
       unreadable = true;
       damage = s;
-    } else if (PayloadCrc(b.stored) != e.payload_crc) {
+    } else if (PayloadCrc(b.stored) != e.payload_crc()) {
       damaged = true;
       damage = CorruptionError("scrub: block payload crc mismatch");
     }
@@ -249,7 +250,7 @@ StatusOr<ScrubReport> LogStructuredDisk::ScrubStep(uint32_t max_segments) {
       }
     }
     if (damaged && !reconstructed && !on_suspect) {
-      LD_LOG(kWarn) << "scrub: block " << bid << " in healthy segment " << e.phys.segment
+      LD_LOG(kWarn) << "scrub: block " << bid << " in healthy segment " << phys.segment
                     << " is damaged and has no redundant copy";
       continue;  // Report only: nothing here can repair it.
     }
@@ -268,12 +269,12 @@ StatusOr<ScrubReport> LogStructuredDisk::ScrubStep(uint32_t max_segments) {
         continue;
       }
       const BlockMapEntry& e = block_map_.entry(bid);
-      if (options_.maintain_lists && suspects.count(e.link_seg) != 0) {
-        batch.records.push_back(SummaryRecord::LinkTuple(NextTs(), bid, e.successor));
+      if (options_.maintain_lists && suspects.count(e.link_seg()) != 0) {
+        batch.records.push_back(SummaryRecord::LinkTuple(NextTs(), bid, e.successor()));
         report.records_relogged++;
       }
-      if (suspects.count(e.alloc_seg) != 0) {
-        batch.records.push_back(SummaryRecord::BlockAlloc(NextTs(), bid, e.list, e.size_class));
+      if (suspects.count(e.alloc_seg()) != 0) {
+        batch.records.push_back(SummaryRecord::BlockAlloc(NextTs(), bid, e.list(), e.size_class()));
         report.records_relogged++;
       }
     }
@@ -282,12 +283,12 @@ StatusOr<ScrubReport> LogStructuredDisk::ScrubStep(uint32_t max_segments) {
         continue;
       }
       const ListEntry& e = list_table_.entry(lid);
-      if (suspects.count(e.head_seg) != 0) {
-        batch.records.push_back(SummaryRecord::ListHead(NextTs(), lid, e.first));
+      if (suspects.count(e.head_seg()) != 0) {
+        batch.records.push_back(SummaryRecord::ListHead(NextTs(), lid, e.first()));
         report.records_relogged++;
       }
-      if (suspects.count(e.create_seg) != 0) {
-        batch.records.push_back(SummaryRecord::ListCreate(NextTs(), lid, e.hints, e.lol_next));
+      if (suspects.count(e.create_seg()) != 0) {
+        batch.records.push_back(SummaryRecord::ListCreate(NextTs(), lid, e.hints(), e.lol_next()));
         report.records_relogged++;
       }
     }

@@ -481,10 +481,11 @@ StatusOr<uint32_t> LogStructuredDisk::FormStripes(uint32_t max_sets) {
 Status LogStructuredDisk::TryStripeReconstructStored(Bid bid, const BlockMapEntry& entry,
                                                      std::span<uint8_t> out,
                                                      const Status& damage) {
-  if (!entry.phys.IsOnDisk()) {
+  const PhysAddr phys = entry.phys();
+  if (!phys.IsOnDisk()) {
     return damage;
   }
-  const auto mit = member_stripe_.find(entry.phys.segment);
+  const auto mit = member_stripe_.find(phys.segment);
   if (mit == member_stripe_.end()) {
     return damage;
   }
@@ -498,16 +499,16 @@ Status LogStructuredDisk::TryStripeReconstructStored(Bid bid, const BlockMapEntr
   // surviving members. Peers are read at the same in-segment byte range —
   // stripe XOR is positional over full segment images.
   const uint32_t sector = device_->sector_size();
-  const uint32_t lo = entry.phys.offset / sector * sector;
+  const uint32_t lo = phys.offset / sector * sector;
   const uint32_t hi =
-      static_cast<uint32_t>(RoundUp(entry.phys.offset + entry.stored_size, sector));
+      static_cast<uint32_t>(RoundUp(phys.offset + entry.stored_size(), sector));
   std::vector<uint8_t> acc(hi - lo, 0);
   Status s = XorSegmentRange(set.parity_segment, lo, acc);
   for (uint32_t m : set.members) {
     if (!s.ok()) {
       break;
     }
-    if (m != entry.phys.segment) {
+    if (m != phys.segment) {
       s = XorSegmentRange(m, lo, acc);
     }
   }
@@ -523,16 +524,16 @@ Status LogStructuredDisk::TryStripeReconstructStored(Bid bid, const BlockMapEntr
                            ": stripe peer unreadable (double fault): " +
                            std::string(s.message()));
   }
-  std::memcpy(out.data(), acc.data() + (entry.phys.offset - lo), out.size());
+  std::memcpy(out.data(), acc.data() + (phys.offset - lo), out.size());
   // Only a reconstruction that round-trips the block's original checksum is
   // the lost data; anything else means a second fault ate the redundancy.
-  if (PayloadCrc(out) != entry.payload_crc) {
+  if (PayloadCrc(out) != entry.payload_crc()) {
     return CorruptionError("block " + std::to_string(bid) +
                            ": stripe reconstruction failed its payload crc (double fault)");
   }
   counters_.blocks_stripe_reconstructed++;
   LD_LOG(kInfo) << "reconstructed block " << bid << " from the stripe peers of segment "
-                << entry.phys.segment;
+                << phys.segment;
   return OkStatus();
 }
 

@@ -41,9 +41,15 @@ enum class SummaryRecordType : uint8_t {
 
 // Format limits the record fields impose: a block's size class and stored
 // length are 16-bit fields, and its byte offset within the segment is a
-// 24-bit field, so no segment may exceed 16 MiB.
+// 24-bit field, so no segment may exceed 16 MiB. Bids, Lids and segment
+// indices are 24-bit fields too, so no id may exceed kMaxId. Segment indices
+// also leave their two top values to PhysAddr's sentinels (the in-memory
+// tables store them at the same width), so a volume holds at most
+// kMaxSegments segments.
 constexpr uint32_t kMaxBlockSize = 65535;
 constexpr uint32_t kMaxSegmentBytes = 1u << 24;
+constexpr uint32_t kMaxId = 0xffffff;
+constexpr uint32_t kMaxSegments = 0xfffffe;
 
 // The 24-bit payload checksum every block entry stores.
 uint32_t PayloadCrc(std::span<const uint8_t> bytes);

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/disk/device_factory.h"
 #include "src/disk/mem_disk.h"
 #include "src/lld/lld.h"
 #include "src/util/crc32.h"
@@ -238,6 +239,22 @@ TEST(LldBasicTest, FormatRefusesSegmentsTheOffsetFieldCannotAddress) {
             ErrorCode::kInvalidArgument);
   options.segment_bytes = 16 << 20;
   EXPECT_TRUE(LogStructuredDisk::Format(&disk, options).ok());
+}
+
+// Segment indices are 24-bit fields whose two top values are sentinels: a
+// device with more segments than kMaxSegments is refused before anything is
+// written or allocated per segment. The NVMe model's storage is lazy, so an
+// 18-GB device costs nothing here.
+TEST(LldBasicTest, FormatRefusesMoreSegmentsThanTheIndexFieldCanName) {
+  SimClock clock;
+  auto device = MakeDevice(DeviceOptions::Nvme(18ull << 30), &clock);
+  LldOptions options;
+  options.segment_bytes = 1024;
+  options.summary_bytes = 512;
+  options.block_size = 512;
+  const auto lld = LogStructuredDisk::Format(device.get(), options);
+  EXPECT_EQ(lld.status().code(), ErrorCode::kInvalidArgument) << lld.status().ToString();
+  EXPECT_EQ(device->stats().write_ops, 0u);
 }
 
 TEST(LldBasicTest, FlushBelowThresholdWritesPartialSegment) {

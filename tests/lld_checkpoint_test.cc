@@ -461,5 +461,226 @@ TEST(LldCheckpointTest, ParallelScanMatchesSerialAcrossChannelsAndCrashes) {
   }
 }
 
+// ---- Packed tables: every field through log replay and the base frame ------
+
+// Every field of every allocated block-map and list-table entry, widened to
+// plain values, so two opens of one volume compare field by field.
+struct TableImage {
+  struct Block {
+    Bid bid;
+    PhysAddr phys;
+    Bid successor;
+    Lid list;
+    uint32_t size_class;
+    uint32_t stored_size;
+    bool compressed;
+    OpTimestamp write_ts;
+    uint32_t payload_crc;
+    uint32_t link_seg;
+    uint32_t alloc_seg;
+    bool operator==(const Block&) const = default;
+  };
+  struct List {
+    Lid lid;
+    Bid first;
+    bool cluster;
+    bool compress;
+    bool interlist_cluster;
+    Lid lol_prev;
+    Lid lol_next;
+    uint32_t head_seg;
+    uint32_t create_seg;
+    bool operator==(const List&) const = default;
+  };
+  std::vector<Block> blocks;
+  std::vector<List> lists;
+};
+
+TableImage CaptureTables(const LogStructuredDisk& lld) {
+  TableImage image;
+  const BlockMap& map = lld.block_map();
+  for (Bid bid = 1; bid <= map.max_bid(); ++bid) {
+    if (map.IsAllocated(bid)) {
+      const BlockMapEntry& e = map.entry(bid);
+      image.blocks.push_back({bid, e.phys(), e.successor(), e.list(), e.size_class(),
+                              e.stored_size(), e.compressed(), e.write_ts(), e.payload_crc(),
+                              e.link_seg(), e.alloc_seg()});
+    }
+  }
+  const ListTable& table = lld.list_table();
+  for (Lid lid = 1; lid <= table.max_lid(); ++lid) {
+    if (table.IsAllocated(lid)) {
+      const ListEntry& e = table.entry(lid);
+      const ListHints hints = e.hints();
+      image.lists.push_back({lid, e.first(), hints.cluster, hints.compress,
+                             hints.interlist_cluster, e.lol_prev(), e.lol_next(), e.head_seg(),
+                             e.create_seg()});
+    }
+  }
+  return image;
+}
+
+void ExpectSameTables(const TableImage& want, const TableImage& got) {
+  ASSERT_EQ(want.blocks.size(), got.blocks.size());
+  for (size_t i = 0; i < want.blocks.size(); ++i) {
+    EXPECT_TRUE(want.blocks[i] == got.blocks[i]) << "block " << want.blocks[i].bid;
+  }
+  ASSERT_EQ(want.lists.size(), got.lists.size());
+  for (size_t i = 0; i < want.lists.size(); ++i) {
+    EXPECT_TRUE(want.lists[i] == got.lists[i]) << "list " << want.lists[i].lid;
+  }
+}
+
+// The log's widest values, planted as one more summary in the volume's last
+// segment: log replay puts each into the packed tables unchanged, and the
+// clean-shutdown base frame carries every field of every entry, sentinels
+// included, to the next open.
+TEST(LldCheckpointTest, PackedTablesRoundTripLogLimitsThroughReplayAndBaseFrame) {
+  CkptRig rig;
+  LldOptions options = CkptOptions();
+  options.checkpoint_interval_segments = 0;  // A full log scan reads the planted summary.
+  constexpr OpTimestamp kMaxTs = (uint64_t{1} << 48) - 1;
+  constexpr uint32_t kMaxOffset = (1u << 24) - 1;
+  constexpr Bid kOrphan = 1000;  // Allocated by the planted log alone.
+  const ListHints odd_hints{false, true, false};
+  Lid list = kNilLid;
+  Lid empty = kNilLid;
+  Bid big = kNilBid;
+  Bid unwritten = kNilBid;
+  uint32_t last_seg = 0;
+  uint64_t summary_sector = 0;
+  {
+    auto lld = rig.Format(options);
+    list = *lld->NewList(kBeginOfListOfLists, ListHints{});
+    empty = *lld->NewList(list, odd_hints);
+    big = *lld->NewBlock(list, kBeginOfList, kMaxBlockSize);
+    ASSERT_TRUE(lld->Write(big, Pattern(kMaxBlockSize, 1)).ok());
+    EXPECT_EQ(lld->block_map().entry(big).phys().segment, PhysAddr::kOpenSegment);
+    unwritten = *lld->NewBlock(list, big);
+    ASSERT_TRUE(lld->Flush().ok());
+    last_seg = lld->num_segments() - 1;
+    ASSERT_EQ(lld->usage_table().segment(last_seg).state, SegmentState::kFree);
+    summary_sector = lld->SegmentSummaryStartByte(last_seg) / 512;
+    // Crash: abandon without Shutdown.
+  }
+
+  SummaryHeader header;
+  header.seq = 1'000'000;  // Newer than every real seal.
+  header.segment_index = last_seg;
+  const std::vector<SummaryRecord> records = {
+      SummaryRecord::BlockEntry(kMaxTs, big, kMaxOffset, kMaxBlockSize, kMaxBlockSize,
+                                /*compressed=*/true, 0xffffff),
+      SummaryRecord::LinkTuple(kMaxTs, big, kMaxId),
+      SummaryRecord::BlockAlloc(kMaxTs, big, kMaxId, kMaxBlockSize),
+      SummaryRecord::BlockAlloc(kMaxTs, kOrphan, list, 4096),
+      SummaryRecord::ListHead(kMaxTs, list, kMaxId),
+      SummaryRecord::ListMove(kMaxTs, list, empty, ListHints{}),
+  };
+  std::vector<uint8_t> tail(options.summary_bytes);
+  ASSERT_TRUE(EncodeSummary(header, records, tail).ok());
+  ASSERT_TRUE(rig.disk->Write(summary_sector, tail).ok());
+
+  TableImage replayed;
+  {
+    auto lld = rig.Reopen(options);
+    EXPECT_EQ(lld->last_recovery().mode, RecoveryMode::kLogScan);
+    const BlockMapEntry& b = lld->block_map().entry(big);
+    EXPECT_EQ(b.phys(), (PhysAddr{last_seg, kMaxOffset}));
+    EXPECT_EQ(b.successor(), kMaxId);
+    EXPECT_EQ(b.list(), kMaxId);
+    EXPECT_EQ(b.size_class(), kMaxBlockSize);
+    EXPECT_EQ(b.stored_size(), kMaxBlockSize);
+    EXPECT_TRUE(b.compressed());
+    EXPECT_EQ(b.payload_crc(), 0xffffffu);
+    EXPECT_EQ(b.write_ts(), kMaxTs);
+    EXPECT_EQ(b.link_seg(), last_seg);
+    EXPECT_EQ(b.alloc_seg(), last_seg);
+    EXPECT_TRUE(lld->block_map().entry(unwritten).phys().IsNone());
+    const BlockMapEntry& orphan = lld->block_map().entry(kOrphan);
+    EXPECT_TRUE(orphan.phys().IsNone());
+    EXPECT_EQ(orphan.link_seg(), kNoAuthoritySeg);
+    EXPECT_EQ(orphan.alloc_seg(), last_seg);
+    const ListEntry& l = lld->list_table().entry(list);
+    EXPECT_EQ(l.first(), kMaxId);
+    EXPECT_EQ(l.head_seg(), last_seg);
+    EXPECT_EQ(l.create_seg(), last_seg);
+    EXPECT_EQ(l.lol_next(), empty);
+    const ListEntry& e = lld->list_table().entry(empty);
+    EXPECT_EQ(e.head_seg(), kNoAuthoritySeg);
+    EXPECT_FALSE(e.hints().cluster);
+    EXPECT_TRUE(e.hints().compress);
+    replayed = CaptureTables(*lld);
+    ASSERT_TRUE(lld->Shutdown().ok());
+  }
+  auto lld = rig.Reopen(options);
+  EXPECT_EQ(lld->last_recovery().mode, RecoveryMode::kCheckpointClean);
+  ExpectSameTables(replayed, CaptureTables(*lld));
+}
+
+// The same round trip with incremental checkpoints and stripe parity on a
+// 4-channel device, crashing after a Flush. The first reopen loads the chain
+// and replays the window, then writes a base frame that carries the stripe
+// sets; the second reopen decodes that frame alone. Both must agree on every
+// field of every entry and on the stripe sets.
+TEST(LldCheckpointTest, StripedChainRoundTripsEveryTableField) {
+  SimClock clock;
+  auto disk = MakeDevice(DeviceOptions::HpC3010(kDiskBytes, 4), &clock);
+  LldOptions options = CkptOptions();
+  options.stripe_parity = true;
+  std::map<Bid, std::vector<uint8_t>> contents;
+  {
+    auto lld = *LogStructuredDisk::Format(disk.get(), options);
+    const Lid a = *lld->NewList(kBeginOfListOfLists, ListHints{});
+    const Lid b = *lld->NewList(a, ListHints{false, false, true});
+    Bid pred_a = kBeginOfList;
+    Bid pred_b = kBeginOfList;
+    for (uint32_t i = 0; i < 400; ++i) {
+      const uint32_t size = i % 50 == 7 ? kMaxBlockSize : 4096;
+      const Lid lid = i % 3 == 0 ? b : a;
+      Bid& pred = lid == a ? pred_a : pred_b;
+      auto bid = lld->NewBlock(lid, pred, size);
+      ASSERT_TRUE(bid.ok()) << bid.status().ToString();
+      pred = *bid;
+      contents[*bid] = Pattern(size, i);
+      ASSERT_TRUE(lld->Write(*bid, contents[*bid]).ok());
+      if (i % 40 == 39) {
+        ASSERT_TRUE(lld->Flush().ok());
+      }
+    }
+    for (auto it = contents.begin(); it != contents.end();) {
+      if (it->first % 9 == 0 && it->first != pred_a && it->first != pred_b) {
+        const Lid lid = lld->block_map().entry(it->first).list();
+        ASSERT_TRUE(lld->DeleteBlock(it->first, lid, kNilBid).ok());
+        it = contents.erase(it);
+      } else {
+        ++it;
+      }
+    }
+    ASSERT_TRUE(lld->Flush().ok());
+    ASSERT_GT(lld->stripe_count(), 0u);
+    // Crash: abandon without Shutdown.
+  }
+
+  TableImage replayed;
+  uint32_t stripes = 0;
+  {
+    auto lld = *LogStructuredDisk::Open(disk.get(), options);
+    EXPECT_EQ(lld->last_recovery().mode, RecoveryMode::kCheckpointChain);
+    replayed = CaptureTables(*lld);
+    stripes = lld->stripe_count();
+    EXPECT_GT(stripes, 0u);
+  }
+  auto lld = *LogStructuredDisk::Open(disk.get(), options);
+  EXPECT_EQ(lld->last_recovery().mode, RecoveryMode::kCheckpointChain);
+  EXPECT_EQ(lld->last_recovery().frames_loaded, 1u);
+  ExpectSameTables(replayed, CaptureTables(*lld));
+  EXPECT_EQ(lld->stripe_count(), stripes);
+  for (const auto& [bid, data] : contents) {
+    std::vector<uint8_t> out(data.size());
+    ASSERT_TRUE(lld->Read(bid, out).ok()) << "block " << bid;
+    EXPECT_EQ(out, data) << "block " << bid;
+  }
+}
+
 }  // namespace
 }  // namespace ld

@@ -213,8 +213,8 @@ TEST(LldCleanerTest, ClusterOnCleanRestoresListOrder) {
   for (size_t i = 1; i < mine.size(); ++i) {
     const auto& prev = rig.lld->block_map().entry(mine[i - 1]);
     const auto& cur = rig.lld->block_map().entry(mine[i]);
-    if (prev.phys.segment == cur.phys.segment &&
-        cur.phys.offset == prev.phys.offset + prev.stored_size) {
+    if (prev.phys().segment == cur.phys().segment &&
+        cur.phys().offset == prev.phys().offset + prev.stored_size()) {
       adjacent++;
     }
   }
@@ -247,8 +247,8 @@ TEST(LldCleanerTest, ReorganizerRestoresSequentialLayout) {
   for (size_t i = 1; i < bids.size(); ++i) {
     const auto& prev = rig.lld->block_map().entry(bids[i - 1]);
     const auto& cur = rig.lld->block_map().entry(bids[i]);
-    if (prev.phys.segment == cur.phys.segment &&
-        cur.phys.offset == prev.phys.offset + prev.stored_size) {
+    if (prev.phys().segment == cur.phys().segment &&
+        cur.phys().offset == prev.phys().offset + prev.stored_size()) {
       adjacent++;
     }
   }
@@ -440,10 +440,10 @@ TEST(LldCleanerTest, CleanerOutputIsColdAndPreservesBlockAges) {
   bool found_cold = false;
   for (uint32_t i = 1; i < 400; i += 2) {
     const BlockMapEntry& e = rig.lld->block_map().entry(bids[i]);
-    if (!e.phys.IsOnDisk()) {
+    if (!e.phys().IsOnDisk()) {
       continue;
     }
-    const SegmentUsage& u = rig.lld->usage_table().segment(e.phys.segment);
+    const SegmentUsage& u = rig.lld->usage_table().segment(e.phys().segment);
     if (u.cold) {
       found_cold = true;
       // Preserved age: strictly older than the relog timestamp newest_ts

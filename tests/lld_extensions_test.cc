@@ -346,14 +346,62 @@ TEST(RearrangeTest, MovesHotBlocksWithoutDataLoss) {
     ASSERT_TRUE(lld->Read(bids[i], out).ok()) << i;
     EXPECT_EQ(out, Pattern(4096, i)) << i;
     const auto& entry = lld->block_map().entry(bids[i]);
-    if (i % 10 == 0 && entry.phys.IsOnDisk()) {
-      segments.push_back(entry.phys.segment);
+    if (i % 10 == 0 && entry.phys().IsOnDisk()) {
+      segments.push_back(entry.phys().segment);
     }
   }
   std::sort(segments.begin(), segments.end());
   EXPECT_LE(segments.back() - segments.front(), 2u);  // Co-located.
   // List order untouched.
   EXPECT_EQ(*lld->ListBlocks(*list), bids);
+}
+
+// Read heat lives in the block map's side table: Read and SubmitRead both
+// count, a freed and reused number starts cold, and with tracking off the
+// table never grows.
+TEST(RearrangeTest, ReadHeatCountsBothReadPathsAndCostsNothingWhenOff) {
+  for (const bool track : {false, true}) {
+    SimClock clock;
+    MemDisk disk(kDiskBytes / 512, 512, &clock);
+    LldOptions options = TestOptions();
+    options.track_read_heat = track;
+    auto lld = *LogStructuredDisk::Format(&disk, options);
+    auto list = lld->NewList(kBeginOfListOfLists, ListHints{});
+    std::vector<Bid> bids;
+    Bid pred = kBeginOfList;
+    for (uint32_t i = 0; i < 40; ++i) {  // More than a segment: the first ones seal.
+      pred = *lld->NewBlock(*list, pred);
+      ASSERT_TRUE(lld->Write(pred, Pattern(4096, i)).ok());
+      bids.push_back(pred);
+    }
+    ASSERT_TRUE(lld->Flush().ok());
+    const Bid a = bids[0];
+    const Bid b = bids[1];
+    ASSERT_TRUE(lld->block_map().entry(b).phys().IsOnDisk());
+    const uint64_t before = lld->MeasureMemory().block_map_bytes;
+
+    std::vector<uint8_t> out(4096);
+    ASSERT_TRUE(lld->Read(a, out).ok());
+    ASSERT_TRUE(lld->Read(a, out).ok());
+    auto tag = lld->SubmitRead(b, out);
+    ASSERT_TRUE(tag.ok());
+    ASSERT_NE(*tag, kInvalidIoTag);  // The queued path, not the Read fallback.
+    ASSERT_TRUE(lld->WaitRead(*tag).ok());
+    EXPECT_EQ(out, Pattern(4096, 1));
+    EXPECT_EQ(lld->block_map().read_count(a), track ? 2u : 0u);
+    EXPECT_EQ(lld->block_map().read_count(b), track ? 1u : 0u);
+    if (track) {
+      EXPECT_GE(lld->MeasureMemory().block_map_bytes,
+                before + (bids.size() + 1) * sizeof(uint32_t));
+    } else {
+      EXPECT_EQ(lld->MeasureMemory().block_map_bytes, before);
+    }
+
+    ASSERT_TRUE(lld->DeleteBlock(b, *list, a).ok());
+    const Bid reused = *lld->NewBlock(*list, a);
+    EXPECT_EQ(reused, b);
+    EXPECT_EQ(lld->block_map().read_count(reused), 0u);
+  }
 }
 
 TEST(RearrangeTest, RequiresHeatTracking) {

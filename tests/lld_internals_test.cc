@@ -331,21 +331,21 @@ TEST(SummaryCodecTest, PropertyRandomizedRoundTripTruncationAndBitFlips) {
 
 TEST(BlockMapTest, AllocateFreeRecycle) {
   BlockMap map;
-  const Bid a = map.Allocate(1, 4096);
-  const Bid b = map.Allocate(1, 4096);
+  const Bid a = *map.Allocate(1, 4096);
+  const Bid b = *map.Allocate(1, 4096);
   EXPECT_NE(a, b);
   EXPECT_NE(a, kNilBid);
   EXPECT_EQ(map.allocated_count(), 2u);
   ASSERT_TRUE(map.Free(a).ok());
   EXPECT_FALSE(map.IsAllocated(a));
-  EXPECT_EQ(map.Allocate(1, 4096), a);  // Freed numbers are reused.
+  EXPECT_EQ(*map.Allocate(1, 4096), a);  // Freed numbers are reused.
   EXPECT_EQ(map.Free(999).code(), ErrorCode::kNotFound);
   EXPECT_EQ(map.Lookup(kNilBid).status().code(), ErrorCode::kNotFound);
 }
 
 TEST(BlockMapTest, EnsureAllocatedAndRebuild) {
   BlockMap map;
-  map.EnsureAllocated(10).size_class = 64;
+  map.EnsureAllocated(10).set_size_class(64);
   map.EnsureAllocated(10);  // Idempotent.
   EXPECT_EQ(map.allocated_count(), 1u);
   map.ForceFree(10);
@@ -354,9 +354,92 @@ TEST(BlockMapTest, EnsureAllocatedAndRebuild) {
   map.EnsureAllocated(5);
   map.RebuildFreeList();
   // Bids 1..4 and 6..10 are free; a fresh allocation uses one of them.
-  const Bid fresh = map.Allocate(1, 4096);
+  const Bid fresh = *map.Allocate(1, 4096);
   EXPECT_NE(fresh, 5u);
   EXPECT_LE(fresh, 10u);
+}
+
+// Each field holds the full range of the summary-record field it mirrors,
+// distinct values in every field read back (no two fields share a byte),
+// and the 32-bit sentinels survive the 24-bit segment fields.
+TEST(BlockMapTest, PackedEntryHoldsLogWidthLimitsAndSentinels) {
+  static_assert(sizeof(BlockMapEntry) == 32);
+  BlockMapEntry e;
+  EXPECT_TRUE(e.phys().IsNone());
+  EXPECT_EQ(e.phys().segment, PhysAddr::kNone);
+  EXPECT_EQ(e.link_seg(), kNoAuthoritySeg);
+  EXPECT_EQ(e.alloc_seg(), kNoAuthoritySeg);
+  EXPECT_FALSE(e.allocated());
+  EXPECT_FALSE(e.compressed());
+
+  const auto fill = [](BlockMapEntry* entry, uint32_t seg, uint32_t offset, uint32_t id,
+                       uint32_t size, uint32_t crc, OpTimestamp ts, bool flag) {
+    entry->set_phys(PhysAddr{seg, offset});
+    entry->set_successor(id);
+    entry->set_list(id ^ 0x5a5a5a);
+    entry->set_size_class(size);
+    entry->set_stored_size(size ^ 0x00ff);
+    entry->set_compressed(flag);
+    entry->set_allocated(!flag);
+    entry->set_payload_crc(crc);
+    entry->set_link_seg(seg - 1);
+    entry->set_alloc_seg(seg - 2);
+    entry->set_write_ts(ts);
+  };
+  const auto check = [](const BlockMapEntry& entry, uint32_t seg, uint32_t offset, uint32_t id,
+                        uint32_t size, uint32_t crc, OpTimestamp ts, bool flag) {
+    EXPECT_EQ(entry.phys(), (PhysAddr{seg, offset}));
+    EXPECT_EQ(entry.successor(), id);
+    EXPECT_EQ(entry.list(), id ^ 0x5a5a5a);
+    EXPECT_EQ(entry.size_class(), size);
+    EXPECT_EQ(entry.stored_size(), size ^ 0x00ff);
+    EXPECT_EQ(entry.compressed(), flag);
+    EXPECT_EQ(entry.allocated(), !flag);
+    EXPECT_EQ(entry.payload_crc(), crc);
+    EXPECT_EQ(entry.link_seg(), seg - 1);
+    EXPECT_EQ(entry.alloc_seg(), seg - 2);
+    EXPECT_EQ(entry.write_ts(), ts);
+  };
+  // Limits: the last segment index, offset 2^24 - 1, id 0xFFFFFF, 16-bit
+  // sizes, a 24-bit CRC and a 48-bit timestamp.
+  const uint32_t last_seg = kMaxSegments - 1;
+  fill(&e, last_seg, (1u << 24) - 1, kMaxId, kMaxBlockSize, 0xffffff,
+       (uint64_t{1} << 48) - 1, true);
+  check(e, last_seg, (1u << 24) - 1, kMaxId, kMaxBlockSize, 0xffffff,
+        (uint64_t{1} << 48) - 1, true);
+  // Distinct bytes everywhere, so an overlap between fields would show.
+  fill(&e, 0x123450, 0xabcdef, 0x13579b, 0x2468, 0x0f1e2d, 0x0102030405ull, false);
+  check(e, 0x123450, 0xabcdef, 0x13579b, 0x2468, 0x0f1e2d, 0x0102030405ull, false);
+
+  // Sentinels widen back to their 32-bit values; the last real index does not.
+  e.set_phys(PhysAddr{PhysAddr::kOpenSegment, 4096});
+  EXPECT_TRUE(e.phys().IsOpen());
+  EXPECT_EQ(e.phys().segment, PhysAddr::kOpenSegment);
+  e.set_phys(PhysAddr{});
+  EXPECT_TRUE(e.phys().IsNone());
+  e.set_phys(PhysAddr{last_seg, 0});
+  EXPECT_TRUE(e.phys().IsOnDisk());
+  EXPECT_EQ(e.phys().segment, last_seg);
+  e.set_link_seg(kNoAuthoritySeg);
+  e.set_alloc_seg(last_seg);
+  EXPECT_EQ(e.link_seg(), kNoAuthoritySeg);
+  EXPECT_EQ(e.alloc_seg(), last_seg);
+}
+
+// Bids with no CountRead cost nothing; a freed number's count restarts.
+TEST(BlockMapTest, ReadCountsLiveInASideTable) {
+  BlockMap map;
+  const Bid a = *map.Allocate(1, 4096);
+  const Bid b = *map.Allocate(1, 4096);
+  const uint64_t bare = map.MemoryBytes();
+  EXPECT_EQ(map.read_count(a), 0u);
+  map.CountRead(b);
+  map.CountRead(b);
+  EXPECT_EQ(map.read_count(b), 2u);
+  EXPECT_GE(map.MemoryBytes(), bare + 3 * sizeof(uint32_t));
+  ASSERT_TRUE(map.Free(b).ok());
+  EXPECT_EQ(*map.Allocate(1, 4096), b);
+  EXPECT_EQ(map.read_count(b), 0u);
 }
 
 // ---- List table ----------------------------------------------------------------------
@@ -368,27 +451,67 @@ TEST(ListTableTest, ListOfListsOrdering) {
   const Lid c = *table.Allocate(kBeginOfListOfLists, ListHints{});
   // Order: c, a, b.
   EXPECT_EQ(table.lol_head(), c);
-  EXPECT_EQ(table.entry(c).lol_next, a);
-  EXPECT_EQ(table.entry(a).lol_next, b);
+  EXPECT_EQ(table.entry(c).lol_next(), a);
+  EXPECT_EQ(table.entry(a).lol_next(), b);
   ASSERT_TRUE(table.Move(b, c).ok());  // c, b, a.
-  EXPECT_EQ(table.entry(c).lol_next, b);
-  EXPECT_EQ(table.entry(b).lol_next, a);
+  EXPECT_EQ(table.entry(c).lol_next(), b);
+  EXPECT_EQ(table.entry(b).lol_next(), a);
   EXPECT_EQ(table.Move(b, b).code(), ErrorCode::kInvalidArgument);
   ASSERT_TRUE(table.Free(b).ok());
-  EXPECT_EQ(table.entry(c).lol_next, a);
+  EXPECT_EQ(table.entry(c).lol_next(), a);
   EXPECT_EQ(table.Allocate(999, ListHints{}).status().code(), ErrorCode::kNotFound);
 }
 
 TEST(ListTableTest, RelinkAfterRecovery) {
   ListTable table;
   // Simulate recovery: materialize entries with only next pointers.
-  table.EnsureAllocated(3).lol_next = 7;
-  table.EnsureAllocated(7).lol_next = kNilLid;
-  table.EnsureAllocated(5).lol_next = 3;
+  table.EnsureAllocated(3).set_lol_next(7);
+  table.EnsureAllocated(7).set_lol_next(kNilLid);
+  table.EnsureAllocated(5).set_lol_next(3);
   table.RelinkListOfLists();
   EXPECT_EQ(table.lol_head(), 5u);
-  EXPECT_EQ(table.entry(3).lol_prev, 5u);
-  EXPECT_EQ(table.entry(7).lol_prev, 3u);
+  EXPECT_EQ(table.entry(3).lol_prev(), 5u);
+  EXPECT_EQ(table.entry(7).lol_prev(), 3u);
+}
+
+TEST(ListTableTest, PackedEntryHoldsLogWidthLimitsAndSentinels) {
+  static_assert(sizeof(ListEntry) == 16);
+  ListEntry e;
+  EXPECT_EQ(e.head_seg(), kNoAuthoritySeg);
+  EXPECT_EQ(e.create_seg(), kNoAuthoritySeg);
+  EXPECT_FALSE(e.allocated());
+  const ListHints defaults = e.hints();
+  EXPECT_TRUE(defaults.cluster);
+  EXPECT_FALSE(defaults.compress);
+  EXPECT_TRUE(defaults.interlist_cluster);
+
+  const uint32_t last_seg = kMaxSegments - 1;
+  for (const uint32_t id : {kMaxId, 0x13579bu}) {
+    e.set_first(id);
+    e.set_lol_prev(id ^ 0x000f0f);
+    e.set_lol_next(id ^ 0x0f0f00);
+    e.set_head_seg(last_seg - (id & 0xff));
+    e.set_create_seg(last_seg - 1);
+    e.set_allocated(true);
+    EXPECT_EQ(e.first(), id);
+    EXPECT_EQ(e.lol_prev(), id ^ 0x000f0f);
+    EXPECT_EQ(e.lol_next(), id ^ 0x0f0f00);
+    EXPECT_EQ(e.head_seg(), last_seg - (id & 0xff));
+    EXPECT_EQ(e.create_seg(), last_seg - 1);
+  }
+  // Every hint combination, and the allocated bit beside them.
+  for (int bits = 0; bits < 16; ++bits) {
+    const ListHints hints{(bits & 1) != 0, (bits & 2) != 0, (bits & 4) != 0};
+    e.set_allocated((bits & 8) != 0);
+    e.set_hints(hints);
+    EXPECT_EQ(e.hints().cluster, hints.cluster);
+    EXPECT_EQ(e.hints().compress, hints.compress);
+    EXPECT_EQ(e.hints().interlist_cluster, hints.interlist_cluster);
+    EXPECT_EQ(e.allocated(), (bits & 8) != 0);
+  }
+  e.set_head_seg(kNoAuthoritySeg);
+  EXPECT_EQ(e.head_seg(), kNoAuthoritySeg);
+  EXPECT_EQ(e.first(), 0x13579bu);
 }
 
 // ---- Usage table -----------------------------------------------------------------------

@@ -82,9 +82,9 @@ std::vector<Bid> FillBlocks(LogStructuredDisk* lld, Lid list, uint32_t count,
 uint32_t PickFullSegment(LogStructuredDisk* lld, const std::vector<Bid>& bids) {
   for (Bid bid : bids) {
     const BlockMapEntry& e = lld->block_map().entry(bid);
-    if (e.phys.IsOnDisk() &&
-        lld->usage_table().segment(e.phys.segment).state == SegmentState::kFull) {
-      return e.phys.segment;
+    if (e.phys().IsOnDisk() &&
+        lld->usage_table().segment(e.phys().segment).state == SegmentState::kFull) {
+      return e.phys().segment;
     }
   }
   ADD_FAILURE() << "no block in a full segment";

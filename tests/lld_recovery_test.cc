@@ -66,8 +66,8 @@ struct CrashRig {
   // First sector of `bid`'s on-disk copy; the block must be flushed.
   uint64_t BlockSector(LogStructuredDisk* lld, Bid bid) {
     const BlockMapEntry& e = lld->block_map().entry(bid);
-    EXPECT_TRUE(e.phys.IsOnDisk());
-    return (lld->SegmentStartByte(e.phys.segment) + e.phys.offset) / 512;
+    EXPECT_TRUE(e.phys().IsOnDisk());
+    return (lld->SegmentStartByte(e.phys().segment) + e.phys().offset) / 512;
   }
 };
 
@@ -634,7 +634,7 @@ TEST(LldRecoveryTest, DifferentialParityCrashConformanceSweep) {
         if (forced_victim == kNilBid) {
           std::vector<Bid> candidates;
           for (const auto& [bid, tag] : tags) {
-            if (lld->block_map().entry(bid).phys.IsOnDisk()) {
+            if (lld->block_map().entry(bid).phys().IsOnDisk()) {
               candidates.push_back(bid);
             }
           }
@@ -1333,7 +1333,7 @@ TEST(LldRecoveryTest, CleaningMarkerSegmentKeepsStraddlingUnitCommitted) {
   }
   ASSERT_TRUE(lld->Write(b, Pattern(4096, 201)).ok());  // v1, inside the unit.
   ASSERT_TRUE(lld->EndARU().ok());
-  const uint32_t s1 = lld->block_map().entry(a).phys.segment;
+  const uint32_t s1 = lld->block_map().entry(a).phys().segment;
 
   // Pad until the segment holding b's copy and the commit marker (s2) seals.
   std::vector<Bid> marker_pad;
@@ -1344,7 +1344,7 @@ TEST(LldRecoveryTest, CleaningMarkerSegmentKeepsStraddlingUnitCommitted) {
     ASSERT_TRUE(lld->Write(p, Pattern(4096, 8)).ok());
     marker_pad.push_back(p);
   }
-  const uint32_t s2 = lld->block_map().entry(b).phys.segment;
+  const uint32_t s2 = lld->block_map().entry(b).phys().segment;
   ASSERT_NE(s1, s2) << "unit did not straddle the seal";
 
   // Deaden s2 down to b's 4 KB so greedy elects it first, and stage two
@@ -1352,8 +1352,8 @@ TEST(LldRecoveryTest, CleaningMarkerSegmentKeepsStraddlingUnitCommitted) {
   // two-segments-net-gain target after taking them, leaving live-heavy s1
   // (tagged records, rollback copy, pad blocks) untouched.
   for (Bid p : marker_pad) {
-    if (lld->block_map().entry(p).phys.IsOnDisk() &&
-        lld->block_map().entry(p).phys.segment == s2) {
+    if (lld->block_map().entry(p).phys().IsOnDisk() &&
+        lld->block_map().entry(p).phys().segment == s2) {
       ASSERT_TRUE(lld->Write(p, Pattern(4096, 9)).ok());
     }
   }
@@ -1366,7 +1366,7 @@ TEST(LldRecoveryTest, CleaningMarkerSegmentKeepsStraddlingUnitCommitted) {
   ASSERT_TRUE(lld->Flush().ok());
   std::unordered_map<uint32_t, uint32_t> kept;
   for (Bid p : garbage) {
-    const uint32_t seg = lld->block_map().entry(p).phys.segment;
+    const uint32_t seg = lld->block_map().entry(p).phys().segment;
     if (kept[seg]++ >= 2) {
       ASSERT_TRUE(lld->Write(p, Pattern(4096, 11)).ok());
     }

@@ -92,16 +92,16 @@ struct ScrubRig {
   // First sector of `bid`'s on-disk copy; the block must be flushed.
   uint64_t BlockSector(LogStructuredDisk* lld, Bid bid) {
     const BlockMapEntry& e = lld->block_map().entry(bid);
-    EXPECT_TRUE(e.phys.IsOnDisk());
-    return (lld->SegmentStartByte(e.phys.segment) + e.phys.offset) / kSectorSize;
+    EXPECT_TRUE(e.phys().IsOnDisk());
+    return (lld->SegmentStartByte(e.phys().segment) + e.phys().offset) / kSectorSize;
   }
 
   // A flushed block that landed in a kFull segment (not the scratch copy).
   Bid PickFullSegmentBlock(LogStructuredDisk* lld, const std::vector<Bid>& bids) {
     for (Bid bid : bids) {
       const BlockMapEntry& e = lld->block_map().entry(bid);
-      if (e.phys.IsOnDisk() &&
-          lld->usage_table().segment(e.phys.segment).state == SegmentState::kFull) {
+      if (e.phys().IsOnDisk() &&
+          lld->usage_table().segment(e.phys().segment).state == SegmentState::kFull) {
         return bid;
       }
     }
@@ -300,7 +300,7 @@ TEST(LldScrubTest, ScrubRetiresSegmentWithCorruptSummary) {
   auto bids = rig.FillBlocks(lld.get(), *list, 40);
 
   const Bid probe = rig.PickFullSegmentBlock(lld.get(), bids);
-  const uint32_t seg = lld->block_map().entry(probe).phys.segment;
+  const uint32_t seg = lld->block_map().entry(probe).phys().segment;
   // Smash the summary magic: recovery would refuse this log outright.
   ASSERT_TRUE(
       rig.disk->CorruptSector(lld->SegmentSummaryStartByte(seg) / kSectorSize, 0, 0xff).ok());
@@ -360,7 +360,7 @@ TEST(LldScrubTest, ScrubPoisonsUnreadableBlocksOnRetiredSegment) {
   auto bids = rig.FillBlocks(lld.get(), *list, 40);
 
   const Bid victim = rig.PickFullSegmentBlock(lld.get(), bids);
-  const uint32_t seg = lld->block_map().entry(victim).phys.segment;
+  const uint32_t seg = lld->block_map().entry(victim).phys().segment;
   ASSERT_TRUE(
       rig.disk->CorruptSector(lld->SegmentSummaryStartByte(seg) / kSectorSize, 0, 0xff).ok());
   rig.disk->InjectLatentError(rig.BlockSector(lld.get(), victim));
@@ -433,14 +433,14 @@ TEST(LldScrubTest, ParityCannotRepairTwoDamagedBlocksInOneSegment) {
   Bid b = kNilBid;
   for (Bid x : bids) {
     const BlockMapEntry& ex = lld->block_map().entry(x);
-    if (!ex.phys.IsOnDisk() ||
-        lld->usage_table().segment(ex.phys.segment).state != SegmentState::kFull) {
+    if (!ex.phys().IsOnDisk() ||
+        lld->usage_table().segment(ex.phys().segment).state != SegmentState::kFull) {
       continue;
     }
     for (Bid y : bids) {
       const BlockMapEntry& ey = lld->block_map().entry(y);
-      if (ey.phys.IsOnDisk() && ey.phys.segment == ex.phys.segment &&
-          ey.phys.offset == ex.phys.offset + 4096) {
+      if (ey.phys().IsOnDisk() && ey.phys().segment == ex.phys().segment &&
+          ey.phys().offset == ex.phys().offset + 4096) {
         a = x;
         b = y;
         break;
@@ -451,7 +451,7 @@ TEST(LldScrubTest, ParityCannotRepairTwoDamagedBlocksInOneSegment) {
     }
   }
   ASSERT_NE(a, kNilBid) << "no adjacent block pair in a full segment";
-  const uint32_t seg = lld->block_map().entry(a).phys.segment;
+  const uint32_t seg = lld->block_map().entry(a).phys().segment;
   // The lane period the layout math promises: RoundUp(4096, 512) + 512.
   ASSERT_EQ(lld->usage_table().segment(seg).parity.bytes, 4608u);
   ASSERT_TRUE(rig.disk->CorruptSector(rig.BlockSector(lld.get(), a), 0, 0x40).ok());
@@ -483,7 +483,7 @@ TEST(LldScrubTest, RottedParityBlockFallsBackToTypedReport) {
   auto bids = rig.FillBlocks(lld.get(), *list, 40);
 
   const Bid victim = rig.PickFullSegmentBlock(lld.get(), bids);
-  const uint32_t seg = lld->block_map().entry(victim).phys.segment;
+  const uint32_t seg = lld->block_map().entry(victim).phys().segment;
   const SegmentUsage& u = lld->usage_table().segment(seg);
   ASSERT_TRUE(u.parity.has);
   // Rot the parity block itself, then a data block: the reconstruction

@@ -220,8 +220,8 @@ struct StripeRig {
 
   uint32_t ChannelOfBlock(LogStructuredDisk* lld, Bid bid) {
     const BlockMapEntry& e = lld->block_map().entry(bid);
-    EXPECT_TRUE(e.phys.IsOnDisk());
-    return disk->ChannelOf(lld->SegmentStartByte(e.phys.segment) / disk->sector_size());
+    EXPECT_TRUE(e.phys().IsOnDisk());
+    return disk->ChannelOf(lld->SegmentStartByte(e.phys().segment) / disk->sector_size());
   }
 };
 

@@ -78,7 +78,7 @@ TEST(MinixFsckTest, DetectsPlantedCorruption) {
   bool corrupted = false;
   for (Bid bid = 1; bid <= lld->block_map().max_bid() && !corrupted; ++bid) {
     if (!lld->block_map().IsAllocated(bid) ||
-        lld->block_map().entry(bid).size_class != 4096) {
+        lld->block_map().entry(bid).size_class() != 4096) {
       continue;
     }
     if (!lld->Read(bid, root_dir).ok()) {
@@ -120,8 +120,8 @@ Bid FindSealedDataBlock(LogStructuredDisk* lld, uint8_t fill) {
       continue;
     }
     const BlockMapEntry& e = lld->block_map().entry(bid);
-    if (e.size_class != 4096 || !e.phys.IsOnDisk() ||
-        lld->usage_table().segment(e.phys.segment).state != SegmentState::kFull) {
+    if (e.size_class() != 4096 || !e.phys().IsOnDisk() ||
+        lld->usage_table().segment(e.phys().segment).state != SegmentState::kFull) {
       continue;
     }
     if (!lld->Read(bid, buf).ok()) {
@@ -163,7 +163,7 @@ ScrubVictim WriteFilesAndPickVictim(MinixFs* fs, LogStructuredDisk* lld, uint8_t
     return victim;
   }
   const BlockMapEntry& e = lld->block_map().entry(victim.bid);
-  victim.sector = (lld->SegmentStartByte(e.phys.segment) + e.phys.offset) / 512;
+  victim.sector = (lld->SegmentStartByte(e.phys().segment) + e.phys().offset) / 512;
   return victim;
 }
 
