@@ -1123,13 +1123,12 @@ Status LogStructuredDisk::Write(Bid bid, std::span<const uint8_t> data) {
 
   Status status;
   if (compress) {
-    std::vector<uint8_t> packed;
-    const size_t csize = options_.compressor->Compress(data, &packed);
+    const size_t csize = options_.compressor->Compress(data, &compress_buf_);
     ChargeCompressCpu(data.size());
     if (csize < data.size()) {
       counters_.blocks_compressed++;
       counters_.compression_saved_bytes += data.size() - csize;
-      status = AppendBlockData(bid, packed, static_cast<uint32_t>(data.size()),
+      status = AppendBlockData(bid, compress_buf_, static_cast<uint32_t>(data.size()),
                                /*compressed=*/true, /*internal=*/false);
     } else {
       status = AppendBlockData(bid, data, static_cast<uint32_t>(data.size()),

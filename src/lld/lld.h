@@ -910,6 +910,7 @@ class LogStructuredDisk : public LogicalDisk {
 
   std::vector<uint8_t> io_scratch_;  // Reusable sector-aligned I/O buffer.
   std::vector<uint8_t> zero_summary_;  // ZeroSummary's source buffer.
+  std::vector<uint8_t> compress_buf_;  // Write's compressed form, reused per block.
 };
 
 }  // namespace ld

@@ -80,7 +80,7 @@ Status LogStructuredDisk::HarvestVictim(uint32_t victim, CleanerBatch* batch,
     // *deferred* to the commit point (the victim-free loop): a failed pass
     // restores victims to kFull and retries, and an eager release here would
     // be applied once per attempt, underflowing the segment's live count.
-    *ext_live = std::min<uint32_t>(header.ext_bytes, usage_->segment(victim).live_bytes);
+    *ext_live = std::min<uint32_t>(header.ext_bytes, usage_->segment(victim).live_bytes());
   }
 
   // Pass 1: which block entries are live? (Checked before reading data.)
@@ -500,8 +500,8 @@ Status LogStructuredDisk::CleanSegments(uint32_t count) {
         victims.size() * static_cast<uint64_t>(data_capacity_) - batch_live;
     if (net_gain < data_capacity_) {
       const int64_t greedy = usage_->PickGreedy();
-      if (greedy >= 0 && usage_->segment(static_cast<uint32_t>(greedy)).live_bytes <
-                             usage_->segment(static_cast<uint32_t>(victim)).live_bytes) {
+      if (greedy >= 0 && usage_->segment(static_cast<uint32_t>(greedy)).live_bytes() <
+                             usage_->segment(static_cast<uint32_t>(victim)).live_bytes()) {
         victim = greedy;
       }
     }
@@ -514,7 +514,7 @@ Status LogStructuredDisk::CleanSegments(uint32_t count) {
     // of writer_budget — adding a second flat segment here double-reserves
     // and leaves a two-free-segment pool unable to merge two half-dead
     // victims into one output, the only move that lets it recover.
-    const uint64_t victim_live = usage_->segment(static_cast<uint32_t>(victim)).live_bytes;
+    const uint64_t victim_live = usage_->segment(static_cast<uint32_t>(victim)).live_bytes();
     const uint64_t per_image_overhead =
         static_cast<uint64_t>(options_.block_size) + ParityBytesFor(options_.block_size);
     const uint64_t per_image =
@@ -596,14 +596,14 @@ Status LogStructuredDisk::CleanSegments(uint32_t count) {
     ResetSegment(p, SegmentState::kFree);
   }
   for (size_t i = 0; i < victims.size(); ++i) {
-    SegmentUsage& seg = usage_->segment(victims[i]);
+    const uint32_t live = usage_->segment(victims[i]).live_bytes();
     // After the installs, the only live bytes left should be the victim's
     // spilled record extension (its release was deferred from the harvest).
-    if (seg.live_bytes != victim_ext[i]) {
-      LD_LOG(kWarn) << "cleaner: victim " << victims[i] << " still reports " << seg.live_bytes
+    if (live != victim_ext[i]) {
+      LD_LOG(kWarn) << "cleaner: victim " << victims[i] << " still reports " << live
                     << " live bytes (expected " << victim_ext[i] << " ext record bytes)";
     }
-    seg.live_bytes = 0;
+    usage_->SetLive(victims[i], 0);
     ResetSegment(victims[i], SegmentState::kFree);
     counters_.segments_cleaned++;
   }

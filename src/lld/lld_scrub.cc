@@ -344,9 +344,8 @@ StatusOr<ScrubReport> LogStructuredDisk::ScrubStep(uint32_t max_segments) {
       if (Status s = ZeroSummary(seg); !s.ok()) {
         return HandleWriteFailure(s);
       }
-      SegmentUsage& u = usage_->segment(seg);
-      u.live_bytes = 0;
-      u.seq = 0;
+      usage_->SetLive(seg, 0);
+      usage_->segment(seg).seq = 0;
       ResetSegment(seg, SegmentState::kFree);
       // The next checkpoint frame must record the retirement, or chain
       // replay would resurrect the segment as written.

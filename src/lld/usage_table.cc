@@ -11,7 +11,8 @@ void UsageTable::AddLive(uint32_t index, uint32_t bytes, OpTimestamp ts) {
 void UsageTable::AddLiveAged(uint32_t index, uint32_t bytes, OpTimestamp relog_ts,
                              OpTimestamp age) {
   SegmentUsage& s = segments_[index];
-  s.live_bytes += bytes;
+  s.live_bytes_ += bytes;
+  total_live_bytes_ += bytes;
   if (relog_ts > s.newest_ts) {
     s.newest_ts = relog_ts;
   }
@@ -22,8 +23,15 @@ void UsageTable::AddLiveAged(uint32_t index, uint32_t bytes, OpTimestamp relog_t
 
 void UsageTable::RemoveLive(uint32_t index, uint32_t bytes) {
   SegmentUsage& s = segments_[index];
-  assert(s.live_bytes >= bytes);
-  s.live_bytes -= bytes;
+  assert(s.live_bytes_ >= bytes);
+  s.live_bytes_ -= bytes;
+  total_live_bytes_ -= bytes;
+}
+
+void UsageTable::SetLive(uint32_t index, uint32_t bytes) {
+  SegmentUsage& s = segments_[index];
+  total_live_bytes_ = total_live_bytes_ - s.live_bytes_ + bytes;
+  s.live_bytes_ = bytes;
 }
 
 uint32_t UsageTable::FreeCount() const {
@@ -36,14 +44,6 @@ uint32_t UsageTable::FreeCount() const {
   return count;
 }
 
-uint64_t UsageTable::TotalLiveBytes() const {
-  uint64_t total = 0;
-  for (const auto& s : segments_) {
-    total += s.live_bytes;
-  }
-  return total;
-}
-
 int64_t UsageTable::PickGreedy() const {
   int64_t best = -1;
   uint32_t best_live = 0;
@@ -52,9 +52,9 @@ int64_t UsageTable::PickGreedy() const {
     if (s.state != SegmentState::kFull || s.aru_pins > 0 || !Harvestable(i)) {
       continue;
     }
-    if (best < 0 || s.live_bytes < best_live) {
+    if (best < 0 || s.live_bytes() < best_live) {
       best = i;
-      best_live = s.live_bytes;
+      best_live = s.live_bytes();
     }
   }
   return best;
@@ -68,7 +68,7 @@ int64_t UsageTable::PickCostBenefit(uint32_t segment_capacity, OpTimestamp now) 
     if (s.state != SegmentState::kFull || s.aru_pins > 0 || !Harvestable(i)) {
       continue;
     }
-    const double u = static_cast<double>(s.live_bytes) / segment_capacity;
+    const double u = static_cast<double>(s.live_bytes()) / segment_capacity;
     const OpTimestamp basis = s.age_ts != 0 ? s.age_ts : s.newest_ts;
     const double age = static_cast<double>(now - (basis < now ? basis : now)) + 1.0;
     const double score = (1.0 - u) * age / (1.0 + u);
@@ -119,6 +119,7 @@ void UsageTable::Reset() {
   for (auto& s : segments_) {
     s = SegmentUsage{};
   }
+  total_live_bytes_ = 0;
 }
 
 }  // namespace ld

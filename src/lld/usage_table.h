@@ -35,7 +35,14 @@ struct ParityGeometry {
 
 struct SegmentUsage {
   SegmentState state = SegmentState::kFree;
-  uint32_t live_bytes = 0;
+
+ private:
+  // Written only through UsageTable, which keeps the volume's total.
+  friend class UsageTable;
+  uint32_t live_bytes_ = 0;
+
+ public:
+  uint32_t live_bytes() const { return live_bytes_; }
   OpTimestamp newest_ts = 0;  // Newest block timestamp written into it.
   uint64_t seq = 0;           // Sequence number of the summary written there.
 
@@ -94,9 +101,13 @@ class UsageTable {
   // orders record authority) while age_ts only absorbs the preserved age.
   void AddLiveAged(uint32_t index, uint32_t bytes, OpTimestamp relog_ts, OpTimestamp age);
   void RemoveLive(uint32_t index, uint32_t bytes);
+  // Sets the segment's live bytes outright: a decoded checkpoint's count, or
+  // 0 for a segment that cleaning, scrub retirement or a stripe set empties.
+  void SetLive(uint32_t index, uint32_t bytes);
 
   uint32_t FreeCount() const;
-  uint64_t TotalLiveBytes() const;
+  // Sum of every segment's live bytes, kept as they change.
+  uint64_t TotalLiveBytes() const { return total_live_bytes_; }
 
   // Lowest-live-bytes kFull segment, or -1 if none.
   int64_t PickGreedy() const;
@@ -146,6 +157,7 @@ class UsageTable {
 
  private:
   std::vector<SegmentUsage> segments_;
+  uint64_t total_live_bytes_ = 0;
   const std::vector<uint8_t>* alloc_mask_ = nullptr;
   const std::vector<uint8_t>* victim_mask_ = nullptr;
 };

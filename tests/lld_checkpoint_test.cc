@@ -534,7 +534,9 @@ void ExpectSameTables(const TableImage& want, const TableImage& got) {
 // The log's widest values, planted as one more summary in the volume's last
 // segment: log replay puts each into the packed tables unchanged, and the
 // clean-shutdown base frame carries every field of every entry, sentinels
-// included, to the next open.
+// included, to the next open. A successor or list head must name an allocated
+// block, so those two point at the log-only block; recovery refuses a
+// dangling one (LldRecoveryTest.DanglingListLinksAreRefused).
 TEST(LldCheckpointTest, PackedTablesRoundTripLogLimitsThroughReplayAndBaseFrame) {
   CkptRig rig;
   LldOptions options = CkptOptions();
@@ -570,10 +572,10 @@ TEST(LldCheckpointTest, PackedTablesRoundTripLogLimitsThroughReplayAndBaseFrame)
   const std::vector<SummaryRecord> records = {
       SummaryRecord::BlockEntry(kMaxTs, big, kMaxOffset, kMaxBlockSize, kMaxBlockSize,
                                 /*compressed=*/true, 0xffffff),
-      SummaryRecord::LinkTuple(kMaxTs, big, kMaxId),
+      SummaryRecord::LinkTuple(kMaxTs, big, kOrphan),
       SummaryRecord::BlockAlloc(kMaxTs, big, kMaxId, kMaxBlockSize),
       SummaryRecord::BlockAlloc(kMaxTs, kOrphan, list, 4096),
-      SummaryRecord::ListHead(kMaxTs, list, kMaxId),
+      SummaryRecord::ListHead(kMaxTs, list, kOrphan),
       SummaryRecord::ListMove(kMaxTs, list, empty, ListHints{}),
   };
   std::vector<uint8_t> tail(options.summary_bytes);
@@ -586,7 +588,7 @@ TEST(LldCheckpointTest, PackedTablesRoundTripLogLimitsThroughReplayAndBaseFrame)
     EXPECT_EQ(lld->last_recovery().mode, RecoveryMode::kLogScan);
     const BlockMapEntry& b = lld->block_map().entry(big);
     EXPECT_EQ(b.phys(), (PhysAddr{last_seg, kMaxOffset}));
-    EXPECT_EQ(b.successor(), kMaxId);
+    EXPECT_EQ(b.successor(), kOrphan);
     EXPECT_EQ(b.list(), kMaxId);
     EXPECT_EQ(b.size_class(), kMaxBlockSize);
     EXPECT_EQ(b.stored_size(), kMaxBlockSize);
@@ -601,7 +603,7 @@ TEST(LldCheckpointTest, PackedTablesRoundTripLogLimitsThroughReplayAndBaseFrame)
     EXPECT_EQ(orphan.link_seg(), kNoAuthoritySeg);
     EXPECT_EQ(orphan.alloc_seg(), last_seg);
     const ListEntry& l = lld->list_table().entry(list);
-    EXPECT_EQ(l.first(), kMaxId);
+    EXPECT_EQ(l.first(), kOrphan);
     EXPECT_EQ(l.head_seg(), last_seg);
     EXPECT_EQ(l.create_seg(), last_seg);
     EXPECT_EQ(l.lol_next(), empty);

@@ -332,6 +332,84 @@ TEST(LldScrubTest, ScrubRetiresSegmentWithCorruptSummary) {
   EXPECT_EQ(*(*reopened)->ListBlocks(*list), bids);
 }
 
+// UsageTable keeps the volume's live bytes as a running total. It must equal
+// a fresh sum over the segments after every path that sets a segment's count:
+// format, fill, cleaning, scrub retirement, stripe registration, and recovery
+// from the log and from a checkpoint.
+void ExpectLiveTotalMatchesSegments(const LogStructuredDisk& lld, const char* step) {
+  uint64_t sum = 0;
+  for (uint32_t s = 0; s < lld.num_segments(); ++s) {
+    sum += lld.usage_table().segment(s).live_bytes();
+  }
+  EXPECT_EQ(lld.usage_table().TotalLiveBytes(), sum) << step;
+}
+
+TEST(LldScrubTest, LiveByteTotalMatchesSegmentSum) {
+  {
+    ScrubRig rig;
+    auto lld = rig.Format();
+    ExpectLiveTotalMatchesSegments(*lld, "format");
+    auto list = lld->NewList(kBeginOfListOfLists, ListHints{});
+    auto bids = rig.FillBlocks(lld.get(), *list, 120);
+    ExpectLiveTotalMatchesSegments(*lld, "fill");
+    EXPECT_GT(lld->usage_table().TotalLiveBytes(), 0u);
+
+    for (size_t i = 0; i < bids.size(); i += 2) {
+      ASSERT_TRUE(lld->Write(bids[i], Pattern(4096, 1000 + static_cast<uint32_t>(i))).ok());
+    }
+    ASSERT_TRUE(lld->Flush().ok());
+    const uint64_t cleaned = lld->counters().segments_cleaned;
+    ASSERT_TRUE(lld->CleanSegments(2).ok());
+    EXPECT_GT(lld->counters().segments_cleaned, cleaned);
+    ExpectLiveTotalMatchesSegments(*lld, "cleaning");
+
+    const Bid probe = rig.PickFullSegmentBlock(lld.get(), bids);
+    const uint32_t seg = lld->block_map().entry(probe).phys().segment;
+    ASSERT_TRUE(
+        rig.disk->CorruptSector(lld->SegmentSummaryStartByte(seg) / kSectorSize, 0, 0xff).ok());
+    auto report = lld->Scrub();
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(report->suspect_segments, 1u);
+    ExpectLiveTotalMatchesSegments(*lld, "scrub retirement");
+
+    rig.disk->CrashNow();
+    rig.disk->ClearFault();
+    lld.reset();
+    auto from_log = LogStructuredDisk::Open(rig.disk.get(), TestOptions());
+    ASSERT_TRUE(from_log.ok()) << from_log.status().ToString();
+    EXPECT_EQ((*from_log)->last_recovery().mode, RecoveryMode::kLogScan);
+    ExpectLiveTotalMatchesSegments(**from_log, "recovery from the log");
+    const uint64_t live = (*from_log)->usage_table().TotalLiveBytes();
+    ASSERT_TRUE((*from_log)->Shutdown().ok());
+    from_log->reset();
+
+    auto from_checkpoint = LogStructuredDisk::Open(rig.disk.get(), TestOptions());
+    ASSERT_TRUE(from_checkpoint.ok()) << from_checkpoint.status().ToString();
+    EXPECT_EQ((*from_checkpoint)->last_recovery().mode, RecoveryMode::kCheckpointClean);
+    ExpectLiveTotalMatchesSegments(**from_checkpoint, "recovery from a checkpoint");
+    EXPECT_EQ((*from_checkpoint)->usage_table().TotalLiveBytes(), live);
+  }
+  {
+    // Recovery registers the surviving stripe sets, zeroing each parity
+    // segment's count.
+    ScrubRig rig(/*channels=*/4);
+    LldOptions options = TestOptions();
+    options.stripe_parity = true;
+    auto lld = rig.Format(options);
+    auto list = lld->NewList(kBeginOfListOfLists, ListHints{});
+    rig.FillBlocks(lld.get(), *list, 200);
+    ASSERT_GT(lld->stripe_count(), 0u);
+    ExpectLiveTotalMatchesSegments(*lld, "striped fill");
+    rig.disk->CrashNow();
+    rig.disk->ClearFault();
+    lld.reset();
+    auto reopened = LogStructuredDisk::Open(rig.disk.get(), options);
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    EXPECT_GT((*reopened)->stripe_count(), 0u);
+    ExpectLiveTotalMatchesSegments(**reopened, "stripe registration");
+  }
+}
+
 TEST(LldScrubTest, ScrubReportsUnrepairableBlockOnHealthySegment) {
   ScrubRig rig;
   auto lld = rig.Format(NoParityOptions());  // No redundancy: damage is permanent.
