@@ -51,9 +51,7 @@ StatusOr<const BlockMapEntry*> BlockMap::Lookup(Bid bid) const {
 }
 
 BlockMapEntry& BlockMap::EnsureAllocated(Bid bid) {
-  if (bid >= entries_.size()) {
-    entries_.resize(bid + 1);
-  }
+  Extend(bid);
   BlockMapEntry& e = entries_[bid];
   if (!e.allocated()) {
     e.set_allocated(true);
@@ -68,6 +66,12 @@ void BlockMap::ForceFree(Bid bid) {
   }
   ResetEntry(bid);
   allocated_count_--;
+}
+
+void BlockMap::Extend(Bid bid) {
+  if (bid >= entries_.size()) {
+    entries_.resize(bid + 1);
+  }
 }
 
 void BlockMap::ResetEntry(Bid bid) {

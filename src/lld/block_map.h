@@ -158,6 +158,10 @@ class BlockMap {
   // list (RebuildFreeList runs afterwards). Tolerates replayed duplicates.
   void ForceFree(Bid bid);
 
+  // Grows the map so that `bid` has an entry; new entries are free. For
+  // recovery, before RebuildFreeList.
+  void Extend(Bid bid);
+
   // Rebuilds the free-number list after recovery: every bid in
   // 1..max that is not allocated becomes free.
   void RebuildFreeList();
