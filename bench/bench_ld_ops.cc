@@ -3,14 +3,17 @@
 // The paper's performance results are disk-bound; this binary measures the
 // *CPU* cost of LLD's in-memory work (block-map updates, list maintenance,
 // summary logging, segment assembly) on a zero-latency MemDisk, which is
-// what a host would pay per operation on top of the I/O, and the LZRW1 coder
-// that compressed lists run on every block.
+// what a host would pay per operation on top of the I/O, the CRC-32 that
+// every write and verified read takes, and the LZRW1 coder that compressed
+// lists run on every block.
 
 #include <benchmark/benchmark.h>
 
 #include "src/compress/lzrw.h"
 #include "src/disk/mem_disk.h"
 #include "src/lld/lld.h"
+#include "src/util/crc32.h"
+#include "src/util/random.h"
 #include "src/workload/data_gen.h"
 
 namespace ld {
@@ -125,6 +128,28 @@ void BM_DeleteBlockWithHint(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DeleteBlockWithHint);
+
+// One CRC-32 over a span of random bytes, labelled with the kernel
+// Crc32Update chose on this CPU.
+void Crc32Bench(benchmark::State& state, size_t size) {
+  std::vector<uint8_t> data(size);
+  Rng rng(7);
+  for (auto& b : data) {
+    b = static_cast<uint8_t>(rng.Next());
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32(data));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * size));
+  state.SetLabel(crc32_internal::HasFolded() ? "folded" : "slice-by-16");
+}
+
+// A block payload and a segment summary.
+void BM_Crc32_4K(benchmark::State& state) { Crc32Bench(state, 4096); }
+BENCHMARK(BM_Crc32_4K);
+
+void BM_Crc32_16K(benchmark::State& state) { Crc32Bench(state, 16384); }
+BENCHMARK(BM_Crc32_16K);
 
 void BM_Lzrw1Compress4K(benchmark::State& state) {
   const std::vector<std::vector<uint8_t>> blocks = CompressibleBlocks();

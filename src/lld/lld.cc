@@ -1047,7 +1047,17 @@ Status LogStructuredDisk::Read(Bid bid, std::span<uint8_t> out) {
     return read_with_repair(out, /*compressed=*/false);
   }
 
-  std::vector<uint8_t> stored(entry->stored_size());
+  // The stored form goes into a buffer kept across reads and regrown only
+  // for a larger block, so a warm read neither allocates nor zero-fills. The
+  // span ends where the allocation ends, so a sanitizer build still faults a
+  // Decompress that reads past its input. Nothing that runs while the buffer
+  // is held (repair, relocation, Decompress) reads a block through Read.
+  const size_t stored_size = entry->stored_size();
+  if (stored_buf_.size() < stored_size) {
+    stored_buf_ = std::vector<uint8_t>(stored_size);
+  }
+  const std::span<uint8_t> stored(stored_buf_.data() + stored_buf_.size() - stored_size,
+                                  stored_size);
   if (phys.IsOpen()) {
     std::memcpy(stored.data(), open_.buffer.data() + phys.offset, stored.size());
   } else {

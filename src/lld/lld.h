@@ -911,6 +911,7 @@ class LogStructuredDisk : public LogicalDisk {
   std::vector<uint8_t> io_scratch_;  // Reusable sector-aligned I/O buffer.
   std::vector<uint8_t> zero_summary_;  // ZeroSummary's source buffer.
   std::vector<uint8_t> compress_buf_;  // Write's compressed form, reused per block.
+  std::vector<uint8_t> stored_buf_;    // Read's stored form of a compressed block, reused.
 };
 
 }  // namespace ld

@@ -49,11 +49,11 @@ void Decoder::Skip(size_t n) {
   pos_ += n;
 }
 
-Status Decoder::ToStatus(const std::string& context) const {
+Status Decoder::ToStatus(const char* context) const {
   if (ok()) {
     return OkStatus();
   }
-  return CorruptionError("decode failed: " + context);
+  return CorruptionError(std::string("decode failed: ") + context);
 }
 
 }  // namespace ld

@@ -69,8 +69,9 @@ class Decoder {
   // Skips n bytes (marks the decoder failed if out of range).
   void Skip(size_t n);
 
-  // Converts decode failure into a Status for callers.
-  Status ToStatus(const std::string& context) const;
+  // Converts decode failure into a Status for callers. `context` names the
+  // structure; the message is built only on failure.
+  Status ToStatus(const char* context) const;
 
  private:
   std::span<const uint8_t> data_;

@@ -265,6 +265,21 @@ TEST(SummaryCodecTest, GoldenBytes) {
   EXPECT_EQ(Hex(tail), golden);
 }
 
+// A record cut anywhere after its flags byte fails with the decoder's own
+// message: type, timestamp and flags decode, so the cut is the only fault.
+TEST(SummaryCodecTest, TruncatedRecordIsCorruption) {
+  for (const SummaryRecord& r : GoldenRecords()) {
+    const std::vector<uint8_t> whole = Encoded(r);
+    for (size_t cut = 8; cut < whole.size(); ++cut) {
+      Decoder dec(std::span<const uint8_t>(whole).first(cut));
+      const Status status = SummaryRecord::DecodeFrom(&dec).status();
+      EXPECT_EQ(status.code(), ErrorCode::kCorruption);
+      EXPECT_EQ(status.message(), "decode failed: summary record")
+          << "type " << static_cast<int>(r.type) << " cut " << cut;
+    }
+  }
+}
+
 // The pre-checksum block-entry layout (flag 0x20 clear, the owning list
 // where the CRC now sits) is refused: bid 11, list 4, offset 512, 300 stored
 // bytes of a 1024-byte block.

@@ -10,9 +10,11 @@
 #include <string>
 #include <vector>
 
+#include "src/compress/lzrw.h"
 #include "src/disk/fault_disk.h"
 #include "src/disk/mem_disk.h"
 #include "src/lld/lld.h"
+#include "src/util/random.h"
 #include "tests/device_test_util.h"
 
 namespace ld {
@@ -494,6 +496,73 @@ TEST(LldScrubTest, ParityReconstructsSingleFlipOnHealthySegment) {
   EXPECT_EQ(again->blocks_reconstructed, 0u);
   EXPECT_EQ(again->blocks_corrupt, 0u);
   EXPECT_EQ(again->blocks_unreadable, 0u);
+}
+
+// Compressed blocks read back to back: stored sizes that shrink and then grow
+// each decode to their own bytes, from the media and from the open segment,
+// and a damaged compressed block is rebuilt from segment parity.
+TEST(LldScrubTest, CompressedReadsOfVaryingStoredSizesAndParityRepair) {
+  ScrubRig rig;
+  Lzrw1Compressor lzrw;
+  LldOptions options = ParityOptions();
+  options.compressor = &lzrw;
+  auto lld = rig.Format(options);
+  ListHints hints;
+  hints.compress = true;
+  auto list = lld->NewList(kBeginOfListOfLists, hints);
+  ASSERT_TRUE(list.ok());
+
+  // Block i holds random bytes up to a length that falls and then rises,
+  // then zeros, so its stored size follows the same curve.
+  constexpr uint32_t kRandomBytes[] = {3500, 2400, 1200, 300, 1200, 2400, 3500};
+  Rng rng(11);
+  std::vector<std::vector<uint8_t>> blocks;
+  std::vector<Bid> bids;
+  Bid pred = kBeginOfList;
+  for (uint32_t i = 0; i < 140; ++i) {
+    std::vector<uint8_t> data(4096, 0);
+    for (uint32_t j = 0; j < kRandomBytes[i % std::size(kRandomBytes)]; ++j) {
+      data[j] = static_cast<uint8_t>(rng.Next());
+    }
+    auto bid = lld->NewBlock(*list, pred);
+    ASSERT_TRUE(bid.ok());
+    ASSERT_TRUE(lld->Write(*bid, data).ok());
+    blocks.push_back(std::move(data));
+    bids.push_back(*bid);
+    pred = *bid;
+    if (i == 125) {
+      ASSERT_TRUE(lld->Flush().ok());  // The last 14 stay in the open segment.
+    }
+  }
+  for (size_t i = 1; i < std::size(kRandomBytes); ++i) {
+    const uint32_t prev = lld->block_map().entry(bids[i - 1]).stored_size();
+    const uint32_t cur = lld->block_map().entry(bids[i]).stored_size();
+    EXPECT_TRUE(i < 4 ? cur < prev : cur > prev) << i << ": " << prev << " -> " << cur;
+  }
+
+  std::vector<uint8_t> out(4096);
+  auto read_all = [&] {
+    for (size_t i = 0; i < bids.size(); ++i) {
+      const BlockMapEntry& e = lld->block_map().entry(bids[i]);
+      ASSERT_TRUE(e.compressed()) << i;
+      ASSERT_TRUE(lld->Read(bids[i], out).ok()) << i;
+      ASSERT_EQ(out, blocks[i]) << i;
+    }
+  };
+  read_all();
+  EXPECT_TRUE(lld->block_map().entry(bids.front()).phys().IsOnDisk());
+  EXPECT_TRUE(lld->block_map().entry(bids.back()).phys().IsOpen());
+
+  // Damage one byte inside a compressed block's stored bytes in a full
+  // segment; the read rebuilds it through the segment's parity lane.
+  const Bid victim = rig.PickFullSegmentBlock(lld.get(), bids);
+  const BlockMapEntry& e = lld->block_map().entry(victim);
+  const uint64_t byte = lld->SegmentStartByte(e.phys().segment) + e.phys().offset + 40;
+  ASSERT_TRUE(rig.disk->CorruptSector(byte / kSectorSize, byte % kSectorSize, 0x40).ok());
+  const uint64_t reconstructed = lld->counters().blocks_reconstructed;
+  read_all();
+  EXPECT_EQ(lld->counters().blocks_reconstructed, reconstructed + 1);
+  EXPECT_GE(lld->counters().read_crc_failures, 1u);
 }
 
 TEST(LldScrubTest, ParityCannotRepairTwoDamagedBlocksInOneSegment) {

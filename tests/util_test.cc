@@ -127,8 +127,8 @@ TEST(Crc32Test, KnownVector) {
             0xcbf43926u);
 }
 
-// Bit-at-a-time register update, 8 shifts per byte: the reference the
-// table-driven Crc32Update must match on every span and seed.
+// Bit-at-a-time register update, 8 shifts per byte: the reference both
+// kernels behind Crc32Update must match on every span and register.
 uint32_t BitwiseCrc32Update(uint32_t crc, std::span<const uint8_t> data) {
   for (uint8_t byte : data) {
     crc ^= byte;
@@ -139,43 +139,26 @@ uint32_t BitwiseCrc32Update(uint32_t crc, std::span<const uint8_t> data) {
   return crc;
 }
 
-TEST(Crc32Test, IncrementalMatchesOneShot) {
-  std::vector<uint8_t> data(1000);
-  Rng rng(1);
+std::vector<uint8_t> RandomBytes(uint64_t seed, size_t size) {
+  std::vector<uint8_t> data(size);
+  Rng rng(seed);
   for (auto& b : data) {
     b = static_cast<uint8_t>(rng.Next());
   }
+  return data;
+}
+
+TEST(Crc32Test, IncrementalMatchesOneShot) {
+  const std::vector<uint8_t> data = RandomBytes(1, 1000);
   const std::span<const uint8_t> all(data);
   uint32_t crc = Crc32Init();
   crc = Crc32Update(crc, all.subspan(0, 400));
   crc = Crc32Update(crc, all.subspan(400));
   EXPECT_EQ(Crc32Final(crc), Crc32(data));
 
-  // Every length across the 16-byte body/tail boundary, at every alignment.
-  for (size_t offset = 0; offset < 16; ++offset) {
-    for (size_t length = 0; length <= 48; ++length) {
-      const auto span = all.subspan(offset, length);
-      ASSERT_EQ(Crc32(span), Crc32Final(BitwiseCrc32Update(Crc32Init(), span)))
-          << "offset " << offset << " length " << length;
-    }
-  }
-
-  // Random spans from an arbitrary register value, as a chained update sees.
-  std::vector<uint8_t> big(16384);
-  for (auto& b : big) {
-    b = static_cast<uint8_t>(rng.Next());
-  }
-  for (int i = 0; i < 1000; ++i) {
-    const size_t length = rng.Below(9001);
-    const size_t offset = rng.Below(big.size() - length + 1);
-    const auto seed = static_cast<uint32_t>(rng.Next());
-    const auto span = std::span<const uint8_t>(big).subspan(offset, length);
-    ASSERT_EQ(Crc32Update(seed, span), BitwiseCrc32Update(seed, span))
-        << "offset " << offset << " length " << length << " seed " << seed;
-  }
-
-  // Every split point of a short buffer chained through two updates.
-  const auto head = all.subspan(0, 100);
+  // Every split point of a 300-byte buffer chained through two updates, so
+  // each side crosses the 64-byte folding threshold.
+  const auto head = all.subspan(0, 300);
   const uint32_t whole = Crc32Final(BitwiseCrc32Update(Crc32Init(), head));
   for (size_t split = 0; split <= head.size(); ++split) {
     const uint32_t chained =
@@ -183,6 +166,101 @@ TEST(Crc32Test, IncrementalMatchesOneShot) {
     ASSERT_EQ(Crc32Final(chained), whole) << "split " << split;
   }
 }
+
+// The CRC-32 of a fixed 1-MB corpus, chained over 4-KB and over 16-KB pieces
+// (the payload and summary sizes), and of each piece on its own. The values
+// were taken with slice-by-16 alone, so a change to both kernels together
+// cannot drift a checksum already on disk.
+TEST(Crc32Test, PinnedCorpusChecksums) {
+  const std::vector<uint8_t> corpus = RandomBytes(1993, 1 << 20);
+  const std::span<const uint8_t> all(corpus);
+  for (size_t piece : {size_t{4096}, size_t{16384}}) {
+    uint32_t chained = Crc32Init();
+    std::vector<uint8_t> piece_crcs;
+    Encoder enc(&piece_crcs);
+    for (size_t at = 0; at < all.size(); at += piece) {
+      chained = Crc32Update(chained, all.subspan(at, piece));
+      enc.PutU32(Crc32(all.subspan(at, piece)));
+    }
+    EXPECT_EQ(Crc32Final(chained), 0x6001783fu) << piece;
+    EXPECT_EQ(Crc32(piece_crcs), piece == 4096 ? 0xf13f6c1cu : 0xe071db07u) << piece;
+  }
+}
+
+// Each kernel behind Crc32Update against the bit-at-a-time reference. The
+// folded leg is skipped on a CPU without PCLMULQDQ and SSE4.1.
+struct Crc32Kernel {
+  const char* name;
+  uint32_t (*update)(uint32_t, std::span<const uint8_t>);
+  bool (*available)();
+};
+
+void PrintTo(const Crc32Kernel& kernel, std::ostream* os) { *os << kernel.name; }
+
+class Crc32KernelTest : public ::testing::TestWithParam<Crc32Kernel> {
+ protected:
+  void SetUp() override {
+    if (!GetParam().available()) {
+      GTEST_SKIP() << "this CPU lacks PCLMULQDQ or SSE4.1";
+    }
+  }
+  uint32_t Update(uint32_t crc, std::span<const uint8_t> data) const {
+    return GetParam().update(crc, data);
+  }
+};
+
+constexpr uint32_t kRegisters[] = {0xffffffffu, 0u, 0x9e3779b9u};
+
+TEST_P(Crc32KernelTest, EveryShortSpanMatchesBitwise) {
+  // Lengths 0-300 cover the table tail, the 64-byte folding threshold, the
+  // four-lane loop, single 16-byte folds and every 0-15-byte remainder.
+  const std::vector<uint8_t> data = RandomBytes(2, 316);
+  const std::span<const uint8_t> all(data);
+  for (uint32_t reg : kRegisters) {
+    for (size_t offset = 0; offset < 16; ++offset) {
+      for (size_t length = 0; length <= 300; ++length) {
+        const auto span = all.subspan(offset, length);
+        ASSERT_EQ(Update(reg, span), BitwiseCrc32Update(reg, span))
+            << "register " << reg << " offset " << offset << " length " << length;
+      }
+    }
+  }
+}
+
+TEST_P(Crc32KernelTest, RandomSpansMatchBitwise) {
+  const std::vector<uint8_t> data = RandomBytes(3, (64 << 10) + 16);
+  const std::span<const uint8_t> all(data);
+  Rng rng(4);
+  for (int i = 0; i < 2000; ++i) {
+    const size_t length = rng.Below((64 << 10) + 1);
+    const size_t offset = rng.Below(all.size() - length + 1);
+    const auto reg = static_cast<uint32_t>(rng.Next());
+    const auto span = all.subspan(offset, length);
+    ASSERT_EQ(Update(reg, span), BitwiseCrc32Update(reg, span))
+        << "register " << reg << " offset " << offset << " length " << length;
+  }
+}
+
+TEST_P(Crc32KernelTest, EverySplitChainsToTheWhole) {
+  const std::vector<uint8_t> data = RandomBytes(5, 300);
+  const std::span<const uint8_t> all(data);
+  for (uint32_t reg : kRegisters) {
+    const uint32_t whole = BitwiseCrc32Update(reg, all);
+    for (size_t split = 0; split <= all.size(); ++split) {
+      ASSERT_EQ(Update(Update(reg, all.subspan(0, split)), all.subspan(split)), whole)
+          << "register " << reg << " split " << split;
+    }
+  }
+}
+
+bool Always() { return true; }
+
+INSTANTIATE_TEST_SUITE_P(
+    Kernels, Crc32KernelTest,
+    ::testing::Values(Crc32Kernel{"Table", crc32_internal::TableUpdate, Always},
+                      Crc32Kernel{"Folded", crc32_internal::FoldedUpdate,
+                                  crc32_internal::HasFolded}),
+    [](const ::testing::TestParamInfo<Crc32Kernel>& info) { return info.param.name; });
 
 TEST(Crc32Test, DetectsBitFlip) {
   std::vector<uint8_t> data(64, 0x5a);
