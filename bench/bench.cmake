@@ -34,6 +34,6 @@ ld_bench(bench_faults)
 # Per-operation CPU microbenchmarks of the LD interface (google-benchmark).
 find_package(benchmark REQUIRED)
 add_executable(bench_ld_ops ${LD_BENCH_DIR}/bench_ld_ops.cc)
-target_link_libraries(bench_ld_ops PRIVATE ldlld ldworkload ldcompress lddisk ldutil
+target_link_libraries(bench_ld_ops PRIVATE ldminix ldlld ldworkload ldcompress lddisk ldutil
   benchmark::benchmark)
 set_target_properties(bench_ld_ops PROPERTIES RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)

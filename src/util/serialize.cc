@@ -7,19 +7,6 @@ void Encoder::PutString(const std::string& s) {
   out_->insert(out_->end(), s.begin(), s.end());
 }
 
-uint64_t Decoder::GetLe(int bytes) {
-  if (failed_ || remaining() < static_cast<size_t>(bytes)) {
-    failed_ = true;
-    return 0;
-  }
-  uint64_t v = 0;
-  for (int i = 0; i < bytes; ++i) {
-    v |= static_cast<uint64_t>(data_[pos_ + i]) << (8 * i);
-  }
-  pos_ += bytes;
-  return v;
-}
-
 std::vector<uint8_t> Decoder::GetBytes(size_t n) {
   if (failed_ || remaining() < n) {
     failed_ = true;

@@ -1,8 +1,8 @@
 // Direct unit tests for the MINIX buffer cache: LRU eviction, dirty
 // write-back, flush ordering, clustering (both on sync and on eviction),
 // discard semantics, the pending-read table (single-flight coalescing,
-// cancellation, adoption), and a seeded differential test against a
-// reference LRU model.
+// cancellation, adoption), recycled read buffers, and a seeded differential
+// test against a reference LRU model.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +10,8 @@
 #include <map>
 #include <memory>
 
+#include "src/disk/fault_disk.h"
+#include "src/disk/mem_disk.h"
 #include "src/minixfs/buffer_cache.h"
 #include "src/util/random.h"
 
@@ -368,6 +370,112 @@ TEST(BufferCacheAsyncTest, GetAsyncOfDirtyBlockSubmitsNoRead) {
   EXPECT_EQ((*again)->data[0], 0x5e);
   ASSERT_TRUE(cache.FlushAll().ok());
   EXPECT_EQ(backing.blocks[7][0], 0x5e);  // The dirty bytes reach the media.
+}
+
+// --- Recycled buffers ----------------------------------------------------------
+
+// A block dropped while the cache held its only reference leaves its data
+// vector for a later load to read into. A load that fails, at submit (a
+// latent sector error on a FaultDisk) or at the wait, and a cancelled
+// read-ahead must never let such a buffer's old bytes into the cache; and
+// the counters of this fixed trace are those the cache gave before it
+// recycled buffers.
+TEST(BufferCacheTest, RecycledBuffersNeverExposeOldBytes) {
+  constexpr uint32_t kBlockSize = 512;  // One sector per block.
+  SimClock clock;
+  MemDisk mem(256, kBlockSize, &clock);
+  FaultDisk disk(&mem);
+  auto media_byte = [](uint32_t bno) { return static_cast<uint8_t>(0x40 + bno); };
+  for (uint32_t bno = 0; bno < 64; ++bno) {
+    ASSERT_TRUE(disk.Write(bno, std::vector<uint8_t>(kBlockSize, media_byte(bno))).ok());
+  }
+  uint32_t fail_waits = 0;
+  BufferCache cache(
+      kBlockSize, 8,
+      [&disk](uint32_t bno, std::span<uint8_t> out) -> StatusOr<uint64_t> {
+        return disk.SubmitRead(bno, out);
+      },
+      [&disk, &fail_waits](uint64_t token) {
+        Status s = disk.WaitFor(token);
+        if (fail_waits > 0) {
+          fail_waits--;
+          return IoError("injected wait failure");
+        }
+        return s;
+      },
+      [&disk](uint32_t bno, uint32_t count, std::span<const uint8_t> data) {
+        EXPECT_EQ(count, 1u);
+        return disk.Write(bno, data);
+      });
+  // Each block the cache holds has all of its media bytes, or all zeros
+  // for one got with load=false, and none of another block's.
+  auto expect_block = [&](uint32_t bno, uint8_t byte) {
+    auto block = cache.Get(bno, /*load=*/true);
+    ASSERT_TRUE(block.ok()) << block.status().ToString();
+    EXPECT_EQ((*block)->data, std::vector<uint8_t>(kBlockSize, byte)) << "block " << bno;
+  };
+
+  for (uint32_t bno = 0; bno < 8; ++bno) {
+    expect_block(bno, media_byte(bno));
+  }
+  cache.Discard(0);
+  cache.Discard(1);
+
+  // A latent error fails the load at submit: nothing is cached, and after
+  // the sector is rewritten the next load reads it whole.
+  disk.InjectLatentError(20);
+  auto failed = cache.Get(20, /*load=*/true);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), ErrorCode::kIoError);
+  EXPECT_FALSE(cache.Contains(20));
+  ASSERT_TRUE(disk.Write(20, std::vector<uint8_t>(kBlockSize, 0x77)).ok());
+  expect_block(20, 0x77);
+
+  // A failed wait drops its buffer too.
+  cache.Discard(2);
+  fail_waits = 1;
+  failed = cache.Get(21, /*load=*/true);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_FALSE(cache.Contains(21));
+  expect_block(21, media_byte(21));
+
+  // Evictions of clean blocks leave spares; load=false gets zeros.
+  for (uint32_t bno = 30; bno < 36; ++bno) {
+    expect_block(bno, media_byte(bno));
+  }
+  auto fresh = cache.Get(40, /*load=*/false);
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_EQ((*fresh)->data, std::vector<uint8_t>(kBlockSize, 0));
+
+  // A read-ahead cancelled by an overwrite or a discard installs nothing:
+  // the overwrite sees zeros, and a later load reads the media.
+  cache.Discard(30);
+  cache.Discard(31);
+  ASSERT_TRUE(cache.GetAsync(41, /*prefetch=*/true).ok());
+  auto overwrite = cache.Get(41, /*load=*/false);
+  ASSERT_TRUE(overwrite.ok());
+  EXPECT_EQ((*overwrite)->data, std::vector<uint8_t>(kBlockSize, 0));
+  ASSERT_TRUE(cache.GetAsync(42, /*prefetch=*/true).ok());
+  cache.Discard(42);
+  EXPECT_FALSE(cache.Contains(42));
+  expect_block(42, media_byte(42));
+
+  // An adopted read-ahead holds its media bytes.
+  ASSERT_TRUE(cache.GetAsync(43, /*prefetch=*/true).ok());
+  expect_block(43, media_byte(43));
+  for (uint32_t bno = 0; bno < 64; ++bno) {
+    if (cache.Contains(bno)) {
+      SCOPED_TRACE("block " + std::to_string(bno));
+      expect_block(bno, bno == 20 ? 0x77 : bno == 40 || bno == 41 ? 0 : media_byte(bno));
+    }
+  }
+
+  EXPECT_EQ(cache.hits(), 9u);
+  EXPECT_EQ(cache.misses(), 21u);
+  EXPECT_EQ(cache.prefetch_hits(), 1u);
+  EXPECT_EQ(cache.prefetch_issued(), 3u);
+  EXPECT_EQ(cache.prefetch_wasted(), 2u);
+  EXPECT_EQ(cache.coalesced_reads(), 0u);
 }
 
 // --- Differential test against a reference LRU model ------------------------

@@ -111,6 +111,55 @@ TEST(SerializeTest, DecoderDetectsTruncation) {
   EXPECT_EQ(dec.ToStatus("test").code(), ErrorCode::kCorruption);
 }
 
+// Each fixed width reads whole at the exact end of a buffer; one byte short,
+// it fails, returns 0 and consumes nothing, and every later read returns 0
+// even where bytes remain.
+TEST(SerializeTest, EachWidthAtTheEndAndOneByteShort) {
+  const std::vector<uint8_t> bytes = {0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88, 0x99};
+  for (int width : {1, 2, 3, 4, 5, 6, 7, 8}) {
+    SCOPED_TRACE("width " + std::to_string(width));
+    uint64_t want = 0;
+    for (int i = 0; i < width; ++i) {
+      want |= static_cast<uint64_t>(bytes[1 + i]) << (8 * i);
+    }
+    // The value sits at the end of the buffer, after one leading byte.
+    Decoder exact(std::span<const uint8_t>(bytes).subspan(0, 1 + width));
+    EXPECT_EQ(exact.GetU8(), 0x11);
+    EXPECT_EQ(exact.GetLe(width), want);
+    EXPECT_TRUE(exact.ok());
+    EXPECT_EQ(exact.remaining(), 0u);
+
+    Decoder shy(std::span<const uint8_t>(bytes).subspan(0, width));
+    EXPECT_EQ(shy.GetU8(), 0x11);
+    EXPECT_EQ(shy.GetLe(width), 0u);
+    EXPECT_FALSE(shy.ok());
+    EXPECT_EQ(shy.position(), 1u);
+    if (width > 1) {
+      EXPECT_EQ(shy.GetU8(), 0u);  // Bytes remain, but the decoder has failed.
+    }
+    EXPECT_EQ(shy.ToStatus("test").ToString(), "CORRUPTION: decode failed: test");
+  }
+  // The named widths are GetLe's.
+  Decoder named(bytes);
+  EXPECT_EQ(named.GetU16(), 0x2211u);
+  EXPECT_EQ(named.GetU24(), 0x554433u);
+  EXPECT_EQ(named.GetU32(), 0x99887766u);
+  EXPECT_TRUE(named.ok());
+  EXPECT_EQ(named.GetU48(), 0u);
+  EXPECT_EQ(named.GetU64(), 0u);
+  EXPECT_FALSE(named.ok());
+  Decoder wide(bytes);
+  EXPECT_EQ(wide.GetU48(), 0x665544332211u);
+  EXPECT_EQ(wide.GetU24(), 0x998877u);
+  EXPECT_EQ(wide.GetLe(0), 0u);
+  EXPECT_TRUE(wide.ok());
+  Decoder full(bytes);
+  EXPECT_EQ(full.GetU64(), 0x8877665544332211u);
+  EXPECT_EQ(full.GetU8(), 0x99u);
+  EXPECT_EQ(full.GetU8(), 0u);
+  EXPECT_FALSE(full.ok());
+}
+
 TEST(SerializeTest, SkipRespectsBounds) {
   std::vector<uint8_t> buf = {1, 2, 3};
   Decoder dec(buf);
