@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <cstring>
 
+#include "src/util/serialize.h"
+
 namespace ld {
 
 namespace {
@@ -28,15 +30,6 @@ constexpr size_t kSlotBias = kMaxOffset + 1;
 // the last kMaxMatch - 1 bytes take the byte-at-a-time match loop.
 constexpr size_t kTailBytes = kMaxMatch - 1;
 
-// Assembled from bytes so the result does not depend on host byte order:
-// byte k of the input is bits 8k..8k+7, so the first differing byte of two
-// words is the lowest set bit of their XOR.
-uint64_t LoadLe64(const uint8_t* p) {
-  return uint64_t{p[0]} | uint64_t{p[1]} << 8 | uint64_t{p[2]} << 16 | uint64_t{p[3]} << 24 |
-         uint64_t{p[4]} << 32 | uint64_t{p[5]} << 40 | uint64_t{p[6]} << 48 |
-         uint64_t{p[7]} << 56;
-}
-
 uint32_t Hash3(uint32_t v) {
   // Multiplicative hash of a 3-byte window, read little-endian.
   return (v * 2654435761u) >> (32 - kHashBits);
@@ -49,7 +42,8 @@ uint32_t Load3(const uint8_t* p) {
 
 // Equal leading bytes of p and c, up to kMaxMatch, given that at least
 // kMaxMatch bytes are readable at both and `diff` is the XOR of their first
-// words with its low three bytes zero.
+// words with its low three bytes zero. Words are little-endian (LoadLe64),
+// so the first differing byte is the lowest set bit of the XOR.
 size_t WordMatchLength(const uint8_t* p, const uint8_t* c, uint64_t diff) {
   if (diff != 0) {
     return static_cast<size_t>(std::countr_zero(diff)) / 8;
