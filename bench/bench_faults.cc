@@ -273,12 +273,8 @@ int RunScrubExperiment(bool parity) {
 // live block must stay readable through stripe reconstruction (degraded
 // reads), and after a blank-spare swap an online Rebuild() must restore full
 // redundancy. LD_FAIL_CHANNEL picks the victim channel, LD_CHANNELS the
-// width, LD_STRIPE_PARITY=0 skips (nothing to measure without stripes).
+// width.
 int RunDegradedChannelExperiment() {
-  if (!EnvStripeParity(true)) {
-    std::printf("  (LD_STRIPE_PARITY=0 — experiment skipped)\n");
-    return 0;
-  }
   const uint32_t channels = std::max(3u, EnvChannels(4));
   const int fail_pick = EnvFailChannel(1);
   const uint32_t dead =
@@ -422,7 +418,7 @@ StatusOr<MaintAggressorResult> RunMaintAggressor(bool maint_on) {
   ASSIGN_OR_RETURN(auto lld, LogStructuredDisk::Format(&disk, options));
   ASSIGN_OR_RETURN(const Lid list, lld->NewList(kBeginOfListOfLists, ListHints{}));
 
-  MaintenanceOptions mo = EnvMaintenanceOptions();
+  MaintenanceOptions mo;
   mo.tenant = 1;
   MaintenanceScheduler sched(lld.get(), mo);
 
@@ -501,10 +497,6 @@ StatusOr<MaintAggressorResult> RunMaintAggressor(bool maint_on) {
 // segment read forever — so maintenance must show its progress counters
 // moving while keeping foreground p99 within 2x of that baseline.
 int RunMaintenanceExperiment() {
-  if (!EnvStripeParity(true)) {
-    std::printf("  (LD_STRIPE_PARITY=0 — experiment skipped)\n");
-    return 0;
-  }
   auto off = RunMaintAggressor(/*maint_on=*/false);
   if (!off.ok()) {
     std::fprintf(stderr, "baseline run failed: %s\n", off.status().ToString().c_str());

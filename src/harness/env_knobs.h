@@ -17,14 +17,13 @@
 
 #include "src/disk/device_factory.h"
 #include "src/disk/qos.h"
-#include "src/lld/lld_maintenance.h"
 #include "src/lld/lld_options.h"
 
 namespace ld {
 
 // Generic flag: "0" turns it off; anything else turns it on; unset returns
 // `fallback`. Every on/off knob reads this way: LD_READAHEAD, LD_MAINT and
-// the two parity flags.
+// LD_SEGMENT_PARITY.
 inline bool EnvFlag(const char* name, bool fallback) {
   const char* v = std::getenv(name);
   if (v == nullptr) {
@@ -82,12 +81,6 @@ inline uint64_t EnvFaultSeed(uint64_t fallback) {
 // `LldOptions::segment_parity` explicitly instead.
 inline bool EnvSegmentParity(bool fallback) { return EnvFlag("LD_SEGMENT_PARITY", fallback); }
 
-// Cross-channel stripe parity toggle (LD_STRIPE_PARITY=0|1). Only bench_faults
-// reads it: 0 skips its degraded-channel and maintenance experiments, which
-// have nothing to measure without stripe sets. LLD test suites pin
-// `LldOptions::stripe_parity` themselves.
-inline bool EnvStripeParity(bool fallback) { return EnvFlag("LD_STRIPE_PARITY", fallback); }
-
 // LD_FAIL_CHANNEL=N: channel the bench fault experiments kill with
 // FaultDisk::FailChannel (-1 / unset = the experiment's own default).
 inline int EnvFailChannel(int fallback) {
@@ -105,9 +98,9 @@ inline uint32_t EnvCheckpointInterval(uint32_t fallback) {
 
 // LD_CLEANER_POLICY=greedy|cost_benefit: the segment cleaner's victim-
 // selection policy. Unset (or unrecognized) keeps the caller's default —
-// kGreedy, the legacy byte-identical policy — so the CI byte-identity step
-// can diff knob-unset against knob=greedy. Tests whose expectations depend
-// on one policy pin `LldOptions::cleaning_policy` explicitly instead.
+// kGreedy, the legacy byte-identical policy that the golden bench outputs
+// pin. Tests whose expectations depend on one policy pin
+// `LldOptions::cleaning_policy` explicitly instead.
 inline CleaningPolicy EnvCleaningPolicy(CleaningPolicy fallback) {
   return EnvChoice("LD_CLEANER_POLICY",
                    {{"greedy", CleaningPolicy::kGreedy},
@@ -151,27 +144,9 @@ inline QosConfig EnvQosConfig(const QosConfig& fallback = QosConfig{}) {
 // LD-based setups attach a MaintenanceScheduler running scrub, deferred
 // checkpoint frames, paced rebuild, and restripe-after-heal as a dedicated
 // low-weight tenant during device idle time. Off (the fallback everywhere)
-// keeps every maintenance operation a foreground call — the differential
-// baseline the CI byte-identity step compares against.
+// keeps every maintenance operation a foreground call — the configuration
+// the golden bench outputs pin.
 inline bool EnvMaintenance(bool fallback) { return EnvFlag("LD_MAINT", fallback); }
-
-// Maintenance pacing overrides: LD_MAINT_IDLE_MS (quiet window required
-// before a slice), LD_MAINT_SCRUB_SEGMENTS / LD_MAINT_REBUILD_SEGMENTS
-// (slice sizes). Unset keeps the scheduler defaults.
-inline MaintenanceOptions EnvMaintenanceOptions(
-    MaintenanceOptions options = MaintenanceOptions{}) {
-  if (const char* v = std::getenv("LD_MAINT_IDLE_MS")) {
-    const double ms = std::atof(v);
-    if (ms >= 0.0) {
-      options.idle_threshold_ms = ms;
-    }
-  }
-  options.scrub_segments_per_slice = static_cast<uint32_t>(
-      EnvInt("LD_MAINT_SCRUB_SEGMENTS", options.scrub_segments_per_slice, 1));
-  options.rebuild_segments_per_slice = static_cast<uint32_t>(
-      EnvInt("LD_MAINT_REBUILD_SEGMENTS", options.rebuild_segments_per_slice, 1));
-  return options;
-}
 
 // HP C3010 options honoring the environment overrides.
 inline DeviceOptions EnvHpC3010(uint64_t partition_bytes) {

@@ -62,7 +62,6 @@ StatusOr<FsStack> MakeFsStack(BlockDevice* device, FsKind kind, const SetupParam
       const bool maint = EnvMaintenance(params.maintenance);
       MaintenanceOptions maint_options;
       if (maint) {
-        maint_options = EnvMaintenanceOptions();
         // One past the session tenant: distinct from every foreground id so
         // the device's idle detector can classify maintenance traffic.
         maint_options.tenant = params.tenant + 1;

@@ -70,7 +70,7 @@ struct SetupParams {
   // device request context). Single-FS setups keep the default.
   TenantId tenant = kDefaultTenant;
   // Attach an idle-driven MaintenanceScheduler to LD-based stacks
-  // (overridable by LD_MAINT; pacing knobs come from LD_MAINT_*). The
+  // (overridable by LD_MAINT) with the scheduler's default pacing. The
   // scheduler gets its own tenant id — one past the session's — stamped on
   // scrub/checkpoint/restripe I/O and set as the LD's rebuild_tenant, and
   // cadence-driven checkpoint frames move off the seal path onto it.

@@ -435,9 +435,11 @@ Status LogStructuredDisk::FlushOpenSegmentFull() {
   // records join this summary and the parity image is written right after
   // this segment is submitted (so a crash before the records never leaves a
   // parity image the log does not explain). Best-effort: a short segment
-  // supply or summary space just skips this round.
+  // supply or summary space just skips this round. The target is still
+  // kFree while it is planned, so it must not become the parity segment.
   if (StripeEnabled() && !forming_stripe_ && !cleaning_) {
-    if (Status s = MaybeFormStripes(target); !s.ok()) {
+    const auto is_target = [target](uint32_t s) { return s == target; };
+    if (Status s = PlanStripe(/*full_width=*/true, is_target).status(); !s.ok()) {
       LD_LOG(kWarn) << "stripe formation skipped: " << s.ToString();
     }
   }

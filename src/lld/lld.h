@@ -31,6 +31,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
@@ -579,13 +580,15 @@ class LogStructuredDisk : public LogicalDisk {
   StatusOr<SummaryRead> RebuildStripeMember(uint32_t parity, uint32_t parity_crc,
                                             const std::vector<uint32_t>& members, size_t index,
                                             uint64_t seq, std::span<uint8_t> image);
-  // Seal-time formation: if one unstriped kFull segment exists on every live
-  // channel but one, forms a full-width stripe set whose records ride the
-  // summary of `sealing_segment` (appended to open_.records); the parity
-  // image is written after the sealing segment is submitted (see
-  // pending_parity_). Best-effort: skips silently when capacity or segment
-  // supply is short.
-  Status MaybeFormStripes(uint32_t sealing_segment);
+  // The one stripe planner. Plans one set from the oldest unstriped sealed
+  // segment per channel and a free parity target, neither of them `skip`ped
+  // nor in a pending set: its records join the open segment's summary (the
+  // carrier), the target is reserved kParity, and the image waits in
+  // pending_parity_ for the carrier's seal. `full_width` is the seal-time
+  // shape, single-band members on every live channel but the parity's;
+  // otherwise (FormStripes) any span-disjoint width of one or more goes.
+  // False when no set fits the free pool or the carrier's summary.
+  StatusOr<bool> PlanStripe(bool full_width, const std::function<bool(uint32_t)>& skip);
   // Shared formation core: XORs `members`' full images into `*image` (the
   // parity image for `parity_segment`) and returns the finished set (caller
   // appends records, writes the image, and registers).
@@ -878,6 +881,24 @@ class LogStructuredDisk : public LogicalDisk {
     ScrubReport report;
   };
   ScrubState scrub_;
+  // What one ScrubStep finds in its window of segments [begin, end), carried
+  // through its phases: the suspects, the blocks and lists that valid
+  // summaries mention, and the repair batch.
+  struct ScrubWindow {
+    uint32_t begin = 0;
+    uint32_t end = 0;
+    std::unordered_set<uint32_t> suspects;
+    std::unordered_set<Bid> mentioned_bids;
+    std::unordered_set<Lid> mentioned_lids;
+    CleanerBatch batch;
+  };
+  // ScrubStep's phases, steps 2-5 of lld_scrub.cc's header: verify the
+  // window's summaries, verify its blocks, re-log what the suspects held the
+  // authority for, retire the suspects.
+  Status ScrubSummaries(ScrubWindow* window);
+  Status ScrubBlocks(ScrubWindow* window);
+  void RelogSuspectAuthority(ScrubWindow* window);
+  Status RetireSuspects(ScrubWindow* window);
 
   LldCounters counters_;
   RecoveryReport last_recovery_;

@@ -4,6 +4,16 @@
 
 namespace ld {
 
+namespace {
+
+// Stripe sets one restripe slice may form. At least two: every bounded
+// FormStripes pass seals one record-carrier segment, which is itself a
+// future stripe candidate, so a one-set slice would churn carriers forever
+// without ever shrinking the unstriped population.
+constexpr uint32_t kRestripeSetsPerSlice = 8;
+
+}  // namespace
+
 void MaintenanceScheduler::Observe() {
   if (DiskStats* ds = lld_->device()->mutable_stats()) {
     // Sticky registration of the maintenance tenant, so NoteRequest can
@@ -104,8 +114,7 @@ StatusOr<bool> MaintenanceScheduler::RunOneDuty() {
         }
         const uint32_t unstriped_before = lld_->UnstripedFullSegments();
         device->set_request_tenant(options_.tenant);
-        const StatusOr<uint32_t> formed =
-            lld_->FormStripes(std::max(options_.restripe_sets_per_slice, 2u));
+        const StatusOr<uint32_t> formed = lld_->FormStripes(kRestripeSetsPerSlice);
         device->set_request_tenant(lld_->options().tenant);
         RETURN_IF_ERROR(formed.status());
         stats_.restripe_passes++;

@@ -62,11 +62,6 @@ struct MaintenanceOptions {
   // interleaves at chunk granularity).
   uint32_t scrub_segments_per_slice = 4;
   uint32_t rebuild_segments_per_slice = 2;
-  // Clamped to >= 2 by the scheduler: every bounded FormStripes pass seals
-  // one record-carrier segment, which is itself a future stripe candidate,
-  // so a one-set slice would churn carriers forever without ever shrinking
-  // the unstriped population.
-  uint32_t restripe_sets_per_slice = 8;
 
   // Duty gates, all on by default (a duty whose trigger never fires costs
   // nothing).

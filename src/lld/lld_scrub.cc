@@ -64,6 +64,46 @@
 
 namespace ld {
 
+namespace {
+
+// Notes the blocks and lists that `records` mention.
+void NoteMentions(const std::vector<SummaryRecord>& records, std::unordered_set<Bid>* bids,
+                  std::unordered_set<Lid>* lids) {
+  for (const auto& r : records) {
+    switch (r.type) {
+      case SummaryRecordType::kBlockEntry:
+        bids->insert(r.block.bid);
+        break;
+      case SummaryRecordType::kBlockAlloc:
+        bids->insert(r.alloc.bid);
+        break;
+      case SummaryRecordType::kLinkTuple:
+        bids->insert(r.link.bid);
+        break;
+      case SummaryRecordType::kBlockFree:
+        bids->insert(r.freed.bid);
+        break;
+      case SummaryRecordType::kListHead:
+        lids->insert(r.head.lid);
+        break;
+      case SummaryRecordType::kListCreate:
+      case SummaryRecordType::kListMove:
+        lids->insert(r.list.lid);
+        break;
+      case SummaryRecordType::kListDelete:
+        lids->insert(r.deleted.lid);
+        break;
+      case SummaryRecordType::kAruCommit:
+      case SummaryRecordType::kSegmentParity:
+      case SummaryRecordType::kScrubIntent:
+      case SummaryRecordType::kStripeParity:
+        break;
+    }
+  }
+}
+
+}  // namespace
+
 StatusOr<ScrubReport> LogStructuredDisk::Scrub() {
   RETURN_IF_ERROR(CheckWritable());
   if (!open_arus_.empty()) {
@@ -83,241 +123,203 @@ StatusOr<ScrubReport> LogStructuredDisk::ScrubStep(uint32_t max_segments) {
   if (!open_arus_.empty()) {
     return FailedPreconditionError("close open atomic recovery units before scrubbing");
   }
-  if (max_segments == 0) {
-    max_segments = 1;
-  }
   if (!scrub_.active) {
     scrub_ = ScrubState{};
     scrub_.active = true;
   }
   const uint32_t num_segments = usage_->num_segments();
-  const uint32_t begin = std::min(scrub_.cursor, num_segments);
-  const uint32_t end = static_cast<uint32_t>(
-      std::min<uint64_t>(static_cast<uint64_t>(begin) + max_segments, num_segments));
-  ScrubReport& report = scrub_.report;
+  ScrubWindow window;
+  window.begin = std::min(scrub_.cursor, num_segments);
+  window.end = static_cast<uint32_t>(std::min<uint64_t>(
+      static_cast<uint64_t>(window.begin) + std::max(max_segments, 1u), num_segments));
+  RETURN_IF_ERROR(ScrubSummaries(&window));
+  RETURN_IF_ERROR(ScrubBlocks(&window));
+  if (!window.suspects.empty()) {
+    RelogSuspectAuthority(&window);
+  }
+  RETURN_IF_ERROR(RetireSuspects(&window));
 
-  std::unordered_set<uint32_t> suspects;
-  std::unordered_set<Bid> mentioned_bids;
-  std::unordered_set<Lid> mentioned_lids;
+  const ScrubReport out = scrub_.report;
+  scrub_.cursor = window.end;
+  if (scrub_.cursor >= num_segments) {
+    // Cycle complete: the next ScrubStep starts a fresh cursor and report.
+    scrub_.active = false;
+    scrub_.cursor = 0;
+  }
+  return out;
+}
 
-  const auto collect_mentions = [&](const std::vector<SummaryRecord>& records) {
-    for (const auto& r : records) {
-      switch (r.type) {
-        case SummaryRecordType::kBlockEntry:
-          mentioned_bids.insert(r.block.bid);
-          break;
-        case SummaryRecordType::kBlockAlloc:
-          mentioned_bids.insert(r.alloc.bid);
-          break;
-        case SummaryRecordType::kLinkTuple:
-          mentioned_bids.insert(r.link.bid);
-          break;
-        case SummaryRecordType::kBlockFree:
-          mentioned_bids.insert(r.freed.bid);
-          break;
-        case SummaryRecordType::kListHead:
-          mentioned_lids.insert(r.head.lid);
-          break;
-        case SummaryRecordType::kListCreate:
-        case SummaryRecordType::kListMove:
-          mentioned_lids.insert(r.list.lid);
-          break;
-        case SummaryRecordType::kListDelete:
-          mentioned_lids.insert(r.deleted.lid);
-          break;
-        case SummaryRecordType::kAruCommit:
-        case SummaryRecordType::kSegmentParity:
-        case SummaryRecordType::kScrubIntent:
-        case SummaryRecordType::kStripeParity:
-          break;
-      }
-    }
-  };
-
+Status LogStructuredDisk::ScrubSummaries(ScrubWindow* window) {
   // Step 2: verify the window's written summaries; collect entity mentions
   // from the valid ones (needed for the countermand tombstones in step 4).
-  for (uint32_t seg = begin; seg < end; ++seg) {
+  // One scan serves the window and the widened mention scan below.
+  const auto scan = [this, window](uint32_t seg) -> Status {
     const SegmentState state = usage_->segment(seg).state;
     if (state != SegmentState::kFull && state != SegmentState::kScratch) {
-      continue;
+      return OkStatus();
     }
-    report.segments_scanned++;
+    const bool inside = seg >= window->begin && seg < window->end;
+    scrub_.report.segments_scanned += inside ? 1 : 0;
     // A written segment's summary must decode: even an all-zero one is
     // damage here.
     ASSIGN_OR_RETURN(const SummaryRead read, ReadSummary(seg));
-    if (read.outcome != SummaryRead::kValid) {
+    if (read.outcome == SummaryRead::kValid) {
+      NoteMentions(read.records, &window->mentioned_bids, &window->mentioned_lids);
+    } else if (inside) {
       const char* why = read.outcome != SummaryRead::kUnreadable
                             ? "corrupt"
                             : (read.seq_known ? "extension unreadable" : "unreadable");
       LD_LOG(kWarn) << "scrub: segment " << seg << " summary " << why;
-      suspects.insert(seg);
-      report.suspect_segments++;
-      continue;
+      window->suspects.insert(seg);
+      scrub_.report.suspect_segments++;
     }
-    collect_mentions(read.records);
+    return OkStatus();
+  };
+  for (uint32_t seg = window->begin; seg < window->end; ++seg) {
+    RETURN_IF_ERROR(scan(seg));
   }
-
-  if (!suspects.empty()) {
-    // Damage found: quiesce before harvesting, so the in-memory tables
-    // describe exactly the durable state (an open-segment copy newer than a
-    // suspect's on-disk one would otherwise be skipped while the suspect is
-    // retired under it). A no-op for the monolithic pass, which quiesced
-    // before the scan.
-    RETURN_IF_ERROR(FlushOpenSegmentFull());
-    RETURN_IF_ERROR(WaitForInflight());
-    // Countermand tombstones need mentions from *all* valid summaries, not
-    // just the window's: widen the mention scan to the rest of the volume.
-    // Damaged summaries out there contribute nothing — exactly as monolithic
-    // suspects don't — and are retired when their own slice reaches them.
-    for (uint32_t seg = 0; seg < num_segments; ++seg) {
-      if (seg >= begin && seg < end) {
-        continue;
-      }
-      const SegmentState state = usage_->segment(seg).state;
-      if (state != SegmentState::kFull && state != SegmentState::kScratch) {
-        continue;
-      }
-      ASSIGN_OR_RETURN(const SummaryRead read, ReadSummary(seg));
-      if (read.outcome == SummaryRead::kValid) {
-        collect_mentions(read.records);
-      }
+  if (window->suspects.empty()) {
+    return OkStatus();
+  }
+  // Damage found: quiesce before harvesting, so the in-memory tables
+  // describe exactly the durable state (an open-segment copy newer than a
+  // suspect's on-disk one would otherwise be skipped while the suspect is
+  // retired under it). A no-op for the monolithic pass, which quiesced
+  // before the scan.
+  RETURN_IF_ERROR(FlushOpenSegmentFull());
+  RETURN_IF_ERROR(WaitForInflight());
+  // Countermand tombstones need mentions from *all* valid summaries, not
+  // just the window's: widen the mention scan to the rest of the volume.
+  // Damaged summaries out there contribute nothing — exactly as monolithic
+  // suspects don't — and are retired when their own slice reaches them.
+  for (uint32_t seg = 0; seg < usage_->num_segments(); ++seg) {
+    if (seg < window->begin || seg >= window->end) {
+      RETURN_IF_ERROR(scan(seg));
     }
   }
+  return OkStatus();
+}
 
+Status LogStructuredDisk::ScrubBlocks(ScrubWindow* window) {
   // Step 3: verify every live on-disk block stored in the window; relocate
   // whatever lives on a suspect segment so the segment can be retired.
-  CleanerBatch batch;
+  ScrubReport& report = scrub_.report;
   for (Bid bid = 1; bid <= block_map_.max_bid(); ++bid) {
     if (!block_map_.IsAllocated(bid)) {
       continue;
     }
     const BlockMapEntry& e = block_map_.entry(bid);
     const PhysAddr phys = e.phys();
-    if (!phys.IsOnDisk()) {
-      continue;
-    }
-    if (phys.segment < begin || phys.segment >= end) {
+    if (!phys.IsOnDisk() || phys.segment < window->begin || phys.segment >= window->end) {
       continue;
     }
     report.blocks_scanned++;
-    const bool on_suspect = suspects.count(phys.segment) != 0;
-
+    const bool on_suspect = window->suspects.count(phys.segment) != 0;
     CleanedBlock b = CleanedBlock::FromEntry(bid, e);
-
-    bool damaged = false;
-    bool unreadable = false;
-    Status damage = OkStatus();
-    if (Status s = ReadStored(e, b.stored); !s.ok()) {
-      if (s.code() != ErrorCode::kIoError) {
-        return s;
-      }
-      damaged = true;
-      unreadable = true;
-      damage = s;
-    } else if (PayloadCrc(b.stored) != e.payload_crc()) {
-      damaged = true;
+    Status damage = ReadStored(e, b.stored);
+    if (!damage.ok() && damage.code() != ErrorCode::kIoError) {
+      return damage;
+    }
+    const bool unreadable = !damage.ok();
+    if (damage.ok() && PayloadCrc(b.stored) != e.payload_crc()) {
       damage = CorruptionError("scrub: block payload crc mismatch");
     }
-
-    bool reconstructed = false;
-    if (damaged) {
+    if (damage.ok()) {
+      // Intact: relocated only off a suspect.
+    } else if (TryReconstructStored(bid, e, b.stored, damage).ok()) {
       // Parity first: a verified reconstruction recovers the lost bytes and
-      // the block is relocated below with its original (verbatim) CRC, which
-      // the reconstruction was checked against.
-      if (TryReconstructStored(bid, e, b.stored, damage).ok()) {
-        reconstructed = true;
-        report.blocks_reconstructed++;
-      } else if (TryStripeReconstructStored(bid, e, b.stored, damage).ok()) {
-        // Second tier: the per-segment lane could not repair it, the
-        // cross-channel stripe peers could. Accounted separately so the
-        // report shows which redundancy actually carried the block.
-        reconstructed = true;
-        report.blocks_stripe_reconstructed++;
-      } else if (unreadable) {
-        report.blocks_unreadable++;
-        if (on_suspect) {
-          // The segment is being retired, so *something* must be written for
-          // this block. Zeros with a CRC guaranteed not to match them keep
-          // every future read failing as typed CORRUPTION instead of
-          // resurrecting garbage.
-          std::fill(b.stored.begin(), b.stored.end(), 0);
-          b.payload_crc = ~PayloadCrc(b.stored) & 0xffffffu;
-        }
-      } else {
-        // Carried verbatim (bytes and original CRC): relocation must never
-        // launder corruption into a fresh valid checksum.
-        report.blocks_corrupt++;
-      }
-    }
-    if (damaged && !reconstructed && !on_suspect) {
+      // the block is relocated with its original (verbatim) CRC, which the
+      // reconstruction was checked against.
+      report.blocks_reconstructed++;
+    } else if (TryStripeReconstructStored(bid, e, b.stored, damage).ok()) {
+      // Second tier: the per-segment lane could not repair it, the
+      // cross-channel stripe peers could. Accounted separately so the report
+      // shows which redundancy actually carried the block.
+      report.blocks_stripe_reconstructed++;
+    } else if (!on_suspect) {
+      (unreadable ? report.blocks_unreadable : report.blocks_corrupt)++;
       LD_LOG(kWarn) << "scrub: block " << bid << " in healthy segment " << phys.segment
                     << " is damaged and has no redundant copy";
       continue;  // Report only: nothing here can repair it.
+    } else if (unreadable) {
+      // The segment is being retired, so *something* must be written for
+      // this block. Zeros with a CRC guaranteed not to match them keep every
+      // future read failing as typed CORRUPTION instead of resurrecting
+      // garbage.
+      report.blocks_unreadable++;
+      std::fill(b.stored.begin(), b.stored.end(), 0);
+      b.payload_crc = ~PayloadCrc(b.stored) & 0xffffffu;
+    } else {
+      // Carried verbatim (bytes and original CRC): relocation must never
+      // launder corruption into a fresh valid checksum.
+      report.blocks_corrupt++;
     }
-    if (on_suspect || reconstructed) {
-      batch.blocks.push_back(std::move(b));
+    if (on_suspect || !damage.ok()) {
+      window->batch.blocks.push_back(std::move(b));
     }
   }
+  return OkStatus();
+}
 
+void LogStructuredDisk::RelogSuspectAuthority(ScrubWindow* window) {
   // Step 4: re-log metadata whose authoritative record sits in a suspect
-  // summary. The quiesce above makes the in-memory tables a faithful source
-  // (the cleaner must use the victim's own records because unflushed state
-  // may be newer; after a full flush there is no such state).
-  if (!suspects.empty()) {
-    for (Bid bid = 1; bid <= block_map_.max_bid(); ++bid) {
-      if (!block_map_.IsAllocated(bid)) {
-        continue;
-      }
-      const BlockMapEntry& e = block_map_.entry(bid);
-      if (options_.maintain_lists && suspects.count(e.link_seg()) != 0) {
-        batch.records.push_back(SummaryRecord::LinkTuple(NextTs(), bid, e.successor()));
-        report.records_relogged++;
-      }
-      if (suspects.count(e.alloc_seg()) != 0) {
-        batch.records.push_back(SummaryRecord::BlockAlloc(NextTs(), bid, e.list(), e.size_class()));
-        report.records_relogged++;
-      }
+  // summary. The quiesce in ScrubSummaries makes the in-memory tables a
+  // faithful source (the cleaner must use the victim's own records because
+  // unflushed state may be newer; after a full flush there is no such state).
+  const auto& suspects = window->suspects;
+  std::vector<SummaryRecord>& records = window->batch.records;
+  const size_t before = records.size();
+  for (Bid bid = 1; bid <= block_map_.max_bid(); ++bid) {
+    if (!block_map_.IsAllocated(bid)) {
+      continue;
     }
-    for (Lid lid = 1; lid <= list_table_.max_lid(); ++lid) {
-      if (!list_table_.IsAllocated(lid)) {
-        continue;
-      }
-      const ListEntry& e = list_table_.entry(lid);
-      if (suspects.count(e.head_seg()) != 0) {
-        batch.records.push_back(SummaryRecord::ListHead(NextTs(), lid, e.first()));
-        report.records_relogged++;
-      }
-      if (suspects.count(e.create_seg()) != 0) {
-        batch.records.push_back(SummaryRecord::ListCreate(NextTs(), lid, e.hints(), e.lol_next()));
-        report.records_relogged++;
-      }
+    const BlockMapEntry& e = block_map_.entry(bid);
+    if (options_.maintain_lists && suspects.count(e.link_seg()) != 0) {
+      records.push_back(SummaryRecord::LinkTuple(NextTs(), bid, e.successor()));
     }
-    // Countermand tombstones: a suspect summary may have held the only
-    // tombstone for an entity that surviving summaries still mention; a
-    // fresh tombstone (newest seq) keeps recovery from resurrecting it.
-    for (Bid bid : mentioned_bids) {
-      if (!block_map_.IsAllocated(bid)) {
-        batch.records.push_back(SummaryRecord::BlockFree(NextTs(), bid));
-        report.records_relogged++;
-      }
-    }
-    for (Lid lid : mentioned_lids) {
-      if (!list_table_.IsAllocated(lid)) {
-        batch.records.push_back(SummaryRecord::ListDelete(NextTs(), lid));
-        report.records_relogged++;
-      }
+    if (suspects.count(e.alloc_seg()) != 0) {
+      records.push_back(SummaryRecord::BlockAlloc(NextTs(), bid, e.list(), e.size_class()));
     }
   }
+  for (Lid lid = 1; lid <= list_table_.max_lid(); ++lid) {
+    if (!list_table_.IsAllocated(lid)) {
+      continue;
+    }
+    const ListEntry& e = list_table_.entry(lid);
+    if (suspects.count(e.head_seg()) != 0) {
+      records.push_back(SummaryRecord::ListHead(NextTs(), lid, e.first()));
+    }
+    if (suspects.count(e.create_seg()) != 0) {
+      records.push_back(SummaryRecord::ListCreate(NextTs(), lid, e.hints(), e.lol_next()));
+    }
+  }
+  // Countermand tombstones: a suspect summary may have held the only
+  // tombstone for an entity that surviving summaries still mention; a fresh
+  // tombstone (newest seq) keeps recovery from resurrecting it.
+  for (Bid bid : window->mentioned_bids) {
+    if (!block_map_.IsAllocated(bid)) {
+      records.push_back(SummaryRecord::BlockFree(NextTs(), bid));
+    }
+  }
+  for (Lid lid : window->mentioned_lids) {
+    if (!list_table_.IsAllocated(lid)) {
+      records.push_back(SummaryRecord::ListDelete(NextTs(), lid));
+    }
+  }
+  scrub_.report.records_relogged += records.size() - before;
+}
 
+Status LogStructuredDisk::RetireSuspects(ScrubWindow* window) {
   // A suspect that is a stripe member takes its set down with it: the image
   // being retired is exactly what the parity explains. The countermand rides
   // the repair batch; the parity segments are freed once it is durable.
-  const std::vector<uint32_t> suspect_list(suspects.begin(), suspects.end());
+  const std::vector<uint32_t> suspects(window->suspects.begin(), window->suspects.end());
+  CleanerBatch& batch = window->batch;
   ASSIGN_OR_RETURN(const std::vector<uint32_t> dissolved_parity,
-                   DissolveStripesTouching(suspect_list, &batch.records));
+                   DissolveStripesTouching(suspects, &batch.records));
 
   // Step 5: make the repairs durable, then retire the suspects.
-  report.blocks_relocated += batch.blocks.size();
+  scrub_.report.blocks_relocated += batch.blocks.size();
   if (!batch.blocks.empty() || !batch.records.empty()) {
     OrderByLists(&batch.blocks);
     FlagGuard cleaning(&cleaning_);
@@ -326,42 +328,34 @@ StatusOr<ScrubReport> LogStructuredDisk::ScrubStep(uint32_t max_segments) {
   for (uint32_t p : dissolved_parity) {
     ResetSegment(p, SegmentState::kFree);
   }
-  if (!suspects.empty()) {
-    // Log one retirement intent per suspect (its own durable batch, written
-    // only after the relocation batch above drained): from here on a crash
-    // at any point lets recovery finish the retirement instead of refusing
-    // the damaged summary as mid-log corruption.
-    CleanerBatch intents;
-    for (uint32_t seg : suspects) {
-      intents.records.push_back(
-          SummaryRecord::ScrubIntent(NextTs(), seg, usage_->segment(seg).seq));
-    }
-    {
-      FlagGuard cleaning(&cleaning_);
-      RETURN_IF_ERROR(WriteCleanerBatch(std::move(intents)));
-    }
-    for (uint32_t seg : suspects) {
-      if (Status s = ZeroSummary(seg); !s.ok()) {
-        return HandleWriteFailure(s);
-      }
-      usage_->SetLive(seg, 0);
-      usage_->segment(seg).seq = 0;
-      ResetSegment(seg, SegmentState::kFree);
-      // The next checkpoint frame must record the retirement, or chain
-      // replay would resurrect the segment as written.
-      CaptureRetiredSegment(seg);
-      counters_.segments_cleaned++;
-    }
+  if (suspects.empty()) {
+    return OkStatus();
   }
-
-  const ScrubReport out = report;
-  scrub_.cursor = end;
-  if (scrub_.cursor >= num_segments) {
-    // Cycle complete: the next ScrubStep starts a fresh cursor and report.
-    scrub_.active = false;
-    scrub_.cursor = 0;
+  // Log one retirement intent per suspect (its own durable batch, written
+  // only after the relocation batch above drained): from here on a crash at
+  // any point lets recovery finish the retirement instead of refusing the
+  // damaged summary as mid-log corruption.
+  CleanerBatch intents;
+  for (uint32_t seg : suspects) {
+    intents.records.push_back(SummaryRecord::ScrubIntent(NextTs(), seg, usage_->segment(seg).seq));
   }
-  return out;
+  {
+    FlagGuard cleaning(&cleaning_);
+    RETURN_IF_ERROR(WriteCleanerBatch(std::move(intents)));
+  }
+  for (uint32_t seg : suspects) {
+    if (Status s = ZeroSummary(seg); !s.ok()) {
+      return HandleWriteFailure(s);
+    }
+    usage_->SetLive(seg, 0);
+    usage_->segment(seg).seq = 0;
+    ResetSegment(seg, SegmentState::kFree);
+    // The next checkpoint frame must record the retirement, or chain replay
+    // would resurrect the segment as written.
+    CaptureRetiredSegment(seg);
+    counters_.segments_cleaned++;
+  }
+  return OkStatus();
 }
 
 }  // namespace ld

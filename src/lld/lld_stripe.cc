@@ -23,6 +23,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <unordered_set>
 
@@ -167,87 +168,85 @@ Status LogStructuredDisk::CommitStripe(StripeSet set, const std::vector<uint8_t>
   return OkStatus();
 }
 
-Status LogStructuredDisk::MaybeFormStripes(uint32_t sealing_segment) {
-  const uint32_t nch = device_->num_channels();
-  uint32_t live_channels = 0;
-  for (uint32_t ch = 0; ch < nch; ++ch) {
-    if (ChannelUsable(ch)) {
-      live_channels++;
-    }
-  }
-  if (live_channels < 2) {
-    return OkStatus();
-  }
-  // The parity image consumes a free segment outside the utilization budget;
-  // stay clear of the cleaner's reserve so formation never forces a clean.
+StatusOr<bool> LogStructuredDisk::PlanStripe(bool full_width,
+                                             const std::function<bool(uint32_t)>& skip) {
+  // The parity image takes a free segment outside the utilization budget:
+  // stay clear of the cleaner's reserve, plus one segment for the carrier's
+  // seal, so formation never forces a clean.
   if (usage_->FreeCount() <= CleaningReserve() + 1) {
-    return OkStatus();
+    return false;
   }
-
-  // Oldest unstriped sealed segment per live channel.
+  const uint32_t nch = device_->num_channels();
+  // Members of sets planned but not yet sealed are taken.
+  std::unordered_set<uint32_t> taken;
+  for (const PendingParity& p : pending_parity_) {
+    taken.insert(p.set.members.begin(), p.set.members.end());
+  }
+  // Oldest unstriped sealed segment per base channel. The seal-time shape
+  // leaves segments that straddle a channel-band boundary to FormStripes.
   std::vector<int64_t> candidate(nch, -1);
   for (uint32_t s = 0; s < usage_->num_segments(); ++s) {
-    if (s == sealing_segment) {
-      continue;
-    }
     const SegmentUsage& seg = usage_->segment(s);
-    if (seg.state != SegmentState::kFull || member_stripe_.count(s) != 0) {
+    if (seg.state != SegmentState::kFull || member_stripe_.count(s) != 0 || skip(s) ||
+        taken.count(s) != 0 || !SegmentChannelsUsable(s) ||
+        (full_width && SegmentLastChannel(s) != SegmentChannel(s))) {
       continue;
     }
-    // Segments straddling a channel-band boundary are left to the
-    // FormStripes maintenance pass, which places them span-disjointly; the
-    // seal-time fast path keeps the trivial one-channel-per-member geometry.
     const uint32_t ch = SegmentChannel(s);
-    if (!ChannelUsable(ch) || SegmentLastChannel(s) != ch) {
-      continue;
-    }
     if (candidate[ch] < 0 ||
         seg.seq < usage_->segment(static_cast<uint32_t>(candidate[ch])).seq) {
       candidate[ch] = s;
     }
   }
-
-  // Seal-time formation is full-width only: one member on every live channel
-  // except the (rotating) parity channel. Partial-width sets are the
-  // explicit FormStripes() maintenance pass.
+  const size_t live_channels =
+      nch - static_cast<size_t>(std::count(channel_failed_.begin(), channel_failed_.end(), true));
   for (uint32_t probe = 0; probe < nch; ++probe) {
     const uint32_t p_ch = (next_parity_channel_ + probe) % nch;
     if (!ChannelUsable(p_ch)) {
       continue;
     }
+    // Greedy span-disjoint member pick: buckets ascend by base channel, so a
+    // member is kept only when its span starts past the previous member's and
+    // stays off the parity channel. Reconstruction depends on this: losing
+    // any one channel can then damage at most one component of the set.
     std::vector<uint32_t> members;
-    bool full_width = true;
+    int64_t prev_last = -1;
     for (uint32_t ch = 0; ch < nch; ++ch) {
-      if (ch == p_ch || !ChannelUsable(ch)) {
+      if (ch == p_ch || candidate[ch] < 0) {
         continue;
       }
-      if (candidate[ch] < 0) {
-        full_width = false;
-        break;
+      const uint32_t m = static_cast<uint32_t>(candidate[ch]);
+      if (static_cast<int64_t>(SegmentChannel(m)) <= prev_last || SegmentOnChannel(m, p_ch)) {
+        continue;
       }
-      members.push_back(static_cast<uint32_t>(candidate[ch]));
+      members.push_back(m);
+      prev_last = SegmentLastChannel(m);
     }
-    if (!full_width || members.empty()) {
+    // Full width is a member on every live channel but the parity's. Partial
+    // width goes down to a mirror, to cover stragglers after a failover.
+    if (members.empty() || (full_width && members.size() + 1 != live_channels)) {
       continue;
     }
     int64_t parity = -1;
-    for (uint32_t s = 0; s < usage_->num_segments(); ++s) {
-      if (s != sealing_segment && usage_->segment(s).state == SegmentState::kFree &&
-          SegmentChannel(s) == p_ch && SegmentLastChannel(s) == p_ch) {
+    for (uint32_t s = 0; s < usage_->num_segments() && parity < 0; ++s) {
+      if (usage_->segment(s).state == SegmentState::kFree && SegmentChannel(s) == p_ch &&
+          !skip(s) && SegmentChannelsUsable(s) &&
+          std::none_of(members.begin(), members.end(), [&](uint32_t m) {
+            return SegmentChannel(m) <= SegmentLastChannel(s) &&
+                   SegmentChannel(s) <= SegmentLastChannel(m);
+          })) {
         parity = s;
-        break;
       }
     }
     if (parity < 0) {
       continue;
     }
-    // The records must fit the sealing segment's summary alongside whatever
-    // it already carries; mid-seal there is no room to flush, so an overfull
-    // summary just skips this round — the candidates stay eligible for the
-    // next seal.
+    // The records must fit the carrier's summary. A full one ends planning:
+    // a seal cannot flush mid-seal (the candidates wait for the next seal),
+    // and a pass seals this carrier and starts another.
     if (!Fits(open_, 0,
               members.size() * SummaryRecord::EncodedSize(SummaryRecordType::kStripeParity))) {
-      return OkStatus();
+      return false;
     }
     std::vector<uint8_t> image;
     ASSIGN_OR_RETURN(StripeSet set, ComputeStripe(members, static_cast<uint32_t>(parity), &image));
@@ -256,16 +255,16 @@ Status LogStructuredDisk::MaybeFormStripes(uint32_t sealing_segment) {
     for (const SummaryRecord& r : records) {
       open_.AddRecord(r);
     }
-    // Reserve the parity target now: between planning and CommitStripe it
-    // must not double as a seal target or cleaner destination — the parity
-    // image would overwrite whatever landed there. A failed seal returns it
-    // to the free pool (FlushOpenSegmentFull's failure path).
+    dirty_since_flush_ = true;
+    // Reserve the parity target: until CommitStripe writes it, it must not
+    // become a seal target or cleaner destination, which the parity image
+    // would overwrite. A failed seal returns it to the free pool.
     usage_->segment(static_cast<uint32_t>(parity)).state = SegmentState::kParity;
     pending_parity_.push_back(PendingParity{std::move(set), std::move(image)});
     next_parity_channel_ = (p_ch + 1) % nch;
-    return OkStatus();
+    return true;
   }
-  return OkStatus();
+  return false;
 }
 
 StatusOr<uint32_t> LogStructuredDisk::FormStripes(uint32_t max_sets) {
@@ -279,178 +278,62 @@ StatusOr<uint32_t> LogStructuredDisk::FormStripes(uint32_t max_sets) {
   RETURN_IF_ERROR(FlushOpenSegmentFull());
   RETURN_IF_ERROR(WaitForInflight());
 
-  const uint32_t nch = device_->num_channels();
   // The record carriers this pass seals are excluded from candidacy:
   // striping a carrier would seal another carrier, chaining
   // carrier-of-carrier mirrors until the free pool is gone. Carriers stay
-  // eligible for the next pass or the next natural seal. The exclusion is
-  // (id, seq)-qualified: the cleaner can free a carrier mid-pass (its
-  // records relog elsewhere) and recycle the segment for relocated data —
-  // the new incarnation carries a new seq and must stay eligible.
+  // eligible for the next pass or the next natural seal. The exclusion holds
+  // only while the carrier is sealed at its recorded seq: the cleaner can
+  // free a carrier mid-pass (its records relog elsewhere), and the freed
+  // segment keeps its seq, so it must stay eligible as a parity target and,
+  // once reused, as a member.
   std::unordered_map<uint32_t, uint64_t> carriers;
   const auto is_carrier = [&carriers, this](uint32_t s) {
     const auto it = carriers.find(s);
-    return it != carriers.end() && it->second == usage_->segment(s).seq;
+    return it != carriers.end() && usage_->segment(s).state == SegmentState::kFull &&
+           it->second == usage_->segment(s).seq;
   };
-  const uint32_t reserve = CleaningReserve();
-  const size_t record_size = SummaryRecord::EncodedSize(SummaryRecordType::kStripeParity);
+  // Seals the open segment as a record carrier; CommitStripe runs inside the
+  // seal, after the carrier was submitted. The carrier is the last segment
+  // sealed (cleaner seals triggered by the allocation happen before the
+  // carrier's seq is assigned).
+  const auto seal_carrier = [&]() -> Status {
+    FlagGuard forming(&forming_stripe_);
+    RETURN_IF_ERROR(FlushOpenSegmentFull());
+    for (uint32_t s = 0; s < usage_->num_segments(); ++s) {
+      if (usage_->segment(s).state == SegmentState::kFull &&
+          usage_->segment(s).seq == next_seq_ - 1) {
+        carriers[s] = next_seq_ - 1;
+        break;
+      }
+    }
+    return OkStatus();
+  };
 
   uint32_t formed = 0;
   bool progressed = true;
   // Round bound: every round either stripes a candidate or frees garbage,
   // both monotone; the bound is a backstop, not the expected exit.
   for (uint32_t round = 0; progressed && round <= usage_->num_segments(); ++round) {
-    progressed = false;
-    // Plan as many sets as one record carrier's summary can declare, then
-    // seal once: a seal per set would burn a whole segment per ~two records.
-    std::unordered_set<uint32_t> planned;
+    // Plan as many sets as one carrier's summary can declare, then seal
+    // once: a seal per set would burn a whole segment per ~two records. A
+    // bounded pass (maintenance slice) stops planning at its quota.
     uint32_t batch = 0;
-    while (true) {
-      // A bounded pass (maintenance slice) stops planning at its quota; the
-      // cursorless design is fine because candidacy is recomputed per set.
-      if (max_sets > 0 && formed + batch >= max_sets) {
+    while (max_sets == 0 || formed + batch < max_sets) {
+      ASSIGN_OR_RETURN(const bool planned, PlanStripe(/*full_width=*/false, is_carrier));
+      if (!planned) {
         break;
       }
-      // Planned parity targets already left the free pool (reserved kParity
-      // at plan time), so a plain floor keeps reserve + the carrier seal.
-      if (usage_->FreeCount() <= reserve + 1) {
-        break;
-      }
-      std::vector<int64_t> candidate(nch, -1);
-      for (uint32_t s = 0; s < usage_->num_segments(); ++s) {
-        const SegmentUsage& seg = usage_->segment(s);
-        if (seg.state != SegmentState::kFull || member_stripe_.count(s) != 0 ||
-            is_carrier(s) || planned.count(s) != 0) {
-          continue;
-        }
-        const uint32_t ch = SegmentChannel(s);
-        if (!SegmentChannelsUsable(s)) {
-          continue;
-        }
-        if (candidate[ch] < 0 ||
-            seg.seq < usage_->segment(static_cast<uint32_t>(candidate[ch])).seq) {
-          candidate[ch] = s;
-        }
-      }
-      // Partial width is allowed — down to one member plus parity on a
-      // distinct channel (a mirror) — so planned failover can cover
-      // stragglers on channels whose peers are all striped already.
-      bool made_one = false;
-      for (uint32_t probe = 0; probe < nch && !made_one; ++probe) {
-        const uint32_t p_ch = (next_parity_channel_ + probe) % nch;
-        if (!ChannelUsable(p_ch)) {
-          continue;
-        }
-        // Greedy span-disjoint member pick: buckets ascend by base channel,
-        // so a member is kept only when its span starts past the previous
-        // member's span and stays off the parity channel. Reconstruction
-        // depends on this — with pairwise-disjoint spans, losing any one
-        // channel can damage at most one component of the set.
-        std::vector<uint32_t> members;
-        int64_t prev_last = -1;
-        for (uint32_t ch = 0; ch < nch; ++ch) {
-          if (ch == p_ch || candidate[ch] < 0) {
-            continue;
-          }
-          const uint32_t m = static_cast<uint32_t>(candidate[ch]);
-          if (static_cast<int64_t>(SegmentChannel(m)) <= prev_last ||
-              SegmentOnChannel(m, p_ch)) {
-            continue;
-          }
-          members.push_back(m);
-          prev_last = SegmentLastChannel(m);
-        }
-        if (members.empty()) {
-          continue;
-        }
-        int64_t parity = -1;
-        for (uint32_t s = 0; s < usage_->num_segments(); ++s) {
-          if (usage_->segment(s).state != SegmentState::kFree ||
-              SegmentChannel(s) != p_ch || planned.count(s) != 0 ||
-              !SegmentChannelsUsable(s)) {
-            continue;
-          }
-          bool disjoint = true;
-          for (uint32_t m : members) {
-            if (SegmentChannel(m) <= SegmentLastChannel(s) &&
-                SegmentChannel(s) <= SegmentLastChannel(m)) {
-              disjoint = false;
-              break;
-            }
-          }
-          if (disjoint) {
-            parity = s;
-            break;
-          }
-        }
-        if (parity < 0) {
-          continue;
-        }
-        if (!Fits(open_, 0, members.size() * record_size)) {
-          // Carrier summary is full; seal this batch and start another.
-          break;
-        }
-        std::vector<uint8_t> image;
-        ASSIGN_OR_RETURN(StripeSet set,
-                         ComputeStripe(members, static_cast<uint32_t>(parity), &image));
-        std::vector<SummaryRecord> records;
-        AppendStripeRecords(set, NextTs(), &records);
-        FlagGuard forming(&forming_stripe_);
-        RETURN_IF_ERROR(AppendRecordsAtomic(&records));
-        for (uint32_t m : members) {
-          planned.insert(m);
-        }
-        planned.insert(static_cast<uint32_t>(parity));
-        // Reserve the parity target now: the batch seal below allocates its
-        // record carrier through the ordinary free pool, and without the
-        // reservation it can pick this very segment — the parity image would
-        // then overwrite the carrier's just-written summary. A failed seal
-        // returns it to the pool (FlushOpenSegmentFull's failure path).
-        usage_->segment(static_cast<uint32_t>(parity)).state = SegmentState::kParity;
-        pending_parity_.push_back(PendingParity{std::move(set), std::move(image)});
-        next_parity_channel_ = (p_ch + 1) % nch;
-        made_one = true;
-        batch++;
-      }
-      if (!made_one) {
-        break;
-      }
+      batch++;
     }
-    if (batch > 0) {
-      // Seal the carrier; CommitStripe runs inside the seal, after the
-      // batch's records were submitted.
-      FlagGuard forming(&forming_stripe_);
-      RETURN_IF_ERROR(FlushOpenSegmentFull());
-      // The carrier is the last segment sealed (cleaner seals triggered by
-      // the allocation happen before the carrier's seq is assigned).
-      for (uint32_t s = 0; s < usage_->num_segments(); ++s) {
-        if (usage_->segment(s).state == SegmentState::kFull &&
-            usage_->segment(s).seq == next_seq_ - 1) {
-          carriers[s] = next_seq_ - 1;
-          break;
-        }
-      }
+    // With nothing planned, still drain pending duplicate declarations: a
+    // maintenance pass must leave every set declared on two channels, not
+    // wait for the next natural seal.
+    if (batch > 0 || !redeclare_groups_.empty()) {
+      RETURN_IF_ERROR(seal_carrier());
       formed += batch;
       if (max_sets > 0 && formed >= max_sets) {
         break;
       }
-      progressed = true;
-      continue;
-    }
-    if (!redeclare_groups_.empty()) {
-      // Drain pending duplicate declarations before deciding there is
-      // nothing left: a maintenance pass must leave every set declared on
-      // two channels, not wait for the next natural seal.
-      FlagGuard forming(&forming_stripe_);
-      RETURN_IF_ERROR(FlushOpenSegmentFull());
-      for (uint32_t s = 0; s < usage_->num_segments(); ++s) {
-        if (usage_->segment(s).state == SegmentState::kFull &&
-            usage_->segment(s).seq == next_seq_ - 1) {
-          carriers[s] = next_seq_ - 1;
-          break;
-        }
-      }
-      progressed = true;
       continue;
     }
     // No set could be planned. If unstriped candidates remain, the pool is
@@ -459,9 +342,9 @@ StatusOr<uint32_t> LogStructuredDisk::FormStripes(uint32_t max_sets) {
     // reserve floor.
     bool candidates_left = false;
     for (uint32_t s = 0; s < usage_->num_segments() && !candidates_left; ++s) {
-      const SegmentUsage& seg = usage_->segment(s);
-      candidates_left = seg.state == SegmentState::kFull && member_stripe_.count(s) == 0 &&
-                        !is_carrier(s) && SegmentChannelsUsable(s);
+      candidates_left = usage_->segment(s).state == SegmentState::kFull &&
+                        member_stripe_.count(s) == 0 && !is_carrier(s) &&
+                        SegmentChannelsUsable(s);
     }
     if (!candidates_left) {
       break;

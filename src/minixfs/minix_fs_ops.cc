@@ -14,6 +14,16 @@ namespace ld {
 
 namespace {
 
+// A directory slot ends its name at the first NUL, so a name with a NUL
+// would be stored whole but listed and matched only up to it. Every path
+// call goes through Resolve or SplitPath, and both refuse such a path.
+Status CheckNoNul(const std::string& path) {
+  if (path.find('\0') != std::string::npos) {
+    return InvalidArgumentError("path contains a NUL byte");
+  }
+  return OkStatus();
+}
+
 std::vector<std::string> SplitComponents(const std::string& path) {
   std::vector<std::string> parts;
   std::string cur;
@@ -39,6 +49,7 @@ bool IsDotName(const std::string& name) { return name == "." || name == ".."; }
 }  // namespace
 
 StatusOr<uint32_t> MinixFs::Resolve(const std::string& path) {
+  RETURN_IF_ERROR(CheckNoNul(path));
   uint32_t ino = kRootIno;
   for (const std::string& part : SplitComponents(path)) {
     ASSIGN_OR_RETURN(DiskInode inode, GetInode(ino));
@@ -51,6 +62,7 @@ StatusOr<uint32_t> MinixFs::Resolve(const std::string& path) {
 }
 
 Status MinixFs::SplitPath(const std::string& path, uint32_t* parent_ino, std::string* leaf) {
+  RETURN_IF_ERROR(CheckNoNul(path));
   std::vector<std::string> parts = SplitComponents(path);
   if (parts.empty()) {
     return InvalidArgumentError("path has no leaf: " + path);

@@ -121,13 +121,8 @@ TEST(EnvKnobsTest, EachKnobKeepsItsAcceptRule) {
     EXPECT_FALSE(EnvSegmentParity(true));
   }
   {
-    ScopedEnv env("LD_STRIPE_PARITY", "yes");
-    EXPECT_TRUE(EnvStripeParity(false));
-  }
-  {
-    ScopedEnv env("LD_MAINT_SCRUB_SEGMENTS", "0");
-    EXPECT_EQ(EnvMaintenanceOptions().scrub_segments_per_slice,
-              MaintenanceOptions{}.scrub_segments_per_slice);
+    ScopedEnv env("LD_MAINT", "0");
+    EXPECT_FALSE(EnvMaintenance(true));
   }
   // Enum knobs: every spelling maps to its value; anything else falls back.
   for (const auto& [spelling, policy] : {std::pair{"fifo", QueuePolicy::kFifo},

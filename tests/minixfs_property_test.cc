@@ -233,25 +233,23 @@ TEST(MinixFsLinkTest, Validation) {
 // directories, mirrored into a model of each directory's slots. The names
 // run 1-59 bytes and include groups that share their first 16 bytes (so
 // their directory-slot tags collide) and names with stray bytes after a NUL,
-// which a slot stores but which a lookup of the name before the NUL still
-// finds. Blocks of 512 B, 1 KB and 4 KB hold 8, 16 and 64 slots, and the
-// cache holds only its floor of 8 blocks, so directory blocks are evicted
-// and reloaded between scans. The model places each new name in the first
-// free slot and grows a directory by a block only when none is free, so
-// slot reuse and order are checked too: after every op, ReadDir lists
-// exactly the model's slots in order, and every entry resolves by its name
-// and by its stored bytes.
+// which every path call refuses with INVALID_ARGUMENT. Blocks of 512 B, 1 KB
+// and 4 KB hold 8, 16 and 64 slots, and the cache holds only its floor of 8
+// blocks, so directory blocks are evicted and reloaded between scans. The
+// model places each new name in the first free slot and grows a directory by
+// a block only when none is free, so slot reuse and order are checked too:
+// after every op, ReadDir lists exactly the model's slots in order, and
+// every entry resolves by its name.
 
 enum class DirBackend { kClassic, kLd };
 
 struct DirEntryModel {
   uint32_t ino = 0;
-  std::string raw;  // The name as the slot stores it, bytes after a NUL too.
   bool is_dir = false;
 };
 
-// One directory: its entries by name (the bytes before the first NUL, as
-// ReadDir reports it) and the names in its slots, "" for a free slot.
+// One directory: its entries by name and the names in its slots, "" for a
+// free slot.
 struct DirModel {
   std::map<std::string, DirEntryModel> entries;
   std::vector<std::string> slots;
@@ -264,6 +262,8 @@ using DirTree = std::map<std::string, DirModel>;
 using DirListing = std::map<std::string, std::vector<std::pair<std::string, uint32_t>>>;
 
 std::string NameOf(const std::string& raw) { return raw.substr(0, raw.find('\0')); }
+
+bool HasNul(const std::string& name) { return name.find('\0') != std::string::npos; }
 
 std::string ParentOf(const std::string& dir) { return dir.substr(0, dir.rfind('/')); }
 
@@ -280,25 +280,11 @@ void RemoveSlot(DirModel* dir, const std::string& name) {
   *std::find(dir->slots.begin(), dir->slots.end(), name) = "";
 }
 
-// The rule a directory slot holding `stored` answers a lookup of `query`
-// by: the zero-padded 59-byte name field starts with the query, and ends
-// there (a NUL) or is full.
-bool QueryMatches(const std::string& stored, const std::string& query) {
-  if (query.size() > kMinixNameMax) {
-    return false;
-  }
-  std::string field = stored;
-  field.resize(kMinixNameMax, '\0');
-  return field.compare(0, query.size(), query) == 0 &&
-         (query.size() == kMinixNameMax || field[query.size()] == '\0');
-}
-
-// The i-node a lookup of `query` in `dir` finds, or 0. Names are unique in
-// a directory, so only the entry of the query's name can match.
-uint32_t ExpectedLookup(const DirTree& tree, const std::string& dir, const std::string& query) {
+// The i-node a lookup of `name` in `dir` finds, or 0.
+uint32_t ExpectedLookup(const DirTree& tree, const std::string& dir, const std::string& name) {
   const auto& entries = tree.at(dir).entries;
-  auto it = entries.find(NameOf(query));
-  return it != entries.end() && QueryMatches(it->second.raw, query) ? it->second.ino : 0;
+  auto it = entries.find(name);
+  return it != entries.end() ? it->second.ino : 0;
 }
 
 uint32_t DirIno(const DirTree& tree, const std::string& dir) {
@@ -425,34 +411,24 @@ class DirOps {
     return it->first;
   }
 
-  // An entry of `dir` and the name a query for it uses: its name or its
-  // stored bytes.
-  std::pair<std::string, std::string> PickEntry(const std::string& dir) {
+  // The name of an entry of `dir`.
+  std::string PickEntry(const std::string& dir) {
     const auto& entries = tree_->at(dir).entries;
-    auto it = std::next(entries.begin(), rng_->Below(entries.size()));
-    return {it->first, rng_->Chance(0.5) ? it->first : it->second.raw};
-  }
-
-  // True when a slot stores `raw`'s name but a lookup of `raw` misses it:
-  // a new slot would show the name twice, which the model does not follow.
-  bool WouldDuplicate(const std::string& dir, const std::string& raw) {
-    const auto& entries = tree_->at(dir).entries;
-    auto it = entries.find(NameOf(raw));
-    return it != entries.end() && !QueryMatches(it->second.raw, raw);
+    return std::next(entries.begin(), rng_->Below(entries.size()))->first;
   }
 
   Status Create(const std::string& dir, const std::string& raw) {
-    if (WouldDuplicate(dir, raw)) {
-      return OkStatus();
-    }
     auto ino = fs_->CreateFile(dir + "/" + raw);
+    if (HasNul(raw)) {
+      return ExpectCode(ino.status(), ErrorCode::kInvalidArgument);
+    }
     if (ExpectedLookup(*tree_, dir, raw) != 0) {
       return ExpectCode(ino.status(), ErrorCode::kAlreadyExists);
     }
     RETURN_IF_ERROR(ino.status());
     DirModel& model = (*tree_)[dir];
-    model.entries[NameOf(raw)] = DirEntryModel{*ino, raw, false};
-    AddSlot(&model, NameOf(raw), spb_);
+    model.entries[raw] = DirEntryModel{*ino, false};
+    AddSlot(&model, raw, spb_);
     return OkStatus();
   }
 
@@ -460,14 +436,15 @@ class DirOps {
   Status Unlink(const std::string& raw) {
     const std::string dir = PickDir();
     DirModel& model = (*tree_)[dir];
-    const std::string query =
-        !model.entries.empty() && rng_->Chance(0.7) ? PickEntry(dir).second : raw;
-    const uint32_t ino = ExpectedLookup(*tree_, dir, query);
-    const Status s = fs_->Unlink(dir + "/" + query);
-    if (ino == 0) {
+    const std::string name =
+        !model.entries.empty() && rng_->Chance(0.7) ? PickEntry(dir) : raw;
+    const Status s = fs_->Unlink(dir + "/" + name);
+    if (HasNul(name)) {
+      return ExpectCode(s, ErrorCode::kInvalidArgument);
+    }
+    if (ExpectedLookup(*tree_, dir, name) == 0) {
       return ExpectCode(s, ErrorCode::kNotFound);
     }
-    const std::string name = NameOf(query);
     if (model.entries.at(name).is_dir) {
       return ExpectCode(s, ErrorCode::kInvalidArgument);
     }
@@ -483,16 +460,16 @@ class DirOps {
     if (tree_->at(from_dir).entries.empty()) {
       return OkStatus();
     }
-    const auto [from_name, from_query] = PickEntry(from_dir);
+    const std::string from_name = PickEntry(from_dir);
     const std::string to_dir = PickDir();
-    if (WouldDuplicate(to_dir, raw)) {
-      return OkStatus();
-    }
-    const std::string to_name = NameOf(raw);
+    const std::string& to_name = raw;
     const DirEntryModel src = tree_->at(from_dir).entries.at(from_name);
     const std::string src_path = from_dir + "/" + from_name;
-    const uint32_t target = ExpectedLookup(*tree_, to_dir, raw);
-    const Status s = fs_->Rename(from_dir + "/" + from_query, to_dir + "/" + raw);
+    const Status s = fs_->Rename(src_path, to_dir + "/" + to_name);
+    if (HasNul(to_name)) {
+      return ExpectCode(s, ErrorCode::kInvalidArgument);
+    }
+    const uint32_t target = ExpectedLookup(*tree_, to_dir, to_name);
     if (target == src.ino) {
       return s;  // Both names are the same link: nothing changes.
     }
@@ -509,9 +486,7 @@ class DirOps {
       to.entries.erase(to_name);
       RemoveSlot(&to, to_name);
     }
-    DirEntryModel moved = src;
-    moved.raw = raw;
-    to.entries[to_name] = moved;
+    to.entries[to_name] = src;
     AddSlot(&to, to_name, spb_);
     DirModel& from = (*tree_)[from_dir];
     from.entries.erase(from_name);
@@ -542,21 +517,22 @@ class DirOps {
   // Makes a directory, two levels deep at most.
   Status Mkdir(const std::string& raw) {
     const std::string dir = PickDir();
-    if (std::count(dir.begin(), dir.end(), '/') >= 2 || tree_->size() >= 8 ||
-        WouldDuplicate(dir, raw)) {
+    if (std::count(dir.begin(), dir.end(), '/') >= 2 || tree_->size() >= 8) {
       return OkStatus();
     }
     const Status s = fs_->Mkdir(dir + "/" + raw);
+    if (HasNul(raw)) {
+      return ExpectCode(s, ErrorCode::kInvalidArgument);
+    }
     if (ExpectedLookup(*tree_, dir, raw) != 0) {
       return ExpectCode(s, ErrorCode::kAlreadyExists);
     }
     RETURN_IF_ERROR(s);
-    const std::string name = NameOf(raw);
-    ASSIGN_OR_RETURN(MinixStatInfo info, fs_->Stat(dir + "/" + name));
+    ASSIGN_OR_RETURN(MinixStatInfo info, fs_->Stat(dir + "/" + raw));
     DirModel& parent = (*tree_)[dir];
-    parent.entries[name] = DirEntryModel{info.ino, raw, true};
-    AddSlot(&parent, name, spb_);
-    DirModel& self = (*tree_)[dir + "/" + name];
+    parent.entries[raw] = DirEntryModel{info.ino, true};
+    AddSlot(&parent, raw, spb_);
+    DirModel& self = (*tree_)[dir + "/" + raw];
     AddSlot(&self, ".", spb_);
     AddSlot(&self, "..", spb_);
     return OkStatus();
@@ -570,9 +546,7 @@ class DirOps {
     const std::string path = std::next(tree_->begin(), 1 + rng_->Below(tree_->size() - 1))->first;
     const std::string parent = ParentOf(path);
     const std::string name = path.substr(path.rfind('/') + 1);
-    const std::string query =
-        rng_->Chance(0.5) ? name : tree_->at(parent).entries.at(name).raw;
-    const Status s = fs_->Rmdir(parent + "/" + query);
+    const Status s = fs_->Rmdir(path);
     if (!tree_->at(path).entries.empty()) {
       return ExpectCode(s, ErrorCode::kFailedPrecondition);
     }
@@ -584,13 +558,16 @@ class DirOps {
     return OkStatus();
   }
 
-  // Looks up a pool name, or its name with other stray bytes, that may be
-  // absent.
+  // Looks up a pool name, or its name with stray bytes after a NUL, that
+  // may be absent.
   Status Lookup(const std::string& raw) {
     const std::string dir = PickDir();
     const std::string query = rng_->Chance(0.5) ? raw : NameOf(raw) + '\0' + "~";
-    const uint32_t ino = ExpectedLookup(*tree_, dir, query);
     auto info = fs_->Stat(dir + "/" + query);
+    if (HasNul(query)) {
+      return ExpectCode(info.status(), ErrorCode::kInvalidArgument);
+    }
+    const uint32_t ino = ExpectedLookup(*tree_, dir, query);
     if (ino == 0) {
       return ExpectCode(info.status(), ErrorCode::kNotFound);
     }
@@ -630,16 +607,14 @@ DirListing ReadListing(MinixFs* fs) {
 }
 
 // Every directory of `tree` lists exactly its slots in order, and every
-// entry resolves by its name and by its stored bytes.
+// entry resolves by its name.
 void ExpectTreeMatches(MinixFs* fs, const DirTree& tree) {
   ASSERT_EQ(ReadListing(fs), ListingOf(tree));
   for (const auto& [dir, model] : tree) {
     for (const auto& [name, entry] : model.entries) {
-      for (const std::string& query : {name, entry.raw}) {
-        auto info = fs->Stat(dir + "/" + query);
-        ASSERT_TRUE(info.ok()) << dir << "/" << query << ": " << info.status().ToString();
-        ASSERT_EQ(info->ino, entry.ino) << dir << "/" << query;
-      }
+      auto info = fs->Stat(dir + "/" + name);
+      ASSERT_TRUE(info.ok()) << dir << "/" << name << ": " << info.status().ToString();
+      ASSERT_EQ(info->ino, entry.ino) << dir << "/" << name;
     }
   }
 }

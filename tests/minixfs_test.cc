@@ -370,6 +370,29 @@ TEST(MinixFsTest, NameTooLongRejected) {
             ErrorCode::kInvalidArgument);
 }
 
+// A directory slot ends a name at its first NUL, so a path with a NUL byte
+// is refused: stored whole, "/.\0x" would read back as a second "." and
+// break the directory, and "/ab\0x" would list "ab" twice.
+TEST(MinixFsTest, PathWithNulByteRejected) {
+  Rig rig;
+  ASSERT_TRUE(rig.fs->CreateFile("/ab").ok());
+  for (const std::string& name : {std::string("/.\0x", 4), std::string("/ab\0x", 5)}) {
+    EXPECT_EQ(rig.fs->CreateFile(name).status().code(), ErrorCode::kInvalidArgument);
+    EXPECT_EQ(rig.fs->Mkdir(name).code(), ErrorCode::kInvalidArgument);
+    EXPECT_EQ(rig.fs->Rename("/ab", name).code(), ErrorCode::kInvalidArgument);
+    EXPECT_EQ(rig.fs->Stat(name).status().code(), ErrorCode::kInvalidArgument);
+  }
+  const Status fsck = rig.fs->CheckConsistency();
+  EXPECT_TRUE(fsck.ok()) << fsck.ToString();
+  auto listed = rig.fs->ReadDir("/");
+  ASSERT_TRUE(listed.ok());
+  std::vector<std::string> names;
+  for (const MinixDirEntry& e : *listed) {
+    names.push_back(e.name);
+  }
+  EXPECT_EQ(names, (std::vector<std::string>{".", "..", "ab"}));
+}
+
 // Names of 1, 7, 8, 9, 58 and 59 bytes, several sharing their first 8 bytes,
 // some stored past the seventh directory block (the indirect path of BMap).
 // Each is found; a strict prefix or an extension of one that is not itself
