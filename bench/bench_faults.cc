@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -411,16 +412,14 @@ StatusOr<MaintAggressorResult> RunMaintAggressor(bool maint_on) {
   LldOptions options = BenchOptions();
   options.stripe_parity = true;
   options.checkpoint_interval_segments = 4;
-  if (maint_on) {
-    options.rebuild_tenant = 1;
-    options.defer_checkpoint_frames = true;
-  }
   ASSIGN_OR_RETURN(auto lld, LogStructuredDisk::Format(&disk, options));
+  // Only the on arm has a scheduler: an attached one defers checkpoint
+  // frames to its checkpoint duty and bills cleaning to its tenant.
+  std::optional<MaintenanceScheduler> sched;
+  if (maint_on) {
+    sched.emplace(lld.get(), MaintenanceOptions{});
+  }
   ASSIGN_OR_RETURN(const Lid list, lld->NewList(kBeginOfListOfLists, ListHints{}));
-
-  MaintenanceOptions mo;
-  mo.tenant = 1;
-  MaintenanceScheduler sched(lld.get(), mo);
 
   std::vector<Bid> bids;
   Bid pred = kBeginOfList;
@@ -429,11 +428,11 @@ StatusOr<MaintAggressorResult> RunMaintAggressor(bool maint_on) {
     RETURN_IF_ERROR(lld->Write(bid, Pattern(i)));
     pred = bid;
     bids.push_back(bid);
-    if (maint_on && i % 8 == 7) {
+    if (sched && i % 8 == 7) {
       // Deferred checkpoint frames are demonstrated here, in the write-heavy
       // phase: once the channel fails below, the LD (correctly) disables
       // incremental checkpointing for the rest of the session.
-      RETURN_IF_ERROR(sched.Step().status());
+      RETURN_IF_ERROR(sched->Step().status());
     }
   }
   RETURN_IF_ERROR(lld->Flush());
@@ -449,7 +448,9 @@ StatusOr<MaintAggressorResult> RunMaintAggressor(bool maint_on) {
 
   // A fresh verification pass over the healed volume, interleaved with the
   // rebuild/restripe work below.
-  sched.RequestScrub();
+  if (sched) {
+    sched->RequestScrub();
+  }
 
   disk.ResetStats();
   const double start = clock.Now();
@@ -464,15 +465,15 @@ StatusOr<MaintAggressorResult> RunMaintAggressor(bool maint_on) {
     } else {
       RETURN_IF_ERROR(lld->Read(bids[rng.Below(bids.size())], out));
     }
-    if (maint_on) {
-      RETURN_IF_ERROR(sched.Step().status());
+    if (sched) {
+      RETURN_IF_ERROR(sched->Step().status());
     }
     if (i % 8 == 7) {
       // Foreground think time: the idle windows a real workload would have,
       // and the only place the idle gate lets maintenance spend a slice.
       clock.Advance(0.004);
-      if (maint_on) {
-        RETURN_IF_ERROR(sched.Step().status());
+      if (sched) {
+        RETURN_IF_ERROR(sched->Step().status());
       }
     }
   }
@@ -482,7 +483,9 @@ StatusOr<MaintAggressorResult> RunMaintAggressor(bool maint_on) {
   r.stats = disk.stats();
   r.p99_ms = r.stats.tenant(0).read_latency.Quantile(0.99);
   r.mean_ms = r.stats.tenant(0).read_latency.MeanMs();
-  r.maint = sched.stats();
+  if (sched) {
+    r.maint = sched->stats();
+  }
   r.scrub_segments = r.maint.scrub_segments;
   // The heal queued the only rebuild cycle and no slice of it ran before
   // the window opened, so the cycle's accumulated report is this window's.

@@ -219,10 +219,11 @@ class BlockDevice {
   // --- Tenant context / QoS ------------------------------------------------
   //
   // The simulator is single-threaded, so the tenant id is sticky per-device
-  // request context rather than a per-call argument: a session sets it before
-  // issuing I/O (PartitionDevice re-asserts it on every forwarded call) and
-  // the device stamps it into each queued request. Defaults are no-ops so
-  // non-queueing devices and old consumers need no changes.
+  // request context rather than a per-call argument: a session's
+  // PartitionDevice holds its id and re-asserts it on every forwarded call,
+  // background work relabels for a while through TenantScope (below), and
+  // the device stamps the current id into each queued request. Defaults are
+  // no-ops so non-queueing devices need no changes.
 
   virtual void set_request_tenant(TenantId /*tenant*/) {}
   virtual TenantId request_tenant() const { return kDefaultTenant; }
@@ -256,6 +257,26 @@ class BlockDevice {
   // wrappers counting errors, the ReliableIo retry shim). Devices that track
   // stats return their own struct; wrappers forward to the wrapped device.
   virtual DiskStats* mutable_stats() { return nullptr; }
+};
+
+// Labels `device`'s requests with `tenant` for the scope's lifetime, then
+// puts back the label it found. Background work (a maintenance slice, a
+// cleaning round inside a foreground write) bills itself this way; RAII
+// because that work has many early exits, and a label left behind would
+// bill every later foreground request to the wrong tenant.
+class TenantScope {
+ public:
+  TenantScope(BlockDevice* device, TenantId tenant)
+      : device_(device), saved_(device->request_tenant()) {
+    device_->set_request_tenant(tenant);
+  }
+  ~TenantScope() { device_->set_request_tenant(saved_); }
+  TenantScope(const TenantScope&) = delete;
+  TenantScope& operator=(const TenantScope&) = delete;
+
+ private:
+  BlockDevice* device_;
+  TenantId saved_;
 };
 
 }  // namespace ld

@@ -55,7 +55,8 @@ class PartitionDevice : public BlockDevice {
   uint32_t queue_depth() const override { return parent_->queue_depth(); }
 
   // This wrapper *is* the tenant boundary: setting the request tenant
-  // re-labels the partition itself.
+  // re-labels the partition itself (a TenantScope does so for the length of
+  // a maintenance slice or cleaning round). Nothing above it sets the id.
   void set_request_tenant(TenantId tenant) override { tenant_ = tenant; }
   TenantId request_tenant() const override { return tenant_; }
   void set_qos(const QosConfig& config) override { parent_->set_qos(config); }

@@ -81,7 +81,6 @@ StatusOr<std::unique_ptr<MinixFs>> FormatFfs(BlockDevice* device, const FfsParam
   options.readahead_blocks = params.readahead_blocks;
   options.cluster_writes = true;
   options.max_cluster_blocks = params.max_cluster_blocks;
-  options.tenant = params.tenant;
 
   const MinixSuperblock sb = MinixFs::ComputeClassicLayout(device, options);
   ASSIGN_OR_RETURN(std::unique_ptr<FfsBackend> backend,
@@ -98,7 +97,6 @@ StatusOr<std::unique_ptr<MinixFs>> MountFfs(BlockDevice* device, const FfsParams
   options.readahead_blocks = params.readahead_blocks;
   options.cluster_writes = true;
   options.max_cluster_blocks = params.max_cluster_blocks;
-  options.tenant = params.tenant;
 
   std::vector<uint8_t> block(options.block_size);
   const uint64_t sector = static_cast<uint64_t>(options.block_size) / device->sector_size();

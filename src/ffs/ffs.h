@@ -33,7 +33,6 @@ struct FfsParams {
   uint32_t blocks_per_group = 2048;  // 16 MB cylinder groups at 8 KB.
   uint32_t readahead_blocks = 8;
   uint32_t max_cluster_blocks = 16;  // 128-KB clusters.
-  TenantId tenant = kDefaultTenant;  // Session id on a shared device.
 };
 
 // Cylinder-group block allocator: the group is chosen from the predecessor

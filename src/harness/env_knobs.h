@@ -142,10 +142,11 @@ inline QosConfig EnvQosConfig(const QosConfig& fallback = QosConfig{}) {
 
 // Idle-driven background maintenance toggle (LD_MAINT=0|1): when on, the
 // LD-based setups attach a MaintenanceScheduler running scrub, deferred
-// checkpoint frames, paced rebuild, and restripe-after-heal as a dedicated
-// low-weight tenant during device idle time. Off (the fallback everywhere)
-// keeps every maintenance operation a foreground call — the configuration
-// the golden bench outputs pin.
+// checkpoint frames, paced rebuild, and restripe-after-heal during device
+// idle time, billed with the LLD's cleaning to kMaintenanceTenant (the
+// multi-tenant rig drops it: its sessions get no scheduler). Off (the
+// fallback everywhere) keeps every maintenance operation a foreground call
+// — the configuration the golden bench outputs pin.
 inline bool EnvMaintenance(bool fallback) { return EnvFlag("LD_MAINT", fallback); }
 
 // HP C3010 options honoring the environment overrides.

@@ -47,7 +47,6 @@ StatusOr<FsStack> MakeFsStack(BlockDevice* device, FsKind kind, const SetupParam
   options.compress_file_data = params.compress_file_data;
   options.readahead_blocks = params.readahead_blocks;
   options.ld_readahead = params.ld_readahead;
-  options.tenant = params.tenant;
 
   switch (kind) {
     case FsKind::kMinixLld:
@@ -55,30 +54,19 @@ StatusOr<FsStack> MakeFsStack(BlockDevice* device, FsKind kind, const SetupParam
     case FsKind::kMinixLldSmallInodes: {
       LldOptions lld_options = params.lld;
       lld_options.block_size = params.minix_block_size;
-      lld_options.tenant = params.tenant;
       lld_options.checkpoint_interval_segments =
           EnvCheckpointInterval(lld_options.checkpoint_interval_segments);
       lld_options.cleaning_policy = EnvCleaningPolicy(lld_options.cleaning_policy);
-      const bool maint = EnvMaintenance(params.maintenance);
-      MaintenanceOptions maint_options;
-      if (maint) {
-        // One past the session tenant: distinct from every foreground id so
-        // the device's idle detector can classify maintenance traffic.
-        maint_options.tenant = params.tenant + 1;
-        lld_options.rebuild_tenant = maint_options.tenant;
-        // Cleaning is maintenance too: its I/O bills to the background
-        // budget instead of whichever session tripped the free-pool check.
-        lld_options.cleaner_tenant = maint_options.tenant;
-        lld_options.defer_checkpoint_frames = maint_options.checkpoint;
-      }
       ASSIGN_OR_RETURN(s.lld, LogStructuredDisk::Format(device, lld_options));
+      // Attached before the file system's format, so the seals that format
+      // makes already defer their checkpoint frames to the scheduler.
+      if (EnvMaintenance(params.maintenance)) {
+        s.maintenance = std::make_unique<MaintenanceScheduler>(s.lld.get(), MaintenanceOptions{});
+      }
       const bool list_per_file = kind != FsKind::kMinixLldSingleList;
       const bool small_inodes = kind == FsKind::kMinixLldSmallInodes;
       ASSIGN_OR_RETURN(s.fs,
                        MinixFs::FormatOnLd(s.lld.get(), options, list_per_file, small_inodes));
-      if (maint) {
-        s.maintenance = std::make_unique<MaintenanceScheduler>(s.lld.get(), maint_options);
-      }
       break;
     }
     case FsKind::kMinix: {
@@ -89,7 +77,6 @@ StatusOr<FsStack> MakeFsStack(BlockDevice* device, FsKind kind, const SetupParam
       FfsParams ffs;
       ffs.num_inodes = params.num_inodes;
       ffs.cache_bytes = params.cache_bytes;
-      ffs.tenant = params.tenant;
       ASSIGN_OR_RETURN(s.fs, FormatFfs(device, ffs));
       break;
     }

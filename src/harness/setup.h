@@ -66,14 +66,11 @@ struct SetupParams {
   // behaviour).
   uint32_t readahead_blocks = 8;
   bool ld_readahead = false;
-  // Tenant session id threaded down the whole stack (fs → backend → LD →
-  // device request context). Single-FS setups keep the default.
-  TenantId tenant = kDefaultTenant;
   // Attach an idle-driven MaintenanceScheduler to LD-based stacks
-  // (overridable by LD_MAINT) with the scheduler's default pacing. The
-  // scheduler gets its own tenant id — one past the session's — stamped on
-  // scrub/checkpoint/restripe I/O and set as the LD's rebuild_tenant, and
-  // cadence-driven checkpoint frames move off the seal path onto it.
+  // (overridable by LD_MAINT) with the scheduler's default pacing. Its
+  // duties and the LLD's cleaning bill to kMaintenanceTenant, and
+  // cadence-driven checkpoint frames move off the seal path onto its
+  // checkpoint duty; the caller must step it (FsStack::maintenance).
   bool maintenance = false;
 };
 

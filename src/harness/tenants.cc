@@ -35,9 +35,7 @@ StatusOr<MultiTenantRig> MakeMultiTenantRig(const MultiTenantParams& params) {
     session.id = i;
     session.part = std::make_unique<PartitionDevice>(
         rig.disk.get(), i * sectors_per_tenant, sectors_per_tenant, /*tenant=*/i);
-    SetupParams fs_params = params.fs;
-    fs_params.tenant = i;
-    ASSIGN_OR_RETURN(FsStack stack, MakeFsStack(session.part.get(), params.kind, fs_params));
+    ASSIGN_OR_RETURN(FsStack stack, MakeFsStack(session.part.get(), params.kind, params.fs));
     session.lld = std::move(stack.lld);
     session.fs = std::move(stack.fs);
     rig.tenants.push_back(std::move(session));

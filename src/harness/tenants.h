@@ -23,7 +23,9 @@ namespace ld {
 // file system (and its LLD) must die before the partition they run on.
 struct TenantSession {
   TenantId id = kDefaultTenant;
-  std::unique_ptr<PartitionDevice> part;   // Slice of the shared device.
+  // Slice of the shared device, and the only layer that knows `id`: it
+  // labels every request the session's LLD and file system send through it.
+  std::unique_ptr<PartitionDevice> part;
   std::unique_ptr<LogStructuredDisk> lld;  // Null for non-LD kinds.
   std::unique_ptr<MinixFs> fs;
 };
@@ -40,8 +42,11 @@ struct MultiTenantParams {
   // rig's tenant count so Active() reflects the actual session count.
   QosConfig qos;
   FsKind kind = FsKind::kMinixLld;
-  // File-system knobs for every tenant stack (partition_bytes/device/tenant
-  // fields are ignored — the rig provides those).
+  // File-system knobs for every tenant stack (partition_bytes/device fields
+  // are ignored — the rig provides those). Sessions get no background
+  // maintenance: a scheduler that `maintenance` or LD_MAINT asks for is
+  // dropped, which detaches it, so each session's cleaning bills to its own
+  // partition's tenant and its checkpoint frames ride the seal.
   SetupParams fs;
 };
 

@@ -171,9 +171,9 @@ class LogicalDisk {
   // for callers that hold only the LogicalDisk interface.
   virtual DiskStats* device_stats() { return nullptr; }
 
-  // Labels this LD instance's device requests with a tenant session id so a
-  // shared device can attribute and arbitrate them (QoS dispatch). No-op for
-  // implementations without a device.
+  // No LD in src/ labels its own requests: a session's tenant id belongs to
+  // the device it runs on (PartitionDevice). Kept as a no-op for wrappers
+  // that forward it (perfbench's TracedLd).
   virtual void SetTenant(TenantId tenant) { (void)tenant; }
 
   // ---- Lifecycle & introspection ------------------------------------------

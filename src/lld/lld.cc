@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "src/lld/lld_maintenance.h"
 #include "src/util/crc32.h"
 #include "src/util/log.h"
 
@@ -30,9 +31,7 @@ constexpr size_t kSummaryOverhead = SummaryHeader::kEncodedSize + 16;
 }  // namespace
 
 LogStructuredDisk::LogStructuredDisk(BlockDevice* device, const LldOptions& options)
-    : device_(device), options_(options), io_(device) {
-  device_->set_request_tenant(options_.tenant);
-}
+    : device_(device), options_(options), io_(device) {}
 
 Status LogStructuredDisk::ComputeLayout() {
   const uint32_t sector = device_->sector_size();
@@ -560,15 +559,16 @@ Status LogStructuredDisk::FinishSeal(bool wait_for_inflight) {
   // runs low) the pending captures go out as a delta frame. This runs here —
   // with the open buffer empty — rather than inside AllocateFreeSegment,
   // where a rebase would recurse into a half-sealed flush. No-op when the
-  // seal came from a frame write itself (ckpt_in_frame_write_). With
-  // defer_checkpoint_frames, cadence-driven frames wait for CheckpointStep
-  // (the idle-time maintenance path); forced frames — the allocation window
-  // running out of free segments — must still go out inline, because new
-  // seals are confined to the window the latest durable frame recorded.
+  // seal came from a frame write itself (ckpt_in_frame_write_). While a
+  // scheduler with the checkpoint duty is attached, cadence-driven frames
+  // wait for CheckpointStep (the idle-time maintenance path); forced frames —
+  // the allocation window running out of free segments — must still go out
+  // inline, because new seals are confined to the window the latest durable
+  // frame recorded.
   if (CheckpointingActive() && !ckpt_in_frame_write_) {
     const bool force = usage_->AllocatableCount() <
                        options_.segments_per_clean + static_cast<uint32_t>(MaxInflight()) + 2;
-    if (force || !options_.defer_checkpoint_frames) {
+    if (force || maintenance_ == nullptr || !maintenance_->options().checkpoint) {
       RETURN_IF_ERROR(MaybeWriteDeltaFrame(force));
     }
   }

@@ -121,6 +121,8 @@ struct LldCounters {
   }
 };
 
+class MaintenanceScheduler;
+
 // In-memory footprint of LLD's data structures (paper Table 2).
 struct MemoryFootprint {
   uint64_t block_map_bytes = 0;
@@ -236,8 +238,9 @@ class LogStructuredDisk : public LogicalDisk {
   // Next segment index ScrubStep will examine (0 when no cycle is active).
   uint32_t scrub_cursor() const { return scrub_.cursor; }
 
-  // Writes the deferred checkpoint delta frame if one is due
-  // (LldOptions::defer_checkpoint_frames); returns whether a frame went out.
+  // Writes the deferred checkpoint delta frame if one is due (frames wait
+  // for this call while a scheduler with the checkpoint duty is attached;
+  // see set_maintenance); returns whether a frame went out.
   StatusOr<bool> CheckpointStep();
   // True when enough seals have accumulated that CheckpointStep would write.
   bool CheckpointFrameDue() const {
@@ -272,12 +275,12 @@ class LogStructuredDisk : public LogicalDisk {
   // surviving stripe peers: member images are XOR-reconstructed and verified
   // against their recorded summary sequence, parity images are recomputed
   // and verified against the recorded parity CRC; any mismatch is a typed
-  // double fault (the stripe is dissolved, never guessed at). Rebuild I/O is
-  // stamped with LldOptions::rebuild_tenant so the QoS dispatch layer can
-  // pace it under foreground traffic. Callable incrementally while serving:
-  // the returned report *accumulates* across the incremental calls of one
-  // rebuild cycle and resets only once the queue has drained, so the last
-  // slice's report describes the whole cycle.
+  // double fault (the stripe is dissolved, never guessed at). Rebuild labels
+  // no request itself: from a maintenance slice, its I/O bills to the
+  // scheduler's tenant like every other duty. Callable incrementally while
+  // serving: the returned report *accumulates* across the incremental calls
+  // of one rebuild cycle and resets only once the queue has drained, so the
+  // last slice's report describes the whole cycle.
   StatusOr<RebuildReport> Rebuild(uint32_t max_segments = 0);
 
   // Segments queued for Rebuild.
@@ -301,6 +304,16 @@ class LogStructuredDisk : public LogicalDisk {
     return ch < channel_failed_.size() && channel_failed_[ch];
   }
 
+  // The background scheduler running this volume's maintenance, or null. A
+  // MaintenanceScheduler attaches itself when constructed and detaches when
+  // destroyed (src/lld/lld_maintenance.h). While one is attached, cleaning
+  // bills its I/O to kMaintenanceTenant and, if the scheduler runs the
+  // checkpoint duty, cadence-driven checkpoint frames wait for
+  // CheckpointStep instead of riding the seal. Frames the allocation window
+  // needs (the free pool running low) still go out at the seal, so deferral
+  // only widens the recovery scan, never weakens it.
+  void set_maintenance(const MaintenanceScheduler* scheduler) { maintenance_ = scheduler; }
+
   // ---- Introspection (tests & benchmarks) ---------------------------------
   // What the last Open() did to rebuild state (RecoveryMode::kNone after
   // Format), including the typed checkpoint fallback ladder.
@@ -316,10 +329,6 @@ class LogStructuredDisk : public LogicalDisk {
   const ListTable& list_table() const { return list_table_; }
   BlockDevice* device() { return device_; }
   DiskStats* device_stats() override { return device_->mutable_stats(); }
-  void SetTenant(TenantId tenant) override {
-    options_.tenant = tenant;
-    device_->set_request_tenant(tenant);
-  }
   // Walks list `lid` and returns its blocks in order.
   StatusOr<std::vector<Bid>> ListBlocks(Lid lid) const;
   MemoryFootprint MeasureMemory() const;
@@ -865,6 +874,7 @@ class LogStructuredDisk : public LogicalDisk {
   bool degraded_ = false;
   std::string degraded_cause_;
   bool cleaning_ = false;         // Re-entrancy guard.
+  const MaintenanceScheduler* maintenance_ = nullptr;  // See set_maintenance.
   // When >= 0, the cleaner's segment writer places its output as close to
   // this segment index as possible (used by RearrangeHotBlocks to center
   // the hot set); -1 = first-free placement.

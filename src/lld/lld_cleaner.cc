@@ -22,45 +22,10 @@
 #include <unordered_set>
 
 #include "src/lld/lld.h"
+#include "src/lld/lld_maintenance.h"
 #include "src/util/log.h"
 
 namespace ld {
-
-namespace {
-
-// Stamps the cleaner's tenant id as the device request context for the
-// duration of a cleaning round, restoring the session tenant on destruction.
-// RAII because CleanSegments has many early exits and runs re-entrant inside
-// foreground writes — an unrestored context would misattribute every
-// subsequent foreground request. Inactive (no set_request_tenant call at
-// all) when no distinct cleaner tenant is configured, so single-tenant runs
-// are untouched.
-class CleanerTenantScope {
- public:
-  CleanerTenantScope(BlockDevice* device, const LldOptions& options)
-      : device_(device),
-        restore_(options.tenant),
-        active_(options.cleaner_tenant != kDefaultTenant &&
-                options.cleaner_tenant != options.tenant) {
-    if (active_) {
-      device_->set_request_tenant(options.cleaner_tenant);
-    }
-  }
-  ~CleanerTenantScope() {
-    if (active_) {
-      device_->set_request_tenant(restore_);
-    }
-  }
-  CleanerTenantScope(const CleanerTenantScope&) = delete;
-  CleanerTenantScope& operator=(const CleanerTenantScope&) = delete;
-
- private:
-  BlockDevice* device_;
-  TenantId restore_;
-  bool active_;
-};
-
-}  // namespace
 
 Status LogStructuredDisk::HarvestVictim(uint32_t victim, CleanerBatch* batch,
                                         VictimDataRead* pending, uint32_t* ext_live) {
@@ -447,10 +412,11 @@ Status LogStructuredDisk::CleanSegments(uint32_t count) {
   RETURN_IF_ERROR(WaitForInflight());
   FlagGuard cleaning(&cleaning_);
   // From here on the round's I/O — victim summary/data reads, copied-out
-  // segment writes — bills to the cleaner's QoS tenant (the maintenance
-  // tenant when the harness attached a scheduler), not to the foreground
-  // session that happened to trip the free-pool threshold.
-  CleanerTenantScope tenant_scope(device_, options_);
+  // segment writes — bills to the attached maintenance scheduler's tenant,
+  // not to the foreground session that happened to trip the free-pool
+  // threshold. Without a scheduler it stays on the session's tenant.
+  TenantScope tenant(device_,
+                     maintenance_ != nullptr ? kMaintenanceTenant : device_->request_tenant());
 
   // The cleaner writes copied state into fresh segments *before* freeing the
   // victims, so the batch's live bytes must fit the current free pool (minus

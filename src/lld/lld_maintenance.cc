@@ -18,7 +18,7 @@ void MaintenanceScheduler::Observe() {
   if (DiskStats* ds = lld_->device()->mutable_stats()) {
     // Sticky registration of the maintenance tenant, so NoteRequest can
     // classify traffic; redone every step because ResetStats() wipes it.
-    ds->maintenance_tenant = options_.tenant;
+    ds->maintenance_tenant = kMaintenanceTenant;
   }
   // A rebuild queue observed nonempty and now drained means a heal just
   // finished; the healed channel's segments are unstriped until a restripe
@@ -76,7 +76,9 @@ StatusOr<uint32_t> MaintenanceScheduler::Drain(uint32_t max_steps) {
 }
 
 StatusOr<bool> MaintenanceScheduler::RunOneDuty() {
-  BlockDevice* device = lld_->device();
+  // Whichever duty runs, its I/O (and any cleaning it triggers) is
+  // maintenance traffic.
+  TenantScope tenant(lld_->device(), kMaintenanceTenant);
   // Round-robin over the duties so a long backlog in one (a full-volume
   // scrub) cannot starve the others (a due checkpoint frame).
   for (uint32_t probe = 0; probe < 4; ++probe) {
@@ -87,16 +89,13 @@ StatusOr<bool> MaintenanceScheduler::RunOneDuty() {
         if (!options_.checkpoint || !lld_->CheckpointFrameDue()) {
           break;
         }
-        device->set_request_tenant(options_.tenant);
-        const StatusOr<bool> wrote = lld_->CheckpointStep();
-        device->set_request_tenant(lld_->options().tenant);
-        RETURN_IF_ERROR(wrote.status());
-        if (*wrote) {
+        ASSIGN_OR_RETURN(const bool wrote, lld_->CheckpointStep());
+        if (wrote) {
           stats_.checkpoint_frames++;
         }
         return true;
       }
-      case 1: {  // Paced rebuild. Rebuild stamps its own rebuild_tenant.
+      case 1: {  // Paced rebuild.
         if (!options_.rebuild || lld_->rebuild_pending() == 0) {
           break;
         }
@@ -113,20 +112,17 @@ StatusOr<bool> MaintenanceScheduler::RunOneDuty() {
           break;
         }
         const uint32_t unstriped_before = lld_->UnstripedFullSegments();
-        device->set_request_tenant(options_.tenant);
-        const StatusOr<uint32_t> formed = lld_->FormStripes(kRestripeSetsPerSlice);
-        device->set_request_tenant(lld_->options().tenant);
-        RETURN_IF_ERROR(formed.status());
+        ASSIGN_OR_RETURN(const uint32_t formed, lld_->FormStripes(kRestripeSetsPerSlice));
         stats_.restripe_passes++;
-        stats_.stripes_formed += *formed;
+        stats_.stripes_formed += formed;
         // Convergence is "the unstriped population stopped shrinking", not
         // "nothing was formed": every pass seals a record carrier that is
         // itself a fresh unstriped segment, so a pass that only re-stripes
         // its predecessor's carrier is treading water.
-        if (*formed == 0 || lld_->UnstripedFullSegments() >= unstriped_before) {
+        if (formed == 0 || lld_->UnstripedFullSegments() >= unstriped_before) {
           restripe_armed_ = false;
         }
-        if (*formed == 0) {
+        if (formed == 0) {
           break;  // Let another duty use this slice.
         }
         return true;
@@ -136,13 +132,9 @@ StatusOr<bool> MaintenanceScheduler::RunOneDuty() {
           break;
         }
         const uint32_t cursor_before = lld_->scrub_cursor();
-        device->set_request_tenant(options_.tenant);
-        const StatusOr<ScrubReport> report =
-            lld_->ScrubStep(std::max(options_.scrub_segments_per_slice, 1u));
-        device->set_request_tenant(lld_->options().tenant);
-        RETURN_IF_ERROR(report.status());
+        ASSIGN_OR_RETURN(stats_.last_scrub,
+                         lld_->ScrubStep(std::max(options_.scrub_segments_per_slice, 1u)));
         stats_.scrub_slices++;
-        stats_.last_scrub = *report;
         if (lld_->scrub_cycle_active()) {
           stats_.scrub_segments += lld_->scrub_cursor() - cursor_before;
         } else {

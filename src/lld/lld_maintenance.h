@@ -5,9 +5,17 @@
 // incremental, re-entrant operations on LogStructuredDisk. This scheduler
 // is the policy layer that runs them: it watches the device's foreground
 // idle signal (DiskStats::IdleSeconds) and, when the device has been quiet
-// long enough, runs one bounded slice of one duty per Step() call, stamped
-// with a dedicated low-weight tenant id so the QoS dispatch layer paces the
-// maintenance I/O against whatever foreground arrives mid-slice.
+// long enough, runs one bounded slice of one duty per Step() call, billed to
+// a tenant id of its own (kMaintenanceTenant) so the idle detector can tell
+// maintenance from foreground and, where a QoS config weights that tenant,
+// the dispatch layer paces it against whatever foreground arrives mid-slice.
+//
+// A scheduler attaches itself to its LLD when constructed and detaches when
+// destroyed (LogStructuredDisk::set_maintenance). While attached, the LLD's
+// cleaning rounds bill to kMaintenanceTenant too, and with the checkpoint
+// duty on, cadence-driven checkpoint frames wait for the checkpoint duty
+// instead of riding the seal. Build a scheduler only where Step() or Drain()
+// will run; one that is never stepped leaves due frames unwritten.
 //
 // The scheduler owns no thread: the harness (or an embedding application)
 // calls Step() at convenient points — between requests, on a timer tick —
@@ -17,10 +25,10 @@
 // kernel thread.
 //
 // Duties, round-robin so no duty starves another:
-//   checkpoint — write the due delta frame that defer_checkpoint_frames
-//                kept off the seal path (Lld::CheckpointStep).
+//   checkpoint — write the due delta frame that attachment kept off the
+//                seal path (Lld::CheckpointStep).
 //   rebuild    — re-materialize a healed channel's striped segments, a few
-//                per slice (Lld::Rebuild(n); stamps its own rebuild_tenant).
+//                per slice (Lld::Rebuild(n)).
 //   restripe   — re-form stripe sets over segments the heal left unstriped;
 //                armed automatically when a rebuild queue drains, or by
 //                RequestRestripe() (Lld::FormStripes(n)).
@@ -43,14 +51,17 @@
 
 namespace ld {
 
-struct MaintenanceOptions {
-  // Tenant id stamped on all maintenance I/O. Must be a tenant distinct
-  // from every foreground session's: the idle detector classifies requests
-  // by this id, and with a shared id the scheduler's own I/O would read as
-  // foreground pressure and starve it. The harness assigns one past the
-  // session tenants and registers it (with a weight) in the QoS config.
-  TenantId tenant = kDefaultTenant;
+// The tenant id of all maintenance I/O: every duty slice, and every
+// cleaning round of the attached LLD. It must differ from the foreground's:
+// the idle detector classifies requests by this id, and with a shared id the
+// scheduler's own I/O would read as foreground pressure and starve it. The
+// single-file-system setups run their session as kDefaultTenant (0); the
+// multi-tenant rig, whose session 1 also uses id 1, attaches no scheduler.
+// Nothing registers a QoS weight for it except bench_faults' aggressor
+// experiment, so elsewhere it shares the device like any other tenant.
+inline constexpr TenantId kMaintenanceTenant = 1;
 
+struct MaintenanceOptions {
   // The device must have seen no foreground request for this long before a
   // slice runs. Fresh foreground pressure since the previous Step() doubles
   // the required window once (back-off under load).
@@ -92,8 +103,14 @@ struct MaintenanceStats {
 
 class MaintenanceScheduler {
  public:
+  // Attaches to `lld` until destroyed; the LLD must outlive the scheduler.
   MaintenanceScheduler(LogStructuredDisk* lld, const MaintenanceOptions& options)
-      : lld_(lld), options_(options) {}
+      : lld_(lld), options_(options) {
+    lld_->set_maintenance(this);
+  }
+  ~MaintenanceScheduler() { lld_->set_maintenance(nullptr); }
+  MaintenanceScheduler(const MaintenanceScheduler&) = delete;
+  MaintenanceScheduler& operator=(const MaintenanceScheduler&) = delete;
 
   // Runs at most one duty slice if the device is idle and a duty has work.
   // Returns whether a slice ran. Safe to call at any cadence.

@@ -6,7 +6,6 @@
 #include <cstdint>
 
 #include "src/compress/compressor.h"
-#include "src/disk/qos.h"
 
 namespace ld {
 
@@ -106,19 +105,6 @@ struct LldOptions {
   // devices never form stripes regardless.
   bool stripe_parity = false;
 
-  // Tenant id Lld::Rebuild stamps on its own I/O, so the QoS dispatch layer
-  // can pace rebuild traffic as a low-weight tenant while foreground
-  // requests keep flowing. Defaults to the session tenant (no distinction).
-  TenantId rebuild_tenant = kDefaultTenant;
-
-  // Tenant id the segment cleaner stamps on its own I/O (victim reads and
-  // copied-out segment writes), so cleaning bills to a background QoS budget
-  // instead of the foreground session that happened to trigger it. The
-  // harness points this at the maintenance tenant when a MaintenanceScheduler
-  // is attached. kDefaultTenant means "the session tenant": no restamping at
-  // all, preserving single-tenant behaviour exactly.
-  TenantId cleaner_tenant = kDefaultTenant;
-
   // Incremental checkpointing (bounded recovery). 0 keeps the paper's
   // checkpoint-free normal operation: the only checkpoint is the clean-
   // shutdown image, invalidated on every startup, and recovery after a
@@ -132,16 +118,6 @@ struct LldOptions {
   // log-written-since-checkpoint rather than volume size.
   uint32_t checkpoint_interval_segments = 0;
 
-  // Defer cadence-driven checkpoint frames off the seal path: a seal only
-  // *captures* its segment for the next frame, and the frame itself goes out
-  // when the maintenance scheduler calls CheckpointStep() during device idle
-  // time. Frames the allocation window depends on (the free pool running
-  // low) are still written inline at the seal — correctness needs that
-  // rebase regardless of pacing. Deferring only widens the recovery scan
-  // (more seals since the last durable frame), never weakens it. No effect
-  // with checkpoint_interval_segments == 0.
-  bool defer_checkpoint_frames = false;
-
   // Fan the recovery summary scan out across the device's channels through
   // the async request queue (per-channel concurrent reads, then an ordered
   // merge by sequence number — ARU all-or-nothing semantics are preserved
@@ -149,11 +125,6 @@ struct LldOptions {
   // one at a time in segment order: the differential baseline; the
   // post-recovery state is byte-identical either way.
   bool parallel_recovery_scan = true;
-
-  // Tenant session this LLD instance belongs to. Stamped as the device's
-  // request context so a shared device can attribute segment writes, cleaner
-  // traffic, and reads to the right session (multi-tenant QoS dispatch).
-  TenantId tenant = kDefaultTenant;
 
   // CPU cost charged per list-maintenance operation (microseconds), modeling
   // the prototype's user-level list bookkeeping. 0 disables the model; the

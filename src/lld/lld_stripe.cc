@@ -578,9 +578,6 @@ StatusOr<RebuildReport> LogStructuredDisk::Rebuild(uint32_t max_segments) {
   }
   RebuildReport& report = rebuild_report_;
   const double start = device_->clock()->Now();
-  // Pace rebuild I/O as its own (typically low-weight) tenant; foreground
-  // requests between incremental calls keep their own stamp.
-  device_->set_request_tenant(options_.rebuild_tenant);
   uint32_t budget =
       max_segments == 0 ? std::numeric_limits<uint32_t>::max() : max_segments;
   std::vector<uint32_t> requeue;
@@ -670,7 +667,6 @@ StatusOr<RebuildReport> LogStructuredDisk::Rebuild(uint32_t max_segments) {
     EnqueueRebuild(seg);
   }
   report.segments_pending = static_cast<uint32_t>(rebuild_pending_.size());
-  device_->set_request_tenant(options_.tenant);
   report.seconds += device_->clock()->Now() - start;
   rebuild_cycle_active_ = !rebuild_pending_.empty();
   return report;

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <span>
 
-#include "src/disk/qos.h"
 #include "src/util/status.h"
 
 namespace ld {
@@ -74,10 +73,6 @@ class MinixBackend {
   // The underlying LogicalDisk, when there is one (LD modes): lets the core
   // use atomic recovery units directly.
   virtual LogicalDisk* logical_disk() { return nullptr; }
-
-  // Labels this file system's device requests with a tenant session id (see
-  // BlockDevice::set_request_tenant). No-op for backends without a device.
-  virtual void SetTenant(TenantId tenant) { (void)tenant; }
 };
 
 }  // namespace ld

@@ -69,9 +69,11 @@ class BufferCache {
   // Returns the cached block, loading it when absent: one submit and one
   // wait. When `load` is false the caller promises to overwrite the whole
   // block, so no read is issued (an in-flight read of the block is
-  // cancelled: its bytes are dead). A load that finds the block in the
-  // pending-read table adopts it (waiting out the transfer) instead of
-  // issuing a second read.
+  // cancelled: its bytes are dead), and a block that was not cached comes
+  // back all zero. MinixFs relies on that for freshly allocated blocks,
+  // which are never cached: every path that frees a block Discards it. A
+  // load that finds the block in the pending-read table adopts it (waiting
+  // out the transfer) instead of issuing a second read.
   StatusOr<std::shared_ptr<CacheBlock>> Get(uint32_t bno, bool load);
 
   // Starts a single-flight load of `bno` unless the block is cached or

@@ -39,7 +39,6 @@ class ClassicBackend : public MinixBackend {
   Status Sync() override;
   Status ShutdownBackend() override;
   bool readahead() const override { return true; }
-  void SetTenant(TenantId tenant) override { device_->set_request_tenant(tenant); }
 
   uint64_t free_blocks() const { return free_blocks_; }
 

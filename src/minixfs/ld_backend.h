@@ -64,7 +64,6 @@ class LdBackend : public MinixBackend {
   bool readahead() const override { return false; }
 
   LogicalDisk* logical_disk() override { return ld_; }
-  void SetTenant(TenantId tenant) override { ld_->SetTenant(tenant); }
 
  private:
   LogicalDisk* ld_;

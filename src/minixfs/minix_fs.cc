@@ -55,7 +55,6 @@ MinixFs::MinixFs(std::unique_ptr<MinixBackend> backend, const MinixSuperblock& s
       });
   cache_->set_cluster_writes(options_.cluster_writes);
   cache_->set_max_cluster_blocks(options_.max_cluster_blocks);
-  backend_->SetTenant(options_.tenant);
   inode_bitmap_.assign(sb_.num_inodes + 1, false);
   inode_bitmap_[0] = true;  // I-node 0 is reserved.
 }

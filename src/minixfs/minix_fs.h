@@ -55,10 +55,6 @@ struct MinixOptions {
   // performed by fsck"). The paper's own MINIX did not use ARUs yet (§4.1);
   // this option turns that future work on.
   bool sync_with_arus = false;
-  // Tenant session this file system belongs to, pushed down to the backend
-  // (and from there to the device) so a shared device can attribute and
-  // arbitrate requests between concurrent sessions.
-  TenantId tenant = kDefaultTenant;
 };
 
 struct MinixStatInfo {

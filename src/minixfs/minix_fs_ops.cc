@@ -178,6 +178,14 @@ const uint64_t* SlotTags(CacheBlock& block, uint32_t slots) {
   return block.slot_tags.data();
 }
 
+// A block number just allocated misses the cache, so Get(load=false) hands
+// it out zeroed (see BufferCache::Get); builds without NDEBUG check that.
+void AssertFreshZeroed(const CacheBlock& block) {
+  assert(std::all_of(block.data.begin(), block.data.end(), [](uint8_t b) { return b == 0; }) &&
+         "freshly allocated block not zeroed");
+  (void)block;
+}
+
 // The first slot, in slot order, whose tag is `tag` and that `accept`
 // takes, or `slots` when there is none.
 template <typename Accept>
@@ -258,7 +266,7 @@ Status MinixFs::AddDirEntry(uint32_t dir_ino, const std::string& name, uint32_t 
   // Extend the directory by one block.
   ASSIGN_OR_RETURN(uint32_t bno, BMap(&dir, nblocks, /*alloc=*/true));
   ASSIGN_OR_RETURN(std::shared_ptr<CacheBlock> block, cache_->Get(bno, /*load=*/false));
-  std::fill(block->data.begin(), block->data.end(), 0);
+  AssertFreshZeroed(*block);
   entry.EncodeTo(std::span<uint8_t>(block->data).subspan(0, kMinixDirEntrySize));
   cache_->MarkDirty(block);
   dir.size = (nblocks + 1) * sb_.block_size;
@@ -385,13 +393,17 @@ Status MinixFs::WriteFile(uint32_t ino, uint64_t offset, std::span<const uint8_t
       ASSIGN_OR_RETURN(bno, BMap(&inode, idx, /*alloc=*/true));
     }
     // A freshly allocated block is never read (a reused physical block may
-    // hold another file's old bytes) and starts zeroed; an existing block is
-    // read unless this write covers everything still meaningful in it.
+    // hold another file's old bytes) and comes out of the cache zeroed. An
+    // existing block is read unless this write covers everything still
+    // meaningful in it; a short write of that kind zeroes the stale rest,
+    // which a cached copy may still hold.
     const bool full_overwrite =
-        within == 0 && (chunk == bs || pos + chunk >= inode.size);
+        !fresh && within == 0 && (chunk == bs || pos + chunk >= inode.size);
     ASSIGN_OR_RETURN(std::shared_ptr<CacheBlock> block,
                      cache_->Get(bno, /*load=*/!fresh && !full_overwrite));
-    if (fresh || (full_overwrite && chunk < bs)) {
+    if (fresh) {
+      AssertFreshZeroed(*block);
+    } else if (full_overwrite && chunk < bs) {
       std::fill(block->data.begin(), block->data.end(), 0);
     }
     std::memcpy(block->data.data() + within, data.data() + done, chunk);

@@ -11,11 +11,13 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "src/disk/device_factory.h"
 #include "src/disk/fault_disk.h"
 #include "src/disk/mem_disk.h"
+#include "src/disk/partition_device.h"
 #include "src/lld/lld.h"
 #include "src/lld/lld_maintenance.h"
 #include "tests/device_test_util.h"
@@ -261,20 +263,22 @@ TEST(LldMaintenanceTest, RebuildReportAccumulatesAcrossSlices) {
 
 // ---- Deferred checkpoint frames ---------------------------------------------
 
-// With defer_checkpoint_frames the seal path stops writing delta frames;
-// the due frame is visible through CheckpointFrameDue() and written by
-// CheckpointStep() — and recovery is equivalent whether the deferred frame
-// was written before the crash or not.
+// With a scheduler that runs the checkpoint duty attached, the seal path
+// stops writing delta frames; the due frame is visible through
+// CheckpointFrameDue() and written by CheckpointStep() — and recovery is
+// equivalent whether the deferred frame was written before the crash or not.
 TEST(LldMaintenanceTest, DeferredCheckpointFramesMoveOffSealPath) {
-  LldOptions base = TestOptions();
-  base.checkpoint_interval_segments = 2;
+  LldOptions options = TestOptions();
+  options.checkpoint_interval_segments = 2;
 
-  // Baseline: seal-path frames flow during the workload.
+  // Baseline: with the checkpoint duty off, seal-path frames flow during
+  // the workload although a scheduler is attached.
   {
     MaintRig rig;
-    LldOptions options = base;
-    options.defer_checkpoint_frames = false;
     auto lld = rig.Format(options);
+    MaintenanceOptions mo;
+    mo.checkpoint = false;
+    MaintenanceScheduler sched(lld.get(), mo);
     const uint64_t frames0 = lld->counters().checkpoint_frames_written;
     auto list = lld->NewList(kBeginOfListOfLists, ListHints{});
     FillBlocks(lld.get(), *list, 150);
@@ -283,11 +287,10 @@ TEST(LldMaintenanceTest, DeferredCheckpointFramesMoveOffSealPath) {
   }
 
   // Deferred: the seal path stays quiet; the frame waits for CheckpointStep.
-  const auto run_deferred = [&base](bool write_frame_before_crash) {
+  const auto run_deferred = [&options](bool write_frame_before_crash) {
     MaintRig rig;
-    LldOptions options = base;
-    options.defer_checkpoint_frames = true;
     auto lld = rig.Format(options);
+    MaintenanceScheduler sched(lld.get(), MaintenanceOptions{});
     const uint64_t frames0 = lld->counters().checkpoint_frames_written;
     auto list = lld->NewList(kBeginOfListOfLists, ListHints{});
     auto bids = FillBlocks(lld.get(), *list, 150);
@@ -342,7 +345,6 @@ TEST(LldMaintenanceTest, SchedulerIdleGateDefersUnderForegroundPressure) {
   FillBlocks(lld.get(), *list, 40);
 
   MaintenanceOptions mo;
-  mo.tenant = 1;
   mo.idle_threshold_ms = 1000.0;
   MaintenanceScheduler sched(lld.get(), mo);
   ASSERT_TRUE(sched.HasWork()) << "startup scrub pass must be armed";
@@ -365,13 +367,12 @@ TEST(LldMaintenanceTest, SchedulerIdleGateDefersUnderForegroundPressure) {
 // After a channel heal, Drain() runs the whole maintenance backlog: paced
 // rebuild empties the queue, the queue drain arms a restripe pass that
 // re-covers the healed segments, and the startup scrub pass verifies the
-// volume — with every maintenance request attributed to the scheduler's
-// tenant, not to foreground.
+// volume — with every maintenance request, rebuild included, attributed to
+// the scheduler's tenant, not to foreground.
 TEST(LldMaintenanceTest, SchedulerDrainsHealBacklogAndAttributesTenant) {
   MaintRig rig(4);
   LldOptions options = TestOptions();
   options.stripe_parity = true;
-  options.rebuild_tenant = 1;
   auto lld = rig.Format(options);
   auto list = lld->NewList(kBeginOfListOfLists, ListHints{});
   auto bids = FillBlocks(lld.get(), *list, 400);
@@ -384,7 +385,6 @@ TEST(LldMaintenanceTest, SchedulerDrainsHealBacklogAndAttributesTenant) {
   ASSERT_GT(lld->rebuild_pending(), 0u);
 
   MaintenanceOptions mo;
-  mo.tenant = 1;
   mo.rebuild_segments_per_slice = 2;
   MaintenanceScheduler sched(lld.get(), mo);
 
@@ -419,9 +419,10 @@ TEST(LldMaintenanceTest, SchedulerDrainsHealBacklogAndAttributesTenant) {
 // ---- Maintenance-on/off differential ----------------------------------------
 
 // The satellite differential: an identical scripted workload, run once bare
-// and once with the scheduler stepping between operations (deferred frames
-// on), must produce the same logical volume — same block ids, same bytes —
-// both live and after a crash + recovery.
+// and once with a scheduler attached and stepping between operations
+// (deferred frames on), must produce the same logical volume — same block
+// ids, same bytes — both live and after a crash + recovery. The bare run
+// builds no scheduler: an attached one defers frames even unstepped.
 TEST(LldMaintenanceTest, MaintenanceOnOffWorkloadByteIdentity) {
   struct Result {
     std::vector<Bid> bids;
@@ -431,14 +432,15 @@ TEST(LldMaintenanceTest, MaintenanceOnOffWorkloadByteIdentity) {
   const auto run = [](bool maintenance) {
     LldOptions options = TestOptions();
     options.checkpoint_interval_segments = 4;
-    options.defer_checkpoint_frames = maintenance;
     MaintRig rig;
     auto lld = rig.Format(options);
-    MaintenanceOptions mo;
-    mo.tenant = 1;
-    mo.idle_threshold_ms = 0.0;  // Always-idle: every step may spend a slice.
-    mo.continuous_scrub = true;
-    MaintenanceScheduler sched(lld.get(), mo);
+    std::optional<MaintenanceScheduler> sched;
+    if (maintenance) {
+      MaintenanceOptions mo;
+      mo.idle_threshold_ms = 0.0;  // Always-idle: every step may spend a slice.
+      mo.continuous_scrub = true;
+      sched.emplace(lld.get(), mo);
+    }
 
     Result result;
     auto list = lld->NewList(kBeginOfListOfLists, ListHints{});
@@ -460,15 +462,15 @@ TEST(LldMaintenanceTest, MaintenanceOnOffWorkloadByteIdentity) {
         tags[at] = 10000 + i;
         EXPECT_TRUE(lld->Write(result.bids[at], Pattern(4096, tags[at])).ok());
       }
-      if (maintenance) {
-        auto stepped = sched.Step();
+      if (sched) {
+        auto stepped = sched->Step();
         EXPECT_TRUE(stepped.ok()) << stepped.status().ToString();
       }
     }
     EXPECT_TRUE(lld->Flush().ok());
-    if (maintenance) {
-      EXPECT_TRUE(sched.Drain(200).ok());
-      EXPECT_GT(sched.stats().scrub_slices + sched.stats().checkpoint_frames, 0u)
+    if (sched) {
+      EXPECT_TRUE(sched->Drain(200).ok());
+      EXPECT_GT(sched->stats().scrub_slices + sched->stats().checkpoint_frames, 0u)
           << "the maintained run must actually have done maintenance";
     }
     std::vector<uint8_t> out(4096);
@@ -477,6 +479,7 @@ TEST(LldMaintenanceTest, MaintenanceOnOffWorkloadByteIdentity) {
       result.live.push_back(out);
     }
     rig.disk->CrashNow();
+    sched.reset();  // Detach before the LLD goes.
     lld.reset();
     rig.disk->ClearFault();
     auto reopened = LogStructuredDisk::Open(rig.disk.get(), options);
@@ -504,20 +507,19 @@ TEST(LldMaintenanceTest, MaintenanceOnOffWorkloadByteIdentity) {
 
 // ---- Cleaner tenant attribution --------------------------------------------
 
-// With a dedicated cleaner tenant configured (the harness points it at the
-// maintenance tenant when a scheduler is attached), every device request a
-// cleaning round issues — victim summary and data reads, the copied-out
-// segment images — bills to that tenant's TenantStats, and none of it leaks
-// onto the foreground session's account. With the knob unset, cleaning stays
-// on the session tenant and no second tenant ever appears.
+// With a maintenance scheduler attached, every device request a cleaning
+// round issues — victim summary and data reads, the copied-out segment
+// images — bills to kMaintenanceTenant's TenantStats, and none of it leaks
+// onto the foreground session's account. Without one, cleaning stays on the
+// session tenant and no second tenant ever appears.
 TEST(LldMaintenanceTest, CleanerTrafficBillsToCleanerTenant) {
   const auto clean_and_snapshot = [](bool dedicated, DiskStats* out) {
     MaintRig rig(/*channels=*/1);  // Queued device: it keeps TenantStats.
-    LldOptions options = TestOptions();
+    auto lld = rig.Format(TestOptions());
+    std::optional<MaintenanceScheduler> sched;
     if (dedicated) {
-      options.cleaner_tenant = 1;
+      sched.emplace(lld.get(), MaintenanceOptions{});
     }
-    auto lld = rig.Format(options);
     auto list = lld->NewList(kBeginOfListOfLists, ListHints{});
     ASSERT_TRUE(list.ok());
     auto bids = FillBlocks(lld.get(), *list, 300);
@@ -535,21 +537,89 @@ TEST(LldMaintenanceTest, CleanerTrafficBillsToCleanerTenant) {
   DiskStats dedicated;
   clean_and_snapshot(true, &dedicated);
   ASSERT_GE(dedicated.tenant_count(), 2u);
-  EXPECT_GT(dedicated.tenant(1).read_ops, 0u);   // Victim harvest reads.
-  EXPECT_GT(dedicated.tenant(1).write_ops, 0u);  // Copied-out segment images.
-  EXPECT_GT(dedicated.tenant(1).sectors_written, 0u);
+  EXPECT_GT(dedicated.tenant(kMaintenanceTenant).read_ops, 0u);   // Victim harvest reads.
+  EXPECT_GT(dedicated.tenant(kMaintenanceTenant).write_ops, 0u);  // Copied-out images.
+  EXPECT_GT(dedicated.tenant(kMaintenanceTenant).sectors_written, 0u);
   // The foreground session issued nothing between the stats reset and the
   // end of the cleaning round — attribution must not charge it either.
   EXPECT_EQ(dedicated.tenant(0).read_ops + dedicated.tenant(0).write_ops, 0u);
 
   DiskStats shared;
   clean_and_snapshot(false, &shared);
-  // Same round, knob unset: everything lands on the session tenant.
+  // Same round, no scheduler: everything lands on the session tenant.
   EXPECT_GT(shared.tenant(0).read_ops, 0u);
   EXPECT_GT(shared.tenant(0).write_ops, 0u);
   for (size_t i = 1; i < shared.tenant_count(); ++i) {
     EXPECT_EQ(shared.tenant(i).read_ops + shared.tenant(i).write_ops, 0u) << i;
   }
+}
+
+// Attachment lasts exactly as long as the scheduler. While one lives,
+// cleaning bills to kMaintenanceTenant and cadence frames wait for its
+// checkpoint duty; once it is destroyed, cleaning bills to the session's
+// tenant again and frames ride the seal. A cleaning round that fails while
+// a scheduler is attached still hands the device back with the session's
+// label. The session's tenant is its partition's, which no layer above
+// changes.
+TEST(LldMaintenanceTest, DetachedSchedulerReturnsCleaningAndFramesToSession) {
+  constexpr TenantId kSession = 3;
+  MaintRig rig(/*channels=*/1);
+  PartitionDevice part(rig.disk.get(), 0, rig.disk->num_sectors(), kSession);
+  LldOptions options = TestOptions();
+  options.checkpoint_interval_segments = 2;
+  auto formatted = LogStructuredDisk::Format(&part, options);
+  ASSERT_TRUE(formatted.ok()) << formatted.status().ToString();
+  std::unique_ptr<LogStructuredDisk> lld = std::move(formatted).value();
+  auto list = lld->NewList(kBeginOfListOfLists, ListHints{});
+  ASSERT_TRUE(list.ok());
+
+  // Overwrites every other block so the next round has victims, then cleans
+  // them and returns the device's traffic for that round alone.
+  uint32_t round = 0;
+  std::vector<Bid> bids;
+  const auto churn_and_clean = [&]() {
+    round++;
+    for (size_t i = 0; i < bids.size(); i += 2) {
+      EXPECT_TRUE(lld->Write(bids[i], Pattern(4096, round * 1000 + i)).ok());
+    }
+    EXPECT_TRUE(lld->Flush().ok());
+    rig.disk->ResetStats();
+    const uint64_t cleaned = lld->counters().segments_cleaned;
+    EXPECT_TRUE(lld->CleanSegments(lld->num_segments()).ok());
+    EXPECT_GT(lld->counters().segments_cleaned, cleaned);
+    return rig.inner->stats();
+  };
+
+  {
+    MaintenanceScheduler sched(lld.get(), MaintenanceOptions{});
+    const uint64_t frames = lld->counters().checkpoint_frames_written;
+    bids = FillBlocks(lld.get(), *list, 300);
+    EXPECT_EQ(lld->counters().checkpoint_frames_written, frames);
+    EXPECT_TRUE(lld->CheckpointFrameDue());
+    const DiskStats attached = churn_and_clean();
+    EXPECT_GT(attached.tenant(kMaintenanceTenant).write_ops, 0u);
+    EXPECT_EQ(attached.tenant(kSession).read_ops + attached.tenant(kSession).write_ops, 0u);
+    EXPECT_EQ(part.request_tenant(), kSession);
+  }
+
+  const uint64_t frames = lld->counters().checkpoint_frames_written;
+  const DiskStats detached = churn_and_clean();
+  EXPECT_GT(lld->counters().checkpoint_frames_written, frames)
+      << "detached: frames ride the seal again";
+  EXPECT_GT(detached.tenant(kSession).read_ops, 0u);
+  EXPECT_GT(detached.tenant(kSession).write_ops, 0u);
+  EXPECT_EQ(detached.tenant(kMaintenanceTenant).read_ops +
+                detached.tenant(kMaintenanceTenant).write_ops,
+            0u);
+
+  MaintenanceScheduler sched(lld.get(), MaintenanceOptions{});
+  for (size_t i = 0; i < bids.size(); i += 2) {
+    ASSERT_TRUE(lld->Write(bids[i], Pattern(4096, 9000 + i)).ok());
+  }
+  ASSERT_TRUE(lld->Flush().ok());
+  rig.disk->CrashNow();
+  EXPECT_FALSE(lld->CleanSegments(lld->num_segments()).ok());
+  EXPECT_EQ(part.request_tenant(), kSession);
 }
 
 }  // namespace

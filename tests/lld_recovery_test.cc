@@ -1193,7 +1193,6 @@ TEST(LldRecoveryTest, CrashDuringBackgroundScrubMatchesForegroundOutcomeSet) {
 
       if (background) {
         MaintenanceOptions mo;
-        mo.tenant = 1;
         mo.scrub_segments_per_slice = 2;
         mo.checkpoint = false;
         mo.rebuild = false;
@@ -1305,19 +1304,20 @@ TEST(LldRecoveryTest, RandomizedCrashDuringPacedRebuildSweep) {
     const int64_t torn = static_cast<int64_t>(rng.Below(4)) - 1;  // -1 (none) .. 2.
     rig.disk->CrashAfterWrites(crash_at, torn <= 0 ? -1 : torn);
 
-    MaintenanceOptions mo;
-    mo.tenant = 1;
-    mo.rebuild_segments_per_slice = 1;
-    mo.scrub = false;       // Bound the sweep to the rebuild + restripe phases.
-    mo.checkpoint = false;
-    MaintenanceScheduler sched(reopened->get(), mo);
-    const auto drained = sched.Drain(10000);
-    if (drained.ok() && !rig.disk->crashed()) {
-      maintenance_completed = true;
-      EXPECT_EQ((*reopened)->rebuild_pending(), 0u);
-      EXPECT_GT(sched.stats().rebuild_slices, 1u);
-    } else if (!drained.ok()) {
-      ASSERT_TRUE(rig.disk->crashed()) << drained.status().ToString();
+    {
+      MaintenanceOptions mo;
+      mo.rebuild_segments_per_slice = 1;
+      mo.scrub = false;  // Bound the sweep to the rebuild + restripe phases.
+      mo.checkpoint = false;
+      MaintenanceScheduler sched(reopened->get(), mo);  // Detaches before the reset below.
+      const auto drained = sched.Drain(10000);
+      if (drained.ok() && !rig.disk->crashed()) {
+        maintenance_completed = true;
+        EXPECT_EQ((*reopened)->rebuild_pending(), 0u);
+        EXPECT_GT(sched.stats().rebuild_slices, 1u);
+      } else if (!drained.ok()) {
+        ASSERT_TRUE(rig.disk->crashed()) << drained.status().ToString();
+      }
     }
     reopened->reset();
     rig.disk->ClearFault();

@@ -240,6 +240,33 @@ TEST(PartitionDeviceTest, DrainWaitsOwnRequestsOnly) {
   EXPECT_EQ(stats.tenant(1).write_ops, 4u);
 }
 
+// The partition is the only layer that labels a session's requests: an LLD
+// formatted with default options on a tenant-1 partition bills every
+// request to tenant 1 and leaves the partition's label as it found it.
+TEST(PartitionDeviceTest, LldKeepsThePartitionsTenant) {
+  SimClock clock;
+  auto disk = MakeDevice(DeviceOptions::HpC3010(kPartitionBytes, 1), &clock);
+  const uint64_t half = disk->num_sectors() / 2;
+  PartitionDevice p1(disk.get(), half, half, /*tenant=*/1);
+  auto lld = LogStructuredDisk::Format(&p1, LldOptions{});
+  ASSERT_TRUE(lld.ok()) << lld.status().ToString();
+  auto list = (*lld)->NewList(kBeginOfListOfLists, ListHints{});
+  ASSERT_TRUE(list.ok());
+  Bid pred = kBeginOfList;
+  for (uint32_t i = 0; i < 256; ++i) {
+    auto bid = (*lld)->NewBlock(*list, pred);
+    ASSERT_TRUE(bid.ok());
+    ASSERT_TRUE((*lld)->Write(*bid, Pattern(4096, i)).ok());
+    pred = *bid;
+  }
+  ASSERT_TRUE((*lld)->Flush().ok());
+
+  const DiskStats& stats = disk->stats();
+  EXPECT_GT(stats.tenant(1).write_ops, 0u);
+  EXPECT_EQ(stats.tenant(0).read_ops + stats.tenant(0).write_ops, 0u);
+  EXPECT_EQ(p1.request_tenant(), 1u);
+}
+
 TEST(MultiTenantRigTest, RoundRobinTenantsStayConsistent) {
   MultiTenantParams params;
   params.num_tenants = 2;
@@ -335,6 +362,47 @@ TEST(MultiTenantRigTest, ResetMeasurementClearsPerRunCounters) {
     ASSERT_TRUE(ino.ok());
     ASSERT_TRUE(t.fs->ReadFile(*ino, 0, buf).ok());
   }
+}
+
+// Maintenance asked for in the rig's file-system knobs attaches no
+// scheduler to a session (the rig keeps only each session's LLD and file
+// system), so a session's cleaning bills to its own tenant and its
+// checkpoint frames ride the seal. Session 0 overwrites one file until its
+// LLD cleans; tenant 1, which issues nothing, must stay empty.
+TEST(MultiTenantRigTest, SessionCleaningStaysOnItsOwnTenant) {
+  MultiTenantParams params;
+  params.num_tenants = 2;
+  params.bytes_per_tenant = 24ull << 20;
+  params.device = DeviceOptions::HpC3010(0, /*channels=*/1);
+  params.qos.policy = QosPolicy::kWeightedShare;
+  params.fs.num_inodes = 512;
+  params.fs.cache_bytes = 1024 * 1024;
+  params.fs.maintenance = true;
+  params.fs.lld.checkpoint_interval_segments = 2;
+  auto rig = MakeMultiTenantRig(params);
+  ASSERT_TRUE(rig.ok()) << rig.status().ToString();
+  TenantSession& session = rig->tenants[0];
+
+  auto ino = session.fs->CreateFile("/churn");
+  ASSERT_TRUE(ino.ok());
+  const std::vector<uint8_t> data(8u << 20, 0x5a);
+  for (uint32_t pass = 0; session.lld->counters().segments_cleaned == 0; ++pass) {
+    ASSERT_LT(pass, 32u) << "the session never cleaned";
+    ASSERT_TRUE(session.fs->WriteFile(*ino, 0, data).ok());
+    ASSERT_TRUE(session.fs->SyncFs().ok());
+    if (pass == 0) {
+      // Frames ride the seal: no scheduler is there to write them.
+      EXPECT_GT(session.lld->counters().checkpoint_frames_written, 0u);
+      EXPECT_FALSE(session.lld->CheckpointFrameDue());
+    }
+  }
+
+  const DiskStats& stats = rig->disk->stats();
+  EXPECT_GT(stats.tenant(0).read_ops, 0u);
+  EXPECT_GT(stats.tenant(0).write_ops, 0u);
+  const TenantStats& idle = stats.tenant(1);
+  EXPECT_EQ(idle.read_ops + idle.write_ops, 0u);
+  EXPECT_EQ(idle.sectors_read + idle.sectors_written, 0u);
 }
 
 // The one environment-honoring test: CI sweeps LD_TENANTS x LD_CHANNELS

@@ -99,9 +99,11 @@ TEST(WorkloadTest, SmallFileDataSurvivesVerification) {
 // driver at small scale: a create/overwrite/delete workload pumps the
 // scheduler between operations, then drains the backlog and proves the
 // background work neither corrupted file contents nor left the volume
-// dirty. The CI maintenance matrix re-runs it across LD_MAINT, LD_QOS and
+// dirty. The CI maintenance matrix re-runs it across LD_MAINT and
 // LD_CHANNELS legs; with LD_MAINT=0 the scheduler is null, the pump is a
-// no-op, and the leg acts as the maintenance-off control.
+// no-op, and the leg acts as the maintenance-off control. LD_QOS is not a
+// leg: with LD_TENANTS unset only one tenant is configured, so no QoS
+// policy is active and share and deadline would run the same code.
 TEST(WorkloadTest, MaintenancePumpsDuringFsWorkloadWithoutCorruption) {
   SetupParams params = SmallSetup();
   params.maintenance = true;  // LD_MAINT=0 still forces it off.
