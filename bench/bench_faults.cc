@@ -7,7 +7,9 @@
 // bursts, typed failures on persistent latent errors, and the scrub's
 // relocation work when segment summaries rot.
 //
-//   --smoke   tiny workloads (CI bit-rot guard; numbers not meaningful)
+//   --smoke            tiny workloads (CI bit-rot guard; numbers not meaningful)
+//   --fail-channel N   the channel the degraded-channel experiment kills
+//                      (0-3; default 1)
 
 #include <cstdio>
 #include <cstring>
@@ -19,7 +21,6 @@
 #include "src/disk/device_factory.h"
 #include "src/disk/fault_disk.h"
 #include "src/disk/mem_disk.h"
-#include "src/harness/env_knobs.h"
 #include "src/harness/report.h"
 #include "src/lld/lld.h"
 #include "src/lld/lld_maintenance.h"
@@ -30,6 +31,10 @@ namespace ld {
 namespace {
 
 bool g_smoke = false;
+uint32_t g_fail_channel = 1;
+
+// The striped experiments run on a four-channel HP C3010.
+constexpr uint32_t kChannels = 4;
 
 constexpr uint32_t kSectorSize = 512;
 constexpr uint32_t kBlockSize = 4096;
@@ -273,18 +278,13 @@ int RunScrubExperiment(bool parity) {
 // Kills a whole channel under a cross-channel-striped LLD at runtime: every
 // live block must stay readable through stripe reconstruction (degraded
 // reads), and after a blank-spare swap an online Rebuild() must restore full
-// redundancy. LD_FAIL_CHANNEL picks the victim channel, LD_CHANNELS the
-// width.
+// redundancy. --fail-channel picks the victim channel.
 int RunDegradedChannelExperiment() {
-  const uint32_t channels = std::max(3u, EnvChannels(4));
-  const int fail_pick = EnvFailChannel(1);
-  const uint32_t dead =
-      fail_pick >= 0 && fail_pick < static_cast<int>(channels) ? static_cast<uint32_t>(fail_pick)
-                                                               : 1u;
+  const uint32_t dead = g_fail_channel;
 
   SimClock clock;
   std::unique_ptr<BlockDevice> inner =
-      MakeDevice(DeviceOptions::HpC3010(DiskBytes(), channels), &clock);
+      MakeDevice(DeviceOptions::HpC3010(DiskBytes(), kChannels), &clock);
   FaultDisk disk(inner.get());
   LldOptions options = BenchOptions();
   options.stripe_parity = true;
@@ -355,7 +355,7 @@ int RunDegradedChannelExperiment() {
   }
 
   TextTable t({"Degraded-channel metric", "Value"});
-  t.AddRow({"channels (dead)", TextTable::Num(channels) + " (" + TextTable::Num(dead) + ")"});
+  t.AddRow({"channels (dead)", TextTable::Num(kChannels) + " (" + TextTable::Num(dead) + ")"});
   t.AddRow({"stripe sets formed", TextTable::Num(static_cast<double>(*formed))});
   t.AddRow({"blocks read degraded", TextTable::Num(static_cast<double>(bids.size()))});
   t.AddRow({"degraded reads (via stripe peers)",
@@ -399,10 +399,8 @@ struct MaintAggressorResult {
 // foreground's 8 and pumps scrub/checkpoint/rebuild/restripe through the
 // gaps; off, the volume simply stays degraded (no maintenance runs at all).
 StatusOr<MaintAggressorResult> RunMaintAggressor(bool maint_on) {
-  const uint32_t channels = std::max(3u, EnvChannels(4));
   SimClock clock;
-  DeviceOptions dev = DeviceOptions::HpC3010(DiskBytes(), channels);
-  dev.queue_policy = EnvQueuePolicy(dev.queue_policy);
+  DeviceOptions dev = DeviceOptions::HpC3010(DiskBytes(), kChannels);
   dev.qos.policy = QosPolicy::kWeightedShare;
   dev.qos.num_tenants = 2;
   dev.qos.weights = {8, 1};
@@ -642,6 +640,14 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       ld::g_smoke = true;
+    } else if (std::strcmp(argv[i], "--fail-channel") == 0) {
+      const char* value = i + 1 < argc ? argv[++i] : "";
+      const uint32_t channel = static_cast<uint32_t>(value[0] - '0');
+      if (value[0] == '\0' || value[1] != '\0' || channel >= ld::kChannels) {
+        std::fprintf(stderr, "--fail-channel takes a channel from 0 to %u\n", ld::kChannels - 1);
+        return 2;
+      }
+      ld::g_fail_channel = channel;
     }
   }
   ld::PrintBanner("Media faults — retry shim, payload CRCs, degraded mode (DESIGN.md)",

@@ -19,7 +19,6 @@
 #include <memory>
 
 #include "src/disk/device_factory.h"
-#include "src/harness/env_knobs.h"
 #include "src/harness/report.h"
 #include "src/harness/setup.h"
 #include "src/harness/tenants.h"
@@ -48,10 +47,8 @@ std::vector<Backend> Backends() {
   };
 }
 
-// LD_QOS/LD_TENANTS deliberately do NOT leak in here: Tables 3-6 are
-// single-tenant and must stay byte-identical to the golden output even when
-// the QoS matrix leg exports them (QosConfig::Active() is false at
-// num_tenants == 1 regardless of policy, which the CI diff leg proves).
+// Tables 3-6 are single-tenant: the device keeps its default QosConfig
+// (no policy, one tenant), so the legacy dispatch path runs.
 SetupParams ParamsFor(const DeviceOptions& device) {
   SetupParams params;
   if (g_smoke) {
@@ -59,8 +56,6 @@ SetupParams ParamsFor(const DeviceOptions& device) {
     params.num_inodes = 2048;
   }
   params.device = device;
-  params.device.qos = EnvQosConfig();
-  params.device.qos.num_tenants = 1;  // Single-tenant: QoS stays inactive.
   return params;
 }
 
@@ -216,9 +211,7 @@ bool Table6(std::vector<std::vector<DurableCosts>>* out) {
 // The Table 4/5 read workloads, re-run on the multi-channel mechanical
 // device: one large file read sequentially (Table 5's read phase) and many
 // files read round-robin (Table 4's read phase, interleaved so per-file
-// read-ahead windows overlap across files). Knobs are set explicitly per
-// run — never from the environment — so this section's output is identical
-// across the CI byte-identity legs.
+// read-ahead windows overlap across files). Each run sets its own knobs.
 
 struct ReadPhaseRun {
   double seq_elapsed = 0;          // One large file, sequential.
@@ -408,9 +401,8 @@ bool ChannelScaling() {
 //
 // N tenant sessions — each a full MINIX-on-LLD stack on its own partition —
 // share the mechanical device's channel set, interleaved by the cooperative
-// tenant scheduler. Knobs are pinned per run (never read from the
-// environment) so this section is identical across every CI byte-identity
-// leg, including the LD_QOS/LD_TENANTS one.
+// tenant scheduler. Each run sets its own tenant count, channel count and
+// QoS policy.
 
 struct TenantScalingRun {
   double elapsed = 0;

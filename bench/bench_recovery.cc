@@ -5,21 +5,16 @@
 // must read the whole disk, which the paper argues is at least an order of
 // magnitude slower. A clean shutdown's checkpoint makes restart nearly free.
 //
-// Beyond the paper: incremental checkpoints (delta frames every
-// LD_CKPT_INTERVAL sealed segments) bound crash recovery by the log written
-// since the last frame instead of the whole partition. The second table
-// sweeps the log size and shows the recovery-time curve flat with
-// checkpoints on and growing with checkpoints off.
-//
-// Environment (see src/harness/env_knobs.h): LD_CHANNELS / LD_QUEUE_POLICY
-// shape the device, LD_CKPT_INTERVAL sets the incremental-checkpoint cadence
-// used by the curve's "on" rows (0 picks the default cadence of 8).
+// Beyond the paper: incremental checkpoints (delta frames every 8 sealed
+// segments) bound crash recovery by the log written since the last frame
+// instead of the whole partition. The second table sweeps the log size and
+// shows the recovery-time curve flat with checkpoints on and growing with
+// checkpoints off.
 
 #include <cstdio>
 #include <string>
 #include <vector>
 
-#include "src/harness/env_knobs.h"
 #include "src/harness/report.h"
 #include "src/harness/setup.h"
 #include "src/util/table.h"
@@ -50,7 +45,6 @@ StatusOr<RecoveryReport> MeasureCrashRecovery(FsUnderTest* fut, const LldOptions
 
 int Run() {
   SetupParams params;  // 400-MB partition, 0.5-MB segments: the paper's rig.
-  params.device = EnvHpC3010(params.partition_bytes);
   // The headline experiment reproduces the paper: no checkpoints during
   // normal operation, one sweep over every summary after the crash.
   params.lld.checkpoint_interval_segments = 0;
@@ -128,8 +122,7 @@ int Run() {
   // and crash-reopens a fresh rig: the full sweep grows linearly with the
   // log while the incremental chain replays only the window since the
   // newest frame and stays bounded far below it.
-  const uint32_t env_interval = EnvCheckpointInterval(8);
-  const uint32_t interval_on = env_interval == 0 ? 8 : env_interval;
+  constexpr uint32_t kIntervalOn = 8;
   struct CurvePoint {
     int files;
     RecoveryReport off;
@@ -142,8 +135,7 @@ int Run() {
     for (const bool checkpoints_on : {false, true}) {
       SetupParams p = params;
       p.partition_bytes = static_cast<uint64_t>(files) * 64 * 1024 * 3;
-      p.device = EnvHpC3010(p.partition_bytes);
-      p.lld.checkpoint_interval_segments = checkpoints_on ? interval_on : 0;
+      p.lld.checkpoint_interval_segments = checkpoints_on ? kIntervalOn : 0;
       auto rig = MakeFsUnderTest(FsKind::kMinixLld, p);
       if (!rig.ok() || !Populate(&*rig, files).ok()) {
         std::fprintf(stderr, "curve setup failed (files=%d)\n", files);
@@ -161,7 +153,7 @@ int Run() {
   }
 
   std::printf("\nRecovery time vs. log size (crash reopen; ckpt interval %u segments):\n",
-              interval_on);
+              kIntervalOn);
   TextTable c({"Log written (MB)", "Partition (MB)", "Ckpt off (s)", "off: summaries scanned",
                "Ckpt on (s)", "on: mode"});
   for (const CurvePoint& p : curve) {

@@ -34,42 +34,36 @@ done
 golden="$(cd "$(dirname "$0")" && pwd)/golden"
 mkdir -p "$golden"
 
-# The goldens are the default configuration: drop every LD_* knob a caller
-# may have exported.
-for var in $(compgen -e | grep '^LD_'); do
-  unset "$var"
-done
-
-# <golden name> <env assignments or -> <bench> [args...]
+# <golden name> <bench> [args...]. bench_faults.smoke is also the channel-1
+# leg: channel 1 is --fail-channel's default.
 legs=(
-  "bench_cleaner - bench_cleaner"
-  "bench_compression - bench_compression"
-  "bench_faults - bench_faults"
-  "bench_inode_blocks - bench_inode_blocks"
-  "bench_list_overhead - bench_list_overhead"
-  "bench_loge - bench_loge"
-  "bench_nvme_tables - bench_nvme_tables"
-  "bench_nvram - bench_nvram"
-  "bench_partial_segments - bench_partial_segments"
-  "bench_rearrange - bench_rearrange"
-  "bench_recovery - bench_recovery"
-  "bench_segment_size - bench_segment_size"
-  "bench_table2_memory - bench_table2_memory"
-  "bench_table3_cost - bench_table3_cost"
-  "bench_table4_small_file - bench_table4_small_file"
-  "bench_table5_large_file - bench_table5_large_file"
-  "bench_table6_write_costs - bench_table6_write_costs"
-  "bench_trace - bench_trace"
-  "bench_nvme_tables.smoke - bench_nvme_tables --smoke"
-  "bench_faults.smoke - bench_faults --smoke"
-  "bench_faults.smoke-fail0 LD_FAIL_CHANNEL=0 bench_faults --smoke"
-  "bench_faults.smoke-fail1 LD_FAIL_CHANNEL=1 bench_faults --smoke"
-  "bench_faults.smoke-fail2 LD_FAIL_CHANNEL=2 bench_faults --smoke"
-  "bench_faults.smoke-fail3 LD_FAIL_CHANNEL=3 bench_faults --smoke"
+  "bench_cleaner bench_cleaner"
+  "bench_compression bench_compression"
+  "bench_faults bench_faults"
+  "bench_inode_blocks bench_inode_blocks"
+  "bench_list_overhead bench_list_overhead"
+  "bench_loge bench_loge"
+  "bench_nvme_tables bench_nvme_tables"
+  "bench_nvram bench_nvram"
+  "bench_partial_segments bench_partial_segments"
+  "bench_rearrange bench_rearrange"
+  "bench_recovery bench_recovery"
+  "bench_segment_size bench_segment_size"
+  "bench_table2_memory bench_table2_memory"
+  "bench_table3_cost bench_table3_cost"
+  "bench_table4_small_file bench_table4_small_file"
+  "bench_table5_large_file bench_table5_large_file"
+  "bench_table6_write_costs bench_table6_write_costs"
+  "bench_trace bench_trace"
+  "bench_nvme_tables.smoke bench_nvme_tables --smoke"
+  "bench_faults.smoke bench_faults --smoke"
+  "bench_faults.smoke-fail0 bench_faults --smoke --fail-channel 0"
+  "bench_faults.smoke-fail2 bench_faults --smoke --fail-channel 2"
+  "bench_faults.smoke-fail3 bench_faults --smoke --fail-channel 3"
 )
 # The ldbench leg runs nine processes in a row, so it starts first, beside
 # bench_cleaner, the longest bench.
-[ -n "$ldbench" ] && legs=("ldbench - ldbench" "${legs[@]}")
+[ -n "$ldbench" ] && legs=("ldbench ldbench" "${legs[@]}")
 
 # Prints the "deterministic" line of ldbench for seeds 1-3 of every workload,
 # labelled with workload and seed. Fails when a run fails.
@@ -88,13 +82,12 @@ ldbench_fingerprints() {
 # Runs one leg: its stdout, stderr and exit status go to $tmp/<index>.out,
 # .err and .status.
 run_leg() {
-  local index="$1" assign="$2" bench="$3"
-  shift 3
+  local index="$1" bench="$2"
+  shift 2
   if [ "$bench" = "ldbench" ]; then
     ldbench_fingerprints
   else
-    # shellcheck disable=SC2086  # $assign splits on purpose.
-    env $assign "$build/bench/$bench" "$@"
+    "$build/bench/$bench" "$@"
   fi >"$tmp/$index.out" 2>"$tmp/$index.err"
   echo $? >"$tmp/$index.status"
 }
@@ -106,10 +99,9 @@ for i in "${!legs[@]}"; do
   while [ "$(jobs -rp | wc -l)" -ge "$max_jobs" ]; do
     wait -n
   done
-  read -r name assign bench args <<<"${legs[$i]}"
-  [ "$assign" = "-" ] && assign=""
+  read -r name bench args <<<"${legs[$i]}"
   # shellcheck disable=SC2086  # $args splits on purpose.
-  run_leg "$i" "$assign" "$bench" $args &
+  run_leg "$i" "$bench" $args &
 done
 wait
 

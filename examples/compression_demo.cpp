@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "examples/check.h"
 #include "src/compress/lzrw.h"
 #include "src/disk/device_factory.h"
 #include "src/lld/lld.h"
@@ -22,13 +23,13 @@ int main() {
   ld::Lzrw1Compressor compressor;
   ld::LldOptions options;
   options.compressor = &compressor;
-  auto lld = *ld::LogStructuredDisk::Format(disk.get(), options);
+  auto lld = Check(ld::LogStructuredDisk::Format(disk.get(), options), "Format");
 
   // One compressed list, one plain list.
   ld::ListHints packed_hints;
   packed_hints.compress = true;
-  Lid packed = *lld->NewList(ld::kBeginOfListOfLists, packed_hints);
-  Lid plain = *lld->NewList(packed, ld::ListHints{});
+  Lid packed = Check(lld->NewList(ld::kBeginOfListOfLists, packed_hints), "NewList");
+  Lid plain = Check(lld->NewList(packed, ld::ListHints{}), "NewList");
 
   // File-system-like data at the paper's assumed ~60 % compressibility.
   ld::DataGenerator gen(7, 0.6);
@@ -38,16 +39,16 @@ int main() {
   Bid pp = ld::kBeginOfList, lp = ld::kBeginOfList;
   for (int i = 0; i < kBlocks; ++i) {
     gen.Fill(block);
-    Bid a = *lld->NewBlock(packed, pp);
-    (void)lld->Write(a, block);
+    Bid a = Check(lld->NewBlock(packed, pp), "NewBlock");
+    Check(lld->Write(a, block), "Write");
     packed_bids.push_back(a);
     pp = a;
-    Bid b = *lld->NewBlock(plain, lp);
-    (void)lld->Write(b, block);
+    Bid b = Check(lld->NewBlock(plain, lp), "NewBlock");
+    Check(lld->Write(b, block), "Write");
     plain_bids.push_back(b);
     lp = b;
   }
-  (void)lld->Flush();
+  Check(lld->Flush(), "Flush");
 
   const auto& c = lld->counters();
   const double logical_mb = 2.0 * kBlocks * 4096 / 1048576.0;
@@ -64,17 +65,17 @@ int main() {
   ld::DataGenerator regen(7, 0.6);
   for (int i = 0; i < kBlocks; ++i) {
     regen.Fill(block);  // Regenerate the deterministic stream.
-    (void)lld->Read(packed_bids[i], a);
-    (void)lld->Read(plain_bids[i], b);
+    Check(lld->Read(packed_bids[i], a), "Read");
+    Check(lld->Read(plain_bids[i], b), "Read");
     all_equal = all_equal && a == b && a == block;
   }
   std::printf("Read-back verification across both lists: %s\n",
               all_equal ? "identical (compression is invisible to the client)" : "MISMATCH");
 
   // Crash-safety includes compressed blocks.
-  (void)lld->Shutdown();
-  auto reopened = *ld::LogStructuredDisk::Open(disk.get(), options);
-  (void)reopened->Read(packed_bids[0], a);
+  Check(lld->Shutdown(), "Shutdown");
+  auto reopened = Check(ld::LogStructuredDisk::Open(disk.get(), options), "Open");
+  Check(reopened->Read(packed_bids[0], a), "Read after reopen");
   std::printf("After reopen, compressed block 0 still decompresses correctly: %s\n",
               [&] {
                 ld::DataGenerator check(7, 0.6);

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "examples/check.h"
 #include "src/btreefs/btree_store.h"
 #include "src/disk/device_factory.h"
 #include "src/fatfs/fat_fs.h"
@@ -27,13 +28,14 @@ int main() {
 
   // --- Client 1: the UNIX-style file system -------------------------------
   auto disk1 = ld::MakeDevice(ld::DeviceOptions::HpC3010(64 << 20), &clock);
-  auto lld1 = *ld::LogStructuredDisk::Format(disk1.get(), ld::LldOptions{});
-  auto minix = *ld::MinixFs::FormatOnLd(lld1.get(), ld::MinixOptions{},
-                                        /*list_per_file=*/true);
-  (void)minix->Mkdir("/home");
-  auto ino = *minix->CreateFile("/home/notes.txt");
-  (void)minix->WriteFile(ino, 0, Bytes("the file system manages files"));
-  (void)minix->SyncFs();
+  auto lld1 = Check(ld::LogStructuredDisk::Format(disk1.get(), ld::LldOptions{}), "Format");
+  auto minix = Check(ld::MinixFs::FormatOnLd(lld1.get(), ld::MinixOptions{},
+                                             /*list_per_file=*/true),
+                     "MINIX format");
+  Check(minix->Mkdir("/home"), "Mkdir");
+  auto ino = Check(minix->CreateFile("/home/notes.txt"), "CreateFile");
+  Check(minix->WriteFile(ino, 0, Bytes("the file system manages files")), "WriteFile");
+  Check(minix->SyncFs(), "SyncFs");
   std::printf("MINIX on LLD:   %-28s -> %llu segment writes, no bitmap code\n",
               "/home/notes.txt",
               static_cast<unsigned long long>(lld1->counters().segments_written +
@@ -41,24 +43,24 @@ int main() {
 
   // --- Client 2: the DOS-style file system, FAT eliminated ----------------
   auto disk2 = ld::MakeDevice(ld::DeviceOptions::HpC3010(64 << 20), &clock);
-  auto lld2 = *ld::LogStructuredDisk::Format(disk2.get(), ld::LldOptions{});
-  auto fat = *ld::FatFs::Format(lld2.get());
-  (void)fat->Create("AUTOEXEC.BAT");
-  (void)fat->Write("AUTOEXEC.BAT", 0, Bytes("@echo the FAT is gone"));
-  (void)fat->Sync();
+  auto lld2 = Check(ld::LogStructuredDisk::Format(disk2.get(), ld::LldOptions{}), "Format");
+  auto fat = Check(ld::FatFs::Format(lld2.get()), "FAT format");
+  Check(fat->Create("AUTOEXEC.BAT"), "Create");
+  Check(fat->Write("AUTOEXEC.BAT", 0, Bytes("@echo the FAT is gone")), "Write");
+  Check(fat->Sync(), "Sync");
   std::printf("DOS FS on LLD:  %-28s -> cluster chains are LD lists; the\n",
               "AUTOEXEC.BAT");
   std::printf("                %-28s    File Allocation Table does not exist\n", "");
 
   // --- Client 3: the database file system ---------------------------------
   auto disk3 = ld::MakeDevice(ld::DeviceOptions::HpC3010(64 << 20), &clock);
-  auto lld3 = *ld::LogStructuredDisk::Format(disk3.get(), ld::LldOptions{});
-  auto db = *ld::BTreeStore::Format(lld3.get());
+  auto lld3 = Check(ld::LogStructuredDisk::Format(disk3.get(), ld::LldOptions{}), "Format");
+  auto db = Check(ld::BTreeStore::Format(lld3.get()), "B-tree format");
   for (uint64_t key = 0; key < 2000; ++key) {
-    (void)db->Put(key, Bytes("row-" + std::to_string(key)));
+    Check(db->Put(key, Bytes("row-" + std::to_string(key))), "Put");
   }
-  (void)db->Sync();
-  auto stats = *db->Stats();
+  Check(db->Sync(), "Sync");
+  auto stats = Check(db->Stats(), "Stats");
   std::printf("B-tree on LLD:  %llu keys, height %u                -> every split was one\n",
               static_cast<unsigned long long>(stats.keys), stats.height);
   std::printf("                %-28s    atomic recovery unit\n", "");

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "examples/check.h"
 #include "src/disk/device_factory.h"
 #include "src/lld/lld.h"
 
@@ -18,23 +19,6 @@ using ld::Bid;
 using ld::kBeginOfList;
 using ld::kBeginOfListOfLists;
 using ld::Lid;
-
-namespace {
-
-void Check(const ld::Status& status, const char* what) {
-  if (!status.ok()) {
-    std::fprintf(stderr, "%s failed: %s\n", what, status.ToString().c_str());
-    std::exit(1);
-  }
-}
-
-template <typename T>
-T Check(ld::StatusOr<T> value, const char* what) {
-  Check(value.status(), what);
-  return std::move(value).value();
-}
-
-}  // namespace
 
 int main() {
   // A 64-MB partition of the simulated disk the paper used.

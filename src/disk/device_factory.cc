@@ -48,9 +48,6 @@ std::unique_ptr<BlockDevice> MakeDevice(const DeviceOptions& options, SimClock* 
       break;
   }
   device->set_queue_policy(options.queue_policy);
-  if (options.queue_depth != 0) {
-    device->set_queue_depth(options.queue_depth);
-  }
   device->set_qos(options.qos);
   return device;
 }

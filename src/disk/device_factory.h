@@ -39,10 +39,9 @@ struct DeviceOptions {
   uint64_t mem_num_sectors = 0;
   uint32_t mem_sector_size = 512;
 
-  // Queue knobs applied to any backend that has a queue. queue_depth == 0
-  // keeps the backend's default.
+  // Queue policy applied to any backend that has a queue; each backend keeps
+  // its own queue depth.
   QueuePolicy queue_policy = QueuePolicy::kCScan;
-  uint32_t queue_depth = 0;
 
   // Between-tenants dispatch policy (see src/disk/qos.h). The default
   // (kNone / one tenant) leaves the legacy schedule untouched.

@@ -4,10 +4,12 @@
 // management and disk management (§2). Once several file systems share one
 // device, the queue layer needs to know which session each request belongs
 // to — otherwise a tenant's segment flush or cleaner batch monopolizes the
-// arm and every other tenant's demand reads starve behind it. A TenantId
-// rides down the stack (MinixFs → backend → LogicalDisk/Lld → BlockDevice)
-// as sticky per-device request context, and the queueing devices consult a
-// QosConfig to decide dispatch order between tenants.
+// arm and every other tenant's demand reads starve behind it. Each request
+// carries a TenantId as sticky per-device request context: a session's
+// PartitionDevice labels everything its file system and LLD send through
+// it, and a MaintenanceScheduler labels the background I/O of the LLD it is
+// attached to. The queueing devices consult a QosConfig to decide dispatch
+// order between tenants.
 //
 // QoS is strictly a *between-tenants* policy: with one tenant (or policy
 // kNone) the devices run their original C-SCAN/FIFO batch scheduling code
@@ -41,6 +43,21 @@ enum class QosPolicy {
   kDeadline,       // Earliest deadline first (reads get tight deadlines).
 };
 
+// Target service deadlines for kDeadline, measured from submit time. Reads
+// are latency-sensitive; writes (segment flushes) are not.
+inline constexpr double kQosReadDeadlineMs = 20.0;
+inline constexpr double kQosWriteDeadlineMs = 200.0;
+// Dispatch horizon: under QoS a channel only commits work up to this far
+// ahead of the current clock, creating preemption points between large
+// transfers.
+inline constexpr double kQosSliceMs = 4.0;
+// Under QoS large transfers are serviced in chunks of at most this size, so
+// one tenant's 512 KB segment write cannot occupy the arm in one piece.
+inline constexpr uint32_t kQosChunkKb = 64;
+// A request that waits longer than this before service counts as starved in
+// its tenant's stats.
+inline constexpr double kStarvationThresholdMs = 100.0;
+
 struct QosConfig {
   QosPolicy policy = QosPolicy::kNone;
   // Number of tenant sessions sharing the device. Dispatch only deviates
@@ -48,19 +65,6 @@ struct QosConfig {
   uint32_t num_tenants = 1;
   // Per-tenant weights for kWeightedShare; missing entries default to 1.
   std::vector<uint32_t> weights;
-  // Target service deadlines for kDeadline, measured from submit time.
-  // Reads are latency-sensitive; writes (segment flushes) are not.
-  double read_deadline_ms = 20.0;
-  double write_deadline_ms = 200.0;
-  // Dispatch horizon: a channel only commits work up to `slice_ms` ahead of
-  // the current clock, creating preemption points between large transfers.
-  double slice_ms = 4.0;
-  // Large transfers are serviced in chunks of at most this size so one
-  // tenant's 512 KB segment write cannot occupy the arm in one piece.
-  uint32_t chunk_kb = 64;
-  // A request that waits longer than this before service counts as starved
-  // in its tenant's stats.
-  double starvation_threshold_ms = 100.0;
 
   // True when dispatch should use the QoS path at all.
   bool Active() const { return policy != QosPolicy::kNone && num_tenants > 1; }
@@ -102,7 +106,7 @@ struct TenantStats {
   uint64_t sectors_written = 0;
   double queue_wait_ms = 0.0;     // Time this tenant's requests waited.
   double busy_ms = 0.0;           // Service time consumed by this tenant.
-  uint64_t starved_requests = 0;  // Waited past starvation_threshold_ms.
+  uint64_t starved_requests = 0;  // Waited past kStarvationThresholdMs.
   LatencyHistogram read_latency;
   LatencyHistogram write_latency;
 };

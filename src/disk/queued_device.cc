@@ -75,7 +75,7 @@ void QueuedDevice::Retire(const PendingIo& req, uint32_t ch, double completion) 
   ChannelStats& cstats = stats_.MutableChannel(ch);
   TenantStats& tstats = stats_.MutableTenant(req.tenant);
   tstats.queue_wait_ms += req.first_wait_ms;
-  if (req.first_wait_ms > qos_.starvation_threshold_ms) {
+  if (req.first_wait_ms > kStarvationThresholdMs) {
     tstats.starved_requests++;
   }
   const double latency_ms = (completion - req.submit_seconds) * 1000.0;

@@ -217,12 +217,12 @@ void SimDisk::ScheduleChannelQos(uint32_t ch_index) {
   std::vector<double>& vtime = arms_[ch_index].vtime;
   // Under QoS every channel reports a stats row, busy or not.
   stats_.MutableChannel(ch_index);
-  const double slice_seconds = qos_.slice_ms / 1000.0;
+  const double slice_seconds = kQosSliceMs / 1000.0;
   const uint64_t chunk_sectors = std::max<uint64_t>(
-      1, static_cast<uint64_t>(qos_.chunk_kb) * 1024 / geometry_.sector_size);
+      1, static_cast<uint64_t>(kQosChunkKb) * 1024 / geometry_.sector_size);
 
   // Dispatch one chunk at a time, never committing the arm more than
-  // slice_ms past the current clock: the next ScheduleAll (after the caller
+  // kQosSliceMs past the current clock: the next ScheduleAll (after the caller
   // advances the clock) re-picks a winner, which is where a victim's demand
   // read overtakes the remaining chunks of an aggressor's segment write.
   while (!ch.pending.empty() && ch.busy_until_seconds <= clock_->Now() + slice_seconds) {
@@ -262,7 +262,7 @@ void SimDisk::ScheduleChannelQos(uint32_t ch_index) {
         const PendingIo& req = ch.pending[i];
         const double deadline =
             req.submit_seconds +
-            (req.is_read ? qos_.read_deadline_ms : qos_.write_deadline_ms) / 1000.0;
+            (req.is_read ? kQosReadDeadlineMs : kQosWriteDeadlineMs) / 1000.0;
         if (i == 0 || deadline < best_deadline) {
           best_deadline = deadline;
           pick = i;

@@ -77,9 +77,9 @@ class SimDisk : public QueuedDevice {
   // are tracked for accounting only.
   void ScheduleChannel(uint32_t ch) override;
   // QoS dispatch: services requests chunk by chunk in weighted-share or
-  // deadline order, committing the channel no further than slice_ms past the
-  // current clock so another tenant can preempt between chunks. Requests the
-  // slice does not reach stay pending.
+  // deadline order, committing the channel no further than kQosSliceMs past
+  // the current clock so another tenant can preempt between chunks. Requests
+  // the slice does not reach stay pending.
   void ScheduleChannelQos(uint32_t ch);
   // WFQ arrival rule for weighted-share QoS.
   void BeforeEnqueue(uint32_t ch) override;

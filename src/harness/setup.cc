@@ -1,7 +1,5 @@
 #include "src/harness/setup.h"
 
-#include "src/harness/env_knobs.h"
-
 namespace ld {
 
 const char* FsKindName(FsKind kind) {
@@ -54,13 +52,10 @@ StatusOr<FsStack> MakeFsStack(BlockDevice* device, FsKind kind, const SetupParam
     case FsKind::kMinixLldSmallInodes: {
       LldOptions lld_options = params.lld;
       lld_options.block_size = params.minix_block_size;
-      lld_options.checkpoint_interval_segments =
-          EnvCheckpointInterval(lld_options.checkpoint_interval_segments);
-      lld_options.cleaning_policy = EnvCleaningPolicy(lld_options.cleaning_policy);
       ASSIGN_OR_RETURN(s.lld, LogStructuredDisk::Format(device, lld_options));
       // Attached before the file system's format, so the seals that format
       // makes already defer their checkpoint frames to the scheduler.
-      if (EnvMaintenance(params.maintenance)) {
+      if (params.maintenance) {
         s.maintenance = std::make_unique<MaintenanceScheduler>(s.lld.get(), MaintenanceOptions{});
       }
       const bool list_per_file = kind != FsKind::kMinixLldSingleList;

@@ -33,8 +33,8 @@ struct FsUnderTest {
   std::unique_ptr<BlockDevice> disk;
   std::unique_ptr<LogStructuredDisk> lld;  // Null for non-LD systems.
   std::unique_ptr<MinixFs> fs;
-  // Idle-driven background maintenance; null unless params.maintenance (or
-  // LD_MAINT) asked for it. The workload driver pumps maintenance->Step().
+  // Idle-driven background maintenance; null unless params.maintenance
+  // asked for it. The workload driver pumps maintenance->Step().
   std::unique_ptr<MaintenanceScheduler> maintenance;
 
   // Resets clock, device, LLD, and file-system counters after setup so
@@ -66,11 +66,11 @@ struct SetupParams {
   // behaviour).
   uint32_t readahead_blocks = 8;
   bool ld_readahead = false;
-  // Attach an idle-driven MaintenanceScheduler to LD-based stacks
-  // (overridable by LD_MAINT) with the scheduler's default pacing. Its
-  // duties and the LLD's cleaning bill to kMaintenanceTenant, and
-  // cadence-driven checkpoint frames move off the seal path onto its
-  // checkpoint duty; the caller must step it (FsStack::maintenance).
+  // Attach an idle-driven MaintenanceScheduler to LD-based stacks with the
+  // scheduler's default pacing. Its duties and the LLD's cleaning bill to
+  // kMaintenanceTenant, and cadence-driven checkpoint frames move off the
+  // seal path onto its checkpoint duty; the caller must step it
+  // (FsStack::maintenance).
   bool maintenance = false;
 };
 

@@ -44,9 +44,9 @@ struct MultiTenantParams {
   FsKind kind = FsKind::kMinixLld;
   // File-system knobs for every tenant stack (partition_bytes/device fields
   // are ignored — the rig provides those). Sessions get no background
-  // maintenance: a scheduler that `maintenance` or LD_MAINT asks for is
-  // dropped, which detaches it, so each session's cleaning bills to its own
-  // partition's tenant and its checkpoint frames ride the seal.
+  // maintenance: a scheduler that `maintenance` asks for is dropped, which
+  // detaches it, so each session's cleaning bills to its own partition's
+  // tenant and its checkpoint frames ride the seal.
   SetupParams fs;
 };
 

@@ -6,9 +6,11 @@
 // physical locations. The interface also provides atomic recovery units and
 // multiple block sizes.
 //
-// Two implementations exist in this repository:
-//   * ld::LogStructuredDisk (src/lld/)  — the paper's LLD.
+// Three implementations exist in this repository:
+//   * ld::LogStructuredDisk (src/lld/)    — the paper's LLD.
 //   * ld::FlatDisk          (src/flatld/) — update-in-place baseline.
+//   * ld::LogeDisk          (src/logeld/) — Loge-style self-organizing
+//                                           controller (§5.2).
 
 #ifndef SRC_LD_LOGICAL_DISK_H_
 #define SRC_LD_LOGICAL_DISK_H_

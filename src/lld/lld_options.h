@@ -44,7 +44,7 @@ struct LldOptions {
   // (1-u)*age/(1+u) over *preserved* block write ages (the cleaner re-logs a
   // block without refreshing its age) and marks cleaner-written segments as a
   // cold generation, so data that survived a cleaning pass stops being
-  // recopied on every round. LD_CLEANER_POLICY selects it in the harness.
+  // recopied on every round.
   CleaningPolicy cleaning_policy = CleaningPolicy::kGreedy;
 
   // Compression. When `compressor` is null, lists with the compress hint are

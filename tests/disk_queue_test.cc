@@ -4,7 +4,7 @@
 // Read/Write wrappers (submit + wait) time exactly like the pre-queue
 // synchronous model for a single outstanding request, and fault injection on
 // the async path. Ordering-sensitive tests pin channels = 1 (a single arm);
-// the rest honor LD_QUEUE_POLICY / LD_CHANNELS so CI can sweep the matrix.
+// the *AnyConfigTest cases run under FIFO and C-SCAN at 1 and 4 channels.
 
 #include <gtest/gtest.h>
 
@@ -39,9 +39,12 @@ DeviceOptions OneArm(uint64_t partition_bytes, QueuePolicy policy) {
   return options;
 }
 
-TEST(DiskQueueTest, SubmittedWritesAreVisibleToReadsBeforeDrain) {
+class DiskQueueAnyConfigTest : public ::testing::TestWithParam<DeviceConfig> {};
+class FaultDiskAsyncAnyConfigTest : public ::testing::TestWithParam<DeviceConfig> {};
+
+TEST_P(DiskQueueAnyConfigTest, SubmittedWritesAreVisibleToReadsBeforeDrain) {
   SimClock clock;
-  auto disk = MakeDevice(EnvHpC3010(16 << 20), &clock);
+  auto disk = MakeDevice(GetParam().Options(16 << 20), &clock);
   disk->set_queue_depth(16);
   const std::vector<uint8_t> data = Pattern(4096, 1);
   auto tag = disk->SubmitWrite(500, data);
@@ -141,9 +144,9 @@ TEST(DiskQueueTest, AdjacentRequestsMergeIntoOneTransfer) {
   EXPECT_LT(merged_clock.Now(), sync_clock.Now());
 }
 
-TEST(DiskQueueTest, DrainRetiresEverythingAndAdvancesToLastCompletion) {
+TEST_P(DiskQueueAnyConfigTest, DrainRetiresEverythingAndAdvancesToLastCompletion) {
   SimClock clock;
-  auto disk = MakeDevice(EnvHpC3010(16 << 20), &clock);
+  auto disk = MakeDevice(GetParam().Options(16 << 20), &clock);
   disk->set_queue_depth(16);
   const std::vector<uint8_t> data = Pattern(4096, 5);
   std::vector<IoTag> tags;
@@ -171,13 +174,13 @@ TEST(DiskQueueTest, DrainRetiresEverythingAndAdvancesToLastCompletion) {
   EXPECT_DOUBLE_EQ(clock.Now(), last);
 }
 
-TEST(DiskQueueTest, SyncWrappersTimeExactlyLikeSubmitPlusWait) {
+TEST_P(DiskQueueAnyConfigTest, SyncWrappersTimeExactlyLikeSubmitPlusWait) {
   const std::vector<uint8_t> data = Pattern(8192, 6);
 
   SimClock sync_clock;
-  auto sync = MakeDevice(EnvHpC3010(64 << 20), &sync_clock);
+  auto sync = MakeDevice(GetParam().Options(64 << 20), &sync_clock);
   SimClock async_clock;
-  auto async = MakeDevice(EnvHpC3010(64 << 20), &async_clock);
+  auto async = MakeDevice(GetParam().Options(64 << 20), &async_clock);
   async->set_queue_depth(16);
 
   std::vector<uint8_t> out(8192);
@@ -361,9 +364,9 @@ TEST(DiskQueueTest, MemDiskDefaultAsyncPathWorks) {
 
 // --- FaultDisk on the async path -------------------------------------------
 
-TEST(FaultDiskAsyncTest, SubmitWriteCrashesAndTearsLikeSyncWrite) {
+TEST_P(FaultDiskAsyncAnyConfigTest, SubmitWriteCrashesAndTearsLikeSyncWrite) {
   SimClock clock;
-  auto inner = MakeDevice(EnvHpC3010(16 << 20), &clock);
+  auto inner = MakeDevice(GetParam().Options(16 << 20), &clock);
   inner->set_queue_depth(16);
   FaultDisk disk(inner.get());
   const std::vector<uint8_t> data = Pattern(4 * 512, 10);
@@ -417,9 +420,9 @@ TEST(FaultDiskAsyncTest, ForwardsQueueKnobsChannelsAndCompletions) {
   ASSERT_TRUE(disk.Drain().ok());
 }
 
-TEST(FaultDiskAsyncTest, WaitForAndPollPassThrough) {
+TEST_P(FaultDiskAsyncAnyConfigTest, WaitForAndPollPassThrough) {
   SimClock clock;
-  auto inner = MakeDevice(EnvHpC3010(16 << 20), &clock);
+  auto inner = MakeDevice(GetParam().Options(16 << 20), &clock);
   inner->set_queue_depth(16);
   FaultDisk disk(inner.get());
   const std::vector<uint8_t> data = Pattern(4096, 12);
@@ -429,6 +432,11 @@ TEST(FaultDiskAsyncTest, WaitForAndPollPassThrough) {
   EXPECT_GT(clock.Now(), 0.0);
   EXPECT_TRUE(disk.Poll().empty());
 }
+
+INSTANTIATE_TEST_SUITE_P(QueueMatrix, DiskQueueAnyConfigTest, ::testing::ValuesIn(QueueMatrix()),
+                         DeviceConfigName);
+INSTANTIATE_TEST_SUITE_P(QueueMatrix, FaultDiskAsyncAnyConfigTest,
+                         ::testing::ValuesIn(QueueMatrix()), DeviceConfigName);
 
 }  // namespace
 }  // namespace ld

@@ -1,8 +1,9 @@
 // Tests for the disk substrate: geometry arithmetic, simulated-disk data
 // integrity, the calibration points the paper reports for the raw device,
 // the memory backend, and FaultDisk crash/torn-write injection. Devices are
-// built through DeviceOptions/MakeDevice; LD_QUEUE_POLICY / LD_CHANNELS
-// parametrize the tests whose assertions are layout-independent.
+// built through DeviceOptions/MakeDevice; the simulated-disk cases run under
+// FIFO and C-SCAN at 1 and 4 channels, since their assertions hold for any
+// queue policy and channel count.
 
 #include <gtest/gtest.h>
 
@@ -45,9 +46,11 @@ TEST(GeometryTest, PartitionCoversRequestedBytes) {
   EXPECT_LT(g.CapacityBytes(), 440ull << 20);
 }
 
-TEST(SimDiskTest, ReadBackWhatWasWritten) {
+class SimDiskTest : public ::testing::TestWithParam<DeviceConfig> {};
+
+TEST_P(SimDiskTest, ReadBackWhatWasWritten) {
   SimClock clock;
-  auto disk = MakeDevice(EnvHpC3010(16 << 20), &clock);
+  auto disk = MakeDevice(GetParam().Options(16 << 20), &clock);
   Rng rng(7);
   std::vector<uint8_t> data(4096);
   for (auto& b : data) {
@@ -59,9 +62,9 @@ TEST(SimDiskTest, ReadBackWhatWasWritten) {
   EXPECT_EQ(data, readback);
 }
 
-TEST(SimDiskTest, UnwrittenAreasReadAsZeros) {
+TEST_P(SimDiskTest, UnwrittenAreasReadAsZeros) {
   SimClock clock;
-  auto disk = MakeDevice(EnvHpC3010(16 << 20), &clock);
+  auto disk = MakeDevice(GetParam().Options(16 << 20), &clock);
   std::vector<uint8_t> buf(512, 0xff);
   ASSERT_TRUE(disk->Read(5000, buf).ok());
   for (uint8_t b : buf) {
@@ -69,18 +72,18 @@ TEST(SimDiskTest, UnwrittenAreasReadAsZeros) {
   }
 }
 
-TEST(SimDiskTest, RejectsUnalignedAndOutOfRange) {
+TEST_P(SimDiskTest, RejectsUnalignedAndOutOfRange) {
   SimClock clock;
-  auto disk = MakeDevice(EnvHpC3010(16 << 20), &clock);
+  auto disk = MakeDevice(GetParam().Options(16 << 20), &clock);
   std::vector<uint8_t> odd(100);
   EXPECT_EQ(disk->Read(0, odd).code(), ErrorCode::kInvalidArgument);
   std::vector<uint8_t> aligned(512);
   EXPECT_EQ(disk->Read(disk->num_sectors(), aligned).code(), ErrorCode::kInvalidArgument);
 }
 
-TEST(SimDiskTest, TimeAdvancesOnIo) {
+TEST_P(SimDiskTest, TimeAdvancesOnIo) {
   SimClock clock;
-  auto disk = MakeDevice(EnvHpC3010(16 << 20), &clock);
+  auto disk = MakeDevice(GetParam().Options(16 << 20), &clock);
   std::vector<uint8_t> data(4096, 1);
   ASSERT_TRUE(disk->Write(0, data).ok());
   EXPECT_GT(clock.Now(), 0.0);
@@ -90,9 +93,9 @@ TEST(SimDiskTest, TimeAdvancesOnIo) {
 // segments to the disk partition in a tight loop achieves a throughput of
 // 2400 Kbyte/s on this configuration." (A sequential run stays inside one
 // channel's cylinder band, so the bound holds at any channel count.)
-TEST(SimDiskTest, SequentialHalfMegabyteWritesReach2400KBps) {
+TEST_P(SimDiskTest, SequentialHalfMegabyteWritesReach2400KBps) {
   SimClock clock;
-  auto disk = MakeDevice(EnvHpC3010(400ull << 20), &clock);
+  auto disk = MakeDevice(GetParam().Options(400ull << 20), &clock);
   std::vector<uint8_t> segment(512 * 1024, 0xaa);
   const int kSegments = 100;
   const double start = clock.Now();
@@ -109,9 +112,9 @@ TEST(SimDiskTest, SequentialHalfMegabyteWritesReach2400KBps) {
 // Paper §4.2 calibration point 2: "a program that writes back-to-back
 // 4-Kbyte blocks to the disk achieves a throughput of only 300 Kbyte per
 // second" — each write misses a rotation.
-TEST(SimDiskTest, BackToBack4KWritesNear300KBps) {
+TEST_P(SimDiskTest, BackToBack4KWritesNear300KBps) {
   SimClock clock;
-  auto disk = MakeDevice(EnvHpC3010(400ull << 20), &clock);
+  auto disk = MakeDevice(GetParam().Options(400ull << 20), &clock);
   std::vector<uint8_t> block(4096, 0xbb);
   const int kBlocks = 500;
   const double start = clock.Now();
@@ -125,9 +128,9 @@ TEST(SimDiskTest, BackToBack4KWritesNear300KBps) {
   EXPECT_LT(kbps, 400);
 }
 
-TEST(SimDiskTest, RandomAccessPaysSeeks) {
+TEST_P(SimDiskTest, RandomAccessPaysSeeks) {
   SimClock clock;
-  auto disk = MakeDevice(EnvHpC3010(400ull << 20), &clock);
+  auto disk = MakeDevice(GetParam().Options(400ull << 20), &clock);
   std::vector<uint8_t> block(4096, 0xcc);
   Rng rng(11);
   const int kBlocks = 200;
@@ -144,9 +147,9 @@ TEST(SimDiskTest, RandomAccessPaysSeeks) {
   EXPECT_GT(disk->stats().seeks, static_cast<uint64_t>(kBlocks / 2));
 }
 
-TEST(SimDiskTest, StatsAccumulate) {
+TEST_P(SimDiskTest, StatsAccumulate) {
   SimClock clock;
-  auto disk = MakeDevice(EnvHpC3010(16 << 20), &clock);
+  auto disk = MakeDevice(GetParam().Options(16 << 20), &clock);
   std::vector<uint8_t> data(8192, 1);
   ASSERT_TRUE(disk->Write(0, data).ok());
   ASSERT_TRUE(disk->Read(0, data).ok());
@@ -163,6 +166,9 @@ TEST(SimDiskTest, StatsAccumulate) {
   disk->ResetStats();
   EXPECT_EQ(disk->stats().TotalOps(), 0u);
 }
+
+INSTANTIATE_TEST_SUITE_P(QueueMatrix, SimDiskTest, ::testing::ValuesIn(QueueMatrix()),
+                         DeviceConfigName);
 
 TEST(MemDiskTest, BasicIoAndBounds) {
   SimClock clock;

@@ -4,11 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <optional>
-#include <string>
-
-#include "src/harness/env_knobs.h"
 #include "src/harness/report.h"
 #include "src/harness/setup.h"
 
@@ -63,105 +58,6 @@ TEST(ReportTest, CompareFormats) {
   EXPECT_EQ(Compare(2064, 2400, "KB/s"), "2064 KB/s (paper: 2400, x0.86)");
   EXPECT_EQ(Compare(12.5, 0, "s", 1), "12.5 s");
   EXPECT_EQ(Compare(788, 788, ""), "788 (paper: 788, x1.00)");
-}
-
-// Sets an environment variable for one scope, restoring its prior state.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    if (const char* prev = std::getenv(name)) {
-      prev_ = prev;
-    }
-    setenv(name, value, 1);
-  }
-  ~ScopedEnv() {
-    if (prev_) {
-      setenv(name_, prev_->c_str(), 1);
-    } else {
-      unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  std::optional<std::string> prev_;
-};
-
-TEST(EnvKnobsTest, EachKnobKeepsItsAcceptRule) {
-  {
-    ScopedEnv env("LD_CHANNELS", "0");
-    EXPECT_EQ(EnvChannels(3), 3u);  // Zero channels fall back.
-  }
-  {
-    ScopedEnv env("LD_CHANNELS", "4");
-    EXPECT_EQ(EnvChannels(1), 4u);
-  }
-  {
-    ScopedEnv env("LD_CKPT_INTERVAL", "0");
-    EXPECT_EQ(EnvCheckpointInterval(8), 0u);  // Zero turns checkpoints off.
-  }
-  {
-    ScopedEnv env("LD_CKPT_INTERVAL", "-2");
-    EXPECT_EQ(EnvCheckpointInterval(8), 8u);
-  }
-  {
-    ScopedEnv env("LD_FAIL_CHANNEL", "-1");
-    EXPECT_EQ(EnvFailChannel(2), -1);  // Negative values are accepted.
-  }
-  {
-    ScopedEnv env("LD_FAULT_SEED", "-5");
-    EXPECT_EQ(EnvFaultSeed(7), 7u);
-  }
-  {
-    ScopedEnv env("LD_TENANTS", "0");
-    EXPECT_EQ(EnvTenants(1), 1u);
-  }
-  {
-    ScopedEnv env("LD_SEGMENT_PARITY", "0");
-    EXPECT_FALSE(EnvSegmentParity(true));
-  }
-  {
-    ScopedEnv env("LD_MAINT", "0");
-    EXPECT_FALSE(EnvMaintenance(true));
-  }
-  // Enum knobs: every spelling maps to its value; anything else falls back.
-  for (const auto& [spelling, policy] : {std::pair{"fifo", QueuePolicy::kFifo},
-                                         std::pair{"cscan", QueuePolicy::kCScan}}) {
-    ScopedEnv env("LD_QUEUE_POLICY", spelling);
-    EXPECT_EQ(EnvQueuePolicy(policy == QueuePolicy::kFifo ? QueuePolicy::kCScan
-                                                          : QueuePolicy::kFifo),
-              policy)
-        << spelling;
-  }
-  {
-    ScopedEnv env("LD_QUEUE_POLICY", "FIFO");
-    EXPECT_EQ(EnvQueuePolicy(QueuePolicy::kFifo), QueuePolicy::kFifo);
-  }
-  for (const auto& [spelling, policy] :
-       {std::pair{"greedy", CleaningPolicy::kGreedy},
-        std::pair{"cost_benefit", CleaningPolicy::kCostBenefit}}) {
-    ScopedEnv env("LD_CLEANER_POLICY", spelling);
-    EXPECT_EQ(EnvCleaningPolicy(policy == CleaningPolicy::kGreedy ? CleaningPolicy::kCostBenefit
-                                                                  : CleaningPolicy::kGreedy),
-              policy)
-        << spelling;
-  }
-  {
-    ScopedEnv env("LD_CLEANER_POLICY", "cost-benefit");
-    EXPECT_EQ(EnvCleaningPolicy(CleaningPolicy::kGreedy), CleaningPolicy::kGreedy);
-  }
-  for (const auto& [spelling, policy] : {std::pair{"none", QosPolicy::kNone},
-                                         std::pair{"share", QosPolicy::kWeightedShare},
-                                         std::pair{"deadline", QosPolicy::kDeadline}}) {
-    ScopedEnv env("LD_QOS", spelling);
-    EXPECT_EQ(EnvQosPolicy(policy == QosPolicy::kNone ? QosPolicy::kDeadline : QosPolicy::kNone),
-              policy)
-        << spelling;
-  }
-  {
-    ScopedEnv env("LD_QOS", "edf");
-    EXPECT_EQ(EnvQosPolicy(QosPolicy::kWeightedShare), QosPolicy::kWeightedShare);
-  }
 }
 
 }  // namespace

@@ -12,7 +12,6 @@
 #include "src/disk/device_factory.h"
 #include "src/disk/fault_disk.h"
 #include "src/disk/mem_disk.h"
-#include "src/harness/env_knobs.h"
 #include "src/lld/lld.h"
 #include "src/util/random.h"
 #include "tests/device_test_util.h"
@@ -335,9 +334,12 @@ TEST(LldCheckpointTest, EachSlotRotSurvivesWithSlotFallback) {
 
 // Parallel-vs-serial differential: the per-channel parallel summary scan
 // must replay to byte-identical logical state for every channel count and
-// randomized crash point, with and without a checkpoint chain to bound it.
-// The serial path (parallel_recovery_scan = false) is the baseline.
-TEST(LldCheckpointTest, ParallelScanMatchesSerialAcrossChannelsAndCrashes) {
+// randomized crash point, without a checkpoint chain and with chains of two
+// cadences to bound it (the parameter: checkpoint_interval_segments). The
+// serial path (parallel_recovery_scan = false) is the baseline.
+class LldCheckpointIntervalTest : public ::testing::TestWithParam<uint32_t> {};
+
+TEST_P(LldCheckpointIntervalTest, ParallelScanMatchesSerialAcrossChannelsAndCrashes) {
   struct Image {
     std::vector<std::optional<std::vector<uint8_t>>> blocks;
     uint32_t summaries_valid = 0;
@@ -409,57 +411,56 @@ TEST(LldCheckpointTest, ParallelScanMatchesSerialAcrossChannelsAndCrashes) {
   };
 
   Rng rng(EnvFaultSeed(42) * 8837 + 11);
-  // The nonzero cadence honors LD_CKPT_INTERVAL so the CI recovery matrix
-  // sweeps it; 0 (the env default when unset) keeps the local value.
-  const uint32_t env_interval = EnvCheckpointInterval(2);
-  for (const uint32_t interval : {0u, env_interval == 0 ? 2u : env_interval}) {
-    for (int round = 0; round < 3; ++round) {
-      const uint64_t crash_at = 5 + rng.Below(18);
-      std::optional<Image> reference;  // channels=1 serial image.
-      for (const uint32_t channels : {1u, 2u, 4u}) {
-        const Image serial = run(channels, interval, /*parallel=*/false, crash_at);
-        const Image parallel = run(channels, interval, /*parallel=*/true, crash_at);
-        const std::string ctx = "interval=" + std::to_string(interval) +
-                                " channels=" + std::to_string(channels) +
-                                " crash_at=" + std::to_string(crash_at);
+  const uint32_t interval = GetParam();
+  for (int round = 0; round < 3; ++round) {
+    const uint64_t crash_at = 5 + rng.Below(18);
+    std::optional<Image> reference;  // channels=1 serial image.
+    for (const uint32_t channels : {1u, 2u, 4u}) {
+      const Image serial = run(channels, interval, /*parallel=*/false, crash_at);
+      const Image parallel = run(channels, interval, /*parallel=*/true, crash_at);
+      const std::string ctx = "interval=" + std::to_string(interval) +
+                              " channels=" + std::to_string(channels) +
+                              " crash_at=" + std::to_string(crash_at);
 
-        EXPECT_FALSE(serial.parallel_scan) << ctx;
-        // The parallel run must actually have fanned out (the scan always
-        // covers more than one segment at these crash points).
-        EXPECT_TRUE(parallel.parallel_scan) << ctx;
-        EXPECT_EQ(parallel.scan_channels, channels) << ctx;
+      EXPECT_FALSE(serial.parallel_scan) << ctx;
+      // The parallel run must actually have fanned out (the scan always
+      // covers more than one segment at these crash points).
+      EXPECT_TRUE(parallel.parallel_scan) << ctx;
+      EXPECT_EQ(parallel.scan_channels, channels) << ctx;
 
-        // Differential: serial and parallel replay the identical state.
-        EXPECT_EQ(serial.summaries_valid, parallel.summaries_valid) << ctx;
-        EXPECT_EQ(serial.records_applied, parallel.records_applied) << ctx;
-        EXPECT_EQ(serial.live_blocks, parallel.live_blocks) << ctx;
-        EXPECT_EQ(serial.mode, parallel.mode) << ctx;
-        ASSERT_EQ(serial.blocks.size(), parallel.blocks.size()) << ctx;
+      // Differential: serial and parallel replay the identical state.
+      EXPECT_EQ(serial.summaries_valid, parallel.summaries_valid) << ctx;
+      EXPECT_EQ(serial.records_applied, parallel.records_applied) << ctx;
+      EXPECT_EQ(serial.live_blocks, parallel.live_blocks) << ctx;
+      EXPECT_EQ(serial.mode, parallel.mode) << ctx;
+      ASSERT_EQ(serial.blocks.size(), parallel.blocks.size()) << ctx;
+      for (size_t i = 0; i < serial.blocks.size(); ++i) {
+        ASSERT_EQ(serial.blocks[i].has_value(), parallel.blocks[i].has_value())
+            << ctx << " block " << i;
+        if (serial.blocks[i].has_value()) {
+          ASSERT_EQ(*serial.blocks[i], *parallel.blocks[i]) << ctx << " block " << i;
+        }
+      }
+      // And across channel counts the logical state is identical too
+      // (LLD's write sequence is placement-independent).
+      if (!reference.has_value()) {
+        reference = serial;
+      } else {
+        ASSERT_EQ(reference->blocks.size(), serial.blocks.size()) << ctx;
         for (size_t i = 0; i < serial.blocks.size(); ++i) {
-          ASSERT_EQ(serial.blocks[i].has_value(), parallel.blocks[i].has_value())
+          ASSERT_EQ(reference->blocks[i].has_value(), serial.blocks[i].has_value())
               << ctx << " block " << i;
           if (serial.blocks[i].has_value()) {
-            ASSERT_EQ(*serial.blocks[i], *parallel.blocks[i]) << ctx << " block " << i;
-          }
-        }
-        // And across channel counts the logical state is identical too
-        // (LLD's write sequence is placement-independent).
-        if (!reference.has_value()) {
-          reference = serial;
-        } else {
-          ASSERT_EQ(reference->blocks.size(), serial.blocks.size()) << ctx;
-          for (size_t i = 0; i < serial.blocks.size(); ++i) {
-            ASSERT_EQ(reference->blocks[i].has_value(), serial.blocks[i].has_value())
-                << ctx << " block " << i;
-            if (serial.blocks[i].has_value()) {
-              ASSERT_EQ(*reference->blocks[i], *serial.blocks[i]) << ctx << " block " << i;
-            }
+            ASSERT_EQ(*reference->blocks[i], *serial.blocks[i]) << ctx << " block " << i;
           }
         }
       }
     }
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(Intervals, LldCheckpointIntervalTest, ::testing::Values(0u, 2u, 8u),
+                         [](const auto& info) { return "Interval" + std::to_string(info.param); });
 
 // ---- Packed tables: every field through log replay and the base frame ------
 

@@ -21,17 +21,19 @@ namespace {
 
 constexpr uint64_t kDiskBytes = 24ull << 20;  // Small disk: cleaning kicks in fast.
 
-LldOptions TestOptions() {
+LldOptions TestOptions(bool segment_parity) {
   LldOptions options;
   options.segment_bytes = 128 * 1024;
   options.summary_bytes = 8192;
   options.segments_per_clean = 3;
-  // The CI fault matrix flips this (LD_SEGMENT_PARITY): the cleaner's
-  // capacity math and segment images differ with parity, the behaviour
-  // asserted here must not.
-  options.segment_parity = EnvSegmentParity(false);
+  options.segment_parity = segment_parity;
   return options;
 }
+
+// The cleaner cases that build an LLD run with segment parity off and on
+// (the parameter): the cleaner's capacity math and segment images differ
+// with parity, the behaviour asserted here must not.
+class LldCleanerTest : public ::testing::TestWithParam<bool> {};
 
 std::vector<uint8_t> Pattern(uint32_t size, uint32_t tag) {
   std::vector<uint8_t> data(size);
@@ -48,7 +50,7 @@ struct Rig {
   std::unique_ptr<LogStructuredDisk> lld;
   Lid list = kNilLid;
 
-  explicit Rig(LldOptions options = TestOptions()) {
+  explicit Rig(const LldOptions& options) {
     mem = std::make_unique<MemDisk>(kDiskBytes / 512, 512, &clock);
     disk = std::make_unique<FaultDisk>(mem.get());
     auto lld_or = LogStructuredDisk::Format(disk.get(), options);
@@ -58,8 +60,8 @@ struct Rig {
   }
 };
 
-TEST(LldCleanerTest, OverwriteChurnTriggersCleaningAndPreservesData) {
-  Rig rig;
+TEST_P(LldCleanerTest, OverwriteChurnTriggersCleaningAndPreservesData) {
+  Rig rig(TestOptions(GetParam()));
   // Working set ~25 % of the disk, overwritten many times: the log wraps and
   // the cleaner must run.
   const uint32_t kBlocks = 1500;
@@ -91,8 +93,8 @@ TEST(LldCleanerTest, OverwriteChurnTriggersCleaningAndPreservesData) {
   EXPECT_EQ(*rig.lld->ListBlocks(rig.list), bids);
 }
 
-TEST(LldCleanerTest, ExplicitCleanOfDeadSegmentsFreesThem) {
-  Rig rig;
+TEST_P(LldCleanerTest, ExplicitCleanOfDeadSegmentsFreesThem) {
+  Rig rig(TestOptions(GetParam()));
   // Fill several segments, then delete everything: segments become dead.
   std::vector<Bid> bids;
   Bid pred = kBeginOfList;
@@ -112,8 +114,8 @@ TEST(LldCleanerTest, ExplicitCleanOfDeadSegmentsFreesThem) {
   EXPECT_GT(rig.lld->usage_table().FreeCount(), free_before);
 }
 
-TEST(LldCleanerTest, MetadataRecordsSurviveCleaningThenCrash) {
-  Rig rig;
+TEST_P(LldCleanerTest, MetadataRecordsSurviveCleaningThenCrash) {
+  Rig rig(TestOptions(GetParam()));
   // Allocate blocks (metadata records only — no data for some), flush, then
   // force cleaning of the segments carrying those records, then crash. The
   // re-logged records must reconstruct the structures.
@@ -136,7 +138,7 @@ TEST(LldCleanerTest, MetadataRecordsSurviveCleaningThenCrash) {
   rig.disk->CrashNow();
   rig.disk->ClearFault();
 
-  auto reopened = LogStructuredDisk::Open(rig.disk.get(), TestOptions());
+  auto reopened = LogStructuredDisk::Open(rig.disk.get(), TestOptions(GetParam()));
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   std::vector<uint8_t> out(4096);
   ASSERT_TRUE((*reopened)->Read(*a, out).ok());
@@ -146,8 +148,8 @@ TEST(LldCleanerTest, MetadataRecordsSurviveCleaningThenCrash) {
   EXPECT_EQ(*(*reopened)->ListBlocks(rig.list), (std::vector<Bid>{*a, *b}));
 }
 
-TEST(LldCleanerTest, TombstonesSurviveCleaning) {
-  Rig rig;
+TEST_P(LldCleanerTest, TombstonesSurviveCleaning) {
+  Rig rig(TestOptions(GetParam()));
   auto a = rig.lld->NewBlock(rig.list, kBeginOfList);
   ASSERT_TRUE(rig.lld->Write(*a, Pattern(4096, 1)).ok());
   ASSERT_TRUE(rig.lld->Flush().ok());
@@ -160,15 +162,15 @@ TEST(LldCleanerTest, TombstonesSurviveCleaning) {
   rig.disk->CrashNow();
   rig.disk->ClearFault();
 
-  auto reopened = LogStructuredDisk::Open(rig.disk.get(), TestOptions());
+  auto reopened = LogStructuredDisk::Open(rig.disk.get(), TestOptions(GetParam()));
   ASSERT_TRUE(reopened.ok());
   std::vector<uint8_t> out(4096);
   EXPECT_EQ((*reopened)->Read(*a, out).code(), ErrorCode::kNotFound);
 }
 
-TEST(LldCleanerTest, GreedyAndCostBenefitBothMakeProgress) {
+TEST_P(LldCleanerTest, GreedyAndCostBenefitBothMakeProgress) {
   for (CleaningPolicy policy : {CleaningPolicy::kGreedy, CleaningPolicy::kCostBenefit}) {
-    LldOptions options = TestOptions();
+    LldOptions options = TestOptions(GetParam());
     options.cleaning_policy = policy;
     Rig rig(options);
     HotColdParams params;
@@ -185,8 +187,8 @@ TEST(LldCleanerTest, GreedyAndCostBenefitBothMakeProgress) {
   }
 }
 
-TEST(LldCleanerTest, ClusterOnCleanRestoresListOrder) {
-  LldOptions options = TestOptions();
+TEST_P(LldCleanerTest, ClusterOnCleanRestoresListOrder) {
+  LldOptions options = TestOptions(GetParam());
   options.cluster_on_clean = true;
   Rig rig(options);
   // Interleave writes of two lists so their blocks are physically mixed.
@@ -221,8 +223,8 @@ TEST(LldCleanerTest, ClusterOnCleanRestoresListOrder) {
   EXPECT_GT(adjacent, mine.size() / 2);
 }
 
-TEST(LldCleanerTest, ReorganizerRestoresSequentialLayout) {
-  Rig rig;
+TEST_P(LldCleanerTest, ReorganizerRestoresSequentialLayout) {
+  Rig rig(TestOptions(GetParam()));
   // Write blocks, then overwrite them in random order to scramble layout.
   std::vector<Bid> bids;
   Bid pred = kBeginOfList;
@@ -261,8 +263,8 @@ TEST(LldCleanerTest, ReorganizerRestoresSequentialLayout) {
   }
 }
 
-TEST(LldCleanerTest, CrashDuringCleaningLosesNothing) {
-  Rig rig;
+TEST_P(LldCleanerTest, CrashDuringCleaningLosesNothing) {
+  Rig rig(TestOptions(GetParam()));
   std::vector<Bid> bids;
   std::vector<uint32_t> tags;
   Bid pred = kBeginOfList;
@@ -286,7 +288,7 @@ TEST(LldCleanerTest, CrashDuringCleaningLosesNothing) {
   (void)rig.lld->CleanSegments(rig.lld->num_segments());
   rig.disk->ClearFault();
 
-  auto reopened = LogStructuredDisk::Open(rig.disk.get(), TestOptions());
+  auto reopened = LogStructuredDisk::Open(rig.disk.get(), TestOptions(GetParam()));
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   for (uint32_t i = 0; i < 400; ++i) {
     std::vector<uint8_t> out(4096);
@@ -300,12 +302,12 @@ TEST(LldCleanerTest, CrashDuringCleaningLosesNothing) {
 // batch through the device's request queue instead of one blocking read per
 // victim. The queue-depth high-water mark proves the reads were genuinely
 // outstanding together; a sequential cleaner never pushes it past 1.
-TEST(LldCleanerTest, CleanerBatchesVictimReadsThroughRequestQueue) {
+TEST_P(LldCleanerTest, CleanerBatchesVictimReadsThroughRequestQueue) {
   SimClock clock;
   // A queued device (MemDisk has no request queue and leaves the counters 0).
   auto inner = MakeDevice(DeviceOptions::HpC3010(kDiskBytes, /*channels=*/1), &clock);
   FaultDisk disk(inner.get());
-  auto formatted = LogStructuredDisk::Format(&disk, TestOptions());
+  auto formatted = LogStructuredDisk::Format(&disk, TestOptions(GetParam()));
   ASSERT_TRUE(formatted.ok()) << formatted.status().ToString();
   auto lld = std::move(formatted).value();
   const Lid list = *lld->NewList(kBeginOfListOfLists, ListHints{});
@@ -381,12 +383,12 @@ TEST(LldCleanerTest, CostBenefitWithUniformAgesDegeneratesToGreedyOrder) {
 }
 
 // Leaving the policy option untouched must be byte-identical to selecting
-// kGreedy explicitly — the whole-device diff the CI knob matrix relies on,
+// kGreedy explicitly — the whole-device diff the golden bench outputs rely on,
 // in miniature. A full cleaning workload runs twice; the raw device images
 // must match byte for byte.
-TEST(LldCleanerTest, DefaultPolicyMatchesExplicitGreedyByteForByte) {
+TEST_P(LldCleanerTest, DefaultPolicyMatchesExplicitGreedyByteForByte) {
   const auto run = [](bool set_explicitly) {
-    LldOptions options = TestOptions();
+    LldOptions options = TestOptions(GetParam());
     if (set_explicitly) {
       options.cleaning_policy = CleaningPolicy::kGreedy;
     }
@@ -414,8 +416,8 @@ TEST(LldCleanerTest, DefaultPolicyMatchesExplicitGreedyByteForByte) {
 // cold and keep the *original* write ages of the blocks they carry, so data
 // that already survived one pass keeps scoring as an old, cheap victim
 // instead of looking freshly written.
-TEST(LldCleanerTest, CleanerOutputIsColdAndPreservesBlockAges) {
-  LldOptions options = TestOptions();
+TEST_P(LldCleanerTest, CleanerOutputIsColdAndPreservesBlockAges) {
+  LldOptions options = TestOptions(GetParam());
   options.cleaning_policy = CleaningPolicy::kCostBenefit;
   Rig rig(options);
   std::vector<Bid> bids;
@@ -472,8 +474,8 @@ uint64_t WeightedWear(const LldCounters& c) {
 // least the cleaner's copy traffic, the wear histogram's weighted population
 // equals the segment-image count and the usage table's total wear, and both
 // byte counters only ever grow.
-TEST(LldCleanerTest, WafAndWearAccountingInvariants) {
-  Rig rig;
+TEST_P(LldCleanerTest, WafAndWearAccountingInvariants) {
+  Rig rig(TestOptions(GetParam()));
   HotColdParams params;
   params.num_blocks = 1500;
   params.writes = 4000;
@@ -518,14 +520,14 @@ TEST(LldCleanerTest, WafAndWearAccountingInvariants) {
 // byte counters: reopening one (a new session) leaves the other's histogram,
 // segment-image count and user bytes exactly as they were, and each
 // histogram recounts only its own LLD's images.
-TEST(LldCleanerTest, SharedDeviceKeepsEachLldsWearAndBytesApart) {
+TEST_P(LldCleanerTest, SharedDeviceKeepsEachLldsWearAndBytesApart) {
   SimClock clock;
   const uint64_t half = kDiskBytes / 512;
   MemDisk mem(2 * half, 512, &clock);
   PartitionDevice part_a(&mem, 0, half, /*tenant=*/0);
   PartitionDevice part_b(&mem, half, half, /*tenant=*/1);
-  auto a = *LogStructuredDisk::Format(&part_a, TestOptions());
-  auto b = *LogStructuredDisk::Format(&part_b, TestOptions());
+  auto a = *LogStructuredDisk::Format(&part_a, TestOptions(GetParam()));
+  auto b = *LogStructuredDisk::Format(&part_b, TestOptions(GetParam()));
   HotColdParams params;
   params.num_blocks = 1500;
   params.writes = 4000;
@@ -541,7 +543,7 @@ TEST(LldCleanerTest, SharedDeviceKeepsEachLldsWearAndBytesApart) {
 
   ASSERT_TRUE(b->Shutdown().ok());
   b.reset();
-  b = *LogStructuredDisk::Open(&part_b, TestOptions());
+  b = *LogStructuredDisk::Open(&part_b, TestOptions(GetParam()));
   EXPECT_EQ(b->counters().segment_images_written, 0u);  // A fresh session.
   const Lid b_list = *b->NewList(kBeginOfListOfLists, ListHints{});
   for (uint32_t i = 0; i < 300; ++i) {
@@ -563,11 +565,11 @@ TEST(LldCleanerTest, SharedDeviceKeepsEachLldsWearAndBytesApart) {
   EXPECT_EQ(WeightedWear(b->counters()), b->counters().segment_images_written);
 }
 
-TEST(LldCleanerTest, UtilizationAffectsCleanerWork) {
+TEST_P(LldCleanerTest, UtilizationAffectsCleanerWork) {
   // At higher utilization, the cleaner copies more bytes per reclaimed
   // segment — the fundamental LFS cost curve.
   auto run = [](uint32_t num_blocks) {
-    Rig rig;
+    Rig rig(TestOptions(GetParam()));
     HotColdParams params;
     params.num_blocks = num_blocks;
     params.hot_fraction = 0.5;   // Fairly uniform: worst case for cleaning.
@@ -590,8 +592,8 @@ TEST(LldCleanerTest, UtilizationAffectsCleanerWork) {
 // damaged victim's live blocks, so the round must fail typed and hand every
 // victim back as kFull — never free a segment the block map still points
 // into — and Scrub must then retire the damage.
-void ExpectDamagedVictimHeaderRefused(uint32_t offset, uint8_t mask) {
-  Rig rig;
+void ExpectDamagedVictimHeaderRefused(bool segment_parity, uint32_t offset, uint8_t mask) {
+  Rig rig(TestOptions(segment_parity));
   std::vector<Bid> bids;
   Bid pred = kBeginOfList;
   for (uint32_t i = 0; i < 600; ++i) {
@@ -637,14 +639,16 @@ void ExpectDamagedVictimHeaderRefused(uint32_t offset, uint8_t mask) {
   EXPECT_EQ(*rig.lld->ListBlocks(rig.list), bids);
 }
 
-TEST(LldCleanerTest, VictimWithDamagedMagicFailsTyped) {
-  ExpectDamagedVictimHeaderRefused(/*offset=*/0, /*mask=*/0x01);
+TEST_P(LldCleanerTest, VictimWithDamagedMagicFailsTyped) {
+  ExpectDamagedVictimHeaderRefused(GetParam(), /*offset=*/0, /*mask=*/0x01);
 }
 
-TEST(LldCleanerTest, VictimWithDamagedSpillLengthFailsTyped) {
+TEST_P(LldCleanerTest, VictimWithDamagedSpillLengthFailsTyped) {
   // The top bit of ext_bytes: a spill longer than the data area.
-  ExpectDamagedVictimHeaderRefused(/*offset=*/27, /*mask=*/0x80);
+  ExpectDamagedVictimHeaderRefused(GetParam(), /*offset=*/27, /*mask=*/0x80);
 }
+
+INSTANTIATE_TEST_SUITE_P(SegmentParity, LldCleanerTest, ::testing::Bool(), ParityName);
 
 }  // namespace
 }  // namespace ld

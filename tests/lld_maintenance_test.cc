@@ -20,7 +20,6 @@
 #include "src/disk/partition_device.h"
 #include "src/lld/lld.h"
 #include "src/lld/lld_maintenance.h"
-#include "tests/device_test_util.h"
 
 namespace ld {
 namespace {

@@ -22,15 +22,18 @@ namespace {
 
 constexpr uint64_t kDiskBytes = 64ull << 20;
 
-LldOptions TestOptions() {
+LldOptions TestOptions(bool segment_parity) {
   LldOptions options;
   options.segment_bytes = 128 * 1024;
   options.summary_bytes = 8192;
-  // The CI fault matrix flips this (LD_SEGMENT_PARITY); the shadow-model
-  // assertions below hold for both settings.
-  options.segment_parity = EnvSegmentParity(false);
+  options.segment_parity = segment_parity;
   return options;
 }
+
+// The cases whose shadow-model assertions must hold with segment parity off
+// and on: each runs once per setting (the parameter). The LldRecoveryTest
+// cases written with TEST set parity themselves.
+class LldRecoveryTest : public ::testing::TestWithParam<bool> {};
 
 std::vector<uint8_t> Pattern(uint32_t size, uint32_t tag) {
   std::vector<uint8_t> data(size);
@@ -44,21 +47,22 @@ struct CrashRig {
   SimClock clock;
   std::unique_ptr<MemDisk> mem;
   std::unique_ptr<FaultDisk> disk;
+  LldOptions options;  // What Format and Reopen pass.
 
-  CrashRig() {
+  explicit CrashRig(const LldOptions& options) : options(options) {
     mem = std::make_unique<MemDisk>(kDiskBytes / 512, 512, &clock);
     disk = std::make_unique<FaultDisk>(mem.get());
   }
 
   std::unique_ptr<LogStructuredDisk> Format() {
-    auto lld = LogStructuredDisk::Format(disk.get(), TestOptions());
+    auto lld = LogStructuredDisk::Format(disk.get(), options);
     EXPECT_TRUE(lld.ok()) << lld.status().ToString();
     return std::move(lld).value();
   }
 
   std::unique_ptr<LogStructuredDisk> Reopen() {
     disk->ClearFault();
-    auto lld = LogStructuredDisk::Open(disk.get(), TestOptions());
+    auto lld = LogStructuredDisk::Open(disk.get(), options);
     EXPECT_TRUE(lld.ok()) << lld.status().ToString();
     return std::move(lld).value();
   }
@@ -71,8 +75,8 @@ struct CrashRig {
   }
 };
 
-TEST(LldRecoveryTest, CleanShutdownUsesCheckpoint) {
-  CrashRig rig;
+TEST_P(LldRecoveryTest, CleanShutdownUsesCheckpoint) {
+  CrashRig rig(TestOptions(GetParam()));
   auto lld = rig.Format();
   auto list = lld->NewList(kBeginOfListOfLists, ListHints{});
   auto bid = lld->NewBlock(*list, kBeginOfList);
@@ -87,8 +91,8 @@ TEST(LldRecoveryTest, CleanShutdownUsesCheckpoint) {
   EXPECT_EQ(*reopened->ListBlocks(*list), (std::vector<Bid>{*bid}));
 }
 
-TEST(LldRecoveryTest, CheckpointMarkerInvalidatedOnStartup) {
-  CrashRig rig;
+TEST_P(LldRecoveryTest, CheckpointMarkerInvalidatedOnStartup) {
+  CrashRig rig(TestOptions(GetParam()));
   auto lld = rig.Format();
   auto list = lld->NewList(kBeginOfListOfLists, ListHints{});
   auto bid = lld->NewBlock(*list, kBeginOfList);
@@ -108,8 +112,8 @@ TEST(LldRecoveryTest, CheckpointMarkerInvalidatedOnStartup) {
   EXPECT_EQ(out, Pattern(4096, 2));
 }
 
-TEST(LldRecoveryTest, FlushedDataSurvivesCrash) {
-  CrashRig rig;
+TEST_P(LldRecoveryTest, FlushedDataSurvivesCrash) {
+  CrashRig rig(TestOptions(GetParam()));
   auto lld = rig.Format();
   auto list = lld->NewList(kBeginOfListOfLists, ListHints{});
   std::vector<Bid> bids;
@@ -134,8 +138,8 @@ TEST(LldRecoveryTest, FlushedDataSurvivesCrash) {
   EXPECT_EQ(*reopened->ListBlocks(*list), bids);
 }
 
-TEST(LldRecoveryTest, UnflushedDataIsLostButStateConsistent) {
-  CrashRig rig;
+TEST_P(LldRecoveryTest, UnflushedDataIsLostButStateConsistent) {
+  CrashRig rig(TestOptions(GetParam()));
   auto lld = rig.Format();
   auto list = lld->NewList(kBeginOfListOfLists, ListHints{});
   auto durable = lld->NewBlock(*list, kBeginOfList);
@@ -154,8 +158,8 @@ TEST(LldRecoveryTest, UnflushedDataIsLostButStateConsistent) {
   EXPECT_EQ(*reopened->ListBlocks(*list), (std::vector<Bid>{*durable}));
 }
 
-TEST(LldRecoveryTest, PartialSegmentSupersededByFullWrite) {
-  CrashRig rig;
+TEST_P(LldRecoveryTest, PartialSegmentSupersededByFullWrite) {
+  CrashRig rig(TestOptions(GetParam()));
   auto lld = rig.Format();
   auto list = lld->NewList(kBeginOfListOfLists, ListHints{});
   // Below-threshold flush: scratch write.
@@ -185,8 +189,8 @@ TEST(LldRecoveryTest, PartialSegmentSupersededByFullWrite) {
   }
 }
 
-TEST(LldRecoveryTest, OverwritesRecoverNewestVersion) {
-  CrashRig rig;
+TEST_P(LldRecoveryTest, OverwritesRecoverNewestVersion) {
+  CrashRig rig(TestOptions(GetParam()));
   auto lld = rig.Format();
   auto list = lld->NewList(kBeginOfListOfLists, ListHints{});
   auto bid = lld->NewBlock(*list, kBeginOfList);
@@ -202,8 +206,8 @@ TEST(LldRecoveryTest, OverwritesRecoverNewestVersion) {
   EXPECT_EQ(out, Pattern(4096, 199));
 }
 
-TEST(LldRecoveryTest, DeletesSurviveRecovery) {
-  CrashRig rig;
+TEST_P(LldRecoveryTest, DeletesSurviveRecovery) {
+  CrashRig rig(TestOptions(GetParam()));
   auto lld = rig.Format();
   auto list = lld->NewList(kBeginOfListOfLists, ListHints{});
   auto a = lld->NewBlock(*list, kBeginOfList);
@@ -221,8 +225,8 @@ TEST(LldRecoveryTest, DeletesSurviveRecovery) {
   EXPECT_EQ(*reopened->ListBlocks(*list), (std::vector<Bid>{*b}));
 }
 
-TEST(LldRecoveryTest, ListStructureSurvives) {
-  CrashRig rig;
+TEST_P(LldRecoveryTest, ListStructureSurvives) {
+  CrashRig rig(TestOptions(GetParam()));
   auto lld = rig.Format();
   auto l1 = lld->NewList(kBeginOfListOfLists, ListHints{});
   auto l2 = lld->NewList(*l1, ListHints{});
@@ -241,8 +245,8 @@ TEST(LldRecoveryTest, ListStructureSurvives) {
   EXPECT_EQ(reopened->Read(*a, out).code(), ErrorCode::kNotFound);
 }
 
-TEST(LldRecoveryTest, TornSegmentWriteIsIgnored) {
-  CrashRig rig;
+TEST_P(LldRecoveryTest, TornSegmentWriteIsIgnored) {
+  CrashRig rig(TestOptions(GetParam()));
   auto lld = rig.Format();
   auto list = lld->NewList(kBeginOfListOfLists, ListHints{});
   auto a = lld->NewBlock(*list, kBeginOfList);
@@ -263,8 +267,8 @@ TEST(LldRecoveryTest, TornSegmentWriteIsIgnored) {
   EXPECT_EQ(reopened->Read(*b, out).code(), ErrorCode::kNotFound);
 }
 
-TEST(LldRecoveryTest, CommittedAruIsAtomicAcrossCrash) {
-  CrashRig rig;
+TEST_P(LldRecoveryTest, CommittedAruIsAtomicAcrossCrash) {
+  CrashRig rig(TestOptions(GetParam()));
   auto lld = rig.Format();
   auto list = lld->NewList(kBeginOfListOfLists, ListHints{});
   ASSERT_TRUE(lld->Flush().ok());
@@ -287,8 +291,8 @@ TEST(LldRecoveryTest, CommittedAruIsAtomicAcrossCrash) {
   EXPECT_EQ(*reopened->ListBlocks(*list), (std::vector<Bid>{*a, *b}));
 }
 
-TEST(LldRecoveryTest, UncommittedAruFullyDropped) {
-  CrashRig rig;
+TEST_P(LldRecoveryTest, UncommittedAruFullyDropped) {
+  CrashRig rig(TestOptions(GetParam()));
   auto lld = rig.Format();
   auto list = lld->NewList(kBeginOfListOfLists, ListHints{});
   auto keep = lld->NewBlock(*list, kBeginOfList);
@@ -314,8 +318,8 @@ TEST(LldRecoveryTest, UncommittedAruFullyDropped) {
   EXPECT_EQ(*reopened->ListBlocks(*list), (std::vector<Bid>{*keep}));
 }
 
-TEST(LldRecoveryTest, AruFollowedByMoreOpsRecoversBoth) {
-  CrashRig rig;
+TEST_P(LldRecoveryTest, AruFollowedByMoreOpsRecoversBoth) {
+  CrashRig rig(TestOptions(GetParam()));
   auto lld = rig.Format();
   auto list = lld->NewList(kBeginOfListOfLists, ListHints{});
   ASSERT_TRUE(lld->BeginARU().ok());
@@ -331,8 +335,8 @@ TEST(LldRecoveryTest, AruFollowedByMoreOpsRecoversBoth) {
   EXPECT_EQ(*reopened->ListBlocks(*list), (std::vector<Bid>{*a, *b}));
 }
 
-TEST(LldRecoveryTest, RecoveryAcrossManySegments) {
-  CrashRig rig;
+TEST_P(LldRecoveryTest, RecoveryAcrossManySegments) {
+  CrashRig rig(TestOptions(GetParam()));
   auto lld = rig.Format();
   auto list = lld->NewList(kBeginOfListOfLists, ListHints{});
   Rng rng(5);
@@ -366,8 +370,8 @@ TEST(LldRecoveryTest, RecoveryAcrossManySegments) {
   EXPECT_EQ(*reopened->ListBlocks(*list), bids);
 }
 
-TEST(LldRecoveryTest, SmallBlocksAndSizesSurvive) {
-  CrashRig rig;
+TEST_P(LldRecoveryTest, SmallBlocksAndSizesSurvive) {
+  CrashRig rig(TestOptions(GetParam()));
   auto lld = rig.Format();
   auto list = lld->NewList(kBeginOfListOfLists, ListHints{});
   auto small = lld->NewBlock(*list, kBeginOfList, 64);
@@ -387,8 +391,8 @@ TEST(LldRecoveryTest, SmallBlocksAndSizesSurvive) {
   EXPECT_EQ(out1k, Pattern(1024, 4));
 }
 
-TEST(LldRecoveryTest, AllocatedButUnwrittenBlockSurvivesAsZeros) {
-  CrashRig rig;
+TEST_P(LldRecoveryTest, AllocatedButUnwrittenBlockSurvivesAsZeros) {
+  CrashRig rig(TestOptions(GetParam()));
   auto lld = rig.Format();
   auto list = lld->NewList(kBeginOfListOfLists, ListHints{});
   auto bid = lld->NewBlock(*list, kBeginOfList);
@@ -404,8 +408,8 @@ TEST(LldRecoveryTest, AllocatedButUnwrittenBlockSurvivesAsZeros) {
   EXPECT_EQ(*reopened->ListBlocks(*list), (std::vector<Bid>{*bid}));
 }
 
-TEST(LldRecoveryTest, SecondCrashAfterRecoveryIsStillConsistent) {
-  CrashRig rig;
+TEST_P(LldRecoveryTest, SecondCrashAfterRecoveryIsStillConsistent) {
+  CrashRig rig(TestOptions(GetParam()));
   std::vector<Bid> bids;
   Lid list;
   {
@@ -446,7 +450,7 @@ TEST(LldRecoveryTest, SecondCrashAfterRecoveryIsStillConsistent) {
 // with a consistent state — every block reads some value it actually held,
 // ARU pairs all-or-nothing — or refuse with a typed CORRUPTION error. It may
 // never abort, return garbage bytes, or surface half an ARU.
-TEST(LldRecoveryTest, RandomizedCrashCorruptionSweep) {
+TEST_P(LldRecoveryTest, RandomizedCrashCorruptionSweep) {
   const uint64_t base_seed = EnvFaultSeed(42);
   constexpr int kSeedRounds = 3;
   for (int round = 0; round < kSeedRounds; ++round) {
@@ -456,7 +460,7 @@ TEST(LldRecoveryTest, RandomizedCrashCorruptionSweep) {
       // The workload itself draws nothing from the RNG, so every crash index
       // replays the identical write sequence; only the fault placement varies.
       Rng rng(base_seed * 977 + static_cast<uint64_t>(round) * 131 + crash_at);
-      CrashRig rig;
+      CrashRig rig(TestOptions(GetParam()));
       auto lld = rig.Format();
       const uint64_t seg0_sector = lld->SegmentStartByte(0) / 512;
       const int64_t torn = static_cast<int64_t>(rng.Below(4)) - 1;  // -1 (none) .. 2 sectors.
@@ -516,7 +520,7 @@ TEST(LldRecoveryTest, RandomizedCrashCorruptionSweep) {
 
       lld.reset();
       rig.disk->ClearFault();
-      auto reopened = LogStructuredDisk::Open(rig.disk.get(), TestOptions());
+      auto reopened = LogStructuredDisk::Open(rig.disk.get(), TestOptions(GetParam()));
       if (!reopened.ok()) {
         // Mid-log damage: refusing is correct, but only with the typed status.
         EXPECT_EQ(reopened.status().code(), ErrorCode::kCorruption)
@@ -582,10 +586,9 @@ TEST(LldRecoveryTest, DifferentialParityCrashConformanceSweep) {
       // is forced onto the same logical victim. Parity only shrinks segment
       // capacity, so anything sealed without it is sealed with it too.
       const auto run = [&](bool parity, Bid forced_victim) {
-        LldOptions options = TestOptions();
-        options.segment_parity = parity;
+        LldOptions options = TestOptions(parity);
         RunResult result;
-        CrashRig rig;
+        CrashRig rig(options);
         auto formatted = LogStructuredDisk::Format(rig.disk.get(), options);
         EXPECT_TRUE(formatted.ok()) << formatted.status().ToString();
         auto lld = std::move(formatted).value();
@@ -721,14 +724,13 @@ TEST(LldRecoveryTest, DifferentialParityCrashConformanceSweep) {
 // itself and every block reads back byte-exact from its relocated copy.
 TEST(LldRecoveryTest, CrashDuringScrubRetirementCompletesViaIntent) {
   for (const bool parity : {false, true}) {
-    LldOptions options = TestOptions();
-    options.segment_parity = parity;
+    LldOptions options = TestOptions(parity);
     bool reopen_succeeded_once = false;
     bool retirement_completed_once = false;
     bool scrub_completed = false;
     for (uint64_t crash_at = 1; !scrub_completed; ++crash_at) {
       ASSERT_LT(crash_at, 200u) << "scrub never ran to completion";
-      CrashRig rig;
+      CrashRig rig(options);
       auto formatted = LogStructuredDisk::Format(rig.disk.get(), options);
       ASSERT_TRUE(formatted.ok()) << formatted.status().ToString();
       auto lld = std::move(formatted).value();
@@ -806,10 +808,10 @@ TEST(LldRecoveryTest, CrashDuringScrubRetirementCompletesViaIntent) {
 // of the block map: Open refuses it as CORRUPTION instead of handing the list
 // walks an id they would read out of bounds. The control plant names a real
 // block and opens, so the planted summary is the one being replayed.
-TEST(LldRecoveryTest, DanglingListLinksAreRefused) {
+TEST_P(LldRecoveryTest, DanglingListLinksAreRefused) {
   enum class Plant { kHeadToRealBlock, kHeadToMissing, kSuccessorToMissing };
   for (Plant plant : {Plant::kHeadToRealBlock, Plant::kHeadToMissing, Plant::kSuccessorToMissing}) {
-    CrashRig rig;
+    CrashRig rig(TestOptions(GetParam()));
     Lid list = kNilLid;
     std::vector<Bid> bids;
     uint32_t last_seg = 0;
@@ -845,11 +847,11 @@ TEST(LldRecoveryTest, DanglingListLinksAreRefused) {
         records.push_back(SummaryRecord::LinkTuple(1'000'000, bids[0], kMaxId));
         break;
     }
-    std::vector<uint8_t> tail(TestOptions().summary_bytes);
+    std::vector<uint8_t> tail(TestOptions(GetParam()).summary_bytes);
     ASSERT_TRUE(EncodeSummary(header, records, tail).ok());
     ASSERT_TRUE(rig.disk->Write(summary_sector, tail).ok());
 
-    auto lld = LogStructuredDisk::Open(rig.disk.get(), TestOptions());
+    auto lld = LogStructuredDisk::Open(rig.disk.get(), TestOptions(GetParam()));
     if (plant == Plant::kHeadToRealBlock) {
       ASSERT_TRUE(lld.ok()) << lld.status().ToString();
       const StatusOr<std::vector<Bid>> walked = (*lld)->ListBlocks(list);
@@ -876,11 +878,11 @@ TEST(LldRecoveryTest, DanglingListLinksAreRefused) {
 // base frame stores. The volume opens from the log alone and through a
 // checkpoint chain, again after a second crash (the first open wrote a base
 // frame in checkpoint mode), and once more after a clean shutdown.
-TEST(LldRecoveryTest, CrashPartwayThroughDeleteListOpens) {
+TEST_P(LldRecoveryTest, CrashPartwayThroughDeleteListOpens) {
   for (const uint32_t interval : {0u, 1u}) {
     SCOPED_TRACE("checkpoint_interval_segments=" + std::to_string(interval));
-    CrashRig rig;
-    LldOptions options = TestOptions();
+    CrashRig rig(TestOptions(GetParam()));
+    LldOptions options = TestOptions(GetParam());
     options.checkpoint_interval_segments = interval;
     Lid list = kNilLid;
     std::vector<Bid> bids;  // In list order.
@@ -928,8 +930,8 @@ TEST(LldRecoveryTest, CrashPartwayThroughDeleteListOpens) {
   }
 }
 
-TEST(LldRecoveryTest, RecoveryReportPopulated) {
-  CrashRig rig;
+TEST_P(LldRecoveryTest, RecoveryReportPopulated) {
+  CrashRig rig(TestOptions(GetParam()));
   auto lld = rig.Format();
   auto list = lld->NewList(kBeginOfListOfLists, ListHints{});
   auto bid = lld->NewBlock(*list, kBeginOfList);
@@ -950,8 +952,8 @@ TEST(LldRecoveryTest, RecoveryReportPopulated) {
 
 // ---- Cross-channel stripe parity: channel loss across a restart -------------
 
-LldOptions StripeRecoveryOptions() {
-  LldOptions options = TestOptions();
+LldOptions StripeRecoveryOptions(bool segment_parity) {
+  LldOptions options = TestOptions(segment_parity);
   options.stripe_parity = true;
   return options;
 }
@@ -974,14 +976,14 @@ struct StripeCrashRig {
 // the case where the *record carrier* of a stripe set sat on the lost
 // channel (covered only by the duplicate declaration on a second channel)
 // is exercised too.
-TEST(LldRecoveryTest, ChannelLossAcrossRestartRecoversAndRebuilds) {
+TEST_P(LldRecoveryTest, ChannelLossAcrossRestartRecoversAndRebuilds) {
   constexpr uint32_t kChannels = 4;
   for (uint32_t dead = 0; dead < kChannels; ++dead) {
     StripeCrashRig rig(kChannels);
     std::vector<Bid> bids;
     std::vector<uint32_t> tags;
     {
-      auto lld = *LogStructuredDisk::Format(rig.disk.get(), StripeRecoveryOptions());
+      auto lld = *LogStructuredDisk::Format(rig.disk.get(), StripeRecoveryOptions(GetParam()));
       auto list = lld->NewList(kBeginOfListOfLists, ListHints{});
       ASSERT_TRUE(list.ok());
       Bid pred = kBeginOfList;
@@ -1003,7 +1005,7 @@ TEST(LldRecoveryTest, ChannelLossAcrossRestartRecoversAndRebuilds) {
     ASSERT_TRUE(rig.disk->HealChannel(dead).ok());  // Blank spare swapped in.
     rig.disk->ClearFault();
 
-    auto reopened = LogStructuredDisk::Open(rig.disk.get(), StripeRecoveryOptions());
+    auto reopened = LogStructuredDisk::Open(rig.disk.get(), StripeRecoveryOptions(GetParam()));
     ASSERT_TRUE(reopened.ok()) << "dead channel " << dead << ": "
                                << reopened.status().ToString();
     EXPECT_GT((*reopened)->last_recovery().stripe_members_reconstructed, 0u)
@@ -1037,10 +1039,10 @@ TEST(LldRecoveryTest, ChannelLossAcrossRestartRecoversAndRebuilds) {
 // A channel that is still dead (no spare swapped in) at Open time: the open
 // must refuse with a typed error, never crash or silently drop the channel's
 // state.
-TEST(LldRecoveryTest, ReopenWithDeadChannelRefusesTyped) {
+TEST_P(LldRecoveryTest, ReopenWithDeadChannelRefusesTyped) {
   StripeCrashRig rig(4);
   {
-    auto lld = *LogStructuredDisk::Format(rig.disk.get(), StripeRecoveryOptions());
+    auto lld = *LogStructuredDisk::Format(rig.disk.get(), StripeRecoveryOptions(GetParam()));
     auto list = lld->NewList(kBeginOfListOfLists, ListHints{});
     ASSERT_TRUE(list.ok());
     Bid pred = kBeginOfList;
@@ -1056,7 +1058,7 @@ TEST(LldRecoveryTest, ReopenWithDeadChannelRefusesTyped) {
   rig.disk->ClearFault();       // Clears the crash fault only...
   rig.disk->FailChannel(1);     // ...the channel failure persists.
 
-  auto reopened = LogStructuredDisk::Open(rig.disk.get(), StripeRecoveryOptions());
+  auto reopened = LogStructuredDisk::Open(rig.disk.get(), StripeRecoveryOptions(GetParam()));
   ASSERT_FALSE(reopened.ok());
   EXPECT_TRUE(reopened.status().code() == ErrorCode::kIoError ||
               reopened.status().code() == ErrorCode::kCorruption)
@@ -1068,7 +1070,7 @@ TEST(LldRecoveryTest, ReopenWithDeadChannelRefusesTyped) {
 // block must still read byte-identical after the next Open (reconstructed
 // through surviving peers where needed), and a fresh Rebuild must finish
 // the job.
-TEST(LldRecoveryTest, RandomizedCrashDuringRebuildSweep) {
+TEST_P(LldRecoveryTest, RandomizedCrashDuringRebuildSweep) {
   const uint64_t base_seed = EnvFaultSeed(42);
   constexpr uint32_t kChannels = 4;
   constexpr uint32_t kDead = 1;
@@ -1082,7 +1084,7 @@ TEST(LldRecoveryTest, RandomizedCrashDuringRebuildSweep) {
       std::vector<Bid> bids;
       std::vector<uint32_t> tags;
       {
-        auto lld = *LogStructuredDisk::Format(rig.disk.get(), StripeRecoveryOptions());
+        auto lld = *LogStructuredDisk::Format(rig.disk.get(), StripeRecoveryOptions(GetParam()));
         auto list = lld->NewList(kBeginOfListOfLists, ListHints{});
         ASSERT_TRUE(list.ok());
         Bid pred = kBeginOfList;
@@ -1104,7 +1106,7 @@ TEST(LldRecoveryTest, RandomizedCrashDuringRebuildSweep) {
       ASSERT_TRUE(rig.disk->HealChannel(kDead).ok());
       rig.disk->ClearFault();
 
-      auto reopened = LogStructuredDisk::Open(rig.disk.get(), StripeRecoveryOptions());
+      auto reopened = LogStructuredDisk::Open(rig.disk.get(), StripeRecoveryOptions(GetParam()));
       ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
       ASSERT_TRUE((*reopened)->SetChannelFailed(kDead, true).ok());
       ASSERT_TRUE((*reopened)->SetChannelFailed(kDead, false).ok());
@@ -1119,7 +1121,7 @@ TEST(LldRecoveryTest, RandomizedCrashDuringRebuildSweep) {
       reopened->reset();
       rig.disk->ClearFault();
 
-      auto after = LogStructuredDisk::Open(rig.disk.get(), StripeRecoveryOptions());
+      auto after = LogStructuredDisk::Open(rig.disk.get(), StripeRecoveryOptions(GetParam()));
       ASSERT_TRUE(after.ok()) << "round " << round << " crash " << crash_at << ": "
                               << after.status().ToString();
       std::vector<uint8_t> out(4096);
@@ -1148,7 +1150,7 @@ TEST(LldRecoveryTest, RandomizedCrashDuringRebuildSweep) {
 // identical for the two drivers (slicing changes when writes happen, never
 // what a crash can leave behind). Within each sweep the refusals must form a
 // strict prefix, exactly as the foreground-only sweep above asserts.
-TEST(LldRecoveryTest, CrashDuringBackgroundScrubMatchesForegroundOutcomeSet) {
+TEST_P(LldRecoveryTest, CrashDuringBackgroundScrubMatchesForegroundOutcomeSet) {
   enum Outcome : int { kRefusedTyped, kRecovered, kRecoveredViaIntent };
   const auto sweep = [](bool background) {
     std::set<int> outcomes;
@@ -1159,7 +1161,7 @@ TEST(LldRecoveryTest, CrashDuringBackgroundScrubMatchesForegroundOutcomeSet) {
       if (crash_at >= 400u) {
         break;
       }
-      CrashRig rig;
+      CrashRig rig(TestOptions(GetParam()));
       auto lld = rig.Format();
       auto list = lld->NewList(kBeginOfListOfLists, ListHints{});
       EXPECT_TRUE(list.ok());
@@ -1215,7 +1217,7 @@ TEST(LldRecoveryTest, CrashDuringBackgroundScrubMatchesForegroundOutcomeSet) {
 
       lld.reset();
       rig.disk->ClearFault();
-      auto reopened = LogStructuredDisk::Open(rig.disk.get(), TestOptions());
+      auto reopened = LogStructuredDisk::Open(rig.disk.get(), TestOptions(GetParam()));
       if (!reopened.ok()) {
         EXPECT_EQ(reopened.status().code(), ErrorCode::kCorruption)
             << reopened.status().ToString();
@@ -1259,7 +1261,7 @@ TEST(LldRecoveryTest, CrashDuringBackgroundScrubMatchesForegroundOutcomeSet) {
 // the foreground rebuild sweep, every crash must recover with byte-identical
 // contents — the paced driver adds no new failure modes — and a fresh
 // foreground Rebuild must be able to finish the job.
-TEST(LldRecoveryTest, RandomizedCrashDuringPacedRebuildSweep) {
+TEST_P(LldRecoveryTest, RandomizedCrashDuringPacedRebuildSweep) {
   const uint64_t base_seed = EnvFaultSeed(42);
   constexpr uint32_t kChannels = 4;
   constexpr uint32_t kDead = 2;
@@ -1274,7 +1276,7 @@ TEST(LldRecoveryTest, RandomizedCrashDuringPacedRebuildSweep) {
     StripeCrashRig rig(kChannels);
     std::vector<Bid> bids;
     {
-      auto lld = *LogStructuredDisk::Format(rig.disk.get(), StripeRecoveryOptions());
+      auto lld = *LogStructuredDisk::Format(rig.disk.get(), StripeRecoveryOptions(GetParam()));
       auto list = lld->NewList(kBeginOfListOfLists, ListHints{});
       ASSERT_TRUE(list.ok());
       Bid pred = kBeginOfList;
@@ -1295,7 +1297,7 @@ TEST(LldRecoveryTest, RandomizedCrashDuringPacedRebuildSweep) {
     ASSERT_TRUE(rig.disk->HealChannel(kDead).ok());
     rig.disk->ClearFault();
 
-    auto reopened = LogStructuredDisk::Open(rig.disk.get(), StripeRecoveryOptions());
+    auto reopened = LogStructuredDisk::Open(rig.disk.get(), StripeRecoveryOptions(GetParam()));
     ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
     ASSERT_TRUE((*reopened)->SetChannelFailed(kDead, true).ok());
     ASSERT_TRUE((*reopened)->SetChannelFailed(kDead, false).ok());
@@ -1322,7 +1324,7 @@ TEST(LldRecoveryTest, RandomizedCrashDuringPacedRebuildSweep) {
     reopened->reset();
     rig.disk->ClearFault();
 
-    auto after = LogStructuredDisk::Open(rig.disk.get(), StripeRecoveryOptions());
+    auto after = LogStructuredDisk::Open(rig.disk.get(), StripeRecoveryOptions(GetParam()));
     ASSERT_TRUE(after.ok()) << "crash " << crash_at << ": " << after.status().ToString();
     std::vector<uint8_t> out(4096);
     for (size_t i = 0; i < bids.size(); ++i) {
@@ -1343,9 +1345,9 @@ TEST(LldRecoveryTest, RandomizedCrashDuringPacedRebuildSweep) {
 // shadow — with the list structure intact. No damage is injected beyond the
 // cut, so recovery must never refuse; the sweep runs to the first crash
 // index past the cleaner's last write, proving it covered every point.
-TEST(LldRecoveryTest, RandomizedCrashDuringCostBenefitCleanSweep) {
+TEST_P(LldRecoveryTest, RandomizedCrashDuringCostBenefitCleanSweep) {
   const uint64_t base_seed = EnvFaultSeed(42);
-  LldOptions options = TestOptions();
+  LldOptions options = TestOptions(GetParam());
   options.cleaning_policy = CleaningPolicy::kCostBenefit;
   options.segments_per_clean = 3;
 
@@ -1354,7 +1356,7 @@ TEST(LldRecoveryTest, RandomizedCrashDuringCostBenefitCleanSweep) {
   for (uint64_t crash_at = 1; !clean_completed; ++crash_at) {
     ASSERT_LT(crash_at, 1500u) << "cleaning never ran to completion";
     Rng rng(base_seed * 977 + crash_at);
-    CrashRig rig;
+    CrashRig rig(TestOptions(GetParam()));
     auto formatted = LogStructuredDisk::Format(rig.disk.get(), options);
     ASSERT_TRUE(formatted.ok()) << formatted.status().ToString();
     auto lld = std::move(formatted).value();
@@ -1423,11 +1425,11 @@ TEST(LldRecoveryTest, RandomizedCrashDuringCostBenefitCleanSweep) {
 // the same cleaning pass — stayed applied. The test constructs exactly that
 // layout, steers greedy selection so the batch takes s2 but never s1,
 // recycles s2, crashes, and expects both halves of the unit to survive.
-TEST(LldRecoveryTest, CleaningMarkerSegmentKeepsStraddlingUnitCommitted) {
-  LldOptions options = TestOptions();
+TEST_P(LldRecoveryTest, CleaningMarkerSegmentKeepsStraddlingUnitCommitted) {
+  LldOptions options = TestOptions(GetParam());
   options.cleaning_policy = CleaningPolicy::kGreedy;
 
-  CrashRig rig;
+  CrashRig rig(TestOptions(GetParam()));
   auto formatted = LogStructuredDisk::Format(rig.disk.get(), options);
   ASSERT_TRUE(formatted.ok()) << formatted.status().ToString();
   auto lld = std::move(formatted).value();
@@ -1529,9 +1531,9 @@ TEST(LldRecoveryTest, CleaningMarkerSegmentKeepsStraddlingUnitCommitted) {
 // Randomized companion to the directed test above: paired ARU writes with
 // *organic* cleaning (small disk, no explicit CleanSegments, no flushes),
 // asserting all-or-nothing per unit at every crash index in a sweep.
-TEST(LldRecoveryTest, CrashSweepKeepsCommittedUnitsAtomicUnderCleaning) {
+TEST_P(LldRecoveryTest, CrashSweepKeepsCommittedUnitsAtomicUnderCleaning) {
   const uint64_t base_seed = EnvFaultSeed(42);
-  LldOptions options = TestOptions();
+  LldOptions options = TestOptions(GetParam());
   options.cleaning_policy = CleaningPolicy::kGreedy;
   options.segments_per_clean = 3;
 
@@ -1661,6 +1663,8 @@ TEST(LldRecoveryTest, CrashSweepKeepsCommittedUnitsAtomicUnderCleaning) {
     }
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(SegmentParity, LldRecoveryTest, ::testing::Bool(), ParityName);
 
 }  // namespace
 }  // namespace ld

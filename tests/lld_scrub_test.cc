@@ -23,27 +23,21 @@ namespace {
 constexpr uint64_t kDiskBytes = 64ull << 20;
 constexpr uint32_t kSectorSize = 512;
 
-LldOptions TestOptions() {
+LldOptions TestOptions(bool segment_parity) {
   LldOptions options;
   options.segment_bytes = 128 * 1024;
   options.summary_bytes = 8192;
-  // The CI fault matrix flips this (LD_SEGMENT_PARITY); tests whose
-  // expectations require one setting pin it with the helpers below.
-  options.segment_parity = EnvSegmentParity(false);
+  options.segment_parity = segment_parity;
   return options;
 }
 
-LldOptions ParityOptions() {
-  LldOptions options = TestOptions();
-  options.segment_parity = true;
-  return options;
-}
+LldOptions ParityOptions() { return TestOptions(true); }
+LldOptions NoParityOptions() { return TestOptions(false); }
 
-LldOptions NoParityOptions() {
-  LldOptions options = TestOptions();
-  options.segment_parity = false;
-  return options;
-}
+// The cases whose expectations hold with segment parity off and on: each
+// runs once per setting (the parameter). The LldScrubTest cases written
+// with TEST pin the setting they require.
+class LldScrubTest : public ::testing::TestWithParam<bool> {};
 
 std::vector<uint8_t> Pattern(uint32_t size, uint32_t tag) {
   std::vector<uint8_t> data(size);
@@ -69,7 +63,7 @@ struct ScrubRig {
     disk = std::make_unique<FaultDisk>(inner.get());
   }
 
-  std::unique_ptr<LogStructuredDisk> Format(const LldOptions& options = TestOptions()) {
+  std::unique_ptr<LogStructuredDisk> Format(const LldOptions& options) {
     auto lld = LogStructuredDisk::Format(disk.get(), options);
     EXPECT_TRUE(lld.ok()) << lld.status().ToString();
     return std::move(lld).value();
@@ -135,9 +129,9 @@ TEST(LldScrubTest, ReadDetectsSilentPayloadCorruption) {
   }
 }
 
-TEST(LldScrubTest, RetriesRecoverTransientReadErrors) {
+TEST_P(LldScrubTest, RetriesRecoverTransientReadErrors) {
   ScrubRig rig;
-  auto lld = rig.Format();
+  auto lld = rig.Format(TestOptions(GetParam()));
   auto list = lld->NewList(kBeginOfListOfLists, ListHints{});
   auto bids = rig.FillBlocks(lld.get(), *list, 40);
 
@@ -228,9 +222,9 @@ TEST(LldScrubTest, SubmitReadRepairsDamageLikeRead) {
   }
 }
 
-TEST(LldScrubTest, UnrecoverableWriteFailureEntersDegradedMode) {
+TEST_P(LldScrubTest, UnrecoverableWriteFailureEntersDegradedMode) {
   ScrubRig rig;
-  auto lld = rig.Format();
+  auto lld = rig.Format(TestOptions(GetParam()));
   auto list = lld->NewList(kBeginOfListOfLists, ListHints{});
   auto bids = rig.FillBlocks(lld.get(), *list, 10);
 
@@ -265,9 +259,9 @@ TEST(LldScrubTest, UnrecoverableWriteFailureEntersDegradedMode) {
   EXPECT_EQ(lld->Shutdown().code(), ErrorCode::kDegraded);
 }
 
-TEST(LldScrubTest, CleanScrubFindsNothing) {
+TEST_P(LldScrubTest, CleanScrubFindsNothing) {
   ScrubRig rig;
-  auto lld = rig.Format();
+  auto lld = rig.Format(TestOptions(GetParam()));
   auto list = lld->NewList(kBeginOfListOfLists, ListHints{});
   auto bids = rig.FillBlocks(lld.get(), *list, 40);
 
@@ -286,18 +280,18 @@ TEST(LldScrubTest, CleanScrubFindsNothing) {
   }
 }
 
-TEST(LldScrubTest, ScrubRefusesOpenArus) {
+TEST_P(LldScrubTest, ScrubRefusesOpenArus) {
   ScrubRig rig;
-  auto lld = rig.Format();
+  auto lld = rig.Format(TestOptions(GetParam()));
   ASSERT_TRUE(lld->BeginARU().ok());
   EXPECT_EQ(lld->Scrub().status().code(), ErrorCode::kFailedPrecondition);
   ASSERT_TRUE(lld->EndARU().ok());
   EXPECT_TRUE(lld->Scrub().ok());
 }
 
-TEST(LldScrubTest, ScrubRetiresSegmentWithCorruptSummary) {
+TEST_P(LldScrubTest, ScrubRetiresSegmentWithCorruptSummary) {
   ScrubRig rig;
-  auto lld = rig.Format();
+  auto lld = rig.Format(TestOptions(GetParam()));
   auto list = lld->NewList(kBeginOfListOfLists, ListHints{});
   auto bids = rig.FillBlocks(lld.get(), *list, 40);
 
@@ -325,7 +319,7 @@ TEST(LldScrubTest, ScrubRetiresSegmentWithCorruptSummary) {
   // damage, and the list structure is intact.
   rig.disk->CrashNow();
   rig.disk->ClearFault();
-  auto reopened = LogStructuredDisk::Open(rig.disk.get(), TestOptions());
+  auto reopened = LogStructuredDisk::Open(rig.disk.get(), TestOptions(GetParam()));
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   for (size_t i = 0; i < bids.size(); ++i) {
     ASSERT_TRUE((*reopened)->Read(bids[i], out).ok()) << i;
@@ -346,10 +340,10 @@ void ExpectLiveTotalMatchesSegments(const LogStructuredDisk& lld, const char* st
   EXPECT_EQ(lld.usage_table().TotalLiveBytes(), sum) << step;
 }
 
-TEST(LldScrubTest, LiveByteTotalMatchesSegmentSum) {
+TEST_P(LldScrubTest, LiveByteTotalMatchesSegmentSum) {
   {
     ScrubRig rig;
-    auto lld = rig.Format();
+    auto lld = rig.Format(TestOptions(GetParam()));
     ExpectLiveTotalMatchesSegments(*lld, "format");
     auto list = lld->NewList(kBeginOfListOfLists, ListHints{});
     auto bids = rig.FillBlocks(lld.get(), *list, 120);
@@ -377,7 +371,7 @@ TEST(LldScrubTest, LiveByteTotalMatchesSegmentSum) {
     rig.disk->CrashNow();
     rig.disk->ClearFault();
     lld.reset();
-    auto from_log = LogStructuredDisk::Open(rig.disk.get(), TestOptions());
+    auto from_log = LogStructuredDisk::Open(rig.disk.get(), TestOptions(GetParam()));
     ASSERT_TRUE(from_log.ok()) << from_log.status().ToString();
     EXPECT_EQ((*from_log)->last_recovery().mode, RecoveryMode::kLogScan);
     ExpectLiveTotalMatchesSegments(**from_log, "recovery from the log");
@@ -385,7 +379,7 @@ TEST(LldScrubTest, LiveByteTotalMatchesSegmentSum) {
     ASSERT_TRUE((*from_log)->Shutdown().ok());
     from_log->reset();
 
-    auto from_checkpoint = LogStructuredDisk::Open(rig.disk.get(), TestOptions());
+    auto from_checkpoint = LogStructuredDisk::Open(rig.disk.get(), TestOptions(GetParam()));
     ASSERT_TRUE(from_checkpoint.ok()) << from_checkpoint.status().ToString();
     EXPECT_EQ((*from_checkpoint)->last_recovery().mode, RecoveryMode::kCheckpointClean);
     ExpectLiveTotalMatchesSegments(**from_checkpoint, "recovery from a checkpoint");
@@ -395,7 +389,7 @@ TEST(LldScrubTest, LiveByteTotalMatchesSegmentSum) {
     // Recovery registers the surviving stripe sets, zeroing each parity
     // segment's count.
     ScrubRig rig(/*channels=*/4);
-    LldOptions options = TestOptions();
+    LldOptions options = TestOptions(GetParam());
     options.stripe_parity = true;
     auto lld = rig.Format(options);
     auto list = lld->NewList(kBeginOfListOfLists, ListHints{});
@@ -677,11 +671,11 @@ TEST(LldScrubTest, ParityReconstructsUnreadableBlockUnderStriping) {
   }
 }
 
-TEST(LldScrubTest, MidLogSummaryCorruptionFailsOpenTyped) {
+TEST_P(LldScrubTest, MidLogSummaryCorruptionFailsOpenTyped) {
   ScrubRig rig;
   uint32_t oldest_seg = 0;
   {
-    auto lld = rig.Format();
+    auto lld = rig.Format(TestOptions(GetParam()));
     auto list = lld->NewList(kBeginOfListOfLists, ListHints{});
     rig.FillBlocks(lld.get(), *list, 120);
 
@@ -703,13 +697,13 @@ TEST(LldScrubTest, MidLogSummaryCorruptionFailsOpenTyped) {
     rig.disk->CrashNow();
   }
   rig.disk->ClearFault();
-  auto reopened = LogStructuredDisk::Open(rig.disk.get(), TestOptions());
+  auto reopened = LogStructuredDisk::Open(rig.disk.get(), TestOptions(GetParam()));
   EXPECT_EQ(reopened.status().code(), ErrorCode::kCorruption) << reopened.status().ToString();
 }
 
-TEST(LldScrubTest, UnreadableSummarySpillIsRefusedThenRetired) {
+TEST_P(LldScrubTest, UnreadableSummarySpillIsRefusedThenRetired) {
   ScrubRig rig;
-  auto lld = rig.Format();
+  auto lld = rig.Format(TestOptions(GetParam()));
   auto list = lld->NewList(kBeginOfListOfLists, ListHints{});
   // Overwrite every block: the segments that created them keep nothing
   // live but their alloc and link records, and cleaning ten of them re-logs
@@ -725,7 +719,7 @@ TEST(LldScrubTest, UnreadableSummarySpillIsRefusedThenRetired) {
     if (lld->usage_table().segment(s).state != SegmentState::kFull) {
       continue;
     }
-    std::vector<uint8_t> tail(TestOptions().summary_bytes);
+    std::vector<uint8_t> tail(TestOptions(GetParam()).summary_bytes);
     ASSERT_TRUE(rig.disk->Read(lld->SegmentSummaryStartByte(s) / kSectorSize, tail).ok());
     SummaryHeader header;
     if (DecodeSummaryHeader(tail, &header).ok() && header.ext_bytes > 0) {
@@ -740,7 +734,7 @@ TEST(LldScrubTest, UnreadableSummarySpillIsRefusedThenRetired) {
   rig.disk->InjectLatentError(lld->SegmentSummaryStartByte(seg) / kSectorSize - 1);
 
   // Recovery cannot tell what the spill held: it refuses the log, typed.
-  auto refused = LogStructuredDisk::Open(rig.disk.get(), TestOptions());
+  auto refused = LogStructuredDisk::Open(rig.disk.get(), TestOptions(GetParam()));
   EXPECT_EQ(refused.status().code(), ErrorCode::kCorruption);
   EXPECT_NE(refused.status().message().find("segment " + std::to_string(seg) +
                                             " summary unreadable"),
@@ -757,7 +751,7 @@ TEST(LldScrubTest, UnreadableSummarySpillIsRefusedThenRetired) {
   rig.disk->CrashNow();
   lld.reset();
   rig.disk->ClearFault();
-  auto reopened = LogStructuredDisk::Open(rig.disk.get(), TestOptions());
+  auto reopened = LogStructuredDisk::Open(rig.disk.get(), TestOptions(GetParam()));
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   std::vector<uint8_t> out(4096);
   for (uint32_t i = 0; i < bids.size(); ++i) {
@@ -769,6 +763,8 @@ TEST(LldScrubTest, UnreadableSummarySpillIsRefusedThenRetired) {
     EXPECT_EQ(out, Pattern(4096, 5000 + i)) << i;
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(SegmentParity, LldScrubTest, ::testing::Bool(), ParityName);
 
 }  // namespace
 }  // namespace ld

@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 #include "src/disk/fault_disk.h"
 #include "src/disk/mem_disk.h"
 #include "src/lld/lld.h"
@@ -21,15 +24,17 @@ namespace {
 
 constexpr uint64_t kDiskBytes = 64ull << 20;
 
-LldOptions TestLldOptions() {
+LldOptions TestLldOptions(bool segment_parity) {
   LldOptions options;
   options.segment_bytes = 128 * 1024;
   options.summary_bytes = 8192;
-  // Flipped by the CI fault matrix (LD_SEGMENT_PARITY); the crash sweeps
-  // below hold either way. Scrub tests pin their own setting.
-  options.segment_parity = EnvSegmentParity(false);
+  options.segment_parity = segment_parity;
   return options;
 }
+
+// The checker and crash-sweep cases hold with segment parity off and on:
+// each runs once per setting (the parameter). Scrub tests pin their own.
+class MinixFsckTest : public ::testing::TestWithParam<bool> {};
 
 MinixOptions ArusOptions() {
   MinixOptions options;
@@ -38,10 +43,10 @@ MinixOptions ArusOptions() {
   return options;
 }
 
-TEST(MinixFsckTest, CleanFileSystemPasses) {
+TEST_P(MinixFsckTest, CleanFileSystemPasses) {
   SimClock clock;
   MemDisk disk(kDiskBytes / 512, 512, &clock);
-  auto lld = *LogStructuredDisk::Format(&disk, TestLldOptions());
+  auto lld = *LogStructuredDisk::Format(&disk, TestLldOptions(GetParam()));
   auto fs = *MinixFs::FormatOnLd(lld.get(), ArusOptions(), /*list_per_file=*/true);
   ASSERT_TRUE(fs->CheckConsistency().ok());
 
@@ -55,12 +60,12 @@ TEST(MinixFsckTest, CleanFileSystemPasses) {
   EXPECT_TRUE(check.ok()) << check.ToString();
 }
 
-TEST(MinixFsckTest, DetectsPlantedCorruption) {
+TEST_P(MinixFsckTest, DetectsPlantedCorruption) {
   // The checker must actually catch problems: plant a dangling directory
   // entry by writing a bogus entry into the root directory block.
   SimClock clock;
   MemDisk disk(kDiskBytes / 512, 512, &clock);
-  auto lld = *LogStructuredDisk::Format(&disk, TestLldOptions());
+  auto lld = *LogStructuredDisk::Format(&disk, TestLldOptions(GetParam()));
   auto fs = *MinixFs::FormatOnLd(lld.get(), ArusOptions(), /*list_per_file=*/true);
   ASSERT_TRUE(fs->CreateFile("/real").ok());
   ASSERT_TRUE(fs->SyncFs().ok());
@@ -99,17 +104,8 @@ TEST(MinixFsckTest, DetectsPlantedCorruption) {
 
 // ---- fsck --scrub: media repair through the file-system tool ----
 
-LldOptions ParityLldOptions() {
-  LldOptions options = TestLldOptions();
-  options.segment_parity = true;
-  return options;
-}
-
-LldOptions NoParityLldOptions() {
-  LldOptions options = TestLldOptions();
-  options.segment_parity = false;
-  return options;
-}
+LldOptions ParityLldOptions() { return TestLldOptions(true); }
+LldOptions NoParityLldOptions() { return TestLldOptions(false); }
 
 // A sealed (kFull-segment) 4K block whose durable contents are all `fill`
 // bytes — i.e. one of our file data blocks, never fs metadata.
@@ -255,15 +251,27 @@ TEST(MinixFsckTest, FsckScrubNeedsLogicalDiskBackend) {
   EXPECT_FALSE(plain->degraded);
 }
 
+// A crash-sweep seed and the segment-parity setting.
+class CrashSeedTest : public ::testing::TestWithParam<std::tuple<int, bool>> {
+ protected:
+  int seed() const { return std::get<0>(GetParam()); }
+  LldOptions Options() const { return TestLldOptions(std::get<1>(GetParam())); }
+};
+
+std::string SeedName(const ::testing::TestParamInfo<std::tuple<int, bool>>& info) {
+  return "Seed" + std::to_string(std::get<0>(info.param)) +
+         (std::get<1>(info.param) ? "_ParityOn" : "_ParityOff");
+}
+
 // The headline property: crash anywhere, recover, fsck is always clean.
-class NoFsckNeededTest : public ::testing::TestWithParam<int> {};
+class NoFsckNeededTest : public CrashSeedTest {};
 
 TEST_P(NoFsckNeededTest, CrashAnywhereRecoversConsistent) {
-  Rng rng(GetParam() * 7907 + 5);
+  Rng rng(seed() * 7907 + 5);
   SimClock clock;
   MemDisk mem(kDiskBytes / 512, 512, &clock);
   FaultDisk disk(&mem);
-  auto lld = *LogStructuredDisk::Format(&disk, TestLldOptions());
+  auto lld = *LogStructuredDisk::Format(&disk, Options());
   auto fs = *MinixFs::FormatOnLd(lld.get(), ArusOptions(), /*list_per_file=*/true);
 
   // Baseline activity + a sync.
@@ -335,13 +343,13 @@ TEST_P(NoFsckNeededTest, CrashAnywhereRecoversConsistent) {
   // Reboot the whole stack.
   disk.ClearFault();
   fs.reset();
-  lld = *LogStructuredDisk::Open(&disk, TestLldOptions());
+  lld = *LogStructuredDisk::Open(&disk, Options());
   auto remounted = MinixFs::MountOnLd(lld.get(), ArusOptions());
   ASSERT_TRUE(remounted.ok()) << remounted.status().ToString();
 
   // No fsck needed: the checker is clean without any repair pass.
   const Status check = (*remounted)->CheckConsistency();
-  EXPECT_TRUE(check.ok()) << "seed " << GetParam() << ": " << check.ToString();
+  EXPECT_TRUE(check.ok()) << "seed " << seed() << ": " << check.ToString();
 
   // And the volume is fully usable.
   ASSERT_TRUE((*remounted)->CreateFile("/after-recovery").ok());
@@ -349,19 +357,20 @@ TEST_P(NoFsckNeededTest, CrashAnywhereRecoversConsistent) {
   EXPECT_TRUE((*remounted)->CheckConsistency().ok());
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, NoFsckNeededTest, ::testing::Range(0, 24));
+INSTANTIATE_TEST_SUITE_P(Seeds, NoFsckNeededTest,
+                         ::testing::Combine(::testing::Range(0, 24), ::testing::Bool()), SeedName);
 
 // Data-level version of the same property: with ARU-protected syncs, every
 // file's *contents* after a crash are exactly what some sync boundary saw —
 // never a torn mixture of sync intervals.
-class SyncBoundaryDataTest : public ::testing::TestWithParam<int> {};
+class SyncBoundaryDataTest : public CrashSeedTest {};
 
 TEST_P(SyncBoundaryDataTest, ContentsMatchExactlyOneSyncBoundary) {
-  Rng rng(GetParam() * 4241 + 9);
+  Rng rng(seed() * 4241 + 9);
   SimClock clock;
   MemDisk mem(kDiskBytes / 512, 512, &clock);
   FaultDisk disk(&mem);
-  auto lld = *LogStructuredDisk::Format(&disk, TestLldOptions());
+  auto lld = *LogStructuredDisk::Format(&disk, Options());
   auto fs = *MinixFs::FormatOnLd(lld.get(), ArusOptions(), /*list_per_file=*/true);
 
   // One file, rewritten whole in numbered generations; each sync interval
@@ -405,7 +414,7 @@ TEST_P(SyncBoundaryDataTest, ContentsMatchExactlyOneSyncBoundary) {
 
   disk.ClearFault();
   fs.reset();
-  lld = *LogStructuredDisk::Open(&disk, TestLldOptions());
+  lld = *LogStructuredDisk::Open(&disk, Options());
   fs = *MinixFs::MountOnLd(lld.get(), ArusOptions());
   ASSERT_TRUE(fs->CheckConsistency().ok());
 
@@ -419,7 +428,10 @@ TEST_P(SyncBoundaryDataTest, ContentsMatchExactlyOneSyncBoundary) {
   EXPECT_EQ(out, generation_data(recovered)) << "torn mixture of generations";
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, SyncBoundaryDataTest, ::testing::Range(0, 16));
+INSTANTIATE_TEST_SUITE_P(Seeds, SyncBoundaryDataTest,
+                         ::testing::Combine(::testing::Range(0, 16), ::testing::Bool()), SeedName);
+
+INSTANTIATE_TEST_SUITE_P(SegmentParity, MinixFsckTest, ::testing::Bool(), ParityName);
 
 }  // namespace
 }  // namespace ld

@@ -4,17 +4,17 @@
 // (classic and LD), and every read is checked against the generator — so
 // either configuration drifting from the other, or from ground truth, fails.
 // Targeted cases pin down the prefetch edge rules: never past EOF, never into
-// freed/reused blocks.
+// freed/reused blocks. Every case runs on a 1- and a 4-channel device.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/harness/setup.h"
 #include "src/util/random.h"
-#include "tests/device_test_util.h"
 
 namespace ld {
 namespace {
@@ -52,12 +52,12 @@ std::vector<ReadPathConfig> Configs() {
   };
 }
 
-StatusOr<FsUnderTest> MakeFs(FsKind kind, const ReadPathConfig& config) {
+StatusOr<FsUnderTest> MakeFs(FsKind kind, const ReadPathConfig& config, uint32_t channels) {
   SetupParams params;
   params.partition_bytes = 32ull << 20;
   params.num_inodes = 512;
   params.cache_bytes = 256 * 1024;  // Small: keep eviction pressure on.
-  params.device = EnvHpC3010(params.partition_bytes);
+  params.device = DeviceOptions::HpC3010(params.partition_bytes, channels);
   params.readahead_blocks = config.readahead_blocks;
   params.ld_readahead = config.ld_readahead;
   return MakeFsUnderTest(kind, params);
@@ -66,9 +66,10 @@ StatusOr<FsUnderTest> MakeFs(FsKind kind, const ReadPathConfig& config) {
 // Runs the randomized interleaved workload and appends every byte read to
 // `digest`. All reads are also verified against the generator in place, so
 // a failure names the file and offset instead of a digest mismatch.
-void RunWorkload(FsKind kind, const ReadPathConfig& config, std::vector<uint8_t>* digest) {
+void RunWorkload(FsKind kind, const ReadPathConfig& config, uint32_t channels,
+                 std::vector<uint8_t>* digest) {
   SCOPED_TRACE(std::string(FsKindName(kind)) + " / " + config.name);
-  auto fut = MakeFs(kind, config);
+  auto fut = MakeFs(kind, config, channels);
   ASSERT_TRUE(fut.ok()) << fut.status().ToString();
   MinixFs* fs = fut->fs.get();
 
@@ -139,7 +140,22 @@ void RunWorkload(FsKind kind, const ReadPathConfig& config, std::vector<uint8_t>
   ASSERT_TRUE(fs->CheckConsistency().ok());
 }
 
-class ReadPathDifferentialTest : public ::testing::TestWithParam<FsKind> {};
+// The backend and the device's channel count.
+class BackendTest : public ::testing::TestWithParam<std::tuple<FsKind, uint32_t>> {
+ protected:
+  FsKind kind() const { return std::get<0>(GetParam()); }
+  uint32_t channels() const { return std::get<1>(GetParam()); }
+};
+
+const auto kBackends = ::testing::Combine(::testing::Values(FsKind::kMinix, FsKind::kMinixLld),
+                                          ::testing::Values(1u, 4u));
+
+std::string BackendName(const ::testing::TestParamInfo<std::tuple<FsKind, uint32_t>>& info) {
+  return std::string(std::get<0>(info.param) == FsKind::kMinix ? "Classic" : "Ld") +
+         "_Channels" + std::to_string(std::get<1>(info.param));
+}
+
+class ReadPathDifferentialTest : public BackendTest {};
 
 // Read-ahead on and off return byte-identical results on the same backend:
 // prefetching changes timing, never bytes.
@@ -147,7 +163,7 @@ TEST_P(ReadPathDifferentialTest, AllConfigsByteIdentical) {
   std::vector<std::vector<uint8_t>> digests;
   for (const ReadPathConfig& config : Configs()) {
     digests.emplace_back();
-    RunWorkload(GetParam(), config, &digests.back());
+    RunWorkload(kind(), config, channels(), &digests.back());
     if (::testing::Test::HasFatalFailure()) return;
   }
   for (size_t i = 1; i < digests.size(); ++i) {
@@ -157,25 +173,26 @@ TEST_P(ReadPathDifferentialTest, AllConfigsByteIdentical) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Backends, ReadPathDifferentialTest,
-                         ::testing::Values(FsKind::kMinix, FsKind::kMinixLld),
-                         [](const auto& info) {
-                           return info.param == FsKind::kMinix ? "Classic" : "Ld";
-                         });
+INSTANTIATE_TEST_SUITE_P(Backends, ReadPathDifferentialTest, kBackends, BackendName);
 
 // The two backends also agree with each other (not just with the generator).
-TEST(ReadPathDifferentialTest, ClassicAndLdBackendsByteIdentical) {
+class ReadPathBackendsTest : public ::testing::TestWithParam<uint32_t> {};
+
+TEST_P(ReadPathBackendsTest, ClassicAndLdBackendsByteIdentical) {
   std::vector<uint8_t> classic, ld;
-  RunWorkload(FsKind::kMinix, Configs()[0], &classic);
+  RunWorkload(FsKind::kMinix, Configs()[0], GetParam(), &classic);
   if (::testing::Test::HasFatalFailure()) return;
-  RunWorkload(FsKind::kMinixLld, Configs()[0], &ld);
+  RunWorkload(FsKind::kMinixLld, Configs()[0], GetParam(), &ld);
   if (::testing::Test::HasFatalFailure()) return;
   EXPECT_TRUE(classic == ld);
 }
 
+INSTANTIATE_TEST_SUITE_P(Channels, ReadPathBackendsTest, ::testing::Values(1u, 4u),
+                         [](const auto& info) { return "Channels" + std::to_string(info.param); });
+
 // --- Prefetch edge rules ---------------------------------------------------
 
-class PrefetchEdgeTest : public ::testing::TestWithParam<FsKind> {
+class PrefetchEdgeTest : public BackendTest {
  protected:
   // Prefetch pinned on: these assertions are about read-ahead behaviour.
   ReadPathConfig config_{"async+RA(pinned)", 8, true};
@@ -185,7 +202,7 @@ class PrefetchEdgeTest : public ::testing::TestWithParam<FsKind> {
 // window to its maximum near EOF; the prefetcher must clamp at the last
 // file block instead of touching whatever lies beyond the mapping.
 TEST_P(PrefetchEdgeTest, SequentialReadToEofNeverPrefetchesPast) {
-  auto fut = MakeFs(GetParam(), config_);
+  auto fut = MakeFs(kind(), config_, channels());
   ASSERT_TRUE(fut.ok()) << fut.status().ToString();
   MinixFs* fs = fut->fs.get();
   const uint64_t size = 40 * 4096 + 777;  // Partial tail block.
@@ -217,7 +234,7 @@ TEST_P(PrefetchEdgeTest, SequentialReadToEofNeverPrefetchesPast) {
 // back as the new file's bytes: any prefetched copy of the dead file that
 // survived the free (cached or still in flight) would surface here.
 TEST_P(PrefetchEdgeTest, UnlinkedBlocksReusedByNewFileReadBack) {
-  auto fut = MakeFs(GetParam(), config_);
+  auto fut = MakeFs(kind(), config_, channels());
   ASSERT_TRUE(fut.ok()) << fut.status().ToString();
   MinixFs* fs = fut->fs.get();
   const uint64_t size = 30 * 4096;
@@ -269,7 +286,7 @@ TEST_P(PrefetchEdgeTest, UnlinkedBlocksReusedByNewFileReadBack) {
 // any prefetched tail; rewriting past the new EOF must read back the new
 // bytes, and the shrunk region keeps its old ones.
 TEST_P(PrefetchEdgeTest, TruncateDropsPrefetchedTail) {
-  auto fut = MakeFs(GetParam(), config_);
+  auto fut = MakeFs(kind(), config_, channels());
   ASSERT_TRUE(fut.ok()) << fut.status().ToString();
   MinixFs* fs = fut->fs.get();
   const uint64_t size = 40 * 4096;
@@ -303,11 +320,7 @@ TEST_P(PrefetchEdgeTest, TruncateDropsPrefetchedTail) {
   EXPECT_TRUE(fs->CheckConsistency().ok());
 }
 
-INSTANTIATE_TEST_SUITE_P(Backends, PrefetchEdgeTest,
-                         ::testing::Values(FsKind::kMinix, FsKind::kMinixLld),
-                         [](const auto& info) {
-                           return info.param == FsKind::kMinix ? "Classic" : "Ld";
-                         });
+INSTANTIATE_TEST_SUITE_P(Backends, PrefetchEdgeTest, kBackends, BackendName);
 
 }  // namespace
 }  // namespace ld

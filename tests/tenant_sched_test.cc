@@ -4,17 +4,17 @@
 // single tenant under an enabled QoS policy times identically to the legacy
 // scheduler, PartitionDevice's translation/boundary semantics, the
 // cooperative multi-tenant rig, and the per-run stats lifecycle. Every test
-// pins its own device options — none consult the environment.
+// pins its own device options.
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/disk/device_factory.h"
 #include "src/disk/partition_device.h"
 #include "src/disk/qos.h"
-#include "src/harness/env_knobs.h"
 #include "src/harness/tenants.h"
 #include "src/util/random.h"
 
@@ -108,51 +108,56 @@ TEST(TenantQosTest, VictimQueueWaitIsAttributedPerTenant) {
   EXPECT_GE(stats.tenant(1).read_latency.Quantile(0.5), 0.0);
 }
 
-// The differential guarantee behind the CI byte-identity leg: an enabled
-// policy with a single configured tenant leaves QosConfig::Active() false,
-// so the legacy scheduler runs verbatim and completion times are identical
-// to a no-QoS device, request by request.
+// The differential guarantee that keeps single-tenant bench output
+// unchanged: an enabled policy with a single configured tenant leaves
+// QosConfig::Active() false, so the legacy scheduler runs verbatim and
+// completion times are identical to a no-QoS device, request by request,
+// under either policy and either queue order.
 TEST(TenantQosTest, SingleTenantUnderQosTimesIdenticallyToLegacy) {
-  for (QueuePolicy queue : {QueuePolicy::kFifo, QueuePolicy::kCScan}) {
-    SimClock clock_a;
-    SimClock clock_b;
-    DeviceOptions legacy = DeviceOptions::HpC3010(kPartitionBytes, /*channels=*/2);
-    legacy.queue_policy = queue;
-    DeviceOptions qos = legacy;
-    qos.qos.policy = QosPolicy::kWeightedShare;
-    qos.qos.num_tenants = 1;
-    ASSERT_FALSE(qos.qos.Active());
-    auto disk_a = MakeDevice(legacy, &clock_a);
-    auto disk_b = MakeDevice(qos, &clock_b);
+  for (QosPolicy policy : {QosPolicy::kWeightedShare, QosPolicy::kDeadline}) {
+    for (QueuePolicy queue : {QueuePolicy::kFifo, QueuePolicy::kCScan}) {
+      SCOPED_TRACE(std::string(policy == QosPolicy::kDeadline ? "deadline" : "share") + " / " +
+                   (queue == QueuePolicy::kFifo ? "fifo" : "cscan"));
+      SimClock clock_a;
+      SimClock clock_b;
+      DeviceOptions legacy = DeviceOptions::HpC3010(kPartitionBytes, /*channels=*/2);
+      legacy.queue_policy = queue;
+      DeviceOptions qos = legacy;
+      qos.qos.policy = policy;
+      qos.qos.num_tenants = 1;
+      ASSERT_FALSE(qos.qos.Active());
+      auto disk_a = MakeDevice(legacy, &clock_a);
+      auto disk_b = MakeDevice(qos, &clock_b);
 
-    Rng rng(1993);
-    const std::vector<uint8_t> data = Pattern(64 * 1024, 3);
-    std::vector<uint8_t> out(64 * 1024);
-    const uint64_t sectors = data.size() / disk_a->sector_size();
-    const uint64_t span = disk_a->num_sectors() - sectors;
-    for (int i = 0; i < 200; ++i) {
-      const uint64_t sector = rng.Below(span / sectors) * sectors;
-      if (rng.Below(3) == 0) {
-        auto ta = disk_a->SubmitRead(sector, out);
-        auto tb = disk_b->SubmitRead(sector, out);
-        ASSERT_TRUE(ta.ok() && tb.ok());
-      } else {
-        auto ta = disk_a->SubmitWrite(sector, data);
-        auto tb = disk_b->SubmitWrite(sector, data);
-        ASSERT_TRUE(ta.ok() && tb.ok());
+      Rng rng(1993);
+      const std::vector<uint8_t> data = Pattern(64 * 1024, 3);
+      std::vector<uint8_t> out(64 * 1024);
+      const uint64_t sectors = data.size() / disk_a->sector_size();
+      const uint64_t span = disk_a->num_sectors() - sectors;
+      for (int i = 0; i < 200; ++i) {
+        const uint64_t sector = rng.Below(span / sectors) * sectors;
+        if (rng.Below(3) == 0) {
+          auto ta = disk_a->SubmitRead(sector, out);
+          auto tb = disk_b->SubmitRead(sector, out);
+          ASSERT_TRUE(ta.ok() && tb.ok());
+        } else {
+          auto ta = disk_a->SubmitWrite(sector, data);
+          auto tb = disk_b->SubmitWrite(sector, data);
+          ASSERT_TRUE(ta.ok() && tb.ok());
+        }
+        if (i % 7 == 0) {
+          ASSERT_TRUE(disk_a->Drain().ok());
+          ASSERT_TRUE(disk_b->Drain().ok());
+          ASSERT_DOUBLE_EQ(clock_a.Now(), clock_b.Now());
+        }
       }
-      if (i % 7 == 0) {
-        ASSERT_TRUE(disk_a->Drain().ok());
-        ASSERT_TRUE(disk_b->Drain().ok());
-        ASSERT_DOUBLE_EQ(clock_a.Now(), clock_b.Now());
-      }
+      ASSERT_TRUE(disk_a->Drain().ok());
+      ASSERT_TRUE(disk_b->Drain().ok());
+      EXPECT_DOUBLE_EQ(clock_a.Now(), clock_b.Now());
+      EXPECT_EQ(disk_a->stats().queued_requests, disk_b->stats().queued_requests);
+      EXPECT_EQ(disk_a->stats().merged_requests, disk_b->stats().merged_requests);
+      EXPECT_DOUBLE_EQ(disk_a->stats().busy_ms, disk_b->stats().busy_ms);
     }
-    ASSERT_TRUE(disk_a->Drain().ok());
-    ASSERT_TRUE(disk_b->Drain().ok());
-    EXPECT_DOUBLE_EQ(clock_a.Now(), clock_b.Now());
-    EXPECT_EQ(disk_a->stats().queued_requests, disk_b->stats().queued_requests);
-    EXPECT_EQ(disk_a->stats().merged_requests, disk_b->stats().merged_requests);
-    EXPECT_DOUBLE_EQ(disk_a->stats().busy_ms, disk_b->stats().busy_ms);
   }
 }
 
@@ -405,15 +410,47 @@ TEST(MultiTenantRigTest, SessionCleaningStaysOnItsOwnTenant) {
   EXPECT_EQ(idle.sectors_read + idle.sectors_written, 0u);
 }
 
-// The one environment-honoring test: CI sweeps LD_TENANTS x LD_CHANNELS
-// (x LD_QOS) over it, exercising every tenant-count/channel-count
-// combination under sanitizers with the same assertions.
-TEST(MultiTenantRigTest, EnvMatrixWorkloadStaysConsistent) {
+// One rig shape for the matrix test below.
+struct RigConfig {
+  uint32_t tenants;
+  QosPolicy policy;
+  uint32_t channels;
+};
+
+// One tenant (no QoS policy is active with one session, so one policy
+// stands for all), two tenants under weighted share, and four tenants under
+// weighted share and under deadline, each at 1 and 4 channels except the
+// two-tenant rig.
+std::vector<RigConfig> RigMatrix() {
+  std::vector<RigConfig> configs = {{2, QosPolicy::kWeightedShare, 1}};
+  for (uint32_t channels : {1u, 4u}) {
+    configs.push_back({1, QosPolicy::kWeightedShare, channels});
+    configs.push_back({4, QosPolicy::kWeightedShare, channels});
+    configs.push_back({4, QosPolicy::kDeadline, channels});
+  }
+  return configs;
+}
+
+std::string RigConfigName(const ::testing::TestParamInfo<RigConfig>& info) {
+  const RigConfig& c = info.param;
+  std::string name = "Tenants" + std::to_string(c.tenants) + "_";
+  if (c.tenants > 1) {
+    name += c.policy == QosPolicy::kDeadline ? "Deadline_" : "Share_";
+  }
+  return name + "Channels" + std::to_string(c.channels);
+}
+
+// Every tenant count, channel count and QoS policy in RigMatrix keeps the
+// same assertions: each session reads back what it wrote, and each volume
+// stays consistent.
+class MultiTenantMatrixTest : public ::testing::TestWithParam<RigConfig> {};
+
+TEST_P(MultiTenantMatrixTest, WorkloadStaysConsistent) {
   MultiTenantParams params;
-  params.num_tenants = EnvTenants(2);
+  params.num_tenants = GetParam().tenants;
   params.bytes_per_tenant = 24ull << 20;
-  params.device = DeviceOptions::HpC3010(0, EnvChannels(1));
-  params.qos.policy = EnvQosPolicy(QosPolicy::kWeightedShare);
+  params.device = DeviceOptions::HpC3010(0, GetParam().channels);
+  params.qos.policy = GetParam().policy;
   params.fs.num_inodes = 512;
   params.fs.cache_bytes = 1024 * 1024;
   auto rig = MakeMultiTenantRig(params);
@@ -448,6 +485,9 @@ TEST(MultiTenantRigTest, EnvMatrixWorkloadStaysConsistent) {
     EXPECT_TRUE(t.fs->CheckConsistency().ok());
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(RigMatrix, MultiTenantMatrixTest, ::testing::ValuesIn(RigMatrix()),
+                         RigConfigName);
 
 TEST(LatencyHistogramTest, QuantilesBracketRecordedValues) {
   LatencyHistogram h;

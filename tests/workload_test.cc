@@ -1,12 +1,15 @@
 // Smoke tests of the benchmark machinery at reduced scale: both
 // microbenchmarks run to completion on every file system and produce sane
-// rates; the hot/cold generator honours its skew.
+// rates; the hot/cold generator honours its skew. The cases that build
+// harness stacks run under every WorkloadConfig below.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/disk/mem_disk.h"
@@ -14,29 +17,97 @@
 #include "src/workload/hot_cold.h"
 #include "src/workload/microbench.h"
 #include "src/workload/trace.h"
-#include "tests/device_test_util.h"
 
 namespace ld {
 namespace {
 
-SetupParams SmallSetup() {
+// One configuration of the harness stacks: the device's channel count and
+// the options that change which code a workload runs. The benchmarks' rates
+// must stay sane, and the reads correct, under each.
+struct WorkloadConfig {
+  uint32_t channels = 1;
+  bool readahead = true;
+  // Attach a MaintenanceScheduler to LD stacks; unset keeps the test's own
+  // choice.
+  std::optional<bool> maintenance = std::nullopt;
+  CleaningPolicy cleaning_policy = CleaningPolicy::kGreedy;
+  uint32_t checkpoint_interval = 0;
+};
+
+// Checkpoint intervals 0, 2 and 8 at 1, 2 and 4 channels; read-ahead off,
+// maintenance off and on, and the cost-benefit cleaner at 1 and 4 channels.
+std::vector<WorkloadConfig> WorkloadConfigs() {
+  std::vector<WorkloadConfig> configs;
+  for (uint32_t channels : {1u, 2u, 4u}) {
+    for (uint32_t interval : {0u, 2u, 8u}) {
+      configs.push_back({.channels = channels, .checkpoint_interval = interval});
+    }
+  }
+  for (uint32_t channels : {1u, 4u}) {
+    configs.push_back({.channels = channels, .readahead = false});
+    configs.push_back({.channels = channels, .maintenance = false});
+    configs.push_back({.channels = channels, .maintenance = true});
+    configs.push_back({.channels = channels, .cleaning_policy = CleaningPolicy::kCostBenefit});
+  }
+  return configs;
+}
+
+std::string ConfigName(const WorkloadConfig& c) {
+  std::string name;
+  if (!c.readahead) {
+    name += "ReadAheadOff_";
+  }
+  if (c.maintenance.has_value()) {
+    name += *c.maintenance ? "MaintenanceOn_" : "MaintenanceOff_";
+  }
+  if (c.cleaning_policy == CleaningPolicy::kCostBenefit) {
+    name += "CostBenefit_";
+  }
+  if (c.checkpoint_interval != 0) {
+    name += "Checkpoint" + std::to_string(c.checkpoint_interval) + "_";
+  }
+  return name + "Channels" + std::to_string(c.channels);
+}
+
+SetupParams SmallSetup(const WorkloadConfig& config) {
   SetupParams params;
   params.partition_bytes = 64ull << 20;
   params.num_inodes = 2048;
-  // The CI read-ahead matrix re-runs these workloads across channel counts
-  // with prefetching on and off; the benchmarks' rates must stay sane (and
-  // the reads correct) in every leg.
-  params.device = EnvHpC3010(params.partition_bytes);
-  if (!EnvReadAhead(true)) {
+  params.device = DeviceOptions::HpC3010(params.partition_bytes, config.channels);
+  if (!config.readahead) {
     params.readahead_blocks = 1;
   }
+  params.maintenance = config.maintenance.value_or(false);
+  params.lld.cleaning_policy = config.cleaning_policy;
+  params.lld.checkpoint_interval_segments = config.checkpoint_interval;
   return params;
 }
 
-class MicrobenchSmokeTest : public ::testing::TestWithParam<FsKind> {};
+std::string FsKindLabel(FsKind kind) {
+  switch (kind) {
+    case FsKind::kMinixLld:
+      return "MinixLld";
+    case FsKind::kMinixLldSingleList:
+      return "MinixLldSingleList";
+    case FsKind::kMinixLldSmallInodes:
+      return "MinixLldSmallInodes";
+    case FsKind::kMinix:
+      return "Minix";
+    case FsKind::kSunOs:
+      return "SunOs";
+  }
+  return "Unknown";
+}
+
+class MicrobenchSmokeTest
+    : public ::testing::TestWithParam<std::tuple<FsKind, WorkloadConfig>> {
+ protected:
+  FsKind kind() const { return std::get<0>(GetParam()); }
+  SetupParams Setup() const { return SmallSetup(std::get<1>(GetParam())); }
+};
 
 TEST_P(MicrobenchSmokeTest, SmallFileBenchmarkRuns) {
-  auto t = MakeFsUnderTest(GetParam(), SmallSetup());
+  auto t = MakeFsUnderTest(kind(), Setup());
   ASSERT_TRUE(t.ok()) << t.status().ToString();
   SmallFileParams params;
   params.num_files = 300;
@@ -49,7 +120,7 @@ TEST_P(MicrobenchSmokeTest, SmallFileBenchmarkRuns) {
 }
 
 TEST_P(MicrobenchSmokeTest, LargeFileBenchmarkRuns) {
-  auto t = MakeFsUnderTest(GetParam(), SmallSetup());
+  auto t = MakeFsUnderTest(kind(), Setup());
   ASSERT_TRUE(t.ok()) << t.status().ToString();
   LargeFileParams params;
   params.file_bytes = 8ull << 20;
@@ -63,29 +134,24 @@ TEST_P(MicrobenchSmokeTest, LargeFileBenchmarkRuns) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSystems, MicrobenchSmokeTest,
-                         ::testing::Values(FsKind::kMinixLld, FsKind::kMinixLldSingleList,
-                                           FsKind::kMinixLldSmallInodes, FsKind::kMinix,
-                                           FsKind::kSunOs),
+                         ::testing::Combine(::testing::Values(FsKind::kMinixLld,
+                                                              FsKind::kMinixLldSingleList,
+                                                              FsKind::kMinixLldSmallInodes,
+                                                              FsKind::kMinix, FsKind::kSunOs),
+                                            ::testing::ValuesIn(WorkloadConfigs())),
                          [](const auto& info) {
-                           switch (info.param) {
-                             case FsKind::kMinixLld:
-                               return std::string("MinixLld");
-                             case FsKind::kMinixLldSingleList:
-                               return std::string("MinixLldSingleList");
-                             case FsKind::kMinixLldSmallInodes:
-                               return std::string("MinixLldSmallInodes");
-                             case FsKind::kMinix:
-                               return std::string("Minix");
-                             case FsKind::kSunOs:
-                               return std::string("SunOs");
-                           }
-                           return std::string("Unknown");
+                           return ConfigName(std::get<1>(info.param)) + "_" +
+                                  FsKindLabel(std::get<0>(info.param));
                          });
 
-TEST(WorkloadTest, SmallFileDataSurvivesVerification) {
+// The cases below that build harness stacks take the configuration as their
+// parameter.
+class WorkloadConfigTest : public ::testing::TestWithParam<WorkloadConfig> {};
+
+TEST_P(WorkloadConfigTest, SmallFileDataSurvivesVerification) {
   // The benchmark itself verifies read sizes; additionally check that the
   // benchmark leaves an empty file system after the delete phase.
-  auto t = MakeFsUnderTest(FsKind::kMinixLld, SmallSetup());
+  auto t = MakeFsUnderTest(FsKind::kMinixLld, SmallSetup(GetParam()));
   ASSERT_TRUE(t.ok());
   SmallFileParams params;
   params.num_files = 100;
@@ -94,19 +160,16 @@ TEST(WorkloadTest, SmallFileDataSurvivesVerification) {
 }
 
 // The harness attaches a MaintenanceScheduler to LD stacks when
-// params.maintenance (or LD_MAINT) asks for it, and setup.h's contract is
-// that the workload driver pumps maintenance->Step(). This test is that
-// driver at small scale: a create/overwrite/delete workload pumps the
-// scheduler between operations, then drains the backlog and proves the
-// background work neither corrupted file contents nor left the volume
-// dirty. The CI maintenance matrix re-runs it across LD_MAINT and
-// LD_CHANNELS legs; with LD_MAINT=0 the scheduler is null, the pump is a
-// no-op, and the leg acts as the maintenance-off control. LD_QOS is not a
-// leg: with LD_TENANTS unset only one tenant is configured, so no QoS
-// policy is active and share and deadline would run the same code.
-TEST(WorkloadTest, MaintenancePumpsDuringFsWorkloadWithoutCorruption) {
-  SetupParams params = SmallSetup();
-  params.maintenance = true;  // LD_MAINT=0 still forces it off.
+// params.maintenance asks for it, and setup.h's contract is that the
+// workload driver pumps maintenance->Step(). This test is that driver at
+// small scale: a create/overwrite/delete workload pumps the scheduler
+// between operations, then drains the backlog and proves the background
+// work neither corrupted file contents nor left the volume dirty. Under the
+// maintenance-off configurations the scheduler is null, the pump is a
+// no-op, and the instance is the maintenance-off control.
+TEST_P(WorkloadConfigTest, MaintenancePumpsDuringFsWorkloadWithoutCorruption) {
+  SetupParams params = SmallSetup(GetParam());
+  params.maintenance = GetParam().maintenance.value_or(true);
   auto t = MakeFsUnderTest(FsKind::kMinixLld, params);
   ASSERT_TRUE(t.ok()) << t.status().ToString();
 
@@ -232,12 +295,12 @@ TEST(WorkloadTest, TraceIsDeterministicAndWellFormed) {
   }
 }
 
-TEST(WorkloadTest, TraceReplaysOnEverySystem) {
+TEST_P(WorkloadConfigTest, TraceReplaysOnEverySystem) {
   TraceParams params;
   params.operations = 600;
   const auto trace = GenerateTrace(params);
   for (FsKind kind : {FsKind::kMinixLld, FsKind::kMinix, FsKind::kSunOs}) {
-    auto t = MakeFsUnderTest(kind, SmallSetup());
+    auto t = MakeFsUnderTest(kind, SmallSetup(GetParam()));
     ASSERT_TRUE(t.ok());
     auto result = ReplayTrace(t->fs.get(), t->clock.get(), trace, 3);
     ASSERT_TRUE(result.ok()) << FsKindName(kind) << ": " << result.status().ToString();
@@ -249,6 +312,9 @@ TEST(WorkloadTest, FsKindNamesAreDistinct) {
   EXPECT_STRNE(FsKindName(FsKind::kMinixLld), FsKindName(FsKind::kMinix));
   EXPECT_STRNE(FsKindName(FsKind::kMinix), FsKindName(FsKind::kSunOs));
 }
+
+INSTANTIATE_TEST_SUITE_P(Configs, WorkloadConfigTest, ::testing::ValuesIn(WorkloadConfigs()),
+                         [](const auto& info) { return ConfigName(info.param); });
 
 }  // namespace
 }  // namespace ld
