@@ -11,6 +11,7 @@
 #include <cstring>
 #include <vector>
 
+#include "examples/check.h"
 #include "src/disk/fault_disk.h"
 #include "src/disk/device_factory.h"
 #include "src/lld/lld.h"
@@ -22,9 +23,7 @@ namespace {
 
 uint32_t ReadBalance(ld::LogicalDisk* lld, Bid account) {
   std::vector<uint8_t> block(4096);
-  if (!lld->Read(account, block).ok()) {
-    return 0;
-  }
+  Check(lld->Read(account, block), "Read");
   uint32_t value;
   std::memcpy(&value, block.data(), 4);
   return value;
@@ -43,31 +42,31 @@ uint32_t TransferWithCrash(bool use_aru) {
   auto sim = ld::MakeDevice(ld::DeviceOptions::HpC3010(32 << 20), &clock);
   ld::FaultDisk disk(sim.get());
   ld::LldOptions options;
-  auto lld = *ld::LogStructuredDisk::Format(&disk, options);
-  Lid list = *lld->NewList(ld::kBeginOfListOfLists, ld::ListHints{});
-  Bid from = *lld->NewBlock(list, ld::kBeginOfList);
-  Bid to = *lld->NewBlock(list, from);
-  (void)WriteBalance(lld.get(), from, 500);
-  (void)WriteBalance(lld.get(), to, 500);
-  (void)lld->Flush();
+  auto lld = Check(ld::LogStructuredDisk::Format(&disk, options), "Format");
+  Lid list = Check(lld->NewList(ld::kBeginOfListOfLists, ld::ListHints{}), "NewList");
+  Bid from = Check(lld->NewBlock(list, ld::kBeginOfList), "NewBlock");
+  Bid to = Check(lld->NewBlock(list, from), "NewBlock");
+  Check(WriteBalance(lld.get(), from, 500), "Write");
+  Check(WriteBalance(lld.get(), to, 500), "Write");
+  Check(lld->Flush(), "Flush");
 
   if (use_aru) {
-    (void)lld->BeginARU();
+    Check(lld->BeginARU(), "BeginARU");
   }
-  (void)WriteBalance(lld.get(), from, 400);
+  Check(WriteBalance(lld.get(), from, 400), "Write");
   // Make the first half durable, then crash before the second half can be.
-  (void)lld->Flush();
+  Check(lld->Flush(), "Flush");
   if (!use_aru) {
     disk.CrashNow();
   } else {
-    (void)WriteBalance(lld.get(), to, 600);
+    Check(WriteBalance(lld.get(), to, 600), "Write");
     // Crash before EndARU: the whole unit must roll back.
-    (void)lld->Flush();
+    Check(lld->Flush(), "Flush");
     disk.CrashNow();
   }
 
   disk.ClearFault();
-  auto recovered = *ld::LogStructuredDisk::Open(&disk, options);
+  auto recovered = Check(ld::LogStructuredDisk::Open(&disk, options), "Open");
   const ld::RecoveryReport stats = recovered->last_recovery();
   const uint32_t f = ReadBalance(recovered.get(), from);
   const uint32_t t = ReadBalance(recovered.get(), to);

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "examples/check.h"
 #include "src/harness/setup.h"
 #include "src/util/random.h"
 
@@ -34,30 +35,25 @@ RunResult RunWorkload(ld::FsUnderTest* fut) {
   // A small mixed workload: a source-tree-like directory structure.
   for (int d = 0; d < 4; ++d) {
     const std::string dir = "/proj" + std::to_string(d);
-    (void)fs->Mkdir(dir);
+    Check(fs->Mkdir(dir), "Mkdir");
     for (int f = 0; f < 60; ++f) {
-      auto ino = fs->CreateFile(dir + "/src" + std::to_string(f));
-      if (!ino.ok()) {
-        continue;
-      }
+      const uint32_t ino = Check(fs->CreateFile(dir + "/src" + std::to_string(f)), "CreateFile");
       for (auto& b : buf) {
         b = static_cast<uint8_t>(rng.Next());
       }
-      (void)fs->WriteFile(*ino, 0, buf);
+      Check(fs->WriteFile(ino, 0, buf), "WriteFile");
     }
-    (void)fs->SyncFs();
+    Check(fs->SyncFs(), "SyncFs");
   }
   // Edit phase: rewrite parts of existing files.
   for (int i = 0; i < 200; ++i) {
     const std::string path =
         "/proj" + std::to_string(rng.Below(4)) + "/src" + std::to_string(rng.Below(60));
-    auto ino = fs->OpenFile(path);
-    if (!ino.ok()) {
-      continue;
-    }
-    (void)fs->WriteFile(*ino, rng.Below(3) * 4096, std::span<const uint8_t>(buf).subspan(0, 4096));
+    const uint32_t ino = Check(fs->OpenFile(path), "OpenFile");
+    Check(fs->WriteFile(ino, rng.Below(3) * 4096, std::span<const uint8_t>(buf).subspan(0, 4096)),
+          "WriteFile");
   }
-  (void)fs->SyncFs();
+  Check(fs->SyncFs(), "SyncFs");
 
   RunResult result;
   result.seconds = fut->clock->Now() - start;
@@ -72,15 +68,11 @@ RunResult RunWorkload(ld::FsUnderTest* fut) {
 int main() {
   std::printf("Same workload, same simulated disk, two disk-management strategies.\n\n");
 
-  auto classic = ld::MakeFsUnderTest(ld::FsKind::kMinix, ld::SetupParams{});
-  auto logged = ld::MakeFsUnderTest(ld::FsKind::kMinixLld, ld::SetupParams{});
-  if (!classic.ok() || !logged.ok()) {
-    std::fprintf(stderr, "setup failed\n");
-    return 1;
-  }
+  auto classic = Check(ld::MakeFsUnderTest(ld::FsKind::kMinix, ld::SetupParams{}), "classic setup");
+  auto logged = Check(ld::MakeFsUnderTest(ld::FsKind::kMinixLld, ld::SetupParams{}), "LLD setup");
 
-  const RunResult a = RunWorkload(&classic.value());
-  const RunResult b = RunWorkload(&logged.value());
+  const RunResult a = RunWorkload(&classic);
+  const RunResult b = RunWorkload(&logged);
 
   std::printf("%-28s %15s %15s\n", "", "classic MINIX", "MINIX LLD");
   std::printf("%-28s %15.2f %15.2f\n", "simulated seconds", a.seconds, b.seconds);
@@ -92,13 +84,13 @@ int main() {
               static_cast<unsigned long long>(b.disk_reads));
   std::printf("%-28s %15.0f %15.0f\n", "time spent seeking (ms)", a.seek_ms, b.seek_ms);
 
-  const auto& counters = logged->lld->counters();
+  const auto& counters = logged.lld->counters();
   std::printf("\nMINIX LLD detail: %llu logical writes were batched into %llu full and %llu\n",
               static_cast<unsigned long long>(counters.user_writes),
               static_cast<unsigned long long>(counters.segments_written),
               static_cast<unsigned long long>(counters.partial_segments_written));
   std::printf("partial segment writes; %llu lists track the files for clustering.\n",
-              static_cast<unsigned long long>(logged->lld->list_table().allocated_count()));
+              static_cast<unsigned long long>(logged.lld->list_table().allocated_count()));
   std::printf("\nSpeedup from turning MINIX log-structured: %.1fx\n", a.seconds / b.seconds);
   return 0;
 }

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "src/disk/device_factory.h"
@@ -301,6 +304,48 @@ TEST(FaultDiskTest, HealChannelSwapsInBlankSpare) {
   EXPECT_TRUE(rig.disk->HealChannel(0).ok());
   ASSERT_TRUE(rig.disk->Read(bystander, buf).ok());
   EXPECT_EQ(buf[0], 0x77);
+}
+
+// Sets LD_FAULT_SEED (nullptr: unsets it) for one scope, then restores
+// the value the process had, so a CI seed loop still reaches the cases
+// that run after this one.
+class ScopedFaultSeed {
+ public:
+  explicit ScopedFaultSeed(const char* value) {
+    if (const char* prev = std::getenv("LD_FAULT_SEED")) {
+      prev_ = prev;
+    }
+    if (value != nullptr) {
+      setenv("LD_FAULT_SEED", value, 1);
+    } else {
+      unsetenv("LD_FAULT_SEED");
+    }
+  }
+  ~ScopedFaultSeed() {
+    if (prev_) {
+      setenv("LD_FAULT_SEED", prev_->c_str(), 1);
+    } else {
+      unsetenv("LD_FAULT_SEED");
+    }
+  }
+
+ private:
+  std::optional<std::string> prev_;
+};
+
+TEST(EnvFaultSeedTest, KeepsFallbackUnlessSetNonNegative) {
+  {
+    ScopedFaultSeed seed(nullptr);
+    EXPECT_EQ(EnvFaultSeed(42), 42u);
+  }
+  {
+    ScopedFaultSeed seed("-5");
+    EXPECT_EQ(EnvFaultSeed(42), 42u);
+  }
+  {
+    ScopedFaultSeed seed("7");
+    EXPECT_EQ(EnvFaultSeed(42), 7u);
+  }
 }
 
 }  // namespace

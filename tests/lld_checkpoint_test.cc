@@ -339,6 +339,9 @@ TEST(LldCheckpointTest, EachSlotRotSurvivesWithSlotFallback) {
 // serial path (parallel_recovery_scan = false) is the baseline.
 class LldCheckpointIntervalTest : public ::testing::TestWithParam<uint32_t> {};
 
+constexpr uint32_t kDifferentialIntervals[] = {0, 2, 8};
+constexpr int kCrashRounds = 3;
+
 TEST_P(LldCheckpointIntervalTest, ParallelScanMatchesSerialAcrossChannelsAndCrashes) {
   struct Image {
     std::vector<std::optional<std::vector<uint8_t>>> blocks;
@@ -410,9 +413,19 @@ TEST_P(LldCheckpointIntervalTest, ParallelScanMatchesSerialAcrossChannelsAndCras
     return image;
   };
 
-  Rng rng(EnvFaultSeed(42) * 8837 + 11);
   const uint32_t interval = GetParam();
-  for (int round = 0; round < 3; ++round) {
+  // Each cadence gets crash points of its own: the draws that follow those
+  // of the cadences listed before it, as if one Rng served all three.
+  Rng rng(EnvFaultSeed(42) * 8837 + 11);
+  for (const uint32_t earlier : kDifferentialIntervals) {
+    if (earlier == interval) {
+      break;
+    }
+    for (int round = 0; round < kCrashRounds; ++round) {
+      rng.Below(18);
+    }
+  }
+  for (int round = 0; round < kCrashRounds; ++round) {
     const uint64_t crash_at = 5 + rng.Below(18);
     std::optional<Image> reference;  // channels=1 serial image.
     for (const uint32_t channels : {1u, 2u, 4u}) {
@@ -459,7 +472,8 @@ TEST_P(LldCheckpointIntervalTest, ParallelScanMatchesSerialAcrossChannelsAndCras
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Intervals, LldCheckpointIntervalTest, ::testing::Values(0u, 2u, 8u),
+INSTANTIATE_TEST_SUITE_P(Intervals, LldCheckpointIntervalTest,
+                         ::testing::ValuesIn(kDifferentialIntervals),
                          [](const auto& info) { return "Interval" + std::to_string(info.param); });
 
 // ---- Packed tables: every field through log replay and the base frame ------
