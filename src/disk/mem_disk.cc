@@ -1,7 +1,6 @@
 #include "src/disk/mem_disk.h"
 
 #include <algorithm>
-#include <cstring>
 #include <iterator>
 #include <string>
 
@@ -11,7 +10,7 @@ MemDisk::MemDisk(uint64_t num_sectors, uint32_t sector_size, SimClock* clock)
     : num_sectors_(num_sectors),
       sector_size_(sector_size),
       clock_(clock),
-      storage_(num_sectors * sector_size, 0) {}
+      storage_(num_sectors * sector_size) {}
 
 Status MemDisk::CheckRange(uint64_t sector, size_t bytes, const char* what) const {
   if (bytes % sector_size_ != 0) {
@@ -39,13 +38,13 @@ IoTag MemDisk::Complete(bool is_read, uint64_t count) {
 
 StatusOr<IoTag> MemDisk::SubmitRead(uint64_t sector, std::span<uint8_t> out) {
   RETURN_IF_ERROR(CheckRange(sector, out.size(), "read"));
-  std::memcpy(out.data(), storage_.data() + sector * sector_size_, out.size());
+  storage_.CopyOut(sector * sector_size_, out);
   return Complete(/*is_read=*/true, out.size() / sector_size_);
 }
 
 StatusOr<IoTag> MemDisk::SubmitWrite(uint64_t sector, std::span<const uint8_t> data) {
   RETURN_IF_ERROR(CheckRange(sector, data.size(), "write"));
-  std::memcpy(storage_.data() + sector * sector_size_, data.data(), data.size());
+  storage_.CopyIn(sector * sector_size_, data);
   return Complete(/*is_read=*/false, data.size() / sector_size_);
 }
 

@@ -1,7 +1,9 @@
 // Zero-latency in-memory block device for unit tests: same semantics as
 // SimDisk (sector-aligned transfers, zeros for never-written areas) but no
 // timing model, so structural tests run fast and deterministically. Every
-// request completes at submit; WaitFor/Poll/Drain only retire its tag.
+// request completes at submit; WaitFor/Poll/Drain only retire its tag. Its
+// bytes live in ChunkedStorage, as the queued devices' do: a chunk is
+// allocated on its first write, so a large MemDisk costs only what is written.
 
 #ifndef SRC_DISK_MEM_DISK_H_
 #define SRC_DISK_MEM_DISK_H_
@@ -9,6 +11,7 @@
 #include <vector>
 
 #include "src/disk/block_device.h"
+#include "src/disk/chunked_storage.h"
 
 namespace ld {
 
@@ -46,7 +49,7 @@ class MemDisk : public BlockDevice {
   SimClock* clock_;
   TenantId tenant_ = kDefaultTenant;
   DiskStats stats_;
-  std::vector<uint8_t> storage_;
+  ChunkedStorage storage_;
   IoTag next_tag_ = 1;
   // Completions not yet retired by WaitFor, Poll or Drain, in submit order.
   std::vector<IoCompletion> done_;
