@@ -29,8 +29,8 @@ StatusOr<Throughput> RunOne(bool compressed) {
   Lzrw1Compressor compressor;
   SetupParams params;
   if (compressed) {
-    params.lld.compressor = &compressor;
-    params.compress_file_data = true;
+    params.fs.lld.compressor = &compressor;
+    params.fs.compress_file_data = true;
   }
   ASSIGN_OR_RETURN(FsUnderTest fut, MakeFsUnderTest(FsKind::kMinixLld, params));
 

@@ -22,13 +22,13 @@ namespace {
 
 StatusOr<SmallFileResult> RunOne(bool lists) {
   SetupParams params;
-  params.partition_bytes = 200ull << 20;
-  params.lld.maintain_lists = lists;
-  params.lld.cpu_per_list_op_us = 120.0;  // Calibrated: 1993-era user-level code.
+  params.device = DeviceOptions::HpC3010(200ull << 20);
+  params.fs.lld.maintain_lists = lists;
+  params.fs.lld.cpu_per_list_op_us = 120.0;  // Calibrated: 1993-era user-level code.
   // Measure the CPU cost itself: with pipelined segment writes the in-flight
   // write hides most list CPU during the create phase, so the A/B would
   // understate the overhead the paper reports.
-  params.lld.pipeline_segment_writes = false;
+  params.fs.lld.pipeline_segment_writes = false;
   ASSIGN_OR_RETURN(FsUnderTest fut, MakeFsUnderTest(FsKind::kMinixLld, params));
   SmallFileParams bench;
   bench.num_files = 10000;

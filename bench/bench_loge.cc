@@ -86,15 +86,15 @@ int Run() {
       },
       /*flush_each=*/false);
   auto loge = RunOne(
-      [](BlockDevice* disk) { return LogeDisk::Format(disk, LogeOptions{}); },
+      [](BlockDevice* disk) { return LogeDisk::Format(disk); },
       [](BlockDevice* disk) -> Status {
         LogeRecoveryStats stats;
-        return LogeDisk::Open(disk, LogeOptions{}, &stats).status();
+        return LogeDisk::Open(disk, &stats).status();
       },
       /*flush_each=*/false);
   auto flat = RunOne(
-      [](BlockDevice* disk) { return FlatDisk::Format(disk, FlatOptions{}); },
-      [](BlockDevice* disk) -> Status { return FlatDisk::Open(disk, FlatOptions{}).status(); },
+      [](BlockDevice* disk) { return FlatDisk::Format(disk); },
+      [](BlockDevice* disk) -> Status { return FlatDisk::Open(disk).status(); },
       /*flush_each=*/false);
   if (!lld.ok() || !loge.ok() || !flat.ok()) {
     std::fprintf(stderr, "bench failed: %s %s %s\n", lld.status().ToString().c_str(),

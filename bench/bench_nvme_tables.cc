@@ -38,24 +38,27 @@ struct Backend {
   DeviceOptions options;
 };
 
-std::vector<Backend> Backends() {
+// The NVMe device gets the C3010 partition's cylinder-rounded size, so both
+// backends run the identical workload at identical capacity.
+std::vector<Backend> Backends(uint64_t partition_bytes) {
   return {
-      {"HP C3010", DeviceOptions::HpC3010(400ull << 20)},
-      // Capacity 0 = match the partition the harness derives, so both
-      // backends run the identical workload at identical capacity.
-      {"NVMe", DeviceOptions::Nvme(0)},
+      {"HP C3010", DeviceOptions::HpC3010(partition_bytes)},
+      {"NVMe",
+       DeviceOptions::Nvme(DiskGeometry::HpC3010Partition(partition_bytes).CapacityBytes())},
   };
 }
+
+// Tables 4 and 5 run on the paper's 400-MB partition, 64 MB under --smoke.
+uint64_t TablePartitionBytes() { return g_smoke ? (64ull << 20) : (400ull << 20); }
 
 // Tables 3-6 are single-tenant: the device keeps its default QosConfig
 // (no policy, one tenant), so the legacy dispatch path runs.
 SetupParams ParamsFor(const DeviceOptions& device) {
   SetupParams params;
-  if (g_smoke) {
-    params.partition_bytes = 64ull << 20;
-    params.num_inodes = 2048;
-  }
   params.device = device;
+  if (g_smoke) {
+    params.fs.num_inodes = 2048;
+  }
   return params;
 }
 
@@ -82,7 +85,7 @@ struct SmallRow {
 bool Table4(std::vector<std::vector<SmallRow>>* out) {
   std::printf("\n== Table 4: small-file performance (files/sec) ==\n");
   TextTable t({"Device", "File System", "Create", "Read", "Delete"});
-  for (const Backend& backend : Backends()) {
+  for (const Backend& backend : Backends(TablePartitionBytes())) {
     std::vector<SmallRow> rows;
     for (FsKind kind : {FsKind::kMinixLld, FsKind::kMinix}) {
       auto fut = MakeFsUnderTest(kind, ParamsFor(backend.options));
@@ -114,7 +117,7 @@ bool Table4(std::vector<std::vector<SmallRow>>* out) {
 bool Table5(std::vector<std::vector<LargeFileResult>>* out) {
   std::printf("\n== Table 5: large-file performance (KB/s) ==\n");
   TextTable t({"Device", "File System", "Write Seq.", "Read Seq.", "Write Rand.", "Read Rand."});
-  for (const Backend& backend : Backends()) {
+  for (const Backend& backend : Backends(TablePartitionBytes())) {
     std::vector<LargeFileResult> rows;
     for (FsKind kind : {FsKind::kMinixLld, FsKind::kMinix}) {
       auto fut = MakeFsUnderTest(kind, ParamsFor(backend.options));
@@ -150,12 +153,10 @@ bool Table6(std::vector<std::vector<DurableCosts>>* out) {
   std::printf("\n== Table 6: durable cost per operation (ms, each op Sync'd) ==\n");
   const int kOps = g_smoke ? 20 : 200;
   TextTable t({"Device", "File System", "Create", "Overwrite", "Append"});
-  for (const Backend& backend : Backends()) {
+  for (const Backend& backend : Backends(g_smoke ? (64ull << 20) : (128ull << 20))) {
     std::vector<DurableCosts> rows;
     for (FsKind kind : {FsKind::kMinixLldSmallInodes, FsKind::kMinix}) {
-      SetupParams params = ParamsFor(backend.options);
-      params.partition_bytes = g_smoke ? (64ull << 20) : (128ull << 20);
-      auto fut = MakeFsUnderTest(kind, params);
+      auto fut = MakeFsUnderTest(kind, ParamsFor(backend.options));
       if (!fut.ok()) {
         std::fprintf(stderr, "setup failed: %s\n", fut.status().ToString().c_str());
         return false;
@@ -225,11 +226,10 @@ struct ReadPhaseRun {
 
 StatusOr<ReadPhaseRun> RunReadPhase(FsKind kind, uint32_t channels, bool readahead) {
   SetupParams params;
-  params.partition_bytes = 64ull << 20;
-  params.num_inodes = 2048;
   params.device = DeviceOptions::HpC3010(64ull << 20, channels);
-  params.readahead_blocks = readahead ? 8 : 1;
-  params.ld_readahead = readahead;
+  params.fs.num_inodes = 2048;
+  params.fs.readahead_blocks = readahead ? 8 : 1;
+  params.fs.ld_readahead = readahead;
   ASSIGN_OR_RETURN(FsUnderTest fut, MakeFsUnderTest(kind, params));
 
   std::vector<uint8_t> chunk(8192, 0x5a);
@@ -411,10 +411,9 @@ struct TenantScalingRun {
 
 StatusOr<TenantScalingRun> RunTenantScaling(uint32_t tenants, uint32_t channels) {
   MultiTenantParams params;
-  params.num_tenants = tenants;
-  params.bytes_per_tenant = 32ull << 20;
-  params.device = DeviceOptions::HpC3010(0, channels);
-  params.qos.policy = QosPolicy::kWeightedShare;
+  params.device = DeviceOptions::HpC3010(tenants * (32ull << 20), channels);
+  params.device.qos.policy = QosPolicy::kWeightedShare;
+  params.device.qos.num_tenants = tenants;
   params.kind = FsKind::kMinixLld;
   params.fs.num_inodes = 1024;
   params.fs.cache_bytes = 1024 * 1024;
@@ -508,13 +507,12 @@ struct AggressorRun {
 
 StatusOr<AggressorRun> RunAggressor(QosPolicy policy) {
   MultiTenantParams params;
-  params.num_tenants = 4;
-  params.bytes_per_tenant = 32ull << 20;
-  params.device = DeviceOptions::HpC3010(0, /*channels=*/1);
+  params.device = DeviceOptions::HpC3010(4 * (32ull << 20), /*channels=*/1);
   // FIFO ordering isolates the QoS layer: with kNone the victim read waits
   // out every aggressor write queued ahead of it.
   params.device.queue_policy = QueuePolicy::kFifo;
-  params.qos.policy = policy;
+  params.device.qos.policy = policy;
+  params.device.qos.num_tenants = 4;
   params.kind = FsKind::kMinixLld;
   params.fs.num_inodes = 1024;
   params.fs.cache_bytes = 1024 * 1024;

@@ -28,8 +28,8 @@ struct Point {
 
 StatusOr<Point> RunOne(uint64_t nvram_kb) {
   SetupParams params;
-  params.partition_bytes = 200ull << 20;
-  params.lld.nvram_bytes = nvram_kb * 1024;
+  params.device = DeviceOptions::HpC3010(200ull << 20);
+  params.fs.lld.nvram_bytes = nvram_kb * 1024;
   ASSIGN_OR_RETURN(FsUnderTest fut, MakeFsUnderTest(FsKind::kMinixLld, params));
 
   // Heavy-sync small-write workload: 4 KB writes with a Flush every 4.

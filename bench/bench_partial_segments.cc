@@ -30,8 +30,8 @@ struct SweepPoint {
 
 StatusOr<SweepPoint> RunOne(uint32_t flush_every, double threshold) {
   SetupParams params;
-  params.partition_bytes = 200ull << 20;
-  params.lld.partial_segment_threshold = threshold;
+  params.device = DeviceOptions::HpC3010(200ull << 20);
+  params.fs.lld.partial_segment_threshold = threshold;
   ASSIGN_OR_RETURN(FsUnderTest fut, MakeFsUnderTest(FsKind::kMinixLld, params));
 
   const uint32_t kBlocks = 8192;  // 32 MB of 4-KB writes.

@@ -47,7 +47,7 @@ int Run() {
   SetupParams params;  // 400-MB partition, 0.5-MB segments: the paper's rig.
   // The headline experiment reproduces the paper: no checkpoints during
   // normal operation, one sweep over every summary after the crash.
-  params.lld.checkpoint_interval_segments = 0;
+  params.fs.lld.checkpoint_interval_segments = 0;
   auto fut = MakeFsUnderTest(FsKind::kMinixLld, params);
   if (!fut.ok()) {
     std::fprintf(stderr, "setup failed: %s\n", fut.status().ToString().c_str());
@@ -63,7 +63,7 @@ int Run() {
   // ---- Crash: reopen without a checkpoint (one-sweep recovery). ----
   RecoveryReport crash_report;
   {
-    auto reopened = LogStructuredDisk::Open(fut->disk.get(), params.lld);
+    auto reopened = LogStructuredDisk::Open(fut->disk.get(), params.fs.lld);
     if (!reopened.ok()) {
       std::fprintf(stderr, "recovery failed: %s\n", reopened.status().ToString().c_str());
       return 1;
@@ -74,14 +74,14 @@ int Run() {
   // ---- Clean shutdown: reopen from the checkpoint. ----
   RecoveryReport checkpoint_report;
   {
-    auto lld = LogStructuredDisk::Open(fut->disk.get(), params.lld);
+    auto lld = LogStructuredDisk::Open(fut->disk.get(), params.fs.lld);
     if (!lld.ok()) {
       return 1;
     }
     if (!(*lld)->Shutdown().ok()) {
       return 1;
     }
-    auto reopened = LogStructuredDisk::Open(fut->disk.get(), params.lld);
+    auto reopened = LogStructuredDisk::Open(fut->disk.get(), params.fs.lld);
     if (!reopened.ok()) {
       return 1;
     }
@@ -90,7 +90,7 @@ int Run() {
 
   // ---- Loge-style model: recovery must read the entire disk. ----
   // Sequential read of every sector at media rate (generous to Loge).
-  const DiskGeometry geo = DiskGeometry::HpC3010Partition(params.partition_bytes);
+  const DiskGeometry geo = DiskGeometry::HpC3010Partition(params.device.capacity_bytes);
   const double media_kbps = geo.sectors_per_track * geo.sector_size / 1024.0 /
                             (geo.RotationPeriodMs() / 1000.0);
   const double loge_seconds = geo.CapacityBytes() / 1024.0 / media_kbps;
@@ -134,14 +134,14 @@ int Run() {
     point.files = files;
     for (const bool checkpoints_on : {false, true}) {
       SetupParams p = params;
-      p.partition_bytes = static_cast<uint64_t>(files) * 64 * 1024 * 3;
-      p.lld.checkpoint_interval_segments = checkpoints_on ? kIntervalOn : 0;
+      p.device = DeviceOptions::HpC3010(static_cast<uint64_t>(files) * 64 * 1024 * 3);
+      p.fs.lld.checkpoint_interval_segments = checkpoints_on ? kIntervalOn : 0;
       auto rig = MakeFsUnderTest(FsKind::kMinixLld, p);
       if (!rig.ok() || !Populate(&*rig, files).ok()) {
         std::fprintf(stderr, "curve setup failed (files=%d)\n", files);
         return 1;
       }
-      auto report = MeasureCrashRecovery(&*rig, p.lld);
+      auto report = MeasureCrashRecovery(&*rig, p.fs.lld);
       if (!report.ok()) {
         std::fprintf(stderr, "curve recovery failed (files=%d): %s\n", files,
                      report.status().ToString().c_str());

@@ -24,8 +24,8 @@ int Run() {
   std::vector<Point> points;
   for (uint32_t segment_kb : {64u, 128u, 256u, 512u}) {
     SetupParams params;
-    params.lld.segment_bytes = segment_kb * 1024;
-    params.lld.summary_bytes = std::max(4096u, segment_kb * 1024 / 32);
+    params.fs.lld.segment_bytes = segment_kb * 1024;
+    params.fs.lld.summary_bytes = std::max(4096u, segment_kb * 1024 / 32);
     auto fut = MakeFsUnderTest(FsKind::kMinixLld, params);
     if (!fut.ok()) {
       std::fprintf(stderr, "setup failed: %s\n", fut.status().ToString().c_str());
@@ -34,10 +34,10 @@ int Run() {
     LargeFileParams bench;
     bench.file_bytes = 80ull << 20;
     DataGenerator gen(1, 0.6);
-    std::vector<uint8_t> chunk = gen.Make(bench.chunk_bytes);
+    std::vector<uint8_t> chunk = gen.Make(kLargeFileChunkBytes);
     auto ino = fut->fs->CreateFile("/big");
     const double start = fut->clock->Now();
-    for (uint64_t off = 0; off < bench.file_bytes; off += bench.chunk_bytes) {
+    for (uint64_t off = 0; off < bench.file_bytes; off += kLargeFileChunkBytes) {
       if (!fut->fs->WriteFile(*ino, off, chunk).ok()) {
         return 1;
       }

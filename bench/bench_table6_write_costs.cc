@@ -33,7 +33,7 @@ double BlocksSince(const LldCounters& c, uint64_t mark_bytes) {
 
 int Run() {
   SetupParams params;
-  params.partition_bytes = 128ull << 20;
+  params.device = DeviceOptions::HpC3010(128ull << 20);
   auto fut = MakeFsUnderTest(FsKind::kMinixLldSmallInodes, params);
   if (!fut.ok()) {
     std::fprintf(stderr, "setup failed: %s\n", fut.status().ToString().c_str());

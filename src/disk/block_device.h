@@ -15,8 +15,9 @@
 //
 // The synchronous calls are exactly submit + wait on every device, so both
 // styles charge identical service time for a single outstanding request.
-// The simulated devices share one request queue (QueuedDevice); MemDisk
-// completes every request at submit.
+// The simulated devices share one request queue (QueuedDevice) and differ
+// only in their timing model (MemDisk's retires every request at its
+// submit time).
 //
 // Devices may expose multiple independent *channels* (actuators on a
 // multi-arm disk, flash channels on an SSD). Sector ranges are statically

@@ -1,14 +1,14 @@
 #include "src/disk/device_factory.h"
 
 #include "src/disk/mem_disk.h"
+#include "src/disk/nvme_device.h"
 #include "src/disk/sim_disk.h"
 
 namespace ld {
 
 DeviceOptions DeviceOptions::HpC3010(uint64_t partition_bytes, uint32_t channels) {
   DeviceOptions options;
-  options.backend = DeviceBackend::kHpC3010;
-  options.geometry = DiskGeometry::HpC3010Partition(partition_bytes);
+  options.capacity_bytes = partition_bytes;
   options.channels = channels;
   return options;
 }
@@ -16,15 +16,14 @@ DeviceOptions DeviceOptions::HpC3010(uint64_t partition_bytes, uint32_t channels
 DeviceOptions DeviceOptions::Nvme(uint64_t capacity_bytes) {
   DeviceOptions options;
   options.backend = DeviceBackend::kNvme;
-  options.nvme.capacity_bytes = capacity_bytes;
+  options.capacity_bytes = capacity_bytes;
   return options;
 }
 
-DeviceOptions DeviceOptions::Mem(uint64_t num_sectors, uint32_t sector_size) {
+DeviceOptions DeviceOptions::Mem(uint64_t capacity_bytes) {
   DeviceOptions options;
   options.backend = DeviceBackend::kMem;
-  options.mem_num_sectors = num_sectors;
-  options.mem_sector_size = sector_size;
+  options.capacity_bytes = capacity_bytes;
   return options;
 }
 
@@ -32,19 +31,14 @@ std::unique_ptr<BlockDevice> MakeDevice(const DeviceOptions& options, SimClock* 
   std::unique_ptr<BlockDevice> device;
   switch (options.backend) {
     case DeviceBackend::kHpC3010:
-      device = std::make_unique<SimDisk>(options.geometry, clock, options.channels);
+      device = std::make_unique<SimDisk>(DiskGeometry::HpC3010Partition(options.capacity_bytes),
+                                         clock, options.channels);
       break;
-    case DeviceBackend::kNvme: {
-      NvmeConfig config = options.nvme;
-      if (config.capacity_bytes == 0) {
-        config.capacity_bytes = options.geometry.CapacityBytes();
-      }
-      device = std::make_unique<NvmeDevice>(config, clock);
+    case DeviceBackend::kNvme:
+      device = std::make_unique<NvmeDevice>(options.capacity_bytes, clock);
       break;
-    }
     case DeviceBackend::kMem:
-      device = std::make_unique<MemDisk>(options.mem_num_sectors, options.mem_sector_size,
-                                         clock);
+      device = std::make_unique<MemDisk>(options.capacity_bytes / 512, 512, clock);
       break;
   }
   device->set_queue_policy(options.queue_policy);

@@ -11,7 +11,6 @@
 
 #include "src/disk/block_device.h"
 #include "src/disk/geometry.h"
-#include "src/disk/nvme_device.h"
 
 namespace ld {
 
@@ -24,20 +23,13 @@ enum class DeviceBackend {
 struct DeviceOptions {
   DeviceBackend backend = DeviceBackend::kHpC3010;
 
-  // Mechanical geometry (kHpC3010 only).
-  DiskGeometry geometry = DiskGeometry::HpC3010();
+  // Size of every backend. The HP C3010 rounds it up to whole cylinders of
+  // its geometry (DiskGeometry::HpC3010Partition); the NVMe and memory
+  // devices hold exactly this many bytes in 512-byte sectors.
+  uint64_t capacity_bytes = DiskGeometry::HpC3010().CapacityBytes();
   // Independent actuators/channels (kHpC3010 only; NVMe models its
   // parallelism through bandwidth sharing instead).
   uint32_t channels = 1;
-
-  // NVMe timing parameters (kNvme only). nvme.capacity_bytes == 0 means
-  // "match geometry.CapacityBytes()" so a bench can re-run the same
-  // workload on both backends at equal capacity.
-  NvmeConfig nvme;
-
-  // Memory-disk shape (kMem only).
-  uint64_t mem_num_sectors = 0;
-  uint32_t mem_sector_size = 512;
 
   // Queue policy applied to any backend that has a queue; each backend keeps
   // its own queue depth.
@@ -56,8 +48,8 @@ struct DeviceOptions {
   // An NVMe device of `capacity_bytes`.
   static DeviceOptions Nvme(uint64_t capacity_bytes);
 
-  // A zero-latency memory disk of `num_sectors` x `sector_size`.
-  static DeviceOptions Mem(uint64_t num_sectors, uint32_t sector_size = 512);
+  // A zero-latency memory disk of `capacity_bytes`.
+  static DeviceOptions Mem(uint64_t capacity_bytes);
 };
 
 // Builds the device described by `options`. The clock must outlive the

@@ -7,10 +7,9 @@
 
 namespace ld {
 
-NvmeDevice::NvmeDevice(const NvmeConfig& config, SimClock* clock)
-    : QueuedDevice(clock, config.sector_size, config.capacity_bytes / config.sector_size,
-                   /*num_channels=*/1, QueuePolicy::kFifo, config.queue_depth),
-      config_(config) {}
+NvmeDevice::NvmeDevice(uint64_t capacity_bytes, SimClock* clock)
+    : QueuedDevice(clock, kNvmeSectorSize, capacity_bytes / kNvmeSectorSize,
+                   /*num_channels=*/1, QueuePolicy::kFifo, kNvmeQueueDepth) {}
 
 void NvmeDevice::ScheduleChannel(uint32_t /*ch*/) {
   std::deque<PendingIo>& pending = channels_[0].pending;
@@ -27,7 +26,7 @@ void NvmeDevice::ScheduleChannel(uint32_t /*ch*/) {
   std::vector<Xfer> arrivals;
   arrivals.reserve(pending.size());
   for (const PendingIo& p : pending) {
-    const double bytes = static_cast<double>(p.count) * config_.sector_size;
+    const double bytes = static_cast<double>(p.count) * kNvmeSectorSize;
     arrivals.push_back({p, p.submit_seconds + LatencySeconds(p.is_read), bytes});
   }
   pending.clear();
@@ -108,7 +107,7 @@ void NvmeDevice::ScheduleChannel(uint32_t /*ch*/) {
       // Retire every transfer that just finished.
       for (auto it = active.begin(); it != active.end();) {
         if (it->remaining_bytes <= kEpsBytes) {
-          const double bytes = static_cast<double>(it->io.count) * config_.sector_size;
+          const double bytes = static_cast<double>(it->io.count) * kNvmeSectorSize;
           const double unloaded =
               LatencySeconds(it->io.is_read) + bytes / bps;  // Service time at n == 1.
           ChargeQueueWait(it->io, 0,

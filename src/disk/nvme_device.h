@@ -15,12 +15,13 @@
 // bandwidth with each other; this window-based approximation keeps
 // scheduling lazy, exactly like SimDisk's.
 //
-// Knobs. There is no arm to schedule around: the queue policy knob is
-// accepted (so benches can A/B uniformly) but does not change timing. Under
-// kWeightedShare with several tenants the fluid model shares the link by
-// tenant weight instead of equally per transfer (each tenant's share then
-// splits equally among its own transfers). The fluid model is inherently
-// preemptive, so kDeadline adds nothing here and behaves like the
+// The timing values are the constants below, and the capacity is the one
+// thing a caller chooses. There is no arm to schedule around: the queue
+// policy is accepted (so benches can A/B uniformly) but does not change
+// timing. Under kWeightedShare with several tenants the fluid model shares
+// the link by tenant weight instead of equally per transfer (each tenant's
+// share then splits equally among its own transfers). The fluid model is
+// inherently preemptive, so kDeadline adds nothing here and behaves like the
 // equal-share schedule (tenant accounting still applies).
 //
 // The request queue is QueuedDevice's: like every simulated device here,
@@ -34,23 +35,18 @@
 
 namespace ld {
 
-struct NvmeConfig {
-  uint64_t capacity_bytes = 0;
-  uint32_t sector_size = 512;
-  // Fixed per-request latency before the transfer starts draining.
-  double read_latency_us = 80.0;   // Flash read + FTL lookup.
-  double write_latency_us = 20.0;  // DRAM program buffer ack.
-  // Link/media bandwidth shared by all in-flight transfers.
-  double bandwidth_mb_per_s = 3200.0;
-  // Requests pend until this many are outstanding (or the caller waits).
-  uint32_t queue_depth = 256;
-};
+inline constexpr uint32_t kNvmeSectorSize = 512;
+// Fixed per-request latency before the transfer starts draining.
+inline constexpr double kNvmeReadLatencyUs = 80.0;   // Flash read + FTL lookup.
+inline constexpr double kNvmeWriteLatencyUs = 20.0;  // DRAM program buffer ack.
+// Link/media bandwidth shared by all in-flight transfers.
+inline constexpr double kNvmeBandwidthMbPerS = 3200.0;
+// Requests pend until this many are outstanding (or the caller waits).
+inline constexpr uint32_t kNvmeQueueDepth = 256;
 
 class NvmeDevice : public QueuedDevice {
  public:
-  NvmeDevice(const NvmeConfig& config, SimClock* clock);
-
-  const NvmeConfig& config() const { return config_; }
+  NvmeDevice(uint64_t capacity_bytes, SimClock* clock);
 
  private:
   // Runs the processor-sharing fluid simulation over every pending request
@@ -58,12 +54,10 @@ class NvmeDevice : public QueuedDevice {
   // the clock.
   void ScheduleChannel(uint32_t ch) override;
 
-  double LatencySeconds(bool is_read) const {
-    return (is_read ? config_.read_latency_us : config_.write_latency_us) * 1e-6;
+  static double LatencySeconds(bool is_read) {
+    return (is_read ? kNvmeReadLatencyUs : kNvmeWriteLatencyUs) * 1e-6;
   }
-  double BytesPerSecond() const { return config_.bandwidth_mb_per_s * 1e6; }
-
-  NvmeConfig config_;
+  static double BytesPerSecond() { return kNvmeBandwidthMbPerS * 1e6; }
 };
 
 }  // namespace ld

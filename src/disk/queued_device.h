@@ -1,4 +1,5 @@
-// The request queue shared by the simulated devices (SimDisk, NvmeDevice).
+// The request queue shared by every simulated device (SimDisk, NvmeDevice,
+// MemDisk).
 //
 // A QueuedDevice owns everything about a request except how long it takes:
 // tag allocation and validation, the eager data copy into its ChunkedStorage,

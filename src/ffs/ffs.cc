@@ -2,17 +2,28 @@
 
 namespace ld {
 
-FfsBackend::FfsBackend(BlockDevice* device, const MinixSuperblock& sb,
-                       uint32_t blocks_per_group)
-    : ClassicBackend(device, sb), blocks_per_group_(blocks_per_group) {
+namespace {
+
+// The SunOS profile FormatFfs and MountFfs run (see ffs.h).
+MinixOptions SunOsOptions(MinixOptions options) {
+  options.block_size = 8192;
+  options.synchronous_metadata = true;
+  options.cluster_writes = true;
+  options.max_cluster_blocks = 16;
+  return options;
+}
+
+}  // namespace
+
+FfsBackend::FfsBackend(BlockDevice* device, const MinixSuperblock& sb)
+    : ClassicBackend(device, sb) {
   const uint32_t data_blocks = sb.num_blocks - sb.first_data_block;
-  num_groups_ = std::max(1u, data_blocks / blocks_per_group_);
+  num_groups_ = std::max(1u, data_blocks / kBlocksPerGroup);
 }
 
 StatusOr<std::unique_ptr<FfsBackend>> FfsBackend::Create(BlockDevice* device,
-                                                         const MinixSuperblock& sb, bool fresh,
-                                                         uint32_t blocks_per_group) {
-  std::unique_ptr<FfsBackend> backend(new FfsBackend(device, sb, blocks_per_group));
+                                                         const MinixSuperblock& sb, bool fresh) {
+  std::unique_ptr<FfsBackend> backend(new FfsBackend(device, sb));
   if (fresh) {
     backend->InitFreshBitmap();
   } else {
@@ -22,10 +33,10 @@ StatusOr<std::unique_ptr<FfsBackend>> FfsBackend::Create(BlockDevice* device,
 }
 
 StatusOr<uint32_t> FfsBackend::AllocInGroup(uint32_t group, uint32_t from) {
-  const uint32_t group_base = sb_.first_data_block + group * blocks_per_group_;
+  const uint32_t group_base = sb_.first_data_block + group * kBlocksPerGroup;
   const uint32_t group_end = group + 1 >= num_groups_
                                  ? sb_.num_blocks
-                                 : group_base + blocks_per_group_;
+                                 : group_base + kBlocksPerGroup;
   const uint32_t start = std::max(from, group_base);
   for (uint32_t b = start; b < group_end; ++b) {
     if (!zone_bitmap_[b]) {
@@ -55,7 +66,7 @@ StatusOr<uint32_t> FfsBackend::AllocBlock(uint32_t lid, uint32_t pred_bno) {
   uint32_t from = 0;
   if (pred_bno >= sb_.first_data_block) {
     // Stay in the predecessor's group, scanning from just after it.
-    group = std::min((pred_bno - sb_.first_data_block) / blocks_per_group_, num_groups_ - 1);
+    group = std::min((pred_bno - sb_.first_data_block) / kBlocksPerGroup, num_groups_ - 1);
     from = pred_bno + 1;
   } else {
     // First block of a file: rotate across groups, FFS-style.
@@ -72,38 +83,22 @@ StatusOr<uint32_t> FfsBackend::AllocBlock(uint32_t lid, uint32_t pred_bno) {
   return NoSpaceError("file system full");
 }
 
-StatusOr<std::unique_ptr<MinixFs>> FormatFfs(BlockDevice* device, const FfsParams& params) {
-  MinixOptions options;
-  options.block_size = params.block_size;
-  options.num_inodes = params.num_inodes;
-  options.cache_bytes = params.cache_bytes;
-  options.synchronous_metadata = true;
-  options.readahead_blocks = params.readahead_blocks;
-  options.cluster_writes = true;
-  options.max_cluster_blocks = params.max_cluster_blocks;
-
+StatusOr<std::unique_ptr<MinixFs>> FormatFfs(BlockDevice* device, const MinixOptions& knobs) {
+  const MinixOptions options = SunOsOptions(knobs);
   const MinixSuperblock sb = MinixFs::ComputeClassicLayout(device, options);
   ASSIGN_OR_RETURN(std::unique_ptr<FfsBackend> backend,
-                   FfsBackend::Create(device, sb, /*fresh=*/true, params.blocks_per_group));
+                   FfsBackend::Create(device, sb, /*fresh=*/true));
   return MinixFs::FormatWithBackend(std::move(backend), sb, options);
 }
 
-StatusOr<std::unique_ptr<MinixFs>> MountFfs(BlockDevice* device, const FfsParams& params) {
-  MinixOptions options;
-  options.block_size = params.block_size;
-  options.num_inodes = params.num_inodes;
-  options.cache_bytes = params.cache_bytes;
-  options.synchronous_metadata = true;
-  options.readahead_blocks = params.readahead_blocks;
-  options.cluster_writes = true;
-  options.max_cluster_blocks = params.max_cluster_blocks;
-
+StatusOr<std::unique_ptr<MinixFs>> MountFfs(BlockDevice* device, const MinixOptions& knobs) {
+  const MinixOptions options = SunOsOptions(knobs);
   std::vector<uint8_t> block(options.block_size);
   const uint64_t sector = static_cast<uint64_t>(options.block_size) / device->sector_size();
   RETURN_IF_ERROR(device->Read(sector, block));
   ASSIGN_OR_RETURN(MinixSuperblock sb, MinixSuperblock::DecodeFrom(block));
   ASSIGN_OR_RETURN(std::unique_ptr<FfsBackend> backend,
-                   FfsBackend::Create(device, sb, /*fresh=*/false, params.blocks_per_group));
+                   FfsBackend::Create(device, sb, /*fresh=*/false));
   return MinixFs::MountWithBackend(std::move(backend), sb, options);
 }
 

@@ -26,41 +26,35 @@
 
 namespace ld {
 
-struct FfsParams {
-  uint32_t block_size = 8192;
-  uint32_t num_inodes = 16384;
-  uint64_t cache_bytes = 6144 * 1024;
-  uint32_t blocks_per_group = 2048;  // 16 MB cylinder groups at 8 KB.
-  uint32_t readahead_blocks = 8;
-  uint32_t max_cluster_blocks = 16;  // 128-KB clusters.
-};
-
 // Cylinder-group block allocator: the group is chosen from the predecessor
 // block when the file already has one, otherwise groups are assigned
 // round-robin, spreading files across the disk the way FFS does.
 class FfsBackend : public ClassicBackend {
  public:
+  static constexpr uint32_t kBlocksPerGroup = 2048;  // 16-MB cylinder groups at 8 KB.
+
   static StatusOr<std::unique_ptr<FfsBackend>> Create(BlockDevice* device,
-                                                      const MinixSuperblock& sb, bool fresh,
-                                                      uint32_t blocks_per_group);
+                                                      const MinixSuperblock& sb, bool fresh);
 
   StatusOr<uint32_t> AllocBlock(uint32_t lid, uint32_t pred_bno) override;
 
   uint32_t num_groups() const { return num_groups_; }
 
  private:
-  FfsBackend(BlockDevice* device, const MinixSuperblock& sb, uint32_t blocks_per_group);
+  FfsBackend(BlockDevice* device, const MinixSuperblock& sb);
 
   StatusOr<uint32_t> AllocInGroup(uint32_t group, uint32_t from);
 
-  uint32_t blocks_per_group_;
   uint32_t num_groups_ = 1;
   uint32_t next_group_ = 0;  // Round-robin cursor for first blocks.
 };
 
-// Formats / mounts the FFS baseline on a raw device.
-StatusOr<std::unique_ptr<MinixFs>> FormatFfs(BlockDevice* device, const FfsParams& params);
-StatusOr<std::unique_ptr<MinixFs>> MountFfs(BlockDevice* device, const FfsParams& params);
+// Formats / mounts the FFS baseline on a raw device. Both run the SunOS
+// profile — 8-KB blocks, synchronous metadata, write clusters of up to 16
+// blocks (128 KB) and kBlocksPerGroup-block cylinder groups — over the rest
+// of `knobs` (i-node count, cache size, read-ahead window).
+StatusOr<std::unique_ptr<MinixFs>> FormatFfs(BlockDevice* device, const MinixOptions& knobs);
+StatusOr<std::unique_ptr<MinixFs>> MountFfs(BlockDevice* device, const MinixOptions& knobs);
 
 }  // namespace ld
 

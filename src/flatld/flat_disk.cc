@@ -11,9 +11,6 @@ namespace {
 constexpr uint32_t kTableMagic = 0x464c4154;  // "FLAT"
 }  // namespace
 
-FlatDisk::FlatDisk(BlockDevice* device, const FlatOptions& options)
-    : device_(device), options_(options) {}
-
 Status FlatDisk::ComputeLayout() {
   // Reserve ~1/32 of the device for the allocation table, after one sector
   // of header space.
@@ -29,18 +26,16 @@ Status FlatDisk::ComputeLayout() {
   return OkStatus();
 }
 
-StatusOr<std::unique_ptr<FlatDisk>> FlatDisk::Format(BlockDevice* device,
-                                                     const FlatOptions& options) {
-  std::unique_ptr<FlatDisk> fd(new FlatDisk(device, options));
+StatusOr<std::unique_ptr<FlatDisk>> FlatDisk::Format(BlockDevice* device) {
+  std::unique_ptr<FlatDisk> fd(new FlatDisk(device));
   RETURN_IF_ERROR(fd->ComputeLayout());
   fd->dirty_table_ = true;
   RETURN_IF_ERROR(fd->PersistTable());
   return fd;
 }
 
-StatusOr<std::unique_ptr<FlatDisk>> FlatDisk::Open(BlockDevice* device,
-                                                   const FlatOptions& options) {
-  std::unique_ptr<FlatDisk> fd(new FlatDisk(device, options));
+StatusOr<std::unique_ptr<FlatDisk>> FlatDisk::Open(BlockDevice* device) {
+  std::unique_ptr<FlatDisk> fd(new FlatDisk(device));
   RETURN_IF_ERROR(fd->ComputeLayout());
   RETURN_IF_ERROR(fd->LoadTable());
   return fd;
@@ -112,7 +107,7 @@ Status FlatDisk::Write(Bid bid, std::span<const uint8_t> data) {
 }
 
 StatusOr<Bid> FlatDisk::NewBlock(Lid lid, Bid pred_bid, uint32_t size_bytes) {
-  const uint32_t size = size_bytes == 0 ? options_.block_size : size_bytes;
+  const uint32_t size = size_bytes == 0 ? block_size_ : size_bytes;
   if (size == 0) {
     return InvalidArgumentError("zero block size");
   }
@@ -288,7 +283,7 @@ Status FlatDisk::Flush(FailureSet failures) {
 }
 
 Status FlatDisk::ReserveBlocks(uint64_t count, uint32_t size_bytes) {
-  const uint32_t size = size_bytes == 0 ? options_.block_size : size_bytes;
+  const uint32_t size = size_bytes == 0 ? block_size_ : size_bytes;
   if (FreeBytes() < count * size) {
     return NoSpaceError("cannot reserve");
   }
@@ -297,7 +292,7 @@ Status FlatDisk::ReserveBlocks(uint64_t count, uint32_t size_bytes) {
 }
 
 Status FlatDisk::CancelReservation(uint64_t count, uint32_t size_bytes) {
-  const uint32_t size = size_bytes == 0 ? options_.block_size : size_bytes;
+  const uint32_t size = size_bytes == 0 ? block_size_ : size_bytes;
   if (count * size > reserved_bytes_) {
     return InvalidArgumentError("cancelling more than is reserved");
   }
@@ -351,7 +346,7 @@ Status FlatDisk::PersistTable() {
   std::vector<uint8_t> payload;
   Encoder enc(&payload);
   enc.PutU32(kTableMagic);
-  enc.PutU32(options_.block_size);
+  enc.PutU32(block_size_);
   enc.PutU64(entries_.size());
   for (const Entry& e : entries_) {
     enc.PutU8(e.allocated ? 1 : 0);
@@ -393,7 +388,7 @@ Status FlatDisk::LoadTable() {
   if (!dec.ok() || magic != kTableMagic) {
     return CorruptionError("device is not a FlatDisk volume");
   }
-  options_.block_size = dec.GetU32();
+  block_size_ = dec.GetU32();
   const uint64_t entry_count = dec.GetU64();
   entries_.assign(entry_count, Entry{});
   used_sectors_ = 0;

@@ -24,16 +24,13 @@
 
 namespace ld {
 
-struct FlatOptions {
-  uint32_t block_size = 4096;  // Default size class.
-};
+inline constexpr uint32_t kFlatBlockSize = 4096;  // Default size class of a new volume.
 
 class FlatDisk : public LogicalDisk {
  public:
-  static StatusOr<std::unique_ptr<FlatDisk>> Format(BlockDevice* device,
-                                                    const FlatOptions& options);
-  static StatusOr<std::unique_ptr<FlatDisk>> Open(BlockDevice* device,
-                                                  const FlatOptions& options);
+  static StatusOr<std::unique_ptr<FlatDisk>> Format(BlockDevice* device);
+  // Takes the default size class the volume was formatted with.
+  static StatusOr<std::unique_ptr<FlatDisk>> Open(BlockDevice* device);
 
   Status Read(Bid bid, std::span<uint8_t> out) override;
   Status Write(Bid bid, std::span<const uint8_t> data) override;
@@ -51,7 +48,7 @@ class FlatDisk : public LogicalDisk {
   Status ReserveBlocks(uint64_t count, uint32_t size_bytes = 0) override;
   Status CancelReservation(uint64_t count, uint32_t size_bytes = 0) override;
   Status Shutdown() override;
-  uint32_t default_block_size() const override { return options_.block_size; }
+  uint32_t default_block_size() const override { return block_size_; }
   StatusOr<uint32_t> BlockSize(Bid bid) const override;
   uint64_t FreeBytes() const override;
 
@@ -73,7 +70,7 @@ class FlatDisk : public LogicalDisk {
     bool allocated = false;
   };
 
-  FlatDisk(BlockDevice* device, const FlatOptions& options);
+  explicit FlatDisk(BlockDevice* device) : device_(device) {}
 
   Status ComputeLayout();
   // First-fit extent allocation starting from `near_sector`.
@@ -83,7 +80,7 @@ class FlatDisk : public LogicalDisk {
   Status LoadTable();
 
   BlockDevice* device_;
-  FlatOptions options_;
+  uint32_t block_size_ = kFlatBlockSize;  // Persisted in the allocation table.
 
   uint64_t table_start_sector_ = 0;
   uint64_t table_sectors_ = 0;

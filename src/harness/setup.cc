@@ -35,27 +35,26 @@ StatusOr<MinixFsckReport> FsUnderTest::Fsck(bool scrub) {
   return fs->Fsck(options);
 }
 
-StatusOr<FsStack> MakeFsStack(BlockDevice* device, FsKind kind, const SetupParams& params) {
+StatusOr<FsStack> MakeFsStack(BlockDevice* device, FsKind kind, const FsParams& fs,
+                              bool maintenance) {
   FsStack s;
 
   MinixOptions options;
-  options.block_size = params.minix_block_size;
-  options.num_inodes = params.num_inodes;
-  options.cache_bytes = params.cache_bytes;
-  options.compress_file_data = params.compress_file_data;
-  options.readahead_blocks = params.readahead_blocks;
-  options.ld_readahead = params.ld_readahead;
+  options.num_inodes = fs.num_inodes;
+  options.cache_bytes = fs.cache_bytes;
+  options.compress_file_data = fs.compress_file_data;
+  options.readahead_blocks = fs.readahead_blocks;
+  options.ld_readahead = fs.ld_readahead;
 
   switch (kind) {
     case FsKind::kMinixLld:
     case FsKind::kMinixLldSingleList:
     case FsKind::kMinixLldSmallInodes: {
-      LldOptions lld_options = params.lld;
-      lld_options.block_size = params.minix_block_size;
-      ASSIGN_OR_RETURN(s.lld, LogStructuredDisk::Format(device, lld_options));
+      options.block_size = fs.lld.block_size;
+      ASSIGN_OR_RETURN(s.lld, LogStructuredDisk::Format(device, fs.lld));
       // Attached before the file system's format, so the seals that format
       // makes already defer their checkpoint frames to the scheduler.
-      if (params.maintenance) {
+      if (maintenance) {
         s.maintenance = std::make_unique<MaintenanceScheduler>(s.lld.get(), MaintenanceOptions{});
       }
       const bool list_per_file = kind != FsKind::kMinixLldSingleList;
@@ -69,10 +68,7 @@ StatusOr<FsStack> MakeFsStack(BlockDevice* device, FsKind kind, const SetupParam
       break;
     }
     case FsKind::kSunOs: {
-      FfsParams ffs;
-      ffs.num_inodes = params.num_inodes;
-      ffs.cache_bytes = params.cache_bytes;
-      ASSIGN_OR_RETURN(s.fs, FormatFfs(device, ffs));
+      ASSIGN_OR_RETURN(s.fs, FormatFfs(device, options));
       break;
     }
   }
@@ -83,11 +79,9 @@ StatusOr<FsUnderTest> MakeFsUnderTest(FsKind kind, const SetupParams& params) {
   FsUnderTest t;
   t.name = FsKindName(kind);
   t.clock = std::make_unique<SimClock>();
-  DeviceOptions device = params.device;
-  device.geometry = DiskGeometry::HpC3010Partition(params.partition_bytes);
-  t.disk = MakeDevice(device, t.clock.get());
+  t.disk = MakeDevice(params.device, t.clock.get());
 
-  ASSIGN_OR_RETURN(FsStack stack, MakeFsStack(t.disk.get(), kind, params));
+  ASSIGN_OR_RETURN(FsStack stack, MakeFsStack(t.disk.get(), kind, params.fs, params.maintenance));
   t.lld = std::move(stack.lld);
   t.fs = std::move(stack.fs);
   t.maintenance = std::move(stack.maintenance);

@@ -48,29 +48,34 @@ struct FsUnderTest {
   StatusOr<MinixFsckReport> Fsck(bool scrub = false);
 };
 
-struct SetupParams {
-  uint64_t partition_bytes = 400ull << 20;  // The paper's 400-MB partition.
-  // Storage backend. `device.geometry` is always derived from
-  // partition_bytes (and an unset NVMe capacity matches it); set
-  // `device.backend`/`device.channels`/queue knobs to run the same file
-  // system on a different device.
-  DeviceOptions device = DeviceOptions::HpC3010(400ull << 20);
-  uint32_t minix_block_size = 4096;
+// The file-system knobs of one harness stack. MakeFsStack reads every field
+// that applies to the stack's kind.
+struct FsParams {
   uint32_t num_inodes = 16384;
   uint64_t cache_bytes = 6144 * 1024;
-  LldOptions lld;  // Segment size etc. for LD-based systems.
-  // LD modes: mark file data lists compressible (requires lld.compressor).
+  // LD kinds: the LLD under the file system (segment size etc.). MINIX on
+  // LLD takes its block size from lld.block_size.
+  LldOptions lld;
+  // LD kinds: mark file data lists compressible (requires lld.compressor).
   bool compress_file_data = false;
-  // Read-path knobs (forwarded to MinixOptions). `ld_readahead` turns
-  // per-file read-ahead on for LD backends too (off = the paper's §4.1
+  // Read-path knobs (forwarded to MinixOptions). `readahead_blocks` is the
+  // read-ahead window of classic MINIX and SunOS; `ld_readahead` turns
+  // per-file read-ahead on for LD kinds too (off = the paper's §4.1
   // behaviour).
   uint32_t readahead_blocks = 8;
   bool ld_readahead = false;
+};
+
+struct SetupParams {
+  // Built as given: the paper's 400-MB partition of the HP C3010 unless the
+  // caller picks another backend, size, channel count or queue policy.
+  DeviceOptions device = DeviceOptions::HpC3010(400ull << 20);
+  FsParams fs;
   // Attach an idle-driven MaintenanceScheduler to LD-based stacks with the
   // scheduler's default pacing. Its duties and the LLD's cleaning bill to
   // kMaintenanceTenant, and cadence-driven checkpoint frames move off the
   // seal path onto its checkpoint duty; the caller must step it
-  // (FsStack::maintenance).
+  // (FsUnderTest::maintenance).
   bool maintenance = false;
 };
 
@@ -84,9 +89,10 @@ struct FsStack {
   std::unique_ptr<MaintenanceScheduler> maintenance;  // Null unless enabled.
 };
 
-// Formats `kind` onto `device` with params' file-system knobs (the device
-// knobs in params are ignored — the caller already built the device).
-StatusOr<FsStack> MakeFsStack(BlockDevice* device, FsKind kind, const SetupParams& params);
+// Formats `kind` onto `device`, a device the caller built, with `fs`'s
+// knobs; `maintenance` is SetupParams::maintenance.
+StatusOr<FsStack> MakeFsStack(BlockDevice* device, FsKind kind, const FsParams& fs,
+                              bool maintenance);
 
 StatusOr<FsUnderTest> MakeFsUnderTest(FsKind kind, const SetupParams& params);
 

@@ -16,26 +16,23 @@ void MultiTenantRig::ResetMeasurement() {
 }
 
 StatusOr<MultiTenantRig> MakeMultiTenantRig(const MultiTenantParams& params) {
-  if (params.num_tenants == 0) {
+  const uint32_t sessions = params.device.qos.num_tenants;
+  if (sessions == 0) {
     return InvalidArgumentError("rig needs at least one tenant");
   }
   MultiTenantRig rig;
   rig.clock = std::make_unique<SimClock>();
+  rig.disk = MakeDevice(params.device, rig.clock.get());
 
-  const uint64_t total_bytes = params.bytes_per_tenant * params.num_tenants;
-  DeviceOptions device = params.device;
-  device.geometry = DiskGeometry::HpC3010Partition(total_bytes);
-  device.qos = params.qos;
-  device.qos.num_tenants = params.num_tenants;
-  rig.disk = MakeDevice(device, rig.clock.get());
-
-  const uint64_t sectors_per_tenant = params.bytes_per_tenant / rig.disk->sector_size();
-  for (uint32_t i = 0; i < params.num_tenants; ++i) {
+  const uint64_t sectors_per_tenant =
+      params.device.capacity_bytes / sessions / rig.disk->sector_size();
+  for (uint32_t i = 0; i < sessions; ++i) {
     TenantSession session;
     session.id = i;
     session.part = std::make_unique<PartitionDevice>(
         rig.disk.get(), i * sectors_per_tenant, sectors_per_tenant, /*tenant=*/i);
-    ASSIGN_OR_RETURN(FsStack stack, MakeFsStack(session.part.get(), params.kind, params.fs));
+    ASSIGN_OR_RETURN(FsStack stack, MakeFsStack(session.part.get(), params.kind, params.fs,
+                                                /*maintenance=*/false));
     session.lld = std::move(stack.lld);
     session.fs = std::move(stack.fs);
     rig.tenants.push_back(std::move(session));

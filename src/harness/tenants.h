@@ -31,23 +31,15 @@ struct TenantSession {
 };
 
 struct MultiTenantParams {
-  uint32_t num_tenants = 4;
-  // Per-tenant slice; the shared device's capacity is num_tenants * this.
-  uint64_t bytes_per_tenant = 64ull << 20;
-  // Backend/channel/queue knobs for the shared device. Geometry (and an
-  // unset NVMe capacity) is derived from the total rig size; the qos field
-  // here is overwritten from `qos` below.
-  DeviceOptions device = DeviceOptions::HpC3010(0);
-  // Dispatch policy between tenants. num_tenants is overwritten with the
-  // rig's tenant count so Active() reflects the actual session count.
-  QosConfig qos;
+  // The shared device, built as given. Its qos.num_tenants is the session
+  // count (so qos.Active() reflects it), and each session's partition is an
+  // equal share of capacity_bytes.
+  DeviceOptions device = DeviceOptions::HpC3010(64ull << 20);
   FsKind kind = FsKind::kMinixLld;
-  // File-system knobs for every tenant stack (partition_bytes/device fields
-  // are ignored — the rig provides those). Sessions get no background
-  // maintenance: a scheduler that `maintenance` asks for is dropped, which
-  // detaches it, so each session's cleaning bills to its own partition's
+  // File-system knobs for every session's stack. Sessions get no background
+  // maintenance, so each session's cleaning bills to its own partition's
   // tenant and its checkpoint frames ride the seal.
-  SetupParams fs;
+  FsParams fs;
 };
 
 // N sessions over one device. Movable; destruction tears down sessions

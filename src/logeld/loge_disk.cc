@@ -45,15 +45,12 @@ bool DecodeHeader(std::span<const uint8_t> sector, SlotHeader* header) {
 
 }  // namespace
 
-LogeDisk::LogeDisk(BlockDevice* device, const LogeOptions& options)
-    : device_(device), options_(options) {}
-
 Status LogeDisk::ComputeLayout() {
   const uint32_t sector = device_->sector_size();
-  if (options_.block_size % sector != 0) {
+  if (kLogeBlockSize % sector != 0) {
     return InvalidArgumentError("block size must be sector-aligned");
   }
-  sectors_per_slot_ = options_.block_size / sector + 1;  // +1 header sector.
+  sectors_per_slot_ = kLogeBlockSize / sector + 1;  // +1 header sector.
   data_start_sector_ = 8;  // A small reserved area (unused; symmetry with LLD).
   num_slots_ = (device_->num_sectors() - data_start_sector_) / sectors_per_slot_;
   if (num_slots_ < 16) {
@@ -67,9 +64,8 @@ uint64_t LogeDisk::SlotSector(uint64_t slot) const {
   return data_start_sector_ + slot * sectors_per_slot_;
 }
 
-StatusOr<std::unique_ptr<LogeDisk>> LogeDisk::Format(BlockDevice* device,
-                                                     const LogeOptions& options) {
-  std::unique_ptr<LogeDisk> loge(new LogeDisk(device, options));
+StatusOr<std::unique_ptr<LogeDisk>> LogeDisk::Format(BlockDevice* device) {
+  std::unique_ptr<LogeDisk> loge(new LogeDisk(device));
   RETURN_IF_ERROR(loge->ComputeLayout());
   // Erase stale slot headers so reopened devices do not resurrect blocks.
   std::vector<uint8_t> zero(device->sector_size(), 0);
@@ -80,9 +76,8 @@ StatusOr<std::unique_ptr<LogeDisk>> LogeDisk::Format(BlockDevice* device,
 }
 
 StatusOr<std::unique_ptr<LogeDisk>> LogeDisk::Open(BlockDevice* device,
-                                                   const LogeOptions& options,
                                                    LogeRecoveryStats* stats) {
-  std::unique_ptr<LogeDisk> loge(new LogeDisk(device, options));
+  std::unique_ptr<LogeDisk> loge(new LogeDisk(device));
   RETURN_IF_ERROR(loge->ComputeLayout());
 
   // Loge recovery: read every slot header on the disk; the newest timestamp
@@ -142,10 +137,10 @@ StatusOr<uint64_t> LogeDisk::AllocSlot() {
     return NoSpaceError("LogeDisk full");
   }
   // Scan forward from just past the head (approximated by the last write),
-  // skipping rotational_skip slots so the target sector is still ahead of
+  // skipping kLogeRotationalSkip slots so the target sector is still ahead of
   // the head after per-request overhead.
   for (uint64_t probe = 0; probe < num_slots_; ++probe) {
-    const uint64_t slot = (last_slot_ + 1 + options_.rotational_skip + probe) % num_slots_;
+    const uint64_t slot = (last_slot_ + 1 + kLogeRotationalSkip + probe) % num_slots_;
     if (!slot_used_[slot]) {
       return slot;
     }
@@ -157,7 +152,7 @@ Status LogeDisk::Read(Bid bid, std::span<uint8_t> out) {
   if (bid == kNilBid || bid >= entries_.size() || !entries_[bid].allocated) {
     return NotFoundError("unknown block");
   }
-  if (out.size() != options_.block_size) {
+  if (out.size() != kLogeBlockSize) {
     return InvalidArgumentError("read size mismatch");
   }
   const Entry& entry = entries_[bid];
@@ -172,7 +167,7 @@ Status LogeDisk::Write(Bid bid, std::span<const uint8_t> data) {
   if (bid == kNilBid || bid >= entries_.size() || !entries_[bid].allocated) {
     return NotFoundError("unknown block");
   }
-  if (data.size() != options_.block_size) {
+  if (data.size() != kLogeBlockSize) {
     return InvalidArgumentError("write size mismatch");
   }
   Entry& entry = entries_[bid];
@@ -202,7 +197,7 @@ Status LogeDisk::Write(Bid bid, std::span<const uint8_t> data) {
 
 StatusOr<Bid> LogeDisk::NewBlock(Lid lid, Bid pred_bid, uint32_t size_bytes) {
   (void)pred_bid;  // Loge sees no inter-block relationships (§5.2).
-  if (size_bytes != 0 && size_bytes != options_.block_size) {
+  if (size_bytes != 0 && size_bytes != kLogeBlockSize) {
     return InvalidArgumentError("LogeDisk supports a single block size");
   }
   if (lid == kNilLid || lid >= list_used_.size() || !list_used_[lid]) {
@@ -280,7 +275,7 @@ Status LogeDisk::Flush(FailureSet failures) {
 }
 
 Status LogeDisk::ReserveBlocks(uint64_t count, uint32_t size_bytes) {
-  const uint32_t size = size_bytes == 0 ? options_.block_size : size_bytes;
+  const uint32_t size = size_bytes == 0 ? kLogeBlockSize : size_bytes;
   if (FreeBytes() < count * size) {
     return NoSpaceError("cannot reserve");
   }
@@ -289,7 +284,7 @@ Status LogeDisk::ReserveBlocks(uint64_t count, uint32_t size_bytes) {
 }
 
 Status LogeDisk::CancelReservation(uint64_t count, uint32_t size_bytes) {
-  const uint32_t size = size_bytes == 0 ? options_.block_size : size_bytes;
+  const uint32_t size = size_bytes == 0 ? kLogeBlockSize : size_bytes;
   if (count * size > reserved_bytes_) {
     return InvalidArgumentError("cancelling more than is reserved");
   }
@@ -303,11 +298,11 @@ StatusOr<uint32_t> LogeDisk::BlockSize(Bid bid) const {
   if (bid == kNilBid || bid >= entries_.size() || !entries_[bid].allocated) {
     return NotFoundError("unknown block");
   }
-  return options_.block_size;
+  return kLogeBlockSize;
 }
 
 uint64_t LogeDisk::FreeBytes() const {
-  const uint64_t bytes = (num_slots_ - used_slots_) * options_.block_size;
+  const uint64_t bytes = (num_slots_ - used_slots_) * kLogeBlockSize;
   return bytes > reserved_bytes_ ? bytes - reserved_bytes_ : 0;
 }
 

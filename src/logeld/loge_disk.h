@@ -37,13 +37,11 @@
 
 namespace ld {
 
-struct LogeOptions {
-  uint32_t block_size = 4096;
-  // Slots the allocator skips past the previous write so the next slot's
-  // first sector is still ahead of the head after controller overhead (the
-  // rotational-position optimization Loge does with real head feedback).
-  uint32_t rotational_skip = 1;
-};
+inline constexpr uint32_t kLogeBlockSize = 4096;
+// Slots the allocator skips past the previous write so the next slot's
+// first sector is still ahead of the head after controller overhead (the
+// rotational-position optimization Loge does with real head feedback).
+inline constexpr uint32_t kLogeRotationalSkip = 1;
 
 struct LogeRecoveryStats {
   uint64_t slots_scanned = 0;
@@ -53,12 +51,10 @@ struct LogeRecoveryStats {
 
 class LogeDisk : public LogicalDisk {
  public:
-  static StatusOr<std::unique_ptr<LogeDisk>> Format(BlockDevice* device,
-                                                    const LogeOptions& options);
+  static StatusOr<std::unique_ptr<LogeDisk>> Format(BlockDevice* device);
   // Recovery always scans the whole disk (Loge has no checkpoint shortcut;
   // the paper contrasts this with LLD's summary sweep).
   static StatusOr<std::unique_ptr<LogeDisk>> Open(BlockDevice* device,
-                                                  const LogeOptions& options,
                                                   LogeRecoveryStats* stats = nullptr);
 
   Status Read(Bid bid, std::span<uint8_t> out) override;
@@ -82,7 +78,7 @@ class LogeDisk : public LogicalDisk {
   Status ReserveBlocks(uint64_t count, uint32_t size_bytes = 0) override;
   Status CancelReservation(uint64_t count, uint32_t size_bytes = 0) override;
   Status Shutdown() override;
-  uint32_t default_block_size() const override { return options_.block_size; }
+  uint32_t default_block_size() const override { return kLogeBlockSize; }
   StatusOr<uint32_t> BlockSize(Bid bid) const override;
   uint64_t FreeBytes() const override;
 
@@ -98,14 +94,13 @@ class LogeDisk : public LogicalDisk {
     bool allocated = false;
   };
 
-  LogeDisk(BlockDevice* device, const LogeOptions& options);
+  explicit LogeDisk(BlockDevice* device) : device_(device) {}
   Status ComputeLayout();
   uint64_t SlotSector(uint64_t slot) const;
   // Nearest free slot "ahead" of the last write (wrapping).
   StatusOr<uint64_t> AllocSlot();
 
   BlockDevice* device_;
-  LogeOptions options_;
 
   uint64_t data_start_sector_ = 0;
   uint64_t num_slots_ = 0;

@@ -21,10 +21,10 @@ void FillPayload(Rng* rng, std::vector<uint8_t>* data) {
 
 StatusOr<HotColdResult> RunHotCold(LogicalDisk* ld, const HotColdParams& params) {
   HotColdResult result;
-  Rng rng(params.seed);
+  Rng rng(kHotColdSeed);
   // Payloads draw from their own stream, so the index and hot/cold choices
   // do not depend on the block size.
-  Rng payload_rng(params.seed + 1);
+  Rng payload_rng(kHotColdSeed + 1);
   const uint32_t bs = ld->default_block_size();
   std::vector<uint8_t> data(bs);
 

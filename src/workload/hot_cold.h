@@ -19,8 +19,10 @@ struct HotColdParams {
   double hot_fraction = 0.01;     // Fraction of blocks that are hot.
   double hot_write_share = 0.90;  // Fraction of writes that hit hot blocks.
   uint64_t writes = 50000;        // Overwrites to perform after the fill.
-  uint64_t seed = 7;
 };
+
+// Seed of the workload's block choices and payloads.
+inline constexpr uint64_t kHotColdSeed = 7;
 
 struct HotColdResult {
   uint64_t writes_done = 0;

@@ -16,7 +16,7 @@ std::string FileName(uint32_t i) { return "/f" + std::to_string(i); }
 StatusOr<SmallFileResult> RunSmallFileBenchmark(MinixFs* fs, SimClock* clock,
                                                 const SmallFileParams& params) {
   SmallFileResult result;
-  DataGenerator gen(params.seed, params.data_compress_ratio);
+  DataGenerator gen(kMicrobenchSeed, kMicrobenchCompressRatio);
   std::vector<uint8_t> data = gen.Make(params.file_bytes);
   std::vector<uint32_t> inos(params.num_files);
 
@@ -60,18 +60,18 @@ StatusOr<SmallFileResult> RunSmallFileBenchmark(MinixFs* fs, SimClock* clock,
 StatusOr<LargeFileResult> RunLargeFileBenchmark(MinixFs* fs, SimClock* clock,
                                                 const LargeFileParams& params) {
   LargeFileResult result;
-  DataGenerator gen(params.seed, params.data_compress_ratio);
-  const uint64_t chunks = params.file_bytes / params.chunk_bytes;
+  DataGenerator gen(kMicrobenchSeed, kMicrobenchCompressRatio);
+  const uint64_t chunks = params.file_bytes / kLargeFileChunkBytes;
   const double kb = static_cast<double>(params.file_bytes) / 1024.0;
-  std::vector<uint8_t> chunk = gen.Make(params.chunk_bytes);
-  std::vector<uint8_t> buf(params.chunk_bytes);
+  std::vector<uint8_t> chunk = gen.Make(kLargeFileChunkBytes);
+  std::vector<uint8_t> buf(kLargeFileChunkBytes);
 
   ASSIGN_OR_RETURN(uint32_t ino, fs->CreateFile("/big"));
 
   // ---- Sequential write.
   double start = clock->Now();
   for (uint64_t c = 0; c < chunks; ++c) {
-    RETURN_IF_ERROR(fs->WriteFile(ino, c * params.chunk_bytes, chunk));
+    RETURN_IF_ERROR(fs->WriteFile(ino, c * kLargeFileChunkBytes, chunk));
   }
   RETURN_IF_ERROR(fs->SyncFs());
   result.write_seq_kbps = kb / (clock->Now() - start);
@@ -80,13 +80,13 @@ StatusOr<LargeFileResult> RunLargeFileBenchmark(MinixFs* fs, SimClock* clock,
   // ---- Sequential read.
   start = clock->Now();
   for (uint64_t c = 0; c < chunks; ++c) {
-    RETURN_IF_ERROR(fs->ReadFile(ino, c * params.chunk_bytes, buf).status());
+    RETURN_IF_ERROR(fs->ReadFile(ino, c * kLargeFileChunkBytes, buf).status());
   }
   result.read_seq_kbps = kb / (clock->Now() - start);
   RETURN_IF_ERROR(fs->DropCaches());
 
   // ---- Random write: every chunk written once, in random order.
-  Rng rng(params.seed + 1);
+  Rng rng(kMicrobenchSeed + 1);
   std::vector<uint64_t> order(chunks);
   for (uint64_t c = 0; c < chunks; ++c) {
     order[c] = c;
@@ -96,7 +96,7 @@ StatusOr<LargeFileResult> RunLargeFileBenchmark(MinixFs* fs, SimClock* clock,
   }
   start = clock->Now();
   for (uint64_t c = 0; c < chunks; ++c) {
-    RETURN_IF_ERROR(fs->WriteFile(ino, order[c] * params.chunk_bytes, chunk));
+    RETURN_IF_ERROR(fs->WriteFile(ino, order[c] * kLargeFileChunkBytes, chunk));
   }
   RETURN_IF_ERROR(fs->SyncFs());
   result.write_rand_kbps = kb / (clock->Now() - start);
@@ -108,7 +108,7 @@ StatusOr<LargeFileResult> RunLargeFileBenchmark(MinixFs* fs, SimClock* clock,
   }
   start = clock->Now();
   for (uint64_t c = 0; c < chunks; ++c) {
-    RETURN_IF_ERROR(fs->ReadFile(ino, order[c] * params.chunk_bytes, buf).status());
+    RETURN_IF_ERROR(fs->ReadFile(ino, order[c] * kLargeFileChunkBytes, buf).status());
   }
   result.read_rand_kbps = kb / (clock->Now() - start);
   RETURN_IF_ERROR(fs->DropCaches());
@@ -116,7 +116,7 @@ StatusOr<LargeFileResult> RunLargeFileBenchmark(MinixFs* fs, SimClock* clock,
   // ---- Sequential re-read (after the random writes scrambled the layout).
   start = clock->Now();
   for (uint64_t c = 0; c < chunks; ++c) {
-    RETURN_IF_ERROR(fs->ReadFile(ino, c * params.chunk_bytes, buf).status());
+    RETURN_IF_ERROR(fs->ReadFile(ino, c * kLargeFileChunkBytes, buf).status());
   }
   result.reread_seq_kbps = kb / (clock->Now() - start);
   return result;

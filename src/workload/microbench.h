@@ -22,11 +22,14 @@
 
 namespace ld {
 
+// Both benchmarks write DataGenerator(kMicrobenchSeed, kMicrobenchCompressRatio)
+// bytes: file data that compresses to about 60 %.
+inline constexpr uint64_t kMicrobenchSeed = 42;
+inline constexpr double kMicrobenchCompressRatio = 0.6;
+
 struct SmallFileParams {
   uint32_t num_files = 10000;
   uint32_t file_bytes = 1024;
-  uint64_t seed = 42;
-  double data_compress_ratio = 0.6;
 };
 
 struct SmallFileResult {
@@ -39,11 +42,11 @@ struct SmallFileResult {
 StatusOr<SmallFileResult> RunSmallFileBenchmark(MinixFs* fs, SimClock* clock,
                                                 const SmallFileParams& params);
 
+// Every large-file phase reads or writes the file in chunks of this size.
+inline constexpr uint32_t kLargeFileChunkBytes = 8192;
+
 struct LargeFileParams {
   uint64_t file_bytes = 80ull << 20;
-  uint32_t chunk_bytes = 8192;
-  uint64_t seed = 42;
-  double data_compress_ratio = 0.6;
 };
 
 struct LargeFileResult {

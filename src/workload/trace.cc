@@ -29,7 +29,7 @@ uint32_t SampleFileSize(Rng* rng) {
 }  // namespace
 
 std::vector<TraceOp> GenerateTrace(const TraceParams& params) {
-  Rng rng(params.seed);
+  Rng rng(kTraceSeed);
   std::vector<TraceOp> trace;
   trace.reserve(params.operations);
 
@@ -41,16 +41,16 @@ std::vector<TraceOp> GenerateTrace(const TraceParams& params) {
   uint32_t next_file = 0;
 
   const auto hot_count = [&]() {
-    return std::max<size_t>(1, static_cast<size_t>(live.size() * params.hot_file_fraction));
+    return std::max<size_t>(1, static_cast<size_t>(live.size() * kTraceHotFileFraction));
   };
 
   for (uint32_t op = 0; op < params.operations; ++op) {
-    if (params.sync_every != 0 && op % params.sync_every == params.sync_every - 1) {
+    if (op % kTraceSyncEvery == kTraceSyncEvery - 1) {
       trace.push_back(TraceOp{TraceOp::Kind::kSync, 0, 0, 0});
       continue;
     }
     const int kind = static_cast<int>(rng.Below(100));
-    if (live.empty() || (kind < 22 && live.size() < params.max_live_files)) {
+    if (live.empty() || (kind < 22 && live.size() < kTraceMaxLiveFiles)) {
       // Birth: create and write the whole file.
       const uint32_t file = next_file++;
       const uint32_t size = SampleFileSize(&rng);
@@ -59,7 +59,7 @@ std::vector<TraceOp> GenerateTrace(const TraceParams& params) {
       live.push_back(LiveFile{file, size});
     } else if (kind < 45) {
       // Overwrite, skewed to the hot set (young files).
-      const bool hot = rng.Chance(params.hot_write_share);
+      const bool hot = rng.Chance(kTraceHotWriteShare);
       const size_t index = hot ? live.size() - 1 - rng.Below(hot_count())
                                : rng.Below(live.size());
       LiveFile& f = live[index];

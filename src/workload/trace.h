@@ -42,13 +42,17 @@ struct TraceOp {
   uint32_t length = 0;
 };
 
+// The trace's shape: at most kTraceMaxLiveFiles files live at once, a
+// kTraceHotWriteShare of overwrites hit the youngest kTraceHotFileFraction of
+// them, and every kTraceSyncEvery-th op is a sync (the update daemon).
+inline constexpr uint32_t kTraceMaxLiveFiles = 300;
+inline constexpr double kTraceHotWriteShare = 0.9;
+inline constexpr double kTraceHotFileFraction = 0.1;
+inline constexpr uint32_t kTraceSyncEvery = 64;
+inline constexpr uint64_t kTraceSeed = 1;
+
 struct TraceParams {
   uint32_t operations = 4000;
-  uint32_t max_live_files = 300;
-  double hot_write_share = 0.9;   // Fraction of writes hitting the hot set.
-  double hot_file_fraction = 0.1;
-  uint32_t sync_every = 64;       // Ops between syncs (the update daemon).
-  uint64_t seed = 1;
 };
 
 // Generates the trace once; replays are then byte-identical across systems.

@@ -270,6 +270,7 @@ TEST(DiskQueueTest, AccountingAgreesAcrossGlobalChannelAndTenantViews) {
     options.qos.weights = {3, 1};
     devices.emplace_back("nvme qos=" + std::to_string(static_cast<int>(qos)), options);
   }
+  devices.emplace_back("memdisk", DeviceOptions::Mem(64 << 20));
 
   constexpr int kRequests = 400;
   for (const auto& [label, options] : devices) {
@@ -349,7 +350,7 @@ TEST(DiskQueueTest, AccountingAgreesAcrossGlobalChannelAndTenantViews) {
 
 TEST(DiskQueueTest, MemDiskDefaultAsyncPathWorks) {
   SimClock clock;
-  auto disk = MakeDevice(DeviceOptions::Mem(4096, 512), &clock);
+  auto disk = MakeDevice(DeviceOptions::Mem(4096 * 512), &clock);
   const std::vector<uint8_t> data = Pattern(4096, 9);
   auto tag = disk->SubmitWrite(64, data);
   ASSERT_TRUE(tag.ok());

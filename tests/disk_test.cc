@@ -172,7 +172,7 @@ INSTANTIATE_TEST_SUITE_P(QueueMatrix, SimDiskTest, ::testing::ValuesIn(QueueMatr
 
 TEST(MemDiskTest, BasicIoAndBounds) {
   SimClock clock;
-  auto disk = MakeDevice(DeviceOptions::Mem(1000, 512), &clock);
+  auto disk = MakeDevice(DeviceOptions::Mem(1000 * 512), &clock);
   std::vector<uint8_t> data(512, 0x42);
   ASSERT_TRUE(disk->Write(999, data).ok());
   std::vector<uint8_t> readback(512);
@@ -184,7 +184,7 @@ TEST(MemDiskTest, BasicIoAndBounds) {
 
 TEST(FaultDiskTest, CrashAfterNWrites) {
   SimClock clock;
-  auto inner = MakeDevice(DeviceOptions::Mem(1000, 512), &clock);
+  auto inner = MakeDevice(DeviceOptions::Mem(1000 * 512), &clock);
   FaultDisk disk(inner.get());
   std::vector<uint8_t> data(512, 1);
   disk.CrashAfterWrites(3);
@@ -199,7 +199,7 @@ TEST(FaultDiskTest, CrashAfterNWrites) {
 
 TEST(FaultDiskTest, TornWritePersistsPrefixOnly) {
   SimClock clock;
-  auto inner = MakeDevice(DeviceOptions::Mem(1000, 512), &clock);
+  auto inner = MakeDevice(DeviceOptions::Mem(1000 * 512), &clock);
   FaultDisk disk(inner.get());
   std::vector<uint8_t> data(4 * 512, 0x77);
   disk.CrashAfterWrites(1, /*torn_sectors=*/2);
@@ -216,7 +216,7 @@ TEST(FaultDiskTest, TornWritePersistsPrefixOnly) {
 
 TEST(FaultDiskTest, CrashNowBlocksEverything) {
   SimClock clock;
-  auto inner = MakeDevice(DeviceOptions::Mem(100, 512), &clock);
+  auto inner = MakeDevice(DeviceOptions::Mem(100 * 512), &clock);
   FaultDisk disk(inner.get());
   disk.CrashNow();
   std::vector<uint8_t> data(512);

@@ -20,9 +20,9 @@ struct Rig {
   std::unique_ptr<MemDisk> disk;
   std::unique_ptr<MinixFs> fs;
 
-  explicit Rig(FfsParams params = {}) {
+  Rig() {
     disk = std::make_unique<MemDisk>(kDiskBytes / 512, 512, &clock);
-    auto fs_or = FormatFfs(disk.get(), params);
+    auto fs_or = FormatFfs(disk.get(), MinixOptions{});
     EXPECT_TRUE(fs_or.ok()) << fs_or.status().ToString();
     fs = std::move(fs_or).value();
   }
@@ -78,7 +78,7 @@ TEST(FfsTest, SynchronousMetadataWritesOnCreate) {
   // block and directory block go out synchronously).
   SimClock clock;
   auto disk = MakeDevice(DeviceOptions::HpC3010(kDiskBytes), &clock);
-  auto fs = *FormatFfs(disk.get(), FfsParams{});
+  auto fs = *FormatFfs(disk.get(), MinixOptions{});
   disk->ResetStats();
   ASSERT_TRUE(fs->CreateFile("/sync-me").ok());
   EXPECT_GE(disk->stats().write_ops, 2u);
@@ -88,12 +88,12 @@ TEST(FfsTest, PersistsAcrossRemount) {
   SimClock clock;
   MemDisk disk(kDiskBytes / 512, 512, &clock);
   {
-    auto fs = *FormatFfs(&disk, FfsParams{});
+    auto fs = *FormatFfs(&disk, MinixOptions{});
     auto ino = fs->CreateFile("/p");
     ASSERT_TRUE(fs->WriteFile(*ino, 0, Bytes("persists")).ok());
     ASSERT_TRUE(fs->Shutdown().ok());
   }
-  auto fs = *MountFfs(&disk, FfsParams{});
+  auto fs = *MountFfs(&disk, MinixOptions{});
   auto ino = fs->OpenFile("/p");
   ASSERT_TRUE(ino.ok());
   std::vector<uint8_t> out(8);

@@ -22,7 +22,7 @@ struct Rig {
 
   Rig() {
     disk = std::make_unique<MemDisk>(kDiskBytes / 512, 512, &clock);
-    auto fd_or = FlatDisk::Format(disk.get(), FlatOptions{});
+    auto fd_or = FlatDisk::Format(disk.get());
     EXPECT_TRUE(fd_or.ok());
     fd = std::move(fd_or).value();
     list = *fd->NewList(kBeginOfListOfLists, ListHints{});
@@ -90,13 +90,13 @@ TEST(FlatDiskTest, PersistsAcrossFlushAndReopen) {
   Bid bid;
   Lid list;
   {
-    auto fd = *FlatDisk::Format(&disk, FlatOptions{});
+    auto fd = *FlatDisk::Format(&disk);
     list = *fd->NewList(kBeginOfListOfLists, ListHints{});
     bid = *fd->NewBlock(list, kBeginOfList);
     ASSERT_TRUE(fd->Write(bid, Pattern(4096, 9)).ok());
     ASSERT_TRUE(fd->Flush().ok());
   }
-  auto fd = *FlatDisk::Open(&disk, FlatOptions{});
+  auto fd = *FlatDisk::Open(&disk);
   std::vector<uint8_t> out(4096);
   ASSERT_TRUE(fd->Read(bid, out).ok());
   EXPECT_EQ(out, Pattern(4096, 9));
@@ -140,7 +140,7 @@ TEST_P(LdConformanceTest, BothImplementationsAgree) {
   lld_options.segment_bytes = 64 * 1024;
   lld_options.summary_bytes = 4096;
   auto lld = *LogStructuredDisk::Format(&disk_a, lld_options);
-  auto flat = *FlatDisk::Format(&disk_b, FlatOptions{});
+  auto flat = *FlatDisk::Format(&disk_b);
   LogicalDisk* impls[2] = {lld.get(), flat.get()};
 
   Lid lists[2];

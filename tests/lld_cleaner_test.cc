@@ -304,7 +304,8 @@ TEST_P(LldCleanerTest, CrashDuringCleaningLosesNothing) {
 // outstanding together; a sequential cleaner never pushes it past 1.
 TEST_P(LldCleanerTest, CleanerBatchesVictimReadsThroughRequestQueue) {
   SimClock clock;
-  // A queued device (MemDisk has no request queue and leaves the counters 0).
+  // A device whose queue holds requests: MemDisk schedules each one as it is
+  // submitted (queue depth 1), so its high-water mark never passes 1.
   auto inner = MakeDevice(DeviceOptions::HpC3010(kDiskBytes, /*channels=*/1), &clock);
   FaultDisk disk(inner.get());
   auto formatted = LogStructuredDisk::Format(&disk, TestOptions(GetParam()));

@@ -518,7 +518,7 @@ TEST(NvramTest, OverflowFallsBackToPartialWrite) {
 TEST(ExtensionDefaultsTest, FlatDiskReportsUnimplemented) {
   SimClock clock;
   MemDisk disk(kDiskBytes / 512, 512, &clock);
-  auto fd = *FlatDisk::Format(&disk, FlatOptions{});
+  auto fd = *FlatDisk::Format(&disk);
   EXPECT_EQ(fd->BeginConcurrentARU().status().code(), ErrorCode::kUnimplemented);
   EXPECT_EQ(fd->SwapContents(1, 2).code(), ErrorCode::kUnimplemented);
   // Offset addressing, however, is natural for any list-keeping LD.
@@ -535,7 +535,7 @@ TEST(ExtensionDefaultsTest, FlatDiskReportsUnimplemented) {
 TEST(ExtensionDefaultsTest, MinixAndFatRunOnFlatDisk) {
   SimClock clock;
   MemDisk disk_a((32ull << 20) / 512, 512, &clock);
-  auto flat_a = *FlatDisk::Format(&disk_a, FlatOptions{});
+  auto flat_a = *FlatDisk::Format(&disk_a);
   auto minix = MinixFs::FormatOnLd(flat_a.get(), MinixOptions{}, /*list_per_file=*/true);
   ASSERT_TRUE(minix.ok()) << minix.status().ToString();
   auto ino = (*minix)->CreateFile("/on-flat");
@@ -547,7 +547,7 @@ TEST(ExtensionDefaultsTest, MinixAndFatRunOnFlatDisk) {
   EXPECT_EQ(out, data);
 
   MemDisk disk_b((32ull << 20) / 512, 512, &clock);
-  auto flat_b = *FlatDisk::Format(&disk_b, FlatOptions{});
+  auto flat_b = *FlatDisk::Format(&disk_b);
   auto fat = FatFs::Format(flat_b.get());
   ASSERT_TRUE(fat.ok()) << fat.status().ToString();
   ASSERT_TRUE((*fat)->Create("X.TXT").ok());

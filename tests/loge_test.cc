@@ -35,7 +35,7 @@ struct Rig {
   Rig() {
     mem = std::make_unique<MemDisk>(kDiskBytes / 512, 512, &clock);
     disk = std::make_unique<FaultDisk>(mem.get());
-    loge = *LogeDisk::Format(disk.get(), LogeOptions{});
+    loge = *LogeDisk::Format(disk.get());
     list = *loge->NewList(kBeginOfListOfLists, ListHints{});
   }
 };
@@ -73,7 +73,7 @@ TEST(LogeDiskTest, PerBlockDurability) {
   // Crash immediately: both writes must survive.
   rig.disk->CrashNow();
   rig.disk->ClearFault();
-  auto reopened = *LogeDisk::Open(rig.disk.get(), LogeOptions{});
+  auto reopened = *LogeDisk::Open(rig.disk.get());
   std::vector<uint8_t> out(4096);
   ASSERT_TRUE(reopened->Read(*a, out).ok());
   EXPECT_EQ(out, Pattern(1));
@@ -90,7 +90,7 @@ TEST(LogeDiskTest, RecoveryScansWholeDiskAndKeepsNewest) {
   rig.disk->CrashNow();
   rig.disk->ClearFault();
   LogeRecoveryStats stats;
-  auto reopened = *LogeDisk::Open(rig.disk.get(), LogeOptions{}, &stats);
+  auto reopened = *LogeDisk::Open(rig.disk.get(), &stats);
   EXPECT_EQ(stats.slots_scanned, reopened->num_slots());  // The whole disk.
   std::vector<uint8_t> out(4096);
   ASSERT_TRUE(reopened->Read(*bid, out).ok());
@@ -106,7 +106,7 @@ TEST(LogeDiskTest, DeleteErasesDurably) {
   EXPECT_EQ(rig.loge->Read(*bid, out).code(), ErrorCode::kNotFound);
   rig.disk->CrashNow();
   rig.disk->ClearFault();
-  auto reopened = *LogeDisk::Open(rig.disk.get(), LogeOptions{});
+  auto reopened = *LogeDisk::Open(rig.disk.get());
   EXPECT_EQ(reopened->Read(*bid, out).code(), ErrorCode::kNotFound);
 }
 
@@ -122,7 +122,7 @@ TEST(LogeDiskTest, ListMembershipSurvivesButNotOrder) {
   }
   rig.disk->CrashNow();
   rig.disk->ClearFault();
-  auto reopened = *LogeDisk::Open(rig.disk.get(), LogeOptions{});
+  auto reopened = *LogeDisk::Open(rig.disk.get());
   auto members = reopened->ListMembers(rig.list);
   ASSERT_TRUE(members.ok());
   EXPECT_EQ(std::set<Bid>(members->begin(), members->end()), bids);
@@ -196,7 +196,7 @@ TEST(LogeDiskTest, RandomizedModelCheck) {
   // Crash + recover: full agreement with the model.
   rig.disk->CrashNow();
   rig.disk->ClearFault();
-  auto reopened = *LogeDisk::Open(rig.disk.get(), LogeOptions{});
+  auto reopened = *LogeDisk::Open(rig.disk.get());
   for (const auto& [bid, tag] : model) {
     std::vector<uint8_t> out(4096);
     ASSERT_TRUE(reopened->Read(bid, out).ok()) << bid;

@@ -54,12 +54,11 @@ std::vector<ReadPathConfig> Configs() {
 
 StatusOr<FsUnderTest> MakeFs(FsKind kind, const ReadPathConfig& config, uint32_t channels) {
   SetupParams params;
-  params.partition_bytes = 32ull << 20;
-  params.num_inodes = 512;
-  params.cache_bytes = 256 * 1024;  // Small: keep eviction pressure on.
-  params.device = DeviceOptions::HpC3010(params.partition_bytes, channels);
-  params.readahead_blocks = config.readahead_blocks;
-  params.ld_readahead = config.ld_readahead;
+  params.device = DeviceOptions::HpC3010(32ull << 20, channels);
+  params.fs.num_inodes = 512;
+  params.fs.cache_bytes = 256 * 1024;  // Small: keep eviction pressure on.
+  params.fs.readahead_blocks = config.readahead_blocks;
+  params.fs.ld_readahead = config.ld_readahead;
   return MakeFsUnderTest(kind, params);
 }
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "src/disk/device_factory.h"
+#include "src/disk/nvme_device.h"
 #include "src/util/random.h"
 
 namespace ld {
@@ -18,12 +19,11 @@ TEST(NvmeDeviceTest, SingleReadCostsLatencyPlusTransfer) {
   SimClock clock;
   auto disk = MakeDevice(SmallNvme(), &clock);
   std::vector<uint8_t> buf(4096);
-  const NvmeConfig defaults;
   const double start = clock.Now();
   ASSERT_TRUE(disk->Read(0, buf).ok());
   const double elapsed = clock.Now() - start;
   const double expected =
-      defaults.read_latency_us * 1e-6 + 4096.0 / (defaults.bandwidth_mb_per_s * 1e6);
+      kNvmeReadLatencyUs * 1e-6 + 4096.0 / (kNvmeBandwidthMbPerS * 1e6);
   EXPECT_NEAR(elapsed, expected, expected * 1e-6);
 }
 
@@ -31,21 +31,19 @@ TEST(NvmeDeviceTest, SingleWriteCostsLatencyPlusTransfer) {
   SimClock clock;
   auto disk = MakeDevice(SmallNvme(), &clock);
   std::vector<uint8_t> buf(512 * 1024, 0x3c);
-  const NvmeConfig defaults;
   const double start = clock.Now();
   ASSERT_TRUE(disk->Write(0, buf).ok());
   const double elapsed = clock.Now() - start;
-  const double expected = defaults.write_latency_us * 1e-6 +
-                          static_cast<double>(buf.size()) / (defaults.bandwidth_mb_per_s * 1e6);
+  const double expected = kNvmeWriteLatencyUs * 1e-6 +
+                          static_cast<double>(buf.size()) / (kNvmeBandwidthMbPerS * 1e6);
   EXPECT_NEAR(elapsed, expected, expected * 1e-6);
 }
 
 TEST(NvmeDeviceTest, ConcurrentTransfersShareBandwidth) {
   // k same-size transfers submitted together each finish after ~k times the
   // unloaded transfer time; aggregate bandwidth stays at B.
-  const NvmeConfig defaults;
   const size_t kBytes = 1 << 20;
-  const double unloaded = static_cast<double>(kBytes) / (defaults.bandwidth_mb_per_s * 1e6);
+  const double unloaded = static_cast<double>(kBytes) / (kNvmeBandwidthMbPerS * 1e6);
 
   for (int k : {2, 4}) {
     SimClock clock;
@@ -57,7 +55,7 @@ TEST(NvmeDeviceTest, ConcurrentTransfersShareBandwidth) {
     }
     ASSERT_TRUE(disk->Drain().ok());
     const double elapsed = clock.Now() - start;
-    const double expected = defaults.write_latency_us * 1e-6 + k * unloaded;
+    const double expected = kNvmeWriteLatencyUs * 1e-6 + k * unloaded;
     EXPECT_NEAR(elapsed, expected, expected * 0.01) << "k=" << k;
   }
 }
@@ -150,10 +148,9 @@ TEST(NvmeDeviceTest, WeightedShareSplitsTheLinkByTenantWeight) {
   // Two tenants with weights {3, 1} each write 1 MB at t=0. Under weighted
   // share tenant 0 drains at 0.75 B until it finishes, then tenant 1 gets the
   // whole link; with QoS off both share it equally and finish together.
-  const NvmeConfig defaults;
   const size_t kBytes = 1 << 20;
-  const double bps = defaults.bandwidth_mb_per_s * 1e6;
-  const double latency = defaults.write_latency_us * 1e-6;
+  const double bps = kNvmeBandwidthMbPerS * 1e6;
+  const double latency = kNvmeWriteLatencyUs * 1e-6;
   const double heavy_done = latency + static_cast<double>(kBytes) / (0.75 * bps);
   const double light_done = latency + 2.0 * static_cast<double>(kBytes) / bps;
   EXPECT_NEAR(heavy_done * 1e6, 456.907, 1e-3);

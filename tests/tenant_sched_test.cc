@@ -272,12 +272,17 @@ TEST(PartitionDeviceTest, LldKeepsThePartitionsTenant) {
   EXPECT_EQ(p1.request_tenant(), 1u);
 }
 
+// Two weighted-share sessions of 24 MB each on one arm.
+DeviceOptions TwoSessionDevice() {
+  DeviceOptions device = DeviceOptions::HpC3010(2 * (24ull << 20), /*channels=*/1);
+  device.qos.policy = QosPolicy::kWeightedShare;
+  device.qos.num_tenants = 2;
+  return device;
+}
+
 TEST(MultiTenantRigTest, RoundRobinTenantsStayConsistent) {
   MultiTenantParams params;
-  params.num_tenants = 2;
-  params.bytes_per_tenant = 24ull << 20;
-  params.device = DeviceOptions::HpC3010(0, /*channels=*/1);
-  params.qos.policy = QosPolicy::kWeightedShare;
+  params.device = TwoSessionDevice();
   params.fs.num_inodes = 512;
   params.fs.cache_bytes = 1024 * 1024;
   auto rig = MakeMultiTenantRig(params);
@@ -329,10 +334,7 @@ TEST(MultiTenantRigTest, RoundRobinTenantsStayConsistent) {
 
 TEST(MultiTenantRigTest, ResetMeasurementClearsPerRunCounters) {
   MultiTenantParams params;
-  params.num_tenants = 2;
-  params.bytes_per_tenant = 24ull << 20;
-  params.device = DeviceOptions::HpC3010(0, /*channels=*/1);
-  params.qos.policy = QosPolicy::kWeightedShare;
+  params.device = TwoSessionDevice();
   params.fs.num_inodes = 512;
   params.fs.cache_bytes = 1024 * 1024;
   auto rig = MakeMultiTenantRig(params);
@@ -369,20 +371,15 @@ TEST(MultiTenantRigTest, ResetMeasurementClearsPerRunCounters) {
   }
 }
 
-// Maintenance asked for in the rig's file-system knobs attaches no
-// scheduler to a session (the rig keeps only each session's LLD and file
-// system), so a session's cleaning bills to its own tenant and its
-// checkpoint frames ride the seal. Session 0 overwrites one file until its
-// LLD cleans; tenant 1, which issues nothing, must stay empty.
+// A rig session has no maintenance scheduler, so its cleaning bills to its
+// own tenant and its checkpoint frames ride the seal. Session 0 overwrites
+// one file until its LLD cleans; tenant 1, which issues nothing, must stay
+// empty.
 TEST(MultiTenantRigTest, SessionCleaningStaysOnItsOwnTenant) {
   MultiTenantParams params;
-  params.num_tenants = 2;
-  params.bytes_per_tenant = 24ull << 20;
-  params.device = DeviceOptions::HpC3010(0, /*channels=*/1);
-  params.qos.policy = QosPolicy::kWeightedShare;
+  params.device = TwoSessionDevice();
   params.fs.num_inodes = 512;
   params.fs.cache_bytes = 1024 * 1024;
-  params.fs.maintenance = true;
   params.fs.lld.checkpoint_interval_segments = 2;
   auto rig = MakeMultiTenantRig(params);
   ASSERT_TRUE(rig.ok()) << rig.status().ToString();
@@ -447,10 +444,9 @@ class MultiTenantMatrixTest : public ::testing::TestWithParam<RigConfig> {};
 
 TEST_P(MultiTenantMatrixTest, WorkloadStaysConsistent) {
   MultiTenantParams params;
-  params.num_tenants = GetParam().tenants;
-  params.bytes_per_tenant = 24ull << 20;
-  params.device = DeviceOptions::HpC3010(0, GetParam().channels);
-  params.qos.policy = GetParam().policy;
+  params.device = DeviceOptions::HpC3010(GetParam().tenants * (24ull << 20), GetParam().channels);
+  params.device.qos.policy = GetParam().policy;
+  params.device.qos.num_tenants = GetParam().tenants;
   params.fs.num_inodes = 512;
   params.fs.cache_bytes = 1024 * 1024;
   auto rig = MakeMultiTenantRig(params);

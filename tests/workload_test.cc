@@ -34,8 +34,8 @@ struct WorkloadConfig {
 // Each case runs only the configurations that reach its stacks:
 //  - the channel count reaches every stack, the checkpoint interval every
 //    LD stack;
-//  - read-ahead off reaches classic MINIX alone: an LD backend prefetches
-//    only with ld_readahead, and SunOS keeps FFS's own read-ahead;
+//  - read-ahead off reaches classic MINIX and SunOS: an LD backend
+//    prefetches only with ld_readahead;
 //  - maintenance and the cleaning policy change what cleaning does (and,
 //    at a nonzero interval, which frames wait for a Step()). The 64-MB
 //    setups never clean, so only CleanerChurnTest's smaller volume runs
@@ -92,15 +92,14 @@ std::string ConfigParamName(const ::testing::TestParamInfo<WorkloadConfig>& info
 
 SetupParams SmallSetup(const WorkloadConfig& config, uint64_t partition_bytes = 64ull << 20) {
   SetupParams params;
-  params.partition_bytes = partition_bytes;
-  params.num_inodes = 2048;
-  params.device = DeviceOptions::HpC3010(params.partition_bytes, config.channels);
+  params.device = DeviceOptions::HpC3010(partition_bytes, config.channels);
+  params.fs.num_inodes = 2048;
   if (!config.readahead) {
-    params.readahead_blocks = 1;
+    params.fs.readahead_blocks = 1;
   }
   params.maintenance = config.maintenance;
-  params.lld.cleaning_policy = config.cleaning_policy;
-  params.lld.checkpoint_interval_segments = config.checkpoint_interval;
+  params.fs.lld.cleaning_policy = config.cleaning_policy;
+  params.fs.lld.checkpoint_interval_segments = config.checkpoint_interval;
   return params;
 }
 
@@ -134,8 +133,8 @@ std::string FsKindLabel(FsKind kind) {
 }
 
 // Every file system under the configurations that reach it: the three LD
-// variants under LdConfigs(), classic MINIX and SunOS at 1, 2 and 4
-// channels, and classic MINIX with read-ahead off.
+// variants under LdConfigs(), and classic MINIX and SunOS at 1, 2 and 4
+// channels and with read-ahead off.
 std::vector<std::tuple<FsKind, WorkloadConfig>> MicrobenchCases() {
   std::vector<std::tuple<FsKind, WorkloadConfig>> cases;
   for (FsKind kind :
@@ -148,9 +147,9 @@ std::vector<std::tuple<FsKind, WorkloadConfig>> MicrobenchCases() {
     for (uint32_t channels : {1u, 2u, 4u}) {
       cases.emplace_back(kind, WorkloadConfig{.channels = channels});
     }
-  }
-  for (const WorkloadConfig& config : ReadAheadOffConfigs()) {
-    cases.emplace_back(FsKind::kMinix, config);
+    for (const WorkloadConfig& config : ReadAheadOffConfigs()) {
+      cases.emplace_back(kind, config);
+    }
   }
   return cases;
 }
@@ -396,7 +395,7 @@ TEST(WorkloadTest, TraceIsDeterministicAndWellFormed) {
 }
 
 // One trace on a MINIX LLD, a classic MINIX and a SunOS stack, under
-// LdConfigs() and, for classic MINIX, read-ahead off.
+// LdConfigs() and, for classic MINIX and SunOS, read-ahead off.
 class TraceReplayTest : public ::testing::TestWithParam<WorkloadConfig> {};
 
 TEST_P(TraceReplayTest, TraceReplaysOnEverySystem) {
