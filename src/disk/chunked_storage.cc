@@ -1,23 +1,30 @@
 #include "src/disk/chunked_storage.h"
 
 #include <algorithm>
+#include <cstdlib>
 #include <cstring>
+#include <new>
 
 namespace ld {
+
+namespace {
+
+bool AllZero(std::span<const uint8_t> bytes) {
+  return bytes.empty() ||
+         (bytes[0] == 0 && std::memcmp(bytes.data(), bytes.data() + 1, bytes.size() - 1) == 0);
+}
+
+}  // namespace
+
+void ChunkedStorage::Free::operator()(uint8_t* chunk) const { std::free(chunk); }
 
 ChunkedStorage::ChunkedStorage(uint64_t total_bytes) {
   chunks_.resize((total_bytes + kChunkBytes - 1) / kChunkBytes);
 }
 
-uint8_t* ChunkedStorage::ChunkFor(uint64_t byte_offset, bool allocate) const {
-  const uint64_t index = byte_offset / kChunkBytes;
-  if (chunks_[index] == nullptr) {
-    if (!allocate) {
-      return nullptr;
-    }
-    chunks_[index] = std::make_unique<uint8_t[]>(kChunkBytes);  // Value-initialized: zeros.
-  }
-  return chunks_[index].get();
+size_t ChunkedStorage::allocated_chunks() const {
+  return static_cast<size_t>(std::count_if(chunks_.begin(), chunks_.end(),
+                                           [](const auto& chunk) { return chunk != nullptr; }));
 }
 
 void ChunkedStorage::CopyOut(uint64_t byte_offset, std::span<uint8_t> out) const {
@@ -27,7 +34,7 @@ void ChunkedStorage::CopyOut(uint64_t byte_offset, std::span<uint8_t> out) const
     const uint64_t within = byte % kChunkBytes;
     const size_t n = static_cast<size_t>(
         std::min<uint64_t>(kChunkBytes - within, out.size() - copied));
-    uint8_t* chunk = ChunkFor(byte, /*allocate=*/false);
+    const uint8_t* chunk = chunks_[byte / kChunkBytes].get();
     if (chunk != nullptr) {
       std::memcpy(out.data() + copied, chunk + within, n);
     } else {
@@ -45,8 +52,17 @@ void ChunkedStorage::CopyIn(uint64_t byte_offset, std::span<const uint8_t> data)
     const uint64_t within = byte % kChunkBytes;
     const size_t n = static_cast<size_t>(
         std::min<uint64_t>(kChunkBytes - within, data.size() - copied));
-    uint8_t* chunk = ChunkFor(byte, /*allocate=*/true);
-    std::memcpy(chunk + within, data.data() + copied, n);
+    const std::span<const uint8_t> piece = data.subspan(copied, n);
+    std::unique_ptr<uint8_t, Free>& chunk = chunks_[byte / kChunkBytes];
+    if (chunk == nullptr && !AllZero(piece)) {
+      chunk.reset(static_cast<uint8_t*>(std::calloc(kChunkBytes, 1)));
+      if (chunk == nullptr) {
+        throw std::bad_alloc();
+      }
+    }
+    if (chunk != nullptr) {
+      std::memcpy(chunk.get() + within, piece.data(), n);
+    }  // Else zeros into a chunk that already reads as zeros.
     copied += n;
     byte += n;
   }

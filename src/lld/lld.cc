@@ -631,15 +631,16 @@ StatusOr<LogStructuredDisk::SummaryRead> LogStructuredDisk::ReadSummary(
     read.status = s;
     return std::move(read);
   };
-  std::vector<uint8_t> tail_buf;
+  std::unique_ptr<uint8_t[]> tail_buf;
   if (!image.empty()) {
     tail = image.subspan(data_capacity_, options_.summary_bytes);
   } else if (tail.empty()) {
-    tail_buf.resize(options_.summary_bytes);
-    if (Status s = io_.Read(SegmentSummaryStartByte(segment) / sector, tail_buf); !s.ok()) {
+    tail_buf = ReadBuffer(options_.summary_bytes);
+    const std::span<uint8_t> bytes(tail_buf.get(), options_.summary_bytes);
+    if (Status s = io_.Read(SegmentSummaryStartByte(segment) / sector, bytes); !s.ok()) {
       return unreadable(s);
     }
-    tail = tail_buf;
+    tail = bytes;
   }
   SummaryHeader& header = read.header;
   const Status head = DecodeSummaryHeader(tail, &header);
@@ -658,18 +659,20 @@ StatusOr<LogStructuredDisk::SummaryRead> LogStructuredDisk::ReadSummary(
   read.seq_known = true;
   // Record-heavy segments spill records into the end of their data area.
   const uint32_t spill_offset = data_capacity_ - header.ext_bytes;
-  std::vector<uint8_t> spill_buf;
+  std::unique_ptr<uint8_t[]> spill_buf;
   std::span<const uint8_t> spill;
   if (!image.empty()) {
     spill = image.subspan(spill_offset, header.ext_bytes);
   } else if (header.ext_bytes > 0) {
     const uint64_t start = SegmentBaseByte(segment) + spill_offset;
     const uint64_t first = start / sector * sector;
-    spill_buf.resize(RoundUp(SegmentSummaryStartByte(segment) - first, sector));
-    if (Status s = io_.Read(first / sector, spill_buf); !s.ok()) {
+    const size_t len = RoundUp(SegmentSummaryStartByte(segment) - first, sector);
+    spill_buf = ReadBuffer(len);
+    const std::span<uint8_t> bytes(spill_buf.get(), len);
+    if (Status s = io_.Read(first / sector, bytes); !s.ok()) {
       return unreadable(s);
     }
-    spill = std::span<const uint8_t>(spill_buf).subspan(start - first, header.ext_bytes);
+    spill = bytes.subspan(start - first, header.ext_bytes);
   }
   read.status = DecodeSummary(tail, spill, &header, &read.records);
   read.outcome = read.status.ok() ? SummaryRead::kValid : SummaryRead::kCorrupt;
@@ -708,6 +711,14 @@ Status LogStructuredDisk::ZeroSummary(uint32_t segment) {
 }
 
 // ---- Helpers -------------------------------------------------------------------
+
+std::unique_ptr<uint8_t[]> LogStructuredDisk::ReadBuffer(size_t bytes) {
+  std::unique_ptr<uint8_t[]> buffer = std::make_unique_for_overwrite<uint8_t[]>(bytes);
+#ifndef NDEBUG
+  std::memset(buffer.get(), 0xa5, bytes);
+#endif
+  return buffer;
+}
 
 void LogStructuredDisk::NoteSegmentImageWrite(uint32_t segment) {
   SegmentUsage& seg = usage_->segment(segment);

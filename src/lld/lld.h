@@ -33,6 +33,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -668,7 +669,11 @@ class LogStructuredDisk : public LogicalDisk {
   // ---- Cleaner (lld_cleaner.cc) --------------------------------------------
   struct CleanedBlock {
     Bid bid = kNilBid;
-    std::vector<uint8_t> stored;
+    // The stored bytes. CleanSegments borrows them from the victim's
+    // data-area read, which stays alive until WriteCleanerBatch returns; a
+    // block that was read or repaired on its own points into `owned`.
+    std::span<const uint8_t> stored;
+    std::vector<uint8_t> owned;
     uint32_t orig_size = 0;
     bool compressed = false;
     // Non-zero when the source record belongs to a still-open ARU: the
@@ -681,11 +686,26 @@ class LogStructuredDisk : public LogicalDisk {
     // valid checksum.
     uint32_t payload_crc = 0;
 
-    // The current copy `e` maps for `bid`, its buffer sized for the stored
+    CleanedBlock() = default;
+    // Moving `owned` keeps its bytes where they are, so `stored` stays
+    // valid; a copy would point into the original.
+    CleanedBlock(CleanedBlock&&) = default;
+    CleanedBlock& operator=(CleanedBlock&&) = default;
+
+    // The current copy `e` maps for `bid`, with `owned` sized for the stored
     // bytes, which the caller reads in.
     static CleanedBlock FromEntry(Bid bid, const BlockMapEntry& e) {
-      return {bid, std::vector<uint8_t>(e.stored_size()), e.size_class(), e.compressed(),
-              /*aru_id=*/0, e.payload_crc()};
+      CleanedBlock b;
+      b.bid = bid;
+      b.Own(std::vector<uint8_t>(e.stored_size()));
+      b.orig_size = e.size_class();
+      b.compressed = e.compressed();
+      b.payload_crc = e.payload_crc();
+      return b;
+    }
+    void Own(std::vector<uint8_t> bytes) {
+      owned = std::move(bytes);
+      stored = owned;
     }
   };
   // Live state harvested from one or more victim segments: current copies of
@@ -698,26 +718,31 @@ class LogStructuredDisk : public LogicalDisk {
   };
   // A victim's data-area read, deferred so the reads of a whole cleaning
   // round can go to the device as one async batch (they overlap across
-  // channels instead of serializing). `slices` records which harvested
-  // blocks carve their bytes out of `data` once the read completes.
+  // channels instead of serializing). The victim's harvested blocks borrow
+  // their stored bytes from `data` before the read has filled it.
   struct VictimDataRead {
     uint32_t victim = 0;
-    std::vector<uint8_t> data;  // Sector-rounded used data area.
-    struct Slice {
-      size_t block_index = 0;  // Into CleanerBatch::blocks.
-      uint32_t offset = 0;     // Byte offset of the block in `data`.
-    };
-    std::vector<Slice> slices;
+    std::unique_ptr<uint8_t[]> buffer;  // Holds `data`.
+    std::span<uint8_t> data;            // Sector-rounded used data area.
   };
   // Decodes a victim's summary and appends its live blocks (bytes pending in
   // `*pending` until the batched read completes) and records to `batch`.
   Status HarvestVictim(uint32_t victim, CleanerBatch* batch, VictimDataRead* pending,
                        uint32_t* ext_live);
+  // Checks each harvested block against its payload CRC when its victim
+  // carries a parity lane or belongs to a stripe, and rebuilds a damaged one
+  // from that redundancy while the victim is intact. A block that cannot be
+  // rebuilt moves verbatim.
+  void RepairHarvested(std::vector<CleanedBlock>* blocks);
   // Sorts blocks into list order for cluster-on-clean.
   void OrderByLists(std::vector<CleanedBlock>* blocks);
   // Writes a batch into fresh segments through a dedicated writer (so victims
   // are only freed once their copies are durable).
   Status WriteCleanerBatch(CleanerBatch batch);
+  // A buffer for a device read, which fills every byte, so it is not
+  // zero-filled first. Builds without NDEBUG fill it with 0xa5, so a read
+  // that leaves bytes unwritten shows wrong bytes, not stale ones.
+  static std::unique_ptr<uint8_t[]> ReadBuffer(size_t bytes);
 
   // ---- Recovery & checkpoint (lld_recovery.cc) ------------------------------
   // Rebuilds the in-memory state on Open: checkpoint chain when one is
@@ -940,6 +965,9 @@ class LogStructuredDisk : public LogicalDisk {
   std::vector<uint8_t> ckpt_window_mask_;
 
   std::vector<uint8_t> io_scratch_;  // Reusable sector-aligned I/O buffer.
+  // WriteCleanerBatch's output image, kept across calls. Only the bytes an
+  // image writes beyond its data are zeroed, never the whole image.
+  std::vector<uint8_t> cleaner_image_;
   std::vector<uint8_t> zero_summary_;  // ZeroSummary's source buffer.
   std::vector<uint8_t> compress_buf_;  // Write's compressed form, reused per block.
   std::vector<uint8_t> stored_buf_;    // Read's stored form of a compressed block, reused.

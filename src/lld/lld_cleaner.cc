@@ -15,6 +15,11 @@
 //
 // Victims are freed only after the batch is durable, so a crash mid-clean
 // never loses data or metadata.
+//
+// Each byte moves once: a harvested block borrows its stored bytes from its
+// victim's data-area read, and the writer copies them into its output image.
+// A block that fails its payload CRC on a victim with a parity lane or a
+// stripe is rebuilt before it moves.
 
 #include <algorithm>
 #include <cstring>
@@ -64,12 +69,14 @@ Status LogStructuredDisk::HarvestVictim(uint32_t victim, CleanerBatch* batch,
   if (!live.empty()) {
     // One read of the used data area covers every live block; the read is
     // *deferred* into `pending` so the caller can submit all victims' reads
-    // as one async batch (they overlap across channels), then slice the
-    // blocks out once the batch completes.
+    // as one async batch (they overlap across channels). Each block points
+    // at its bytes in the read's buffer, which hold them once the batch
+    // completes.
     const uint64_t data_len =
         std::min<uint64_t>(RoundUp(header.data_bytes, device_->sector_size()), data_capacity_);
     pending->victim = victim;
-    pending->data.resize(data_len);
+    pending->buffer = ReadBuffer(data_len);
+    pending->data = std::span<uint8_t>(pending->buffer.get(), data_len);
     for (const SummaryRecord* r : live) {
       // ARU hygiene: an entry written inside a still-open unit keeps its
       // tag (committing it here would smuggle uncommitted data into the
@@ -87,9 +94,8 @@ Status LogStructuredDisk::HarvestVictim(uint32_t victim, CleanerBatch* batch,
       // Checksums travel verbatim with the bytes: recomputing one here would
       // launder any corruption picked up since the block was written.
       b.payload_crc = r->block.payload_crc;
-      b.stored.resize(r->block.stored_size);
+      b.stored = pending->data.subspan(r->block.offset, r->block.stored_size);
       counters_.cleaner_bytes_copied += b.stored.size();
-      pending->slices.push_back({batch->blocks.size(), r->block.offset});
       batch->blocks.push_back(std::move(b));
     }
     counters_.blocks_cleaned += live.size();
@@ -224,6 +230,36 @@ Status LogStructuredDisk::HarvestVictim(uint32_t victim, CleanerBatch* batch,
   return OkStatus();
 }
 
+void LogStructuredDisk::RepairHarvested(std::vector<CleanedBlock>* blocks) {
+  // Once a victim is freed nothing can rebuild a block that rotted on it, and
+  // the writer would seal the rotted bytes under a fresh lane that then
+  // explains them. A victim without redundancy has nothing to rebuild from,
+  // so its blocks move unchecked. The block map still points into the
+  // victims here.
+  for (CleanedBlock& b : *blocks) {
+    const BlockMapEntry& entry = block_map_.entry(b.bid);
+    const uint32_t victim = entry.phys().segment;
+    if ((!usage_->segment(victim).parity.has && member_stripe_.count(victim) == 0) ||
+        PayloadCrc(b.stored) == b.payload_crc) {
+      continue;
+    }
+    const Status damage = CorruptionError("cleaner: block " + std::to_string(b.bid) +
+                                          " payload crc mismatch");
+    // Rebuilt into a buffer of its own: a failed attempt leaves its guess
+    // there, and the block must then move with the bytes it had.
+    std::vector<uint8_t> rebuilt(b.stored.size());
+    Status repaired = TryReconstructStored(b.bid, entry, rebuilt, damage);
+    if (!repaired.ok()) {
+      repaired = TryStripeReconstructStored(b.bid, entry, rebuilt, repaired);
+    }
+    if (repaired.ok()) {
+      b.Own(std::move(rebuilt));
+    } else {
+      LD_LOG(kWarn) << "cleaner: block " << b.bid << " moves damaged: " << repaired.ToString();
+    }
+  }
+}
+
 void LogStructuredDisk::OrderByLists(std::vector<CleanedBlock>* blocks) {
   if (!options_.cluster_on_clean || !options_.maintain_lists) {
     return;
@@ -269,9 +305,13 @@ Status LogStructuredDisk::WriteCleanerBatch(CleanerBatch batch) {
   // pipelined user-segment write still in flight; order it first.
   RETURN_IF_ERROR(WaitForInflight());
   // A dedicated segment image, independent of the user's open segment, so
-  // cleaned state is durable before any victim is reused.
+  // cleaned state is durable before any victim is reused. Its buffer is
+  // borrowed from the LLD and handed back at the end (a nested call would
+  // just build its own), and is zero-filled only when first made: each
+  // image zeroes the bytes it writes that its data does not cover.
   SegmentImage image;
-  image.buffer.assign(options_.segment_bytes, 0);
+  image.buffer = std::move(cleaner_image_);
+  image.buffer.resize(options_.segment_bytes);
   const uint32_t sector = device_->sector_size();
 
   auto flush_segment = [&]() -> Status {
@@ -298,11 +338,20 @@ Status LogStructuredDisk::WriteCleanerBatch(CleanerBatch batch) {
       return NoSpaceError("cleaner: no free segment for copied state");
     }
     const uint64_t seq = next_seq_++;
+    // The data write (and the lane) covers the sector tail behind the data.
+    const uint32_t covered = static_cast<uint32_t>(RoundUp(image.used, sector));
+    std::memset(image.buffer.data() + image.used, 0, covered - image.used);
     // Cleaner-written segments carry parity like foreground ones.
     uint32_t ext_used = 0;
     ASSIGN_OR_RETURN(const ParityGeometry parity,
                      SealImage(&image, static_cast<uint32_t>(target), seq, /*lane=*/true,
                                &ext_used));
+    if (ext_used > 0) {
+      // A whole-segment write also carries the gap between the data (or the
+      // lane) and the spilled records.
+      const uint32_t data_end = parity.has ? parity.offset + parity.bytes : covered;
+      std::memset(image.buffer.data() + data_end, 0, data_capacity_ - ext_used - data_end);
+    }
     // Cleaning overlaps foreground traffic: segment images are *submitted*
     // to the device queue (data is captured at submit, so the buffer can be
     // reused for the next image immediately); the Drain() at the end of
@@ -364,7 +413,6 @@ Status LogStructuredDisk::WriteCleanerBatch(CleanerBatch batch) {
       usage_->AddLiveAged(static_cast<uint32_t>(target), r.block.stored_size, r.ts, age);
     }
     image.Clear();
-    std::memset(image.buffer.data(), 0, image.buffer.size());
     return OkStatus();
   };
 
@@ -395,6 +443,7 @@ Status LogStructuredDisk::WriteCleanerBatch(CleanerBatch batch) {
     image.AddRecord(r);
   }
   RETURN_IF_ERROR(flush_segment());
+  cleaner_image_ = std::move(image.buffer);
   // Durability barrier: every submitted cleaner segment must be on disk
   // before the caller frees the victims it copied from.
   if (Status s = device_->Drain(); !s.ok()) {
@@ -515,15 +564,16 @@ Status LogStructuredDisk::CleanSegments(uint32_t count) {
 
   // Submit every victim's data-area read as one async batch: on a
   // multi-channel device the reads overlap instead of serializing one
-  // blocking read per victim. The blocks slice their bytes out afterwards
-  // (before OrderByLists, which permutes the slice targets).
+  // blocking read per victim. The blocks already point into the buffers;
+  // from here they hold their bytes, which move once, into the writer's
+  // image.
   {
     const uint32_t sector = device_->sector_size();
     Status failure = OkStatus();
     std::vector<IoTag> tags(reads.size(), kInvalidIoTag);
     for (size_t i = 0; i < reads.size(); ++i) {
-      StatusOr<IoTag> tag = io_.SubmitRead(SegmentBaseByte(reads[i].victim) / sector,
-                                           std::span<uint8_t>(reads[i].data));
+      StatusOr<IoTag> tag =
+          io_.SubmitRead(SegmentBaseByte(reads[i].victim) / sector, reads[i].data);
       if (!tag.ok()) {
         failure = tag.status();
         break;
@@ -539,13 +589,8 @@ Status LogStructuredDisk::CleanSegments(uint32_t count) {
       }
     }
     RETURN_IF_ERROR(failure);
-    for (const VictimDataRead& r : reads) {
-      for (const VictimDataRead::Slice& s : r.slices) {
-        CleanedBlock& b = batch.blocks[s.block_index];
-        std::memcpy(b.stored.data(), r.data.data() + s.offset, b.stored.size());
-      }
-    }
   }
+  RepairHarvested(&batch.blocks);
 
   // A stripe touching a victim is dissolved before the batch goes out: the
   // member image about to be freed is exactly what the parity explains. The
@@ -608,7 +653,7 @@ StatusOr<uint32_t> LogStructuredDisk::RearrangeHotBlocks(uint32_t max_blocks) {
   for (const auto& [count, bid] : ranked) {
     const BlockMapEntry& e = block_map_.entry(bid);
     CleanedBlock b = CleanedBlock::FromEntry(bid, e);
-    RETURN_IF_ERROR(ReadStored(e, b.stored));
+    RETURN_IF_ERROR(ReadStored(e, b.owned));
     batch.blocks.push_back(std::move(b));
   }
   const uint32_t moved = static_cast<uint32_t>(batch.blocks.size());
@@ -643,7 +688,7 @@ StatusOr<uint32_t> LogStructuredDisk::ReorganizeLists(uint32_t max_segments) {
         continue;
       }
       CleanedBlock b = CleanedBlock::FromEntry(bid, e);
-      RETURN_IF_ERROR(ReadStored(e, b.stored));
+      RETURN_IF_ERROR(ReadStored(e, b.owned));
       bytes += e.stored_size();
       batch.blocks.push_back(std::move(b));
     }

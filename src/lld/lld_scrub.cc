@@ -216,7 +216,7 @@ Status LogStructuredDisk::ScrubBlocks(ScrubWindow* window) {
     report.blocks_scanned++;
     const bool on_suspect = window->suspects.count(phys.segment) != 0;
     CleanedBlock b = CleanedBlock::FromEntry(bid, e);
-    Status damage = ReadStored(e, b.stored);
+    Status damage = ReadStored(e, b.owned);
     if (!damage.ok() && damage.code() != ErrorCode::kIoError) {
       return damage;
     }
@@ -226,12 +226,12 @@ Status LogStructuredDisk::ScrubBlocks(ScrubWindow* window) {
     }
     if (damage.ok()) {
       // Intact: relocated only off a suspect.
-    } else if (TryReconstructStored(bid, e, b.stored, damage).ok()) {
+    } else if (TryReconstructStored(bid, e, b.owned, damage).ok()) {
       // Parity first: a verified reconstruction recovers the lost bytes and
       // the block is relocated with its original (verbatim) CRC, which the
       // reconstruction was checked against.
       report.blocks_reconstructed++;
-    } else if (TryStripeReconstructStored(bid, e, b.stored, damage).ok()) {
+    } else if (TryStripeReconstructStored(bid, e, b.owned, damage).ok()) {
       // Second tier: the per-segment lane could not repair it, the
       // cross-channel stripe peers could. Accounted separately so the report
       // shows which redundancy actually carried the block.
@@ -247,7 +247,7 @@ Status LogStructuredDisk::ScrubBlocks(ScrubWindow* window) {
       // future read failing as typed CORRUPTION instead of resurrecting
       // garbage.
       report.blocks_unreadable++;
-      std::fill(b.stored.begin(), b.stored.end(), 0);
+      std::fill(b.owned.begin(), b.owned.end(), 0);
       b.payload_crc = ~PayloadCrc(b.stored) & 0xffffffu;
     } else {
       // Carried verbatim (bytes and original CRC): relocation must never

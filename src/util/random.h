@@ -15,8 +15,18 @@ class Rng {
  public:
   explicit Rng(uint64_t seed);
 
-  // Uniform over [0, 2^64).
-  uint64_t Next();
+  // Uniform over [0, 2^64). Inline: generators call it once per byte.
+  uint64_t Next() {
+    const uint64_t result = Rotl(state_[1] * 5, 7) * 9;
+    const uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = Rotl(state_[3], 45);
+    return result;
+  }
 
   // Uniform over [0, bound). bound must be > 0.
   uint64_t Below(uint64_t bound);
@@ -31,6 +41,8 @@ class Rng {
   bool Chance(double p);
 
  private:
+  static uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
+
   uint64_t state_[4];
 };
 

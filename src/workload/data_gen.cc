@@ -22,6 +22,8 @@ DataGenerator::DataGenerator(uint64_t seed, double target_ratio) : rng_(seed) {
       dictionary_.push_back(' ');
     }
   }
+  pool_bytes_ = dictionary_.size();
+  dictionary_.insert(dictionary_.end(), dictionary_.begin(), dictionary_.end());
 }
 
 void DataGenerator::Fill(std::span<uint8_t> out) {
@@ -34,10 +36,10 @@ void DataGenerator::Fill(std::span<uint8_t> out) {
         out[pos + i] = static_cast<uint8_t>(rng_.Next());
       }
     } else {
-      const size_t start = rng_.Below(dictionary_.size() / 2);
-      for (size_t i = 0; i < run; ++i) {
-        out[pos + i] = dictionary_[(start + i) % dictionary_.size()];
-      }
+      // A run starts in the pool's first half and is shorter than the pool,
+      // so it ends inside the second copy.
+      const size_t start = rng_.Below(pool_bytes_ / 2);
+      std::memcpy(out.data() + pos, dictionary_.data() + start, run);
     }
     pos += run;
   }

@@ -32,7 +32,10 @@ class DataGenerator {
  private:
   Rng rng_;
   double random_fraction_;
-  std::vector<uint8_t> dictionary_;  // Token pool for the compressible part.
+  // Token pool for the compressible part, stored twice so that a run that
+  // wraps past the pool's end is still one contiguous copy.
+  std::vector<uint8_t> dictionary_;
+  size_t pool_bytes_ = 0;  // One copy's length.
 };
 
 }  // namespace ld

@@ -1,12 +1,14 @@
 // Tests for the disk substrate: geometry arithmetic, simulated-disk data
 // integrity, the calibration points the paper reports for the raw device,
-// the memory backend, and FaultDisk crash/torn-write injection. Devices are
-// built through DeviceOptions/MakeDevice; the simulated-disk cases run under
-// FIFO and C-SCAN at 1 and 4 channels, since their assertions hold for any
-// queue policy and channel count.
+// the memory backend, the sparse byte store under every device, and
+// FaultDisk crash/torn-write injection. Devices are built through
+// DeviceOptions/MakeDevice; the simulated-disk cases run under FIFO and
+// C-SCAN at 1 and 4 channels, since their assertions hold for any queue
+// policy and channel count.
 
 #include <gtest/gtest.h>
 
+#include "src/disk/chunked_storage.h"
 #include "src/disk/device_factory.h"
 #include "src/disk/fault_disk.h"
 #include "src/disk/geometry.h"
@@ -180,6 +182,61 @@ TEST(MemDiskTest, BasicIoAndBounds) {
   EXPECT_EQ(data, readback);
   EXPECT_FALSE(disk->Write(1000, data).ok());
   EXPECT_EQ(clock.Now(), 0.0);  // MemDisk charges no time.
+}
+
+// ChunkedStorage allocates a 1-MB chunk at its first write of a non-zero
+// byte; a chunk never written reads as zeros.
+constexpr uint64_t kChunk = 1 << 20;
+
+std::vector<uint8_t> ReadStorage(const ChunkedStorage& storage, uint64_t offset, size_t n) {
+  std::vector<uint8_t> out(n, 0xa5);
+  storage.CopyOut(offset, out);
+  return out;
+}
+
+TEST(ChunkedStorageTest, ZerosIntoFreshStorageAllocateNothing) {
+  ChunkedStorage storage(4 * kChunk);
+  const std::vector<uint8_t> zeros(kChunk + 4096, 0);
+  storage.CopyIn(kChunk - 4096, zeros);
+  EXPECT_EQ(storage.allocated_chunks(), 0u);
+  EXPECT_EQ(ReadStorage(storage, kChunk - 4096, zeros.size()), zeros);
+}
+
+TEST(ChunkedStorageTest, ZerosOverWrittenBytesOverwriteThem) {
+  ChunkedStorage storage(2 * kChunk);
+  storage.CopyIn(512, std::vector<uint8_t>(1024, 0x42));
+  ASSERT_EQ(storage.allocated_chunks(), 1u);
+  storage.CopyIn(1024, std::vector<uint8_t>(256, 0));
+  std::vector<uint8_t> want(1024, 0x42);
+  std::fill(want.begin() + 512, want.begin() + 768, 0);
+  EXPECT_EQ(ReadStorage(storage, 512, 1024), want);
+  EXPECT_EQ(storage.allocated_chunks(), 1u);
+}
+
+TEST(ChunkedStorageTest, FirstWriteLeavesTheRestOfItsChunkZero) {
+  ChunkedStorage storage(2 * kChunk);
+  const std::vector<uint8_t> data(3000, 0x5c);
+  storage.CopyIn(kChunk / 2 + 7, data);
+  EXPECT_EQ(storage.allocated_chunks(), 1u);
+  const std::vector<uint8_t> chunk = ReadStorage(storage, 0, kChunk);
+  for (size_t i = 0; i < chunk.size(); ++i) {
+    const bool written = i >= kChunk / 2 + 7 && i < kChunk / 2 + 7 + data.size();
+    ASSERT_EQ(chunk[i], written ? 0x5c : 0) << i;
+  }
+}
+
+TEST(ChunkedStorageTest, WriteStraddlingTwoChunks) {
+  ChunkedStorage storage(3 * kChunk);
+  std::vector<uint8_t> data(8192);
+  Rng rng(9);
+  for (auto& b : data) {
+    b = static_cast<uint8_t>(rng.Next() | 1);
+  }
+  storage.CopyIn(2 * kChunk - 4096, data);
+  EXPECT_EQ(storage.allocated_chunks(), 2u);
+  EXPECT_EQ(ReadStorage(storage, 2 * kChunk - 4096, data.size()), data);
+  EXPECT_EQ(ReadStorage(storage, 2 * kChunk - 8192, 4096), std::vector<uint8_t>(4096, 0));
+  EXPECT_EQ(ReadStorage(storage, 2 * kChunk + 4096, 4096), std::vector<uint8_t>(4096, 0));
 }
 
 TEST(FaultDiskTest, CrashAfterNWrites) {

@@ -50,8 +50,8 @@ struct Rig {
   std::unique_ptr<LogStructuredDisk> lld;
   Lid list = kNilLid;
 
-  explicit Rig(const LldOptions& options) {
-    mem = std::make_unique<MemDisk>(kDiskBytes / 512, 512, &clock);
+  explicit Rig(const LldOptions& options, uint64_t disk_bytes = kDiskBytes) {
+    mem = std::make_unique<MemDisk>(disk_bytes / 512, 512, &clock);
     disk = std::make_unique<FaultDisk>(mem.get());
     auto lld_or = LogStructuredDisk::Format(disk.get(), options);
     EXPECT_TRUE(lld_or.ok()) << lld_or.status().ToString();
@@ -296,6 +296,70 @@ TEST_P(LldCleanerTest, CrashDuringCleaningLosesNothing) {
     EXPECT_EQ(out, Pattern(4096, tags[i])) << i;
   }
   EXPECT_EQ(*(*reopened)->ListBlocks(rig.list), bids);
+}
+
+// One rotted byte in a block of a full segment, cleaned before anything reads
+// it. The cleaner checks the block against its payload CRC while the victim
+// still holds the redundancy that explains it, and repairs it from the parity
+// lane: moving the rotted bytes would seal them under a fresh lane, which
+// then rebuilds the rot. Without a lane the bytes move verbatim with their
+// old CRC and still read as typed CORRUPTION. LD_FAULT_SEED picks the block
+// and the byte.
+TEST_P(LldCleanerTest, CleanerRepairsARottedBlockBeforeMovingIt) {
+  Rig rig(TestOptions(GetParam()), 16ull << 20);
+  std::vector<Bid> bids;
+  Bid pred = kBeginOfList;
+  for (uint32_t i = 0; i < 300; ++i) {
+    auto bid = rig.lld->NewBlock(rig.list, pred);
+    ASSERT_TRUE(bid.ok()) << bid.status().ToString();
+    ASSERT_TRUE(rig.lld->Write(*bid, Pattern(4096, i)).ok());
+    bids.push_back(pred = *bid);
+  }
+  ASSERT_TRUE(rig.lld->Flush().ok());
+
+  Rng rng(EnvFaultSeed(31));
+  size_t pick = 0;
+  PhysAddr where;
+  do {
+    pick = rng.Below(bids.size());
+    where = rig.lld->block_map().entry(bids[pick]).phys();
+  } while (!where.IsOnDisk() ||
+           rig.lld->usage_table().segment(where.segment).state != SegmentState::kFull);
+  const uint32_t victim = where.segment;
+  // Its segment neighbours go, so the greedy cleaner takes the segment first.
+  std::vector<Bid> kept;
+  for (size_t i = 0; i < bids.size(); ++i) {
+    const PhysAddr phys = rig.lld->block_map().entry(bids[i]).phys();
+    if (i != pick && phys.IsOnDisk() && phys.segment == victim) {
+      ASSERT_TRUE(rig.lld->DeleteBlock(bids[i], rig.list, kNilBid).ok());
+    } else {
+      kept.push_back(bids[i]);
+    }
+  }
+  ASSERT_TRUE(rig.lld->Flush().ok());
+  const uint32_t byte = static_cast<uint32_t>(where.offset + rng.Below(4096));
+  ASSERT_TRUE(rig.disk
+                  ->CorruptSector((rig.lld->SegmentStartByte(victim) + byte) / 512, byte % 512,
+                                  static_cast<uint8_t>(1u << rng.Below(8)))
+                  .ok());
+
+  ASSERT_TRUE(rig.lld->CleanSegments(1).ok());
+  ASSERT_NE(rig.lld->block_map().entry(bids[pick]).phys().segment, victim);
+  std::vector<uint8_t> out(4096);
+  const Status read = rig.lld->Read(bids[pick], out);
+  if (GetParam()) {
+    ASSERT_TRUE(read.ok()) << read.ToString();
+    EXPECT_EQ(out, Pattern(4096, static_cast<uint32_t>(pick)));
+    EXPECT_EQ(rig.lld->counters().blocks_reconstructed, 1u);
+  } else {
+    EXPECT_EQ(read.code(), ErrorCode::kCorruption) << read.ToString();
+  }
+  for (Bid bid : kept) {
+    if (bid != bids[pick]) {
+      ASSERT_TRUE(rig.lld->Read(bid, out).ok()) << bid;
+    }
+  }
+  EXPECT_EQ(*rig.lld->ListBlocks(rig.list), kept);
 }
 
 // ROADMAP item: the cleaner submits its victim data-area reads as one async

@@ -1,11 +1,14 @@
-// Pinned stripe layouts and scrub repairs. The behavioural checks in
-// lld_striping_test and lld_scrub_test and the golden bench outputs all miss
-// a change in which segments a stripe set groups once the cleaner runs, or in
-// what a scrub rewrites: no bench turns stripe parity on or calls scrub.
-// These tests pin one run of each down to an FNV-1a hash of the whole device
-// image, so a refactor of the stripe planner or of the scrub phases must
-// leave every byte where it was. A change meant to move them must say why
-// each value moved.
+// Pinned stripe layouts, scrub repairs and default cleaner output. The
+// behavioural checks in lld_striping_test, lld_scrub_test and
+// lld_cleaner_test and the golden bench outputs all miss a change in which
+// segments a stripe set groups once the cleaner runs, or in what a scrub
+// rewrites: no bench turns stripe parity on or calls scrub. Nor does any
+// golden bench clean with the segment parity lane, compressed blocks,
+// spilled records and an open ARU together. These tests pin one run of each
+// down to an FNV-1a hash of the whole device image, so a refactor of the
+// stripe planner, the scrub phases or the cleaner's writer must leave every
+// byte where it was. A change meant to move them must say why each value
+// moved.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "src/compress/lzrw.h"
 #include "src/disk/device_factory.h"
 #include "src/disk/fault_disk.h"
 #include "src/lld/lld.h"
@@ -48,8 +52,8 @@ struct PinRig {
   std::unique_ptr<BlockDevice> inner;
   std::unique_ptr<FaultDisk> disk;
 
-  explicit PinRig(uint32_t channels) {
-    inner = MakeDevice(DeviceOptions::HpC3010(kPartitionBytes, channels), &clock);
+  explicit PinRig(uint32_t channels, uint64_t partition_bytes = kPartitionBytes) {
+    inner = MakeDevice(DeviceOptions::HpC3010(partition_bytes, channels), &clock);
     disk = std::make_unique<FaultDisk>(inner.get());
   }
 };
@@ -245,6 +249,105 @@ TEST(LldPinnedTest, ScrubRepairs) {
     ASSERT_TRUE(full.ok()) << full.status().ToString();
     got += " | " + full->ToString() + " | " + PinnedCounters(*lld) + " | image " +
            ImageHash(rig.inner.get());
+    EXPECT_EQ(got, c.want);
+  }
+}
+
+// The default cleaner on one channel without stripes (the benchmark's hotcold
+// shape), with the segment parity lane off and on. One list is compressed,
+// so stored sizes end mid-sector. Delete-and-reinsert churn leaves the
+// victims so many live records that cleaner batches spill records into the
+// data area. An ARU stays open across cleaning rounds, so blocks move with
+// their unit's tag.
+TEST(LldPinnedTest, DefaultCleanerBytes) {
+  struct Case {
+    bool parity;
+    const char* want;
+  };
+  const Case cases[] = {
+      {false,
+       "formed=0 dissolved=0 written=484 cleaned=377 reconstructed=0 stripe_reconstructed=0 "
+       "sets=0 unstriped=107 blocks_cleaned=8746 copied=27940232 | image bcdda2882728e7b4"},
+      {true,
+       "formed=0 dissolved=0 written=622 cleaned=515 reconstructed=0 stripe_reconstructed=0 "
+       "sets=0 unstriped=107 blocks_cleaned=11027 copied=35971104 | image 58a8119004b77820"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.parity ? "parity on" : "parity off");
+    PinRig rig(1, 16ull << 20);
+    Lzrw1Compressor lzrw;
+    LldOptions options = PinOptions();
+    options.segment_parity = c.parity;
+    options.compressor = &lzrw;
+    auto lld = *LogStructuredDisk::Format(rig.disk.get(), options);
+    Lid lids[3];
+    lids[0] = *lld->NewList(kBeginOfListOfLists, ListHints{});
+    ListHints compress;
+    compress.compress = true;
+    lids[1] = *lld->NewList(lids[0], compress);
+    lids[2] = *lld->NewList(lids[1], compress);  // Grown only inside the ARU.
+    std::vector<Bid> order[3];                    // Each list's blocks in list order.
+    Rng rng(31);
+    // A random prefix of random length, then zeros: compressed sizes vary.
+    const auto contents = [&rng] {
+      std::vector<uint8_t> data(4096, 0);
+      const size_t n = rng.Below(4096);
+      for (size_t i = 0; i < n; ++i) {
+        data[i] = static_cast<uint8_t>(rng.Next());
+      }
+      return data;
+    };
+    const auto insert = [&](int l, size_t at) -> Status {
+      ASSIGN_OR_RETURN(const Bid bid,
+                       lld->NewBlock(lids[l], at == 0 ? kBeginOfList : order[l][at - 1]));
+      RETURN_IF_ERROR(lld->Write(bid, contents()));
+      order[l].insert(order[l].begin() + static_cast<ptrdiff_t>(at), bid);
+      return OkStatus();
+    };
+    for (size_t i = 0; i < 3000; ++i) {
+      ASSERT_TRUE(insert(static_cast<int>(i % 2), i / 2).ok());
+    }
+    LogicalDisk::AruId aru = 0;
+    uint64_t cleaned_before_aru = 0;
+    for (uint32_t w = 0; w < 6000; ++w) {
+      if (w == 2000) {
+        aru = *lld->BeginConcurrentARU();
+        ASSERT_TRUE(lld->SelectARU(0).ok());
+        cleaned_before_aru = lld->counters().segments_cleaned;
+      }
+      if (w > 2000 && w < 4000 && w % 8 == 0) {
+        ASSERT_TRUE(lld->SelectARU(aru).ok());
+        ASSERT_TRUE(insert(2, order[2].size()).ok());
+        ASSERT_TRUE(lld->SelectARU(0).ok());
+        continue;
+      }
+      if (w == 4000) {
+        ASSERT_GT(lld->counters().segments_cleaned, cleaned_before_aru);
+        ASSERT_TRUE(lld->EndConcurrentARU(aru).ok());
+      }
+      const int l = static_cast<int>(rng.Below(2));
+      const size_t at = rng.Below(order[l].size());
+      if (rng.Below(5) < 2) {
+        ASSERT_TRUE(lld->DeleteBlock(order[l][at], lids[l], at == 0 ? kNilBid : order[l][at - 1])
+                        .ok());
+        order[l].erase(order[l].begin() + static_cast<ptrdiff_t>(at));
+        ASSERT_TRUE(insert(l, rng.Below(order[l].size() + 1)).ok());
+      } else {
+        ASSERT_TRUE(lld->Write(order[l][at], contents()).ok());
+      }
+      if (w % 250 == 249) {
+        ASSERT_TRUE(lld->Flush().ok());
+      }
+    }
+    ASSERT_TRUE(lld->Flush().ok());
+    for (int l = 0; l < 3; ++l) {
+      EXPECT_EQ(*lld->ListBlocks(lids[l]), order[l]) << "list " << l;
+    }
+    const LldCounters& counters = lld->counters();
+    const std::string got = PinnedCounters(*lld) +
+                            " blocks_cleaned=" + std::to_string(counters.blocks_cleaned) +
+                            " copied=" + std::to_string(counters.cleaner_bytes_copied) +
+                            " | image " + ImageHash(rig.inner.get());
     EXPECT_EQ(got, c.want);
   }
 }
