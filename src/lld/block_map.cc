@@ -9,7 +9,7 @@ StatusOr<Bid> BlockMap::Allocate(Lid list, uint32_t size_class) {
     free_bids_.pop_back();
   } else if (entries_.size() <= kMaxId) {
     bid = static_cast<Bid>(entries_.size());
-    entries_.emplace_back();
+    entries_.resize(bid + 1);
   } else {
     return NoSpaceError("every block number up to " + std::to_string(kMaxId) + " is live");
   }
@@ -98,12 +98,12 @@ void BlockMap::CountRead(Bid bid) {
 }
 
 uint64_t BlockMap::MemoryBytes() const {
-  return entries_.capacity() * sizeof(BlockMapEntry) + free_bids_.capacity() * sizeof(Bid) +
-         read_counts_.capacity() * sizeof(uint32_t);
+  return entries_.MemoryBytes() + free_bids_.MemoryBytes() + read_counts_.MemoryBytes();
 }
 
 void BlockMap::Clear() {
-  entries_.assign(1, BlockMapEntry{});
+  entries_.clear();
+  entries_.resize(1);
   free_bids_.clear();
   read_counts_.clear();
   allocated_count_ = 0;

@@ -1,16 +1,17 @@
 // The block-number map (paper Figure 2): for every logical block its
 // physical address, its successor in its list, its length, and whether it is
 // compressed. Kept entirely in main memory, exactly as the prototype LLD
-// does; the memory-model in src/lld/memory_model.h accounts for its cost.
+// does, in fixed 4-KB pages (paged_array.h); the memory-model in
+// src/lld/memory_model.h accounts for its cost.
 
 #ifndef SRC_LLD_BLOCK_MAP_H_
 #define SRC_LLD_BLOCK_MAP_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "src/ld/types.h"
 #include "src/lld/packed_record.h"
+#include "src/lld/paged_array.h"
 #include "src/util/status.h"
 
 namespace ld {
@@ -173,7 +174,9 @@ class BlockMap {
   void CountRead(Bid bid);
   uint32_t read_count(Bid bid) const { return bid < read_counts_.size() ? read_counts_[bid] : 0; }
 
-  // Bytes of in-memory data-structure footprint (for the memory benchmark).
+  // Bytes of in-memory data-structure footprint (for the memory benchmark):
+  // the pages of the entries, the free-bid stack and the read counts, and
+  // their page indexes.
   uint64_t MemoryBytes() const;
 
   void Clear();
@@ -182,9 +185,9 @@ class BlockMap {
   void ResetEntry(Bid bid);
 
   // entries_[0] is a dummy so Bid 0 stays reserved.
-  std::vector<BlockMapEntry> entries_{1};
-  std::vector<Bid> free_bids_;
-  std::vector<uint32_t> read_counts_;
+  PagedArray<BlockMapEntry> entries_{1};
+  PagedArray<Bid> free_bids_;
+  PagedArray<uint32_t> read_counts_;
   uint64_t allocated_count_ = 0;
 };
 

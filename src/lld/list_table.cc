@@ -1,5 +1,7 @@
 #include "src/lld/list_table.h"
 
+#include <vector>
+
 namespace ld {
 
 StatusOr<Lid> ListTable::Allocate(Lid pred_lid, ListHints hints) {
@@ -15,7 +17,7 @@ StatusOr<Lid> ListTable::Allocate(Lid pred_lid, ListHints hints) {
     if (lid > kMaxId) {
       return NoSpaceError("every list number up to " + std::to_string(kMaxId) + " is live");
     }
-    entries_.emplace_back();
+    entries_.resize(lid + 1);
   }
   ListEntry& e = entries_[lid];
   e = ListEntry{};
@@ -165,11 +167,12 @@ void ListTable::RelinkListOfLists() {
 }
 
 uint64_t ListTable::MemoryBytes() const {
-  return entries_.capacity() * sizeof(ListEntry) + free_lids_.capacity() * sizeof(Lid);
+  return entries_.MemoryBytes() + free_lids_.MemoryBytes();
 }
 
 void ListTable::Clear() {
-  entries_.assign(1, ListEntry{});
+  entries_.clear();
+  entries_.resize(1);
   free_lids_.clear();
   lol_head_ = kNilLid;
   allocated_count_ = 0;

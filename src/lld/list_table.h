@@ -1,15 +1,15 @@
 // The list table (paper Figure 2): the first logical block of each list,
 // the list's hints, and the list-of-lists ordering used for inter-list
-// clustering.
+// clustering. Kept in fixed 4-KB pages, like the block map (paged_array.h).
 
 #ifndef SRC_LLD_LIST_TABLE_H_
 #define SRC_LLD_LIST_TABLE_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "src/ld/types.h"
 #include "src/lld/packed_record.h"
+#include "src/lld/paged_array.h"
 #include "src/util/status.h"
 
 namespace ld {
@@ -123,8 +123,9 @@ class ListTable {
   void UnlinkFromLol(Lid lid);
   void LinkIntoLol(Lid lid, Lid pred);
 
-  std::vector<ListEntry> entries_{1};
-  std::vector<Lid> free_lids_;
+  // entries_[0] is a dummy so Lid 0 stays reserved.
+  PagedArray<ListEntry> entries_{1};
+  PagedArray<Lid> free_lids_;
   Lid lol_head_ = kNilLid;
   uint64_t allocated_count_ = 0;
 };

@@ -734,6 +734,15 @@ class LogStructuredDisk : public LogicalDisk {
   // from that redundancy while the victim is intact. A block that cannot be
   // rebuilt moves verbatim.
   void RepairHarvested(std::vector<CleanedBlock>* blocks);
+  // The redundancy that rebuilt a damaged block.
+  enum class RebuiltFrom { kLane, kStripe };
+  // Rebuilds damaged block `b` (mapped by `e`) from its segment's parity lane,
+  // then from its stripe peers, into a buffer of its own, which `b` takes only
+  // when a rebuild matches the payload CRC: a failed attempt leaves its guess
+  // there, and the block must then keep the bytes it had. Returns the tier
+  // that rebuilt it, or `damage` / the stripe's failure.
+  StatusOr<RebuiltFrom> RebuildBlock(const BlockMapEntry& e, const Status& damage,
+                                     CleanedBlock* b);
   // Sorts blocks into list order for cluster-on-clean.
   void OrderByLists(std::vector<CleanedBlock>* blocks);
   // Writes a batch into fresh segments through a dedicated writer (so victims

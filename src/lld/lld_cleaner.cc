@@ -245,19 +245,26 @@ void LogStructuredDisk::RepairHarvested(std::vector<CleanedBlock>* blocks) {
     }
     const Status damage = CorruptionError("cleaner: block " + std::to_string(b.bid) +
                                           " payload crc mismatch");
-    // Rebuilt into a buffer of its own: a failed attempt leaves its guess
-    // there, and the block must then move with the bytes it had.
-    std::vector<uint8_t> rebuilt(b.stored.size());
-    Status repaired = TryReconstructStored(b.bid, entry, rebuilt, damage);
-    if (!repaired.ok()) {
-      repaired = TryStripeReconstructStored(b.bid, entry, rebuilt, repaired);
-    }
-    if (repaired.ok()) {
-      b.Own(std::move(rebuilt));
-    } else {
-      LD_LOG(kWarn) << "cleaner: block " << b.bid << " moves damaged: " << repaired.ToString();
+    if (const StatusOr<RebuiltFrom> rebuilt = RebuildBlock(entry, damage, &b); !rebuilt.ok()) {
+      LD_LOG(kWarn) << "cleaner: block " << b.bid
+                    << " moves damaged: " << rebuilt.status().ToString();
     }
   }
+}
+
+StatusOr<LogStructuredDisk::RebuiltFrom> LogStructuredDisk::RebuildBlock(const BlockMapEntry& e,
+                                                                         const Status& damage,
+                                                                         CleanedBlock* b) {
+  std::vector<uint8_t> rebuilt(b->stored.size());
+  RebuiltFrom from = RebuiltFrom::kLane;
+  Status repaired = TryReconstructStored(b->bid, e, rebuilt, damage);
+  if (!repaired.ok()) {
+    from = RebuiltFrom::kStripe;
+    repaired = TryStripeReconstructStored(b->bid, e, rebuilt, repaired);
+  }
+  RETURN_IF_ERROR(repaired);
+  b->Own(std::move(rebuilt));
+  return from;
 }
 
 void LogStructuredDisk::OrderByLists(std::vector<CleanedBlock>* blocks) {

@@ -226,16 +226,14 @@ Status LogStructuredDisk::ScrubBlocks(ScrubWindow* window) {
     }
     if (damage.ok()) {
       // Intact: relocated only off a suspect.
-    } else if (TryReconstructStored(bid, e, b.owned, damage).ok()) {
+    } else if (const StatusOr<RebuiltFrom> rebuilt = RebuildBlock(e, damage, &b); rebuilt.ok()) {
       // Parity first: a verified reconstruction recovers the lost bytes and
       // the block is relocated with its original (verbatim) CRC, which the
-      // reconstruction was checked against.
-      report.blocks_reconstructed++;
-    } else if (TryStripeReconstructStored(bid, e, b.owned, damage).ok()) {
-      // Second tier: the per-segment lane could not repair it, the
-      // cross-channel stripe peers could. Accounted separately so the report
-      // shows which redundancy actually carried the block.
-      report.blocks_stripe_reconstructed++;
+      // reconstruction was checked against. The cross-channel stripe peers
+      // are the second tier, accounted separately so the report shows which
+      // redundancy actually carried the block.
+      (*rebuilt == RebuiltFrom::kLane ? report.blocks_reconstructed
+                                      : report.blocks_stripe_reconstructed)++;
     } else if (!on_suspect) {
       (unreadable ? report.blocks_unreadable : report.blocks_corrupt)++;
       LD_LOG(kWarn) << "scrub: block " << bid << " in healthy segment " << phys.segment
@@ -250,8 +248,8 @@ Status LogStructuredDisk::ScrubBlocks(ScrubWindow* window) {
       std::fill(b.owned.begin(), b.owned.end(), 0);
       b.payload_crc = ~PayloadCrc(b.stored) & 0xffffffu;
     } else {
-      // Carried verbatim (bytes and original CRC): relocation must never
-      // launder corruption into a fresh valid checksum.
+      // Carried verbatim (the bytes read and the original CRC): relocation
+      // must never launder corruption into a fresh valid checksum.
       report.blocks_corrupt++;
     }
     if (on_suspect || !damage.ok()) {

@@ -1,14 +1,16 @@
 // Direct unit tests for LLD's internal data structures: the summary-record
 // codec (including the data-area extension spill), the block-number map,
-// the list table, and the segment usage table.
+// the list table, their paged storage, and the segment usage table.
 
 #include <gtest/gtest.h>
 
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "src/lld/block_map.h"
 #include "src/lld/list_table.h"
+#include "src/lld/paged_array.h"
 #include "src/lld/summary_record.h"
 #include "src/lld/usage_table.h"
 #include "src/util/random.h"
@@ -527,6 +529,243 @@ TEST(ListTableTest, PackedEntryHoldsLogWidthLimitsAndSentinels) {
   e.set_head_seg(kNoAuthoritySeg);
   EXPECT_EQ(e.head_seg(), kNoAuthoritySeg);
   EXPECT_EQ(e.first(), 0x13579bu);
+}
+
+// ---- Paged table storage --------------------------------------------------------------
+
+constexpr uint64_t kPage = PagedArray<BlockMapEntry>::kPageBytes;
+
+// FNV-1a over the ids that a fixed script hands out: `steps` steps, each an
+// allocation (three in five, or whenever nothing is live) or the free of a
+// random live id.
+template <typename AllocateFn, typename FreeFn>
+uint64_t ScriptedIdHash(uint64_t seed, int steps, AllocateFn allocate, FreeFn free) {
+  Rng rng(seed);
+  std::vector<uint32_t> live;
+  uint64_t hash = 0xcbf29ce484222325ull;
+  for (int step = 0; step < steps; ++step) {
+    if (live.empty() || rng.Below(5) < 3) {
+      const uint32_t id = allocate();
+      live.push_back(id);
+      hash = (hash ^ id) * 0x100000001b3ull;
+    } else {
+      const size_t i = rng.Below(live.size());
+      free(live[i]);
+      live[i] = live.back();
+      live.pop_back();
+    }
+  }
+  return hash;
+}
+
+// A one-page array is right-sized and has no heap index; past one page the
+// footprint is exactly whole 4-KB pages plus the page index.
+TEST(PagedArrayTest, SmallFirstPageThenWholePages) {
+  PagedArray<uint32_t> a;
+  EXPECT_EQ(a.MemoryBytes(), 0u);
+  for (uint32_t i = 0; i < 3; ++i) {
+    a.push_back(i);
+  }
+  EXPECT_EQ(a.pages(), 1u);
+  EXPECT_EQ(a.IndexBytes(), 0u);
+  EXPECT_EQ(a.MemoryBytes(), 4 * sizeof(uint32_t));  // Right-sized: 4 slots for 3.
+  a.resize(2500);  // 1,024 per page.
+  EXPECT_EQ(a.pages(), 3u);
+  EXPECT_GT(a.IndexBytes(), 0u);
+  EXPECT_EQ(a.MemoryBytes(), 3 * kPage + a.IndexBytes());
+  EXPECT_EQ(a[0], 0u);
+  EXPECT_EQ(a[2], 2u);
+  EXPECT_EQ(a[2499], 0u);  // Value-initialized.
+  a.back() = 9;
+  a.pop_back();
+  a.resize(2500);  // A slot shrinking left behind comes back value-initialized.
+  EXPECT_EQ(a[2499], 0u);
+  a.pop_back();
+  a.push_back(7);
+  EXPECT_EQ(a.back(), 7u);
+  a.clear();
+  EXPECT_TRUE(a.empty());
+  EXPECT_EQ(a.pages(), 0u);
+  EXPECT_EQ(a.MemoryBytes(), 0u);
+}
+
+// 1,000 bids and 600 lids span several pages, and every entry keeps the
+// fields it was given.
+TEST(PagedArrayTest, TablesSpanPagesAndEntriesKeepTheirFields) {
+  BlockMap map;
+  std::vector<Bid> bids;
+  for (uint32_t i = 0; i < 1000; ++i) {
+    const Bid bid = *map.Allocate(i % 7 + 1, 512 + i);
+    BlockMapEntry& e = map.entry(bid);
+    e.set_phys(PhysAddr{i / 30, i * 4096});
+    e.set_successor(bid + 1);
+    e.set_stored_size(i);
+    e.set_compressed(i % 2 == 0);
+    e.set_payload_crc(i * 977);
+    e.set_link_seg(i + 1);
+    e.set_alloc_seg(i + 2);
+    e.set_write_ts(uint64_t{i} << 30);
+    bids.push_back(bid);
+  }
+  EXPECT_EQ(map.max_bid(), 1000u);
+  // 1,001 entries (bid 0 is reserved) fill 8 pages at 128 per page; with no
+  // free bids and no read counts, the map is those pages and their index.
+  const PagedArray<BlockMapEntry> entries(1001);
+  EXPECT_EQ(entries.pages(), 8u);
+  EXPECT_EQ(map.MemoryBytes(), 8 * kPage + entries.IndexBytes());
+  for (uint32_t i = 0; i < 1000; ++i) {
+    const BlockMapEntry& e = map.entry(bids[i]);
+    ASSERT_TRUE(e.allocated()) << i;
+    EXPECT_EQ(e.list(), i % 7 + 1);
+    EXPECT_EQ(e.size_class(), 512 + i);
+    EXPECT_EQ(e.phys(), (PhysAddr{i / 30, i * 4096}));
+    EXPECT_EQ(e.successor(), bids[i] + 1);
+    EXPECT_EQ(e.stored_size(), i);
+    EXPECT_EQ(e.compressed(), i % 2 == 0);
+    EXPECT_EQ(e.payload_crc(), i * 977);
+    EXPECT_EQ(e.link_seg(), i + 1);
+    EXPECT_EQ(e.alloc_seg(), i + 2);
+    EXPECT_EQ(e.write_ts(), uint64_t{i} << 30);
+  }
+
+  ListTable table;
+  std::vector<Lid> lids;
+  Lid pred = kBeginOfListOfLists;
+  for (uint32_t i = 0; i < 600; ++i) {
+    const Lid lid = *table.Allocate(pred, ListHints{i % 2 == 0, i % 3 == 0, i % 5 == 0});
+    ListEntry& e = table.entry(lid);
+    e.set_first(i * 11 + 1);
+    e.set_head_seg(i);
+    e.set_create_seg(i + 3);
+    lids.push_back(pred = lid);
+  }
+  EXPECT_EQ(table.max_lid(), 600u);
+  EXPECT_GE(table.MemoryBytes(), 3 * kPage);  // 601 entries at 256 per page.
+  Lid at = table.lol_head();
+  for (uint32_t i = 0; i < 600; ++i) {
+    ASSERT_EQ(at, lids[i]) << i;  // The list of lists runs in allocation order.
+    const ListEntry& e = table.entry(at);
+    EXPECT_EQ(e.first(), i * 11 + 1);
+    EXPECT_EQ(e.hints().cluster, i % 2 == 0);
+    EXPECT_EQ(e.hints().compress, i % 3 == 0);
+    EXPECT_EQ(e.hints().interlist_cluster, i % 5 == 0);
+    EXPECT_EQ(e.head_seg(), i);
+    EXPECT_EQ(e.create_seg(), i + 3);
+    EXPECT_EQ(e.lol_prev(), i == 0 ? kNilLid : lids[i - 1]);
+    at = e.lol_next();
+  }
+  EXPECT_EQ(at, kNilLid);
+}
+
+// The recovery path: Extend, then RebuildFreeList, hands out the lowest
+// free bid first.
+TEST(PagedArrayTest, ExtendThenRebuildHandsOutLowestFirst) {
+  BlockMap map;
+  map.Extend(5000);
+  EXPECT_EQ(map.max_bid(), 5000u);
+  EXPECT_EQ(map.allocated_count(), 0u);
+  EXPECT_FALSE(map.IsAllocated(5000));
+  map.RebuildFreeList();
+  for (Bid want = 1; want <= 5000; ++want) {
+    ASSERT_EQ(*map.Allocate(1, 4096), want);
+  }
+  EXPECT_EQ(*map.Allocate(1, 4096), 5001u);
+}
+
+// A fixed script of allocations and frees hands out the ids pinned here,
+// which the tables gave when they were std::vectors: LIFO reuse, then lowest
+// first after RebuildFreeList.
+TEST(PagedArrayTest, ScriptedIdsArePinned) {
+  const auto ids = [](auto allocate, int count) {
+    std::vector<uint32_t> out;
+    for (int i = 0; i < count; ++i) {
+      out.push_back(allocate());
+    }
+    return out;
+  };
+  const std::vector<uint32_t> lifo = {1186, 1179, 1172, 1165, 1158, 1151};
+  const std::vector<uint32_t> lowest_first = {3, 5, 10, 16, 17, 24, 27, 31};
+
+  BlockMap map;
+  const auto bid = [&] { return *map.Allocate(1, 4096); };
+  EXPECT_EQ(ScriptedIdHash(32, 6000, bid, [&](Bid b) { ASSERT_TRUE(map.Free(b).ok()); }),
+            0x9f0bae096f8b900bull);
+  const Bid max_bid = map.max_bid();
+  EXPECT_EQ(max_bid, 1190u);
+  for (Bid b = 3; b <= max_bid; b += 7) {
+    ASSERT_TRUE(map.Free(b).ok());
+  }
+  EXPECT_EQ(ids(bid, 6), lifo);
+  for (Bid b = 5; b <= max_bid; b += 11) {
+    map.ForceFree(b);
+  }
+  map.RebuildFreeList();
+  EXPECT_EQ(ids(bid, 8), lowest_first);
+
+  ListTable table;
+  const auto lid = [&] { return *table.Allocate(kBeginOfListOfLists, ListHints{}); };
+  EXPECT_EQ(ScriptedIdHash(33, 4000, lid, [&](Lid l) { ASSERT_TRUE(table.Free(l).ok()); }),
+            0xcb08bbf8586438e1ull);
+  const Lid max_lid = table.max_lid();
+  EXPECT_EQ(max_lid, 782u);
+  for (Lid l = 3; l <= max_lid; l += 7) {
+    ASSERT_TRUE(table.Free(l).ok());
+  }
+  EXPECT_EQ(ids(lid, 6), (std::vector<uint32_t>{780, 773, 766, 759, 752, 745}));
+  for (Lid l = 5; l <= max_lid; l += 11) {
+    table.ForceFree(l);
+  }
+  table.RebuildFreeList();
+  EXPECT_EQ(ids(lid, 8), lowest_first);
+}
+
+// Once the map fills its first whole page, growth adds pages and moves no
+// entry: a reference taken then stays valid through 10,000 allocations.
+TEST(PagedArrayTest, EntriesDoNotMoveWhenTheMapGrows) {
+  BlockMap map;
+  while (map.max_bid() + 1 < PagedArray<BlockMapEntry>::kPerPage) {
+    ASSERT_TRUE(map.Allocate(1, 4096).ok());
+  }
+  BlockMapEntry& first = map.entry(1);
+  first.set_payload_crc(0xabcdef);
+  const BlockMapEntry* const address = &first;
+  for (int i = 0; i < 10000; ++i) {
+    ASSERT_TRUE(map.Allocate(2, 4096).ok());
+  }
+  EXPECT_EQ(&map.entry(1), address);
+  EXPECT_EQ(first.payload_crc(), 0xabcdefu);
+  EXPECT_EQ(first.list(), 1u);
+}
+
+// A single-list table costs its two entries (the dummy and the list);
+// Clear() frees every page and leaves what a fresh table holds.
+TEST(PagedArrayTest, OneListTableIsTensOfBytesAndClearFreesEveryPage) {
+  ListTable table;
+  ASSERT_TRUE(table.Allocate(kBeginOfListOfLists, ListHints{}).ok());
+  EXPECT_EQ(table.MemoryBytes(), 2 * sizeof(ListEntry));
+  EXPECT_LT(table.MemoryBytes(), 100u);
+
+  for (int i = 0; i < 600; ++i) {
+    ASSERT_TRUE(table.Allocate(kBeginOfListOfLists, ListHints{}).ok());
+  }
+  for (Lid lid = 1; lid <= 300; ++lid) {
+    ASSERT_TRUE(table.Free(lid).ok());
+  }
+  EXPECT_GT(table.MemoryBytes(), 3 * kPage);
+  table.Clear();
+  EXPECT_EQ(table.MemoryBytes(), ListTable().MemoryBytes());
+  EXPECT_EQ(table.MemoryBytes(), sizeof(ListEntry));
+  EXPECT_EQ(table.max_lid(), 0u);
+
+  BlockMap map;
+  for (int i = 0; i < 600; ++i) {
+    ASSERT_TRUE(map.Allocate(1, 4096).ok());
+  }
+  map.CountRead(600);
+  ASSERT_TRUE(map.Free(600).ok());
+  map.Clear();
+  EXPECT_EQ(map.MemoryBytes(), BlockMap().MemoryBytes());
+  EXPECT_EQ(map.MemoryBytes(), sizeof(BlockMapEntry));
 }
 
 // ---- Usage table -----------------------------------------------------------------------

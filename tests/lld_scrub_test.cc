@@ -617,6 +617,90 @@ TEST(LldScrubTest, ParityCannotRepairTwoDamagedBlocksInOneSegment) {
   }
 }
 
+// The same double fault on a segment whose summary is damaged too: scrub
+// must relocate both blocks off the retired segment, and with the lane's
+// rebuild failing its CRC each moves with the bytes the media held, not with
+// the rebuild's guess (which carries the *other* block's flip). The flipped
+// byte position is drawn from LD_FAULT_SEED (byte 100 by default).
+TEST(LldScrubTest, UnrepairableBlocksMoveWithTheBytesTheMediaHeld) {
+  ScrubRig rig(/*channels=*/1);
+  auto lld = rig.Format(ParityOptions());
+  auto list = lld->NewList(kBeginOfListOfLists, ListHints{});
+  auto bids = rig.FillBlocks(lld.get(), *list, 200);
+
+  // The blocks at offsets 0 and 4096 of one full segment. A byte p of the
+  // first and the byte one lane period (4608 bytes) later, p + 512 into the
+  // second, share a lane position while p < 3584.
+  const auto at_offset = [&](uint32_t seg, uint32_t offset) -> size_t {
+    for (size_t i = 0; i < bids.size(); ++i) {
+      const PhysAddr phys = lld->block_map().entry(bids[i]).phys();
+      if (phys.IsOnDisk() && phys.segment == seg && phys.offset == offset) {
+        return i;
+      }
+    }
+    return bids.size();
+  };
+  size_t a = bids.size();
+  size_t b = bids.size();
+  uint32_t seg = 0;
+  for (; seg < lld->num_segments() && b == bids.size(); ++seg) {
+    if (lld->usage_table().segment(seg).state == SegmentState::kFull) {
+      a = at_offset(seg, 0);
+      b = a == bids.size() ? a : at_offset(seg, 4096);
+    }
+  }
+  ASSERT_NE(b, bids.size()) << "no full segment starts with two of the blocks";
+  --seg;
+  ASSERT_EQ(lld->usage_table().segment(seg).parity.bytes, 4608u);
+  const uint32_t p = static_cast<uint32_t>(EnvFaultSeed(100) % 3584);
+  const uint64_t a_sector = rig.BlockSector(lld.get(), bids[a]);
+  const uint64_t b_sector = rig.BlockSector(lld.get(), bids[b]);
+  ASSERT_TRUE(rig.disk->CorruptSector(a_sector + p / kSectorSize, p % kSectorSize, 0x01).ok());
+  const uint32_t q = p + 512;
+  ASSERT_TRUE(rig.disk->CorruptSector(b_sector + q / kSectorSize, q % kSectorSize, 0x80).ok());
+  ASSERT_TRUE(
+      rig.disk->CorruptSector(lld->SegmentSummaryStartByte(seg) / kSectorSize, 0, 0xff).ok());
+
+  auto report = lld->Scrub();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->suspect_segments, 1u);
+  EXPECT_EQ(report->blocks_reconstructed, 0u);
+  EXPECT_EQ(report->blocks_corrupt, 2u);
+
+  // Each relocated copy differs from its original by its own flip alone,
+  // listed as "byte:xor".
+  const auto relocated_flips = [&](size_t i) {
+    const PhysAddr phys = lld->block_map().entry(bids[i]).phys();
+    EXPECT_TRUE(phys.IsOnDisk());
+    EXPECT_NE(phys.segment, seg);
+    std::vector<uint8_t> bytes(4096);
+    EXPECT_TRUE(
+        rig.inner->Read((lld->SegmentStartByte(phys.segment) + phys.offset) / kSectorSize, bytes)
+            .ok());
+    const std::vector<uint8_t> original = Pattern(4096, static_cast<uint32_t>(i));
+    std::string flips;
+    for (size_t k = 0; k < bytes.size(); ++k) {
+      if (bytes[k] != original[k]) {
+        flips += std::to_string(k) + ":" + std::to_string(bytes[k] ^ original[k]) + " ";
+      }
+    }
+    return flips;
+  };
+  EXPECT_EQ(relocated_flips(a), std::to_string(p) + ":1 ");
+  EXPECT_EQ(relocated_flips(b), std::to_string(q) + ":128 ");
+
+  // Both stay typed CORRUPTION; every other block reads back intact.
+  std::vector<uint8_t> out(4096);
+  for (size_t i = 0; i < bids.size(); ++i) {
+    if (i == a || i == b) {
+      EXPECT_EQ(lld->Read(bids[i], out).code(), ErrorCode::kCorruption) << i;
+      continue;
+    }
+    ASSERT_TRUE(lld->Read(bids[i], out).ok()) << i;
+    EXPECT_EQ(out, Pattern(4096, static_cast<uint32_t>(i)));
+  }
+}
+
 TEST(LldScrubTest, RottedParityBlockFallsBackToTypedReport) {
   ScrubRig rig;
   auto lld = rig.Format(ParityOptions());
